@@ -267,7 +267,7 @@ def synthesis_from_dict(raw: dict) -> SynthesisSpec:
             full_open_duration=float(s["full_open_s"]),
             full_decay_duration=float(s["full_decay_s"]),
             noise_sigma=float(s["noise_sigma_pa"]),
-            seed=int(s["seed"]),
+            seed=_strict_int(s["seed"], "config.synthesis.seed"),
         )
     except ValueError as exc:
         raise ConfigError(f"invalid synthesis settings: {exc}") from exc
@@ -281,6 +281,15 @@ def load_synthesis(path: str | Path) -> SynthesisSpec:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
     return synthesis_from_dict(raw)
+
+
+def _strict_int(value: Any, where: str) -> int:
+    """An integer config entry: an integer or an integral float, never a bool."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{where} must be an integer, got {value!r}")
 
 
 def _require_keys(d: dict, allowed: set[str], where: str) -> None:
@@ -406,13 +415,13 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
     m = d["mpc"]
     try:
         mpc = MpcConfig(
-            horizon_steps=int(m["horizon_steps"]),
+            horizon_steps=_strict_int(m["horizon_steps"], "config.mpc.horizon_steps"),
             dt_pred=float(m["dt_pred_s"]),
             w_e=float(m["w_e"]),
             w_u=float(m["w_u"]),
             w_sw=float(m["w_sw"]),
-            max_iters=int(m["max_iters"]),
-            max_switches=int(m["max_switches"]),
+            max_iters=_strict_int(m["max_iters"], "config.mpc.max_iters"),
+            max_switches=_strict_int(m["max_switches"], "config.mpc.max_switches"),
         )
     except ValueError as exc:
         raise ConfigError(f"invalid mpc config: {exc}") from exc
@@ -426,7 +435,7 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
             reference = Reference.sinusoid(
                 amplitude_kpa=float(r["amplitude_kpa"]),
                 frequency_hz=float(r["frequency_hz"]),
-                cycles=int(r["cycles"]),
+                cycles=_strict_int(r["cycles"], "config.reference.cycles"),
             )
         else:
             raise ConfigError(f"unknown reference kind {kind!r}")
@@ -441,7 +450,7 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
             sim_substep=float(t["sim_substep_hz"]),
             duration=None if t["duration_s"] is None else float(t["duration_s"]),
             noise_sigma=float(t["noise_sigma_pa"]),
-            seed=int(t["seed"]),
+            seed=_strict_int(t["seed"], "config.timing.seed"),
         )
     except ValueError as exc:
         raise ConfigError(f"invalid timing config: {exc}") from exc

@@ -103,7 +103,13 @@ def _descend(
     load: Optional[LoadModel],
     u_init: Optional[Sequence[float]],
 ) -> tuple[list[float], float, int, bool, list[float]]:
-    """Projected coordinate descent over the duty sequence for a fixed mode sequence."""
+    """Projected coordinate descent over the duty sequence for a fixed mode sequence.
+
+    Every line-search evaluation on ``u[k]`` reuses the cached pressure and
+    running cost before step k and re-simulates only steps k..N-1, adding the
+    stage costs in the order of :func:`rollout_cost`, so each evaluation
+    equals a full rollout bit for bit.
+    """
     n = cfg.horizon_steps
     bounds = [(maps[m].u_min, maps[m].u_max) for m in m_seq]
     if u_init is None:
@@ -114,6 +120,34 @@ def _descend(
         u = [min(bounds[k][1], max(bounds[k][0], float(u_init[k]))) for k in range(n)]
 
     cost = rollout_cost(p0, u, m_seq, ref_seq, cfg, params, maps, load)
+
+    kernel = plant_mod.rk4_kernel(params, load)
+    dt, w_e, w_u = cfg.dt_pred, cfg.w_e, cfg.w_u
+    spool_maps = [maps[m] for m in m_seq]
+    inflating = [m == Mode.INFLATION for m in m_seq]
+    switch_cost = cfg.w_sw * sum(1 for a, b in zip(m_seq[:-1], m_seq[1:]) if a != b)
+    x = [eval_spool(u[k], spool_maps[k]) for k in range(n)]
+    p_before = [p0] * (n + 1)       # pressure before step k
+    c_before = [0.0] * (n + 1)      # running stage cost before step k
+
+    def tail(k: int, record: bool) -> float:
+        """Total cost of the current spool fractions, simulating from step k."""
+        p = p_before[k]
+        c = c_before[k]
+        for j in range(k, n):
+            x_j = x[j]
+            p = kernel(p, x_j, inflating[j], dt)
+            e = p - ref_seq[j]
+            c += w_e * e * e + w_u * x_j * x_j
+            if record:
+                p_before[j + 1] = p
+                c_before[j + 1] = c
+        c += switch_cost
+        if not math.isfinite(c):
+            raise ArithmeticError("rollout cost diverged")
+        return c
+
+    tail(0, True)
     trace = [cost]
     sweeps = 0
     improved_last = True
@@ -121,15 +155,17 @@ def _descend(
         improved_last = False
         for k in range(n):
             def line(v: float, k: int = k) -> float:
-                saved = u[k]
-                u[k] = v
-                c = rollout_cost(p0, u, m_seq, ref_seq, cfg, params, maps, load)
-                u[k] = saved
+                saved = x[k]
+                x[k] = eval_spool(v, spool_maps[k])
+                c = tail(k, False)
+                x[k] = saved
                 return c
 
             v_best, c_best, _ = golden_section(line, bounds[k][0], bounds[k][1], tol=cfg.line_tol)
             if c_best < cost - 1e-15:
                 u[k] = v_best
+                x[k] = eval_spool(v_best, spool_maps[k])
+                tail(k, True)
                 cost = c_best
                 improved_last = True
         sweeps += 1

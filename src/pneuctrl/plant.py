@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 
 class Mode(IntEnum):
@@ -79,6 +79,12 @@ class PlantParams:
         object.__setattr__(self, "_k_on", c.c_on * self.rho_ref * temp_corr)
         object.__setattr__(self, "_k_oa", c.c_oa * self.rho_ref * temp_corr)
         object.__setattr__(self, "_k_ao", self.p_atm * c.c_ao * self.rho_ref * temp_corr)
+        # Fused RK4 kernels built by rk4_kernel, keyed by load model.
+        object.__setattr__(self, "_kernels", {})
+
+    def __getstate__(self) -> dict:
+        # Kernels are closures, which do not pickle; a copy builds its own.
+        return {**self.__dict__, "_kernels": {}}
 
     @property
     def gas_energy(self) -> float:
@@ -187,24 +193,33 @@ def branch_flows(p: float, params: PlantParams) -> BranchFlows:
     return BranchFlows(a_po, a_on, a_oa, a_ao)
 
 
+def drift_and_gain(p: float, m: Mode, params: PlantParams) -> tuple[float, float]:
+    """Input-free rate and rate per unit spool fraction in mode ``m``, Pa/s.
+
+    One evaluation of :func:`branch_flows` serves both terms of the
+    control-affine model dp/dt = drift + gain * x_bar.
+    """
+    flows = branch_flows(p, params)
+    scale = params.gas_energy / params.volume
+    if m == Mode.INFLATION:
+        q = flows.a_po - flows.a_ao + flows.a_oa
+    else:
+        q = -flows.a_on - flows.a_ao + flows.a_oa
+    return scale * (flows.a_ao - flows.a_oa), scale * q
+
+
 def drift(p: float, params: PlantParams) -> float:
     """Input-free pressure rate from the atmospheric exchange branches, Pa/s.
 
     Zero at atmospheric pressure; pulls the outlet toward atmosphere from
     either side.
     """
-    flows = branch_flows(p, params)
-    return params.gas_energy / params.volume * (flows.a_ao - flows.a_oa)
+    return drift_and_gain(p, Mode.INFLATION, params)[0]
 
 
 def gain(p: float, m: Mode, params: PlantParams) -> float:
     """Pressure rate per unit spool fraction in mode ``m``, Pa/s."""
-    flows = branch_flows(p, params)
-    if m == Mode.INFLATION:
-        q = flows.a_po - flows.a_ao + flows.a_oa
-    else:
-        q = -flows.a_on - flows.a_ao + flows.a_oa
-    return params.gas_energy / params.volume * q
+    return drift_and_gain(p, m, params)[1]
 
 
 def net_outlet_flow(x_bar: float, p: float, m: Mode, params: PlantParams) -> float:
@@ -246,6 +261,91 @@ def pressure_rate(
     return params.gas_energy / volume * net_outlet_flow(x_bar, p, m, params)
 
 
+# One RK4 step (p, x_bar, inflation, dt) -> next clamped p.
+Kernel = Callable[[float, float, bool, float], float]
+
+
+def _build_kernel(params: PlantParams, load: Optional[LoadModel]) -> Kernel:
+    """Fuse ``pressure_rate`` into one RK4 step with every constant hoisted.
+
+    Each expression keeps the association order of ``net_outlet_flow`` and
+    ``pressure_rate``, so the kernel is bit-identical to four rate
+    evaluations combined by the classic RK4 weights.
+    """
+    p_neg, p_pos, p_atm, b = params.p_neg, params.p_pos, params.p_atm, params.b
+    k_po, k_on, k_oa, k_ao = params._k_po, params._k_on, params._k_oa, params._k_ao
+    energy = params.gas_energy
+    bellow = load is not None and load.kind == "affine-bellow"
+    if bellow:
+        v0, k_v, v_min, v_max = load.v0, load.k_v, load.v_min, load.v_max
+    else:
+        energy_per_volume = energy / (params.volume if load is None else load.v0)
+
+    def rate(p: float, c_main: float, c_out: float, c_in: float, inflation: bool) -> float:
+        if p < p_neg:
+            p = p_neg
+        elif p > p_pos:
+            p = p_pos
+        elif p != p:
+            raise ValueError(f"outlet pressure {p!r} Pa outside [{p_neg}, {p_pos}]")
+        if bellow:
+            v = v0 + k_v * (p - p_atm)
+            if v < v_min:
+                v = v_min
+            elif v > v_max:
+                v = v_max
+            scale = energy / v
+        else:
+            scale = energy_per_volume
+        if inflation:
+            main = c_main * shape_factor(p / p_pos, b)
+        else:
+            main = c_main * p * shape_factor(p_neg / p, b)
+        if p >= p_atm:
+            leak = c_out * p * shape_factor(p_atm / p, b)
+        else:
+            leak = c_in * shape_factor(p / p_atm, b)
+        return scale * (main + leak)
+
+    def kernel(p: float, x_bar: float, inflation: bool, dt: float) -> float:
+        if dt <= 0.0:
+            raise ValueError("dt must be positive")
+        if not (-1e-12 <= x_bar <= 1.0 + 1e-12):
+            raise ValueError(f"spool fraction {x_bar!r} outside [0, 1]")
+        c_main = x_bar * k_po if inflation else -x_bar * k_on
+        c_out = -(1.0 - x_bar) * k_oa
+        c_in = (1.0 - x_bar) * k_ao
+        half = 0.5 * dt
+        k1 = rate(p, c_main, c_out, c_in, inflation)
+        k2 = rate(p + half * k1, c_main, c_out, c_in, inflation)
+        k3 = rate(p + half * k2, c_main, c_out, c_in, inflation)
+        k4 = rate(p + dt * k3, c_main, c_out, c_in, inflation)
+        p_new = p + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not math.isfinite(p_new):
+            raise ArithmeticError(f"integration diverged from p={p!r} Pa over dt={dt!r} s")
+        if p_new < p_neg:
+            return p_neg
+        if p_new > p_pos:
+            return p_pos
+        return p_new
+
+    return kernel
+
+
+def rk4_kernel(params: PlantParams, load: Optional[LoadModel] = None) -> Kernel:
+    """The fused RK4 step ``(p, x_bar, inflation, dt) -> p_next`` for one channel.
+
+    Built once per load and cached on ``params``.  :func:`step` is a thin
+    wrapper over it; loops that carry the pressure as a float call it
+    directly and skip the :class:`PlantState` allocation.
+    """
+    kernels = params._kernels
+    kernel = kernels.get(load)
+    if kernel is None:
+        kernel = kernels[load] = _build_kernel(params, load)
+    return kernel
+
+
 def step(
     state: PlantState,
     x_bar: float,
@@ -259,18 +359,5 @@ def step(
     Inputs are held constant over the step (zero-order hold).  The result is
     clamped to [p_neg, p_pos]: the sources physically bound the pressure.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    p = state.p_out
-    k1 = pressure_rate(p, x_bar, m, params, load)
-    k2 = pressure_rate(p + 0.5 * dt * k1, x_bar, m, params, load)
-    k3 = pressure_rate(p + 0.5 * dt * k2, x_bar, m, params, load)
-    k4 = pressure_rate(p + dt * k3, x_bar, m, params, load)
-    p_new = p + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not math.isfinite(p_new):
-        raise ArithmeticError(f"integration diverged at t={state.t!r}")
-    if p_new < params.p_neg:
-        p_new = params.p_neg
-    elif p_new > params.p_pos:
-        p_new = params.p_pos
+    p_new = rk4_kernel(params, load)(state.p_out, x_bar, m == Mode.INFLATION, dt)
     return PlantState(p_out=p_new, t=state.t + dt)

@@ -353,13 +353,17 @@ def read_trace_csv(path: str | Path) -> StepTrace:
         if header is None or tuple(header) != TRACE_COLUMNS:
             raise TraceDataError(f"{path}: expected columns {','.join(TRACE_COLUMNS)}")
         ts, ps, u1s, u2s, kinds = [], [], [], [], []
-        for row in reader:
+        for line_no, row in enumerate(reader, start=2):
             if len(row) != 5:
                 raise TraceDataError(f"{path}: malformed row {row!r}")
-            ts.append(float(row[0]))
-            ps.append(float(row[1]))
-            u1s.append(float(row[2]))
-            u2s.append(float(row[3]))
+            try:
+                t, p, u1, u2 = (float(v) for v in row[:4])
+            except ValueError as exc:
+                raise TraceDataError(f"{path}: line {line_no}: malformed row {row!r}: {exc}") from exc
+            ts.append(t)
+            ps.append(p)
+            u1s.append(u1)
+            u2s.append(u2)
             kinds.append(row[4])
     if not ts:
         raise TraceDataError(f"{path}: empty trace")

@@ -1,0 +1,65 @@
+"""Exit codes for malformed inputs: 2 for a config error, 3 for bad trace data."""
+
+import json
+
+import pytest
+
+from pneuctrl.cli import main
+from pneuctrl.sysid import TRACE_COLUMNS
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("mpc", "horizon_steps", 2.7),
+        ("mpc", "horizon_steps", True),
+        ("mpc", "max_iters", 1.5),
+        ("mpc", "max_switches", False),
+        ("mpc", "max_switches", "1"),
+        ("timing", "seed", True),
+        ("timing", "seed", 0.5),
+    ],
+)
+def test_non_integral_scenario_entry_exits_2(tmp_path, capsys, section, key, value):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({section: {key: value}}))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"config.{section}.{key}" in capsys.readouterr().err
+
+
+def test_non_integral_sinusoid_cycles_exits_2(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    ref = {"kind": "sinusoid", "amplitude_kpa": 50.0, "frequency_hz": 0.5, "cycles": 2.5}
+    path.write_text(json.dumps({"reference": ref}))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "config.reference.cycles" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [True, 3.25])
+def test_non_integral_synthesis_seed_exits_2(tmp_path, capsys, value):
+    path = tmp_path / "synth.json"
+    path.write_text(json.dumps({"synthesis": {"seed": value}}))
+    assert main(["synthesize", "--config", str(path), "--out", str(tmp_path / "traces")]) == 2
+    assert "config.synthesis.seed" in capsys.readouterr().err
+
+
+def test_integral_float_is_accepted(tmp_path):
+    path = tmp_path / "scenario.json"
+    cfg = {
+        "reference": {"kind": "multi-step", "stages": [[0.0, 0.5], [50.0, 0.5]]},
+        "mpc": {"horizon_steps": 4.0},
+        "timing": {"seed": 3.0},
+    }
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
+def test_malformed_trace_value_exits_3(tmp_path, capsys):
+    traces = tmp_path / "traces"
+    traces.mkdir()
+    rows = [",".join(TRACE_COLUMNS)] + [f"{0.01 * i},150000.0,100.0,60.0,rise" for i in range(12)]
+    rows[5] = "0.04,abc,100.0,60.0,rise"
+    (traces / "seg.csv").write_text("\n".join(rows) + "\n")
+    assert main(["sysid", "--traces", str(traces), "--mode", "inflation"]) == 3
+    err = capsys.readouterr().err
+    assert "seg.csv" in err and "line 6" in err
