@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 from . import plant as plant_mod
@@ -102,17 +101,13 @@ def sat(z: float) -> float:
     return z
 
 
-@lru_cache(maxsize=16)
-def _mid_gain(m: Mode, params: PlantParams) -> float:
-    """|g_m| at the mode's mid driving pressure, the scale of the gain guard.
-
-    Constant per (mode, params), so it is computed once and memoised.
-    """
+def _gain_guard_threshold(m: Mode, params: PlantParams) -> float:
+    """Guard level: a small fraction of |g_m| at the mode's mid driving pressure."""
     if m == Mode.INFLATION:
         p_mid = 0.5 * (params.p_atm + params.p_pos)
     else:
         p_mid = 0.5 * (params.p_neg + params.p_atm)
-    return abs(plant_mod.gain(p_mid, m, params))
+    return GAIN_GUARD_REL * abs(plant_mod.gain(p_mid, m, params))
 
 
 def smc_update(
@@ -158,11 +153,12 @@ def smc_update(
     # Noisy measurements can land outside the physical rails; clamp for the
     # model-inversion terms only (the error keeps the raw measurement).
     p_model = min(max(p, params.p_neg), params.p_pos)
-    f, g_m = plant_mod.drift_and_gain(p_model, mode, params)
+    f = plant_mod.drift(p_model, params)
+    g_m = plant_mod.gain(p_model, mode, params)
     numerator = -f + p_ref_rate - s - (g.eta / g.lam) * sat(s / g.mu) - (g.k_i / g.lam) * e
 
     guard = False
-    if abs(g_m) < GAIN_GUARD_REL * _mid_gain(mode, params):
+    if abs(g_m) < _gain_guard_threshold(mode, params):
         guard = True
         # Sign of the gain is unreliable here; open fully if the demanded
         # rate points the way this mode can push, otherwise close.

@@ -193,33 +193,24 @@ def branch_flows(p: float, params: PlantParams) -> BranchFlows:
     return BranchFlows(a_po, a_on, a_oa, a_ao)
 
 
-def drift_and_gain(p: float, m: Mode, params: PlantParams) -> tuple[float, float]:
-    """Input-free rate and rate per unit spool fraction in mode ``m``, Pa/s.
-
-    One evaluation of :func:`branch_flows` serves both terms of the
-    control-affine model dp/dt = drift + gain * x_bar.
-    """
-    flows = branch_flows(p, params)
-    scale = params.gas_energy / params.volume
-    if m == Mode.INFLATION:
-        q = flows.a_po - flows.a_ao + flows.a_oa
-    else:
-        q = -flows.a_on - flows.a_ao + flows.a_oa
-    return scale * (flows.a_ao - flows.a_oa), scale * q
-
-
 def drift(p: float, params: PlantParams) -> float:
     """Input-free pressure rate from the atmospheric exchange branches, Pa/s.
 
     Zero at atmospheric pressure; pulls the outlet toward atmosphere from
     either side.
     """
-    return drift_and_gain(p, Mode.INFLATION, params)[0]
+    flows = branch_flows(p, params)
+    return params.gas_energy / params.volume * (flows.a_ao - flows.a_oa)
 
 
 def gain(p: float, m: Mode, params: PlantParams) -> float:
     """Pressure rate per unit spool fraction in mode ``m``, Pa/s."""
-    return drift_and_gain(p, m, params)[1]
+    flows = branch_flows(p, params)
+    if m == Mode.INFLATION:
+        q = flows.a_po - flows.a_ao + flows.a_oa
+    else:
+        q = -flows.a_on - flows.a_ao + flows.a_oa
+    return params.gas_energy / params.volume * q
 
 
 def net_outlet_flow(x_bar: float, p: float, m: Mode, params: PlantParams) -> float:

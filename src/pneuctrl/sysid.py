@@ -353,13 +353,13 @@ def read_trace_csv(path: str | Path) -> StepTrace:
         if header is None or tuple(header) != TRACE_COLUMNS:
             raise TraceDataError(f"{path}: expected columns {','.join(TRACE_COLUMNS)}")
         ts, ps, u1s, u2s, kinds = [], [], [], [], []
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
             if len(row) != 5:
                 raise TraceDataError(f"{path}: malformed row {row!r}")
             try:
                 t, p, u1, u2 = (float(v) for v in row[:4])
             except ValueError as exc:
-                raise TraceDataError(f"{path}: line {line_no}: malformed row {row!r}: {exc}") from exc
+                raise TraceDataError(f"{path}: line {reader.line_num}: malformed row {row!r}: {exc}") from exc
             ts.append(t)
             ps.append(p)
             u1s.append(u1)
