@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Any, Optional
 
 from .control import PidGains, SmcGains, SupervisorConfig
-from .experiment import Reference, TimingConfig
+from .experiment import Reference, TimingConfig, run_duration
 from .mpc import MpcConfig
 from .plant import Conductances, LoadModel, Mode, PlantParams
 from .valvemap import SpoolMap
@@ -454,6 +454,13 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
         )
     except ValueError as exc:
         raise ConfigError(f"invalid timing config: {exc}") from exc
+    # Metrics need two control ticks; the slack absorbs rounding in the product.
+    run_s = run_duration(reference, timing)
+    if run_s * timing.control_rate < 2.0 * (1.0 - 1e-9):
+        raise ConfigError(
+            f"config.timing: a run of {run_s!r} s is shorter than two control ticks "
+            f"at {timing.control_rate!r} Hz"
+        )
 
     return ScenarioConfig(
         name=str(d["name"]),

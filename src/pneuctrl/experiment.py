@@ -28,7 +28,7 @@ from .control import (
     select_mode,
     smc_update,
 )
-from .plant import LoadModel, Mode, PlantParams, PlantState
+from .plant import LoadModel, Mode, PlantParams
 from .valvemap import SpoolMap, eval_spool
 
 
@@ -150,6 +150,7 @@ class Trajectory:
     s: np.ndarray                        # sliding variable (NaN for non-SMC)
     x_star: np.ndarray                   # commanded spool fraction (NaN if n/a)
     flags: list[str] = field(default_factory=list)
+    duration: Optional[float] = None     # simulated length, s (None: the whole reference)
 
 
 class ControllerLoop(Protocol):
@@ -317,6 +318,13 @@ class MinmpcLoop:
         return {"s": math.nan, "x_star": math.nan, "flag": self._last_flag}
 
 
+def run_duration(ref: Reference, timing: TimingConfig) -> float:
+    """Simulated length of one run, s: the timing's duration capped at the reference's."""
+    if timing.duration is None:
+        return ref.duration
+    return min(timing.duration, ref.duration)
+
+
 def run_scenario(
     ref: Reference,
     controller: ControllerLoop,
@@ -331,22 +339,22 @@ def run_scenario(
     Deterministic for a fixed seed: the plant substep, sensor schedule, and
     noise draws are all derived from the timing config alone.
     """
-    duration = timing.duration if timing.duration is not None else ref.duration
-    duration = min(duration, ref.duration)
+    duration = run_duration(ref, timing)
     rng = np.random.default_rng(timing.seed)
     dt_sub = 1.0 / timing.sim_substep
     dt_ctrl = 1.0 / timing.control_rate
     n_sub = int(round(duration * timing.sim_substep))
     eps = 0.5 * dt_sub
 
-    p0 = reference_at(ref, 0.0, params.p_atm)[0] if p_init is None else p_init
-    state = PlantState(p_out=p0, t=0.0)
+    p = reference_at(ref, 0.0, params.p_atm)[0] if p_init is None else p_init
+    kernel = plant_mod.rk4_kernel(params, load)
 
-    held = p0
+    held = p
     k_sensor = 0
     k_ctrl = 0
     x_bar = 0.0
     mode = Mode.INFLATION
+    inflation = True
 
     rows_t, rows_ref, rows_true, rows_meas = [], [], [], []
     rows_u, rows_mode, rows_ct, rows_s, rows_x = [], [], [], [], []
@@ -356,7 +364,7 @@ def run_scenario(
         t = j / timing.sim_substep
         if t + eps >= k_sensor / timing.sensor_rate:
             noise = rng.normal(0.0, timing.noise_sigma) if timing.noise_sigma > 0.0 else 0.0
-            held = state.p_out + noise
+            held = p + noise
             k_sensor += 1
         if t + eps >= k_ctrl / timing.control_rate:
             p_ref, p_rate = reference_at(ref, t, params.p_atm)
@@ -364,10 +372,11 @@ def run_scenario(
             u, mode = controller.update(t, held, p_ref, p_rate)
             ct = time.perf_counter() - t0
             x_bar = eval_spool(u, maps[mode])
+            inflation = mode == Mode.INFLATION
             diag = controller.diagnostics
             rows_t.append(t)
             rows_ref.append(p_ref)
-            rows_true.append(state.p_out)
+            rows_true.append(p)
             rows_meas.append(held)
             rows_u.append(u)
             rows_mode.append(int(mode))
@@ -376,7 +385,7 @@ def run_scenario(
             rows_x.append(diag.get("x_star", math.nan))
             flags.append(diag.get("flag", ""))
             k_ctrl += 1
-        state = plant_mod.step(state, x_bar, mode, dt_sub, params, load)
+        p = kernel(p, x_bar, inflation, dt_sub)
 
     return Trajectory(
         t=np.asarray(rows_t),
@@ -389,6 +398,7 @@ def run_scenario(
         s=np.asarray(rows_s),
         x_star=np.asarray(rows_x),
         flags=flags,
+        duration=duration,
     )
 
 
@@ -423,7 +433,9 @@ def compute_metrics(traj: Trajectory, ref: Reference, window_policy: str = "auto
 
     Errors use the true pressure.  Integrals use the rectangle rule on the
     control grid; the ITAE time origin resets at each window start, and the
-    steady-state error averages |e| over the final 20% of each window.
+    steady-state error averages |e| over the final 20% of each window.  A
+    run shorter than the reference scores only the windows it reaches, the
+    last one cut at the run's end.
     """
     if window_policy == "auto":
         window_policy = "stage" if ref.kind == "multi-step" else "period"
@@ -437,11 +449,13 @@ def compute_metrics(traj: Trajectory, ref: Reference, window_policy: str = "auto
     dt = float(t[1] - t[0])
     e_kpa = (traj.p_true - traj.p_ref) / 1000.0
     abs_e = np.abs(e_kpa)
+    eps = 0.25 * dt
+    if traj.duration is not None and traj.duration < edges[-1]:
+        edges = [w for w in edges if w < traj.duration - eps] + [traj.duration]
 
     per: dict[str, list[float]] = {
         "ae": [], "itae": [], "pwm_e": [], "switches": [], "e_ss": [], "max_abs_e": [],
     }
-    eps = 0.25 * dt
     for w0, w1 in zip(edges[:-1], edges[1:]):
         idx = np.nonzero((t >= w0 - eps) & (t < w1 - eps))[0]
         if idx.size == 0:

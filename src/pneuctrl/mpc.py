@@ -102,13 +102,24 @@ def _descend(
     maps: tuple[SpoolMap, SpoolMap],
     load: Optional[LoadModel],
     u_init: Optional[Sequence[float]],
+    steps: Optional[dict[tuple[float, float, bool], float]] = None,
 ) -> tuple[list[float], float, int, bool, list[float]]:
     """Projected coordinate descent over the duty sequence for a fixed mode sequence.
 
     Every line-search evaluation on ``u[k]`` reuses the cached pressure and
     running cost before step k and re-simulates only steps k..N-1, adding the
     stage costs in the order of :func:`rollout_cost`, so each evaluation
-    equals a full rollout bit for bit.
+    equals a full rollout bit for bit.  A line search also returns the cost
+    it already computed for a spool fraction it meets again on the same
+    coordinate.
+
+    ``steps`` memoizes RK4 steps as ``(p, x_bar, inflation) -> p_next``.  The
+    key leaves out ``dt``, ``params`` and ``load``, so one memo may serve
+    only descents that share all three, such as those of one solve.  It
+    holds only results the checked kernel returned, so a hit returns what
+    the kernel would.  ``0.0`` and ``-0.0`` share a key: they differ only in
+    the sign of a zero main-branch coefficient, which gives the same
+    ``p_next`` and the same stage cost.
     """
     n = cfg.horizon_steps
     bounds = [(maps[m].u_min, maps[m].u_max) for m in m_seq]
@@ -136,7 +147,14 @@ def _descend(
         c = c_before[k]
         for j in range(k, n):
             x_j = x[j]
-            p = kernel(p, x_j, inflating[j], dt)
+            if steps is None:
+                p = kernel(p, x_j, inflating[j], dt)
+            else:
+                key = (p, x_j, inflating[j])
+                p_next = steps.get(key)
+                if p_next is None:
+                    p_next = steps[key] = kernel(p, x_j, inflating[j], dt)
+                p = p_next
             e = p - ref_seq[j]
             c += w_e * e * e + w_u * x_j * x_j
             if record:
@@ -154,11 +172,17 @@ def _descend(
     for _ in range(cfg.max_iters):
         improved_last = False
         for k in range(n):
-            def line(v: float, k: int = k) -> float:
-                saved = x[k]
-                x[k] = eval_spool(v, spool_maps[k])
-                c = tail(k, False)
-                x[k] = saved
+            # The current cost is tail(k) of the current x, bit for bit.
+            seen = {x[k]: cost}
+
+            def line(v: float, k: int = k, seen: dict[float, float] = seen) -> float:
+                x_new = eval_spool(v, spool_maps[k])
+                c = seen.get(x_new)
+                if c is None:
+                    saved = x[k]
+                    x[k] = x_new
+                    c = seen[x_new] = tail(k, False)
+                    x[k] = saved
                 return c
 
             v_best, c_best, _ = golden_section(line, bounds[k][0], bounds[k][1], tol=cfg.line_tol)
@@ -240,9 +264,11 @@ def minmpc_solve(
     best_key: Optional[tuple] = None
     total_sweeps = 0
     any_cap = False
+    # RK4 steps shared by every mode sequence of this solve; see _descend.
+    steps: dict[tuple[float, float, bool], float] = {}
     for m_seq in mode_sequences(cfg.horizon_steps, cfg.max_switches):
         u, cost, sweeps, hit_cap, trace = _descend(
-            p0, ref_seq, m_seq, cfg, params, maps, load, None,
+            p0, ref_seq, m_seq, cfg, params, maps, load, None, steps,
         )
         total_sweeps += sweeps
         any_cap = any_cap or hit_cap

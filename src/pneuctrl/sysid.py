@@ -27,7 +27,7 @@ import numpy as np
 
 from . import plant as plant_mod
 from .optim import golden_section
-from .plant import Conductances, LoadModel, Mode, PlantParams, PlantState
+from .plant import Conductances, LoadModel, Mode, PlantParams
 from .valvemap import SpoolMap, eval_spool
 
 
@@ -107,13 +107,13 @@ def simulate_at_samples(
     load: Optional[LoadModel] = None,
 ) -> np.ndarray:
     """Model pressures at the given sample times, starting from p0 at t[0]."""
+    kernel = plant_mod.rk4_kernel(params, load)
+    inflation = m == Mode.INFLATION
     out = np.empty(len(t))
-    out[0] = p0
-    state = PlantState(p_out=p0, t=float(t[0]))
+    out[0] = p = p0
     for i in range(1, len(t)):
-        dt = float(t[i] - t[i - 1])
-        state = plant_mod.step(state, x_bar, m, dt, params, load)
-        out[i] = state.p_out
+        p = kernel(p, x_bar, inflation, float(t[i] - t[i - 1]))
+        out[i] = p
     return out
 
 
@@ -322,7 +322,10 @@ def identify_channel(
     interior = [(p.u, p.x_hat) for p in points if not p.at_bound]
     if len(interior) < 4:
         raise TraceDataError("fewer than 4 unsaturated sweep segments; cannot fit the map")
-    spool_map = fit_cubic(interior, u_min=u_min, u_max=u_max, mode=mode)
+    try:
+        spool_map = fit_cubic(interior, u_min=u_min, u_max=u_max, mode=mode)
+    except ValueError as exc:
+        raise TraceDataError(f"{mode.name.lower()} spool calibration failed: {exc}") from exc
     return ChannelIdResult(mode=mode, leak=leak, source=source, spool_map=spool_map, points=points)
 
 
@@ -395,17 +398,19 @@ def simulate_segment(
     n_sub = int(round(duration * sim_substep))
     dt = 1.0 / sim_substep
     eps = 0.5 * dt
-    state = PlantState(p_out=p0, t=0.0)
+    kernel = plant_mod.rk4_kernel(params)
+    inflation = m == Mode.INFLATION
+    p = p0
     ts, ps = [0.0], [p0]
     k = 1
     for j in range(1, n_sub + 1):
-        state = plant_mod.step(state, x_bar, m, dt, params)
+        p = kernel(p, x_bar, inflation, dt)
         t = j / sim_substep
         if t + eps >= k / sample_rate:
             ts.append(t)
-            ps.append(state.p_out)
+            ps.append(p)
             k += 1
-    return np.asarray(ts), np.asarray(ps), state.p_out
+    return np.asarray(ts), np.asarray(ps), p
 
 
 @dataclass(frozen=True)

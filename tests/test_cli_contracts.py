@@ -1,4 +1,7 @@
-"""Exit codes for malformed inputs: 2 for a config error, 3 for bad trace data."""
+"""Exit codes for malformed inputs: 2 for a config error, 3 for bad trace data.
+
+Also: a run cut short by ``duration_s`` still scores the windows it covers.
+"""
 
 import json
 
@@ -63,3 +66,32 @@ def test_malformed_trace_value_exits_3(tmp_path, capsys):
     assert main(["sysid", "--traces", str(traces), "--mode", "inflation"]) == 3
     err = capsys.readouterr().err
     assert "seg.csv" in err and "line 6" in err
+
+
+def test_truncated_run_scores_the_windows_it_covers(tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"timing": {"duration_s": 1.0}}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    metrics = json.loads((out / "metrics.json").read_text())["metrics"]
+    assert len(metrics["per_window"]["ae"]) == 1
+    assert metrics["ae_kpa"] == metrics["per_window"]["ae"][0]
+
+
+def test_run_shorter_than_two_control_ticks_exits_2(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"reference": {"kind": "multi-step", "stages": [[0.0, 0.005]]}}))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "two control ticks" in capsys.readouterr().err
+
+
+def test_failed_spool_calibration_exits_3(tmp_path, capsys):
+    # With this noise and seed the deflation sweep fits a cubic that falls too steeply.
+    synth = tmp_path / "synth.json"
+    synth.write_text(json.dumps({"synthesis": {"noise_sigma_pa": 500}}))
+    traces = tmp_path / "traces"
+    assert main(["synthesize", "--config", str(synth), "--out", str(traces), "--seed", "3"]) == 0
+    capsys.readouterr()
+    assert main(["sysid", "--traces", str(traces), "--mode", "deflation", "--out", str(tmp_path / "id")]) == 3
+    err = capsys.readouterr().err
+    assert "deflation spool calibration failed" in err

@@ -1,21 +1,24 @@
-"""The fused RK4 kernel and the prefix-cached MPC descent are exact.
+"""The fused RK4 kernel and the memoized MPC solvers are exact.
 
 Each optimized path is compared bit for bit with a reference assembled here
 from public building blocks only: four ``pressure_rate`` evaluations for one
-RK4 step, and full ``rollout_cost`` evaluations for coordinate descent.
+RK4 step, full ``rollout_cost`` evaluations for coordinate descent, and
+``mode_sequences`` plus the documented tie-break for MI-NMPC.
 """
 
 import math
 import pickle
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pneuctrl.config import default_bellow_load, default_load, default_maps, default_mpc_config, default_plant
-from pneuctrl.mpc import _descend, rollout_cost
+from pneuctrl.mpc import _descend, minmpc_solve, mode_sequences, rollout_cost
 from pneuctrl.optim import golden_section
 from pneuctrl.plant import LoadModel, Mode, PlantState, pressure_rate, rk4_kernel, step
+from pneuctrl.valvemap import SpoolMap
 
 PARAMS = default_plant()
 MAPS = default_maps()
@@ -139,3 +142,77 @@ def test_step_keeps_its_checks(p, x_bar, dt, error):
     for load in (None, default_bellow_load()):
         with pytest.raises(error):
             step(PlantState(p_out=p), x_bar, Mode.INFLATION, dt, PARAMS, load)
+
+
+def reference_minmpc(p0, ref_seq, cfg, params, maps, load):
+    """MI-NMPC from public parts: full-rollout descent per mode sequence, then the tie-break."""
+    best, best_key, total_sweeps, any_cap = None, None, 0, False
+    for m_seq in mode_sequences(cfg.horizon_steps, cfg.max_switches):
+        u, cost, sweeps, hit_cap, trace = reference_descend(p0, ref_seq, m_seq, cfg, params, maps, load, None)
+        total_sweeps += sweeps
+        any_cap = any_cap or hit_cap
+        n_sw = sum(1 for a, b in zip(m_seq[:-1], m_seq[1:]) if a != b)
+        key = (cost, n_sw, u[0])
+        if best_key is None or key < best_key:
+            best_key, best = key, (tuple(u), m_seq, cost, tuple(trace))
+    u, m_seq, cost, trace = best
+    return {"u_seq": u, "m_seq": m_seq, "cost": cost, "iterations": total_sweeps,
+            "hit_iter_cap": any_cap, "cost_trace": trace}
+
+
+def solution_fields(sol):
+    return {name: getattr(sol, name) for name in
+            ("u_seq", "m_seq", "cost", "iterations", "hit_iter_cap", "cost_trace")}
+
+
+N_MI = 6
+MI_REFS = REFS[:N_MI]
+# With one cubic for both modes the same duty gives the same spool fraction in
+# either mode, so a step memo keyed without the mode would mix them up.
+MI_MAPS = {
+    "per-mode": MAPS,
+    "one-cubic": (SpoolMap(a=MAPS[INFL].a, mode=DEFL), SpoolMap(a=MAPS[INFL].a, mode=INFL)),
+}
+
+
+@pytest.mark.parametrize("maps_name", sorted(MI_MAPS))
+@pytest.mark.parametrize("load_name", sorted(LOADS))
+@pytest.mark.parametrize("max_switches", [0, 1, 2])
+def test_minmpc_matches_full_rollout_reference(maps_name, load_name, max_switches):
+    cfg = replace(default_mpc_config(), horizon_steps=N_MI, max_switches=max_switches)
+    args = (P0, MI_REFS, cfg, PARAMS, MI_MAPS[maps_name], LOADS[load_name])
+    assert solution_fields(minmpc_solve(*args)) == reference_minmpc(*args)
+
+
+def test_minmpc_step_memo_does_not_outlive_a_solve():
+    # Same start and references, so both solves meet the same (p, x_bar, mode) steps.
+    c = PARAMS.conductances
+    weaker = replace(PARAMS, conductances=replace(
+        c, c_po=0.7 * c.c_po, c_on=0.7 * c.c_on, c_oa=0.7 * c.c_oa, c_ao=0.7 * c.c_ao))
+    cfg = replace(default_mpc_config(), horizon_steps=N_MI)
+    first = minmpc_solve(P0, MI_REFS, cfg, PARAMS, MAPS, default_load())
+    second = minmpc_solve(P0, MI_REFS, cfg, weaker, MAPS, default_load())
+    assert solution_fields(first) == reference_minmpc(P0, MI_REFS, cfg, PARAMS, MAPS, default_load())
+    assert solution_fields(second) == reference_minmpc(P0, MI_REFS, cfg, weaker, MAPS, default_load())
+    assert second.cost != first.cost
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    lo=st.floats(-1e3, 1e3),
+    width=st.floats(1e-3, 1e3),
+    centre=st.floats(-0.5, 1.5),
+    ripple=st.floats(0.0, 10.0),
+    tol=st.floats(1e-6, 1.0),
+)
+def test_golden_section_argmin_in_bracket_and_value_is_f_of_it(lo, width, centre, ripple, tol):
+    hi = lo + width
+
+    def f(v):
+        z = (v - lo) / width - centre
+        return z * z + ripple * math.sin(7.0 * z)
+
+    x, fx, evals = golden_section(f, lo, hi, tol=tol)
+    assert lo <= x <= hi
+    assert fx == f(x)
+    assert 2 <= evals <= 200

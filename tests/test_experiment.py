@@ -245,3 +245,19 @@ class TestTrajectoryCsv:
             rows = [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
             outs.append(rows)
         assert outs[0] == outs[1]
+
+
+class TestTruncatedRun:
+    def test_scores_like_the_reference_cut_at_its_end(self, params, maps, smc_gains, supervisor, load):
+        # DM-SMC looks no further than the present reference, so both runs are identical.
+        full = Reference.multi_step([(0.0, 2.0), (50.0, 3.0), (0.0, 3.0)])
+        cut = Reference.multi_step([(0.0, 2.0), (50.0, 1.5)])
+        reports = []
+        for ref, duration in ((full, 3.5), (cut, None)):
+            ctrl = DmSmcLoop(params, maps, smc_gains, supervisor, dt=0.01)
+            traj = run_scenario(ref, ctrl, make_timing(duration=duration), params, maps, load)
+            report = compute_metrics(traj, ref).to_dict()
+            report.pop("ct_mean_s")
+            reports.append(report)
+        assert reports[0] == reports[1]
+        assert len(reports[0]["per_window"]["ae"]) == 2
