@@ -435,7 +435,7 @@ def compute_metrics(traj: Trajectory, ref: Reference, window_policy: str = "auto
     control grid; the ITAE time origin resets at each window start, and the
     steady-state error averages |e| over the final 20% of each window.  A
     run shorter than the reference scores only the windows it reaches, the
-    last one cut at the run's end.
+    last one cut at the run's end and dropped if it holds no control tick.
     """
     if window_policy == "auto":
         window_policy = "stage" if ref.kind == "multi-step" else "period"
@@ -450,7 +450,8 @@ def compute_metrics(traj: Trajectory, ref: Reference, window_policy: str = "auto
     e_kpa = (traj.p_true - traj.p_ref) / 1000.0
     abs_e = np.abs(e_kpa)
     eps = 0.25 * dt
-    if traj.duration is not None and traj.duration < edges[-1]:
+    truncated = traj.duration is not None and traj.duration < edges[-1]
+    if truncated:
         edges = [w for w in edges if w < traj.duration - eps] + [traj.duration]
 
     per: dict[str, list[float]] = {
@@ -459,6 +460,9 @@ def compute_metrics(traj: Trajectory, ref: Reference, window_policy: str = "auto
     for w0, w1 in zip(edges[:-1], edges[1:]):
         idx = np.nonzero((t >= w0 - eps) & (t < w1 - eps))[0]
         if idx.size == 0:
+            if truncated and w1 == edges[-1]:
+                # The cut can fall before the first control tick of its window.
+                break
             raise ValueError(f"no samples in window [{w0}, {w1}); check rates and duration")
         ew = abs_e[idx]
         tw = t[idx] - w0

@@ -113,15 +113,18 @@ def _descend(
     it already computed for a spool fraction it meets again on the same
     coordinate.
 
-    ``steps`` memoizes RK4 steps as ``(p, x_bar, inflation) -> p_next``.  The
-    key leaves out ``dt``, ``params`` and ``load``, so one memo may serve
-    only descents that share all three, such as those of one solve.  It
-    holds only results the checked kernel returned, so a hit returns what
-    the kernel would.  ``0.0`` and ``-0.0`` share a key: they differ only in
-    the sign of a zero main-branch coefficient, which gives the same
-    ``p_next`` and the same stage cost.
+    ``steps`` memoizes RK4 steps as ``(p, x_bar, inflation) -> p_next``; the
+    default is a fresh memo for this descent alone.  The key leaves out
+    ``dt``, ``params`` and ``load``, so one memo may serve only descents
+    that share all three, such as those of one solve.  It holds only
+    results the checked kernel returned, so a hit returns what the kernel
+    would.  ``0.0`` and ``-0.0`` share a key: they differ only in the sign
+    of a zero main-branch coefficient, which gives the same ``p_next`` and
+    the same stage cost.
     """
     n = cfg.horizon_steps
+    if steps is None:
+        steps = {}
     bounds = [(maps[m].u_min, maps[m].u_max) for m in m_seq]
     if u_init is None:
         u = [bounds[k][0] for k in range(n)]
@@ -147,14 +150,11 @@ def _descend(
         c = c_before[k]
         for j in range(k, n):
             x_j = x[j]
-            if steps is None:
-                p = kernel(p, x_j, inflating[j], dt)
-            else:
-                key = (p, x_j, inflating[j])
-                p_next = steps.get(key)
-                if p_next is None:
-                    p_next = steps[key] = kernel(p, x_j, inflating[j], dt)
-                p = p_next
+            key = (p, x_j, inflating[j])
+            p_next = steps.get(key)
+            if p_next is None:
+                p_next = steps[key] = kernel(p, x_j, inflating[j], dt)
+            p = p_next
             e = p - ref_seq[j]
             c += w_e * e * e + w_u * x_j * x_j
             if record:

@@ -68,9 +68,24 @@ def test_malformed_trace_value_exits_3(tmp_path, capsys):
     assert "seg.csv" in err and "line 6" in err
 
 
-def test_truncated_run_scores_the_windows_it_covers(tmp_path):
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"timing": {"duration_s": 1.0}},
+        # The cut falls just past a period or stage edge, before that window's first tick.
+        {
+            "reference": {"kind": "sinusoid", "amplitude_kpa": 50.0, "frequency_hz": 0.3, "cycles": 3},
+            "timing": {"control_rate_hz": 100.0, "duration_s": 3.34},
+        },
+        {
+            "reference": {"kind": "multi-step", "stages": [[0.0, 1.003], [50.0, 2.0]]},
+            "timing": {"control_rate_hz": 100.0, "duration_s": 1.009},
+        },
+    ],
+)
+def test_truncated_run_scores_the_windows_it_covers(tmp_path, overrides):
     path = tmp_path / "scenario.json"
-    path.write_text(json.dumps({"timing": {"duration_s": 1.0}}))
+    path.write_text(json.dumps(overrides))
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 0
     metrics = json.loads((out / "metrics.json").read_text())["metrics"]
@@ -95,3 +110,4 @@ def test_failed_spool_calibration_exits_3(tmp_path, capsys):
     assert main(["sysid", "--traces", str(traces), "--mode", "deflation", "--out", str(tmp_path / "id")]) == 3
     err = capsys.readouterr().err
     assert "deflation spool calibration failed" in err
+
