@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Any, Optional
 
 from .control import PidGains, SmcGains, SupervisorConfig
-from .experiment import Reference, TimingConfig, run_duration
+from .experiment import Reference, TimingConfig, control_tick_times, metric_windows, run_duration
 from .mpc import MpcConfig
 from .plant import Conductances, LoadModel, Mode, PlantParams
 from .valvemap import SpoolMap
@@ -454,13 +454,21 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
         )
     except ValueError as exc:
         raise ConfigError(f"invalid timing config: {exc}") from exc
-    # Metrics need two control ticks; the slack absorbs rounding in the product.
+    # Metrics need two control ticks, and one in every window they score.
     run_s = run_duration(reference, timing)
-    if run_s * timing.control_rate < 2.0 * (1.0 - 1e-9):
+    ticks = control_tick_times(run_s, timing)
+    if len(ticks) < 2:
         raise ConfigError(
             f"config.timing: a run of {run_s!r} s is shorter than two control ticks "
             f"at {timing.control_rate!r} Hz"
         )
+    window = "stage" if reference.kind == "multi-step" else "period"
+    for i, (w0, w1, idx) in enumerate(metric_windows(ticks, reference, run_s)):
+        if idx.size == 0:
+            raise ConfigError(
+                f"config.reference: {window} {i + 1} ([{w0!r}, {w1!r}) s) holds no control "
+                f"tick at {timing.control_rate!r} Hz"
+            )
 
     return ScenarioConfig(
         name=str(d["name"]),

@@ -325,6 +325,31 @@ def run_duration(ref: Reference, timing: TimingConfig) -> float:
     return min(timing.duration, ref.duration)
 
 
+def control_tick_times(duration: float, timing: TimingConfig) -> np.ndarray:
+    """Times of the control ticks that ``run_scenario`` logs in a run of ``duration`` s.
+
+    The same arithmetic as the run loop, without the plant: substep j sits at
+    ``j / sim_substep``, and tick k falls on the first substep after tick
+    k - 1 whose time plus half a substep reaches ``k / control_rate``.
+    """
+    s = timing.sim_substep
+    n_sub = int(round(duration * s))
+    eps = 0.5 * (1.0 / s)
+    # Tick k needs k / control_rate <= (n_sub - 1) / s + eps < n_sub / s, so
+    # no more than this many ticks fit.
+    k = np.arange(min(n_sub, int(timing.control_rate * n_sub / s) + 2))
+    due = k / timing.control_rate
+    # First substep whose time plus eps reaches the tick's due time: start
+    # below it (rounding moves the estimate by far less than two substeps)
+    # and step up with the loop's own test.
+    first = np.maximum(np.floor((due - eps) * s) - 2.0, 0.0)
+    while np.any(behind := first / s + eps < due):
+        first += behind
+    # j[k] = max(j[k - 1] + 1, first[k]): the loop takes one tick per substep at most.
+    j = np.maximum.accumulate(first - k) + k
+    return j[j < n_sub] / s
+
+
 def run_scenario(
     ref: Reference,
     controller: ControllerLoop,
@@ -428,6 +453,31 @@ class MetricsReport:
         }
 
 
+def metric_windows(
+    t: np.ndarray, ref: Reference, duration: Optional[float],
+) -> list[tuple[float, float, np.ndarray]]:
+    """The windows ``compute_metrics`` scores: (start, end, indices of the ticks in it).
+
+    ``t`` holds the control-tick times (at least two).  Window i is stage or
+    period i + 1 of ``ref``.  A run shorter than the reference keeps the
+    windows it reaches, the last one cut at the run's end and dropped if it
+    holds no control tick; any other window comes back even when empty.
+    """
+    edges = ref.window_edges()
+    eps = 0.25 * float(t[1] - t[0])
+    truncated = duration is not None and duration < edges[-1]
+    if truncated:
+        edges = [w for w in edges if w < duration - eps] + [duration]
+    windows = []
+    for w0, w1 in zip(edges[:-1], edges[1:]):
+        idx = np.nonzero((t >= w0 - eps) & (t < w1 - eps))[0]
+        if idx.size == 0 and truncated and w1 == edges[-1]:
+            # The cut can fall before the first control tick of its window.
+            break
+        windows.append((w0, w1, idx))
+    return windows
+
+
 def compute_metrics(traj: Trajectory, ref: Reference, window_policy: str = "auto") -> MetricsReport:
     """Per-window metrics averaged across stage or period windows.
 
@@ -442,27 +492,18 @@ def compute_metrics(traj: Trajectory, ref: Reference, window_policy: str = "auto
     if window_policy not in ("stage", "period"):
         raise ValueError(f"unknown window policy {window_policy!r}")
 
-    edges = ref.window_edges()
     t = traj.t
     if len(t) < 2:
         raise ValueError("trajectory too short for metrics")
     dt = float(t[1] - t[0])
     e_kpa = (traj.p_true - traj.p_ref) / 1000.0
     abs_e = np.abs(e_kpa)
-    eps = 0.25 * dt
-    truncated = traj.duration is not None and traj.duration < edges[-1]
-    if truncated:
-        edges = [w for w in edges if w < traj.duration - eps] + [traj.duration]
 
     per: dict[str, list[float]] = {
         "ae": [], "itae": [], "pwm_e": [], "switches": [], "e_ss": [], "max_abs_e": [],
     }
-    for w0, w1 in zip(edges[:-1], edges[1:]):
-        idx = np.nonzero((t >= w0 - eps) & (t < w1 - eps))[0]
+    for w0, w1, idx in metric_windows(t, ref, traj.duration):
         if idx.size == 0:
-            if truncated and w1 == edges[-1]:
-                # The cut can fall before the first control tick of its window.
-                break
             raise ValueError(f"no samples in window [{w0}, {w1}); check rates and duration")
         ew = abs_e[idx]
         tw = t[idx] - w0

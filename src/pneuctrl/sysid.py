@@ -21,7 +21,7 @@ import csv
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -105,21 +105,75 @@ def simulate_at_samples(
     m: Mode,
     params: PlantParams,
     load: Optional[LoadModel] = None,
+    *,
+    meas: Optional[np.ndarray] = None,
+    stop_above: float = math.inf,
 ) -> np.ndarray:
-    """Model pressures at the given sample times, starting from p0 at t[0]."""
+    """Model pressures at the given sample times, starting from p0 at t[0].
+
+    With ``meas`` (one measured pressure per sample time), the squared
+    mismatch is summed sample by sample, and the prediction stops early,
+    returning only the samples computed so far, once that sum exceeds
+    ``stop_above`` by more than rounding explains: ``_sse`` of the full
+    prediction would then exceed ``stop_above`` too.  The slack, a relative
+    1e-9 + n * 2**-51 for n samples, covers the difference between this
+    sequential sum and ``np.dot``: each is within about n * 2**-53 of the
+    exact sum.  A NaN or inf sum never stops the prediction.
+    """
     kernel = plant_mod.rk4_kernel(params, load)
     inflation = m == Mode.INFLATION
-    out = np.empty(len(t))
-    out[0] = p = p0
-    for i in range(1, len(t)):
-        p = kernel(p, x_bar, inflation, float(t[i] - t[i - 1]))
-        out[i] = p
-    return out
+    out = [p0]
+    p = p0
+    if meas is not None:
+        ms = np.asarray(meas, dtype=float).tolist()
+        limit = stop_above * (1.0 + 1e-9 + len(ms) * 2.0 ** -51)
+        d = p0 - ms[0]
+        sse = d * d
+    for i, dt in enumerate(np.diff(t).tolist(), 1):
+        p = kernel(p, x_bar, inflation, dt)
+        out.append(p)
+        if meas is not None:
+            d = p - ms[i]
+            sse += d * d
+            if sse > limit and sse < math.inf:
+                break
+    return np.asarray(out)
 
 
 def _sse(pred: np.ndarray, meas: np.ndarray) -> float:
     d = pred - meas
     return float(np.dot(d, d))
+
+
+def _pruned_sse_objective(trace: StepTrace, model: Callable[[float], tuple]) -> Callable[[float], float]:
+    """Golden-section objective: squared mismatch to ``trace`` of the model ``model(v)``.
+
+    ``model(v)`` gives the ``(x_bar, mode, params)`` to simulate.
+    ``golden_section`` compares each new value only with the lowest value it
+    has been returned so far: by induction its retained interior point is
+    always the running minimum, and the loser of a comparison is dropped.  So
+    an evaluation whose partial sum already exceeds that minimum stops and
+    returns inf, which loses the comparison the full value would have lost.
+    Every value the search keeps or returns, and its evaluation count, stay
+    as without the exit.  NaN values, which lose every comparison, cannot
+    break this: the kernel's results are finite, so a NaN comes from a NaN in
+    ``trace.p``, every finished evaluation is then NaN, and the bound stays
+    inf.
+    """
+    p0 = float(trace.p[0])
+    best = math.inf
+
+    def objective(v: float) -> float:
+        nonlocal best
+        x_bar, m, params = model(v)
+        pred = simulate_at_samples(p0, trace.t, x_bar, m, params, meas=trace.p, stop_above=best)
+        if len(pred) < len(trace.p):
+            return math.inf
+        sse = _sse(pred, trace.p)
+        best = min(best, sse)
+        return sse
+
+    return objective
 
 
 def _fit_conductance(
@@ -129,12 +183,7 @@ def _fit_conductance(
     m: Mode,
 ) -> IdResult:
     lo, hi = CONDUCTANCE_BRACKET
-
-    def objective(log_c: float) -> float:
-        p = params_for(10.0 ** log_c)
-        pred = simulate_at_samples(float(trace.p[0]), trace.t, x_bar, m, p)
-        return _sse(pred, trace.p)
-
+    objective = _pruned_sse_objective(trace, lambda log_c: (x_bar, m, params_for(10.0 ** log_c)))
     log_c, sse, evals = golden_section(objective, math.log10(lo), math.log10(hi), tol=1e-4)
     value = 10.0 ** log_c
     residual = math.sqrt(sse / len(trace.p))
@@ -200,10 +249,7 @@ def fit_spool_segments(traces: Iterable[StepTrace], params: PlantParams) -> list
                 f"segment at duty {trace.u2}% shows no pressure change; stuck data"
             )
 
-        def objective(x: float, trace: StepTrace = trace) -> float:
-            pred = simulate_at_samples(float(trace.p[0]), trace.t, x, trace.mode, params)
-            return _sse(pred, trace.p)
-
+        objective = _pruned_sse_objective(trace, lambda x, m=trace.mode: (x, m, params))
         x_hat, sse, _ = golden_section(objective, lo, hi, tol=1e-5)
         at_bound = x_hat <= lo + 1e-4 or x_hat >= hi - 1e-4
         points.append(
@@ -363,6 +409,8 @@ def read_trace_csv(path: str | Path) -> StepTrace:
                 t, p, u1, u2 = (float(v) for v in row[:4])
             except ValueError as exc:
                 raise TraceDataError(f"{path}: line {reader.line_num}: malformed row {row!r}: {exc}") from exc
+            if not all(math.isfinite(v) for v in (t, p, u1, u2)):
+                raise TraceDataError(f"{path}: line {reader.line_num}: non-finite value in row {row!r}")
             ts.append(t)
             ps.append(p)
             u1s.append(u1)
@@ -372,7 +420,10 @@ def read_trace_csv(path: str | Path) -> StepTrace:
         raise TraceDataError(f"{path}: empty trace")
     if len(set(u1s)) != 1 or len(set(u2s)) != 1 or len(set(kinds)) != 1:
         raise TraceDataError(f"{path}: inputs must be constant within a segment")
-    return StepTrace(t=np.asarray(ts), p=np.asarray(ps), u1=u1s[0], u2=u2s[0], kind=kinds[0])
+    try:
+        return StepTrace(t=np.asarray(ts), p=np.asarray(ps), u1=u1s[0], u2=u2s[0], kind=kinds[0])
+    except ValueError as exc:
+        raise TraceDataError(f"{path}: {exc}") from exc
 
 
 def sweep_duties(fine_stop: float = 30.0, fine_step: float = 0.2, coarse_step: float = 5.0) -> list[float]:
@@ -401,10 +452,17 @@ def simulate_segment(
     kernel = plant_mod.rk4_kernel(params)
     inflation = m == Mode.INFLATION
     p = p0
+    moving = True
     ts, ps = [0.0], [p0]
     k = 1
     for j in range(1, n_sub + 1):
-        p = kernel(p, x_bar, inflation, dt)
+        if moving:
+            # (x_bar, m, dt) are fixed within the segment and the kernel is a
+            # pure function: once a step returns its input, so does every
+            # later one, so the kernel is not called again.
+            p_next = kernel(p, x_bar, inflation, dt)
+            moving = p_next != p
+            p = p_next
         t = j / sim_substep
         if t + eps >= k / sample_rate:
             ts.append(t)

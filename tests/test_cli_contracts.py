@@ -1,6 +1,8 @@
 """Exit codes for malformed inputs: 2 for a config error, 3 for bad trace data.
 
-Also: a run cut short by ``duration_s`` still scores the windows it covers.
+A metric window (stage or period) that holds no control tick is a config
+error.  Also: a run cut short by ``duration_s`` still scores the windows it
+covers.
 """
 
 import json
@@ -111,3 +113,80 @@ def test_failed_spool_calibration_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "deflation spool calibration failed" in err
 
+
+
+def write_trace(traces, rows):
+    traces.mkdir()
+    (traces / "seg.csv").write_text("\n".join([",".join(TRACE_COLUMNS)] + rows) + "\n")
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([f"{0.01 * i},150000.0,100.0,60.0,rise" for i in range(3)], "at least 10 samples"),
+        ([f"{0.01 * (i // 2)},150000.0,100.0,60.0,rise" for i in range(12)], "strictly increasing"),
+    ],
+    ids=["three-rows", "repeated-timestamps"],
+)
+def test_trace_the_segment_checks_reject_exits_3(tmp_path, capsys, rows, message):
+    traces = tmp_path / "traces"
+    write_trace(traces, rows)
+    assert main(["sysid", "--traces", str(traces), "--mode", "inflation"]) == 3
+    err = capsys.readouterr().err
+    assert "seg.csv" in err and message in err
+
+
+@pytest.mark.parametrize("column", range(4))
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_trace_value_exits_3(tmp_path, capsys, column, value):
+    rows = [[f"{0.01 * i}", "150000.0", "100.0", "60.0", "rise"] for i in range(12)]
+    rows[4][column] = value
+    traces = tmp_path / "traces"
+    write_trace(traces, [",".join(r) for r in rows])
+    assert main(["sysid", "--traces", str(traces), "--mode", "inflation"]) == 3
+    err = capsys.readouterr().err
+    assert "seg.csv" in err and "line 6" in err and "non-finite" in err
+
+
+@pytest.mark.parametrize(
+    "reference, message",
+    [
+        ({"kind": "multi-step", "stages": [[0, 1.0], [50, 0.001], [0, 1.0]]}, "stage 2 "),
+        # Periods of 5 ms at 100 Hz control: the second one falls between ticks.
+        ({"kind": "sinusoid", "amplitude_kpa": 10.0, "frequency_hz": 200.0, "cycles": 3}, "period 2 "),
+    ],
+    ids=["stage", "period"],
+)
+def test_window_without_a_control_tick_exits_2(tmp_path, capsys, reference, message):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"reference": reference}))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "holds no control tick" in err
+
+
+def test_cut_run_with_an_empty_inner_window_exits_2(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    ref = {"kind": "multi-step", "stages": [[0, 1.0], [50, 0.001], [0, 1.0]]}
+    path.write_text(json.dumps({"reference": ref, "timing": {"duration_s": 1.5}}))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "stage 2 " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides, windows",
+    [
+        # The middle stage is exactly one control period long: it holds one tick.
+        ({"reference": {"kind": "multi-step", "stages": [[0, 1.0], [50, 0.01], [0, 1.0]]}}, 3),
+        ({}, 13),
+        ({"reference": {"kind": "sinusoid", "amplitude_kpa": 50.0, "frequency_hz": 0.5, "cycles": 3}}, 3),
+    ],
+    ids=["one-period-stage", "default-multi-step", "default-sinusoid"],
+)
+def test_windows_with_a_tick_each_still_run(tmp_path, overrides, windows):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"controller": "pid", **overrides}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    metrics = json.loads((out / "metrics.json").read_text())["metrics"]
+    assert len(metrics["per_window"]["ae"]) == windows

@@ -1,0 +1,224 @@
+"""The early exits of protocol synthesis and identification are exact.
+
+``simulate_segment`` stops calling the RK4 kernel once a step returns its
+input, and the fit objectives stop integrating once their sum of squares
+exceeds the lowest value the golden-section search has seen.  Each is
+compared here with a reference that does all the work: every substep
+through the public ``plant.step``, and every objective evaluation through
+``simulate_at_samples`` without the exit.
+"""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pneuctrl import plant as plant_mod
+from pneuctrl import sysid
+from pneuctrl.config import default_maps, default_plant
+from pneuctrl.optim import golden_section
+from pneuctrl.plant import Mode, PlantState, step
+from pneuctrl.sysid import (
+    SynthesisConfig,
+    TraceDataError,
+    identify_channel,
+    simulate_at_samples,
+    simulate_segment,
+    synthesize_protocol,
+)
+
+PARAMS = default_plant()
+MAPS = default_maps()
+NOISY = SynthesisConfig(noise_sigma=500.0, seed=3)
+
+
+def reference_segment(p0, x_bar, m, duration, params, sample_rate, sim_substep):
+    """Every substep through public ``plant.step``, sampled on the sensor schedule."""
+    n_sub = int(round(duration * sim_substep))
+    dt = 1.0 / sim_substep
+    state = PlantState(p_out=p0)
+    ts, ps = [0.0], [p0]
+    k = 1
+    for j in range(1, n_sub + 1):
+        state = step(state, x_bar, m, dt, params)
+        t = j / sim_substep
+        if t + 0.5 * dt >= k / sample_rate:
+            ts.append(t)
+            ps.append(state.p_out)
+            k += 1
+    return np.asarray(ts), np.asarray(ps), state.p_out
+
+
+def full_sse_objective(trace, model):
+    """Objective that integrates every sample and returns ``_sse`` of the whole trace."""
+    def objective(v):
+        x_bar, m, params = model(v)
+        d = simulate_at_samples(float(trace.p[0]), trace.t, x_bar, m, params) - trace.p
+        return float(np.dot(d, d))
+
+    return objective
+
+
+def trace_key(trace):
+    return trace.t.tobytes(), trace.p.tobytes(), trace.u1, trace.u2, trace.kind
+
+
+def outcome(fn):
+    try:
+        return fn()
+    except TraceDataError as exc:
+        return f"TraceDataError: {exc}"
+
+
+@pytest.fixture(scope="module")
+def noisy_traces():
+    return synthesize_protocol(PARAMS, MAPS, cfg=NOISY)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    calls = [0]
+    build = plant_mod.rk4_kernel
+
+    def counting(params, load=None):
+        kernel = build(params, load)
+
+        def counted(*args):
+            calls[0] += 1
+            return kernel(*args)
+
+        return counted
+
+    monkeypatch.setattr(plant_mod, "rk4_kernel", counting)
+    return calls
+
+
+@pytest.mark.parametrize("cfg", [SynthesisConfig(), NOISY], ids=["noiseless", "noisy"])
+def test_synthesize_protocol_matches_stepping_every_substep(monkeypatch, protocol_traces, noisy_traces, cfg):
+    fast = protocol_traces if cfg.noise_sigma == 0.0 else noisy_traces
+    monkeypatch.setattr(sysid, "simulate_segment", reference_segment)
+    reference = synthesize_protocol(PARAMS, MAPS, cfg=cfg)
+    assert len(fast) == len(reference) == 260
+    assert [trace_key(tr) for tr in fast] == [trace_key(tr) for tr in reference]
+
+
+@pytest.mark.parametrize(
+    "p0, x_bar, m",
+    [
+        (PARAMS.p_atm, 1.0, Mode.INFLATION),
+        (PARAMS.p_atm, 0.0, Mode.DEFLATION),
+        (PARAMS.p_atm + 1.5e5, 0.0, Mode.INFLATION),
+        (PARAMS.p_atm - 5.0e4, 0.3, Mode.DEFLATION),
+    ],
+)
+def test_simulate_segment_matches_reference(p0, x_bar, m):
+    fast = simulate_segment(p0, x_bar, m, 4.0, PARAMS, 60.0, 1000.0)
+    ref = reference_segment(p0, x_bar, m, 4.0, PARAMS, 60.0, 1000.0)
+    assert fast[0].tobytes() == ref[0].tobytes()
+    assert fast[1].tobytes() == ref[1].tobytes()
+    assert fast[2] == ref[2]
+
+
+def test_segment_stops_calling_the_kernel_at_its_fixed_point(kernel_calls):
+    # A closed valve at atmosphere moves nothing: the first step is the fixed point.
+    t, p, p_end = simulate_segment(PARAMS.p_atm, 0.0, Mode.INFLATION, 2.0, PARAMS, 60.0, 1000.0)
+    assert kernel_calls[0] == 1
+    assert len(t) == 121 and np.all(p == PARAMS.p_atm) and p_end == PARAMS.p_atm
+
+
+@pytest.mark.parametrize("mode", [Mode.INFLATION, Mode.DEFLATION], ids=["inflation", "deflation"])
+@pytest.mark.parametrize("noisy", [False, True], ids=["noiseless", "noisy"])
+def test_identify_channel_matches_full_objectives(
+    monkeypatch, kernel_calls, protocol_traces, noisy_traces, mode, noisy,
+):
+    traces = noisy_traces if noisy else protocol_traces
+    fast = outcome(lambda: identify_channel(traces, mode, PARAMS))
+    pruned_calls, kernel_calls[0] = kernel_calls[0], 0
+    monkeypatch.setattr(sysid, "_pruned_sse_objective", full_sse_objective)
+    reference = outcome(lambda: identify_channel(traces, mode, PARAMS))
+    assert fast == reference
+    assert pruned_calls < kernel_calls[0]
+    if noisy and mode == Mode.DEFLATION:
+        # This seed's deflation sweep fits a cubic that fails validation.
+        assert "spool calibration failed" in fast
+    else:
+        assert isinstance(fast, sysid.ChannelIdResult)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    index=st.integers(0, 259),
+    x_bar=st.floats(0.0, 1.0),
+    scale=st.floats(0.0, 2.0),
+)
+def test_stopped_prediction_is_a_prefix_that_provably_loses(protocol_traces, index, x_bar, scale):
+    trace = protocol_traces[index]
+    p0 = float(trace.p[0])
+    full = simulate_at_samples(p0, trace.t, x_bar, trace.mode, PARAMS)
+    d = full - trace.p
+    sse = float(np.dot(d, d))
+    stop_above = scale * sse
+    pred = simulate_at_samples(p0, trace.t, x_bar, trace.mode, PARAMS, meas=trace.p, stop_above=stop_above)
+    assert pred.tobytes() == full[: len(pred)].tobytes()
+    if len(pred) < len(full):
+        assert sse > stop_above
+
+
+@pytest.mark.parametrize("bad", [math.nan, 1e200], ids=["nan", "inf"])
+def test_non_finite_sum_never_stops_a_prediction(protocol_traces, bad):
+    trace = protocol_traces[0]
+    meas = trace.p.copy()
+    meas[1] = bad
+    pred = simulate_at_samples(float(trace.p[0]), trace.t, 0.5, trace.mode, PARAMS, meas=meas, stop_above=0.0)
+    assert len(pred) == len(trace.t)
+
+
+def running_min_pruned(f):
+    """``f`` returning inf whenever its value exceeds the lowest value returned so far."""
+    best = math.inf
+
+    def g(v):
+        nonlocal best
+        value = f(v)
+        if value > best:
+            return math.inf
+        best = min(best, value)
+        return value
+
+    return g
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lo=st.floats(-1e3, 1e3),
+    width=st.floats(1e-3, 1e3),
+    centre=st.floats(-0.5, 1.5),
+    ripple=st.floats(0.0, 10.0),
+    grid=st.sampled_from([0.0, 1e-3, 0.1, 1.0]),
+    tol=st.floats(1e-6, 1.0),
+)
+def test_golden_section_on_a_running_min_pruned_objective_is_unchanged(lo, width, centre, ripple, grid, tol):
+    hi = lo + width
+
+    def f(v):
+        z = (v - lo) / width - centre
+        value = z * z + ripple * math.sin(7.0 * z)
+        # A coarse grid makes plateaus, so ties between points are common.
+        return round(value / grid) * grid if grid else value
+
+    assert golden_section(running_min_pruned(f), lo, hi, tol=tol) == golden_section(f, lo, hi, tol=tol)
+
+
+def test_pruned_fit_matches_full_fit_with_a_wrong_template(protocol_traces):
+    # Far-off starting conductances make early evaluations lose by a wide margin.
+    wrong = replace(PARAMS, conductances=replace(PARAMS.conductances, c_oa=1e-12, c_po=1e-9))
+    decay = protocol_traces[1]
+    assert decay.kind == "decay" and decay.mode == Mode.INFLATION
+    fast = sysid.fit_decay_conductance(decay, "c_oa", wrong)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sysid, "_pruned_sse_objective", full_sse_objective)
+        reference = sysid.fit_decay_conductance(decay, "c_oa", wrong)
+    assert fast == reference
