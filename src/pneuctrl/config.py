@@ -10,14 +10,16 @@ key named.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import sys
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any
 
 from .control import PidGains, SmcGains, SupervisorConfig
 from .experiment import Reference, TimingConfig, control_tick_times, metric_windows, run_duration
 from .mpc import MpcConfig
 from .plant import Conductances, LoadModel, Mode, PlantParams
+from .sysid import SynthesisConfig
 from .valvemap import SpoolMap
 
 
@@ -39,46 +41,31 @@ DEFAULT_DEFLATION_CUBIC = (-2.27, 1.25e-1, -1.62e-3, 6.95e-6)
 MULTI_STEP_LEVELS_KPA = (0.0, 50.0, 100.0, 150.0, 200.0, 150.0, 100.0, 50.0, 0.0, -40.0, -80.0, -40.0, 0.0)
 MULTI_STEP_HOLD_S = 5.0
 
+# Per-mode config sections, in Mode index order.
+_MODES = {"deflation": Mode.DEFLATION, "inflation": Mode.INFLATION}
 
-def default_plant(volume: float = 2.0e-5) -> PlantParams:
-    return PlantParams(
-        p_pos=3.0e5,
-        p_neg=1.0e4,
-        p_atm=1.01e5,
-        b=0.26,
-        rho_ref=1.185,
-        t_ref=293.15,
-        t_gas=293.15,
-        gamma=1.4,
-        r_gas=287.0,
-        volume=volume,
-        conductances=DEFAULT_CONDUCTANCES,
-    )
+
+def default_plant() -> PlantParams:
+    return _plant(default_scenario_dict()["plant"])
 
 
 def default_maps() -> tuple[SpoolMap, SpoolMap]:
     """(deflation, inflation) spool maps, indexable by Mode."""
-    deflation = SpoolMap(a=DEFAULT_DEFLATION_CUBIC, mode=Mode.DEFLATION)
-    inflation = SpoolMap(a=DEFAULT_INFLATION_CUBIC, mode=Mode.INFLATION)
-    return (deflation, inflation)
+    return _maps(default_scenario_dict()["maps"])
 
 
 def default_smc_gains() -> tuple[SmcGains, SmcGains]:
     """(deflation, inflation) sliding-mode gain sets."""
-    deflation = SmcGains(lam=4.0, eta=5.0e3, mu=1.0e3, k_i=0.8)
-    inflation = SmcGains(lam=2.8, eta=5.0e3, mu=1.0e3, k_i=0.8)
-    return (deflation, inflation)
+    return _gains(SmcGains, default_scenario_dict()["smc"], "config.smc")
 
 
 def default_pid_gains() -> tuple[PidGains, PidGains]:
     """(deflation, inflation) PID gain sets, duty % per kPa."""
-    deflation = PidGains(k_p=0.6, k_i=0.2, k_d=0.01)
-    inflation = PidGains(k_p=0.32, k_i=0.3, k_d=0.02)
-    return (deflation, inflation)
+    return _gains(PidGains, default_scenario_dict()["pid"], "config.pid")
 
 
 def default_supervisor() -> SupervisorConfig:
-    return SupervisorConfig(h=5000.0)
+    return _supervisor(default_scenario_dict()["supervisor"])
 
 
 def default_mpc_config() -> MpcConfig:
@@ -86,7 +73,7 @@ def default_mpc_config() -> MpcConfig:
 
 
 def default_load() -> LoadModel:
-    return LoadModel.fixed(2.0e-5)
+    return LoadModel()
 
 
 def default_bellow_load() -> LoadModel:
@@ -95,22 +82,17 @@ def default_bellow_load() -> LoadModel:
 
 
 def default_multi_step_reference() -> Reference:
-    return Reference.multi_step([(level, MULTI_STEP_HOLD_S) for level in MULTI_STEP_LEVELS_KPA])
+    return _reference(default_scenario_dict()["reference"])
 
 
-def default_sinusoid_reference(frequency_hz: float = 0.5, cycles: int = 3) -> Reference:
-    return Reference.sinusoid(amplitude_kpa=50.0, frequency_hz=frequency_hz, cycles=cycles)
+def default_sinusoid_reference(
+    frequency_hz: float = Reference.frequency_hz, cycles: int = Reference.cycles,
+) -> Reference:
+    return Reference.sinusoid(amplitude_kpa=Reference.amplitude_kpa, frequency_hz=frequency_hz, cycles=cycles)
 
 
-def default_timing(duration: Optional[float] = None) -> TimingConfig:
-    return TimingConfig(
-        control_rate=100.0,
-        sensor_rate=60.0,
-        sim_substep=1000.0,
-        duration=duration,
-        noise_sigma=500.0,
-        seed=0,
-    )
+def default_timing() -> TimingConfig:
+    return TimingConfig()
 
 
 @dataclass
@@ -132,9 +114,34 @@ class ScenarioConfig:
 
 CONTROLLER_NAMES = ("pid", "dm-smc", "nmpc", "mi-nmpc")
 
+# JSON key -> field of the sections whose defaults are their dataclass's
+# defaults, in printed order.
+_LOAD_KEYS = {"kind": "kind", "v0_m3": "v0", "k_v_m3_pa": "k_v", "v_min_m3": "v_min", "v_max_m3": "v_max"}
+_MPC_KEYS = {
+    "horizon_steps": "horizon_steps", "dt_pred_s": "dt_pred", "w_e": "w_e", "w_u": "w_u",
+    "w_sw": "w_sw", "max_iters": "max_iters", "max_switches": "max_switches",
+}
+_TIMING_KEYS = {
+    "control_rate_hz": "control_rate", "sensor_rate_hz": "sensor_rate", "sim_substep_hz": "sim_substep",
+    "duration_s": "duration", "noise_sigma_pa": "noise_sigma", "seed": "seed",
+}
+_SYNTHESIS_KEYS = {
+    "sample_rate_hz": "sample_rate", "sim_substep_hz": "sim_substep", "rise_s": "rise_duration",
+    "decay_s": "decay_duration", "full_open_s": "full_open_duration",
+    "full_decay_s": "full_decay_duration", "noise_sigma_pa": "noise_sigma", "seed": "seed",
+}
+
+
+def _emit(obj: Any, keys: dict[str, str]) -> dict:
+    return {key: getattr(obj, field) for key, field in keys.items()}
+
 
 def default_scenario_dict() -> dict:
-    """The effective default configuration as a plain JSON-ready dict."""
+    """The effective default configuration as a plain JSON-ready dict.
+
+    The one place the defaults are written; the ``default_*`` factories build
+    from it.  Its load, mpc and timing sections are the dataclass defaults.
+    """
     return {
         "name": "multistep-dm-smc",
         "controller": "dm-smc",
@@ -149,17 +156,12 @@ def default_scenario_dict() -> dict:
             "gamma": 1.4,
             "r_gas_j_kgk": 287.0,
             "volume_m3": 2.0e-5,
-            "conductances": {
-                "c_po": 2.64e-10,
-                "c_on": 3.44e-10,
-                "c_oa": 6.94e-12,
-                "c_ao": 4.52e-12,
-            },
+            "conductances": asdict(DEFAULT_CONDUCTANCES),
         },
-        "load": {"kind": "fixed", "v0_m3": 2.0e-5, "k_v_m3_pa": 0.0, "v_min_m3": 1.0e-6, "v_max_m3": 2.5e-5},
+        "load": _emit(LoadModel(), _LOAD_KEYS),
         "maps": {
-            "inflation": {"a": list(DEFAULT_INFLATION_CUBIC), "u_min": 20.0, "u_max": 100.0},
-            "deflation": {"a": list(DEFAULT_DEFLATION_CUBIC), "u_min": 20.0, "u_max": 100.0},
+            "inflation": {"a": list(DEFAULT_INFLATION_CUBIC), "u_min": SpoolMap.u_min, "u_max": SpoolMap.u_max},
+            "deflation": {"a": list(DEFAULT_DEFLATION_CUBIC), "u_min": SpoolMap.u_min, "u_max": SpoolMap.u_max},
         },
         "supervisor": {"h": 5000.0},
         "smc": {
@@ -170,30 +172,15 @@ def default_scenario_dict() -> dict:
             "inflation": {"k_p": 0.32, "k_i": 0.3, "k_d": 0.02},
             "deflation": {"k_p": 0.6, "k_i": 0.2, "k_d": 0.01},
         },
-        "mpc": {
-            "horizon_steps": 10,
-            "dt_pred_s": 0.01,
-            "w_e": 1.0e-6,
-            "w_u": 1.0e-2,
-            "w_sw": 1.0,
-            "max_iters": 3,
-            "max_switches": 1,
-        },
+        "mpc": _emit(MpcConfig(), _MPC_KEYS),
         "reference": {
             "kind": "multi-step",
             "stages": [[level, MULTI_STEP_HOLD_S] for level in MULTI_STEP_LEVELS_KPA],
-            "amplitude_kpa": 50.0,
-            "frequency_hz": 0.5,
-            "cycles": 3,
+            "amplitude_kpa": Reference.amplitude_kpa,
+            "frequency_hz": Reference.frequency_hz,
+            "cycles": Reference.cycles,
         },
-        "timing": {
-            "control_rate_hz": 100.0,
-            "sensor_rate_hz": 60.0,
-            "sim_substep_hz": 1000.0,
-            "duration_s": None,
-            "noise_sigma_pa": 500.0,
-            "seed": 0,
-        },
+        "timing": _emit(TimingConfig(), _TIMING_KEYS),
     }
 
 
@@ -204,7 +191,7 @@ class SynthesisSpec:
     plant: PlantParams
     maps: tuple[SpoolMap, SpoolMap]
     modes: tuple[Mode, ...]
-    cfg: "SynthesisConfig"
+    cfg: SynthesisConfig
 
 
 def default_synthesis_dict() -> dict:
@@ -213,74 +200,20 @@ def default_synthesis_dict() -> dict:
         "plant": base["plant"],
         "maps": base["maps"],
         "modes": ["inflation", "deflation"],
-        "synthesis": {
-            "sample_rate_hz": 60.0,
-            "sim_substep_hz": 1000.0,
-            "rise_s": 3.0,
-            "decay_s": 2.0,
-            "full_open_s": 2.0,
-            "full_decay_s": 4.0,
-            "noise_sigma_pa": 0.0,
-            "seed": 0,
-        },
+        "synthesis": _emit(SynthesisConfig(), _SYNTHESIS_KEYS),
     }
 
 
-def synthesis_from_dict(raw: dict) -> SynthesisSpec:
-    from .sysid import SynthesisConfig
-
-    if not isinstance(raw, dict):
-        raise ConfigError("synthesis config must be a JSON object")
-
-    def merge(base: Any, over: Any, path: str) -> Any:
-        if isinstance(base, dict):
-            if not isinstance(over, dict):
-                raise ConfigError(f"expected an object at {path}")
-            for key in over:
-                if key not in base:
-                    raise ConfigError(f"unknown key {key!r} in {path}")
-            return {k: merge(base[k], over[k], f"{path}.{k}") if k in over else base[k] for k in base}
+def _merge(base: Any, over: Any, path: str) -> Any:
+    """Overlay ``over`` on ``base``, rejecting unknown keys at every level."""
+    if not isinstance(base, dict):
         return over
-
-    d = merge(default_synthesis_dict(), raw, "config")
-    scenario_like = {"plant": d["plant"], "maps": d["maps"]}
-    resolved = scenario_from_dict(scenario_like)
-
-    modes = []
-    for name in d["modes"]:
-        if name == "inflation":
-            modes.append(Mode.INFLATION)
-        elif name == "deflation":
-            modes.append(Mode.DEFLATION)
-        else:
-            raise ConfigError(f"unknown mode {name!r} in config.modes")
-    if not modes:
-        raise ConfigError("config.modes must name at least one mode")
-
-    s = d["synthesis"]
-    try:
-        cfg = SynthesisConfig(
-            sample_rate=float(s["sample_rate_hz"]),
-            sim_substep=float(s["sim_substep_hz"]),
-            rise_duration=float(s["rise_s"]),
-            decay_duration=float(s["decay_s"]),
-            full_open_duration=float(s["full_open_s"]),
-            full_decay_duration=float(s["full_decay_s"]),
-            noise_sigma=float(s["noise_sigma_pa"]),
-            seed=_strict_int(s["seed"], "config.synthesis.seed"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid synthesis settings: {exc}") from exc
-    return SynthesisSpec(plant=resolved.plant, maps=resolved.maps, modes=tuple(modes), cfg=cfg)
-
-
-def load_synthesis(path: str | Path) -> SynthesisSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
-    return synthesis_from_dict(raw)
+    if not isinstance(over, dict):
+        raise ConfigError(f"expected an object at {path}")
+    for key in over:
+        if key not in base:
+            raise ConfigError(f"unknown key {key!r} in {path}")
+    return {k: _merge(v, over[k], f"{path}.{k}") if k in over else v for k, v in base.items()}
 
 
 def _strict_int(value: Any, where: str) -> int:
@@ -292,169 +225,159 @@ def _strict_int(value: Any, where: str) -> int:
     raise ConfigError(f"{where} must be an integer, got {value!r}")
 
 
-def _require_keys(d: dict, allowed: set[str], where: str) -> None:
-    for key in d:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {key!r} in {where}")
+def _number(value: Any, where: str) -> float:
+    """A numeric config entry: a finite integer or float, never a bool."""
+    # The comparison is exact for integers of any size and false for NaN.
+    if isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise ConfigError(f"{where} must be a finite number, got {value!r}")
 
 
-def _get(d: dict, key: str, where: str) -> Any:
-    if key not in d:
-        raise ConfigError(f"missing key {key!r} in {where}")
-    return d[key]
+def _make(cls: Any, where: str, **kwargs: Any) -> Any:
+    """``cls(**kwargs)``, its own range checks reported as config errors."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"invalid {where}: {exc}") from exc
 
 
-def _merged_with_defaults(raw: dict) -> dict:
-    """Overlay ``raw`` on the defaults, rejecting unknown keys at every level."""
-    def merge(base: Any, over: Any, path: str) -> Any:
-        if isinstance(base, dict):
-            if not isinstance(over, dict):
-                raise ConfigError(f"expected an object at {path}")
-            for key in over:
-                if key not in base:
-                    raise ConfigError(f"unknown key {key!r} in {path}")
-            return {k: merge(base[k], over[k], f"{path}.{k}") if k in over else base[k] for k in base}
-        return over
+def _numbers(section: dict, where: str) -> dict[str, float]:
+    return {key: _number(value, f"{where}.{key}") for key, value in section.items()}
 
-    out = merge(default_scenario_dict(), raw, "config")
-    return out
+
+def _section(cls: Any, section: dict, keys: dict[str, str], where: str) -> Any:
+    """A dataclass with defaults from its section; each entry is checked
+    against the type of the field's default (an ``int`` is strict, ``None``
+    also admits ``null``, a ``str`` is left to the dataclass)."""
+    defaults, kwargs = cls(), {}
+    for key, field in keys.items():
+        value, default = section[key], getattr(defaults, field)
+        if isinstance(default, str) or (default is None and value is None):
+            kwargs[field] = value
+        elif isinstance(default, int):
+            kwargs[field] = _strict_int(value, f"{where}.{key}")
+        else:
+            kwargs[field] = _number(value, f"{where}.{key}")
+    return _make(cls, where, **kwargs)
+
+
+def _plant(p: dict) -> PlantParams:
+    n = _numbers({k: v for k, v in p.items() if k != "conductances"}, "config.plant")
+    conductances = _make(Conductances, "config.plant.conductances",
+                         **_numbers(p["conductances"], "config.plant.conductances"))
+    return _make(
+        PlantParams, "config.plant",
+        p_pos=n["p_pos_pa"],
+        p_neg=n["p_neg_pa"],
+        p_atm=n["p_atm_pa"],
+        b=n["b"],
+        rho_ref=n["rho_ref_kg_m3"],
+        t_ref=n["t_ref_k"],
+        t_gas=n["t_gas_k"],
+        gamma=n["gamma"],
+        r_gas=n["r_gas_j_kgk"],
+        volume=n["volume_m3"],
+        conductances=conductances,
+    )
+
+
+def _maps(maps: dict) -> tuple[SpoolMap, SpoolMap]:
+    def build(md: dict, mode: Mode, where: str) -> SpoolMap:
+        if not isinstance(md["a"], list):
+            raise ConfigError(f"{where}.a must be a list of numbers, got {md['a']!r}")
+        a = tuple(_number(v, f"{where}.a[{i}]") for i, v in enumerate(md["a"]))
+        bounds = _numbers({k: md[k] for k in ("u_min", "u_max")}, where)
+        return _make(SpoolMap, where, a=a, mode=mode, **bounds)
+
+    return tuple(build(maps[name], mode, f"config.maps.{name}") for name, mode in _MODES.items())
+
+
+def _gains(cls: Any, section: dict, where: str) -> tuple:
+    """(deflation, inflation) gain sets of one controller section."""
+    return tuple(
+        _make(cls, f"{where}.{name}", **_numbers(section[name], f"{where}.{name}")) for name in _MODES
+    )
+
+
+def _supervisor(sup: dict) -> SupervisorConfig:
+    return _make(SupervisorConfig, "config.supervisor", **_numbers(sup, "config.supervisor"))
+
+
+def _reference(r: dict) -> Reference:
+    where = "config.reference"
+    stages = r["stages"]
+    if not (isinstance(stages, list) and all(isinstance(s, list) and len(s) == 2 for s in stages)):
+        raise ConfigError(f"{where}.stages must be a list of [level_kpa, hold_s] pairs, got {stages!r}")
+    stages = [(_number(lv, f"{where}.stages"), _number(hold, f"{where}.stages")) for lv, hold in stages]
+    sine = {
+        "amplitude_kpa": _number(r["amplitude_kpa"], f"{where}.amplitude_kpa"),
+        "frequency_hz": _number(r["frequency_hz"], f"{where}.frequency_hz"),
+        "cycles": _strict_int(r["cycles"], f"{where}.cycles"),
+    }
+    if r["kind"] == "multi-step":
+        return _make(Reference.multi_step, where, stages=stages)
+    if r["kind"] == "sinusoid":
+        return _make(Reference.sinusoid, where, **sine)
+    raise ConfigError(f"unknown reference kind {r['kind']!r} in {where}.kind")
+
+
+def _modes(names: Any) -> tuple[Mode, ...]:
+    if not isinstance(names, list):
+        raise ConfigError(f"config.modes must be a list of mode names, got {names!r}")
+    for name in names:
+        if not isinstance(name, str) or name not in _MODES:
+            raise ConfigError(f"unknown mode {name!r} in config.modes")
+    if not names:
+        raise ConfigError("config.modes must name at least one mode")
+    return tuple(_MODES[name] for name in names)
+
+
+def synthesis_from_dict(raw: dict) -> SynthesisSpec:
+    if not isinstance(raw, dict):
+        raise ConfigError("synthesis config must be a JSON object")
+    d = _merge(default_synthesis_dict(), raw, "config")
+    return SynthesisSpec(
+        plant=_plant(d["plant"]),
+        maps=_maps(d["maps"]),
+        modes=_modes(d["modes"]),
+        cfg=_section(SynthesisConfig, d["synthesis"], _SYNTHESIS_KEYS, "config.synthesis"),
+    )
+
+
+def load_synthesis(path: str | Path) -> SynthesisSpec:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
+    return synthesis_from_dict(raw)
 
 
 def scenario_from_dict(raw: dict) -> ScenarioConfig:
     """Build a validated scenario from a JSON dict layered over the defaults."""
     if not isinstance(raw, dict):
         raise ConfigError("scenario config must be a JSON object")
-    d = _merged_with_defaults(raw)
+    d = _merge(default_scenario_dict(), raw, "config")
 
     controller = d["controller"]
     if controller not in CONTROLLER_NAMES:
         raise ConfigError(f"unknown controller {controller!r}; expected one of {CONTROLLER_NAMES}")
-
-    p = d["plant"]
-    c = p["conductances"]
-    try:
-        conductances = Conductances(
-            c_po=float(c["c_po"]), c_on=float(c["c_on"]),
-            c_oa=float(c["c_oa"]), c_ao=float(c["c_ao"]),
-        )
-        plant = PlantParams(
-            p_pos=float(p["p_pos_pa"]),
-            p_neg=float(p["p_neg_pa"]),
-            p_atm=float(p["p_atm_pa"]),
-            b=float(p["b"]),
-            rho_ref=float(p["rho_ref_kg_m3"]),
-            t_ref=float(p["t_ref_k"]),
-            t_gas=float(p["t_gas_k"]),
-            gamma=float(p["gamma"]),
-            r_gas=float(p["r_gas_j_kgk"]),
-            volume=float(p["volume_m3"]),
-            conductances=conductances,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid plant parameters: {exc}") from exc
-
-    ld = d["load"]
-    try:
-        load = LoadModel(
-            kind=ld["kind"],
-            v0=float(ld["v0_m3"]),
-            k_v=float(ld["k_v_m3_pa"]),
-            v_min=float(ld["v_min_m3"]),
-            v_max=float(ld["v_max_m3"]),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid load model: {exc}") from exc
-
-    def build_map(md: dict, mode: Mode, where: str) -> SpoolMap:
-        _require_keys(md, {"a", "u_min", "u_max"}, where)
-        try:
-            return SpoolMap(
-                a=tuple(float(v) for v in _get(md, "a", where)),
-                u_min=float(md.get("u_min", 20.0)),
-                u_max=float(md.get("u_max", 100.0)),
-                mode=mode,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"invalid spool map in {where}: {exc}") from exc
-
-    maps = (
-        build_map(d["maps"]["deflation"], Mode.DEFLATION, "config.maps.deflation"),
-        build_map(d["maps"]["inflation"], Mode.INFLATION, "config.maps.inflation"),
+    sc = ScenarioConfig(
+        name=str(d["name"]),
+        controller=controller,
+        plant=_plant(d["plant"]),
+        load=_section(LoadModel, d["load"], _LOAD_KEYS, "config.load"),
+        maps=_maps(d["maps"]),
+        supervisor=_supervisor(d["supervisor"]),
+        smc_gains=_gains(SmcGains, d["smc"], "config.smc"),
+        pid_gains=_gains(PidGains, d["pid"], "config.pid"),
+        mpc=_section(MpcConfig, d["mpc"], _MPC_KEYS, "config.mpc"),
+        reference=_reference(d["reference"]),
+        timing=_section(TimingConfig, d["timing"], _TIMING_KEYS, "config.timing"),
     )
 
-    sup = d["supervisor"]
-    try:
-        supervisor = SupervisorConfig(h=float(sup["h"]))
-    except ValueError as exc:
-        raise ConfigError(f"invalid supervisor config: 'h' {exc}") from exc
-
-    def build_smc(sd: dict, where: str) -> SmcGains:
-        try:
-            return SmcGains(
-                lam=float(sd["lam"]), eta=float(sd["eta"]),
-                mu=float(sd["mu"]), k_i=float(sd["k_i"]),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"invalid gains in {where}: {exc}") from exc
-
-    def build_pid(pd: dict, where: str) -> PidGains:
-        try:
-            return PidGains(k_p=float(pd["k_p"]), k_i=float(pd["k_i"]), k_d=float(pd["k_d"]))
-        except ValueError as exc:
-            raise ConfigError(f"invalid gains in {where}: {exc}") from exc
-
-    smc_gains = (
-        build_smc(d["smc"]["deflation"], "config.smc.deflation"),
-        build_smc(d["smc"]["inflation"], "config.smc.inflation"),
-    )
-    pid_gains = (
-        build_pid(d["pid"]["deflation"], "config.pid.deflation"),
-        build_pid(d["pid"]["inflation"], "config.pid.inflation"),
-    )
-
-    m = d["mpc"]
-    try:
-        mpc = MpcConfig(
-            horizon_steps=_strict_int(m["horizon_steps"], "config.mpc.horizon_steps"),
-            dt_pred=float(m["dt_pred_s"]),
-            w_e=float(m["w_e"]),
-            w_u=float(m["w_u"]),
-            w_sw=float(m["w_sw"]),
-            max_iters=_strict_int(m["max_iters"], "config.mpc.max_iters"),
-            max_switches=_strict_int(m["max_switches"], "config.mpc.max_switches"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid mpc config: {exc}") from exc
-
-    r = d["reference"]
-    kind = r["kind"]
-    try:
-        if kind == "multi-step":
-            reference = Reference.multi_step([(float(lv), float(hold)) for lv, hold in r["stages"]])
-        elif kind == "sinusoid":
-            reference = Reference.sinusoid(
-                amplitude_kpa=float(r["amplitude_kpa"]),
-                frequency_hz=float(r["frequency_hz"]),
-                cycles=_strict_int(r["cycles"], "config.reference.cycles"),
-            )
-        else:
-            raise ConfigError(f"unknown reference kind {kind!r}")
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid reference: {exc}") from exc
-
-    t = d["timing"]
-    try:
-        timing = TimingConfig(
-            control_rate=float(t["control_rate_hz"]),
-            sensor_rate=float(t["sensor_rate_hz"]),
-            sim_substep=float(t["sim_substep_hz"]),
-            duration=None if t["duration_s"] is None else float(t["duration_s"]),
-            noise_sigma=float(t["noise_sigma_pa"]),
-            seed=_strict_int(t["seed"], "config.timing.seed"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid timing config: {exc}") from exc
     # Metrics need two control ticks, and one in every window they score.
+    reference, timing = sc.reference, sc.timing
     run_s = run_duration(reference, timing)
     ticks = control_tick_times(run_s, timing)
     if len(ticks) < 2:
@@ -469,20 +392,7 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
                 f"config.reference: {window} {i + 1} ([{w0!r}, {w1!r}) s) holds no control "
                 f"tick at {timing.control_rate!r} Hz"
             )
-
-    return ScenarioConfig(
-        name=str(d["name"]),
-        controller=controller,
-        plant=plant,
-        load=load,
-        maps=maps,
-        supervisor=supervisor,
-        smc_gains=smc_gains,
-        pid_gains=pid_gains,
-        mpc=mpc,
-        reference=reference,
-        timing=timing,
-    )
+    return sc
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:

@@ -225,61 +225,9 @@ class PidLoop:
         return {"s": math.nan, "x_star": math.nan, "flag": ""}
 
 
-class NmpcLoop:
-    """Receding-horizon NMPC under the hysteresis-selected mode."""
-
-    name = "nmpc"
-
-    def __init__(
-        self,
-        params: PlantParams,
-        maps: tuple[SpoolMap, SpoolMap],
-        load: LoadModel,
-        cfg: mpc_mod.MpcConfig,
-        supervisor: SupervisorConfig,
-        ref: Reference,
-        initial_mode: Mode = Mode.INFLATION,
-    ):
-        self._params = params
-        self._maps = maps
-        self._load = load
-        self._cfg = cfg
-        self._sup = supervisor
-        self._ref = ref
-        self._mode = initial_mode
-        self._prev_u: Optional[tuple[float, ...]] = None
-        self._last_flag = ""
-
-    def _horizon_refs(self, t: float) -> list[float]:
-        t_last = self._ref.duration
-        refs = []
-        for k in range(self._cfg.horizon_steps):
-            tq = min(t + (k + 1) * self._cfg.dt_pred, t_last)
-            refs.append(reference_at(self._ref, tq, self._params.p_atm)[0])
-        return refs
-
-    def update(self, t, p_meas, p_ref, p_ref_rate):
-        self._mode = select_mode(p_meas, p_ref, self._sup, self._mode)
-        warm = None
-        if self._prev_u is not None:
-            warm = self._prev_u[1:] + self._prev_u[-1:]
-        sol = mpc_mod.nmpc_solve(
-            p_meas, self._horizon_refs(t), self._mode,
-            self._cfg, self._params, self._maps, self._load, u_init=warm,
-        )
-        self._prev_u = tuple(sol.u_seq)
-        self._last_flag = "iter-cap" if sol.hit_iter_cap else ""
-        return sol.u_seq[0], self._mode
-
-    @property
-    def diagnostics(self) -> dict:
-        return {"s": math.nan, "x_star": math.nan, "flag": self._last_flag}
-
-
-class MinmpcLoop:
-    """Receding-horizon MPC optimizing mode sequence and duty jointly."""
-
-    name = "mi-nmpc"
+class _MpcLoop:
+    """State shared by the two receding-horizon loops: the horizon's reference
+    samples and the latest solve's flag."""
 
     def __init__(
         self,
@@ -305,6 +253,49 @@ class MinmpcLoop:
             for k in range(self._cfg.horizon_steps)
         ]
 
+    @property
+    def diagnostics(self) -> dict:
+        return {"s": math.nan, "x_star": math.nan, "flag": self._last_flag}
+
+
+class NmpcLoop(_MpcLoop):
+    """Receding-horizon NMPC under the hysteresis-selected mode."""
+
+    name = "nmpc"
+
+    def __init__(
+        self,
+        params: PlantParams,
+        maps: tuple[SpoolMap, SpoolMap],
+        load: LoadModel,
+        cfg: mpc_mod.MpcConfig,
+        supervisor: SupervisorConfig,
+        ref: Reference,
+        initial_mode: Mode = Mode.INFLATION,
+    ):
+        super().__init__(params, maps, load, cfg, ref, initial_mode)
+        self._sup = supervisor
+        self._prev_u: Optional[tuple[float, ...]] = None
+
+    def update(self, t, p_meas, p_ref, p_ref_rate):
+        self._mode = select_mode(p_meas, p_ref, self._sup, self._mode)
+        warm = None
+        if self._prev_u is not None:
+            warm = self._prev_u[1:] + self._prev_u[-1:]
+        sol = mpc_mod.nmpc_solve(
+            p_meas, self._horizon_refs(t), self._mode,
+            self._cfg, self._params, self._maps, self._load, u_init=warm,
+        )
+        self._prev_u = tuple(sol.u_seq)
+        self._last_flag = "iter-cap" if sol.hit_iter_cap else ""
+        return sol.u_seq[0], self._mode
+
+
+class MinmpcLoop(_MpcLoop):
+    """Receding-horizon MPC optimizing mode sequence and duty jointly."""
+
+    name = "mi-nmpc"
+
     def update(self, t, p_meas, p_ref, p_ref_rate):
         sol = mpc_mod.minmpc_solve(
             p_meas, self._horizon_refs(t), self._cfg, self._params, self._maps, self._load,
@@ -312,10 +303,6 @@ class MinmpcLoop:
         self._mode = sol.m_seq[0]
         self._last_flag = "iter-cap" if sol.hit_iter_cap else ""
         return sol.u_seq[0], self._mode
-
-    @property
-    def diagnostics(self) -> dict:
-        return {"s": math.nan, "x_star": math.nan, "flag": self._last_flag}
 
 
 def run_duration(ref: Reference, timing: TimingConfig) -> float:

@@ -403,8 +403,10 @@ def read_trace_csv(path: str | Path) -> StepTrace:
             raise TraceDataError(f"{path}: expected columns {','.join(TRACE_COLUMNS)}")
         ts, ps, u1s, u2s, kinds = [], [], [], [], []
         for row in reader:
+            if not row:
+                continue
             if len(row) != 5:
-                raise TraceDataError(f"{path}: malformed row {row!r}")
+                raise TraceDataError(f"{path}: line {reader.line_num}: malformed row {row!r}")
             try:
                 t, p, u1, u2 = (float(v) for v in row[:4])
             except ValueError as exc:

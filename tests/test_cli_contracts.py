@@ -190,3 +190,73 @@ def test_windows_with_a_tick_each_still_run(tmp_path, overrides, windows):
     assert main(["run", "--config", str(path), "--out", str(out)]) == 0
     metrics = json.loads((out / "metrics.json").read_text())["metrics"]
     assert len(metrics["per_window"]["ae"]) == windows
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "overrides, where",
+    [
+        ({"plant": {"p_pos_pa": None}}, "config.plant.p_pos_pa"),
+        ({"plant": {"p_pos_pa": "3e5"}}, "config.plant.p_pos_pa"),
+        ({"maps": {"inflation": {"a": 5}}}, "config.maps.inflation.a"),
+        ({"maps": {"deflation": {"a": [1.0, "2", 3.0, 4.0]}}}, "config.maps.deflation.a"),
+        ({"timing": {"duration_s": [1]}}, "config.timing.duration_s"),
+        ({"timing": {"duration_s": NAN}}, "config.timing.duration_s"),
+        ({"timing": {"noise_sigma_pa": NAN}}, "config.timing.noise_sigma_pa"),
+        ({"mpc": {"w_e": NAN}}, "config.mpc.w_e"),
+        ({"smc": {"inflation": {"k_i": INF}}}, "config.smc.inflation.k_i"),
+        ({"load": {"v0_m3": INF}}, "config.load.v0_m3"),
+        ({"supervisor": {"h": True}}, "config.supervisor.h"),
+        ({"reference": {"kind": "sinusoid", "amplitude_kpa": -INF}}, "config.reference.amplitude_kpa"),
+    ],
+)
+def test_wrong_typed_or_non_finite_number_exits_2(tmp_path, capsys, overrides, where):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(overrides))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert where in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides, where",
+    [
+        ({"modes": 5}, "config.modes"),
+        ({"modes": [["inflation"]]}, "config.modes"),
+        ({"synthesis": {"rise_s": NAN}}, "config.synthesis.rise_s"),
+        ({"plant": {"conductances": {"c_po": "1e-10"}}}, "config.plant.conductances.c_po"),
+    ],
+)
+def test_wrong_typed_synthesis_entry_exits_2(tmp_path, capsys, overrides, where):
+    path = tmp_path / "synth.json"
+    path.write_text(json.dumps(overrides))
+    assert main(["synthesize", "--config", str(path), "--out", str(tmp_path / "traces")]) == 2
+    assert where in capsys.readouterr().err
+
+
+def test_traces_ending_in_a_blank_line_identify_the_same(tmp_path):
+    synth = tmp_path / "synth.json"
+    short = {"rise_s": 0.6, "decay_s": 0.4, "full_open_s": 0.6, "full_decay_s": 1.5}
+    synth.write_text(json.dumps({"modes": ["inflation"], "synthesis": short}))
+    traces = tmp_path / "traces"
+    assert main(["synthesize", "--config", str(synth), "--out", str(traces)]) == 0
+    results = []
+    for run in ("plain", "blank-line"):
+        if run == "blank-line":
+            for f in traces.glob("*.csv"):
+                f.write_text(f.read_text() + "\n")
+        out = tmp_path / run
+        assert main(["sysid", "--traces", str(traces), "--mode", "inflation", "--out", str(out)]) == 0
+        results.append((out / "identification.json").read_text())
+    assert results[0] == results[1]
+
+
+def test_trace_row_with_wrong_column_count_names_the_line(tmp_path, capsys):
+    rows = [f"{0.01 * i},150000.0,100.0,60.0,rise" for i in range(12)]
+    rows[6] = "0.06,150000.0,100.0"
+    traces = tmp_path / "traces"
+    write_trace(traces, rows)
+    assert main(["sysid", "--traces", str(traces), "--mode", "inflation"]) == 3
+    err = capsys.readouterr().err
+    assert "seg.csv" in err and "line 8" in err and "malformed row" in err
