@@ -329,6 +329,8 @@ def _modes(names: Any) -> tuple[Mode, ...]:
             raise ConfigError(f"unknown mode {name!r} in config.modes")
     if not names:
         raise ConfigError("config.modes must name at least one mode")
+    if len(set(names)) != len(names):
+        raise ConfigError(f"config.modes names a mode more than once: {names!r}")
     return tuple(_MODES[name] for name in names)
 
 
@@ -353,6 +355,15 @@ def load_synthesis(path: str | Path) -> SynthesisSpec:
     return synthesis_from_dict(raw)
 
 
+def _scenario_name(name: Any) -> str:
+    """The name is the default output directory under ``out/``: one plain path component."""
+    if not isinstance(name, str):
+        raise ConfigError(f"config.name must be a string, got {name!r}")
+    if name in ("", ".", "..") or "/" in name or "\\" in name:
+        raise ConfigError(f"config.name must be one directory name, got {name!r}")
+    return name
+
+
 def scenario_from_dict(raw: dict) -> ScenarioConfig:
     """Build a validated scenario from a JSON dict layered over the defaults."""
     if not isinstance(raw, dict):
@@ -363,7 +374,7 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
     if controller not in CONTROLLER_NAMES:
         raise ConfigError(f"unknown controller {controller!r}; expected one of {CONTROLLER_NAMES}")
     sc = ScenarioConfig(
-        name=str(d["name"]),
+        name=_scenario_name(d["name"]),
         controller=controller,
         plant=_plant(d["plant"]),
         load=_section(LoadModel, d["load"], _LOAD_KEYS, "config.load"),

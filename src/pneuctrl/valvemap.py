@@ -117,6 +117,25 @@ def eval_spool(u: float, spool_map: SpoolMap) -> float:
     return _clip01(_cubic(spool_map.a, u))
 
 
+def spool_range(spool_map: SpoolMap) -> tuple[float, float]:
+    """Lowest and highest spool fraction of any duty in [u_min, u_max].
+
+    The clipped cubic takes its extrema where the raw cubic does: at the
+    range ends or at a critical point inside.
+    """
+    a, lo, hi = spool_map.a, spool_map.u_min, spool_map.u_max
+    duties = [lo, hi]
+    if a[3] != 0.0:
+        disc = a[2] * a[2] - 3.0 * a[1] * a[3]
+        if disc >= 0.0:
+            root = math.sqrt(disc)
+            duties += [(-a[2] - root) / (3.0 * a[3]), (-a[2] + root) / (3.0 * a[3])]
+    elif a[2] != 0.0:
+        duties.append(-a[1] / (2.0 * a[2]))
+    xs = [eval_spool(u, spool_map) for u in duties if lo <= u <= hi]
+    return min(xs), max(xs)
+
+
 def invert_spool(x: float, spool_map: SpoolMap) -> float:
     """Lowest duty in [u_min, u_max] whose spool fraction reaches ``x``.
 

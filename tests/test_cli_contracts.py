@@ -260,3 +260,27 @@ def test_trace_row_with_wrong_column_count_names_the_line(tmp_path, capsys):
     assert main(["sysid", "--traces", str(traces), "--mode", "inflation"]) == 3
     err = capsys.readouterr().err
     assert "seg.csv" in err and "line 8" in err and "malformed row" in err
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("name", [None, 7, "../../escaped", "a/b", "..", ""])
+def test_scenario_name_that_is_not_one_directory_name_exits_2(tmp_path, monkeypatch, capsys, command, name):
+    # Without --out the outputs go to out/<name>, so the name must stay inside out/.
+    work = tmp_path / "a" / "b"
+    work.mkdir(parents=True)
+    monkeypatch.chdir(work)
+    (work / "scenario.json").write_text(json.dumps({"name": name}))
+    argv = [command, "--config", "scenario.json"]
+    if command == "compare":
+        argv += ["--controllers", "pid,dm-smc"]
+    assert main(argv) == 2
+    assert "config.name" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["a", "b", "scenario.json"]
+
+
+def test_repeated_synthesis_mode_exits_2(tmp_path, capsys):
+    path = tmp_path / "synth.json"
+    path.write_text(json.dumps({"modes": ["inflation", "inflation"]}))
+    assert main(["synthesize", "--config", str(path), "--out", str(tmp_path / "traces")]) == 2
+    assert "config.modes" in capsys.readouterr().err
+    assert not (tmp_path / "traces").exists()

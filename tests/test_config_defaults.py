@@ -76,7 +76,8 @@ def finite(lo, hi):
 
 
 scalar_overrides = st.fixed_dictionaries({}, optional={
-    "name": st.text(max_size=12),
+    "name": st.text(st.characters(blacklist_characters="/\\"), min_size=1, max_size=12).filter(
+        lambda name: name not in (".", "..")),
     "controller": st.sampled_from(CONTROLLER_NAMES),
     "plant": _section(
         p_pos_pa=finite(2.0e5, 5.0e5), p_neg_pa=finite(1.0e3, 5.0e4), b=finite(0.1, 0.5),

@@ -1,9 +1,11 @@
-"""The fused RK4 kernel and the memoized MPC solvers are exact.
+"""The fused RK4 kernel and the memoized, branch-and-bound MPC solvers are exact.
 
 Each optimized path is compared bit for bit with a reference assembled here
 from public building blocks only: four ``pressure_rate`` evaluations for one
 RK4 step, full ``rollout_cost`` evaluations for coordinate descent, and
-``mode_sequences`` plus the documented tie-break for MI-NMPC.
+``mode_sequences`` plus the documented tie-break for MI-NMPC.  Only the
+MI-NMPC search counters, which depend on what branch and bound pruned, are
+checked against a reference branch and bound over the solver's own bounds.
 """
 
 import math
@@ -11,11 +13,12 @@ import pickle
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pneuctrl import mpc as mpc_mod
 from pneuctrl.config import default_bellow_load, default_load, default_maps, default_mpc_config, default_plant
-from pneuctrl.mpc import _descend, minmpc_solve, mode_sequences, rollout_cost
+from pneuctrl.mpc import _PRUNE_SLACK, _descend, _sequence_bounds, minmpc_solve, mode_sequences, rollout_cost
 from pneuctrl.optim import golden_section
 from pneuctrl.plant import LoadModel, Mode, PlantState, pressure_rate, rk4_kernel, step
 from pneuctrl.valvemap import SpoolMap
@@ -144,25 +147,52 @@ def test_step_keeps_its_checks(p, x_bar, dt, error):
             step(PlantState(p_out=p), x_bar, Mode.INFLATION, dt, PARAMS, load)
 
 
-def reference_minmpc(p0, ref_seq, cfg, params, maps, load):
-    """MI-NMPC from public parts: full-rollout descent per mode sequence, then the tie-break."""
-    best, best_key, total_sweeps, any_cap = None, None, 0, False
-    for m_seq in mode_sequences(cfg.horizon_steps, cfg.max_switches):
-        u, cost, sweeps, hit_cap, trace = reference_descend(p0, ref_seq, m_seq, cfg, params, maps, load, None)
-        total_sweeps += sweeps
-        any_cap = any_cap or hit_cap
-        n_sw = sum(1 for a, b in zip(m_seq[:-1], m_seq[1:]) if a != b)
-        key = (cost, n_sw, u[0])
+def n_switches(m_seq):
+    return sum(1 for a, b in zip(m_seq[:-1], m_seq[1:]) if a != b)
+
+
+def enumerate_minmpc(p0, ref_seq, cfg, params, maps, load, descend):
+    """MI-NMPC by full enumeration: ``descend`` on every mode sequence, then the tie-break.
+
+    The solution fields come from the full enumeration, in enumeration order,
+    with the first of equal ``(cost, switches, first duty)`` keys winning.
+    The search counters come from a reference branch and bound: the solver's
+    bounds, descents in ascending ``(bound, index)`` order, and a stop at the
+    first bound above the lowest descended cost by the relative slack.
+    """
+    seqs = list(mode_sequences(cfg.horizon_steps, cfg.max_switches))
+    results = [descend(m_seq) for m_seq in seqs]
+    best, best_key = None, None
+    for m_seq, (u, cost, _, _, trace) in zip(seqs, results):
+        key = (cost, n_switches(m_seq), u[0])
         if best_key is None or key < best_key:
             best_key, best = key, (tuple(u), m_seq, cost, tuple(trace))
+    bounds = _sequence_bounds(p0, ref_seq, seqs, cfg, params, maps, load)
+    best_cost, total_sweeps, any_cap, descended = math.inf, 0, False, 0
+    for i in sorted(range(len(seqs)), key=lambda i: (bounds[i], i)):
+        if descended and bounds[i] > best_cost * (1.0 + _PRUNE_SLACK):
+            break
+        _, cost, sweeps, hit_cap, _ = results[i]
+        descended += 1
+        total_sweeps += sweeps
+        any_cap = any_cap or hit_cap
+        best_cost = min(best_cost, cost)
     u, m_seq, cost, trace = best
     return {"u_seq": u, "m_seq": m_seq, "cost": cost, "iterations": total_sweeps,
-            "hit_iter_cap": any_cap, "cost_trace": trace}
+            "hit_iter_cap": any_cap, "cost_trace": trace, "descended": descended}
+
+
+def reference_minmpc(p0, ref_seq, cfg, params, maps, load):
+    """MI-NMPC from full-rollout descents of every mode sequence; see enumerate_minmpc."""
+    def descend(m_seq):
+        return reference_descend(p0, ref_seq, m_seq, cfg, params, maps, load, None)
+
+    return enumerate_minmpc(p0, ref_seq, cfg, params, maps, load, descend)
 
 
 def solution_fields(sol):
     return {name: getattr(sol, name) for name in
-            ("u_seq", "m_seq", "cost", "iterations", "hit_iter_cap", "cost_trace")}
+            ("u_seq", "m_seq", "cost", "iterations", "hit_iter_cap", "cost_trace", "descended")}
 
 
 N_MI = 6
@@ -216,3 +246,83 @@ def test_golden_section_argmin_in_bracket_and_value_is_f_of_it(lo, width, centre
     assert lo <= x <= hi
     assert fx == f(x)
     assert 2 <= evals <= 200
+
+
+BOUND_LOADS = [default_load(), default_bellow_load(), None]
+PRESSURE = st.floats(PARAMS.p_neg, PARAMS.p_pos)
+
+
+@st.composite
+def bound_problems(draw):
+    """A start pressure, and references, duties and modes over a horizon of 1..N steps."""
+    n = draw(st.integers(1, N))
+    steps = st.tuples(PRESSURE, st.floats(MAPS[DEFL].u_min, MAPS[DEFL].u_max), st.sampled_from([DEFL, INFL]))
+    refs, u_seq, m_seq = zip(*draw(st.lists(steps, min_size=n, max_size=n)))
+    return draw(PRESSURE), list(refs), list(u_seq), list(m_seq)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    problem=bound_problems(),
+    load=st.sampled_from(BOUND_LOADS),
+    dt=st.sampled_from([0.002, 0.01, 0.05]),
+    w_u=st.sampled_from([0.0, default_mpc_config().w_u]),
+)
+# Affine bellow in deflation near the vacuum rail (-91 kPa gauge), where the
+# RK4 step departs most from the order of the exact flow: without the
+# interval margin this bound exceeds the rollout's cost.
+@example(problem=(PARAMS.p_atm - 90.81e3, [PARAMS.p_neg], [99.0], [DEFL]),
+         load=default_bellow_load(), dt=0.01, w_u=0.0)
+def test_sequence_bound_is_below_every_rollout(problem, load, dt, w_u):
+    p0, refs, u_seq, m_seq = problem
+    cfg = replace(default_mpc_config(), horizon_steps=len(refs), dt_pred=dt, w_u=w_u)
+    bound = _sequence_bounds(p0, refs, [tuple(m_seq)], cfg, PARAMS, MAPS, load)[0]
+    assert bound <= rollout_cost(p0, u_seq, m_seq, refs, cfg, PARAMS, MAPS, load)
+
+
+def test_equal_keys_go_to_the_earlier_sequence(monkeypatch):
+    # Both constant sequences stay at atmosphere with the valve shut: cost 0,
+    # no switch, the lowest duty.  Deflation is enumerated first and wins.
+    args = (PARAMS.p_atm, [PARAMS.p_atm] * N, default_mpc_config(), PARAMS, MAPS, default_load())
+    sol = minmpc_solve(*args)
+    assert (sol.cost, sol.switches, sol.u_seq[0]) == (0.0, 0, MAPS[DEFL].u_min)
+    assert sol.m_seq == (DEFL,) * N
+    assert sol.descended == 2
+
+    # It still wins when a lower, still valid, bound has inflation descended first.
+    bounds = mpc_mod._sequence_bounds
+
+    def inflation_first(p0, ref_seq, seqs, *rest):
+        return [b - 1.0 if seq == (INFL,) * N else b for b, seq in zip(bounds(p0, ref_seq, seqs, *rest), seqs)]
+
+    monkeypatch.setattr(mpc_mod, "_sequence_bounds", inflation_first)
+    assert solution_fields(minmpc_solve(*args)) == solution_fields(sol)
+
+
+ATM = PARAMS.p_atm
+# Starts and reference windows on both sides of atmosphere and across it.
+CROSSING_PROBLEMS = {
+    "ramp-up": (P0, REFS),
+    "above-to-below": (ATM + 2.0e4, [ATM - 2.0e4] * N),
+    "deep-vacuum-up": (ATM - 6.0e4, [ATM + 1.0e4] * N),
+    "step-down": (ATM + 8.0e4, [ATM + 5.0e4] * 5 + [ATM - 3.0e4] * (N - 5)),
+    "sine": (ATM, [ATM + 3.0e4 * math.sin(0.6 * (k + 1)) for k in range(N)]),
+    "near-atm": (ATM - 5.0e3, [ATM + 5.0e3 - 1.0e3 * k for k in range(N)]),
+}
+
+
+@pytest.mark.parametrize("problem", sorted(CROSSING_PROBLEMS))
+@pytest.mark.parametrize("load_name", sorted(LOADS))
+@pytest.mark.parametrize("max_switches", [1, 2])
+def test_branch_and_bound_matches_full_enumeration(problem, load_name, max_switches):
+    cfg = replace(default_mpc_config(), max_switches=max_switches)
+    p0, refs = CROSSING_PROBLEMS[problem]
+    load = LOADS[load_name]
+    steps = {}   # one exact step memo for the whole enumeration, as in a solve
+
+    def descend(m_seq):
+        return _descend(p0, refs, m_seq, cfg, PARAMS, MAPS, load, None, steps)
+
+    expected = enumerate_minmpc(p0, refs, cfg, PARAMS, MAPS, load, descend)
+    assert solution_fields(minmpc_solve(p0, refs, cfg, PARAMS, MAPS, load)) == expected
+    assert expected["descended"] < len(list(mode_sequences(N, max_switches)))

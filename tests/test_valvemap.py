@@ -2,7 +2,7 @@ import pytest
 
 from pneuctrl.config import DEFAULT_DEFLATION_CUBIC, DEFAULT_INFLATION_CUBIC
 from pneuctrl.plant import Mode
-from pneuctrl.valvemap import SpoolMap, eval_spool, invert_spool
+from pneuctrl.valvemap import SpoolMap, eval_spool, invert_spool, spool_range
 
 
 def raw_cubic(a, u):
@@ -145,3 +145,18 @@ class TestConstructionValidation:
         assert m2.u_min == m.u_min
         assert m2.u_max == m.u_max
         assert m2.mode == m.mode
+
+
+class TestSpoolRange:
+    @pytest.mark.parametrize("a", [
+        DEFAULT_INFLATION_CUBIC,
+        DEFAULT_DEFLATION_CUBIC,
+        (0.0, 0.006, -4e-5, 0.0),       # quadratic, highest at 75 %
+        (0.0, 0.006, -4e-5, 1e-9),      # cubic, highest near 75.2 %
+    ])
+    def test_extremes_of_every_duty_in_range(self, a):
+        spool_map = SpoolMap(a=a)
+        lo, hi = spool_range(spool_map)
+        grid = [eval_spool(spool_map.u_min + i * 0.01, spool_map) for i in range(8001)]
+        assert lo <= min(grid) <= lo + 1e-9
+        assert hi - 1e-9 <= max(grid) <= hi
