@@ -355,11 +355,21 @@ def load_synthesis(path: str | Path) -> SynthesisSpec:
     return synthesis_from_dict(raw)
 
 
+# Longest scenario name in UTF-8 bytes: ``<name>-compare`` stays within the
+# usual 255-byte limit of one file name.
+_NAME_MAX_BYTES = 240
+
+
 def _scenario_name(name: Any) -> str:
     """The name is the default output directory under ``out/``: one plain path component."""
     if not isinstance(name, str):
         raise ConfigError(f"config.name must be a string, got {name!r}")
-    if name in ("", ".", "..") or "/" in name or "\\" in name:
+    bad = name in ("", ".", "..") or any(c in name for c in "/\\\0")
+    try:
+        bad = bad or len(name.encode("utf-8")) > _NAME_MAX_BYTES
+    except UnicodeEncodeError:   # a lone surrogate, which JSON allows
+        bad = True
+    if bad:
         raise ConfigError(f"config.name must be one directory name, got {name!r}")
     return name
 

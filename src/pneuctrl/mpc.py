@@ -11,6 +11,7 @@ duty-to-spool clipping makes the cost only piecewise smooth.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -26,7 +27,8 @@ from .valvemap import SpoolMap, eval_spool, spool_range
 # MI-NMPC sequence bound, Pa; see _sequence_bounds.
 _BOUND_MARGIN_PA = 25.0
 # Longest prediction step at which that margin was verified, s.  Longer
-# steps bound with the rails instead of the propagated interval.
+# steps, and channels other than the verified ones, bound with the rails
+# instead of the propagated interval; see _interval_verified.
 _BOUND_MAX_DT = 0.01
 # Relative slack of the prune test, far above the rounding of two sums of
 # at most a few dozen non-negative terms.
@@ -134,11 +136,10 @@ def _descend(
 ) -> tuple[list[float], float, int, bool, list[float]]:
     """Projected coordinate descent over the duty sequence for a fixed mode sequence.
 
-    The starting cost and every line-search evaluation on ``u[k]`` add the
-    stage costs in the order of :func:`rollout_cost` through the same RK4
-    kernel, so each equals a full rollout bit for bit.  A line search
-    reuses the cached pressure and running cost before step k and
-    re-simulates only steps k..N-1.  A line search also returns the cost
+    Every line-search evaluation on ``u[k]`` reuses the cached pressure and
+    running cost before step k and re-simulates only steps k..N-1, adding the
+    stage costs in the order of :func:`rollout_cost`, so each evaluation
+    equals a full rollout bit for bit.  A line search also returns the cost
     it already computed for a spool fraction it meets again on the same
     coordinate.
 
@@ -152,7 +153,6 @@ def _descend(
     the same stage cost.
     """
     n = cfg.horizon_steps
-    _check_horizon(n, ref_seq, m_seq)
     if steps is None:
         steps = {}
     bounds = [(maps[m].u_min, maps[m].u_max) for m in m_seq]
@@ -162,6 +162,8 @@ def _descend(
         if len(u_init) != n:
             raise ValueError("warm start length must match the horizon")
         u = [min(bounds[k][1], max(bounds[k][0], float(u_init[k]))) for k in range(n)]
+
+    cost = rollout_cost(p0, u, m_seq, ref_seq, cfg, params, maps, load)
 
     kernel = plant_mod.rk4_kernel(params, load)
     dt, w_e, w_u = cfg.dt_pred, cfg.w_e, cfg.w_u
@@ -193,7 +195,7 @@ def _descend(
             raise ArithmeticError("rollout cost diverged")
         return c
 
-    cost = tail(0, True)
+    tail(0, True)
     trace = [cost]
     sweeps = 0
     improved_last = True
@@ -275,6 +277,36 @@ def mode_sequences(n: int, max_switches: int) -> Iterator[tuple[Mode, ...]]:
                 yield tuple(seq)
 
 
+@functools.cache
+def _verified_channels() -> tuple[PlantParams, tuple[SpoolMap, SpoolMap], tuple[Optional[LoadModel], ...]]:
+    """The channel, maps and loads on which ``_BOUND_MARGIN_PA`` was measured."""
+    from . import config   # config imports this module
+
+    loads = (None, config.default_load(), config.default_bellow_load())
+    return config.default_plant(), config.default_maps(), loads
+
+
+def _interval_verified(
+    dt: float,
+    params: PlantParams,
+    maps: tuple[SpoolMap, SpoolMap],
+    load: Optional[LoadModel],
+) -> bool:
+    """Whether ``_BOUND_MARGIN_PA`` was verified for this channel and step.
+
+    It was for the default channel and spool maps, with no load, the default
+    fixed load or the default bellow, at steps up to ``_BOUND_MAX_DT``.  The
+    RK4 step's departure from order depends on the step size times the
+    channel's stiffness, and near the rails and atmosphere on the shape of
+    the flow law, so another volume, conductance, load or spool map is not
+    covered.  With a quarter of the default volume, for one, a step of
+    0.01 s from near the supply rail lands up to about 45 Pa above the
+    steps at both spool ends.
+    """
+    params_ok, maps_ok, loads_ok = _verified_channels()
+    return dt <= _BOUND_MAX_DT and params == params_ok and maps == maps_ok and load in loads_ok
+
+
 def _sequence_bounds(
     p0: float,
     ref_seq: Sequence[float],
@@ -300,18 +332,21 @@ def _sequence_bounds(
 
     The margin covers the two ways the ends could miss a trajectory: the
     RK4 step is not quite non-decreasing in ``p``, and not quite between
-    its values at the two spool-fraction ends.  Measured on the default
-    channel and maps, every mode and load (``p`` every 25-100 Pa over the
-    rails and every 1 Pa within 3 kPa of each rail and of atmosphere, ``x``
-    at 50-400 points of the spool range): at ``dt_pred = 0.01`` s the step
-    falls by at most 3.5 Pa as ``p`` rises and leaves the span of its end
-    values by at most 2.7 Pa; at 0.005 s by 1.3 and 0.5 Pa; at 0.002 s by
-    0.12 and 0.02 Pa; at 0.001 s not at all.  At these steps both gaps
-    occur only within 200 Pa of a rail, where RK4 stages are clamped.
-    25 Pa is four times the largest sum.  The gaps grow fast with the step
-    (11 and 12 Pa at 0.02 s, up to 800 Pa from a rail), so above
-    ``_BOUND_MAX_DT`` the interval is the rails and only the effort and
-    switch terms bound.
+    its values at the two ends of the spool range.  What the bound needs
+    is that for ``lo <= p`` every step from ``p`` lands at least the lower
+    end's step from ``lo`` minus the margin, and for ``p <= hi`` at most
+    the upper end's step from ``hi`` plus the margin.  Measured as that
+    shortfall, the largest over ``lo <= p`` (and ``p <= hi``) on a grid
+    (``p`` every 2 Pa over the rails and every 0.05 Pa within 2 kPa of
+    each rail and of atmosphere, 41 spool fractions over each mode's
+    range), on the channels of :func:`_interval_verified` and both modes:
+    at most 2.4 Pa at ``dt_pred = 0.01`` s, 1.8 Pa at 0.009 s, 1.2 Pa at
+    0.0075 s, 0.54 Pa at 0.005 s, 0.26 Pa at 0.0025 s and 0.016 Pa at
+    0.001 s, each largest within 200 Pa of a rail, where RK4 stages are
+    clamped.  25 Pa is ten times the largest.  The shortfall grows fast
+    with the step (11.8 Pa at 0.02 s), so longer steps, and channels not
+    measured, bound with the rails: only the effort and switch terms
+    count.
     """
     n = cfg.horizon_steps
     _check_horizon(n, ref_seq)
@@ -320,7 +355,7 @@ def _sequence_bounds(
     kernel = plant_mod.rk4_kernel(params, load)
     dt, w_e, w_u = cfg.dt_pred, cfg.w_e, cfg.w_u
     p_neg, p_pos = params.p_neg, params.p_pos
-    margin = _BOUND_MARGIN_PA if dt <= _BOUND_MAX_DT else math.inf
+    interval = _interval_verified(dt, params, maps, load)
     x_range = {m: spool_range(maps[m]) for m in Mode}
 
     def step(p: float, x: float, inflation: bool) -> float:
@@ -341,8 +376,11 @@ def _sequence_bounds(
             lo, hi, score = trie[m_seq[:k]]
             x_lo, x_hi = x_range[m_seq[k]]
             inflation = m_seq[k] == Mode.INFLATION
-            lo = max(p_neg, min(step(lo, x_lo, inflation), step(lo, x_hi, inflation)) - margin)
-            hi = min(p_pos, max(step(hi, x_lo, inflation), step(hi, x_hi, inflation)) + margin)
+            if interval:
+                lo = max(p_neg, min(step(lo, x_lo, inflation), step(lo, x_hi, inflation)) - _BOUND_MARGIN_PA)
+                hi = min(p_pos, max(step(hi, x_lo, inflation), step(hi, x_hi, inflation)) + _BOUND_MARGIN_PA)
+            else:
+                lo, hi = p_neg, p_pos
             r = ref_seq[k]
             d = lo - r if r < lo else r - hi if r > hi else 0.0
             trie[prefix] = (lo, hi, score + (w_e * d * d + w_u * x_lo * x_lo))
@@ -363,10 +401,11 @@ def minmpc_solve(
     Exact branch and bound over :func:`mode_sequences` (Bemporad & Morari,
     *Automatica* 1999).  :func:`_sequence_bounds` first gives each sequence
     a lower bound on its optimal cost, from the reachable pressure interval
-    widened by a 25 Pa margin per step (its docstring says why that margin
-    suffices).  The sequences are then descended in ascending ``(bound,
-    enumeration index)`` order, and the search stops at the first bound
-    above the best cost so far by the relative ``_PRUNE_SLACK``, which
+    widened by a 25 Pa margin per step on the channels where that margin
+    was measured, and from the rails on any other (its docstring says why
+    the margin suffices).  The sequences are then descended in ascending
+    ``(bound, enumeration index)`` order, and the search stops at the first
+    bound above the best cost so far by the relative ``_PRUNE_SLACK``, which
     covers the rounding of both sums.  Each sequence left would descend to
     a cost at least its bound, above the best, so it could not win, and the
     result is the full enumeration's bit for bit.

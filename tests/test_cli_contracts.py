@@ -263,7 +263,9 @@ def test_trace_row_with_wrong_column_count_names_the_line(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["run", "compare"])
-@pytest.mark.parametrize("name", [None, 7, "../../escaped", "a/b", "..", ""])
+@pytest.mark.parametrize("name", [
+    None, 7, "../../escaped", "a/b", "..", "", "a\0b", "\ud800", pytest.param("n" * 241, id="241-bytes"),
+])
 def test_scenario_name_that_is_not_one_directory_name_exits_2(tmp_path, monkeypatch, capsys, command, name):
     # Without --out the outputs go to out/<name>, so the name must stay inside out/.
     work = tmp_path / "a" / "b"

@@ -4,12 +4,14 @@ the printed defaults agree, and a config survives a JSON round trip."""
 import json
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pneuctrl.cli import main
 from pneuctrl.config import (
     CONTROLLER_NAMES,
+    ConfigError,
     default_load,
     default_maps,
     default_mpc_config,
@@ -76,7 +78,7 @@ def finite(lo, hi):
 
 
 scalar_overrides = st.fixed_dictionaries({}, optional={
-    "name": st.text(st.characters(blacklist_characters="/\\"), min_size=1, max_size=12).filter(
+    "name": st.text(st.characters(blacklist_characters="/\\\0"), min_size=1, max_size=12).filter(
         lambda name: name not in (".", "..")),
     "controller": st.sampled_from(CONTROLLER_NAMES),
     "plant": _section(
@@ -111,6 +113,25 @@ scalar_overrides = st.fixed_dictionaries({}, optional={
 def _overlay(base, over):
     return {k: _overlay(v, over[k]) if isinstance(v, dict) and k in over else over.get(k, v)
             for k, v in base.items()}
+
+
+# Every name the strategy above leaves out is a config error.
+NOT_ONE_DIRECTORY_NAME = st.one_of(
+    st.sampled_from(["", ".", ".."]),
+    st.tuples(
+        st.text(max_size=6),
+        st.sampled_from("/\\\0") | st.characters(whitelist_categories=["Cs"]),
+        st.text(max_size=6),
+    ).map("".join),
+    st.integers(241, 400).map(lambda n: "n" * n),
+    st.none() | st.booleans() | st.integers() | st.lists(st.text(max_size=3), max_size=2),
+)
+
+
+@given(name=NOT_ONE_DIRECTORY_NAME)
+def test_a_name_that_is_not_one_directory_name_is_a_config_error(name):
+    with pytest.raises(ConfigError, match="config.name"):
+        scenario_from_dict({"name": name})
 
 
 @settings(max_examples=60, deadline=None)

@@ -20,8 +20,8 @@ from pneuctrl import mpc as mpc_mod
 from pneuctrl.config import default_bellow_load, default_load, default_maps, default_mpc_config, default_plant
 from pneuctrl.mpc import _PRUNE_SLACK, _descend, _sequence_bounds, minmpc_solve, mode_sequences, rollout_cost
 from pneuctrl.optim import golden_section
-from pneuctrl.plant import LoadModel, Mode, PlantState, pressure_rate, rk4_kernel, step
-from pneuctrl.valvemap import SpoolMap
+from pneuctrl.plant import Conductances, LoadModel, Mode, PlantState, pressure_rate, rk4_kernel, step
+from pneuctrl.valvemap import SpoolMap, eval_spool
 
 PARAMS = default_plant()
 MAPS = default_maps()
@@ -261,10 +261,38 @@ def bound_problems(draw):
     return draw(PRESSURE), list(refs), list(u_seq), list(m_seq)
 
 
+@st.composite
+def channels(draw):
+    """The default channel and maps with a verified load, or a channel drawn off them.
+
+    The drawn channel rescales the volumes and each conductance by 0.1-10x
+    and may take a spool map whose lowest spool fraction is not zero.
+    """
+    load = draw(st.sampled_from(BOUND_LOADS))
+    if draw(st.booleans()):
+        return PARAMS, MAPS, load
+    scale = st.floats(0.1, 10.0)
+    c = PARAMS.conductances
+    params = replace(PARAMS, volume=PARAMS.volume * draw(scale), conductances=Conductances(
+        c.c_po * draw(scale), c.c_on * draw(scale), c.c_oa * draw(scale), c.c_ao * draw(scale)))
+    if load is not None:
+        load = replace(load, v0=load.v0 * draw(scale))
+    maps = draw(st.sampled_from([MAPS, tuple(replace(m, a=(0.0, 0.006, -4e-5, 0.0)) for m in MAPS)]))
+    return params, maps, load
+
+
+# A quarter of the volume makes the channel four times stiffer.  Near the
+# supply rail its RK4 step at 65 % duty then lands about 41 Pa above the
+# steps at both ends of the spool range, more than the interval margin.
+STIFF = replace(PARAMS, volume=PARAMS.volume / 4)
+STIFF_P0, STIFF_U = PARAMS.p_atm + 196.549e3, 65.0
+STIFF_REF = rk4_kernel(STIFF)(STIFF_P0, eval_spool(STIFF_U, MAPS[INFL]), True, 0.01)
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     problem=bound_problems(),
-    load=st.sampled_from(BOUND_LOADS),
+    channel=channels(),
     dt=st.sampled_from([0.002, 0.01, 0.05]),
     w_u=st.sampled_from([0.0, default_mpc_config().w_u]),
 )
@@ -272,12 +300,24 @@ def bound_problems(draw):
 # RK4 step departs most from the order of the exact flow: without the
 # interval margin this bound exceeds the rollout's cost.
 @example(problem=(PARAMS.p_atm - 90.81e3, [PARAMS.p_neg], [99.0], [DEFL]),
-         load=default_bellow_load(), dt=0.01, w_u=0.0)
-def test_sequence_bound_is_below_every_rollout(problem, load, dt, w_u):
+         channel=(PARAMS, MAPS, default_bellow_load()), dt=0.01, w_u=0.0)
+@example(problem=(STIFF_P0, [STIFF_REF], [STIFF_U], [INFL]), channel=(STIFF, MAPS, None), dt=0.01, w_u=0.0)
+def test_sequence_bound_is_below_every_rollout(problem, channel, dt, w_u):
     p0, refs, u_seq, m_seq = problem
+    params, maps, load = channel
     cfg = replace(default_mpc_config(), horizon_steps=len(refs), dt_pred=dt, w_u=w_u)
-    bound = _sequence_bounds(p0, refs, [tuple(m_seq)], cfg, PARAMS, MAPS, load)[0]
-    assert bound <= rollout_cost(p0, u_seq, m_seq, refs, cfg, PARAMS, MAPS, load)
+    bound = _sequence_bounds(p0, refs, [tuple(m_seq)], cfg, params, maps, load)[0]
+    assert bound <= rollout_cost(p0, u_seq, m_seq, refs, cfg, params, maps, load)
+
+
+def test_bound_uses_the_rails_off_the_verified_channels(monkeypatch):
+    cfg = replace(default_mpc_config(), horizon_steps=1, w_u=0.0)
+    args = (STIFF_P0, [STIFF_REF], [(INFL,)], cfg, STIFF, MAPS, None)
+    assert rollout_cost(STIFF_P0, [STIFF_U], [INFL], [STIFF_REF], cfg, STIFF, MAPS, None) == 0.0
+    assert _sequence_bounds(*args) == [0.0]
+
+    monkeypatch.setattr(mpc_mod, "_interval_verified", lambda *args: True)
+    assert _sequence_bounds(*args)[0] > 0.0
 
 
 def test_equal_keys_go_to_the_earlier_sequence(monkeypatch):
