@@ -248,7 +248,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (sysid_mod.TraceDataError, FileNotFoundError) as exc:
+    except (sysid_mod.TraceDataError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ArithmeticError as exc:

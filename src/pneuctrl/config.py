@@ -346,13 +346,18 @@ def synthesis_from_dict(raw: dict) -> SynthesisSpec:
     )
 
 
-def load_synthesis(path: str | Path) -> SynthesisSpec:
+def _read_json(path: str | Path) -> Any:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            raw = json.load(fh)
+            return json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path} is not valid UTF-8: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
-    return synthesis_from_dict(raw)
+
+
+def load_synthesis(path: str | Path) -> SynthesisSpec:
+    return synthesis_from_dict(_read_json(path))
 
 
 # Longest scenario name in UTF-8 bytes: ``<name>-compare`` stays within the
@@ -417,9 +422,4 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
-    return scenario_from_dict(raw)
+    return scenario_from_dict(_read_json(path))

@@ -396,6 +396,13 @@ def write_trace_csv(trace: StepTrace, path: str | Path) -> None:
 
 
 def read_trace_csv(path: str | Path) -> StepTrace:
+    try:
+        return _read_trace_csv(path)
+    except UnicodeDecodeError as exc:
+        raise TraceDataError(f"{path}: not valid UTF-8: {exc}") from exc
+
+
+def _read_trace_csv(path: str | Path) -> StepTrace:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)

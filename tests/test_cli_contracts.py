@@ -286,3 +286,57 @@ def test_repeated_synthesis_mode_exits_2(tmp_path, capsys):
     assert main(["synthesize", "--config", str(path), "--out", str(tmp_path / "traces")]) == 2
     assert "config.modes" in capsys.readouterr().err
     assert not (tmp_path / "traces").exists()
+
+
+VALID_ROWS = [f"{0.01 * i},150000.0,100.0,60.0,rise" for i in range(12)]
+
+
+def test_trace_csv_that_is_not_utf8_exits_3(tmp_path, capsys):
+    traces = tmp_path / "traces"
+    write_trace(traces, VALID_ROWS)
+    with open(traces / "seg.csv", "ab") as fh:
+        fh.write(b"\xff\xfe")
+    assert main(["sysid", "--traces", str(traces), "--mode", "inflation"]) == 3
+    err = capsys.readouterr().err
+    assert "seg.csv" in err and "UTF-8" in err
+
+
+def test_csv_entry_that_is_a_directory_exits_3(tmp_path, capsys):
+    traces = tmp_path / "traces"
+    write_trace(traces, VALID_ROWS)
+    (traces / "zz.csv").mkdir()
+    assert main(["sysid", "--traces", str(traces), "--mode", "inflation"]) == 3
+    assert "zz.csv" in capsys.readouterr().err
+
+
+def config_argv(command, config, tmp_path):
+    """Arguments that make ``command`` load ``config``; ``sysid`` reads valid traces first."""
+    out = str(tmp_path / "out")
+    if command == "sysid":
+        traces = tmp_path / "traces"
+        write_trace(traces, VALID_ROWS)
+        return ["sysid", "--traces", str(traces), "--mode", "inflation", "--config", str(config), "--out", out]
+    extra = ["--controllers", "pid,dm-smc"] if command == "compare" else []
+    return [command, "--config", str(config), "--out", out] + extra
+
+
+CONFIG_COMMANDS = ["run", "compare", "synthesize", "sysid"]
+
+
+@pytest.mark.parametrize("command", CONFIG_COMMANDS)
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{"name": "x\xff"}')
+    assert main(config_argv(command, path, tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert "config.json" in err and "UTF-8" in err
+
+
+@pytest.mark.parametrize("command", CONFIG_COMMANDS)
+@pytest.mark.parametrize("kind", ["directory", "missing"])
+def test_config_path_that_is_a_directory_or_missing_exits_3(tmp_path, capsys, command, kind):
+    path = tmp_path / "config.json"
+    if kind == "directory":
+        path.mkdir()
+    assert main(config_argv(command, path, tmp_path)) == 3
+    assert "config.json" in capsys.readouterr().err

@@ -18,10 +18,19 @@ from hypothesis import strategies as st
 
 from pneuctrl import mpc as mpc_mod
 from pneuctrl.config import default_bellow_load, default_load, default_maps, default_mpc_config, default_plant
-from pneuctrl.mpc import _PRUNE_SLACK, _descend, _sequence_bounds, minmpc_solve, mode_sequences, rollout_cost
+from pneuctrl.mpc import (
+    _BOUND_MARGIN_PA,
+    _PRUNE_SLACK,
+    _bound_walk,
+    _descend,
+    _sequence_bounds,
+    minmpc_solve,
+    mode_sequences,
+    rollout_cost,
+)
 from pneuctrl.optim import golden_section
 from pneuctrl.plant import Conductances, LoadModel, Mode, PlantState, pressure_rate, rk4_kernel, step
-from pneuctrl.valvemap import SpoolMap, eval_spool
+from pneuctrl.valvemap import SpoolMap, eval_spool, spool_range
 
 PARAMS = default_plant()
 MAPS = default_maps()
@@ -96,6 +105,26 @@ def test_descend_matches_full_rollout_descent(load_name, seq_name, warm):
     assert cost == cost_ref
     assert (sweeps, hit_cap) == (sweeps_ref, hit_cap_ref)
     assert trace == trace_ref
+
+
+def test_sweep_after_a_last_improvement_at_coordinate_0_skips_every_search(monkeypatch):
+    # From 150 kPa gauge on a rising ramp the first sweep improves every duty,
+    # the second only u[0], so the third would repeat all four line searches.
+    n = 4
+    cfg = replace(default_mpc_config(), horizon_steps=n)
+    args = (PARAMS.p_atm + 1.5e5, [PARAMS.p_atm + 1.5e5 + 5.0e3 * k for k in range(n)],
+            (INFL,) * n, cfg, PARAMS, MAPS, default_load(), None)
+    searches = []
+
+    def counted(*a, **kw):
+        searches.append(a[1:3])
+        return golden_section(*a, **kw)
+
+    monkeypatch.setattr(mpc_mod, "golden_section", counted)
+    u, cost, sweeps, hit_cap, trace = _descend(*args)
+    assert (u, cost, sweeps, hit_cap, trace) == reference_descend(*args)
+    assert sweeps == 3 and trace[-1] == trace[-2] < trace[-3]
+    assert len(searches) == 2 * n
 
 
 LOAD_CHOICES = [None, default_load(), default_bellow_load(),
@@ -320,6 +349,84 @@ def test_bound_uses_the_rails_off_the_verified_channels(monkeypatch):
     assert _sequence_bounds(*args)[0] > 0.0
 
 
+def reference_bounds(p0, ref_seq, seqs, cfg, params, maps, load):
+    """Every sequence's bound from an eager pass over its prefixes, one sequence after another."""
+    kernel = rk4_kernel(params, load)
+    interval = mpc_mod._interval_verified(cfg.dt_pred, params, maps, load)
+    trie = {(): (p0, p0, 0.0)}
+    out = []
+    for m_seq in seqs:
+        for k, m in enumerate(m_seq):
+            if m_seq[:k + 1] in trie:
+                continue
+            lo, hi, score = trie[m_seq[:k]]
+            x_lo, x_hi = spool_range(maps[m])
+            if interval:
+                lo = max(params.p_neg, min(kernel(lo, x, m == INFL, cfg.dt_pred) for x in (x_lo, x_hi))
+                         - _BOUND_MARGIN_PA)
+                hi = min(params.p_pos, max(kernel(hi, x, m == INFL, cfg.dt_pred) for x in (x_lo, x_hi))
+                         + _BOUND_MARGIN_PA)
+            else:
+                lo, hi = params.p_neg, params.p_pos
+            r = ref_seq[k]
+            d = lo - r if r < lo else r - hi if r > hi else 0.0
+            trie[m_seq[:k + 1]] = (lo, hi, score + (cfg.w_e * d * d + cfg.w_u * x_lo * x_lo))
+        out.append(trie[m_seq][2] + cfg.w_sw * n_switches(m_seq))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(1, 8),
+    max_switches=st.integers(0, 3),
+    channel=channels(),
+    one_cubic=st.booleans(),
+    dt=st.sampled_from([0.002, 0.01, 0.05]),
+    w_e=st.sampled_from([0.0, default_mpc_config().w_e]),
+    w_u=st.sampled_from([0.0, default_mpc_config().w_u]),
+    w_sw=st.sampled_from([0.0, default_mpc_config().w_sw]),
+)
+def test_walk_yields_the_eager_bounds_in_bound_then_index_order(
+    data, n, max_switches, channel, one_cubic, dt, w_e, w_u, w_sw,
+):
+    # Any subset of the sequences in any order; zero weights make many bounds tie.
+    seqs = data.draw(st.permutations(list(mode_sequences(n, max_switches))))
+    seqs = seqs[:data.draw(st.integers(1, len(seqs)))]
+    p0 = data.draw(PRESSURE)
+    refs = data.draw(st.lists(PRESSURE, min_size=n, max_size=n))
+    params, maps, load = channel
+    if one_cubic:
+        maps = MI_MAPS["one-cubic"]
+    cfg = replace(default_mpc_config(), horizon_steps=n, dt_pred=dt, w_e=w_e, w_u=w_u, w_sw=w_sw)
+    args = (p0, refs, seqs, cfg, params, maps, load)
+
+    bounds = _sequence_bounds(*args)
+    assert bounds == reference_bounds(*args)
+    walked = list(_bound_walk(*args))
+    assert walked == sorted((b, i) for i, b in enumerate(bounds))
+    # The walk stops at the first bound above the cutoff.
+    limit = data.draw(st.sampled_from(sorted(set(bounds)) + [-1.0]))
+    assert list(_bound_walk(*args, cutoff=lambda: limit)) == [(b, i) for b, i in walked if b <= limit]
+
+
+def test_walk_steps_no_prefix_above_the_cutoff():
+    cfg = default_mpc_config()
+    seqs = list(mode_sequences(N, cfg.max_switches))
+    args = (P0, REFS, seqs, cfg, PARAMS, MAPS, default_load())
+    steps = {}
+    assert list(_bound_walk(*args, steps, lambda: -1.0)) == []
+    assert not any(steps.values())
+
+    # Under a cutoff at the lowest bound fewer steps are taken than by a full walk.
+    bounds = _sequence_bounds(*args)
+    lowest = min(bounds)
+    full, cut = {}, {}
+    list(_bound_walk(*args, full))
+    assert list(_bound_walk(*args, cut, lambda: lowest)) == [(lowest, i) for i, b in enumerate(bounds) if b == lowest]
+    assert 0 < sum(map(len, cut.values())) < sum(map(len, full.values()))
+
+
 def test_equal_keys_go_to_the_earlier_sequence(monkeypatch):
     # Both constant sequences stay at atmosphere with the valve shut: cost 0,
     # no switch, the lowest duty.  Deflation is enumerated first and wins.
@@ -330,12 +437,17 @@ def test_equal_keys_go_to_the_earlier_sequence(monkeypatch):
     assert sol.descended == 2
 
     # It still wins when a lower, still valid, bound has inflation descended first.
-    bounds = mpc_mod._sequence_bounds
+    walk = mpc_mod._bound_walk
 
-    def inflation_first(p0, ref_seq, seqs, *rest):
-        return [b - 1.0 if seq == (INFL,) * N else b for b, seq in zip(bounds(p0, ref_seq, seqs, *rest), seqs)]
+    def inflation_first(p0, ref_seq, seqs, cfg, params, maps, load, steps, cutoff):
+        lowered = sorted((b - 1.0 if seqs[i] == (INFL,) * N else b, i)
+                         for b, i in walk(p0, ref_seq, seqs, cfg, params, maps, load, steps))
+        for b, i in lowered:
+            if b > cutoff():
+                return
+            yield b, i
 
-    monkeypatch.setattr(mpc_mod, "_sequence_bounds", inflation_first)
+    monkeypatch.setattr(mpc_mod, "_bound_walk", inflation_first)
     assert solution_fields(minmpc_solve(*args)) == solution_fields(sol)
 
 
