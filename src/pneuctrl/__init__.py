@@ -18,6 +18,7 @@ from .experiment import (
     NmpcLoop,
     PidLoop,
     Reference,
+    Tick,
     TimingConfig,
     Trajectory,
     compute_metrics,

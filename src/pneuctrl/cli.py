@@ -248,7 +248,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (sysid_mod.TraceDataError, FileNotFoundError, IsADirectoryError) as exc:
+    except (
+        sysid_mod.TraceDataError, FileNotFoundError, FileExistsError, IsADirectoryError, NotADirectoryError,
+    ) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ArithmeticError as exc:

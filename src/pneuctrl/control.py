@@ -75,9 +75,7 @@ class ControllerState:
     """Value-semantics controller memory carried between ticks."""
 
     mode: Mode
-    e_int: float = 0.0          # integrated error; Pa*s for SMC, kPa*s for PID
-    e_prev: Optional[float] = None
-    u_prev: float = 0.0
+    e_int: float = 0.0          # integrated error, Pa*s
     s: float = 0.0              # last sliding-variable value, Pa
     x_star: float = 0.0         # last commanded spool fraction after clipping
     gain_guard: bool = False    # last update hit the near-zero-gain fallback
@@ -120,7 +118,6 @@ def smc_update(
     maps: tuple[SpoolMap, SpoolMap],
     cfg: SupervisorConfig,
     dt: float,
-    reset_integral_on_switch: bool = False,
 ) -> tuple[float, ControllerState]:
     """One sliding-mode control tick; returns the PWM duty and the new state.
 
@@ -137,8 +134,6 @@ def smc_update(
         raise ValueError("dt must be positive")
     mode = select_mode(p, p_ref, cfg, state.mode)
     e_int = state.e_int
-    if reset_integral_on_switch and mode != state.mode:
-        e_int = 0.0
     g = gains[mode]
     spool_map = maps[mode]
 
@@ -171,16 +166,7 @@ def smc_update(
     if x_raw < 0.0 or x_raw > 1.0:
         e_int_next = e_int
     u = invert_spool(x_star, spool_map)
-    new_state = ControllerState(
-        mode=mode,
-        e_int=e_int_next,
-        e_prev=e,
-        u_prev=u,
-        s=s,
-        x_star=x_star,
-        gain_guard=guard,
-    )
-    return u, new_state
+    return u, ControllerState(mode=mode, e_int=e_int_next, s=s, x_star=x_star, gain_guard=guard)
 
 
 @dataclass(frozen=True)
@@ -194,7 +180,6 @@ class PidState:
     mode: Mode
     e_int: tuple[float, float] = (0.0, 0.0)
     e_prev: tuple[Optional[float], Optional[float]] = (None, None)
-    u_prev: float = 0.0
 
 
 def pid_update(
@@ -230,10 +215,4 @@ def pid_update(
     e_prevs = list(state.e_prev)
     e_ints[mode] = e_int
     e_prevs[mode] = e
-    new_state = PidState(
-        mode=mode,
-        e_int=(e_ints[0], e_ints[1]),
-        e_prev=(e_prevs[0], e_prevs[1]),
-        u_prev=u,
-    )
-    return u, new_state
+    return u, PidState(mode=mode, e_int=(e_ints[0], e_ints[1]), e_prev=(e_prevs[0], e_prevs[1]))

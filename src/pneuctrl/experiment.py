@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Protocol
+from typing import NamedTuple, Optional, Protocol
 
 import numpy as np
 
@@ -153,19 +153,23 @@ class Trajectory:
     duration: Optional[float] = None     # simulated length, s (None: the whole reference)
 
 
-class ControllerLoop(Protocol):
-    def update(self, t: float, p_meas: float, p_ref: float, p_ref_rate: float) -> tuple[float, Mode]:
-        """Return (duty %, active mode) for this tick."""
+class Tick(NamedTuple):
+    """What one controller update commands and logs."""
 
-    @property
-    def diagnostics(self) -> dict:
-        """Extras from the latest update (sliding variable, flags, ...)."""
+    u: float                             # PWM duty, %
+    mode: Mode                           # active polarity mode
+    s: float = math.nan                  # sliding variable (NaN for non-SMC)
+    x_star: float = math.nan             # commanded spool fraction (NaN if n/a)
+    flag: str = ""                       # "gain-guard", "iter-cap" or ""
+
+
+class ControllerLoop(Protocol):
+    def update(self, t: float, p_meas: float, p_ref: float, p_ref_rate: float) -> Tick:
+        """Return this tick's command and logged internals."""
 
 
 class DmSmcLoop:
     """Dual-mode sliding-mode controller bound to one scenario loop."""
-
-    name = "dm-smc"
 
     def __init__(
         self,
@@ -174,60 +178,44 @@ class DmSmcLoop:
         gains: tuple[SmcGains, SmcGains],
         supervisor: SupervisorConfig,
         dt: float,
-        initial_mode: Mode = Mode.INFLATION,
     ):
         self._params = params
         self._maps = maps
         self._gains = gains
         self._sup = supervisor
         self._dt = dt
-        self.state = ControllerState(mode=initial_mode)
+        self.state = ControllerState(mode=Mode.INFLATION)
 
     def update(self, t, p_meas, p_ref, p_ref_rate):
         u, self.state = smc_update(
             self.state, p_meas, p_ref, p_ref_rate,
             self._gains, self._params, self._maps, self._sup, self._dt,
         )
-        return u, self.state.mode
-
-    @property
-    def diagnostics(self) -> dict:
-        return {
-            "s": self.state.s,
-            "x_star": self.state.x_star,
-            "flag": "gain-guard" if self.state.gain_guard else "",
-        }
+        flag = "gain-guard" if self.state.gain_guard else ""
+        return Tick(u, self.state.mode, self.state.s, self.state.x_star, flag)
 
 
 class PidLoop:
     """Mode-gated PID controller bound to one scenario loop."""
-
-    name = "pid"
 
     def __init__(
         self,
         gains: tuple[PidGains, PidGains],
         supervisor: SupervisorConfig,
         dt: float,
-        initial_mode: Mode = Mode.INFLATION,
     ):
         self._gains = gains
         self._sup = supervisor
         self._dt = dt
-        self.state = PidState(mode=initial_mode)
+        self.state = PidState(mode=Mode.INFLATION)
 
     def update(self, t, p_meas, p_ref, p_ref_rate):
         u, self.state = pid_update(self.state, p_meas, p_ref, self._gains, self._sup, self._dt)
-        return u, self.state.mode
-
-    @property
-    def diagnostics(self) -> dict:
-        return {"s": math.nan, "x_star": math.nan, "flag": ""}
+        return Tick(u, self.state.mode)
 
 
 class _MpcLoop:
-    """State shared by the two receding-horizon loops: the horizon's reference
-    samples and the latest solve's flag."""
+    """The horizon's reference samples, shared by the two receding-horizon loops."""
 
     def __init__(
         self,
@@ -236,15 +224,12 @@ class _MpcLoop:
         load: LoadModel,
         cfg: mpc_mod.MpcConfig,
         ref: Reference,
-        initial_mode: Mode = Mode.INFLATION,
     ):
         self._params = params
         self._maps = maps
         self._load = load
         self._cfg = cfg
         self._ref = ref
-        self._mode = initial_mode
-        self._last_flag = ""
 
     def _horizon_refs(self, t: float) -> list[float]:
         t_last = self._ref.duration
@@ -253,15 +238,9 @@ class _MpcLoop:
             for k in range(self._cfg.horizon_steps)
         ]
 
-    @property
-    def diagnostics(self) -> dict:
-        return {"s": math.nan, "x_star": math.nan, "flag": self._last_flag}
-
 
 class NmpcLoop(_MpcLoop):
     """Receding-horizon NMPC under the hysteresis-selected mode."""
-
-    name = "nmpc"
 
     def __init__(
         self,
@@ -271,10 +250,10 @@ class NmpcLoop(_MpcLoop):
         cfg: mpc_mod.MpcConfig,
         supervisor: SupervisorConfig,
         ref: Reference,
-        initial_mode: Mode = Mode.INFLATION,
     ):
-        super().__init__(params, maps, load, cfg, ref, initial_mode)
+        super().__init__(params, maps, load, cfg, ref)
         self._sup = supervisor
+        self._mode = Mode.INFLATION
         self._prev_u: Optional[tuple[float, ...]] = None
 
     def update(self, t, p_meas, p_ref, p_ref_rate):
@@ -287,22 +266,17 @@ class NmpcLoop(_MpcLoop):
             self._cfg, self._params, self._maps, self._load, u_init=warm,
         )
         self._prev_u = tuple(sol.u_seq)
-        self._last_flag = "iter-cap" if sol.hit_iter_cap else ""
-        return sol.u_seq[0], self._mode
+        return Tick(sol.u_seq[0], self._mode, flag="iter-cap" if sol.hit_iter_cap else "")
 
 
 class MinmpcLoop(_MpcLoop):
     """Receding-horizon MPC optimizing mode sequence and duty jointly."""
 
-    name = "mi-nmpc"
-
     def update(self, t, p_meas, p_ref, p_ref_rate):
         sol = mpc_mod.minmpc_solve(
             p_meas, self._horizon_refs(t), self._cfg, self._params, self._maps, self._load,
         )
-        self._mode = sol.m_seq[0]
-        self._last_flag = "iter-cap" if sol.hit_iter_cap else ""
-        return sol.u_seq[0], self._mode
+        return Tick(sol.u_seq[0], sol.m_seq[0], flag="iter-cap" if sol.hit_iter_cap else "")
 
 
 def run_duration(ref: Reference, timing: TimingConfig) -> float:
@@ -312,29 +286,36 @@ def run_duration(ref: Reference, timing: TimingConfig) -> float:
     return min(timing.duration, ref.duration)
 
 
-def control_tick_times(duration: float, timing: TimingConfig) -> np.ndarray:
-    """Times of the control ticks that ``run_scenario`` logs in a run of ``duration`` s.
+def event_substeps(n_sub: int, substep_hz: float, rate_hz: float) -> np.ndarray:
+    """Substeps, of ``n_sub`` at ``substep_hz``, on which an event at ``rate_hz`` fires.
 
-    The same arithmetic as the run loop, without the plant: substep j sits at
-    ``j / sim_substep``, and tick k falls on the first substep after tick
-    k - 1 whose time plus half a substep reaches ``k / control_rate``.
+    Substep j sits at ``j / substep_hz``; event k fires on the first substep
+    after event k - 1's whose time plus half a substep reaches
+    ``k / rate_hz``, so at most one event fires per substep and a rate above
+    the substep's falls behind.  This is the schedule of the sensor and the
+    controller in ``run_scenario`` and of the samples in
+    ``sysid.simulate_segment``.
     """
-    s = timing.sim_substep
-    n_sub = int(round(duration * s))
-    eps = 0.5 * (1.0 / s)
-    # Tick k needs k / control_rate <= (n_sub - 1) / s + eps < n_sub / s, so
-    # no more than this many ticks fit.
-    k = np.arange(min(n_sub, int(timing.control_rate * n_sub / s) + 2))
-    due = k / timing.control_rate
-    # First substep whose time plus eps reaches the tick's due time: start
+    eps = 0.5 * (1.0 / substep_hz)
+    # Event k needs k / rate_hz <= (n_sub - 1) / substep_hz + eps, so no
+    # more than this many events fit.
+    k = np.arange(min(n_sub, int(rate_hz * n_sub / substep_hz) + 2))
+    due = k / rate_hz
+    # First substep whose time plus eps reaches the event's due time: start
     # below it (rounding moves the estimate by far less than two substeps)
     # and step up with the loop's own test.
-    first = np.maximum(np.floor((due - eps) * s) - 2.0, 0.0)
-    while np.any(behind := first / s + eps < due):
+    first = np.maximum(np.floor((due - eps) * substep_hz) - 2.0, 0.0)
+    while np.any(behind := first / substep_hz + eps < due):
         first += behind
-    # j[k] = max(j[k - 1] + 1, first[k]): the loop takes one tick per substep at most.
+    # j[k] = max(j[k - 1] + 1, first[k]): one event per substep at most.
     j = np.maximum.accumulate(first - k) + k
-    return j[j < n_sub] / s
+    return j[j < n_sub].astype(int)
+
+
+def control_tick_times(duration: float, timing: TimingConfig) -> np.ndarray:
+    """Times of the control ticks that ``run_scenario`` logs in a run of ``duration`` s."""
+    n_sub = int(round(duration * timing.sim_substep))
+    return event_substeps(n_sub, timing.sim_substep, timing.control_rate) / timing.sim_substep
 
 
 def run_scenario(
@@ -354,49 +335,47 @@ def run_scenario(
     duration = run_duration(ref, timing)
     rng = np.random.default_rng(timing.seed)
     dt_sub = 1.0 / timing.sim_substep
-    dt_ctrl = 1.0 / timing.control_rate
     n_sub = int(round(duration * timing.sim_substep))
-    eps = 0.5 * dt_sub
+    # One byte per substep, 1 where the event fires: iterating bytes is as
+    # fast as a list of bools and an eighth of its memory.
+    sensed = np.zeros(n_sub, dtype=np.uint8)
+    sensed[event_substeps(n_sub, timing.sim_substep, timing.sensor_rate)] = 1
+    ticked = np.zeros(n_sub, dtype=np.uint8)
+    ticked[event_substeps(n_sub, timing.sim_substep, timing.control_rate)] = 1
 
     p = reference_at(ref, 0.0, params.p_atm)[0] if p_init is None else p_init
     kernel = plant_mod.rk4_kernel(params, load)
 
     held = p
-    k_sensor = 0
-    k_ctrl = 0
     x_bar = 0.0
-    mode = Mode.INFLATION
     inflation = True
 
     rows_t, rows_ref, rows_true, rows_meas = [], [], [], []
     rows_u, rows_mode, rows_ct, rows_s, rows_x = [], [], [], [], []
     flags: list[str] = []
 
-    for j in range(n_sub):
-        t = j / timing.sim_substep
-        if t + eps >= k_sensor / timing.sensor_rate:
+    for j, sense, tick in zip(range(n_sub), sensed.tobytes(), ticked.tobytes()):
+        if sense:
             noise = rng.normal(0.0, timing.noise_sigma) if timing.noise_sigma > 0.0 else 0.0
             held = p + noise
-            k_sensor += 1
-        if t + eps >= k_ctrl / timing.control_rate:
+        if tick:
+            t = j / timing.sim_substep
             p_ref, p_rate = reference_at(ref, t, params.p_atm)
             t0 = time.perf_counter()
-            u, mode = controller.update(t, held, p_ref, p_rate)
+            out = controller.update(t, held, p_ref, p_rate)
             ct = time.perf_counter() - t0
-            x_bar = eval_spool(u, maps[mode])
-            inflation = mode == Mode.INFLATION
-            diag = controller.diagnostics
+            x_bar = eval_spool(out.u, maps[out.mode])
+            inflation = out.mode == Mode.INFLATION
             rows_t.append(t)
             rows_ref.append(p_ref)
             rows_true.append(p)
             rows_meas.append(held)
-            rows_u.append(u)
-            rows_mode.append(int(mode))
+            rows_u.append(out.u)
+            rows_mode.append(int(out.mode))
             rows_ct.append(ct)
-            rows_s.append(diag.get("s", math.nan))
-            rows_x.append(diag.get("x_star", math.nan))
-            flags.append(diag.get("flag", ""))
-            k_ctrl += 1
+            rows_s.append(out.s)
+            rows_x.append(out.x_star)
+            flags.append(out.flag)
         p = kernel(p, x_bar, inflation, dt_sub)
 
     return Trajectory(
@@ -465,7 +444,7 @@ def metric_windows(
     return windows
 
 
-def compute_metrics(traj: Trajectory, ref: Reference, window_policy: str = "auto") -> MetricsReport:
+def compute_metrics(traj: Trajectory, ref: Reference) -> MetricsReport:
     """Per-window metrics averaged across stage or period windows.
 
     Errors use the true pressure.  Integrals use the rectangle rule on the
@@ -474,11 +453,6 @@ def compute_metrics(traj: Trajectory, ref: Reference, window_policy: str = "auto
     run shorter than the reference scores only the windows it reaches, the
     last one cut at the run's end and dropped if it holds no control tick.
     """
-    if window_policy == "auto":
-        window_policy = "stage" if ref.kind == "multi-step" else "period"
-    if window_policy not in ("stage", "period"):
-        raise ValueError(f"unknown window policy {window_policy!r}")
-
     t = traj.t
     if len(t) < 2:
         raise ValueError("trajectory too short for metrics")

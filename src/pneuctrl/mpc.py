@@ -10,9 +10,9 @@ duty-to-spool clipping makes the cost only piecewise smooth.
 
 The line search runs over the duty, and assumes the cost is unimodal along
 it.  Both default spool maps fall over part of their duty range, within
-their ``slope_tol``: deflation from 0.9261 at 71.24 % to 0.9186 at 84.16 %,
-inflation by up to 0.0086 between about 75 % and 91 %.  A search can then
-stop at the local peak of the spool fraction.  From ``p_atm + 100`` kPa
+``valvemap.DEFAULT_SLOPE_TOL``: deflation from 0.9261 at 71.24 % to 0.9186
+at 84.16 %, inflation by up to 0.0086 between about 75 % and 91 %.  A
+search can then stop at the local peak of the spool fraction.  From ``p_atm + 100`` kPa
 toward ``p_atm`` on the default fixed load, for one, both ``nmpc_solve``
 in deflation and ``minmpc_solve`` hold 71.24 % at every step (cost
 60,891.0), where 100 % at every step costs 59,187.7.  A search over the

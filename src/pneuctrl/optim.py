@@ -5,6 +5,9 @@ from __future__ import annotations
 from typing import Callable
 
 _INV_PHI = 0.6180339887498949
+# Evaluation cap: ends the search when ``tol`` is below the bracket's float
+# resolution, where the interval stops shrinking.
+_MAX_EVALS = 200
 
 
 def golden_section(
@@ -12,7 +15,6 @@ def golden_section(
     lo: float,
     hi: float,
     tol: float = 1e-6,
-    max_iter: int = 200,
 ) -> tuple[float, float, int]:
     """Minimize ``f`` on [lo, hi] by golden-section search.
 
@@ -26,7 +28,7 @@ def golden_section(
     d = a + _INV_PHI * (b - a)
     fc, fd = f(c), f(d)
     evals = 2
-    while (b - a) > tol and evals < max_iter:
+    while (b - a) > tol and evals < _MAX_EVALS:
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - _INV_PHI * (b - a)

@@ -26,6 +26,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from . import plant as plant_mod
+from .experiment import event_substeps
 from .optim import golden_section
 from .plant import Conductances, LoadModel, Mode, PlantParams
 from .valvemap import SpoolMap, eval_spool
@@ -263,12 +264,7 @@ def fit_spool_segments(traces: Iterable[StepTrace], params: PlantParams) -> list
     return points
 
 
-def fit_cubic(
-    pairs: Sequence[tuple[float, float]],
-    u_min: float = 20.0,
-    u_max: float = 100.0,
-    mode: Mode = Mode.INFLATION,
-) -> SpoolMap:
+def fit_cubic(pairs: Sequence[tuple[float, float]], mode: Mode = Mode.INFLATION) -> SpoolMap:
     """Ordinary least-squares cubic through (duty, spool) calibration pairs.
 
     Requires at least four distinct duties; the resulting map must pass the
@@ -284,7 +280,7 @@ def fit_cubic(
     coeffs, _, rank, _ = np.linalg.lstsq(design, xs, rcond=None)
     if rank < 4:
         raise ValueError("rank-deficient calibration design; duties too clustered")
-    return SpoolMap(a=tuple(float(c) for c in coeffs), u_min=u_min, u_max=u_max, mode=mode)
+    return SpoolMap(a=tuple(float(c) for c in coeffs), mode=mode)
 
 
 @dataclass
@@ -320,13 +316,7 @@ class ChannelIdResult:
         }
 
 
-def identify_channel(
-    traces: Sequence[StepTrace],
-    mode: Mode,
-    params: PlantParams,
-    u_min: float = 20.0,
-    u_max: float = 100.0,
-) -> ChannelIdResult:
+def identify_channel(traces: Sequence[StepTrace], mode: Mode, params: PlantParams) -> ChannelIdResult:
     """Run the three-step identification chain for one mode.
 
     Expects the protocol's segments: passive decays (delivery duty 0),
@@ -369,7 +359,7 @@ def identify_channel(
     if len(interior) < 4:
         raise TraceDataError("fewer than 4 unsaturated sweep segments; cannot fit the map")
     try:
-        spool_map = fit_cubic(interior, u_min=u_min, u_max=u_max, mode=mode)
+        spool_map = fit_cubic(interior, mode=mode)
     except ValueError as exc:
         raise TraceDataError(f"{mode.name.lower()} spool calibration failed: {exc}") from exc
     return ChannelIdResult(mode=mode, leak=leak, source=source, spool_map=spool_map, points=points)
@@ -435,14 +425,9 @@ def _read_trace_csv(path: str | Path) -> StepTrace:
         raise TraceDataError(f"{path}: {exc}") from exc
 
 
-def sweep_duties(fine_stop: float = 30.0, fine_step: float = 0.2, coarse_step: float = 5.0) -> list[float]:
-    """Delivery-duty sweep: dense at the opening knee, coarse above."""
-    duties = [round(20.0 + k * fine_step, 10) for k in range(int(round((fine_stop - 20.0) / fine_step)) + 1)]
-    u = fine_stop + coarse_step
-    while u < 100.0 - 1e-9:
-        duties.append(round(u, 10))
-        u += coarse_step
-    return duties
+def sweep_duties() -> list[float]:
+    """Delivery-duty sweep: every 0.2 % over the opening knee, 20-30 %, then every 5 % to 95 %."""
+    return [round(20.0 + k * 0.2, 10) for k in range(51)] + [float(u) for u in range(35, 100, 5)]
 
 
 def simulate_segment(
@@ -454,17 +439,22 @@ def simulate_segment(
     sample_rate: float,
     sim_substep: float,
 ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Integrate at the fine substep, sampling at the sensor rate; returns (t, p, p_end)."""
+    """Integrate at the fine substep, sampling at the sensor rate; returns (t, p, p_end).
+
+    Samples fall on ``event_substeps`` over substeps 0 to ``n_sub``, the
+    sensor schedule of ``run_scenario``; the one on substep 0 is p0.
+    """
     n_sub = int(round(duration * sim_substep))
     dt = 1.0 / sim_substep
-    eps = 0.5 * dt
     kernel = plant_mod.rk4_kernel(params)
     inflation = m == Mode.INFLATION
     p = p0
     moving = True
-    ts, ps = [0.0], [p0]
-    k = 1
-    for j in range(1, n_sub + 1):
+    samples = event_substeps(n_sub + 1, sim_substep, sample_rate)
+    taken = np.zeros(n_sub + 1, dtype=np.uint8)
+    taken[samples] = 1
+    ps = [p0]
+    for take in taken.tobytes()[1:]:
         if moving:
             # (x_bar, m, dt) are fixed within the segment and the kernel is a
             # pure function: once a step returns its input, so does every
@@ -472,12 +462,9 @@ def simulate_segment(
             p_next = kernel(p, x_bar, inflation, dt)
             moving = p_next != p
             p = p_next
-        t = j / sim_substep
-        if t + eps >= k / sample_rate:
-            ts.append(t)
+        if take:
             ps.append(p)
-            k += 1
-    return np.asarray(ts), np.asarray(ps), p
+    return samples / sim_substep, np.asarray(ps), p
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,6 @@ class SpoolMap:
     u_min: float = 20.0
     u_max: float = 100.0
     mode: Mode = Mode.INFLATION
-    slope_tol: float = DEFAULT_SLOPE_TOL
     _grid_u: tuple[float, ...] = field(init=False, repr=False, compare=False)
     _grid_hull: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
@@ -65,10 +64,10 @@ class SpoolMap:
         object.__setattr__(self, "a", tuple(float(v) for v in self.a))
         if not (0.0 <= self.u_min < self.u_max <= 100.0):
             raise ValueError("duty bounds must satisfy 0 <= u_min < u_max <= 100")
-        if _min_slope_on(self.a, self.u_min, self.u_max) < -self.slope_tol:
+        if _min_slope_on(self.a, self.u_min, self.u_max) < -DEFAULT_SLOPE_TOL:
             raise ValueError(
                 "calibration error: spool map decreases faster than the slope "
-                f"tolerance {self.slope_tol} on [{self.u_min}, {self.u_max}]"
+                f"tolerance {DEFAULT_SLOPE_TOL} on [{self.u_min}, {self.u_max}]"
             )
         if _cubic(self.a, self.u_max) <= _cubic(self.a, self.u_min):
             raise ValueError("calibration error: spool map does not rise over its range")

@@ -1,4 +1,5 @@
-"""Exit codes for malformed inputs: 2 for a config error, 3 for bad trace data.
+"""Exit codes for malformed inputs: 2 for a config error, 3 for bad trace data
+or an output path that cannot be a directory.
 
 A metric window (stage or period) that holds no control tick is a config
 error.  Also: a run cut short by ``duration_s`` still scores the windows it
@@ -10,7 +11,8 @@ import json
 import pytest
 
 from pneuctrl.cli import main
-from pneuctrl.sysid import TRACE_COLUMNS
+from pneuctrl.plant import Mode
+from pneuctrl.sysid import TRACE_COLUMNS, write_trace_csv
 
 
 @pytest.mark.parametrize(
@@ -340,3 +342,36 @@ def test_config_path_that_is_a_directory_or_missing_exits_3(tmp_path, capsys, co
         path.mkdir()
     assert main(config_argv(command, path, tmp_path)) == 3
     assert "config.json" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def inflation_trace_dir(tmp_path_factory, protocol_traces):
+    """The noiseless inflation protocol as trace CSVs, so ``sysid`` gets through its fit."""
+    traces = tmp_path_factory.mktemp("protocol")
+    for i, trace in enumerate(tr for tr in protocol_traces if tr.mode == Mode.INFLATION):
+        write_trace_csv(trace, traces / f"{i:03d}.csv")
+    return traces
+
+
+@pytest.mark.parametrize("command", CONFIG_COMMANDS)
+@pytest.mark.parametrize("under_a_file", [False, True], ids=["file", "under-file"])
+def test_out_that_is_a_file_or_under_one_exits_3(tmp_path, capsys, inflation_trace_dir, command, under_a_file):
+    existing = tmp_path / "afile"
+    existing.write_text("")
+    out = existing / "sub" if under_a_file else existing
+    if command == "synthesize":
+        config = tmp_path / "synth.json"
+        short = {"rise_s": 0.2, "decay_s": 0.2, "full_open_s": 0.2, "full_decay_s": 0.2}
+        config.write_text(json.dumps({"modes": ["inflation"], "synthesis": short}))
+        argv = ["synthesize", "--config", str(config), "--out", str(out)]
+    elif command == "sysid":
+        argv = ["sysid", "--traces", str(inflation_trace_dir), "--mode", "inflation", "--out", str(out)]
+    else:
+        config = tmp_path / "scenario.json"
+        config.write_text("{}")
+        argv = [command, "--config", str(config), "--out", str(out)]
+        if command == "compare":
+            argv += ["--controllers", "pid,dm-smc"]
+    assert main(argv) == 3
+    assert str(out) in capsys.readouterr().err
+    assert existing.read_text() == ""

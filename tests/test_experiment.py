@@ -1,10 +1,15 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from pneuctrl.config import default_mpc_config
 from pneuctrl.experiment import (
     DmSmcLoop,
+    MinmpcLoop,
+    NmpcLoop,
+    PidLoop,
     Reference,
     ScenarioEnd,
     TimingConfig,
@@ -261,3 +266,35 @@ class TestTruncatedRun:
             reports.append(report)
         assert reports[0] == reports[1]
         assert len(reports[0]["per_window"]["ae"]) == 2
+
+
+class TestTickRecord:
+    """The per-tick internals ``run_scenario`` logs beside each command."""
+
+    REF = Reference.multi_step([(0.0, 0.2), (50.0, 0.3)])
+
+    def test_pid_logs_no_internals(self, params, maps, pid_gains, supervisor, load):
+        traj = run_scenario(self.REF, PidLoop(pid_gains, supervisor, dt=0.01), make_timing(), params, maps, load)
+        assert len(traj.flags) == len(traj.t) == 50
+        assert np.all(np.isnan(traj.s)) and np.all(np.isnan(traj.x_star))
+        assert set(traj.flags) == {""}
+
+    def test_dm_smc_logs_its_sliding_variable_and_spool_command(self, params, maps, smc_gains, supervisor, load):
+        ctrl = DmSmcLoop(params, maps, smc_gains, supervisor, dt=0.01)
+        traj = run_scenario(self.REF, ctrl, make_timing(), params, maps, load)
+        assert len(traj.flags) == len(traj.t) == 50
+        assert np.all(np.isfinite(traj.s)) and np.any(traj.s != 0.0)
+        assert np.all((traj.x_star >= 0.0) & (traj.x_star <= 1.0))
+        assert set(traj.flags) <= {"", "gain-guard"}
+
+    @pytest.mark.parametrize("name", ["nmpc", "mi-nmpc"])
+    def test_mpc_logs_its_iteration_cap(self, params, maps, supervisor, load, name):
+        cfg = replace(default_mpc_config(), max_iters=1)
+        if name == "nmpc":
+            ctrl = NmpcLoop(params, maps, load, cfg, supervisor, self.REF)
+        else:
+            ctrl = MinmpcLoop(params, maps, load, cfg, self.REF)
+        traj = run_scenario(self.REF, ctrl, make_timing(), params, maps, load)
+        assert len(traj.flags) == len(traj.t) == 50
+        assert np.all(np.isnan(traj.s)) and np.all(np.isnan(traj.x_star))
+        assert set(traj.flags) <= {"", "iter-cap"} and "iter-cap" in traj.flags
