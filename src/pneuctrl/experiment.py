@@ -116,7 +116,12 @@ def reference_at(ref: Reference, t: float, p_atm: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class TimingConfig:
-    """Rates, duration, sensor noise, and the RNG seed of one scenario run."""
+    """Rates, duration, sensor noise, and the RNG seed of one scenario run.
+
+    The sensor samples at most once per ``sim_substep``: a ``sensor_rate``
+    above it is accepted and samples once per substep, as a sensor at the
+    substep rate would.
+    """
 
     control_rate: float = 100.0
     sensor_rate: float = 60.0
@@ -344,11 +349,10 @@ def run_scenario(
     ticked[event_substeps(n_sub, timing.sim_substep, timing.control_rate)] = 1
 
     p = reference_at(ref, 0.0, params.p_atm)[0] if p_init is None else p_init
-    kernel = plant_mod.rk4_kernel(params, load)
+    hold = plant_mod.rk4_hold(params, load)
 
     held = p
-    x_bar = 0.0
-    inflation = True
+    step = hold(0.0, True)
 
     rows_t, rows_ref, rows_true, rows_meas = [], [], [], []
     rows_u, rows_mode, rows_ct, rows_s, rows_x = [], [], [], [], []
@@ -364,8 +368,7 @@ def run_scenario(
             t0 = time.perf_counter()
             out = controller.update(t, held, p_ref, p_rate)
             ct = time.perf_counter() - t0
-            x_bar = eval_spool(out.u, maps[out.mode])
-            inflation = out.mode == Mode.INFLATION
+            step = hold(eval_spool(out.u, maps[out.mode]), out.mode == Mode.INFLATION)
             rows_t.append(t)
             rows_ref.append(p_ref)
             rows_true.append(p)
@@ -376,7 +379,7 @@ def run_scenario(
             rows_s.append(out.s)
             rows_x.append(out.x_star)
             flags.append(out.flag)
-        p = kernel(p, x_bar, inflation, dt_sub)
+        p = step(p, dt_sub)
 
     return Trajectory(
         t=np.asarray(rows_t),
@@ -491,15 +494,18 @@ def compute_metrics(traj: Trajectory, ref: Reference) -> MetricsReport:
 
 def write_trajectory_csv(traj: Trajectory, path, p_atm: float) -> None:
     """Write the control-tick log as CSV with pressures in gauge kPa."""
+    columns = (
+        traj.t.tolist(),
+        ((traj.p_ref - p_atm) / 1000.0).tolist(),
+        ((traj.p_true - p_atm) / 1000.0).tolist(),
+        ((traj.p_meas - p_atm) / 1000.0).tolist(),
+        traj.u.tolist(),
+        traj.mode.tolist(),
+        traj.ct.tolist(),
+    )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t_s,pref_kpa,ptrue_kpa,pmeas_kpa,u_pct,mode,ct_us\n")
-        for i in range(len(traj.t)):
-            fh.write(
-                f"{traj.t[i]:.4f},"
-                f"{(traj.p_ref[i] - p_atm) / 1000.0:.6f},"
-                f"{(traj.p_true[i] - p_atm) / 1000.0:.6f},"
-                f"{(traj.p_meas[i] - p_atm) / 1000.0:.6f},"
-                f"{traj.u[i]:.4f},"
-                f"{int(traj.mode[i])},"
-                f"{int(round(traj.ct[i] * 1e6))}\n"
-            )
+        fh.writelines(
+            f"{t:.4f},{p_ref:.6f},{p_true:.6f},{p_meas:.6f},{u:.4f},{int(m)},{round(ct * 1e6)}\n"
+            for t, p_ref, p_true, p_meas, u, m, ct in zip(*columns)
+        )

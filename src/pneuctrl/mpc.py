@@ -134,16 +134,24 @@ def rollout_cost(
     return cost
 
 
-# The MPC solves' RK4 step memo: one table ``p -> p_next`` per spool fraction
-# and mode, keyed ``(x_bar, inflation)``; see _descend.
-StepTables = dict[tuple[float, bool], dict[float, float]]
+class StepTable(dict):
+    """The memo ``p -> p_next`` of one spool fraction and mode, with its held RK4 step."""
+
+    __slots__ = ("step",)
+    step: plant_mod.HeldStep
 
 
-def _step_table(steps: StepTables, x_bar: float, inflation: bool) -> dict[float, float]:
-    """The table ``p -> p_next`` of one spool fraction and mode in the memo ``steps``."""
+# The MPC solves' RK4 step memo: one table per spool fraction and mode,
+# keyed ``(x_bar, inflation)``; see _descend.
+StepTables = dict[tuple[float, bool], StepTable]
+
+
+def _step_table(steps: StepTables, hold: plant_mod.Hold, x_bar: float, inflation: bool) -> StepTable:
+    """The table of one spool fraction and mode in the memo ``steps``, holding its step from ``hold``."""
     table = steps.get((x_bar, inflation))
     if table is None:
-        table = steps[x_bar, inflation] = {}
+        table = steps[x_bar, inflation] = StepTable()
+        table.step = hold(x_bar, inflation)
     return table
 
 
@@ -170,15 +178,16 @@ def _descend(
     function, so the search would repeat exactly and find no improvement.
 
     ``steps`` memoizes RK4 steps, one table ``p -> p_next`` per
-    ``(x_bar, inflation)``; each horizon step holds the table of its current
-    spool fraction, so a step costs one float-keyed lookup.  The default is
-    a fresh memo for this descent alone.  The keys leave out ``dt``,
-    ``params`` and ``load``, so one memo may serve only descents that share
-    all three, such as those of one solve.  It holds only results the
-    checked kernel returned, so a hit returns what the kernel would.
-    ``0.0`` and ``-0.0`` share a table: they differ only in the sign of a
-    zero main-branch coefficient, which gives the same ``p_next`` and the
-    same stage cost.
+    ``(x_bar, inflation)``, which carries the held step
+    (:func:`plant.rk4_hold`) its misses call; each horizon step holds the
+    table of its current spool fraction, so a step costs one float-keyed
+    lookup.  The default is a fresh memo for this descent alone.  The keys
+    leave out ``dt``, ``params`` and ``load``, so one memo may serve only
+    descents that share all three, such as those of one solve.  It holds
+    only results the checked step returned, so a hit returns what the step
+    would.  ``0.0`` and ``-0.0`` share a table: they differ only in the
+    sign of a zero main-branch coefficient, a branch the held step skips,
+    so both give the same ``p_next`` and the same stage cost.
     """
     n = cfg.horizon_steps
     if steps is None:
@@ -193,13 +202,13 @@ def _descend(
 
     cost = rollout_cost(p0, u, m_seq, ref_seq, cfg, params, maps, load)
 
-    kernel = plant_mod.rk4_kernel(params, load)
+    hold = plant_mod.rk4_hold(params, load)
     dt, w_e, w_u = cfg.dt_pred, cfg.w_e, cfg.w_u
     spool_maps = [maps[m] for m in m_seq]
     inflating = [m == Mode.INFLATION for m in m_seq]
     switch_cost = cfg.w_sw * _switches(m_seq)
     x = [eval_spool(u[k], spool_maps[k]) for k in range(n)]
-    tables = [_step_table(steps, x[k], inflating[k]) for k in range(n)]
+    tables = [_step_table(steps, hold, x[k], inflating[k]) for k in range(n)]
     p_before = [p0] * (n + 1)       # pressure before step k
     c_before = [0.0] * (n + 1)      # running stage cost before step k
 
@@ -212,7 +221,7 @@ def _descend(
             table = tables[j]
             p_next = table.get(p)
             if p_next is None:
-                p_next = table[p] = kernel(p, x_j, inflating[j], dt)
+                p_next = table[p] = table.step(p, dt)
             p = p_next
             e = p - ref_seq[j]
             c += w_e * e * e + w_u * x_j * x_j
@@ -244,7 +253,7 @@ def _descend(
                 if c is None:
                     saved = x[k], tables[k]
                     x[k] = x_new
-                    tables[k] = _step_table(steps, x_new, inflating[k])
+                    tables[k] = _step_table(steps, hold, x_new, inflating[k])
                     c = seen[x_new] = tail(k, False)
                     x[k], tables[k] = saved
                 return c
@@ -253,7 +262,7 @@ def _descend(
             if c_best < cost - 1e-15:
                 u[k] = v_best
                 x[k] = eval_spool(v_best, spool_maps[k])
-                tables[k] = _step_table(steps, x[k], inflating[k])
+                tables[k] = _step_table(steps, hold, x[k], inflating[k])
                 tail(k, True)
                 cost = c_best
                 improved_last = True
@@ -404,25 +413,25 @@ def _bound_walk(
     _check_horizon(n, ref_seq, *seqs)
     if steps is None:
         steps = {}
-    kernel = plant_mod.rk4_kernel(params, load)
+    hold = plant_mod.rk4_hold(params, load)
     dt, w_e, w_u, w_sw = cfg.dt_pred, cfg.w_e, cfg.w_u, cfg.w_sw
     p_neg, p_pos = params.p_neg, params.p_pos
     interval = _interval_verified(dt, params, maps, load)
-    # Per mode: whether it inflates, its lowest spool fraction, and both ends
-    # of its spool range with their step tables.
+    # Per mode: its lowest spool fraction, and the step tables of both ends
+    # of its spool range.
     spool_ends = {}
     for m in Mode:
         inflation = m == Mode.INFLATION
         x_range = spool_range(maps[m])
-        spool_ends[m] = (inflation, x_range[0], [(x, _step_table(steps, x, inflation)) for x in x_range])
+        spool_ends[m] = (x_range[0], [_step_table(steps, hold, x, inflation) for x in x_range])
 
-    def step_ends(p: float, inflation: bool, ends: list[tuple[float, dict[float, float]]]) -> list[float]:
+    def step_ends(p: float, ends: list[StepTable]) -> list[float]:
         """The RK4 steps from ``p`` at both spool ends."""
         out = []
-        for x, table in ends:
+        for table in ends:
             p_next = table.get(p)
             if p_next is None:
-                p_next = table[p] = kernel(p, x, inflation, dt)
+                p_next = table[p] = table.step(p, dt)
             out.append(p_next)
         return out
 
@@ -451,10 +460,10 @@ def _bound_walk(
         k = len(prefix)
         r = ref_seq[k]
         for m in nexts[prefix]:
-            inflation, x_lo, ends = spool_ends[m]
+            x_lo, ends = spool_ends[m]
             if interval:
-                m_lo = max(p_neg, min(step_ends(lo, inflation, ends)) - _BOUND_MARGIN_PA)
-                m_hi = min(p_pos, max(step_ends(hi, inflation, ends)) + _BOUND_MARGIN_PA)
+                m_lo = max(p_neg, min(step_ends(lo, ends)) - _BOUND_MARGIN_PA)
+                m_hi = min(p_pos, max(step_ends(hi, ends)) + _BOUND_MARGIN_PA)
             else:
                 m_lo, m_hi = p_neg, p_pos
             d = m_lo - r if r < m_lo else r - m_hi if r > m_hi else 0.0

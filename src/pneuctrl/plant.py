@@ -79,7 +79,7 @@ class PlantParams:
         object.__setattr__(self, "_k_on", c.c_on * self.rho_ref * temp_corr)
         object.__setattr__(self, "_k_oa", c.c_oa * self.rho_ref * temp_corr)
         object.__setattr__(self, "_k_ao", self.p_atm * c.c_ao * self.rho_ref * temp_corr)
-        # Fused RK4 kernels built by rk4_kernel, keyed by load model.
+        # Fused RK4 (hold, kernel) pairs built by rk4_hold, keyed by load model.
         object.__setattr__(self, "_kernels", {})
 
     def __getstate__(self) -> dict:
@@ -254,16 +254,25 @@ def pressure_rate(
 
 # One RK4 step (p, x_bar, inflation, dt) -> next clamped p.
 Kernel = Callable[[float, float, bool, float], float]
+# One RK4 step (p, dt) -> next clamped p at a held spool fraction and mode.
+HeldStep = Callable[[float, float], float]
+# The held step of (x_bar, inflation).
+Hold = Callable[[float, bool], HeldStep]
 
 
-def _build_kernel(params: PlantParams, load: Optional[LoadModel]) -> Kernel:
-    """Fuse ``pressure_rate`` into one RK4 step with every constant hoisted.
+def _build_hold(params: PlantParams, load: Optional[LoadModel]) -> Hold:
+    """Fuse ``pressure_rate`` into one RK4 step per held input, every constant hoisted.
 
     Each expression keeps the association order of ``net_outlet_flow`` and
-    ``pressure_rate``, so the kernel is bit-identical to four rate
-    evaluations combined by the classic RK4 weights.
+    ``pressure_rate``, and :func:`shape_factor` is inlined with ``1.0 - b``
+    hoisted, so a held step is bit-identical to four rate evaluations
+    combined by the classic RK4 weights.  A branch whose coefficient is zero
+    (the main branch at ``x_bar`` of 0, the leak at 1) is skipped: its term
+    is a signed zero, which leaves a nonzero sum unchanged, and a zero rate
+    of either sign leaves every stage pressure ``p > 0`` as it is.
     """
     p_neg, p_pos, p_atm, b = params.p_neg, params.p_pos, params.p_atm, params.b
+    one_minus_b = 1.0 - b
     k_po, k_on, k_oa, k_ao = params._k_po, params._k_on, params._k_oa, params._k_ao
     energy = params.gas_energy
     bellow = load is not None and load.kind == "affine-bellow"
@@ -271,70 +280,137 @@ def _build_kernel(params: PlantParams, load: Optional[LoadModel]) -> Kernel:
         v0, k_v, v_min, v_max = load.v0, load.k_v, load.v_min, load.v_max
     else:
         energy_per_volume = energy / (params.volume if load is None else load.v0)
+    sqrt, isfinite = math.sqrt, math.isfinite
 
-    def rate(p: float, c_main: float, c_out: float, c_in: float, inflation: bool) -> float:
-        if p < p_neg:
-            p = p_neg
-        elif p > p_pos:
-            p = p_pos
-        elif p != p:
-            raise ValueError(f"outlet pressure {p!r} Pa outside [{p_neg}, {p_pos}]")
-        if bellow:
-            v = v0 + k_v * (p - p_atm)
-            if v < v_min:
-                v = v_min
-            elif v > v_max:
-                v = v_max
-            scale = energy / v
-        else:
-            scale = energy_per_volume
-        if inflation:
-            main = c_main * shape_factor(p / p_pos, b)
-        else:
-            main = c_main * p * shape_factor(p_neg / p, b)
-        if p >= p_atm:
-            leak = c_out * p * shape_factor(p_atm / p, b)
-        else:
-            leak = c_in * shape_factor(p / p_atm, b)
-        return scale * (main + leak)
-
-    def kernel(p: float, x_bar: float, inflation: bool, dt: float) -> float:
-        if dt <= 0.0:
-            raise ValueError("dt must be positive")
+    def hold(x_bar: float, inflation: bool) -> HeldStep:
         if not (-1e-12 <= x_bar <= 1.0 + 1e-12):
             raise ValueError(f"spool fraction {x_bar!r} outside [0, 1]")
         c_main = x_bar * k_po if inflation else -x_bar * k_on
         c_out = -(1.0 - x_bar) * k_oa
         c_in = (1.0 - x_bar) * k_ao
-        half = 0.5 * dt
-        k1 = rate(p, c_main, c_out, c_in, inflation)
-        k2 = rate(p + half * k1, c_main, c_out, c_in, inflation)
-        k3 = rate(p + half * k2, c_main, c_out, c_in, inflation)
-        k4 = rate(p + dt * k3, c_main, c_out, c_in, inflation)
-        p_new = p + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not math.isfinite(p_new):
-            raise ArithmeticError(f"integration diverged from p={p!r} Pa over dt={dt!r} s")
-        if p_new < p_neg:
-            return p_neg
-        if p_new > p_pos:
-            return p_pos
-        return p_new
+        main_on = c_main != 0.0
+        leak_on = not main_on or c_out != 0.0 or c_in != 0.0
 
-    return kernel
+        def rate(p: float) -> float:
+            if p < p_neg:
+                p = p_neg
+            elif p > p_pos:
+                p = p_pos
+            elif p != p:
+                raise ValueError(f"outlet pressure {p!r} Pa outside [{p_neg}, {p_pos}]")
+            if bellow:
+                v = v0 + k_v * (p - p_atm)
+                if v < v_min:
+                    v = v_min
+                elif v > v_max:
+                    v = v_max
+                scale = energy / v
+            else:
+                scale = energy_per_volume
+            if leak_on:
+                if p >= p_atm:
+                    r = p_atm / p
+                    if r <= b:
+                        s = 1.0
+                    elif r >= 1.0:
+                        s = 0.0
+                    else:
+                        z = (r - b) / one_minus_b
+                        arg = 1.0 - z * z
+                        s = 0.0 if arg <= 0.0 else sqrt(arg)
+                    leak = c_out * p * s
+                else:
+                    r = p / p_atm
+                    if r <= b:
+                        s = 1.0
+                    elif r >= 1.0:
+                        s = 0.0
+                    else:
+                        z = (r - b) / one_minus_b
+                        arg = 1.0 - z * z
+                        s = 0.0 if arg <= 0.0 else sqrt(arg)
+                    leak = c_in * s
+                if not main_on:
+                    return scale * leak
+            if inflation:
+                r = p / p_pos
+                if r <= b:
+                    s = 1.0
+                elif r >= 1.0:
+                    s = 0.0
+                else:
+                    z = (r - b) / one_minus_b
+                    arg = 1.0 - z * z
+                    s = 0.0 if arg <= 0.0 else sqrt(arg)
+                main = c_main * s
+            else:
+                r = p_neg / p
+                if r <= b:
+                    s = 1.0
+                elif r >= 1.0:
+                    s = 0.0
+                else:
+                    z = (r - b) / one_minus_b
+                    arg = 1.0 - z * z
+                    s = 0.0 if arg <= 0.0 else sqrt(arg)
+                main = c_main * p * s
+            if leak_on:
+                return scale * (main + leak)
+            return scale * main
+
+        def step(p: float, dt: float) -> float:
+            if dt <= 0.0:
+                raise ValueError("dt must be positive")
+            half = 0.5 * dt
+            k1 = rate(p)
+            k2 = rate(p + half * k1)
+            k3 = rate(p + half * k2)
+            k4 = rate(p + dt * k3)
+            p_new = p + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not isfinite(p_new):
+                raise ArithmeticError(f"integration diverged from p={p!r} Pa over dt={dt!r} s")
+            if p_new < p_neg:
+                return p_neg
+            if p_new > p_pos:
+                return p_pos
+            return p_new
+
+        return step
+
+    return hold
+
+
+def _fused(params: PlantParams, load: Optional[LoadModel]) -> tuple[Hold, Kernel]:
+    kernels = params._kernels
+    pair = kernels.get(load)
+    if pair is None:
+        hold = _build_hold(params, load)
+
+        def kernel(p: float, x_bar: float, inflation: bool, dt: float) -> float:
+            return hold(x_bar, inflation)(p, dt)
+
+        pair = kernels[load] = (hold, kernel)
+    return pair
+
+
+def rk4_hold(params: PlantParams, load: Optional[LoadModel] = None) -> Hold:
+    """The fused RK4 step of one channel, specialised per held input.
+
+    ``rk4_hold(params, load)(x_bar, inflation)`` checks the spool fraction
+    and returns ``step(p, dt) -> p_next``.  Built once per load and cached on
+    ``params``.  Loops that hold the spool fraction and mode over many steps
+    take one held step and call it per step.
+    """
+    return _fused(params, load)[0]
 
 
 def rk4_kernel(params: PlantParams, load: Optional[LoadModel] = None) -> Kernel:
     """The fused RK4 step ``(p, x_bar, inflation, dt) -> p_next`` for one channel.
 
-    Built once per load and cached on ``params``.  :func:`step` is a thin
-    wrapper over it; loops that carry the pressure as a float call it
-    directly and skip the :class:`PlantState` allocation.
+    Cached on ``params`` per load; each call takes a fresh
+    :func:`rk4_hold` step.  :func:`step` is a thin wrapper over it.
     """
-    kernels = params._kernels
-    kernel = kernels.get(load)
-    if kernel is None:
-        kernel = kernels[load] = _build_kernel(params, load)
-    return kernel
+    return _fused(params, load)[1]
 
 
 def step(

@@ -121,8 +121,7 @@ def simulate_at_samples(
     sequential sum and ``np.dot``: each is within about n * 2**-53 of the
     exact sum.  A NaN or inf sum never stops the prediction.
     """
-    kernel = plant_mod.rk4_kernel(params, load)
-    inflation = m == Mode.INFLATION
+    step = plant_mod.rk4_hold(params, load)(x_bar, m == Mode.INFLATION)
     out = [p0]
     p = p0
     if meas is not None:
@@ -131,7 +130,7 @@ def simulate_at_samples(
         d = p0 - ms[0]
         sse = d * d
     for i, dt in enumerate(np.diff(t).tolist(), 1):
-        p = kernel(p, x_bar, inflation, dt)
+        p = step(p, dt)
         out.append(p)
         if meas is not None:
             d = p - ms[i]
@@ -372,17 +371,14 @@ TRACE_COLUMNS = ("t_s", "p_pa", "u1_pct", "u2_pct", "kind")
 
 
 def write_trace_csv(trace: StepTrace, path: str | Path) -> None:
+    u1, u2 = f"{trace.u1:.1f}", f"{trace.u2:.1f}"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_COLUMNS)
-        for i in range(len(trace.t)):
-            writer.writerow([
-                f"{trace.t[i]:.6f}",
-                f"{trace.p[i]:.6f}",
-                f"{trace.u1:.1f}",
-                f"{trace.u2:.1f}",
-                trace.kind,
-            ])
+        writer.writerows(
+            [f"{t:.6f}", f"{p:.6f}", u1, u2, trace.kind]
+            for t, p in zip(trace.t.tolist(), trace.p.tolist())
+        )
 
 
 def read_trace_csv(path: str | Path) -> StepTrace:
@@ -446,8 +442,7 @@ def simulate_segment(
     """
     n_sub = int(round(duration * sim_substep))
     dt = 1.0 / sim_substep
-    kernel = plant_mod.rk4_kernel(params)
-    inflation = m == Mode.INFLATION
+    step = plant_mod.rk4_hold(params)(x_bar, m == Mode.INFLATION)
     p = p0
     moving = True
     samples = event_substeps(n_sub + 1, sim_substep, sample_rate)
@@ -456,10 +451,10 @@ def simulate_segment(
     ps = [p0]
     for take in taken.tobytes()[1:]:
         if moving:
-            # (x_bar, m, dt) are fixed within the segment and the kernel is a
-            # pure function: once a step returns its input, so does every
-            # later one, so the kernel is not called again.
-            p_next = kernel(p, x_bar, inflation, dt)
+            # (x_bar, m, dt) are fixed within the segment and the step is a
+            # pure function: once it returns its input, so does every later
+            # one, so it is not called again.
+            p_next = step(p, dt)
             moving = p_next != p
             p = p_next
         if take:

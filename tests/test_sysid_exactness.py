@@ -80,19 +80,25 @@ def noisy_traces():
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
+    """Count the RK4 steps taken through held steps of ``plant.rk4_hold``."""
     calls = [0]
-    build = plant_mod.rk4_kernel
+    build = plant_mod.rk4_hold
 
     def counting(params, load=None):
-        kernel = build(params, load)
+        hold = build(params, load)
 
-        def counted(*args):
-            calls[0] += 1
-            return kernel(*args)
+        def counted_hold(x_bar, inflation):
+            step = hold(x_bar, inflation)
 
-        return counted
+            def counted(p, dt):
+                calls[0] += 1
+                return step(p, dt)
 
-    monkeypatch.setattr(plant_mod, "rk4_kernel", counting)
+            return counted
+
+        return counted_hold
+
+    monkeypatch.setattr(plant_mod, "rk4_hold", counting)
     return calls
 
 
