@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Protocol
 
@@ -51,12 +52,24 @@ class Reference:
     cycles: int = 3
 
     def __post_init__(self) -> None:
+        for name in ("amplitude_kpa", "frequency_hz"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.kind == "multi-step":
             if not self.stages:
                 raise ValueError("multi-step reference needs at least one stage")
+            # Cumulative stage ends, added in stage order: the stage table of
+            # reference_at and window_edges, kept out of the fields (and so
+            # out of repr, == and the emitted config).
+            ends, acc = [], 0.0
             for level, hold in self.stages:
-                if hold <= 0.0:
-                    raise ValueError("stage hold must be positive")
+                if not math.isfinite(level):
+                    raise ValueError("stages: a level must be finite")
+                if not 0.0 < hold < math.inf:
+                    raise ValueError("stages: a hold must be positive and finite")
+                acc += hold
+                ends.append(acc)
+            object.__setattr__(self, "_ends", tuple(ends))
         elif self.kind == "sinusoid":
             if self.frequency_hz <= 0.0:
                 raise ValueError("sinusoid frequency must be positive")
@@ -64,6 +77,8 @@ class Reference:
                 raise ValueError("sinusoid needs at least one cycle")
         else:
             raise ValueError(f"unknown reference kind {self.kind!r}")
+        if not math.isfinite(self.duration):
+            raise ValueError("duration (stage holds, or cycles / frequency_hz) must be finite")
 
     @classmethod
     def multi_step(cls, stages: list[tuple[float, float]]) -> "Reference":
@@ -81,16 +96,14 @@ class Reference:
     @property
     def duration(self) -> float:
         if self.kind == "multi-step":
-            return sum(hold for _, hold in self.stages)
+            # The stage table's last end, not sum(), which 3.12+ compensates.
+            return self._ends[-1]
         return self.cycles / self.frequency_hz
 
     def window_edges(self) -> list[float]:
         """Window boundaries for metrics: stage starts or period starts, plus the end."""
         if self.kind == "multi-step":
-            edges = [0.0]
-            for _, hold in self.stages:
-                edges.append(edges[-1] + hold)
-            return edges
+            return [0.0, *self._ends]
         period = 1.0 / self.frequency_hz
         return [i * period for i in range(self.cycles + 1)]
 
@@ -102,12 +115,9 @@ def reference_at(ref: Reference, t: float, p_atm: float) -> tuple[float, float]:
     if t > ref.duration * (1.0 + 1e-12):
         raise ScenarioEnd(f"t={t!r} beyond scenario end {ref.duration!r}")
     if ref.kind == "multi-step":
-        acc = 0.0
-        for level, hold in ref.stages:
-            acc += hold
-            if t < acc:
-                return p_atm + 1000.0 * level, 0.0
-        return p_atm + 1000.0 * ref.stages[-1][0], 0.0
+        # The first stage ending after t; past the last end, the last stage.
+        i = min(bisect_right(ref._ends, t), len(ref.stages) - 1)
+        return p_atm + 1000.0 * ref.stages[i][0], 0.0
     w = 2.0 * math.pi * ref.frequency_hz
     p_ref = p_atm + 1000.0 * ref.amplitude_kpa * math.sin(w * t)
     rate = 1000.0 * ref.amplitude_kpa * w * math.cos(w * t)
@@ -131,6 +141,10 @@ class TimingConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("control_rate", "sensor_rate", "sim_substep", "duration", "noise_sigma"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         if not (self.sim_substep >= self.control_rate >= 1.0):
             raise ValueError("rates must satisfy sim_substep >= control_rate >= 1")
         if self.sensor_rate <= 0.0:
@@ -339,31 +353,37 @@ def run_scenario(
     """
     duration = run_duration(ref, timing)
     rng = np.random.default_rng(timing.seed)
-    dt_sub = 1.0 / timing.sim_substep
-    n_sub = int(round(duration * timing.sim_substep))
-    # One byte per substep, 1 where the event fires: iterating bytes is as
-    # fast as a list of bools and an eighth of its memory.
-    sensed = np.zeros(n_sub, dtype=np.uint8)
-    sensed[event_substeps(n_sub, timing.sim_substep, timing.sensor_rate)] = 1
-    ticked = np.zeros(n_sub, dtype=np.uint8)
-    ticked[event_substeps(n_sub, timing.sim_substep, timing.control_rate)] = 1
+    f_sub = timing.sim_substep
+    dt_sub = 1.0 / f_sub
+    n_sub = int(round(duration * f_sub))
+    sensed = event_substeps(n_sub, f_sub, timing.sensor_rate)
+    # What fires on each substep: 1 a sensor sample, 2 a control tick.
+    fired = np.zeros(n_sub, dtype=np.uint8)
+    fired[sensed] = 1
+    fired[event_substeps(n_sub, f_sub, timing.control_rate)] |= 2
+    events = np.flatnonzero(fired)
+    # One vector draw gives the stream of one scalar draw per sample.
+    if timing.noise_sigma > 0.0:
+        noise = iter(rng.normal(0.0, timing.noise_sigma, size=sensed.size).tolist())
+    else:
+        noise = iter([0.0] * sensed.size)
 
     p = reference_at(ref, 0.0, params.p_atm)[0] if p_init is None else p_init
     hold = plant_mod.rk4_hold(params, load)
-
-    held = p
-    step = hold(0.0, True)
 
     rows_t, rows_ref, rows_true, rows_meas = [], [], [], []
     rows_u, rows_mode, rows_ct, rows_s, rows_x = [], [], [], [], []
     flags: list[str] = []
 
-    for j, sense, tick in zip(range(n_sub), sensed.tobytes(), ticked.tobytes()):
-        if sense:
-            noise = rng.normal(0.0, timing.noise_sigma) if timing.noise_sigma > 0.0 else 0.0
-            held = p + noise
-        if tick:
-            t = j / timing.sim_substep
+    # Each event, in substep order, then the plant steps up to the next one.
+    # Substep 0 holds the first sensor sample and the first control tick,
+    # so ``held`` and ``step`` are set before the plant first steps.
+    j = 0   # the event's substep
+    for n_steps, what in zip(np.diff(events, append=n_sub).tolist(), fired[events].tobytes()):
+        if what & 1:
+            held = p + next(noise)
+        if what & 2:
+            t = j / f_sub
             p_ref, p_rate = reference_at(ref, t, params.p_atm)
             t0 = time.perf_counter()
             out = controller.update(t, held, p_ref, p_rate)
@@ -379,7 +399,9 @@ def run_scenario(
             rows_s.append(out.s)
             rows_x.append(out.x_star)
             flags.append(out.flag)
-        p = step(p, dt_sub)
+        for _ in range(n_steps):
+            p = step(p, dt_sub)
+        j += n_steps
 
     return Trajectory(
         t=np.asarray(rows_t),
@@ -501,11 +523,8 @@ def write_trajectory_csv(traj: Trajectory, path, p_atm: float) -> None:
         ((traj.p_meas - p_atm) / 1000.0).tolist(),
         traj.u.tolist(),
         traj.mode.tolist(),
-        traj.ct.tolist(),
+        np.rint(traj.ct * 1e6).astype(int).tolist(),   # round(): half to even
     )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t_s,pref_kpa,ptrue_kpa,pmeas_kpa,u_pct,mode,ct_us\n")
-        fh.writelines(
-            f"{t:.4f},{p_ref:.6f},{p_true:.6f},{p_meas:.6f},{u:.4f},{int(m)},{round(ct * 1e6)}\n"
-            for t, p_ref, p_true, p_meas, u, m, ct in zip(*columns)
-        )
+        fh.writelines("%.4f,%.6f,%.6f,%.6f,%.4f,%d,%d\n" % row for row in zip(*columns))

@@ -155,12 +155,16 @@ def invert_spool(x: float, spool_map: SpoolMap) -> float:
     lo = spool_map._grid_u[j - 1]
     hi = spool_map._grid_u[j]
     a = spool_map.a
-    f_lo = _clip01(_cubic(a, lo)) - x
+    a0, a1, a2, a3 = a
+    # lo moves only to a midpoint on the same side of x as lo, so that side
+    # is fixed for the whole bisection.
+    lo_below = _clip01(_cubic(a, lo)) - x <= 0.0
     while hi - lo > _INVERT_TOL:
         mid = 0.5 * (lo + hi)
-        f_mid = _clip01(_cubic(a, mid)) - x
-        if (f_lo <= 0.0) == (f_mid <= 0.0):
-            lo, f_lo = mid, f_mid
+        # _clip01(_cubic(a, mid)) - x, inline: the same operations, in one frame.
+        v = a0 + mid * (a1 + mid * (a2 + mid * a3))
+        if ((0.0 if v < 0.0 else 1.0 if v > 1.0 else v) - x <= 0.0) == lo_below:
+            lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)

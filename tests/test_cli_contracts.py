@@ -167,6 +167,17 @@ def test_window_without_a_control_tick_exits_2(tmp_path, capsys, reference, mess
     assert message in err and "holds no control tick" in err
 
 
+@pytest.mark.parametrize("reference", [
+    {"kind": "multi-step", "stages": [[0, 1e308], [10, 1e308]]},
+    {"kind": "sinusoid", "amplitude_kpa": 50.0, "frequency_hz": 1e-310, "cycles": 3},
+], ids=["stage-holds", "sinusoid"])
+def test_reference_longer_than_a_float_exits_2(tmp_path, capsys, reference):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"reference": reference}))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "config.reference" in capsys.readouterr().err
+
+
 def test_cut_run_with_an_empty_inner_window_exits_2(tmp_path, capsys):
     path = tmp_path / "scenario.json"
     ref = {"kind": "multi-step", "stages": [[0, 1.0], [50, 0.001], [0, 1.0]]}

@@ -78,7 +78,9 @@ def finite(lo, hi):
 
 
 scalar_overrides = st.fixed_dictionaries({}, optional={
-    "name": st.text(st.characters(blacklist_characters="/\\\0"), min_size=1, max_size=12).filter(
+    # Lone surrogates (category Cs) are not valid names; see NOT_ONE_DIRECTORY_NAME.
+    "name": st.text(st.characters(blacklist_characters="/\\\0", blacklist_categories=["Cs"]),
+                    min_size=1, max_size=12).filter(
         lambda name: name not in (".", "..")),
     "controller": st.sampled_from(CONTROLLER_NAMES),
     "plant": _section(

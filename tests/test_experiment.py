@@ -88,6 +88,17 @@ class TestReference:
         with pytest.raises(ValueError):
             Reference(kind="ramp")
 
+    @pytest.mark.parametrize("make, field", [
+        (lambda v: Reference.multi_step([(v, 1.0)]), "stages"),
+        (lambda v: Reference.multi_step([(0.0, 1.0), (0.0, v)]), "stages"),
+        (lambda v: Reference.sinusoid(v, 0.5, 3), "amplitude_kpa"),
+        (lambda v: Reference.sinusoid(50.0, v, 3), "frequency_hz"),
+    ], ids=["stage-level", "stage-hold", "amplitude_kpa", "frequency_hz"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_is_rejected_by_name(self, make, field, value):
+        with pytest.raises(ValueError, match=field):
+            make(value)
+
 
 class TestTimingValidation:
     def test_rate_ordering(self):
@@ -101,6 +112,12 @@ class TestTimingValidation:
     def test_noise_non_negative(self):
         with pytest.raises(ValueError):
             make_timing(noise_sigma=-1.0)
+
+    @pytest.mark.parametrize("field", ["control_rate", "sensor_rate", "sim_substep", "duration", "noise_sigma"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_value_is_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            make_timing(**{field: value})
 
 
 class TestRunScenario:
