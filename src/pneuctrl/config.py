@@ -317,7 +317,11 @@ def _reference(r: dict) -> Reference:
     if r["kind"] == "multi-step":
         return _make(Reference.multi_step, where, stages=stages)
     if r["kind"] == "sinusoid":
-        return _make(Reference.sinusoid, where, **sine)
+        try:
+            return Reference.sinusoid(**sine)
+        except ValueError as exc:   # a cycle count that overflows the duration is named first
+            key = ".cycles" if str(exc).startswith("cycles ") else ""
+            raise ConfigError(f"invalid {where}{key}: {exc}") from exc
     raise ConfigError(f"unknown reference kind {r['kind']!r} in {where}.kind")
 
 

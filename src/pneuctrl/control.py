@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import plant as plant_mod
-from .plant import Mode, PlantParams
+from .plant import _DEFLATION, _INFLATION, Mode, PlantParams
 from .valvemap import SpoolMap, invert_spool
 
 # Relative threshold on |g_m| below which the control law falls back to a
@@ -70,8 +70,7 @@ class PidGains:
                 raise ValueError(f"{name} must be finite and non-negative")
 
 
-@dataclass(frozen=True)
-class ControllerState:
+class ControllerState(NamedTuple):
     """Value-semantics controller memory carried between ticks."""
 
     mode: Mode
@@ -84,9 +83,9 @@ class ControllerState:
 def select_mode(p: float, p_ref: float, cfg: SupervisorConfig, m_prev: Mode) -> Mode:
     """Hysteresis mode selection: switch only when p leaves the deadband."""
     if p <= p_ref - cfg.h:
-        return Mode.INFLATION
+        return _INFLATION
     if p >= p_ref + cfg.h:
-        return Mode.DEFLATION
+        return _DEFLATION
     return m_prev
 
 
@@ -101,11 +100,17 @@ def sat(z: float) -> float:
 
 def _gain_guard_threshold(m: Mode, params: PlantParams) -> float:
     """Guard level: a small fraction of |g_m| at the mode's mid driving pressure."""
-    if m == Mode.INFLATION:
+    if m == _INFLATION:
         p_mid = 0.5 * (params.p_atm + params.p_pos)
     else:
         p_mid = 0.5 * (params.p_neg + params.p_atm)
     return GAIN_GUARD_REL * abs(plant_mod.gain(p_mid, m, params))
+
+
+def _reject_non_finite(**inputs: float) -> None:
+    for name, value in inputs.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def smc_update(
@@ -128,49 +133,49 @@ def smc_update(
 
     The error integral only advances while the sliding variable sits inside
     the boundary layer and the command is unsaturated, so large transients
-    cannot wind it up.
+    cannot wind it up.  A non-finite p, p_ref or p_ref_rate raises ValueError.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
+    if not (math.isfinite(p) and math.isfinite(p_ref) and math.isfinite(p_ref_rate)):
+        _reject_non_finite(p=p, p_ref=p_ref, p_ref_rate=p_ref_rate)
     mode = select_mode(p, p_ref, cfg, state.mode)
     e_int = state.e_int
     g = gains[mode]
-    spool_map = maps[mode]
+    lam, eta, mu, k_i = g.lam, g.eta, g.mu, g.k_i
 
     e = p - p_ref
     e_int_next = e_int + e * dt
-    s = g.lam * e + g.k_i * e_int_next
-    if abs(s) > g.mu:
+    s = lam * e + k_i * e_int_next
+    if abs(s) > mu:
         # Outside the boundary layer: hold the integral and keep s consistent.
         e_int_next = e_int
-        s = g.lam * e + g.k_i * e_int_next
+        s = lam * e + k_i * e_int_next
 
     # Noisy measurements can land outside the physical rails; clamp for the
     # model-inversion terms only (the error keeps the raw measurement).
-    p_model = min(max(p, params.p_neg), params.p_pos)
+    p_model = params.p_neg if p < params.p_neg else params.p_pos if p > params.p_pos else p
     f = plant_mod.drift(p_model, params)
     g_m = plant_mod.gain(p_model, mode, params)
-    numerator = -f + p_ref_rate - s - (g.eta / g.lam) * sat(s / g.mu) - (g.k_i / g.lam) * e
+    numerator = -f + p_ref_rate - s - (eta / lam) * sat(s / mu) - (k_i / lam) * e
 
     guard = False
     if abs(g_m) < _gain_guard_threshold(mode, params):
         guard = True
         # Sign of the gain is unreliable here; open fully if the demanded
         # rate points the way this mode can push, otherwise close.
-        g_sign = 1.0 if mode == Mode.INFLATION else -1.0
+        g_sign = 1.0 if mode == _INFLATION else -1.0
         x_raw = math.inf if numerator * g_sign > 0.0 else 0.0
     else:
         x_raw = numerator / g_m
 
-    x_star = min(1.0, max(0.0, x_raw))
+    x_star = (x_raw if x_raw < 1.0 else 1.0) if x_raw > 0.0 else 0.0     # min(1, max(0, x_raw))
     if x_raw < 0.0 or x_raw > 1.0:
         e_int_next = e_int
-    u = invert_spool(x_star, spool_map)
-    return u, ControllerState(mode=mode, e_int=e_int_next, s=s, x_star=x_star, gain_guard=guard)
+    return invert_spool(x_star, maps[mode]), ControllerState(mode, e_int_next, s, x_star, guard)
 
 
-@dataclass(frozen=True)
-class PidState:
+class PidState(NamedTuple):
     """State of the two mode-dependent PID controllers.
 
     Each mode keeps its own integral and previous error, indexed by mode
@@ -195,24 +200,26 @@ def pid_update(
     The error is polarity-corrected so positive error always means "open the
     valve harder": (p_ref - p) in inflation, (p - p_ref) in deflation, in
     kPa.  The derivative is an unfiltered first difference; the integral
-    freezes while it would push the output deeper into saturation.
+    freezes while it would push the output deeper into saturation.  A
+    non-finite p or p_ref raises ValueError.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
+    if not (math.isfinite(p) and math.isfinite(p_ref)):
+        _reject_non_finite(p=p, p_ref=p_ref)
     mode = select_mode(p, p_ref, cfg, state.mode)
+    inflation = mode == _INFLATION
     g = gains[mode]
-    e = (p_ref - p) / 1000.0 if mode == Mode.INFLATION else (p - p_ref) / 1000.0
+    e = (p_ref - p) / 1000.0 if inflation else (p - p_ref) / 1000.0
     e_prev = state.e_prev[mode]
     de = 0.0 if e_prev is None else (e - e_prev) / dt
     e_int = state.e_int[mode]
     u_raw = g.k_p * e + g.k_i * e_int + g.k_d * de
-    u = min(100.0, max(0.0, u_raw))
+    u = (u_raw if u_raw < 100.0 else 100.0) if u_raw > 0.0 else 0.0     # min(100, max(0, u_raw))
     winds_deeper = (u_raw > 100.0 and e > 0.0) or (u_raw < 0.0 and e < 0.0)
     if not winds_deeper:
         e_int = e_int + e * dt
 
-    e_ints = list(state.e_int)
-    e_prevs = list(state.e_prev)
-    e_ints[mode] = e_int
-    e_prevs[mode] = e
-    return u, PidState(mode=mode, e_int=(e_ints[0], e_ints[1]), e_prev=(e_prevs[0], e_prevs[1]))
+    if inflation:
+        return u, PidState(mode, (state.e_int[0], e_int), (state.e_prev[0], e))
+    return u, PidState(mode, (e_int, state.e_int[1]), (e, state.e_prev[1]))

@@ -77,7 +77,11 @@ class Reference:
                 raise ValueError("sinusoid needs at least one cycle")
         else:
             raise ValueError(f"unknown reference kind {self.kind!r}")
-        if not math.isfinite(self.duration):
+        try:
+            duration = self.duration
+        except OverflowError:
+            raise ValueError("cycles is too large: cycles / frequency_hz overflows a float") from None
+        if not math.isfinite(duration):
             raise ValueError("duration (stage holds, or cycles / frequency_hz) must be finite")
 
     @classmethod
@@ -206,12 +210,12 @@ class DmSmcLoop:
         self.state = ControllerState(mode=Mode.INFLATION)
 
     def update(self, t, p_meas, p_ref, p_ref_rate):
-        u, self.state = smc_update(
+        u, state = smc_update(
             self.state, p_meas, p_ref, p_ref_rate,
             self._gains, self._params, self._maps, self._sup, self._dt,
         )
-        flag = "gain-guard" if self.state.gain_guard else ""
-        return Tick(u, self.state.mode, self.state.s, self.state.x_star, flag)
+        self.state = state
+        return Tick(u, state.mode, state.s, state.x_star, "gain-guard" if state.gain_guard else "")
 
 
 class PidLoop:

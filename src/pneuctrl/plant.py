@@ -25,6 +25,10 @@ class Mode(IntEnum):
     INFLATION = 1
 
 
+# Read once: on Python 3.11 each ``Mode.INFLATION`` is a slow class-attribute lookup.
+_INFLATION, _DEFLATION = Mode.INFLATION, Mode.DEFLATION
+
+
 @dataclass(frozen=True)
 class Conductances:
     """Sonic conductances of the four flow branches, m^3 s^-1 Pa^-1.
@@ -72,13 +76,14 @@ class PlantParams:
             raise ValueError("gamma must exceed 1")
         if self.rho_ref <= 0.0 or self.t_ref <= 0.0 or self.t_gas <= 0.0 or self.r_gas <= 0.0:
             raise ValueError("gas properties must be positive")
-        # Cached products used in the flow hot path.
+        # Cached products used in the flow hot path; _rate_scale is gas_energy / volume.
         temp_corr = math.sqrt(self.t_ref / self.t_gas)
         c = self.conductances
         object.__setattr__(self, "_k_po", self.p_pos * c.c_po * self.rho_ref * temp_corr)
         object.__setattr__(self, "_k_on", c.c_on * self.rho_ref * temp_corr)
         object.__setattr__(self, "_k_oa", c.c_oa * self.rho_ref * temp_corr)
         object.__setattr__(self, "_k_ao", self.p_atm * c.c_ao * self.rho_ref * temp_corr)
+        object.__setattr__(self, "_rate_scale", self.gamma * self.r_gas * self.t_gas / self.volume)
         # Fused RK4 (hold, kernel) pairs built by rk4_hold, keyed by load model.
         object.__setattr__(self, "_kernels", {})
 
@@ -184,12 +189,13 @@ def _check_pressure(p: float, params: PlantParams) -> None:
 
 def branch_flows(p: float, params: PlantParams) -> BranchFlows:
     """Evaluate all four branch mass flows at outlet pressure ``p``."""
-    _check_pressure(p, params)
-    b = params.b
-    a_po = params._k_po * shape_factor(p / params.p_pos, b)
-    a_on = params._k_on * p * shape_factor(params.p_neg / p, b)
-    a_oa = params._k_oa * p * shape_factor(params.p_atm / p, b)
-    a_ao = params._k_ao * shape_factor(p / params.p_atm, b)
+    p_neg, p_pos, p_atm, b = params.p_neg, params.p_pos, params.p_atm, params.b
+    if not (p_neg * (1.0 - _DOMAIN_SLACK) <= p <= p_pos * (1.0 + _DOMAIN_SLACK)):  # _check_pressure
+        raise ValueError(f"outlet pressure {p!r} Pa outside [{p_neg}, {p_pos}]")
+    a_po = params._k_po * shape_factor(p / p_pos, b)
+    a_on = params._k_on * p * shape_factor(p_neg / p, b)
+    a_oa = params._k_oa * p * shape_factor(p_atm / p, b)
+    a_ao = params._k_ao * shape_factor(p / p_atm, b)
     return BranchFlows(a_po, a_on, a_oa, a_ao)
 
 
@@ -199,18 +205,18 @@ def drift(p: float, params: PlantParams) -> float:
     Zero at atmospheric pressure; pulls the outlet toward atmosphere from
     either side.
     """
-    flows = branch_flows(p, params)
-    return params.gas_energy / params.volume * (flows.a_ao - flows.a_oa)
+    _, _, a_oa, a_ao = branch_flows(p, params)
+    return params._rate_scale * (a_ao - a_oa)
 
 
 def gain(p: float, m: Mode, params: PlantParams) -> float:
     """Pressure rate per unit spool fraction in mode ``m``, Pa/s."""
-    flows = branch_flows(p, params)
-    if m == Mode.INFLATION:
-        q = flows.a_po - flows.a_ao + flows.a_oa
+    a_po, a_on, a_oa, a_ao = branch_flows(p, params)
+    if m == _INFLATION:
+        q = a_po - a_ao + a_oa
     else:
-        q = -flows.a_on - flows.a_ao + flows.a_oa
-    return params.gas_energy / params.volume * q
+        q = -a_on - a_ao + a_oa
+    return params._rate_scale * q
 
 
 def net_outlet_flow(x_bar: float, p: float, m: Mode, params: PlantParams) -> float:

@@ -154,16 +154,14 @@ def invert_spool(x: float, spool_map: SpoolMap) -> float:
     j = bisect_left(hull, x)
     lo = spool_map._grid_u[j - 1]
     hi = spool_map._grid_u[j]
-    a = spool_map.a
-    a0, a1, a2, a3 = a
-    # lo moves only to a midpoint on the same side of x as lo, so that side
-    # is fixed for the whole bisection.
-    lo_below = _clip01(_cubic(a, lo)) - x <= 0.0
-    while hi - lo > _INVERT_TOL:
+    a0, a1, a2, a3 = spool_map.a
+    # lo stays below x (hull[j - 1] < x), so each step tests _clip01(cubic) <= x.
+    # With 0 < x < 1 that is cubic <= x; with x = 1 it always holds.
+    x_cut = x if x < 1.0 else math.inf
+    tol = _INVERT_TOL
+    while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        # _clip01(_cubic(a, mid)) - x, inline: the same operations, in one frame.
-        v = a0 + mid * (a1 + mid * (a2 + mid * a3))
-        if ((0.0 if v < 0.0 else 1.0 if v > 1.0 else v) - x <= 0.0) == lo_below:
+        if a0 + mid * (a1 + mid * (a2 + mid * a3)) <= x_cut:
             lo = mid
         else:
             hi = mid

@@ -178,6 +178,14 @@ def test_reference_longer_than_a_float_exits_2(tmp_path, capsys, reference):
     assert "config.reference" in capsys.readouterr().err
 
 
+def test_cycle_count_too_large_for_a_float_exits_2(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    ref = {"kind": "sinusoid", "amplitude_kpa": 50.0, "frequency_hz": 0.5, "cycles": 10**400}
+    path.write_text(json.dumps({"reference": ref}))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "config.reference.cycles" in capsys.readouterr().err
+
+
 def test_cut_run_with_an_empty_inner_window_exits_2(tmp_path, capsys):
     path = tmp_path / "scenario.json"
     ref = {"kind": "multi-step", "stages": [[0, 1.0], [50, 0.001], [0, 1.0]]}

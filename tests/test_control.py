@@ -3,6 +3,7 @@ import math
 import pytest
 
 import pneuctrl.control as control
+from pneuctrl.experiment import DmSmcLoop, PidLoop
 from pneuctrl.control import (
     ControllerState,
     PidGains,
@@ -237,3 +238,42 @@ class TestPidUpdate:
             PidGains(k_p=-0.1, k_i=0.0, k_d=0.0)
         with pytest.raises(ValueError):
             PidGains(k_p=math.inf, k_i=0.0, k_d=0.0)
+
+
+class TestNonFiniteInputs:
+    """Both controllers reject a non-finite input by name and keep their state."""
+
+    @pytest.fixture
+    def smc_loop(self, params, maps, smc_gains, supervisor):
+        return DmSmcLoop(params, maps, smc_gains, supervisor, DT)
+
+    @pytest.fixture
+    def pid_loop(self, pid_gains, supervisor):
+        return PidLoop(pid_gains, supervisor, DT)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("arg", ["p", "p_ref", "p_ref_rate"])
+    def test_smc_rejects_a_non_finite_input(self, smc_loop, arg, value):
+        inputs = {"p": 151325.0, "p_ref": 151325.0, "p_ref_rate": 0.0, arg: value}
+        before = smc_loop.state
+        with pytest.raises(ValueError, match=f"^{arg} must be finite"):
+            smc_loop.update(0.0, inputs["p"], inputs["p_ref"], inputs["p_ref_rate"])
+        assert smc_loop.state is before
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("arg", ["p", "p_ref"])
+    def test_pid_rejects_a_non_finite_input(self, pid_loop, arg, value):
+        inputs = {"p": 151325.0, "p_ref": 151325.0, arg: value}
+        before = pid_loop.state
+        with pytest.raises(ValueError, match=f"^{arg} must be finite"):
+            pid_loop.update(0.0, inputs["p"], inputs["p_ref"], 0.0)
+        assert pid_loop.state is before
+
+    def test_pid_ignores_a_non_finite_reference_rate(self, pid_loop):
+        assert pid_loop.update(0.0, 141325.0, 151325.0, math.nan).u > 0.0
+
+    @pytest.mark.parametrize("p", [-5.0e5, 0.0, 1.0e6])
+    def test_noisy_samples_outside_the_rails_stay_valid(self, smc_loop, pid_loop, maps, p):
+        tick = smc_loop.update(0.0, p, 151325.0, 0.0)
+        assert maps[tick.mode].u_min <= tick.u <= maps[tick.mode].u_max
+        assert 0.0 <= pid_loop.update(0.0, p, 151325.0, 0.0).u <= 100.0
