@@ -200,6 +200,13 @@ def cmd_defaults(args) -> int:
     return EXIT_OK
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value; argparse turns its errors into a usage error (exit 2)."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pneuctrl",
@@ -210,14 +217,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run one closed-loop scenario")
     p_run.add_argument("--config", required=True, help="scenario config JSON")
     p_run.add_argument("--out", default=None, help="output directory (default out/<name>)")
-    p_run.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    p_run.add_argument("--seed", type=_seed, default=None, help="override the scenario seed")
     p_run.set_defaults(func=cmd_run)
 
     p_cmp = sub.add_parser("compare", help="run several controllers on a shared scenario")
     p_cmp.add_argument("--config", required=True, help="scenario config JSON")
     p_cmp.add_argument("--controllers", required=True, help="comma-separated controller names")
     p_cmp.add_argument("--out", default=None)
-    p_cmp.add_argument("--seed", type=int, default=None)
+    p_cmp.add_argument("--seed", type=_seed, default=None)
     p_cmp.set_defaults(func=cmd_compare)
 
     p_id = sub.add_parser("sysid", help="identify conductances and the spool map from traces")
@@ -230,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_syn = sub.add_parser("synthesize", help="generate protocol traces from a known channel")
     p_syn.add_argument("--config", required=True, help="synthesis config JSON")
     p_syn.add_argument("--out", required=True, help="output directory for trace CSVs")
-    p_syn.add_argument("--seed", type=int, default=None)
+    p_syn.add_argument("--seed", type=_seed, default=None)
     p_syn.set_defaults(func=cmd_synthesize)
 
     p_def = sub.add_parser("defaults", help="print a default config JSON")

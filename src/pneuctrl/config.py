@@ -217,12 +217,12 @@ def _merge(base: Any, over: Any, path: str) -> Any:
 
 
 def _strict_int(value: Any, where: str) -> int:
-    """An integer config entry: an integer or an integral float, never a bool."""
-    if isinstance(value, int) and not isinstance(value, bool):
+    """An integer config entry: a non-negative integer or integral float, never a bool."""
+    if isinstance(value, int) and not isinstance(value, bool) and value >= 0:
         return value
-    if isinstance(value, float) and value.is_integer():
+    if isinstance(value, float) and value.is_integer() and value >= 0.0:
         return int(value)
-    raise ConfigError(f"{where} must be an integer, got {value!r}")
+    raise ConfigError(f"{where} must be a non-negative integer, got {value!r}")
 
 
 def _number(value: Any, where: str) -> float:
@@ -358,6 +358,8 @@ def _read_json(path: str | Path) -> Any:
             raise ConfigError(f"{path} is not valid UTF-8: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
+        except ValueError as exc:   # an integer longer than Python's int parsing limit
+            raise ConfigError(f"unreadable JSON in {path}: {exc}") from exc
 
 
 def load_synthesis(path: str | Path) -> SynthesisSpec:

@@ -157,6 +157,8 @@ class TimingConfig:
             raise ValueError("noise_sigma must be non-negative")
         if self.duration is not None and self.duration <= 0.0:
             raise ValueError("duration must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass

@@ -84,11 +84,11 @@ class PlantParams:
         object.__setattr__(self, "_k_oa", c.c_oa * self.rho_ref * temp_corr)
         object.__setattr__(self, "_k_ao", self.p_atm * c.c_ao * self.rho_ref * temp_corr)
         object.__setattr__(self, "_rate_scale", self.gamma * self.r_gas * self.t_gas / self.volume)
-        # Fused RK4 (hold, kernel) pairs built by rk4_hold, keyed by load model.
+        # Fused RK4 holds built by rk4_hold, keyed by load model.
         object.__setattr__(self, "_kernels", {})
 
     def __getstate__(self) -> dict:
-        # Kernels are closures, which do not pickle; a copy builds its own.
+        # Holds are closures, which do not pickle; a copy builds its own.
         return {**self.__dict__, "_kernels": {}}
 
     @property
@@ -258,8 +258,6 @@ def pressure_rate(
     return params.gas_energy / volume * net_outlet_flow(x_bar, p, m, params)
 
 
-# One RK4 step (p, x_bar, inflation, dt) -> next clamped p.
-Kernel = Callable[[float, float, bool, float], float]
 # One RK4 step (p, dt) -> next clamped p at a held spool fraction and mode.
 HeldStep = Callable[[float, float], float]
 # The held step of (x_bar, inflation).
@@ -386,19 +384,6 @@ def _build_hold(params: PlantParams, load: Optional[LoadModel]) -> Hold:
     return hold
 
 
-def _fused(params: PlantParams, load: Optional[LoadModel]) -> tuple[Hold, Kernel]:
-    kernels = params._kernels
-    pair = kernels.get(load)
-    if pair is None:
-        hold = _build_hold(params, load)
-
-        def kernel(p: float, x_bar: float, inflation: bool, dt: float) -> float:
-            return hold(x_bar, inflation)(p, dt)
-
-        pair = kernels[load] = (hold, kernel)
-    return pair
-
-
 def rk4_hold(params: PlantParams, load: Optional[LoadModel] = None) -> Hold:
     """The fused RK4 step of one channel, specialised per held input.
 
@@ -407,16 +392,10 @@ def rk4_hold(params: PlantParams, load: Optional[LoadModel] = None) -> Hold:
     ``params``.  Loops that hold the spool fraction and mode over many steps
     take one held step and call it per step.
     """
-    return _fused(params, load)[0]
-
-
-def rk4_kernel(params: PlantParams, load: Optional[LoadModel] = None) -> Kernel:
-    """The fused RK4 step ``(p, x_bar, inflation, dt) -> p_next`` for one channel.
-
-    Cached on ``params`` per load; each call takes a fresh
-    :func:`rk4_hold` step.  :func:`step` is a thin wrapper over it.
-    """
-    return _fused(params, load)[1]
+    hold = params._kernels.get(load)
+    if hold is None:
+        hold = params._kernels[load] = _build_hold(params, load)
+    return hold
 
 
 def step(
@@ -432,5 +411,4 @@ def step(
     Inputs are held constant over the step (zero-order hold).  The result is
     clamped to [p_neg, p_pos]: the sources physically bound the pressure.
     """
-    p_new = rk4_kernel(params, load)(state.p_out, x_bar, m == Mode.INFLATION, dt)
-    return PlantState(p_out=p_new, t=state.t + dt)
+    return PlantState(rk4_hold(params, load)(x_bar, m == _INFLATION)(state.p_out, dt), state.t + dt)

@@ -28,7 +28,7 @@ import numpy as np
 from . import plant as plant_mod
 from .experiment import event_substeps
 from .optim import golden_section
-from .plant import Conductances, LoadModel, Mode, PlantParams
+from .plant import Mode, PlantParams
 from .valvemap import SpoolMap, eval_spool
 
 
@@ -105,7 +105,6 @@ def simulate_at_samples(
     x_bar: float,
     m: Mode,
     params: PlantParams,
-    load: Optional[LoadModel] = None,
     *,
     meas: Optional[np.ndarray] = None,
     stop_above: float = math.inf,
@@ -121,7 +120,7 @@ def simulate_at_samples(
     sequential sum and ``np.dot``: each is within about n * 2**-53 of the
     exact sum.  A NaN or inf sum never stops the prediction.
     """
-    step = plant_mod.rk4_hold(params, load)(x_bar, m == Mode.INFLATION)
+    step = plant_mod.rk4_hold(params)(x_bar, m == Mode.INFLATION)
     out = [p0]
     p = p0
     if meas is not None:
@@ -176,14 +175,19 @@ def _pruned_sse_objective(trace: StepTrace, model: Callable[[float], tuple]) -> 
     return objective
 
 
-def _fit_conductance(
-    trace: StepTrace,
-    params_for: callable,
-    x_bar: float,
-    m: Mode,
-) -> IdResult:
+# The (leak, source) conductances identified in each mode.
+_BRANCHES = {Mode.INFLATION: ("c_oa", "c_po"), Mode.DEFLATION: ("c_ao", "c_on")}
+
+
+def _with_conductance(params: PlantParams, which: str, c: float) -> PlantParams:
+    return replace(params, conductances=replace(params.conductances, **{which: c}))
+
+
+def _fit_conductance(trace: StepTrace, params: PlantParams, which: str, x_bar: float, m: Mode) -> IdResult:
     lo, hi = CONDUCTANCE_BRACKET
-    objective = _pruned_sse_objective(trace, lambda log_c: (x_bar, m, params_for(10.0 ** log_c)))
+    objective = _pruned_sse_objective(
+        trace, lambda log_c: (x_bar, m, _with_conductance(params, which, 10.0 ** log_c))
+    )
     log_c, sse, evals = golden_section(objective, math.log10(lo), math.log10(hi), tol=1e-4)
     value = 10.0 ** log_c
     residual = math.sqrt(sse / len(trace.p))
@@ -209,11 +213,7 @@ def fit_decay_conductance(trace: StepTrace, which: str, params: PlantParams) -> 
         raise TraceDataError("c_oa needs a decaying trace starting above atmosphere")
     if which == "c_ao" and not (offset < 0.0 and p_end > p0 + MIN_TRACE_SPAN):
         raise TraceDataError("c_ao needs a rising trace starting below atmosphere")
-
-    def params_for(c: float) -> PlantParams:
-        return replace(params, conductances=replace(params.conductances, **{which: c}))
-
-    return _fit_conductance(trace, params_for, x_bar=0.0, m=trace.mode)
+    return _fit_conductance(trace, params, which, x_bar=0.0, m=trace.mode)
 
 
 def fit_source_conductance(trace: StepTrace, which: str, params: PlantParams) -> IdResult:
@@ -228,11 +228,7 @@ def fit_source_conductance(trace: StepTrace, which: str, params: PlantParams) ->
     if trace.span < MIN_TRACE_SPAN:
         raise TraceDataError("segment shows no pressure motion; cannot fit a source branch")
     m = Mode.INFLATION if which == "c_po" else Mode.DEFLATION
-
-    def params_for(c: float) -> PlantParams:
-        return replace(params, conductances=replace(params.conductances, **{which: c}))
-
-    return _fit_conductance(trace, params_for, x_bar=1.0, m=m)
+    return _fit_conductance(trace, params, which, x_bar=1.0, m=m)
 
 
 def fit_spool_segments(traces: Iterable[StepTrace], params: PlantParams) -> list[SpoolPoint]:
@@ -294,11 +290,11 @@ class ChannelIdResult:
 
     @property
     def leak_name(self) -> str:
-        return "c_oa" if self.mode == Mode.INFLATION else "c_ao"
+        return _BRANCHES[self.mode][0]
 
     @property
     def source_name(self) -> str:
-        return "c_po" if self.mode == Mode.INFLATION else "c_on"
+        return _BRANCHES[self.mode][1]
 
     def to_dict(self) -> dict:
         return {
@@ -342,16 +338,15 @@ def identify_channel(traces: Sequence[StepTrace], mode: Mode, params: PlantParam
             f"{mode.name.lower()} protocol incomplete; missing: " + "; ".join(missing)
         )
 
-    leak_name = "c_oa" if mode == Mode.INFLATION else "c_ao"
-    source_name = "c_po" if mode == Mode.INFLATION else "c_on"
+    leak_name, source_name = _BRANCHES[mode]
 
     decay = max(decays, key=lambda tr: abs(float(tr.p[0]) - params.p_atm))
     leak = fit_decay_conductance(decay, leak_name, params)
-    params = replace(params, conductances=replace(params.conductances, **{leak_name: leak.value}))
+    params = _with_conductance(params, leak_name, leak.value)
 
     rise = max(full_open, key=lambda tr: tr.span)
     source = fit_source_conductance(rise, source_name, params)
-    params = replace(params, conductances=replace(params.conductances, **{source_name: source.value}))
+    params = _with_conductance(params, source_name, source.value)
 
     points = fit_spool_segments(sorted(sweep, key=lambda tr: tr.u2), params)
     interior = [(p.u, p.x_hat) for p in points if not p.at_bound]
@@ -443,22 +438,23 @@ def simulate_segment(
     n_sub = int(round(duration * sim_substep))
     dt = 1.0 / sim_substep
     step = plant_mod.rk4_hold(params)(x_bar, m == Mode.INFLATION)
-    p = p0
-    moving = True
     samples = event_substeps(n_sub + 1, sim_substep, sample_rate)
-    taken = np.zeros(n_sub + 1, dtype=np.uint8)
-    taken[samples] = 1
-    ps = [p0]
-    for take in taken.tobytes()[1:]:
+    p = p0
+    ps = []
+    moving = True
+    # Each sample, then the steps up to the next one (the last up to n_sub).
+    for n_steps in np.diff(samples, append=n_sub).tolist():
+        ps.append(p)
         if moving:
-            # (x_bar, m, dt) are fixed within the segment and the step is a
-            # pure function: once it returns its input, so does every later
-            # one, so it is not called again.
-            p_next = step(p, dt)
-            moving = p_next != p
-            p = p_next
-        if take:
-            ps.append(p)
+            for _ in range(n_steps):
+                # (x_bar, m, dt) are fixed within the segment and the step is
+                # a pure function: once it returns its input, so does every
+                # later one, so no later step is taken.
+                p_next = step(p, dt)
+                if p_next == p:
+                    moving = False
+                    break
+                p = p_next
     return samples / sim_substep, np.asarray(ps), p
 
 
@@ -476,6 +472,10 @@ class SynthesisConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("sample_rate", "sim_substep", "rise_duration", "decay_duration",
+                     "full_open_duration", "full_decay_duration", "noise_sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not (self.sim_substep >= self.sample_rate > 0.0):
             raise ValueError("rates must satisfy sim_substep >= sample_rate > 0")
         for name in ("rise_duration", "decay_duration", "full_open_duration", "full_decay_duration"):
@@ -483,6 +483,8 @@ class SynthesisConfig:
                 raise ValueError(f"{name} must be positive")
         if self.noise_sigma < 0.0:
             raise ValueError("noise_sigma must be non-negative")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 def synthesize_protocol(

@@ -25,6 +25,7 @@ from pneuctrl.sysid import TRACE_COLUMNS, write_trace_csv
         ("mpc", "max_switches", "1"),
         ("timing", "seed", True),
         ("timing", "seed", 0.5),
+        ("timing", "seed", -1),
     ],
 )
 def test_non_integral_scenario_entry_exits_2(tmp_path, capsys, section, key, value):
@@ -42,12 +43,34 @@ def test_non_integral_sinusoid_cycles_exits_2(tmp_path, capsys):
     assert "config.reference.cycles" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", [True, 3.25])
+@pytest.mark.parametrize("value", [True, 3.25, -1])
 def test_non_integral_synthesis_seed_exits_2(tmp_path, capsys, value):
     path = tmp_path / "synth.json"
     path.write_text(json.dumps({"synthesis": {"seed": value}}))
     assert main(["synthesize", "--config", str(path), "--out", str(tmp_path / "traces")]) == 2
     assert "config.synthesis.seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "synthesize"])
+def test_negative_seed_option_exits_2(tmp_path, capsys, command):
+    args = [command, "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path / "out"), "--seed", "-1"]
+    if command == "compare":
+        args += ["--controllers", "pid,dm-smc"]
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, config", [
+    ("run", {"reference": {"kind": "sinusoid", "cycles": "DIGITS"}}),
+    ("synthesize", {"synthesis": {"seed": "DIGITS"}}),
+])
+def test_integer_too_long_to_parse_exits_2(tmp_path, capsys, command, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config).replace('"DIGITS"', "1" * 5001))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert str(path) in capsys.readouterr().err
 
 
 def test_integral_float_is_accepted(tmp_path):

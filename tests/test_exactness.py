@@ -29,7 +29,7 @@ from pneuctrl.mpc import (
     rollout_cost,
 )
 from pneuctrl.optim import golden_section
-from pneuctrl.plant import Conductances, LoadModel, Mode, PlantState, pressure_rate, rk4_kernel, step
+from pneuctrl.plant import Conductances, LoadModel, Mode, PlantState, pressure_rate, rk4_hold, step
 from pneuctrl.valvemap import SpoolMap, eval_spool, spool_range
 
 PARAMS = default_plant()
@@ -147,13 +147,13 @@ def test_step_is_four_rate_rk4_and_stays_on_the_rails(p, x_bar, m, dt, load):
 
 
 def test_kernel_is_cached_per_params_and_load_value():
-    assert rk4_kernel(PARAMS, LoadModel.fixed(2.0e-5)) is rk4_kernel(PARAMS, LoadModel.fixed(2.0e-5))
-    assert rk4_kernel(PARAMS, None) is not rk4_kernel(PARAMS, default_bellow_load())
-    assert rk4_kernel(default_plant(), None) is not rk4_kernel(PARAMS, None)
+    assert rk4_hold(PARAMS, LoadModel.fixed(2.0e-5)) is rk4_hold(PARAMS, LoadModel.fixed(2.0e-5))
+    assert rk4_hold(PARAMS, None) is not rk4_hold(PARAMS, default_bellow_load())
+    assert rk4_hold(default_plant(), None) is not rk4_hold(PARAMS, None)
 
 
 def test_params_with_built_kernels_still_pickle():
-    rk4_kernel(PARAMS, default_bellow_load())
+    rk4_hold(PARAMS, default_bellow_load())
     copy = pickle.loads(pickle.dumps(PARAMS))
     assert copy == PARAMS
     state = PlantState(p_out=PARAMS.p_atm + 3e4)
@@ -315,7 +315,7 @@ def channels(draw):
 # steps at both ends of the spool range, more than the interval margin.
 STIFF = replace(PARAMS, volume=PARAMS.volume / 4)
 STIFF_P0, STIFF_U = PARAMS.p_atm + 196.549e3, 65.0
-STIFF_REF = rk4_kernel(STIFF)(STIFF_P0, eval_spool(STIFF_U, MAPS[INFL]), True, 0.01)
+STIFF_REF = rk4_hold(STIFF)(eval_spool(STIFF_U, MAPS[INFL]), True)(STIFF_P0, 0.01)
 
 
 @settings(max_examples=300, deadline=None)
@@ -351,7 +351,7 @@ def test_bound_uses_the_rails_off_the_verified_channels(monkeypatch):
 
 def reference_bounds(p0, ref_seq, seqs, cfg, params, maps, load):
     """Every sequence's bound from an eager pass over its prefixes, one sequence after another."""
-    kernel = rk4_kernel(params, load)
+    hold = rk4_hold(params, load)
     interval = mpc_mod._interval_verified(cfg.dt_pred, params, maps, load)
     trie = {(): (p0, p0, 0.0)}
     out = []
@@ -362,9 +362,9 @@ def reference_bounds(p0, ref_seq, seqs, cfg, params, maps, load):
             lo, hi, score = trie[m_seq[:k]]
             x_lo, x_hi = spool_range(maps[m])
             if interval:
-                lo = max(params.p_neg, min(kernel(lo, x, m == INFL, cfg.dt_pred) for x in (x_lo, x_hi))
+                lo = max(params.p_neg, min(hold(x, m == INFL)(lo, cfg.dt_pred) for x in (x_lo, x_hi))
                          - _BOUND_MARGIN_PA)
-                hi = min(params.p_pos, max(kernel(hi, x, m == INFL, cfg.dt_pred) for x in (x_lo, x_hi))
+                hi = min(params.p_pos, max(hold(x, m == INFL)(hi, cfg.dt_pred) for x in (x_lo, x_hi))
                          + _BOUND_MARGIN_PA)
             else:
                 lo, hi = params.p_neg, params.p_pos

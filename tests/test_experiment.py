@@ -113,6 +113,10 @@ class TestTimingValidation:
         with pytest.raises(ValueError):
             make_timing(noise_sigma=-1.0)
 
+    def test_seed_non_negative(self):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            make_timing(seed=-1)
+
     @pytest.mark.parametrize("field", ["control_rate", "sensor_rate", "sim_substep", "duration", "noise_sigma"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_value_is_rejected_by_name(self, field, value):

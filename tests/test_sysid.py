@@ -292,3 +292,18 @@ class TestSynthesizeProtocol:
         assert len(files) == len(traces)
         back = read_trace_csv(files[0])
         assert back.mode == Mode.INFLATION
+
+    @pytest.mark.parametrize("field", ["sample_rate", "sim_substep", "rise_duration", "decay_duration",
+                                       "full_open_duration", "full_decay_duration", "noise_sigma"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_setting_is_rejected_by_name(self, field, value):
+        from pneuctrl.sysid import SynthesisConfig
+
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            SynthesisConfig(**{field: value})
+
+    def test_negative_seed_is_rejected(self):
+        from pneuctrl.sysid import SynthesisConfig
+
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            SynthesisConfig(seed=-1)

@@ -111,6 +111,12 @@ def test_synthesize_protocol_matches_stepping_every_substep(monkeypatch, protoco
     assert [trace_key(tr) for tr in fast] == [trace_key(tr) for tr in reference]
 
 
+# (duration s, sample rate Hz) on the 1 kHz substep: a sample on every
+# substep, a rate that does not divide the substep's, a duration that is not
+# a whole number of sample periods, and one under half a substep (no step).
+SEGMENT_TIMINGS = [(4.0, 60.0), (4.0, 1000.0), (4.0, 7.3), (1.234, 60.0), (0.0004, 60.0)]
+
+
 @pytest.mark.parametrize(
     "p0, x_bar, m",
     [
@@ -118,14 +124,18 @@ def test_synthesize_protocol_matches_stepping_every_substep(monkeypatch, protoco
         (PARAMS.p_atm, 0.0, Mode.DEFLATION),
         (PARAMS.p_atm + 1.5e5, 0.0, Mode.INFLATION),
         (PARAMS.p_atm - 5.0e4, 0.3, Mode.DEFLATION),
+        # Moves, then sits on the supply rail from substep 54: its fixed point
+        # falls between two samples at 60 Hz and at 7.3 Hz.
+        (PARAMS.p_pos - 2.0e3, 1.0, Mode.INFLATION),
     ],
 )
 def test_simulate_segment_matches_reference(p0, x_bar, m):
-    fast = simulate_segment(p0, x_bar, m, 4.0, PARAMS, 60.0, 1000.0)
-    ref = reference_segment(p0, x_bar, m, 4.0, PARAMS, 60.0, 1000.0)
-    assert fast[0].tobytes() == ref[0].tobytes()
-    assert fast[1].tobytes() == ref[1].tobytes()
-    assert fast[2] == ref[2]
+    for duration, sample_rate in SEGMENT_TIMINGS:
+        fast = simulate_segment(p0, x_bar, m, duration, PARAMS, sample_rate, 1000.0)
+        ref = reference_segment(p0, x_bar, m, duration, PARAMS, sample_rate, 1000.0)
+        assert fast[0].tobytes() == ref[0].tobytes()
+        assert fast[1].tobytes() == ref[1].tobytes()
+        assert fast[2] == ref[2]
 
 
 def test_segment_stops_calling_the_kernel_at_its_fixed_point(kernel_calls):
