@@ -13,7 +13,7 @@ import json
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Optional
 
 from .control import PidGains, SmcGains, SupervisorConfig
 from .experiment import Reference, TimingConfig, control_tick_times, metric_windows, run_duration
@@ -114,6 +114,11 @@ class ScenarioConfig:
 
 CONTROLLER_NAMES = ("pid", "dm-smc", "nmpc", "mi-nmpc")
 
+# JSON key -> dataclass field of the plant section (but its conductances).
+_PLANT_KEYS = {
+    "p_pos_pa": "p_pos", "p_neg_pa": "p_neg", "p_atm_pa": "p_atm", "b": "b", "rho_ref_kg_m3": "rho_ref",
+    "t_ref_k": "t_ref", "t_gas_k": "t_gas", "gamma": "gamma", "r_gas_j_kgk": "r_gas", "volume_m3": "volume",
+}
 # JSON key -> field of the sections whose defaults are their dataclass's
 # defaults, in printed order.
 _LOAD_KEYS = {"kind": "kind", "v0_m3": "v0", "k_v_m3_pa": "k_v", "v_min_m3": "v_min", "v_max_m3": "v_max"}
@@ -233,12 +238,17 @@ def _number(value: Any, where: str) -> float:
     raise ConfigError(f"{where} must be a finite number, got {value!r}")
 
 
-def _make(cls: Any, where: str, **kwargs: Any) -> Any:
-    """``cls(**kwargs)``, its own range checks reported as config errors."""
+def _make(cls: Any, where: str, keys: Optional[dict[str, str]] = None, **kwargs: Any) -> Any:
+    """``cls(**kwargs)``, its own range checks reported as config errors.
+
+    An error that opens with a field of ``keys`` (JSON key -> field) names its key.
+    """
     try:
         return cls(**kwargs)
     except ValueError as exc:
-        raise ConfigError(f"invalid {where}: {exc}") from exc
+        field = str(exc).partition(" ")[0]
+        key = next((f".{k}" for k, f in (keys or {}).items() if f == field), "")
+        raise ConfigError(f"invalid {where}{key}: {exc}") from exc
 
 
 def _numbers(section: dict, where: str) -> dict[str, float]:
@@ -258,27 +268,15 @@ def _section(cls: Any, section: dict, keys: dict[str, str], where: str) -> Any:
             kwargs[field] = _strict_int(value, f"{where}.{key}")
         else:
             kwargs[field] = _number(value, f"{where}.{key}")
-    return _make(cls, where, **kwargs)
+    return _make(cls, where, keys, **kwargs)
 
 
 def _plant(p: dict) -> PlantParams:
     n = _numbers({k: v for k, v in p.items() if k != "conductances"}, "config.plant")
     conductances = _make(Conductances, "config.plant.conductances",
                          **_numbers(p["conductances"], "config.plant.conductances"))
-    return _make(
-        PlantParams, "config.plant",
-        p_pos=n["p_pos_pa"],
-        p_neg=n["p_neg_pa"],
-        p_atm=n["p_atm_pa"],
-        b=n["b"],
-        rho_ref=n["rho_ref_kg_m3"],
-        t_ref=n["t_ref_k"],
-        t_gas=n["t_gas_k"],
-        gamma=n["gamma"],
-        r_gas=n["r_gas_j_kgk"],
-        volume=n["volume_m3"],
-        conductances=conductances,
-    )
+    fields = {field: n[key] for key, field in _PLANT_KEYS.items()}
+    return _make(PlantParams, "config.plant", _PLANT_KEYS, conductances=conductances, **fields)
 
 
 def _maps(maps: dict) -> tuple[SpoolMap, SpoolMap]:
@@ -317,11 +315,7 @@ def _reference(r: dict) -> Reference:
     if r["kind"] == "multi-step":
         return _make(Reference.multi_step, where, stages=stages)
     if r["kind"] == "sinusoid":
-        try:
-            return Reference.sinusoid(**sine)
-        except ValueError as exc:   # a cycle count that overflows the duration is named first
-            key = ".cycles" if str(exc).startswith("cycles ") else ""
-            raise ConfigError(f"invalid {where}{key}: {exc}") from exc
+        return _make(Reference.sinusoid, where, {key: key for key in sine}, **sine)
     raise ConfigError(f"unknown reference kind {r['kind']!r} in {where}.kind")
 
 

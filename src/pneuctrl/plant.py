@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
+from string import Template
+from textwrap import indent
 from typing import Callable, NamedTuple, Optional
 
 
@@ -45,7 +47,10 @@ class Conductances:
 
     def __post_init__(self) -> None:
         for name in ("c_po", "c_on", "c_oa", "c_ao"):
-            if not getattr(self, name) > 0.0:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
+            if not value > 0.0:
                 raise ValueError(f"conductance {name} must be positive")
 
 
@@ -66,6 +71,9 @@ class PlantParams:
     conductances: Conductances
 
     def __post_init__(self) -> None:
+        for name in ("p_pos", "p_neg", "p_atm", "b", "rho_ref", "t_ref", "t_gas", "gamma", "r_gas", "volume"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not (0.0 < self.p_neg < self.p_atm < self.p_pos):
             raise ValueError("pressures must satisfy 0 < p_neg < p_atm < p_pos")
         if not (0.0 < self.b < 1.0):
@@ -121,6 +129,9 @@ class LoadModel:
     v_max: float = 2.5e-5
 
     def __post_init__(self) -> None:
+        for name in ("v0", "k_v", "v_min", "v_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.kind not in ("fixed", "affine-bellow"):
             raise ValueError(f"unknown load kind {self.kind!r}")
         if self.kind == "affine-bellow" and not (0.0 <= self.v_min < self.v_max):
@@ -263,28 +274,108 @@ HeldStep = Callable[[float, float], float]
 # The held step of (x_bar, inflation).
 Hold = Callable[[float, bool], HeldStep]
 
+# Source of the held step: ``make(channel constants)(c_main, c_out, c_in)`` is
+# the step, and $stages is four inlined ``pressure_rate`` evaluations.
+_STEP = Template("""\
+def make(p_neg, p_pos, p_atm, b, one_minus_b, energy, energy_per_volume, v0, k_v, v_min, v_max, sqrt, isfinite):
+    def bind(c_main, c_out, c_in):
+        def step(p, dt):
+            if dt <= 0.0:
+                raise ValueError("dt must be positive")
+            half = 0.5 * dt
+$stages
+            p_new = p + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not isfinite(p_new):
+                raise ArithmeticError(f"integration diverged from p={p!r} Pa over dt={dt!r} s")
+            if p_new < p_neg:
+                return p_neg
+            if p_new > p_pos:
+                return p_pos
+            return p_new
+        return step
+    return bind
+""")
+# $k = rate($q): clamp, NaN check, volume, leak, main, combine.
+_RATE = Template("""\
+q = $q
+if q < p_neg:
+    q = p_neg
+elif q > p_pos:
+    q = p_pos
+elif q != q:
+    raise ValueError(f"outlet pressure {q!r} Pa outside [{p_neg}, {p_pos}]")
+$volume$leak$main$k = $scale * $flow
+""")
+_BELLOW = """\
+v = v0 + k_v * (q - p_atm)
+if v < v_min:
+    v = v_min
+elif v > v_max:
+    v = v_max
+scale = energy / v
+"""
+# s = shape_factor(r, b), with 1.0 - b hoisted.
+_SHAPE = """\
+if r <= b:
+    s = 1.0
+elif r >= 1.0:
+    s = 0.0
+else:
+    z = (r - b) / one_minus_b
+    arg = 1.0 - z * z
+    s = 0.0 if arg <= 0.0 else sqrt(arg)
+"""
+_LEAK = f"""\
+if q >= p_atm:
+    r = p_atm / q
+{indent(_SHAPE, "    ")}    leak = c_out * q * s
+else:
+    r = q / p_atm
+{indent(_SHAPE, "    ")}    leak = c_in * s
+"""
+_MAIN = {True: f"r = q / p_pos\n{_SHAPE}main = c_main * s\n",
+         False: f"r = p_neg / q\n{_SHAPE}main = c_main * q * s\n"}
+# The compiled ``make`` of each (bellow, inflation, main_on, leak_on), built on first use.
+_VARIANTS: dict = {}
+
+
+def _variant(bellow: bool, inflation: bool, main_on: bool, leak_on: bool) -> Callable:
+    """The held-step maker of one variant; its body tests none of the four flags."""
+    key = (bellow, inflation, main_on, leak_on)
+    if key not in _VARIANTS:
+        branches = "main+leak" if main_on and leak_on else "main" if main_on else "leak"
+        stages = "".join(_RATE.substitute(
+            q=q, k=k, volume=_BELLOW if bellow else "", scale="scale" if bellow else "energy_per_volume",
+            leak=_LEAK if leak_on else "", main=_MAIN[inflation] if main_on else "",
+            flow="(main + leak)" if main_on and leak_on else branches,
+        ) for q, k in (("p", "k1"), ("p + half * k1", "k2"), ("p + half * k2", "k3"), ("p + dt * k3", "k4")))
+        name = f"{'bellow' if bellow else 'fixed'}, {'inflation' if inflation else 'deflation'}, {branches}"
+        source = _STEP.substitute(stages=indent(stages, " " * 12))
+        namespace: dict = {}
+        exec(compile(source, f"<pneuctrl.plant held step: {name}>", "exec"), namespace)
+        _VARIANTS[key] = namespace["make"]
+    return _VARIANTS[key]
+
 
 def _build_hold(params: PlantParams, load: Optional[LoadModel]) -> Hold:
-    """Fuse ``pressure_rate`` into one RK4 step per held input, every constant hoisted.
+    """``pressure_rate`` inlined into one RK4 step per held input, every constant hoisted.
 
     Each expression keeps the association order of ``net_outlet_flow`` and
-    ``pressure_rate``, and :func:`shape_factor` is inlined with ``1.0 - b``
-    hoisted, so a held step is bit-identical to four rate evaluations
-    combined by the classic RK4 weights.  A branch whose coefficient is zero
-    (the main branch at ``x_bar`` of 0, the leak at 1) is skipped: its term
-    is a signed zero, which leaves a nonzero sum unchanged, and a zero rate
-    of either sign leaves every stage pressure ``p > 0`` as it is.
+    ``pressure_rate``, so a held step is bit-identical to four rate
+    evaluations combined by the classic RK4 weights.  The load kind, the mode
+    and the branches taken select the variant.  A branch with a zero
+    coefficient (main at ``x_bar`` 0, leak at 1) is left out: its signed-zero
+    term leaves a nonzero sum unchanged, and a zero rate leaves ``p > 0`` as is.
     """
-    p_neg, p_pos, p_atm, b = params.p_neg, params.p_pos, params.p_atm, params.b
-    one_minus_b = 1.0 - b
+    load = LoadModel.fixed(params.volume) if load is None else load
+    bellow = load.kind == "affine-bellow"
+    channel = (
+        params.p_neg, params.p_pos, params.p_atm, params.b, 1.0 - params.b,
+        params.gas_energy, params.gas_energy / load.v0,
+        load.v0, load.k_v, load.v_min, load.v_max, math.sqrt, math.isfinite,
+    )
     k_po, k_on, k_oa, k_ao = params._k_po, params._k_on, params._k_oa, params._k_ao
-    energy = params.gas_energy
-    bellow = load is not None and load.kind == "affine-bellow"
-    if bellow:
-        v0, k_v, v_min, v_max = load.v0, load.k_v, load.v_min, load.v_max
-    else:
-        energy_per_volume = energy / (params.volume if load is None else load.v0)
-    sqrt, isfinite = math.sqrt, math.isfinite
+    binds: dict = {}   # (inflation, main_on, leak_on) -> its variant's make(*channel)
 
     def hold(x_bar: float, inflation: bool) -> HeldStep:
         if not (-1e-12 <= x_bar <= 1.0 + 1e-12):
@@ -294,98 +385,16 @@ def _build_hold(params: PlantParams, load: Optional[LoadModel]) -> Hold:
         c_in = (1.0 - x_bar) * k_ao
         main_on = c_main != 0.0
         leak_on = not main_on or c_out != 0.0 or c_in != 0.0
-
-        def rate(p: float) -> float:
-            if p < p_neg:
-                p = p_neg
-            elif p > p_pos:
-                p = p_pos
-            elif p != p:
-                raise ValueError(f"outlet pressure {p!r} Pa outside [{p_neg}, {p_pos}]")
-            if bellow:
-                v = v0 + k_v * (p - p_atm)
-                if v < v_min:
-                    v = v_min
-                elif v > v_max:
-                    v = v_max
-                scale = energy / v
-            else:
-                scale = energy_per_volume
-            if leak_on:
-                if p >= p_atm:
-                    r = p_atm / p
-                    if r <= b:
-                        s = 1.0
-                    elif r >= 1.0:
-                        s = 0.0
-                    else:
-                        z = (r - b) / one_minus_b
-                        arg = 1.0 - z * z
-                        s = 0.0 if arg <= 0.0 else sqrt(arg)
-                    leak = c_out * p * s
-                else:
-                    r = p / p_atm
-                    if r <= b:
-                        s = 1.0
-                    elif r >= 1.0:
-                        s = 0.0
-                    else:
-                        z = (r - b) / one_minus_b
-                        arg = 1.0 - z * z
-                        s = 0.0 if arg <= 0.0 else sqrt(arg)
-                    leak = c_in * s
-                if not main_on:
-                    return scale * leak
-            if inflation:
-                r = p / p_pos
-                if r <= b:
-                    s = 1.0
-                elif r >= 1.0:
-                    s = 0.0
-                else:
-                    z = (r - b) / one_minus_b
-                    arg = 1.0 - z * z
-                    s = 0.0 if arg <= 0.0 else sqrt(arg)
-                main = c_main * s
-            else:
-                r = p_neg / p
-                if r <= b:
-                    s = 1.0
-                elif r >= 1.0:
-                    s = 0.0
-                else:
-                    z = (r - b) / one_minus_b
-                    arg = 1.0 - z * z
-                    s = 0.0 if arg <= 0.0 else sqrt(arg)
-                main = c_main * p * s
-            if leak_on:
-                return scale * (main + leak)
-            return scale * main
-
-        def step(p: float, dt: float) -> float:
-            if dt <= 0.0:
-                raise ValueError("dt must be positive")
-            half = 0.5 * dt
-            k1 = rate(p)
-            k2 = rate(p + half * k1)
-            k3 = rate(p + half * k2)
-            k4 = rate(p + dt * k3)
-            p_new = p + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not isfinite(p_new):
-                raise ArithmeticError(f"integration diverged from p={p!r} Pa over dt={dt!r} s")
-            if p_new < p_neg:
-                return p_neg
-            if p_new > p_pos:
-                return p_pos
-            return p_new
-
-        return step
+        key = (inflation, main_on, leak_on)
+        if key not in binds:
+            binds[key] = _variant(bellow, bool(inflation), main_on, leak_on)(*channel)
+        return binds[key](c_main, c_out, c_in)
 
     return hold
 
 
 def rk4_hold(params: PlantParams, load: Optional[LoadModel] = None) -> Hold:
-    """The fused RK4 step of one channel, specialised per held input.
+    """The generated RK4 step of one channel, specialised per held input.
 
     ``rk4_hold(params, load)(x_bar, inflation)`` checks the spool fraction
     and returns ``step(p, dt) -> p_next``.  Built once per load and cached on

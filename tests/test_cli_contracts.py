@@ -279,6 +279,24 @@ def test_wrong_typed_synthesis_entry_exits_2(tmp_path, capsys, overrides, where)
     assert where in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, overrides, key, message",
+    [
+        ("run", {"timing": {"noise_sigma_pa": -1}}, "config.timing.noise_sigma_pa", "noise_sigma must be non-negative"),
+        ("run", {"load": {"v0_m3": -1}}, "config.load.v0_m3", "v0 must be positive"),
+        ("run", {"mpc": {"dt_pred_s": 0}}, "config.mpc.dt_pred_s", "dt_pred must be positive"),
+        ("run", {"plant": {"volume_m3": -1}}, "config.plant.volume_m3", "volume must be positive"),
+        ("synthesize", {"synthesis": {"rise_s": -1}}, "config.synthesis.rise_s", "rise_duration must be positive"),
+    ],
+    ids=["timing", "load", "mpc", "plant", "synthesis"],
+)
+def test_range_error_names_the_json_key(tmp_path, capsys, command, overrides, key, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(overrides))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"invalid {key}: {message}" in capsys.readouterr().err
+
+
 def test_traces_ending_in_a_blank_line_identify_the_same(tmp_path):
     synth = tmp_path / "synth.json"
     short = {"rise_s": 0.6, "decay_s": 0.4, "full_open_s": 0.6, "full_decay_s": 1.5}

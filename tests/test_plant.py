@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -239,6 +240,13 @@ class TestLoadModel:
         with pytest.raises(ValueError):
             LoadModel.affine_bellow(v0=1e-5, k_v=1e-11, v_min=2e-5, v_max=1e-5)
 
+    @pytest.mark.parametrize("kind", ["fixed", "affine-bellow"])
+    @pytest.mark.parametrize("name", ["v0", "k_v", "v_min", "v_max"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_is_rejected_by_name(self, kind, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            LoadModel(kind=kind, **{name: value})
+
 
 class TestParamValidation:
     def test_pressure_ordering_enforced(self, params):
@@ -252,3 +260,17 @@ class TestParamValidation:
     def test_conductances_must_be_positive(self):
         with pytest.raises(ValueError):
             Conductances(c_po=0.0, c_on=1e-10, c_oa=1e-12, c_ao=1e-12)
+
+    @pytest.mark.parametrize(
+        "name", ["p_pos", "p_neg", "p_atm", "b", "rho_ref", "t_ref", "t_gas", "gamma", "r_gas", "volume"],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_plant_value_is_rejected_by_name(self, params, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            replace(params, **{name: value})
+
+    @pytest.mark.parametrize("name", ["c_po", "c_on", "c_oa", "c_ao"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_conductance_is_rejected_by_name(self, params, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            replace(params.conductances, **{name: value})
