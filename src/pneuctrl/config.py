@@ -10,6 +10,7 @@ key named.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -241,14 +242,24 @@ def _number(value: Any, where: str) -> float:
 def _make(cls: Any, where: str, keys: Optional[dict[str, str]] = None, **kwargs: Any) -> Any:
     """``cls(**kwargs)``, its own range checks reported as config errors.
 
-    An error that opens with a field of ``keys`` (JSON key -> field) names its key.
+    ``keys`` maps JSON keys to fields (by default each keyword names itself).
+    An error that opens with a field, or names just one, names its key; one
+    that names several, a check across entries, names the section and writes
+    each field as its key.
     """
     try:
         return cls(**kwargs)
     except ValueError as exc:
-        field = str(exc).partition(" ")[0]
-        key = next((f".{k}" for k, f in (keys or {}).items() if f == field), "")
-        raise ConfigError(f"invalid {where}{key}: {exc}") from exc
+        msg = str(exc)
+        keys = {k: k for k in kwargs} if keys is None else keys
+        first = msg.partition(" ")[0]
+        named = [k for k, f in keys.items() if f == first]
+        named = named or [k for k, f in keys.items() if re.search(rf"\b{f}\b", msg)]
+        if len(named) == 1:
+            raise ConfigError(f"invalid {where}.{named[0]}: {msg}") from exc
+        for key in named:
+            msg = re.sub(rf"\b{keys[key]}\b", key, msg)
+        raise ConfigError(f"invalid {where}: {msg}") from exc
 
 
 def _numbers(section: dict, where: str) -> dict[str, float]:

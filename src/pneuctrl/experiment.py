@@ -72,9 +72,9 @@ class Reference:
             object.__setattr__(self, "_ends", tuple(ends))
         elif self.kind == "sinusoid":
             if self.frequency_hz <= 0.0:
-                raise ValueError("sinusoid frequency must be positive")
+                raise ValueError("frequency_hz must be positive")
             if self.cycles < 1:
-                raise ValueError("sinusoid needs at least one cycle")
+                raise ValueError("cycles must be at least 1")
         else:
             raise ValueError(f"unknown reference kind {self.kind!r}")
         try:

@@ -62,8 +62,9 @@ class MpcConfig:
             raise ValueError("horizon_steps must be >= 1")
         if self.dt_pred <= 0.0:
             raise ValueError("dt_pred must be positive")
-        if min(self.w_e, self.w_u, self.w_sw) < 0.0:
-            raise ValueError("cost weights must be non-negative")
+        for name in ("w_e", "w_u", "w_sw"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be non-negative")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.max_switches < 0:

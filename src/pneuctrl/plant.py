@@ -82,8 +82,9 @@ class PlantParams:
             raise ValueError("volume must be positive")
         if not self.gamma > 1.0:
             raise ValueError("gamma must exceed 1")
-        if self.rho_ref <= 0.0 or self.t_ref <= 0.0 or self.t_gas <= 0.0 or self.r_gas <= 0.0:
-            raise ValueError("gas properties must be positive")
+        for name in ("rho_ref", "t_ref", "t_gas", "r_gas"):
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be positive")
         # Cached products used in the flow hot path; _rate_scale is gas_energy / volume.
         temp_corr = math.sqrt(self.t_ref / self.t_gas)
         c = self.conductances

@@ -125,6 +125,8 @@ def simulate_at_samples(
     p = p0
     if meas is not None:
         ms = np.asarray(meas, dtype=float).tolist()
+        if len(ms) != len(t):
+            raise ValueError(f"meas has {len(ms)} samples but t has {len(t)}")
         limit = stop_above * (1.0 + 1e-9 + len(ms) * 2.0 ** -51)
         d = p0 - ms[0]
         sse = d * d
@@ -366,14 +368,14 @@ TRACE_COLUMNS = ("t_s", "p_pa", "u1_pct", "u2_pct", "kind")
 
 
 def write_trace_csv(trace: StepTrace, path: str | Path) -> None:
-    u1, u2 = f"{trace.u1:.1f}", f"{trace.u2:.1f}"
+    """One row per sample: ``%.6f`` time and pressure, ``%.1f`` duties, CRLF line ends.
+
+    These are the bytes ``csv.writer`` writes: no field needs quoting.
+    """
+    tail = f",{trace.u1:.1f},{trace.u2:.1f},{trace.kind}\r\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        writer.writerows(
-            [f"{t:.6f}", f"{p:.6f}", u1, u2, trace.kind]
-            for t, p in zip(trace.t.tolist(), trace.p.tolist())
-        )
+        fh.write(",".join(TRACE_COLUMNS) + "\r\n")
+        fh.write("".join([f"{t:.6f},{p:.6f}{tail}" for t, p in zip(trace.t.tolist(), trace.p.tolist())]))
 
 
 def read_trace_csv(path: str | Path) -> StepTrace:
@@ -384,6 +386,39 @@ def read_trace_csv(path: str | Path) -> StepTrace:
 
 
 def _read_trace_csv(path: str | Path) -> StepTrace:
+    try:
+        ts, ps, u1s, u2s, kinds = _read_columns(path)
+    except (ValueError, csv.Error):
+        ts, ps, u1s, u2s, kinds = _scan_rows(path)
+    if len(set(u1s)) != 1 or len(set(u2s)) != 1 or len(set(kinds)) != 1:
+        raise TraceDataError(f"{path}: inputs must be constant within a segment")
+    try:
+        return StepTrace(t=np.asarray(ts), p=np.asarray(ps), u1=u1s[0], u2=u2s[0], kind=kinds[0])
+    except ValueError as exc:
+        raise TraceDataError(f"{path}: {exc}") from exc
+
+
+def _read_columns(path: str | Path) -> tuple[list, list, list, list, tuple]:
+    """The trace's columns, parsed one column at a time; raises ValueError on any fault.
+
+    The columns are those ``_scan_rows`` returns for a file it accepts.  A file
+    it would reject is read again by ``_scan_rows``, which names the fault.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        rows = list(filter(None, reader))    # blank lines read as empty rows
+    if header is None or tuple(header) != TRACE_COLUMNS or set(map(len, rows)) != {5}:
+        raise ValueError("not a well-formed trace")
+    t, p, u1, u2, kinds = zip(*rows)
+    ts, ps, u1s, u2s = (list(map(float, col)) for col in (t, p, u1, u2))
+    if not np.isfinite([ts, ps, u1s, u2s]).all():
+        raise ValueError("non-finite value")
+    return ts, ps, u1s, u2s, kinds
+
+
+def _scan_rows(path: str | Path) -> tuple[list, list, list, list, list]:
+    """The trace's columns, checked row by row: its faults name the first bad line."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -408,12 +443,7 @@ def _read_trace_csv(path: str | Path) -> StepTrace:
             kinds.append(row[4])
     if not ts:
         raise TraceDataError(f"{path}: empty trace")
-    if len(set(u1s)) != 1 or len(set(u2s)) != 1 or len(set(kinds)) != 1:
-        raise TraceDataError(f"{path}: inputs must be constant within a segment")
-    try:
-        return StepTrace(t=np.asarray(ts), p=np.asarray(ps), u1=u1s[0], u2=u2s[0], kind=kinds[0])
-    except ValueError as exc:
-        raise TraceDataError(f"{path}: {exc}") from exc
+    return ts, ps, u1s, u2s, kinds
 
 
 def sweep_duties() -> list[float]:

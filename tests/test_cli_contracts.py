@@ -287,8 +287,22 @@ def test_wrong_typed_synthesis_entry_exits_2(tmp_path, capsys, overrides, where)
         ("run", {"mpc": {"dt_pred_s": 0}}, "config.mpc.dt_pred_s", "dt_pred must be positive"),
         ("run", {"plant": {"volume_m3": -1}}, "config.plant.volume_m3", "volume must be positive"),
         ("synthesize", {"synthesis": {"rise_s": -1}}, "config.synthesis.rise_s", "rise_duration must be positive"),
+        ("run", {"mpc": {"w_u": -1}}, "config.mpc.w_u", "w_u must be non-negative"),
+        ("run", {"plant": {"conductances": {"c_po": -1}}}, "config.plant.conductances.c_po",
+         "conductance c_po must be positive"),
+        ("run", {"plant": {"t_gas_k": 0}}, "config.plant.t_gas_k", "t_gas must be positive"),
+        ("run", {"reference": {"kind": "sinusoid", "frequency_hz": 0}}, "config.reference.frequency_hz",
+         "frequency_hz must be positive"),
+        # A check across several entries names the section and writes each entry as its key.
+        ("run", {"timing": {"control_rate_hz": 0.5}}, "config.timing",
+         "rates must satisfy sim_substep_hz >= control_rate_hz >= 1"),
+        ("synthesize", {"synthesis": {"sample_rate_hz": 2000}}, "config.synthesis",
+         "rates must satisfy sim_substep_hz >= sample_rate_hz > 0"),
+        ("run", {"plant": {"p_neg_pa": 2.0e5}}, "config.plant",
+         "pressures must satisfy 0 < p_neg_pa < p_atm_pa < p_pos_pa"),
     ],
-    ids=["timing", "load", "mpc", "plant", "synthesis"],
+    ids=["timing", "load", "mpc", "plant", "synthesis", "mpc-weight", "conductance", "gas", "sinusoid",
+         "timing-rates", "synthesis-rates", "plant-pressures"],
 )
 def test_range_error_names_the_json_key(tmp_path, capsys, command, overrides, key, message):
     path = tmp_path / "config.json"

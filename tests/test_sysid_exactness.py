@@ -192,6 +192,15 @@ def test_non_finite_sum_never_stops_a_prediction(protocol_traces, bad):
     assert len(pred) == len(trace.t)
 
 
+@pytest.mark.parametrize("extra", [-1, 1], ids=["shorter", "longer"])
+def test_measurements_of_another_length_are_rejected(protocol_traces, extra):
+    trace = protocol_traces[0]
+    n = len(trace.t)
+    meas = np.resize(trace.p, n + extra)
+    with pytest.raises(ValueError, match=f"meas has {n + extra} samples but t has {n}"):
+        simulate_at_samples(float(trace.p[0]), trace.t, 0.5, trace.mode, PARAMS, meas=meas)
+
+
 def running_min_pruned(f):
     """``f`` returning inf whenever its value exceeds the lowest value returned so far."""
     best = math.inf
