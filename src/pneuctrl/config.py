@@ -10,6 +10,7 @@ key named.
 from __future__ import annotations
 
 import json
+import math
 import re
 import sys
 from dataclasses import asdict, dataclass
@@ -416,6 +417,17 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
     # Metrics need two control ticks, and one in every window they score.
     reference, timing = sc.reference, sc.timing
     run_s = run_duration(reference, timing)
+    if not math.isfinite(run_s * timing.sim_substep):
+        if timing.duration is not None and timing.duration <= reference.duration:
+            where = "config.timing.duration_s"
+        elif reference.kind == "multi-step":
+            where = "config.reference.stages"
+        else:
+            where = "config.reference.cycles / config.reference.frequency_hz"
+        raise ConfigError(
+            f"{where}: a run of {run_s!r} s has more substeps at config.timing.sim_substep_hz "
+            f"{timing.sim_substep!r} Hz than a float can count"
+        )
     ticks = control_tick_times(run_s, timing)
     if len(ticks) < 2:
         raise ConfigError(

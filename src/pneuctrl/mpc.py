@@ -136,23 +136,41 @@ def rollout_cost(
 
 
 class StepTable(dict):
-    """The memo ``p -> p_next`` of one spool fraction and mode, with its held RK4 step."""
+    """The memo ``p -> p_next`` of one spool fraction and mode, with its held RK4 step.
 
-    __slots__ = ("step",)
+    ``key`` is the table's key in its :data:`StepTables`.
+    """
+
+    __slots__ = ("step", "key")
     step: plant_mod.HeldStep
+    key: tuple[float, Optional[bool]]
 
 
-# The MPC solves' RK4 step memo: one table per spool fraction and mode,
-# keyed ``(x_bar, inflation)``; see _descend.
-StepTables = dict[tuple[float, bool], StepTable]
+# The MPC solves' RK4 step memo: one table per spool fraction and mode, keyed
+# ``(x_bar, inflation)``, and one closed-valve table keyed ``(0.0, None)``;
+# see _step_table.
+StepTables = dict[tuple[float, Optional[bool]], StepTable]
+# The MPC solves' line-search memo: golden_section's ``(v, c, evals)`` of one
+# coordinate search, keyed by everything the search reads; see _descend.
+Searches = dict[tuple, tuple[float, float, int]]
 
 
 def _step_table(steps: StepTables, hold: plant_mod.Hold, x_bar: float, inflation: bool) -> StepTable:
-    """The table of one spool fraction and mode in the memo ``steps``, holding its step from ``hold``."""
-    table = steps.get((x_bar, inflation))
+    """The table of one spool fraction and mode in the memo ``steps``, holding its step from ``hold``.
+
+    Both modes share the closed-valve table, ``x_bar == 0``.  There the main
+    coefficient is a signed zero, so :func:`plant.rk4_hold` leaves the main
+    branch out, and the leak coefficients do not depend on the mode: both
+    held steps return the same ``p_next`` for every ``p`` and ``dt``.  Its
+    stage cost ``w_u * x_bar**2`` is 0 in both modes.  ``0.0`` and ``-0.0``
+    share it too.
+    """
+    key = (x_bar, inflation) if x_bar != 0.0 else (0.0, None)
+    table = steps.get(key)
     if table is None:
-        table = steps[x_bar, inflation] = StepTable()
+        table = steps[key] = StepTable()
         table.step = hold(x_bar, inflation)
+        table.key = key
     return table
 
 
@@ -166,6 +184,7 @@ def _descend(
     load: Optional[LoadModel],
     u_init: Optional[Sequence[float]],
     steps: Optional[StepTables] = None,
+    searches: Optional[Searches] = None,
 ) -> tuple[list[float], float, int, bool, list[float]]:
     """Projected coordinate descent over the duty sequence for a fixed mode sequence.
 
@@ -178,17 +197,29 @@ def _descend(
     changed since its last one: the cost along the line would be the same
     function, so the search would repeat exactly and find no improvement.
 
-    ``steps`` memoizes RK4 steps, one table ``p -> p_next`` per
-    ``(x_bar, inflation)``, which carries the held step
+    ``steps`` memoizes RK4 steps, one table ``p -> p_next`` per spool
+    fraction and mode (:func:`_step_table`; both modes share the
+    closed-valve table), which carries the held step
     (:func:`plant.rk4_hold`) its misses call; each horizon step holds the
     table of its current spool fraction, so a step costs one float-keyed
     lookup.  The default is a fresh memo for this descent alone.  The keys
     leave out ``dt``, ``params`` and ``load``, so one memo may serve only
     descents that share all three, such as those of one solve.  It holds
     only results the checked step returned, so a hit returns what the step
-    would.  ``0.0`` and ``-0.0`` share a table: they differ only in the
-    sign of a zero main-branch coefficient, a branch the held step skips,
-    so both give the same ``p_next`` and the same stage cost.
+    would.
+
+    ``searches`` memoizes whole line searches; the default, ``None``, keeps
+    none.  The search on ``u[k]`` reads ``k``; the mode at ``k``, which
+    fixes its spool map, duty bounds and step tables; the pressure and
+    running cost before step ``k``; the switch cost; the tables of steps
+    ``k+1..N-1``, whose keys fix their spool fractions and so their stage
+    costs; and ``ref_seq``, ``cfg``, ``params``, ``maps`` and ``load``.
+    It is keyed by all but the last five, so one memo may serve only
+    descents that share those, such as those of one solve, and a hit
+    returns the ``(v, c, evals)`` that :func:`golden_section` would.  The
+    search also starts knowing the cost at the current ``x[k]``, but that
+    cost is ``tail(k)`` of the current spool fractions bit for bit: it
+    saves an evaluation and changes no cost the search meets.
     """
     n = cfg.horizon_steps
     if steps is None:
@@ -245,21 +276,28 @@ def _descend(
         for k in range(n):
             if searched[k] == changes:
                 continue
-            # The current cost is tail(k) of the current x, bit for bit.
-            seen = {x[k]: cost}
+            key = None if searches is None else (
+                k, inflating[k], p_before[k], c_before[k], switch_cost, *[t.key for t in tables[k + 1:]])
+            found = None if key is None else searches.get(key)
+            if found is None:
+                # The current cost is tail(k) of the current x, bit for bit.
+                seen = {x[k]: cost}
 
-            def line(v: float, k: int = k, seen: dict[float, float] = seen) -> float:
-                x_new = eval_spool(v, spool_maps[k])
-                c = seen.get(x_new)
-                if c is None:
-                    saved = x[k], tables[k]
-                    x[k] = x_new
-                    tables[k] = _step_table(steps, hold, x_new, inflating[k])
-                    c = seen[x_new] = tail(k, False)
-                    x[k], tables[k] = saved
-                return c
+                def line(v: float, k: int = k, seen: dict[float, float] = seen) -> float:
+                    x_new = eval_spool(v, spool_maps[k])
+                    c = seen.get(x_new)
+                    if c is None:
+                        saved = x[k], tables[k]
+                        x[k] = x_new
+                        tables[k] = _step_table(steps, hold, x_new, inflating[k])
+                        c = seen[x_new] = tail(k, False)
+                        x[k], tables[k] = saved
+                    return c
 
-            v_best, c_best, _ = golden_section(line, bounds[k][0], bounds[k][1], tol=cfg.line_tol)
+                found = golden_section(line, bounds[k][0], bounds[k][1], tol=cfg.line_tol)
+                if key is not None:
+                    searches[key] = found
+            v_best, c_best, _ = found
             if c_best < cost - 1e-15:
                 u[k] = v_best
                 x[k] = eval_spool(v_best, spool_maps[k])
@@ -522,11 +560,19 @@ def minmpc_solve(
     in that order would, whatever order the descents ran in.  The
     solution's ``iterations``, ``hit_iter_cap`` and ``descended`` count the
     descended sequences only.
+
+    The bounds and all descents share one step memo, and the descents one
+    line-search memo (see :func:`_descend`).  Each keys everything its
+    entries depend on within a solve, so a hit returns what a fresh step or
+    search would: the solution is that of descents with fresh memos, bit
+    for bit, and only the work falls.
     """
     t0 = time.perf_counter()
     seqs = list(mode_sequences(cfg.horizon_steps, cfg.max_switches))
-    # RK4 steps shared by the bounds and every descent of this solve; see _descend.
+    # RK4 steps shared by the bounds and every descent of this solve, and line
+    # searches shared by its descents; see _descend.
     steps: StepTables = {}
+    searches: Searches = {}
     best = None   # (key, duties, cost trace) of the winner so far
     total_sweeps = 0
     any_cap = False
@@ -537,7 +583,7 @@ def minmpc_solve(
 
     for _, i in _bound_walk(p0, ref_seq, seqs, cfg, params, maps, load, steps, cutoff):
         u, cost, sweeps, hit_cap, trace = _descend(
-            p0, ref_seq, seqs[i], cfg, params, maps, load, None, steps,
+            p0, ref_seq, seqs[i], cfg, params, maps, load, None, steps, searches,
         )
         descended += 1
         total_sweeps += sweeps

@@ -264,14 +264,18 @@ def fit_spool_segments(traces: Iterable[StepTrace], params: PlantParams) -> list
 def fit_cubic(pairs: Sequence[tuple[float, float]], mode: Mode = Mode.INFLATION) -> SpoolMap:
     """Ordinary least-squares cubic through (duty, spool) calibration pairs.
 
-    Requires at least four distinct duties; the resulting map must pass the
-    monotonicity validation of :class:`SpoolMap` or the calibration fails.
+    Requires finite pairs and at least four distinct duties; the resulting
+    map must pass the monotonicity validation of :class:`SpoolMap` or the
+    calibration fails.
     """
     us = np.asarray([p[0] for p in pairs], dtype=float)
     xs = np.asarray([p[1] for p in pairs], dtype=float)
     if len(us) < 4:
         raise ValueError("need at least 4 calibration pairs")
-    if len(np.unique(us)) < 4:
+    if not (np.isfinite(us).all() and np.isfinite(xs).all()):
+        raise ValueError("calibration pairs must be finite")
+    # A set, not np.unique, whose first call imports numpy.ma.
+    if len(set(us.tolist())) < 4:
         raise ValueError("need at least 4 distinct duty levels")
     design = np.vander(us, 4, increasing=True)
     coeffs, _, rank, _ = np.linalg.lstsq(design, xs, rcond=None)
@@ -511,6 +515,8 @@ class SynthesisConfig:
         for name in ("rise_duration", "decay_duration", "full_open_duration", "full_decay_duration"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
+            if not math.isfinite(getattr(self, name) * self.sim_substep):
+                raise ValueError(f"{name} is too long: its substep count overflows a float")
         if self.noise_sigma < 0.0:
             raise ValueError("noise_sigma must be non-negative")
         if self.seed < 0:

@@ -209,6 +209,25 @@ def test_cycle_count_too_large_for_a_float_exits_2(tmp_path, capsys):
     assert "config.reference.cycles" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, overrides, key",
+    [
+        ("run", {"reference": {"stages": [[0, 1e306]]}}, "config.reference.stages"),
+        ("run", {"reference": {"kind": "sinusoid", "frequency_hz": 1e-300, "cycles": 1000000}},
+         "config.reference.cycles / config.reference.frequency_hz"),
+        ("run", {"timing": {"duration_s": 1e306}, "reference": {"stages": [[0, 1e307]]}},
+         "config.timing.duration_s"),
+        ("synthesize", {"synthesis": {"rise_s": 1e306}}, "config.synthesis.rise_s"),
+    ],
+)
+def test_duration_whose_substep_count_overflows_exits_2(tmp_path, capsys, command, overrides, key):
+    # Finite, but duration * sim_substep_hz is not.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(overrides))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert key in capsys.readouterr().err
+
+
 def test_cut_run_with_an_empty_inner_window_exits_2(tmp_path, capsys):
     path = tmp_path / "scenario.json"
     ref = {"kind": "multi-step", "stages": [[0, 1.0], [50, 0.001], [0, 1.0]]}

@@ -478,3 +478,68 @@ def test_branch_and_bound_matches_full_enumeration(problem, load_name, max_switc
     expected = enumerate_minmpc(p0, refs, cfg, PARAMS, MAPS, load, descend)
     assert solution_fields(minmpc_solve(p0, refs, cfg, PARAMS, MAPS, load)) == expected
     assert expected["descended"] < len(list(mode_sequences(N, max_switches)))
+
+
+def test_both_modes_share_one_closed_valve_step_table():
+    steps, hold = {}, rk4_hold(PARAMS, default_load())
+    closed = mpc_mod._step_table(steps, hold, 0.0, True)
+    assert mpc_mod._step_table(steps, hold, -0.0, False) is closed
+    assert closed.key == (0.0, None)
+    opened = [mpc_mod._step_table(steps, hold, 0.5, inflation) for inflation in (True, False)]
+    assert opened[0] is not opened[1] and all(table is not closed for table in opened)
+    assert [table.key for table in opened] == [(0.5, True), (0.5, False)]
+
+
+def test_solve_reuses_its_descents_searches(monkeypatch):
+    # Against the same solve with a fresh step memo and no search memo for each descent.
+    p0, refs = CROSSING_PROBLEMS["above-to-below"]
+    args = (p0, refs, default_mpc_config(), PARAMS, MAPS, default_load())
+    searches = []
+
+    def counted(*a, **kw):
+        searches.append(a[1:3])
+        return golden_section(*a, **kw)
+
+    monkeypatch.setattr(mpc_mod, "golden_section", counted)
+    shared = solution_fields(minmpc_solve(*args))
+    n_shared = len(searches)
+    searches.clear()
+    descend = mpc_mod._descend
+    monkeypatch.setattr(mpc_mod, "_descend", lambda *a: descend(*a[:8]))
+    assert solution_fields(minmpc_solve(*args)) == shared
+    assert shared["descended"] > 1
+    assert n_shared < len(searches)
+
+
+# Maps whose lowest duty opens the valve: a descent starts with no closed-valve step.
+NO_DEADBAND_MAPS = tuple(replace(m, u_min=30.0) for m in MAPS)
+
+
+@st.composite
+def memo_problems(draw):
+    """A start, a reference window and a config over 1..N steps of up to 20 ms,
+    with no load, the fixed load or a drawn bellow, and maps with or without
+    a deadband at the lowest duty."""
+    n = draw(st.integers(1, N))
+    load = draw(st.sampled_from([None, default_load(), "bellow"]))
+    if load == "bellow":
+        v0 = draw(st.floats(5e-6, 4e-5))
+        load = LoadModel.affine_bellow(
+            v0=v0, k_v=draw(st.floats(0.0, 2e-10)), v_min=1e-6, v_max=v0 * draw(st.floats(1.5, 3.0)))
+    cfg = replace(default_mpc_config(), horizon_steps=n, max_switches=draw(st.integers(0, 2)),
+                  dt_pred=draw(st.floats(1e-4, 0.02)))
+    maps = draw(st.sampled_from([MAPS, NO_DEADBAND_MAPS]))
+    return draw(PRESSURE), draw(st.lists(PRESSURE, min_size=n, max_size=n)), cfg, maps, load
+
+
+@settings(max_examples=100, deadline=None)
+@given(problem=memo_problems())
+def test_minmpc_equals_an_enumeration_with_fresh_memos(problem):
+    # The solve's shared step and search memos change no field of its solution.
+    p0, refs, cfg, maps, load = problem
+
+    def descend(m_seq):
+        return _descend(p0, refs, m_seq, cfg, PARAMS, maps, load, None)
+
+    expected = enumerate_minmpc(p0, refs, cfg, PARAMS, maps, load, descend)
+    assert solution_fields(minmpc_solve(p0, refs, cfg, PARAMS, maps, load)) == expected

@@ -113,3 +113,16 @@ def test_held_step_keeps_the_kernel_checks(load, x_bar):
         step(PARAMS.p_atm, 0.0)
     with pytest.raises(ArithmeticError):
         step(PARAMS.p_atm + 3e4, 1e308)
+
+
+@pytest.mark.parametrize("load", [None, default_load(), default_bellow_load()], ids=["none", "fixed", "bellow"])
+@pytest.mark.parametrize("x_bar", [0.0, -0.0], ids=["0", "-0"])
+def test_closed_valve_step_does_not_depend_on_the_mode(load, x_bar):
+    # The premise of the MPC solvers' one closed-valve step table for both modes.
+    hold = rk4_hold(PARAMS, load)
+    inflation, deflation = hold(x_bar, True), hold(x_bar, False)
+    span = PARAMS.p_pos - PARAMS.p_neg
+    # Both rails, atmosphere and the choke edges, and every 0.5 kPa between the rails.
+    grid = _edges(PARAMS) + [PARAMS.p_neg + span * i / 580 for i in range(581)]
+    for p, dt in product(grid, [1e-4, 2e-4, 5e-4, 1e-3, 2e-3, 5e-3, 0.01, 0.015, 0.02]):
+        assert inflation(p, dt).hex() == deflation(p, dt).hex()

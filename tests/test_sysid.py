@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pneuctrl
 from pneuctrl.config import DEFAULT_DEFLATION_CUBIC, DEFAULT_INFLATION_CUBIC
 from pneuctrl.plant import Conductances, Mode
 from pneuctrl.sysid import (
@@ -186,6 +191,26 @@ class TestFitCubic:
         pairs = [(30.0, 0.3), (30.0, 0.31), (30.0, 0.29), (30.0, 0.3), (30.0, 0.32)]
         with pytest.raises(ValueError):
             fit_cubic(pairs)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_non_finite_pair_rejected(self, bad, column):
+        pairs = [[u, 0.01 * u] for u in (25.0, 45.0, 65.0, 85.0, 95.0)]
+        pairs[2][column] = bad
+        with pytest.raises(ValueError, match="finite"):
+            fit_cubic(pairs)
+
+    def test_leaves_numpy_ma_unimported(self):
+        # np.unique imports numpy.ma on its first call, a cost paid by every sysid process.
+        code = (
+            "import sys\n"
+            "from pneuctrl.sysid import fit_cubic\n"
+            "fit_cubic([(u, 0.01 * u) for u in (25.0, 45.0, 65.0, 85.0, 95.0)])\n"
+            "sys.exit('numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(pneuctrl.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
     def test_non_monotone_fit_signals_calibration_failure(self):
         # downward-opening parabola of duty: rises then falls hard
