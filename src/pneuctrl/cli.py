@@ -16,6 +16,7 @@ from . import config as config_mod
 from . import sysid as sysid_mod
 from .config import ConfigError, ScenarioConfig
 from .experiment import (
+    METRICS,
     DmSmcLoop,
     MinmpcLoop,
     NmpcLoop,
@@ -85,26 +86,13 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-_TABLE_ROWS = (
-    ("e_ss [kPa]", "e_ss", "{:.2f}"),
-    ("AE [kPa]", "ae", "{:.2f}"),
-    ("ITAE [kPa s^2]", "itae", "{:.2f}"),
-    ("PWM-E [% s]", "pwm_e", "{:.2f}"),
-    ("Switches", "switches", "{:.2f}"),
-    ("max|e| [kPa]", "max_abs_e", "{:.2f}"),
-    ("CT [ms]", "ct_ms", "{:.3f}"),
-)
-
-
 def format_compare_table(results: dict[str, dict]) -> str:
     names = list(results)
-    widths = [max(len(r[0]) for r in _TABLE_ROWS)] + [max(len(n), 10) for n in names]
+    widths = [max(len(m.label) for m in METRICS)] + [max(len(n), 10) for n in names]
     lines = ["  ".join(h.rjust(w) for h, w in zip(["Metric"] + names, widths))]
-    for label, key, fmt in _TABLE_ROWS:
-        cells = [label.rjust(widths[0])]
-        for i, name in enumerate(names):
-            cells.append(fmt.format(results[name][key]).rjust(widths[i + 1]))
-        lines.append("  ".join(cells))
+    for m in METRICS:
+        cells = [m.label] + [m.fmt.format(results[name][m.compare_key]) for name in names]
+        lines.append("  ".join(c.rjust(w) for c, w in zip(cells, widths)))
     return "\n".join(lines)
 
 
@@ -125,17 +113,8 @@ def cmd_compare(args) -> int:
     for name in controllers:
         traj, metrics = _run_one(scenario, name)
         write_trajectory_csv(traj, out_dir / f"trajectory_{name}.csv", scenario.plant.p_atm)
-        row = metrics.to_dict()
-        results[name] = {
-            "e_ss": metrics.e_ss,
-            "ae": metrics.ae,
-            "itae": metrics.itae,
-            "pwm_e": metrics.pwm_e,
-            "switches": metrics.switches,
-            "max_abs_e": metrics.max_abs_e,
-            "ct_ms": metrics.ct_mean * 1e3,
-            "per_window": row["per_window"],
-        }
+        results[name] = {m.compare_key: getattr(metrics, m.field) * m.scale for m in METRICS}
+        results[name]["per_window"] = metrics.per_window
     table = format_compare_table(results)
     with open(out_dir / "compare.json", "w", encoding="utf-8") as fh:
         json.dump({"scenario": scenario.name, "seed": scenario.timing.seed, "results": results}, fh, indent=2)
@@ -255,9 +234,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (
-        sysid_mod.TraceDataError, FileNotFoundError, FileExistsError, IsADirectoryError, NotADirectoryError,
-    ) as exc:
+    except (sysid_mod.TraceDataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ArithmeticError as exc:

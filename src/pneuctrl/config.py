@@ -10,7 +10,6 @@ key named.
 from __future__ import annotations
 
 import json
-import math
 import re
 import sys
 from dataclasses import asdict, dataclass
@@ -18,7 +17,7 @@ from pathlib import Path
 from typing import Any, Optional
 
 from .control import PidGains, SmcGains, SupervisorConfig
-from .experiment import Reference, TimingConfig, control_tick_times, metric_windows, run_duration
+from .experiment import MAX_SUBSTEPS, Reference, TimingConfig, control_tick_times, metric_windows, run_duration
 from .mpc import MpcConfig
 from .plant import Conductances, LoadModel, Mode, PlantParams
 from .sysid import SynthesisConfig
@@ -417,7 +416,7 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
     # Metrics need two control ticks, and one in every window they score.
     reference, timing = sc.reference, sc.timing
     run_s = run_duration(reference, timing)
-    if not math.isfinite(run_s * timing.sim_substep):
+    if run_s * timing.sim_substep > MAX_SUBSTEPS:
         if timing.duration is not None and timing.duration <= reference.duration:
             where = "config.timing.duration_s"
         elif reference.kind == "multi-step":
@@ -425,8 +424,8 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
         else:
             where = "config.reference.cycles / config.reference.frequency_hz"
         raise ConfigError(
-            f"{where}: a run of {run_s!r} s has more substeps at config.timing.sim_substep_hz "
-            f"{timing.sim_substep!r} Hz than a float can count"
+            f"{where}: a run of {run_s!r} s takes more than {MAX_SUBSTEPS:,} substeps at "
+            f"config.timing.sim_substep_hz {timing.sim_substep!r} Hz"
         )
     ticks = control_tick_times(run_s, timing)
     if len(ticks) < 2:

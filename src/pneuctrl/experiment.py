@@ -13,7 +13,7 @@ import math
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Protocol
+from typing import Callable, NamedTuple, Optional, Protocol
 
 import numpy as np
 
@@ -311,6 +311,11 @@ def run_duration(ref: Reference, timing: TimingConfig) -> float:
     return min(timing.duration, ref.duration)
 
 
+# Most substeps a configured run or synthesis segment may take: 10,000 s, 2.78
+# simulated hours, at 1 kHz.  A config error, before event_substeps allocates.
+MAX_SUBSTEPS = 10**7
+
+
 def event_substeps(n_sub: int, substep_hz: float, rate_hz: float) -> np.ndarray:
     """Substeps, of ``n_sub`` at ``substep_hz``, on which an event at ``rate_hz`` fires.
 
@@ -424,6 +429,30 @@ def run_scenario(
     )
 
 
+class Metric(NamedTuple):
+    """One reported metric, with its name in every output that shows it."""
+
+    field: str                           # MetricsReport field
+    reduce: Optional[Callable]           # per-window values -> report value (None: whole run)
+    json_key: str                        # metrics.json key
+    compare_key: str                     # compare.json key, of ``scale`` times the value
+    scale: float
+    label: str                           # compare.txt row label
+    fmt: str                             # compare.txt cell format
+
+
+# The reported metrics in output order; ``per_window`` keys each by its field.
+METRICS = (
+    Metric("e_ss", np.mean, "e_ss_kpa", "e_ss", 1.0, "e_ss [kPa]", "{:.2f}"),
+    Metric("ae", np.mean, "ae_kpa", "ae", 1.0, "AE [kPa]", "{:.2f}"),
+    Metric("itae", np.mean, "itae_kpa_s2", "itae", 1.0, "ITAE [kPa s^2]", "{:.2f}"),
+    Metric("pwm_e", np.mean, "pwm_e_pct_s", "pwm_e", 1.0, "PWM-E [% s]", "{:.2f}"),
+    Metric("switches", np.mean, "switches", "switches", 1.0, "Switches", "{:.2f}"),
+    Metric("max_abs_e", np.max, "max_abs_e_kpa", "max_abs_e", 1.0, "max|e| [kPa]", "{:.2f}"),
+    Metric("ct_mean", None, "ct_mean_s", "ct_ms", 1e3, "CT [ms]", "{:.3f}"),
+)
+
+
 @dataclass
 class MetricsReport:
     """Window-averaged tracking metrics in gauge kPa (duty in %, times in s)."""
@@ -438,16 +467,7 @@ class MetricsReport:
     per_window: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "e_ss_kpa": self.e_ss,
-            "ae_kpa": self.ae,
-            "itae_kpa_s2": self.itae,
-            "pwm_e_pct_s": self.pwm_e,
-            "switches": self.switches,
-            "max_abs_e_kpa": self.max_abs_e,
-            "ct_mean_s": self.ct_mean,
-            "per_window": self.per_window,
-        }
+        return {**{m.json_key: getattr(self, m.field) for m in METRICS}, "per_window": self.per_window}
 
 
 def metric_windows(
@@ -508,16 +528,8 @@ def compute_metrics(traj: Trajectory, ref: Reference) -> MetricsReport:
         per["e_ss"].append(float(np.mean(ew[ss_mask])) if np.any(ss_mask) else float(ew[-1]))
         per["max_abs_e"].append(float(np.max(ew)))
 
-    return MetricsReport(
-        e_ss=float(np.mean(per["e_ss"])),
-        ae=float(np.mean(per["ae"])),
-        itae=float(np.mean(per["itae"])),
-        pwm_e=float(np.mean(per["pwm_e"])),
-        switches=float(np.mean(per["switches"])),
-        max_abs_e=float(np.max(per["max_abs_e"])),
-        ct_mean=float(np.mean(traj.ct)),
-        per_window=per,
-    )
+    reduced = {m.field: float(m.reduce(per[m.field])) for m in METRICS if m.reduce is not None}
+    return MetricsReport(**reduced, ct_mean=float(np.mean(traj.ct)), per_window=per)
 
 
 def write_trajectory_csv(traj: Trajectory, path, p_atm: float) -> None:

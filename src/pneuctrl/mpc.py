@@ -24,7 +24,6 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-import time
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterator, Optional, Sequence
@@ -86,7 +85,6 @@ class MpcSolution:
     m_seq: tuple[Mode, ...]
     cost: float
     iterations: int
-    solve_time: float
     hit_iter_cap: bool
     cost_trace: tuple[float, ...]
     descended: int
@@ -193,9 +191,7 @@ def _descend(
     stage costs in the order of :func:`rollout_cost`, so each evaluation
     equals a full rollout bit for bit.  A line search also returns the cost
     it already computed for a spool fraction it meets again on the same
-    coordinate.  A coordinate's line search is skipped when no duty has
-    changed since its last one: the cost along the line would be the same
-    function, so the search would repeat exactly and find no improvement.
+    coordinate.
 
     ``steps`` memoizes RK4 steps, one table ``p -> p_next`` per spool
     fraction and mode (:func:`_step_table`; both modes share the
@@ -208,22 +204,26 @@ def _descend(
     only results the checked step returned, so a hit returns what the step
     would.
 
-    ``searches`` memoizes whole line searches; the default, ``None``, keeps
-    none.  The search on ``u[k]`` reads ``k``; the mode at ``k``, which
-    fixes its spool map, duty bounds and step tables; the pressure and
-    running cost before step ``k``; the switch cost; the tables of steps
-    ``k+1..N-1``, whose keys fix their spool fractions and so their stage
-    costs; and ``ref_seq``, ``cfg``, ``params``, ``maps`` and ``load``.
-    It is keyed by all but the last five, so one memo may serve only
-    descents that share those, such as those of one solve, and a hit
-    returns the ``(v, c, evals)`` that :func:`golden_section` would.  The
-    search also starts knowing the cost at the current ``x[k]``, but that
-    cost is ``tail(k)`` of the current spool fractions bit for bit: it
-    saves an evaluation and changes no cost the search meets.
+    ``searches`` memoizes whole line searches, with the same default.  The
+    search on ``u[k]`` reads ``k``; the mode at ``k``, which fixes its spool
+    map, duty bounds and step tables; the pressure and running cost before
+    step ``k``; the switch cost; the tables of steps ``k+1..N-1``, whose
+    keys fix their spool fractions and so their stage costs; and
+    ``ref_seq``, ``cfg``, ``params``, ``maps`` and ``load``.  It is keyed by
+    all but the last five, so one memo may serve only descents that share
+    those, such as those of one solve, and a hit returns the ``(v, c,
+    evals)`` that :func:`golden_section` would.  The search also starts
+    knowing the cost at the current ``x[k]``, but that cost is ``tail(k)``
+    of the current spool fractions bit for bit: it saves an evaluation and
+    changes no cost the search meets.  A coordinate searched again with no
+    duty changed since its last search hits the memo, and the hit changes
+    no duty, as that search left its best cost current.
     """
     n = cfg.horizon_steps
     if steps is None:
         steps = {}
+    if searches is None:
+        searches = {}
     bounds = [(maps[m].u_min, maps[m].u_max) for m in m_seq]
     if u_init is None:
         u = [bounds[k][0] for k in range(n)]
@@ -269,16 +269,11 @@ def _descend(
     trace = [cost]
     sweeps = 0
     improved_last = True
-    changes = 0                 # duty changes so far
-    searched = [-1] * n         # ``changes`` after each coordinate's last line search
     for _ in range(cfg.max_iters):
         improved_last = False
         for k in range(n):
-            if searched[k] == changes:
-                continue
-            key = None if searches is None else (
-                k, inflating[k], p_before[k], c_before[k], switch_cost, *[t.key for t in tables[k + 1:]])
-            found = None if key is None else searches.get(key)
+            key = (k, inflating[k], p_before[k], c_before[k], switch_cost, *[t.key for t in tables[k + 1:]])
+            found = searches.get(key)
             if found is None:
                 # The current cost is tail(k) of the current x, bit for bit.
                 seen = {x[k]: cost}
@@ -294,9 +289,7 @@ def _descend(
                         x[k], tables[k] = saved
                     return c
 
-                found = golden_section(line, bounds[k][0], bounds[k][1], tol=cfg.line_tol)
-                if key is not None:
-                    searches[key] = found
+                found = searches[key] = golden_section(line, bounds[k][0], bounds[k][1], tol=cfg.line_tol)
             v_best, c_best, _ = found
             if c_best < cost - 1e-15:
                 u[k] = v_best
@@ -305,9 +298,6 @@ def _descend(
                 tail(k, True)
                 cost = c_best
                 improved_last = True
-                changes += 1
-            # A repeat search of k, with only k's own duty changed, meets the same costs.
-            searched[k] = changes
         sweeps += 1
         trace.append(cost)
         if not improved_last:
@@ -327,7 +317,6 @@ def nmpc_solve(
     u_init: Optional[Sequence[float]] = None,
 ) -> MpcSolution:
     """Optimize the continuous duty sequence with the mode held fixed."""
-    t0 = time.perf_counter()
     m_seq = (m,) * cfg.horizon_steps
     u, cost, sweeps, hit_cap, trace = _descend(
         p0, ref_seq, m_seq, cfg, params, maps, load, u_init,
@@ -337,7 +326,6 @@ def nmpc_solve(
         m_seq=m_seq,
         cost=cost,
         iterations=sweeps,
-        solve_time=time.perf_counter() - t0,
         hit_iter_cap=hit_cap,
         cost_trace=tuple(trace),
         descended=1,
@@ -567,7 +555,6 @@ def minmpc_solve(
     search would: the solution is that of descents with fresh memos, bit
     for bit, and only the work falls.
     """
-    t0 = time.perf_counter()
     seqs = list(mode_sequences(cfg.horizon_steps, cfg.max_switches))
     # RK4 steps shared by the bounds and every descent of this solve, and line
     # searches shared by its descents; see _descend.
@@ -598,7 +585,6 @@ def minmpc_solve(
         m_seq=seqs[i],
         cost=cost,
         iterations=total_sweeps,
-        solve_time=time.perf_counter() - t0,
         hit_iter_cap=any_cap,
         cost_trace=tuple(trace),
         descended=descended,

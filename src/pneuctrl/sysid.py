@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from . import plant as plant_mod
-from .experiment import event_substeps
+from .experiment import MAX_SUBSTEPS, event_substeps
 from .optim import golden_section
 from .plant import Mode, PlantParams
 from .valvemap import SpoolMap, eval_spool
@@ -425,26 +425,30 @@ def _scan_rows(path: str | Path) -> tuple[list, list, list, list, list]:
     """The trace's columns, checked row by row: its faults name the first bad line."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != TRACE_COLUMNS:
-            raise TraceDataError(f"{path}: expected columns {','.join(TRACE_COLUMNS)}")
-        ts, ps, u1s, u2s, kinds = [], [], [], [], []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 5:
-                raise TraceDataError(f"{path}: line {reader.line_num}: malformed row {row!r}")
-            try:
-                t, p, u1, u2 = (float(v) for v in row[:4])
-            except ValueError as exc:
-                raise TraceDataError(f"{path}: line {reader.line_num}: malformed row {row!r}: {exc}") from exc
-            if not all(math.isfinite(v) for v in (t, p, u1, u2)):
-                raise TraceDataError(f"{path}: line {reader.line_num}: non-finite value in row {row!r}")
-            ts.append(t)
-            ps.append(p)
-            u1s.append(u1)
-            u2s.append(u2)
-            kinds.append(row[4])
+        try:
+            header = next(reader, None)
+            if header is None or tuple(header) != TRACE_COLUMNS:
+                raise TraceDataError(f"{path}: expected columns {','.join(TRACE_COLUMNS)}")
+            ts, ps, u1s, u2s, kinds = [], [], [], [], []
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != 5:
+                    raise TraceDataError(f"{path}: line {reader.line_num}: malformed row {row!r}")
+                try:
+                    t, p, u1, u2 = (float(v) for v in row[:4])
+                except ValueError as exc:
+                    msg = f"{path}: line {reader.line_num}: malformed row {row!r}: {exc}"
+                    raise TraceDataError(msg) from exc
+                if not all(math.isfinite(v) for v in (t, p, u1, u2)):
+                    raise TraceDataError(f"{path}: line {reader.line_num}: non-finite value in row {row!r}")
+                ts.append(t)
+                ps.append(p)
+                u1s.append(u1)
+                u2s.append(u2)
+                kinds.append(row[4])
+        except csv.Error as exc:   # a field longer than csv.field_size_limit(), for one
+            raise TraceDataError(f"{path}: line {reader.line_num}: {exc}") from exc
     if not ts:
         raise TraceDataError(f"{path}: empty trace")
     return ts, ps, u1s, u2s, kinds
@@ -515,8 +519,8 @@ class SynthesisConfig:
         for name in ("rise_duration", "decay_duration", "full_open_duration", "full_decay_duration"):
             if getattr(self, name) <= 0.0:
                 raise ValueError(f"{name} must be positive")
-            if not math.isfinite(getattr(self, name) * self.sim_substep):
-                raise ValueError(f"{name} is too long: its substep count overflows a float")
+            if getattr(self, name) * self.sim_substep > MAX_SUBSTEPS:
+                raise ValueError(f"{name} is too long: it takes more than {MAX_SUBSTEPS:,} substeps")
         if self.noise_sigma < 0.0:
             raise ValueError("noise_sigma must be non-negative")
         if self.seed < 0:

@@ -11,8 +11,10 @@ import json
 import pytest
 
 from pneuctrl.cli import main
+from pneuctrl.config import scenario_from_dict
+from pneuctrl.experiment import MAX_SUBSTEPS
 from pneuctrl.plant import Mode
-from pneuctrl.sysid import TRACE_COLUMNS, write_trace_csv
+from pneuctrl.sysid import TRACE_COLUMNS, SynthesisConfig, write_trace_csv
 
 
 @pytest.mark.parametrize(
@@ -468,3 +470,64 @@ def test_out_that_is_a_file_or_under_one_exits_3(tmp_path, capsys, inflation_tra
     assert main(argv) == 3
     assert str(out) in capsys.readouterr().err
     assert existing.read_text() == ""
+
+
+def test_trace_field_longer_than_the_csv_field_limit_exits_3(tmp_path, capsys):
+    rows = list(VALID_ROWS)
+    rows[4] = "0.04," + "1" * 200_000 + ",100.0,60.0,rise"   # line 6 of the file
+    traces = tmp_path / "traces"
+    write_trace(traces, rows)
+    assert main(["sysid", "--traces", str(traces), "--mode", "inflation"]) == 3
+    err = capsys.readouterr().err
+    assert "seg.csv" in err and "line 6" in err and "field limit" in err
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "sysid"])
+def test_path_component_too_long_for_the_file_system_exits_3(tmp_path, capsys, command):
+    long = tmp_path / ("n" * 300)   # above the usual 255-byte limit of one name
+    if command == "sysid":
+        argv = ["sysid", "--traces", str(long), "--mode", "inflation"]
+    else:
+        config = tmp_path / "scenario.json"
+        config.write_text("{}")
+        argv = [command, "--config", str(config), "--out", str(long)]
+        if command == "compare":
+            argv += ["--controllers", "pid,dm-smc"]
+    assert main(argv) == 3
+    assert "data error" in capsys.readouterr().err
+
+
+# One second of simulation more than MAX_SUBSTEPS allows at the default 1 kHz substep.
+ABOVE_CAP_S = MAX_SUBSTEPS / 1000.0 + 1.0
+
+
+@pytest.mark.parametrize(
+    "command, overrides, key",
+    [
+        ("run", {"reference": {"stages": [[0, 1e200]]}}, "config.reference.stages"),
+        ("run", {"reference": {"stages": [[0, 1.0], [50, ABOVE_CAP_S - 1.0]]}}, "config.reference.stages"),
+        ("run", {"reference": {"kind": "sinusoid", "frequency_hz": 1e-200, "cycles": 3}},
+         "config.reference.cycles / config.reference.frequency_hz"),
+        ("run", {"reference": {"kind": "sinusoid", "frequency_hz": 3.0 / ABOVE_CAP_S, "cycles": 3}},
+         "config.reference.cycles / config.reference.frequency_hz"),
+        ("run", {"timing": {"duration_s": 1e200}, "reference": {"stages": [[0, 1e201]]}},
+         "config.timing.duration_s"),
+        ("synthesize", {"synthesis": {"rise_s": 1e200}}, "config.synthesis.rise_s"),
+        ("synthesize", {"synthesis": {"decay_s": ABOVE_CAP_S}}, "config.synthesis.decay_s"),
+    ],
+)
+def test_duration_above_the_substep_cap_exits_2(tmp_path, capsys, command, overrides, key):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(overrides))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert key in err and f"{MAX_SUBSTEPS:,} substeps" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_substep_cap_admits_its_own_count():
+    # At the cap, a configured run is accepted: its checks place only control ticks.
+    at_cap_s = MAX_SUBSTEPS / 1000.0
+    scenario = scenario_from_dict({"reference": {"stages": [[0, 1.0], [50, at_cap_s - 1.0]]}})
+    assert scenario.reference.duration == at_cap_s
+    assert SynthesisConfig(rise_duration=at_cap_s).rise_duration == at_cap_s
