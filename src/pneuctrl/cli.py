@@ -101,9 +101,12 @@ def cmd_compare(args) -> int:
     if len(controllers) < 2:
         print("error: --controllers needs at least two comma-separated names", file=sys.stderr)
         return EXIT_CONFIG
-    for name in controllers:
+    for i, name in enumerate(controllers):
         if name not in config_mod.CONTROLLER_NAMES:
             print(f"error: unknown controller {name!r}", file=sys.stderr)
+            return EXIT_CONFIG
+        if name in controllers[:i]:
+            print(f"error: --controllers names {name!r} more than once", file=sys.stderr)
             return EXIT_CONFIG
     scenario = _load_scenario(args)
     out_dir = Path(args.out) if args.out else Path("out") / f"{scenario.name}-compare"

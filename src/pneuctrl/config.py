@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import re
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, Optional
 
@@ -66,7 +66,7 @@ def default_pid_gains() -> tuple[PidGains, PidGains]:
 
 
 def default_supervisor() -> SupervisorConfig:
-    return _supervisor(default_scenario_dict()["supervisor"])
+    return _section(SupervisorConfig, default_scenario_dict()["supervisor"], "config.supervisor")
 
 
 def default_mpc_config() -> MpcConfig:
@@ -262,32 +262,36 @@ def _make(cls: Any, where: str, keys: Optional[dict[str, str]] = None, **kwargs:
         raise ConfigError(f"invalid {where}: {msg}") from exc
 
 
-def _numbers(section: dict, where: str) -> dict[str, float]:
-    return {key: _number(value, f"{where}.{key}") for key, value in section.items()}
-
-
-def _section(cls: Any, section: dict, keys: dict[str, str], where: str) -> Any:
-    """A dataclass with defaults from its section; each entry is checked
-    against the type of the field's default (an ``int`` is strict, ``None``
-    also admits ``null``, a ``str`` is left to the dataclass)."""
-    defaults, kwargs = cls(), {}
-    for key, field in keys.items():
-        value, default = section[key], getattr(defaults, field)
-        if isinstance(default, str) or (default is None and value is None):
+def _typed(cls: Any, section: dict, where: str, keys: Optional[dict[str, str]] = None) -> dict[str, Any]:
+    """The entries of ``section`` as keyword arguments of ``cls``, each typed
+    by the declared type of the field it fills (an ``int`` is strict, an
+    ``Optional[...]`` also admits ``null``, a ``str`` is left to the
+    dataclass, anything else is a finite number).  ``keys`` maps JSON keys to
+    fields, by default each key names itself."""
+    # The package postpones annotations, so each declared type is its source text.
+    declared = {f.name: f.type for f in fields(cls)}
+    kwargs = {}
+    for key, field in (keys or {key: key for key in section}).items():
+        value, kind = section[key], declared[field]
+        if kind == "str" or (value is None and kind.startswith("Optional[")):
             kwargs[field] = value
-        elif isinstance(default, int):
+        elif kind == "int":
             kwargs[field] = _strict_int(value, f"{where}.{key}")
         else:
             kwargs[field] = _number(value, f"{where}.{key}")
-    return _make(cls, where, keys, **kwargs)
+    return kwargs
+
+
+def _section(cls: Any, section: dict, where: str, keys: Optional[dict[str, str]] = None) -> Any:
+    """``cls`` from its config section, each entry typed by :func:`_typed`."""
+    return _make(cls, where, keys, **_typed(cls, section, where, keys))
 
 
 def _plant(p: dict) -> PlantParams:
-    n = _numbers({k: v for k, v in p.items() if k != "conductances"}, "config.plant")
-    conductances = _make(Conductances, "config.plant.conductances",
-                         **_numbers(p["conductances"], "config.plant.conductances"))
-    fields = {field: n[key] for key, field in _PLANT_KEYS.items()}
-    return _make(PlantParams, "config.plant", _PLANT_KEYS, conductances=conductances, **fields)
+    # Typed before the conductances, so a bad plant entry is the first fault reported.
+    plant = _typed(PlantParams, p, "config.plant", _PLANT_KEYS)
+    conductances = _section(Conductances, p["conductances"], "config.plant.conductances")
+    return _make(PlantParams, "config.plant", _PLANT_KEYS, conductances=conductances, **plant)
 
 
 def _maps(maps: dict) -> tuple[SpoolMap, SpoolMap]:
@@ -295,7 +299,7 @@ def _maps(maps: dict) -> tuple[SpoolMap, SpoolMap]:
         if not isinstance(md["a"], list):
             raise ConfigError(f"{where}.a must be a list of numbers, got {md['a']!r}")
         a = tuple(_number(v, f"{where}.a[{i}]") for i, v in enumerate(md["a"]))
-        bounds = _numbers({k: md[k] for k in ("u_min", "u_max")}, where)
+        bounds = _typed(SpoolMap, {key: md[key] for key in ("u_min", "u_max")}, where)
         return _make(SpoolMap, where, a=a, mode=mode, **bounds)
 
     return tuple(build(maps[name], mode, f"config.maps.{name}") for name, mode in _MODES.items())
@@ -303,13 +307,7 @@ def _maps(maps: dict) -> tuple[SpoolMap, SpoolMap]:
 
 def _gains(cls: Any, section: dict, where: str) -> tuple:
     """(deflation, inflation) gain sets of one controller section."""
-    return tuple(
-        _make(cls, f"{where}.{name}", **_numbers(section[name], f"{where}.{name}")) for name in _MODES
-    )
-
-
-def _supervisor(sup: dict) -> SupervisorConfig:
-    return _make(SupervisorConfig, "config.supervisor", **_numbers(sup, "config.supervisor"))
+    return tuple(_section(cls, section[name], f"{where}.{name}") for name in _MODES)
 
 
 def _reference(r: dict) -> Reference:
@@ -318,15 +316,11 @@ def _reference(r: dict) -> Reference:
     if not (isinstance(stages, list) and all(isinstance(s, list) and len(s) == 2 for s in stages)):
         raise ConfigError(f"{where}.stages must be a list of [level_kpa, hold_s] pairs, got {stages!r}")
     stages = [(_number(lv, f"{where}.stages"), _number(hold, f"{where}.stages")) for lv, hold in stages]
-    sine = {
-        "amplitude_kpa": _number(r["amplitude_kpa"], f"{where}.amplitude_kpa"),
-        "frequency_hz": _number(r["frequency_hz"], f"{where}.frequency_hz"),
-        "cycles": _strict_int(r["cycles"], f"{where}.cycles"),
-    }
+    sine = _typed(Reference, {key: r[key] for key in ("amplitude_kpa", "frequency_hz", "cycles")}, where)
     if r["kind"] == "multi-step":
         return _make(Reference.multi_step, where, stages=stages)
     if r["kind"] == "sinusoid":
-        return _make(Reference.sinusoid, where, {key: key for key in sine}, **sine)
+        return _make(Reference.sinusoid, where, **sine)
     raise ConfigError(f"unknown reference kind {r['kind']!r} in {where}.kind")
 
 
@@ -351,7 +345,7 @@ def synthesis_from_dict(raw: dict) -> SynthesisSpec:
         plant=_plant(d["plant"]),
         maps=_maps(d["maps"]),
         modes=_modes(d["modes"]),
-        cfg=_section(SynthesisConfig, d["synthesis"], _SYNTHESIS_KEYS, "config.synthesis"),
+        cfg=_section(SynthesisConfig, d["synthesis"], "config.synthesis", _SYNTHESIS_KEYS),
     )
 
 
@@ -403,14 +397,14 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
         name=_scenario_name(d["name"]),
         controller=controller,
         plant=_plant(d["plant"]),
-        load=_section(LoadModel, d["load"], _LOAD_KEYS, "config.load"),
+        load=_section(LoadModel, d["load"], "config.load", _LOAD_KEYS),
         maps=_maps(d["maps"]),
-        supervisor=_supervisor(d["supervisor"]),
+        supervisor=_section(SupervisorConfig, d["supervisor"], "config.supervisor"),
         smc_gains=_gains(SmcGains, d["smc"], "config.smc"),
         pid_gains=_gains(PidGains, d["pid"], "config.pid"),
-        mpc=_section(MpcConfig, d["mpc"], _MPC_KEYS, "config.mpc"),
+        mpc=_section(MpcConfig, d["mpc"], "config.mpc", _MPC_KEYS),
         reference=_reference(d["reference"]),
-        timing=_section(TimingConfig, d["timing"], _TIMING_KEYS, "config.timing"),
+        timing=_section(TimingConfig, d["timing"], "config.timing", _TIMING_KEYS),
     )
 
     # Metrics need two control ticks, and one in every window they score.

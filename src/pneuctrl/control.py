@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from . import plant as plant_mod
-from .plant import _DEFLATION, _INFLATION, Mode, PlantParams
+from .plant import _DEFLATION, _INFLATION, Mode, PlantParams, require_finite
 from .valvemap import SpoolMap, invert_spool
 
 # Relative threshold on |g_m| below which the control law falls back to a
@@ -30,6 +30,7 @@ class SupervisorConfig:
     h: float
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if not self.h > 0.0:
             raise ValueError("hysteresis half-band h must be positive")
 
@@ -49,6 +50,7 @@ class SmcGains:
     k_i: float
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.lam <= 0.0 or self.eta <= 0.0 or self.mu <= 0.0:
             raise ValueError("lam, eta, and mu must be positive")
         if self.k_i < 0.0:
@@ -64,10 +66,10 @@ class PidGains:
     k_d: float
 
     def __post_init__(self) -> None:
+        require_finite(self)
         for name in ("k_p", "k_i", "k_d"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0.0):
-                raise ValueError(f"{name} must be finite and non-negative")
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"{name} must be non-negative")
 
 
 class ControllerState(NamedTuple):

@@ -29,7 +29,7 @@ from .control import (
     select_mode,
     smc_update,
 )
-from .plant import LoadModel, Mode, PlantParams
+from .plant import LoadModel, Mode, PlantParams, require_finite
 from .valvemap import SpoolMap, eval_spool
 
 
@@ -52,9 +52,7 @@ class Reference:
     cycles: int = 3
 
     def __post_init__(self) -> None:
-        for name in ("amplitude_kpa", "frequency_hz"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        require_finite(self)
         if self.kind == "multi-step":
             if not self.stages:
                 raise ValueError("multi-step reference needs at least one stage")
@@ -145,10 +143,7 @@ class TimingConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("control_rate", "sensor_rate", "sim_substep", "duration", "noise_sigma"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite")
+        require_finite(self)
         if not (self.sim_substep >= self.control_rate >= 1.0):
             raise ValueError("rates must satisfy sim_substep >= control_rate >= 1")
         if self.sensor_rate <= 0.0:

@@ -13,11 +13,11 @@ boundaries (see :mod:`pneuctrl.experiment`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import IntEnum
 from string import Template
 from textwrap import indent
-from typing import Callable, NamedTuple, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 
 class Mode(IntEnum):
@@ -29,6 +29,16 @@ class Mode(IntEnum):
 
 # Read once: on Python 3.11 each ``Mode.INFLATION`` is a slow class-attribute lookup.
 _INFLATION, _DEFLATION = Mode.INFLATION, Mode.DEFLATION
+
+
+def require_finite(record: Any) -> None:
+    """Reject a dataclass record's first non-finite float field, by name.
+
+    ``init=False`` fields are derived from the others, so they are skipped.
+    """
+    for f in fields(record):
+        if f.init and isinstance(v := getattr(record, f.name), float) and not math.isfinite(v):
+            raise ValueError(f"{f.name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -46,11 +56,9 @@ class Conductances:
     c_ao: float
 
     def __post_init__(self) -> None:
+        require_finite(self)
         for name in ("c_po", "c_on", "c_oa", "c_ao"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite")
-            if not value > 0.0:
+            if not getattr(self, name) > 0.0:
                 raise ValueError(f"conductance {name} must be positive")
 
 
@@ -71,9 +79,7 @@ class PlantParams:
     conductances: Conductances
 
     def __post_init__(self) -> None:
-        for name in ("p_pos", "p_neg", "p_atm", "b", "rho_ref", "t_ref", "t_gas", "gamma", "r_gas", "volume"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        require_finite(self)
         if not (0.0 < self.p_neg < self.p_atm < self.p_pos):
             raise ValueError("pressures must satisfy 0 < p_neg < p_atm < p_pos")
         if not (0.0 < self.b < 1.0):
@@ -130,9 +136,7 @@ class LoadModel:
     v_max: float = 2.5e-5
 
     def __post_init__(self) -> None:
-        for name in ("v0", "k_v", "v_min", "v_max"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        require_finite(self)
         if self.kind not in ("fixed", "affine-bellow"):
             raise ValueError(f"unknown load kind {self.kind!r}")
         if self.kind == "affine-bellow" and not (0.0 <= self.v_min < self.v_max):

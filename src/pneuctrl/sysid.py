@@ -28,7 +28,7 @@ import numpy as np
 from . import plant as plant_mod
 from .experiment import MAX_SUBSTEPS, event_substeps
 from .optim import golden_section
-from .plant import Mode, PlantParams
+from .plant import Mode, PlantParams, require_finite
 from .valvemap import SpoolMap, eval_spool
 
 
@@ -510,10 +510,7 @@ class SynthesisConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("sample_rate", "sim_substep", "rise_duration", "decay_duration",
-                     "full_open_duration", "full_decay_duration", "noise_sigma"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        require_finite(self)
         if not (self.sim_substep >= self.sample_rate > 0.0):
             raise ValueError("rates must satisfy sim_substep >= sample_rate > 0")
         for name in ("rise_duration", "decay_duration", "full_open_duration", "full_decay_duration"):
@@ -551,29 +548,16 @@ def synthesize_protocol(
 
     for mode in modes:
         u1 = 100.0 if mode == Mode.INFLATION else 0.0
-        # Fully-open segment and its passive decay: these anchor the
-        # conductance fits, so they get the longest records.
-        t, p, p_end = simulate_segment(
-            params.p_atm, 1.0, mode, cfg.full_open_duration, params,
-            cfg.sample_rate, cfg.sim_substep,
-        )
-        emit(t, p, u1, 100.0, "rise")
-        t, p, _ = simulate_segment(
-            p_end, 0.0, mode, cfg.full_decay_duration, params,
-            cfg.sample_rate, cfg.sim_substep,
-        )
-        emit(t, p, u1, 0.0, "decay")
-        for duty in sweep_duties():
-            x = eval_spool(duty, maps[mode])
-            t, p, p_end = simulate_segment(
-                params.p_atm, x, mode, cfg.rise_duration, params,
-                cfg.sample_rate, cfg.sim_substep,
-            )
-            emit(t, p, u1, duty, "rise")
-            t, p, _ = simulate_segment(
-                p_end, 0.0, mode, cfg.decay_duration, params,
-                cfg.sample_rate, cfg.sim_substep,
-            )
+        # Driven segments as (u2, spool fraction, rise s, decay s), each followed
+        # by its passive decay.  The fully-open one anchors the conductance
+        # fits, so it comes first and gets the longest records.
+        segments = [(100.0, 1.0, cfg.full_open_duration, cfg.full_decay_duration)]
+        segments += [(duty, eval_spool(duty, maps[mode]), cfg.rise_duration, cfg.decay_duration)
+                     for duty in sweep_duties()]
+        for u2, x, rise_s, decay_s in segments:
+            t, p, p_end = simulate_segment(params.p_atm, x, mode, rise_s, params, cfg.sample_rate, cfg.sim_substep)
+            emit(t, p, u1, u2, "rise")
+            t, p, _ = simulate_segment(p_end, 0.0, mode, decay_s, params, cfg.sample_rate, cfg.sim_substep)
             emit(t, p, u1, 0.0, "decay")
 
     if out_dir is not None:

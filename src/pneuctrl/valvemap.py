@@ -15,13 +15,15 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .plant import Mode
+from .plant import Mode, require_finite
 
 # Largest tolerated local decrease of the raw cubic, fraction per % duty.
 DEFAULT_SLOPE_TOL = 2e-3
 
 _GRID_STEP = 0.05        # duty grid pitch for the inversion table, %
 _INVERT_TOL = 1e-7       # duty bisection tolerance, %
+# Mode names of to_dict and from_dict, in Mode index order.
+_MODE_NAMES = ("deflation", "inflation")
 
 
 def _cubic(a: Sequence[float], u: float) -> float:
@@ -62,6 +64,9 @@ class SpoolMap:
         if len(self.a) != 4:
             raise ValueError("expected exactly four cubic coefficients")
         object.__setattr__(self, "a", tuple(float(v) for v in self.a))
+        if not all(map(math.isfinite, self.a)):
+            raise ValueError("a must be finite")
+        require_finite(self)
         if not (0.0 <= self.u_min < self.u_max <= 100.0):
             raise ValueError("duty bounds must satisfy 0 <= u_min < u_max <= 100")
         if _min_slope_on(self.a, self.u_min, self.u_max) < -DEFAULT_SLOPE_TOL:
@@ -87,17 +92,19 @@ class SpoolMap:
             "a": list(self.a),
             "u_min": self.u_min,
             "u_max": self.u_max,
-            "mode": "inflation" if self.mode == Mode.INFLATION else "deflation",
+            "mode": _MODE_NAMES[self.mode],
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "SpoolMap":
-        mode = Mode.INFLATION if d.get("mode", "inflation") == "inflation" else Mode.DEFLATION
+        name = d.get("mode", "inflation")
+        if name not in _MODE_NAMES:
+            raise ValueError(f"unknown spool map mode {name!r}")
         return cls(
             a=tuple(float(v) for v in d["a"]),
-            u_min=float(d.get("u_min", 20.0)),
-            u_max=float(d.get("u_max", 100.0)),
-            mode=mode,
+            u_min=float(d.get("u_min", cls.u_min)),
+            u_max=float(d.get("u_max", cls.u_max)),
+            mode=Mode(_MODE_NAMES.index(name)),
         )
 
 

@@ -11,7 +11,7 @@ import json
 import pytest
 
 from pneuctrl.cli import main
-from pneuctrl.config import scenario_from_dict
+from pneuctrl.config import default_scenario_dict, default_synthesis_dict, scenario_from_dict
 from pneuctrl.experiment import MAX_SUBSTEPS
 from pneuctrl.plant import Mode
 from pneuctrl.sysid import TRACE_COLUMNS, SynthesisConfig, write_trace_csv
@@ -531,3 +531,45 @@ def test_the_substep_cap_admits_its_own_count():
     scenario = scenario_from_dict({"reference": {"stages": [[0, 1.0], [50, at_cap_s - 1.0]]}})
     assert scenario.reference.duration == at_cap_s
     assert SynthesisConfig(rise_duration=at_cap_s).rise_duration == at_cap_s
+
+
+def test_repeated_compare_controller_exits_2(tmp_path, capsys):
+    args = ["compare", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path / "out"),
+            "--controllers", "pid,dm-smc,pid"]
+    assert main(args) == 2
+    assert "'pid' more than once" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def scalar_entries(section, path=()):
+    """(path, default value) of every scalar entry below the top level of a default config."""
+    for key, value in section.items():
+        if isinstance(value, dict):
+            yield from scalar_entries(value, path + (key,))
+        elif path and not isinstance(value, list):
+            yield path + (key,), value
+
+
+def overlay(path, value):
+    """A config that sets the entry at ``path`` to ``value``."""
+    for key in reversed(path):
+        value = {key: value}
+    return value
+
+
+TYPED_CASES = [
+    (command, path, bad)
+    for command, defaults in (("run", default_scenario_dict()), ("synthesize", default_synthesis_dict()))
+    for path, default in scalar_entries(defaults)
+    for bad in (True, False, "1") + ((1.5,) if type(default) is int else ())
+]
+
+
+@pytest.mark.parametrize(
+    "command, path, bad", TYPED_CASES, ids=[f"{c}-{'.'.join(p)}-{b!r}" for c, p, b in TYPED_CASES],
+)
+def test_every_scalar_entry_is_typed(tmp_path, capsys, command, path, bad):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(overlay(path, bad)))
+    assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert f"config.{'.'.join(path)}" in capsys.readouterr().err

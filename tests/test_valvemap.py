@@ -146,6 +146,17 @@ class TestConstructionValidation:
         assert m2.u_max == m.u_max
         assert m2.mode == m.mode
 
+    @pytest.mark.parametrize("mode", ["Inflation", "DEFLATION", "bogus", 1])
+    def test_from_dict_rejects_an_unknown_mode_by_name(self, mode):
+        with pytest.raises(ValueError, match=f"unknown spool map mode {mode!r}"):
+            SpoolMap.from_dict({"a": list(DEFAULT_INFLATION_CUBIC), "mode": mode})
+
+    def test_from_dict_takes_missing_bounds_from_the_class_defaults(self, monkeypatch):
+        monkeypatch.setattr(SpoolMap, "u_min", 30.0)
+        monkeypatch.setattr(SpoolMap, "u_max", 90.0)
+        m = SpoolMap.from_dict({"a": list(DEFAULT_DEFLATION_CUBIC), "mode": "deflation"})
+        assert (m.u_min, m.u_max, m.mode) == (30.0, 90.0, Mode.DEFLATION)
+
 
 class TestSpoolRange:
     @pytest.mark.parametrize("a", [
