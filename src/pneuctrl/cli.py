@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import config as config_mod
@@ -54,9 +55,15 @@ def _make_controller(name: str, scenario: ScenarioConfig):
 def _load_scenario(args) -> ScenarioConfig:
     scenario = config_mod.load_scenario(args.config)
     if args.seed is not None:
-        from dataclasses import replace
         scenario.timing = replace(scenario.timing, seed=args.seed)
     return scenario
+
+
+def _write_json(path: Path, obj) -> None:
+    """``obj`` as indented JSON, one trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
 
 
 def _run_one(scenario: ScenarioConfig, controller_name: str):
@@ -75,9 +82,7 @@ def cmd_run(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     traj, metrics = _run_one(scenario, scenario.controller)
     write_trajectory_csv(traj, out_dir / "trajectory.csv", scenario.plant.p_atm)
-    with open(out_dir / "metrics.json", "w", encoding="utf-8") as fh:
-        json.dump({"controller": scenario.controller, "metrics": metrics.to_dict()}, fh, indent=2)
-        fh.write("\n")
+    _write_json(out_dir / "metrics.json", {"controller": scenario.controller, "metrics": metrics.to_dict()})
     print(
         f"{scenario.name} [{scenario.controller}] "
         f"AE={metrics.ae:.3f} kPa e_ss={metrics.e_ss:.3f} kPa "
@@ -119,9 +124,8 @@ def cmd_compare(args) -> int:
         results[name] = {m.compare_key: getattr(metrics, m.field) * m.scale for m in METRICS}
         results[name]["per_window"] = metrics.per_window
     table = format_compare_table(results)
-    with open(out_dir / "compare.json", "w", encoding="utf-8") as fh:
-        json.dump({"scenario": scenario.name, "seed": scenario.timing.seed, "results": results}, fh, indent=2)
-        fh.write("\n")
+    summary = {"scenario": scenario.name, "seed": scenario.timing.seed, "results": results}
+    _write_json(out_dir / "compare.json", summary)
     with open(out_dir / "compare.txt", "w", encoding="utf-8") as fh:
         fh.write(table + "\n")
     print(table)
@@ -149,9 +153,7 @@ def cmd_sysid(args) -> int:
     result = sysid_mod.identify_channel(traces, mode, params)
     out_dir = Path(args.out) if args.out else Path("out") / f"sysid-{args.mode}"
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "identification.json", "w", encoding="utf-8") as fh:
-        json.dump(result.to_dict(), fh, indent=2)
-        fh.write("\n")
+    _write_json(out_dir / "identification.json", result.to_dict())
     print(
         f"{args.mode}: {result.leak_name}={result.leak.value:.4e} "
         f"(rms {result.leak.residual:.1f} Pa), "
@@ -165,7 +167,6 @@ def cmd_sysid(args) -> int:
 def cmd_synthesize(args) -> int:
     synth = config_mod.load_synthesis(args.config)
     if args.seed is not None:
-        from dataclasses import replace
         synth.cfg = replace(synth.cfg, seed=args.seed)
     traces = sysid_mod.synthesize_protocol(
         synth.plant, synth.maps, modes=synth.modes, cfg=synth.cfg, out_dir=args.out,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import re
-import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, Optional
@@ -83,7 +82,7 @@ def default_bellow_load() -> LoadModel:
 
 
 def default_multi_step_reference() -> Reference:
-    return _reference(default_scenario_dict()["reference"])
+    return _section(Reference, default_scenario_dict()["reference"], "config.reference")
 
 
 def default_sinusoid_reference(
@@ -222,37 +221,29 @@ def _merge(base: Any, over: Any, path: str) -> Any:
     return {k: _merge(v, over[k], f"{path}.{k}") if k in over else v for k, v in base.items()}
 
 
-def _strict_int(value: Any, where: str) -> int:
-    """An integer config entry: a non-negative integer or integral float, never a bool."""
-    if isinstance(value, int) and not isinstance(value, bool) and value >= 0:
-        return value
-    if isinstance(value, float) and value.is_integer() and value >= 0.0:
-        return int(value)
-    raise ConfigError(f"{where} must be a non-negative integer, got {value!r}")
+def _section(cls: Any, section: dict, where: str, keys: Optional[dict[str, str]] = None, **fixed: Any) -> Any:
+    """``cls`` from its config section and the ``fixed`` keyword arguments.
 
-
-def _number(value: Any, where: str) -> float:
-    """A numeric config entry: a finite integer or float, never a bool."""
-    # The comparison is exact for integers of any size and false for NaN.
-    if isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max:
-        return float(value)
-    raise ConfigError(f"{where} must be a finite number, got {value!r}")
-
-
-def _make(cls: Any, where: str, keys: Optional[dict[str, str]] = None, **kwargs: Any) -> Any:
-    """``cls(**kwargs)``, its own range checks reported as config errors.
-
-    ``keys`` maps JSON keys to fields (by default each keyword names itself).
-    An error that opens with a field, or names just one, names its key; one
-    that names several, a check across entries, names the section and writes
-    each field as its key.
+    ``keys`` maps JSON keys to fields (by default each key names itself).  An
+    integral float that fills an ``int`` field becomes an int; every other
+    check is the record's own.  An error that opens with a field, or names
+    just one, names its key; one that names several, a check across entries,
+    names the section and writes each field as its key.
     """
+    keys = keys or {key: key for key in section}
+    # The package postpones annotations, so each declared type is its source text.
+    declared = {f.name: f.type for f in fields(cls)}
+    kwargs = dict(fixed)
+    for key, field in keys.items():
+        value = section[key]
+        if declared[field] == "int" and isinstance(value, float) and value.is_integer():
+            value = int(value)
+        kwargs[field] = value
     try:
         return cls(**kwargs)
     except ValueError as exc:
         msg = str(exc)
-        keys = {k: k for k in kwargs} if keys is None else keys
-        first = msg.partition(" ")[0]
+        first = msg.partition(" ")[0].rstrip(":")
         named = [k for k, f in keys.items() if f == first]
         named = named or [k for k, f in keys.items() if re.search(rf"\b{f}\b", msg)]
         if len(named) == 1:
@@ -262,66 +253,20 @@ def _make(cls: Any, where: str, keys: Optional[dict[str, str]] = None, **kwargs:
         raise ConfigError(f"invalid {where}: {msg}") from exc
 
 
-def _typed(cls: Any, section: dict, where: str, keys: Optional[dict[str, str]] = None) -> dict[str, Any]:
-    """The entries of ``section`` as keyword arguments of ``cls``, each typed
-    by the declared type of the field it fills (an ``int`` is strict, an
-    ``Optional[...]`` also admits ``null``, a ``str`` is left to the
-    dataclass, anything else is a finite number).  ``keys`` maps JSON keys to
-    fields, by default each key names itself."""
-    # The package postpones annotations, so each declared type is its source text.
-    declared = {f.name: f.type for f in fields(cls)}
-    kwargs = {}
-    for key, field in (keys or {key: key for key in section}).items():
-        value, kind = section[key], declared[field]
-        if kind == "str" or (value is None and kind.startswith("Optional[")):
-            kwargs[field] = value
-        elif kind == "int":
-            kwargs[field] = _strict_int(value, f"{where}.{key}")
-        else:
-            kwargs[field] = _number(value, f"{where}.{key}")
-    return kwargs
-
-
-def _section(cls: Any, section: dict, where: str, keys: Optional[dict[str, str]] = None) -> Any:
-    """``cls`` from its config section, each entry typed by :func:`_typed`."""
-    return _make(cls, where, keys, **_typed(cls, section, where, keys))
-
-
 def _plant(p: dict) -> PlantParams:
-    # Typed before the conductances, so a bad plant entry is the first fault reported.
-    plant = _typed(PlantParams, p, "config.plant", _PLANT_KEYS)
     conductances = _section(Conductances, p["conductances"], "config.plant.conductances")
-    return _make(PlantParams, "config.plant", _PLANT_KEYS, conductances=conductances, **plant)
+    return _section(PlantParams, p, "config.plant", _PLANT_KEYS, conductances=conductances)
 
 
 def _maps(maps: dict) -> tuple[SpoolMap, SpoolMap]:
-    def build(md: dict, mode: Mode, where: str) -> SpoolMap:
-        if not isinstance(md["a"], list):
-            raise ConfigError(f"{where}.a must be a list of numbers, got {md['a']!r}")
-        a = tuple(_number(v, f"{where}.a[{i}]") for i, v in enumerate(md["a"]))
-        bounds = _typed(SpoolMap, {key: md[key] for key in ("u_min", "u_max")}, where)
-        return _make(SpoolMap, where, a=a, mode=mode, **bounds)
-
-    return tuple(build(maps[name], mode, f"config.maps.{name}") for name, mode in _MODES.items())
+    return tuple(
+        _section(SpoolMap, maps[name], f"config.maps.{name}", mode=mode) for name, mode in _MODES.items()
+    )
 
 
 def _gains(cls: Any, section: dict, where: str) -> tuple:
     """(deflation, inflation) gain sets of one controller section."""
     return tuple(_section(cls, section[name], f"{where}.{name}") for name in _MODES)
-
-
-def _reference(r: dict) -> Reference:
-    where = "config.reference"
-    stages = r["stages"]
-    if not (isinstance(stages, list) and all(isinstance(s, list) and len(s) == 2 for s in stages)):
-        raise ConfigError(f"{where}.stages must be a list of [level_kpa, hold_s] pairs, got {stages!r}")
-    stages = [(_number(lv, f"{where}.stages"), _number(hold, f"{where}.stages")) for lv, hold in stages]
-    sine = _typed(Reference, {key: r[key] for key in ("amplitude_kpa", "frequency_hz", "cycles")}, where)
-    if r["kind"] == "multi-step":
-        return _make(Reference.multi_step, where, stages=stages)
-    if r["kind"] == "sinusoid":
-        return _make(Reference.sinusoid, where, **sine)
-    raise ConfigError(f"unknown reference kind {r['kind']!r} in {where}.kind")
 
 
 def _modes(names: Any) -> tuple[Mode, ...]:
@@ -403,7 +348,7 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
         smc_gains=_gains(SmcGains, d["smc"], "config.smc"),
         pid_gains=_gains(PidGains, d["pid"], "config.pid"),
         mpc=_section(MpcConfig, d["mpc"], "config.mpc", _MPC_KEYS),
-        reference=_reference(d["reference"]),
+        reference=_section(Reference, d["reference"], "config.reference"),
         timing=_section(TimingConfig, d["timing"], "config.timing", _TIMING_KEYS),
     )
 

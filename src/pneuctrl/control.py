@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from . import plant as plant_mod
-from .plant import _DEFLATION, _INFLATION, Mode, PlantParams, require_finite
+from .plant import _DEFLATION, _INFLATION, Mode, PlantParams, check_fields
 from .valvemap import SpoolMap, invert_spool
 
 # Relative threshold on |g_m| below which the control law falls back to a
@@ -30,7 +30,7 @@ class SupervisorConfig:
     h: float
 
     def __post_init__(self) -> None:
-        require_finite(self)
+        check_fields(self)
         if not self.h > 0.0:
             raise ValueError("hysteresis half-band h must be positive")
 
@@ -50,7 +50,7 @@ class SmcGains:
     k_i: float
 
     def __post_init__(self) -> None:
-        require_finite(self)
+        check_fields(self)
         if self.lam <= 0.0 or self.eta <= 0.0 or self.mu <= 0.0:
             raise ValueError("lam, eta, and mu must be positive")
         if self.k_i < 0.0:
@@ -66,7 +66,7 @@ class PidGains:
     k_d: float
 
     def __post_init__(self) -> None:
-        require_finite(self)
+        check_fields(self)
         for name in ("k_p", "k_i", "k_d"):
             if not getattr(self, name) >= 0.0:
                 raise ValueError(f"{name} must be non-negative")

@@ -29,7 +29,7 @@ from .control import (
     select_mode,
     smc_update,
 )
-from .plant import LoadModel, Mode, PlantParams, require_finite
+from .plant import LoadModel, Mode, PlantParams, check_fields, finite_float
 from .valvemap import SpoolMap, eval_spool
 
 
@@ -52,18 +52,25 @@ class Reference:
     cycles: int = 3
 
     def __post_init__(self) -> None:
-        require_finite(self)
+        # Both kinds check their stage pairs, though only a multi-step reads them.
+        if not (isinstance(self.stages, (tuple, list))
+                and all(isinstance(s, (tuple, list)) and len(s) == 2 for s in self.stages)):
+            raise ValueError(f"stages must be a sequence of (level_kpa, hold_s) pairs, got {self.stages!r}")
+        stages = tuple((finite_float(lv, "stages: a level"), finite_float(hold, "stages: a hold"))
+                       for lv, hold in self.stages)
+        object.__setattr__(self, "stages", stages)
+        check_fields(self)
+        if self.cycles < 0:   # read by a sinusoid only, but never a count below zero
+            raise ValueError("cycles must be non-negative")
         if self.kind == "multi-step":
-            if not self.stages:
-                raise ValueError("multi-step reference needs at least one stage")
+            if not stages:
+                raise ValueError("stages: a multi-step reference needs at least one stage")
             # Cumulative stage ends, added in stage order: the stage table of
             # reference_at and window_edges, kept out of the fields (and so
             # out of repr, == and the emitted config).
             ends, acc = [], 0.0
-            for level, hold in self.stages:
-                if not math.isfinite(level):
-                    raise ValueError("stages: a level must be finite")
-                if not 0.0 < hold < math.inf:
+            for _, hold in stages:
+                if not hold > 0.0:
                     raise ValueError("stages: a hold must be positive and finite")
                 acc += hold
                 ends.append(acc)
@@ -74,7 +81,11 @@ class Reference:
             if self.cycles < 1:
                 raise ValueError("cycles must be at least 1")
         else:
-            raise ValueError(f"unknown reference kind {self.kind!r}")
+            raise ValueError(f"kind must be 'multi-step' or 'sinusoid', got {self.kind!r}")
+        # The fields its kind does not read take their defaults, so two
+        # references of one shape compare equal however they were built.
+        for name in ("amplitude_kpa", "frequency_hz", "cycles") if self.kind == "multi-step" else ("stages",):
+            object.__setattr__(self, name, getattr(Reference, name))
         try:
             duration = self.duration
         except OverflowError:
@@ -84,16 +95,11 @@ class Reference:
 
     @classmethod
     def multi_step(cls, stages: list[tuple[float, float]]) -> "Reference":
-        return cls(kind="multi-step", stages=tuple((float(l), float(h)) for l, h in stages))
+        return cls(kind="multi-step", stages=stages)
 
     @classmethod
     def sinusoid(cls, amplitude_kpa: float, frequency_hz: float, cycles: int) -> "Reference":
-        return cls(
-            kind="sinusoid",
-            amplitude_kpa=float(amplitude_kpa),
-            frequency_hz=float(frequency_hz),
-            cycles=int(cycles),
-        )
+        return cls(kind="sinusoid", amplitude_kpa=amplitude_kpa, frequency_hz=frequency_hz, cycles=cycles)
 
     @property
     def duration(self) -> float:
@@ -143,7 +149,7 @@ class TimingConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        require_finite(self)
+        check_fields(self)
         if not (self.sim_substep >= self.control_rate >= 1.0):
             raise ValueError("rates must satisfy sim_substep >= control_rate >= 1")
         if self.sensor_rate <= 0.0:
@@ -370,7 +376,10 @@ def run_scenario(
     events = np.flatnonzero(fired)
     # One vector draw gives the stream of one scalar draw per sample.
     if timing.noise_sigma > 0.0:
-        noise = iter(rng.normal(0.0, timing.noise_sigma, size=sensed.size).tolist())
+        draws = rng.normal(0.0, timing.noise_sigma, size=sensed.size)
+        if not np.isfinite(draws).all():
+            raise ArithmeticError(f"noise_sigma {timing.noise_sigma!r} Pa draws a non-finite noise sample")
+        noise = iter(draws.tolist())
     else:
         noise = iter([0.0] * sensed.size)
 

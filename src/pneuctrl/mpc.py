@@ -30,7 +30,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from . import plant as plant_mod
 from .optim import golden_section
-from .plant import LoadModel, Mode, PlantParams, PlantState, require_finite
+from .plant import LoadModel, Mode, PlantParams, PlantState, check_fields
 from .valvemap import SpoolMap, eval_spool, spool_range
 
 # Widening of the reachable-pressure interval per prediction step in the
@@ -57,7 +57,7 @@ class MpcConfig:
     line_tol: float = 0.05         # golden-section duty resolution, %
 
     def __post_init__(self) -> None:
-        require_finite(self)
+        check_fields(self)
         if self.horizon_steps < 1:
             raise ValueError("horizon_steps must be >= 1")
         if self.dt_pred <= 0.0:

@@ -13,8 +13,10 @@ boundaries (see :mod:`pneuctrl.experiment`).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from enum import IntEnum
+from numbers import Integral, Real
 from string import Template
 from textwrap import indent
 from typing import Any, Callable, NamedTuple, Optional
@@ -31,14 +33,34 @@ class Mode(IntEnum):
 _INFLATION, _DEFLATION = Mode.INFLATION, Mode.DEFLATION
 
 
-def require_finite(record: Any) -> None:
-    """Reject a dataclass record's first non-finite float field, by name.
+def finite_float(value: Any, name: str) -> float:
+    """``value`` as a float: a finite real number, never a bool."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    # The comparison is exact for integers of any size and false for NaN.
+    if not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{name} must be finite")
+    return float(value)
 
+
+def check_fields(record: Any) -> None:
+    """Hold each ``init`` field of a dataclass record to its declared type.
+
+    A ``float`` field takes a finite real number, never a bool, and keeps it
+    as a float; an ``int`` field takes an integer, never a bool; an
+    ``Optional[...]`` field also takes None.  Any other type is left to the
+    record.  The first field that breaks its rule is named in a ValueError.
     ``init=False`` fields are derived from the others, so they are skipped.
     """
-    for f in fields(record):
-        if f.init and isinstance(v := getattr(record, f.name), float) and not math.isfinite(v):
-            raise ValueError(f"{f.name} must be finite")
+    # The package postpones annotations, so each declared type is its source text.
+    for f in (f for f in fields(record) if f.init):
+        value, kind = getattr(record, f.name), f.type
+        if value is None and kind.startswith("Optional["):
+            continue
+        if kind in ("float", "Optional[float]"):
+            object.__setattr__(record, f.name, finite_float(value, f.name))
+        elif kind == "int" and (isinstance(value, bool) or not isinstance(value, Integral)):
+            raise ValueError(f"{f.name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -56,7 +78,7 @@ class Conductances:
     c_ao: float
 
     def __post_init__(self) -> None:
-        require_finite(self)
+        check_fields(self)
         for name in ("c_po", "c_on", "c_oa", "c_ao"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"conductance {name} must be positive")
@@ -79,7 +101,7 @@ class PlantParams:
     conductances: Conductances
 
     def __post_init__(self) -> None:
-        require_finite(self)
+        check_fields(self)
         if not (0.0 < self.p_neg < self.p_atm < self.p_pos):
             raise ValueError("pressures must satisfy 0 < p_neg < p_atm < p_pos")
         if not (0.0 < self.b < 1.0):
@@ -136,11 +158,11 @@ class LoadModel:
     v_max: float = 2.5e-5
 
     def __post_init__(self) -> None:
-        require_finite(self)
+        check_fields(self)
         if self.kind not in ("fixed", "affine-bellow"):
-            raise ValueError(f"unknown load kind {self.kind!r}")
-        if self.kind == "affine-bellow" and not (0.0 <= self.v_min < self.v_max):
-            raise ValueError("bellow volume bounds must satisfy 0 <= v_min < v_max")
+            raise ValueError(f"kind must be 'fixed' or 'affine-bellow', got {self.kind!r}")
+        if self.kind == "affine-bellow" and not (0.0 < self.v_min < self.v_max):
+            raise ValueError("v_min must satisfy 0 < v_min < v_max for a bellow")
         if self.v0 <= 0.0:
             raise ValueError("v0 must be positive")
 

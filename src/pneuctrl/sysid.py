@@ -28,7 +28,7 @@ import numpy as np
 from . import plant as plant_mod
 from .experiment import MAX_SUBSTEPS, event_substeps
 from .optim import golden_section
-from .plant import Mode, PlantParams, require_finite
+from .plant import Mode, PlantParams, check_fields
 from .valvemap import SpoolMap, eval_spool
 
 
@@ -281,7 +281,7 @@ def fit_cubic(pairs: Sequence[tuple[float, float]], mode: Mode = Mode.INFLATION)
     coeffs, _, rank, _ = np.linalg.lstsq(design, xs, rcond=None)
     if rank < 4:
         raise ValueError("rank-deficient calibration design; duties too clustered")
-    return SpoolMap(a=tuple(float(c) for c in coeffs), mode=mode)
+    return SpoolMap(a=tuple(coeffs), mode=mode)
 
 
 @dataclass
@@ -510,7 +510,7 @@ class SynthesisConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        require_finite(self)
+        check_fields(self)
         if not (self.sim_substep >= self.sample_rate > 0.0):
             raise ValueError("rates must satisfy sim_substep >= sample_rate > 0")
         for name in ("rise_duration", "decay_duration", "full_open_duration", "full_decay_duration"):

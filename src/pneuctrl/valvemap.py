@@ -15,7 +15,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .plant import Mode, require_finite
+from .plant import Mode, check_fields, finite_float
 
 # Largest tolerated local decrease of the raw cubic, fraction per % duty.
 DEFAULT_SLOPE_TOL = 2e-3
@@ -61,12 +61,10 @@ class SpoolMap:
     _grid_hull: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.a) != 4:
-            raise ValueError("expected exactly four cubic coefficients")
-        object.__setattr__(self, "a", tuple(float(v) for v in self.a))
-        if not all(map(math.isfinite, self.a)):
-            raise ValueError("a must be finite")
-        require_finite(self)
+        if not (isinstance(self.a, (tuple, list)) and len(self.a) == 4):
+            raise ValueError(f"a must be four cubic coefficients, got {self.a!r}")
+        object.__setattr__(self, "a", tuple(finite_float(v, "a") for v in self.a))
+        check_fields(self)
         if not (0.0 <= self.u_min < self.u_max <= 100.0):
             raise ValueError("duty bounds must satisfy 0 <= u_min < u_max <= 100")
         if _min_slope_on(self.a, self.u_min, self.u_max) < -DEFAULT_SLOPE_TOL:
@@ -101,9 +99,9 @@ class SpoolMap:
         if name not in _MODE_NAMES:
             raise ValueError(f"unknown spool map mode {name!r}")
         return cls(
-            a=tuple(float(v) for v in d["a"]),
-            u_min=float(d.get("u_min", cls.u_min)),
-            u_max=float(d.get("u_max", cls.u_max)),
+            a=d["a"],
+            u_min=d.get("u_min", cls.u_min),
+            u_max=d.get("u_max", cls.u_max),
             mode=Mode(_MODE_NAMES.index(name)),
         )
 
