@@ -74,24 +74,26 @@ class Reference:
                     raise ValueError("stages: a hold must be positive and finite")
                 acc += hold
                 ends.append(acc)
+            if not math.isfinite(acc):
+                raise ValueError("stages: the holds sum past the float range")
             object.__setattr__(self, "_ends", tuple(ends))
         elif self.kind == "sinusoid":
             if self.frequency_hz <= 0.0:
                 raise ValueError("frequency_hz must be positive")
             if self.cycles < 1:
                 raise ValueError("cycles must be at least 1")
+            try:
+                duration = self.cycles / self.frequency_hz
+            except OverflowError:
+                raise ValueError("cycles is too large: cycles / frequency_hz overflows a float") from None
+            if not math.isfinite(duration):
+                raise ValueError("duration (cycles / frequency_hz) must be finite")
         else:
             raise ValueError(f"kind must be 'multi-step' or 'sinusoid', got {self.kind!r}")
         # The fields its kind does not read take their defaults, so two
         # references of one shape compare equal however they were built.
         for name in ("amplitude_kpa", "frequency_hz", "cycles") if self.kind == "multi-step" else ("stages",):
             object.__setattr__(self, name, getattr(Reference, name))
-        try:
-            duration = self.duration
-        except OverflowError:
-            raise ValueError("cycles is too large: cycles / frequency_hz overflows a float") from None
-        if not math.isfinite(duration):
-            raise ValueError("duration (stage holds, or cycles / frequency_hz) must be finite")
 
     @classmethod
     def multi_step(cls, stages: list[tuple[float, float]]) -> "Reference":

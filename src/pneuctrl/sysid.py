@@ -40,6 +40,8 @@ class TraceDataError(ValueError):
 CONDUCTANCE_BRACKET = (1e-13, 1e-8)
 # Search interval for per-segment spool fractions.
 SPOOL_BRACKET = (1e-3, 1.0 - 1e-3)
+# A spool estimate within this distance of a search bound is flagged at_bound.
+AT_BOUND_MARGIN = 1e-4
 # A trace must move at least this far (Pa) to be considered informative.
 MIN_TRACE_SPAN = 200.0
 # Minimum initial offset from atmosphere for a decay fit, Pa.
@@ -238,6 +240,18 @@ def fit_spool_segments(traces: Iterable[StepTrace], params: PlantParams) -> list
 
     Conductances in ``params`` must be fixed beforehand.  Estimates landing
     on the search bounds are flagged; they carry only saturation information.
+
+    Before searching, a bound test evaluates the objective at the lower bound
+    ``lo`` and at ``lo + AT_BOUND_MARGIN``.  If the second value is not below
+    the first, the cost, assumed unimodal as ``golden_section`` assumes it,
+    has its minimum in ``[lo, lo + AT_BOUND_MARGIN]``: the segment lies in the
+    valve deadband and is censored without a search.  Its point, and so its
+    ``calibration_pairs`` entry, reports ``x_hat = lo`` exactly, the RMS
+    residual at ``lo`` and ``at_bound = True``; like every at-bound point it
+    stays out of the cubic fit.  Only
+    the lower bound is tested: no default segment ends on the upper one, and
+    a test there would cost every interior segment two more evaluations.  A
+    NaN value never censors a segment, which is then searched as before.
     """
     lo, hi = SPOOL_BRACKET
     points = []
@@ -247,17 +261,20 @@ def fit_spool_segments(traces: Iterable[StepTrace], params: PlantParams) -> list
                 f"segment at duty {trace.u2}% shows no pressure change; stuck data"
             )
 
-        objective = _pruned_sse_objective(trace, lambda x, m=trace.mode: (x, m, params))
-        x_hat, sse, _ = golden_section(objective, lo, hi, tol=1e-5)
-        at_bound = x_hat <= lo + 1e-4 or x_hat >= hi - 1e-4
-        points.append(
-            SpoolPoint(
-                u=trace.u2,
-                x_hat=x_hat,
-                residual=math.sqrt(sse / len(trace.p)),
-                at_bound=at_bound,
-            )
-        )
+        def model(x, m=trace.mode):
+            return x, m, params
+
+        # The bound test: its second evaluation stops as soon as it passes the first.
+        bound_test = _pruned_sse_objective(trace, model)
+        sse_lo = bound_test(lo)
+        if bound_test(lo + AT_BOUND_MARGIN) >= sse_lo:
+            x_hat, sse = lo, sse_lo
+        else:
+            # A fresh objective: its pruning bound must be the search's own running minimum.
+            x_hat, sse, _ = golden_section(_pruned_sse_objective(trace, model), lo, hi, tol=1e-5)
+        at_bound = x_hat <= lo + AT_BOUND_MARGIN or x_hat >= hi - AT_BOUND_MARGIN
+        residual = math.sqrt(sse / len(trace.p))
+        points.append(SpoolPoint(u=trace.u2, x_hat=x_hat, residual=residual, at_bound=at_bound))
     return points
 
 

@@ -203,6 +203,24 @@ def test_reference_longer_than_a_float_exits_2(tmp_path, capsys, reference):
     assert "config.reference" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("stages", [[[0, 1e308], [0, 1e308]], [[0, 1.0], [50, 1.7e308], [0, 1.7e308]]],
+                         ids=["two-holds", "three-holds"])
+def test_stage_holds_summing_past_the_float_range_name_the_stages(tmp_path, capsys, stages):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"reference": {"kind": "multi-step", "stages": stages}}))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "invalid config.reference.stages: stages: the holds sum past the float range" in err
+
+
+def test_sinusoid_longer_than_a_float_keeps_its_own_message(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    ref = {"kind": "sinusoid", "amplitude_kpa": 50.0, "frequency_hz": 1e-310, "cycles": 3}
+    path.write_text(json.dumps({"reference": ref}))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "invalid config.reference: duration (cycles / frequency_hz) must be finite" in capsys.readouterr().err
+
+
 def test_cycle_count_too_large_for_a_float_exits_2(tmp_path, capsys):
     path = tmp_path / "scenario.json"
     ref = {"kind": "sinusoid", "amplitude_kpa": 50.0, "frequency_hz": 0.5, "cycles": 10**400}

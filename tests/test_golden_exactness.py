@@ -3,6 +3,9 @@
 ``tests/golden/exactness_sha256.json`` holds the sha256 of each output below,
 taken before the held RK4 step (``plant.rk4_hold``) replaced the per-call
 kernel and before the CSV writers took their columns from ``.tolist()``.
+The two identification digests were re-captured when the spool fit began
+to censor deadband segments at the lower spool bound: their ``x_hat`` is
+now exactly ``SPOOL_BRACKET[0]``; every other value they cover is unchanged.
 Every run is noiseless and uses only IEEE arithmetic and ``sqrt``, so the
 digests are the same on every platform.  Left out: the identified spool
 cubics, which come from LAPACK ``lstsq``, and the fit residuals, the square

@@ -5,9 +5,12 @@ input, and the fit objectives stop integrating once their sum of squares
 exceeds the lowest value the golden-section search has seen.  Each is
 compared here with a reference that does all the work: every substep
 through the public ``plant.step``, and every objective evaluation through
-``simulate_at_samples`` without the exit.
+``simulate_at_samples`` without the exit.  The spool fit's bound test,
+which censors a deadband segment without searching it, is compared with a
+reference that searches every segment.
 """
 
+import functools
 import math
 from dataclasses import replace
 
@@ -22,6 +25,9 @@ from pneuctrl.config import default_maps, default_plant
 from pneuctrl.optim import golden_section
 from pneuctrl.plant import Mode, PlantState, step
 from pneuctrl.sysid import (
+    SPOOL_BRACKET,
+    SpoolPoint,
+    StepTrace,
     SynthesisConfig,
     TraceDataError,
     identify_channel,
@@ -247,3 +253,113 @@ def test_pruned_fit_matches_full_fit_with_a_wrong_template(protocol_traces):
         mp.setattr(sysid, "_pruned_sse_objective", full_sse_objective)
         reference = sysid.fit_decay_conductance(decay, "c_oa", wrong)
     assert fast == reference
+
+
+def searched_spool_segments(traces, params):
+    """``fit_spool_segments`` with no bound test: every segment is searched."""
+    lo, hi = SPOOL_BRACKET
+    points = []
+    for trace in traces:
+        if trace.span < sysid.MIN_TRACE_SPAN and 30.0 <= trace.u2 <= 90.0:
+            raise TraceDataError(f"segment at duty {trace.u2}% shows no pressure change; stuck data")
+        objective = sysid._pruned_sse_objective(trace, lambda x, m=trace.mode: (x, m, params))
+        x_hat, sse, _ = golden_section(objective, lo, hi, tol=1e-5)
+        at_bound = x_hat <= lo + 1e-4 or x_hat >= hi - 1e-4
+        residual = math.sqrt(sse / len(trace.p))
+        points.append(SpoolPoint(u=trace.u2, x_hat=x_hat, residual=residual, at_bound=at_bound))
+    return points
+
+
+@functools.lru_cache(maxsize=None)
+def noisy_protocol(seed):
+    return synthesize_protocol(PARAMS, MAPS, cfg=SynthesisConfig(noise_sigma=500.0, seed=seed))
+
+
+def sweep_of(traces, mode):
+    """The sweep segments ``identify_channel`` hands to ``fit_spool_segments``, in its order."""
+    sweep = [tr for tr in traces if tr.mode == mode and tr.kind == "rise" and tr.u2 < 100.0]
+    return sorted(sweep, key=lambda tr: tr.u2)
+
+
+def point_bits(p):
+    return p.u.hex(), p.x_hat.hex(), p.residual.hex(), p.at_bound
+
+
+@pytest.mark.parametrize("mode", [Mode.INFLATION, Mode.DEFLATION], ids=["inflation", "deflation"])
+@pytest.mark.parametrize("seed", [None, 0, 1, 2], ids=["noiseless", "seed0", "seed1", "seed2"])
+def test_bound_test_changes_only_the_censored_points(monkeypatch, protocol_traces, seed, mode):
+    traces = protocol_traces if seed is None else noisy_protocol(seed)
+    fast = outcome(lambda: identify_channel(traces, mode, PARAMS))
+    with monkeypatch.context() as mp:
+        mp.setattr(sysid, "fit_spool_segments", searched_spool_segments)
+        reference = outcome(lambda: identify_channel(traces, mode, PARAMS))
+    assert isinstance(fast, sysid.ChannelIdResult) and isinstance(reference, sysid.ChannelIdResult)
+    assert fast.leak == reference.leak and fast.source == reference.source
+    assert [a.hex() for a in fast.spool_map.a] == [a.hex() for a in reference.spool_map.a]
+
+    params = sysid._with_conductance(PARAMS, fast.leak_name, fast.leak.value)
+    params = sysid._with_conductance(params, fast.source_name, fast.source.value)
+    lo = SPOOL_BRACKET[0]
+    censored = 0
+    assert len(fast.points) == len(reference.points)
+    for trace, p, q in zip(sweep_of(traces, mode), fast.points, reference.points):
+        assert (p.u, p.at_bound) == (q.u, q.at_bound)
+        if p.x_hat == lo:
+            censored += 1
+            assert p.at_bound
+            sse_lo = full_sse_objective(trace, lambda x: (x, mode, params))(lo)
+            assert p.residual == math.sqrt(sse_lo / len(trace.p))
+        else:
+            assert point_bits(p) == point_bits(q)
+    if seed is None:
+        # The deadband: 10 inflation and 30 deflation segments of the default sweep.
+        assert censored == (10 if mode == Mode.INFLATION else 30)
+    else:
+        assert censored > 0
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """Count the golden-section searches ``sysid`` starts."""
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return golden_section(*args, **kwargs)
+
+    monkeypatch.setattr(sysid, "golden_section", counted)
+    return calls
+
+
+def test_nan_sample_in_a_deadband_trace_is_searched(searches, protocol_traces):
+    trace = sweep_of(protocol_traces, Mode.DEFLATION)[0]
+    assert trace.u2 == 20.0
+    p = trace.p.copy()
+    p[5] = math.nan
+    nan_trace = StepTrace(t=trace.t, p=p, u1=trace.u1, u2=trace.u2, kind=trace.kind)
+    fast = sysid.fit_spool_segments([nan_trace], PARAMS)
+    assert searches[0] == 1
+    assert math.isnan(fast[0].residual)
+    reference = searched_spool_segments([nan_trace], PARAMS)
+    assert [point_bits(pt) for pt in fast] == [point_bits(pt) for pt in reference]
+
+
+def test_deadband_segment_takes_two_evaluations_and_no_search(searches, kernel_calls, protocol_traces):
+    trace = sweep_of(protocol_traces, Mode.DEFLATION)[0]
+    assert trace.u2 == 20.0
+    [point] = sysid.fit_spool_segments([trace], PARAMS)
+    assert point.at_bound and point.x_hat == SPOOL_BRACKET[0]
+    assert searches[0] == 0
+    assert kernel_calls[0] <= 2 * (len(trace.t) - 1)
+
+
+@pytest.mark.parametrize("mode", [Mode.INFLATION, Mode.DEFLATION], ids=["inflation", "deflation"])
+def test_interior_segment_takes_at_most_two_evaluations_more_than_its_search(kernel_calls, protocol_traces, mode):
+    trace = next(tr for tr in sweep_of(protocol_traces, mode) if tr.u2 == 50.0)
+    [point] = sysid.fit_spool_segments([trace], PARAMS)
+    fitted, kernel_calls[0] = kernel_calls[0], 0
+    lo, hi = SPOOL_BRACKET
+    objective = sysid._pruned_sse_objective(trace, lambda x: (x, mode, PARAMS))
+    x_hat, sse, _ = golden_section(objective, lo, hi, tol=1e-5)
+    assert not point.at_bound and point.x_hat == x_hat
+    assert kernel_calls[0] < fitted <= kernel_calls[0] + 2 * (len(trace.t) - 1)
