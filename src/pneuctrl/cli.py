@@ -16,40 +16,13 @@ from pathlib import Path
 from . import config as config_mod
 from . import sysid as sysid_mod
 from .config import ConfigError, ScenarioConfig
-from .experiment import (
-    METRICS,
-    DmSmcLoop,
-    MinmpcLoop,
-    NmpcLoop,
-    PidLoop,
-    compute_metrics,
-    run_scenario,
-    write_trajectory_csv,
-)
-from .plant import Mode
+from .experiment import METRICS, compute_metrics, run_scenario, write_trajectory_csv
+from .plant import MODE_NAMES
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_SOLVER = 4
-
-
-def _make_controller(name: str, scenario: ScenarioConfig):
-    dt = 1.0 / scenario.timing.control_rate
-    if name == "pid":
-        return PidLoop(scenario.pid_gains, scenario.supervisor, dt)
-    if name == "dm-smc":
-        return DmSmcLoop(scenario.plant, scenario.maps, scenario.smc_gains, scenario.supervisor, dt)
-    if name == "nmpc":
-        return NmpcLoop(
-            scenario.plant, scenario.maps, scenario.load, scenario.mpc,
-            scenario.supervisor, scenario.reference,
-        )
-    if name == "mi-nmpc":
-        return MinmpcLoop(
-            scenario.plant, scenario.maps, scenario.load, scenario.mpc, scenario.reference,
-        )
-    raise ConfigError(f"unknown controller {name!r}")
 
 
 def _load_scenario(args) -> ScenarioConfig:
@@ -67,7 +40,7 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _run_one(scenario: ScenarioConfig, controller_name: str):
-    controller = _make_controller(controller_name, scenario)
+    controller = config_mod.CONTROLLERS[controller_name](scenario)
     traj = run_scenario(
         scenario.reference, controller, scenario.timing,
         scenario.plant, scenario.maps, scenario.load,
@@ -133,7 +106,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_sysid(args) -> int:
-    mode = {"inflation": Mode.INFLATION, "deflation": Mode.DEFLATION}.get(args.mode)
+    mode = MODE_NAMES.get(args.mode)
     if mode is None:
         print(f"error: --mode must be inflation or deflation, got {args.mode!r}", file=sys.stderr)
         return EXIT_CONFIG

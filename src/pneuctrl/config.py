@@ -13,12 +13,15 @@ import json
 import re
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from .control import PidGains, SmcGains, SupervisorConfig
-from .experiment import MAX_SUBSTEPS, Reference, TimingConfig, control_tick_times, metric_windows, run_duration
+from .experiment import (
+    MAX_SUBSTEPS, ControllerLoop, DmSmcLoop, MinmpcLoop, NmpcLoop, PidLoop, Reference, TimingConfig,
+    control_tick_times, metric_windows, run_duration,
+)
 from .mpc import MpcConfig
-from .plant import Conductances, LoadModel, Mode, PlantParams
+from .plant import MODE_NAMES, Conductances, LoadModel, Mode, PlantParams
 from .sysid import SynthesisConfig
 from .valvemap import SpoolMap
 
@@ -40,9 +43,6 @@ DEFAULT_DEFLATION_CUBIC = (-2.27, 1.25e-1, -1.62e-3, 6.95e-6)
 
 MULTI_STEP_LEVELS_KPA = (0.0, 50.0, 100.0, 150.0, 200.0, 150.0, 100.0, 50.0, 0.0, -40.0, -80.0, -40.0, 0.0)
 MULTI_STEP_HOLD_S = 5.0
-
-# Per-mode config sections, in Mode index order.
-_MODES = {"deflation": Mode.DEFLATION, "inflation": Mode.INFLATION}
 
 
 def default_plant() -> PlantParams:
@@ -112,7 +112,14 @@ class ScenarioConfig:
     timing: TimingConfig
 
 
-CONTROLLER_NAMES = ("pid", "dm-smc", "nmpc", "mi-nmpc")
+# Each controller name -> its loop, built from a resolved scenario.
+CONTROLLERS: dict[str, Callable[[ScenarioConfig], ControllerLoop]] = {
+    "pid": lambda sc: PidLoop(sc.pid_gains, sc.supervisor, 1.0 / sc.timing.control_rate),
+    "dm-smc": lambda sc: DmSmcLoop(sc.plant, sc.maps, sc.smc_gains, sc.supervisor, 1.0 / sc.timing.control_rate),
+    "nmpc": lambda sc: NmpcLoop(sc.plant, sc.maps, sc.load, sc.mpc, sc.supervisor, sc.reference),
+    "mi-nmpc": lambda sc: MinmpcLoop(sc.plant, sc.maps, sc.load, sc.mpc, sc.reference),
+}
+CONTROLLER_NAMES = tuple(CONTROLLERS)
 
 # JSON key -> dataclass field of the plant section (but its conductances).
 _PLANT_KEYS = {
@@ -260,26 +267,26 @@ def _plant(p: dict) -> PlantParams:
 
 def _maps(maps: dict) -> tuple[SpoolMap, SpoolMap]:
     return tuple(
-        _section(SpoolMap, maps[name], f"config.maps.{name}", mode=mode) for name, mode in _MODES.items()
+        _section(SpoolMap, maps[name], f"config.maps.{name}", mode=mode) for name, mode in MODE_NAMES.items()
     )
 
 
 def _gains(cls: Any, section: dict, where: str) -> tuple:
     """(deflation, inflation) gain sets of one controller section."""
-    return tuple(_section(cls, section[name], f"{where}.{name}") for name in _MODES)
+    return tuple(_section(cls, section[name], f"{where}.{name}") for name in MODE_NAMES)
 
 
 def _modes(names: Any) -> tuple[Mode, ...]:
     if not isinstance(names, list):
         raise ConfigError(f"config.modes must be a list of mode names, got {names!r}")
     for name in names:
-        if not isinstance(name, str) or name not in _MODES:
+        if not isinstance(name, str) or name not in MODE_NAMES:
             raise ConfigError(f"unknown mode {name!r} in config.modes")
     if not names:
         raise ConfigError("config.modes must name at least one mode")
     if len(set(names)) != len(names):
         raise ConfigError(f"config.modes names a mode more than once: {names!r}")
-    return tuple(_MODES[name] for name in names)
+    return tuple(MODE_NAMES[name] for name in names)
 
 
 def synthesis_from_dict(raw: dict) -> SynthesisSpec:
@@ -302,7 +309,8 @@ def _read_json(path: str | Path) -> Any:
             raise ConfigError(f"{path} is not valid UTF-8: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
-        except ValueError as exc:   # an integer longer than Python's int parsing limit
+        # An integer longer than Python's int parsing limit, or nesting deeper than the decoder's.
+        except (ValueError, RecursionError) as exc:
             raise ConfigError(f"unreadable JSON in {path}: {exc}") from exc
 
 

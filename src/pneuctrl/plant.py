@@ -29,6 +29,9 @@ class Mode(IntEnum):
     INFLATION = 1
 
 
+# Each mode by the name configs, options and files give it, in Mode index order.
+MODE_NAMES = {m.name.lower(): m for m in Mode}
+
 # Read once: on Python 3.11 each ``Mode.INFLATION`` is a slow class-attribute lookup.
 _INFLATION, _DEFLATION = Mode.INFLATION, Mode.DEFLATION
 

@@ -321,7 +321,7 @@ class ChannelIdResult:
 
     def to_dict(self) -> dict:
         return {
-            "mode": "inflation" if self.mode == Mode.INFLATION else "deflation",
+            "mode": self.mode.name.lower(),
             "conductances": {
                 self.leak_name: self.leak.to_dict(),
                 self.source_name: self.source.to_dict(),
@@ -581,7 +581,6 @@ def synthesize_protocol(
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         for i, trace in enumerate(traces):
-            mode_name = "inflation" if trace.mode == Mode.INFLATION else "deflation"
-            name = f"{mode_name}_{i:03d}_{trace.kind}_u{trace.u2:05.1f}.csv"
+            name = f"{trace.mode.name.lower()}_{i:03d}_{trace.kind}_u{trace.u2:05.1f}.csv"
             write_trace_csv(trace, out / name)
     return traces

@@ -15,15 +15,13 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .plant import Mode, check_fields, finite_float
+from .plant import MODE_NAMES, Mode, check_fields, finite_float
 
 # Largest tolerated local decrease of the raw cubic, fraction per % duty.
 DEFAULT_SLOPE_TOL = 2e-3
 
 _GRID_STEP = 0.05        # duty grid pitch for the inversion table, %
 _INVERT_TOL = 1e-7       # duty bisection tolerance, %
-# Mode names of to_dict and from_dict, in Mode index order.
-_MODE_NAMES = ("deflation", "inflation")
 
 
 def _cubic(a: Sequence[float], u: float) -> float:
@@ -90,19 +88,20 @@ class SpoolMap:
             "a": list(self.a),
             "u_min": self.u_min,
             "u_max": self.u_max,
-            "mode": _MODE_NAMES[self.mode],
+            "mode": self.mode.name.lower(),
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "SpoolMap":
         name = d.get("mode", "inflation")
-        if name not in _MODE_NAMES:
+        # A list or dict cannot be looked up in the table, so the type comes first.
+        if not isinstance(name, str) or name not in MODE_NAMES:
             raise ValueError(f"unknown spool map mode {name!r}")
         return cls(
             a=d["a"],
             u_min=d.get("u_min", cls.u_min),
             u_max=d.get("u_max", cls.u_max),
-            mode=Mode(_MODE_NAMES.index(name)),
+            mode=MODE_NAMES[name],
         )
 
 

@@ -457,6 +457,28 @@ def test_config_path_that_is_a_directory_or_missing_exits_3(tmp_path, capsys, co
     assert "config.json" in capsys.readouterr().err
 
 
+DEEP = "[" * 200_000 + "]" * 200_000
+
+
+@pytest.mark.parametrize("command", CONFIG_COMMANDS)
+@pytest.mark.parametrize("text", [DEEP, '{"timing": {"seed": ' + DEEP + "}}"], ids=["document", "entry"])
+def test_config_nested_past_the_decoder_depth_exits_2(tmp_path, capsys, command, text):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert main(config_argv(command, path, tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "config.json" in err
+
+
+@pytest.mark.parametrize("mode", ["INFLATION", "bogus"])
+def test_sysid_mode_that_is_not_a_mode_name_exits_2(tmp_path, capsys, mode):
+    traces = tmp_path / "traces"
+    write_trace(traces, VALID_ROWS)
+    assert main(["sysid", "--traces", str(traces), "--mode", mode, "--out", str(tmp_path / "id")]) == 2
+    assert f"--mode must be inflation or deflation, got {mode!r}" in capsys.readouterr().err
+    assert not (tmp_path / "id").exists()
+
+
 @pytest.fixture(scope="module")
 def inflation_trace_dir(tmp_path_factory, protocol_traces):
     """The noiseless inflation protocol as trace CSVs, so ``sysid`` gets through its fit."""

@@ -4,12 +4,16 @@ import pytest
 
 from pneuctrl.cli import main
 from pneuctrl.config import (
+    CONTROLLER_NAMES,
+    CONTROLLERS,
     ConfigError,
     default_scenario_dict,
     default_synthesis_dict,
     scenario_from_dict,
     synthesis_from_dict,
 )
+from pneuctrl.experiment import Tick
+from pneuctrl.plant import Mode
 
 
 @pytest.fixture()
@@ -65,6 +69,16 @@ class TestScenarioConfig:
     def test_unknown_controller_rejected(self):
         with pytest.raises(ConfigError):
             scenario_from_dict({"controller": "lqr"})
+
+    def test_controller_names_are_the_table_keys_in_order(self):
+        assert CONTROLLER_NAMES == tuple(CONTROLLERS) == ("pid", "dm-smc", "nmpc", "mi-nmpc")
+
+    @pytest.mark.parametrize("name", CONTROLLER_NAMES)
+    def test_each_table_entry_builds_a_loop_from_the_default_scenario(self, name):
+        sc = scenario_from_dict({"controller": name})
+        p_atm = sc.plant.p_atm
+        tick = CONTROLLERS[name](sc).update(0.0, p_atm, p_atm + 5.0e4, 0.0)
+        assert isinstance(tick, Tick) and isinstance(tick.mode, Mode)
 
     def test_partial_overrides_merge_with_defaults(self):
         sc = scenario_from_dict({"timing": {"seed": 7}})

@@ -26,7 +26,6 @@ import numpy as np
 import pytest
 
 from pneuctrl import config as config_mod
-from pneuctrl.cli import _make_controller
 from pneuctrl.experiment import run_scenario, write_trajectory_csv
 from pneuctrl.plant import Mode
 from pneuctrl.sysid import identify_channel, synthesize_protocol, write_trace_csv
@@ -55,7 +54,7 @@ def trajectory_digests(name: str, out_dir: Path) -> dict:
     raw["timing"]["duration_s"] = RUNS[name]
     scenario = config_mod.scenario_from_dict(dict(raw, controller=name))
     traj = run_scenario(
-        scenario.reference, _make_controller(name, scenario), scenario.timing,
+        scenario.reference, config_mod.CONTROLLERS[name](scenario), scenario.timing,
         scenario.plant, scenario.maps, scenario.load,
     )
     path = out_dir / f"{name}.csv"

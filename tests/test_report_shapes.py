@@ -9,7 +9,8 @@ from dataclasses import replace
 
 import pytest
 
-from pneuctrl.cli import _make_controller, main
+from pneuctrl import config as config_mod
+from pneuctrl.cli import main
 from pneuctrl.config import load_scenario
 from pneuctrl.experiment import compute_metrics, run_scenario
 
@@ -45,7 +46,7 @@ def study(tmp_path_factory):
 
 def library_metrics(scenario, name):
     traj = run_scenario(
-        scenario.reference, _make_controller(name, scenario), scenario.timing,
+        scenario.reference, config_mod.CONTROLLERS[name](scenario), scenario.timing,
         scenario.plant, scenario.maps, scenario.load,
     )
     return compute_metrics(traj, scenario.reference)

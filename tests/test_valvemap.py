@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from pneuctrl.config import DEFAULT_DEFLATION_CUBIC, DEFAULT_INFLATION_CUBIC
@@ -149,6 +151,11 @@ class TestConstructionValidation:
     @pytest.mark.parametrize("mode", ["Inflation", "DEFLATION", "bogus", 1])
     def test_from_dict_rejects_an_unknown_mode_by_name(self, mode):
         with pytest.raises(ValueError, match=f"unknown spool map mode {mode!r}"):
+            SpoolMap.from_dict({"a": list(DEFAULT_INFLATION_CUBIC), "mode": mode})
+
+    @pytest.mark.parametrize("mode", [["inflation"], {}])
+    def test_from_dict_rejects_a_mode_that_is_not_a_string(self, mode):
+        with pytest.raises(ValueError, match=re.escape(f"unknown spool map mode {mode!r}")):
             SpoolMap.from_dict({"a": list(DEFAULT_INFLATION_CUBIC), "mode": mode})
 
     def test_from_dict_takes_missing_bounds_from_the_class_defaults(self, monkeypatch):
