@@ -21,7 +21,7 @@ from .experiment import (
     control_tick_times, metric_windows, run_duration,
 )
 from .mpc import MpcConfig
-from .plant import MODE_NAMES, Conductances, LoadModel, Mode, PlantParams
+from .plant import MODE_NAMES, Conductances, LoadModel, Mode, PlantParams, field_rule
 from .sysid import SynthesisConfig
 from .valvemap import SpoolMap
 
@@ -238,12 +238,11 @@ def _section(cls: Any, section: dict, where: str, keys: Optional[dict[str, str]]
     names the section and writes each field as its key.
     """
     keys = keys or {key: key for key in section}
-    # The package postpones annotations, so each declared type is its source text.
-    declared = {f.name: f.type for f in fields(cls)}
+    base = {f.name: field_rule(f.type)[0] for f in fields(cls)}
     kwargs = dict(fixed)
     for key, field in keys.items():
         value = section[key]
-        if declared[field] == "int" and isinstance(value, float) and value.is_integer():
+        if base[field] is int and isinstance(value, float) and value.is_integer():
             value = int(value)
         kwargs[field] = value
     try:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from . import plant as plant_mod
-from .plant import _DEFLATION, _INFLATION, Mode, PlantParams, check_fields
+from .plant import _DEFLATION, _INFLATION, Mode, NonNegative, PlantParams, Positive, check_fields
 from .valvemap import SpoolMap, invert_spool
 
 # Relative threshold on |g_m| below which the control law falls back to a
@@ -27,12 +27,10 @@ GAIN_GUARD_REL = 1e-3
 class SupervisorConfig:
     """Hysteresis half-band around the reference, Pa."""
 
-    h: float
+    h: Positive
 
     def __post_init__(self) -> None:
         check_fields(self)
-        if not self.h > 0.0:
-            raise ValueError("hysteresis half-band h must be positive")
 
 
 @dataclass(frozen=True)
@@ -44,32 +42,25 @@ class SmcGains:
     the sliding variable, and k_i the integral gain.
     """
 
-    lam: float
-    eta: float
-    mu: float
-    k_i: float
+    lam: Positive
+    eta: Positive
+    mu: Positive
+    k_i: NonNegative
 
     def __post_init__(self) -> None:
         check_fields(self)
-        if self.lam <= 0.0 or self.eta <= 0.0 or self.mu <= 0.0:
-            raise ValueError("lam, eta, and mu must be positive")
-        if self.k_i < 0.0:
-            raise ValueError("k_i must be non-negative")
 
 
 @dataclass(frozen=True)
 class PidGains:
     """Per-mode PID gains, duty percent per kPa of error (and its int/diff)."""
 
-    k_p: float
-    k_i: float
-    k_d: float
+    k_p: NonNegative
+    k_i: NonNegative
+    k_d: NonNegative
 
     def __post_init__(self) -> None:
         check_fields(self)
-        for name in ("k_p", "k_i", "k_d"):
-            if not getattr(self, name) >= 0.0:
-                raise ValueError(f"{name} must be non-negative")
 
 
 class ControllerState(NamedTuple):

@@ -29,7 +29,7 @@ from .control import (
     select_mode,
     smc_update,
 )
-from .plant import LoadModel, Mode, PlantParams, check_fields, finite_float
+from .plant import Count, LoadModel, Mode, NonNegative, PlantParams, Positive, check_fields, finite_float
 from .valvemap import SpoolMap, eval_spool
 
 
@@ -49,7 +49,7 @@ class Reference:
     stages: tuple[tuple[float, float], ...] = ()
     amplitude_kpa: float = 50.0
     frequency_hz: float = 0.5
-    cycles: int = 3
+    cycles: Count = 3
 
     def __post_init__(self) -> None:
         # Both kinds check their stage pairs, though only a multi-step reads them.
@@ -60,8 +60,6 @@ class Reference:
                        for lv, hold in self.stages)
         object.__setattr__(self, "stages", stages)
         check_fields(self)
-        if self.cycles < 0:   # read by a sinusoid only, but never a count below zero
-            raise ValueError("cycles must be non-negative")
         if self.kind == "multi-step":
             if not stages:
                 raise ValueError("stages: a multi-step reference needs at least one stage")
@@ -110,12 +108,15 @@ class Reference:
             return self._ends[-1]
         return self.cycles / self.frequency_hz
 
-    def window_edges(self) -> list[float]:
-        """Window boundaries for metrics: stage starts or period starts, plus the end."""
+    def window_edges(self, until: float = math.inf) -> list[float]:
+        """Window boundaries for metrics: stage starts or period starts, plus the end.
+
+        A sinusoid's stop within two periods past ``until``, so a run ending there costs its length.
+        """
         if self.kind == "multi-step":
             return [0.0, *self._ends]
         period = 1.0 / self.frequency_hz
-        return [i * period for i in range(self.cycles + 1)]
+        return [i * period for i in range(int(min(self.cycles, until / period + 2.0)) + 1)]
 
 
 def reference_at(ref: Reference, t: float, p_atm: float) -> tuple[float, float]:
@@ -144,24 +145,16 @@ class TimingConfig:
     """
 
     control_rate: float = 100.0
-    sensor_rate: float = 60.0
+    sensor_rate: Positive = 60.0
     sim_substep: float = 1000.0
-    duration: Optional[float] = None
-    noise_sigma: float = 500.0
-    seed: int = 0
+    duration: Optional[Positive] = None
+    noise_sigma: NonNegative = 500.0
+    seed: Count = 0
 
     def __post_init__(self) -> None:
         check_fields(self)
         if not (self.sim_substep >= self.control_rate >= 1.0):
             raise ValueError("rates must satisfy sim_substep >= control_rate >= 1")
-        if self.sensor_rate <= 0.0:
-            raise ValueError("sensor_rate must be positive")
-        if self.noise_sigma < 0.0:
-            raise ValueError("noise_sigma must be non-negative")
-        if self.duration is not None and self.duration <= 0.0:
-            raise ValueError("duration must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
 
 
 @dataclass
@@ -486,7 +479,7 @@ def metric_windows(
     windows it reaches, the last one cut at the run's end and dropped if it
     holds no control tick; any other window comes back even when empty.
     """
-    edges = ref.window_edges()
+    edges = ref.window_edges(math.inf if duration is None else duration)
     eps = 0.25 * float(t[1] - t[0])
     truncated = duration is not None and duration < edges[-1]
     if truncated:

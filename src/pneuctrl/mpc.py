@@ -30,7 +30,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from . import plant as plant_mod
 from .optim import golden_section
-from .plant import LoadModel, Mode, PlantParams, PlantState, check_fields
+from .plant import Count, LoadModel, Mode, NonNegative, PlantParams, PlantState, Positive, PositiveCount, check_fields
 from .valvemap import SpoolMap, eval_spool, spool_range
 
 # Widening of the reachable-pressure interval per prediction step in the
@@ -47,28 +47,17 @@ _PRUNE_SLACK = 1e-12
 
 @dataclass(frozen=True)
 class MpcConfig:
-    horizon_steps: int = 10
-    dt_pred: float = 0.01          # prediction step, s
-    w_e: float = 1.0e-6            # tracking weight, 1/Pa^2
-    w_u: float = 1.0e-2            # effort weight on the spool fraction
-    w_sw: float = 1.0              # penalty per mode change within the horizon
-    max_iters: int = 3             # coordinate-descent sweeps
-    max_switches: int = 1          # switch points allowed per candidate (MI-NMPC)
-    line_tol: float = 0.05         # golden-section duty resolution, %
+    horizon_steps: PositiveCount = 10
+    dt_pred: Positive = 0.01           # prediction step, s
+    w_e: NonNegative = 1.0e-6          # tracking weight, 1/Pa^2
+    w_u: NonNegative = 1.0e-2          # effort weight on the spool fraction
+    w_sw: NonNegative = 1.0            # penalty per mode change within the horizon
+    max_iters: PositiveCount = 3       # coordinate-descent sweeps
+    max_switches: Count = 1            # switch points allowed per candidate (MI-NMPC)
+    line_tol: float = 0.05             # golden-section duty resolution, %
 
     def __post_init__(self) -> None:
         check_fields(self)
-        if self.horizon_steps < 1:
-            raise ValueError("horizon_steps must be >= 1")
-        if self.dt_pred <= 0.0:
-            raise ValueError("dt_pred must be positive")
-        for name in ("w_e", "w_u", "w_sw"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be non-negative")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.max_switches < 0:
-            raise ValueError("max_switches must be >= 0")
 
 
 @dataclass

@@ -46,24 +46,48 @@ def finite_float(value: Any, name: str) -> float:
     return float(value)
 
 
+# Bounded field types: plain ``float`` and ``int`` to a type checker, held to
+# the bounds of FIELD_RULES by ``check_fields``, which reads each declared type.
+Positive = NonNegative = float
+Count = PositiveCount = int
+# Declared type -> (base type, bound test or None, message when the bound fails).
+FIELD_RULES = {
+    "float": (float, None, ""), "int": (int, None, ""), "Mode": (Mode, None, ""),
+    "Positive": (float, lambda v: v > 0.0, "must be positive"),
+    "NonNegative": (float, lambda v: v >= 0.0, "must be non-negative"),
+    "Count": (int, lambda v: v >= 0, "must be non-negative"),
+    "PositiveCount": (int, lambda v: v >= 1, "must be >= 1"),
+}
+
+
+def field_rule(declared: str) -> tuple:
+    """The ``FIELD_RULES`` entry of a declared type's text, ``Optional[...]`` unwrapped; none for another."""
+    return FIELD_RULES.get(declared[9:-1] if declared.startswith("Optional[") else declared, (None, None, ""))
+
+
 def check_fields(record: Any) -> None:
     """Hold each ``init`` field of a dataclass record to its declared type.
 
-    A ``float`` field takes a finite real number, never a bool, and keeps it
-    as a float; an ``int`` field takes an integer, never a bool; an
-    ``Optional[...]`` field also takes None.  Any other type is left to the
-    record.  The first field that breaks its rule is named in a ValueError.
-    ``init=False`` fields are derived from the others, so they are skipped.
+    A ``float`` field takes a finite real number, never a bool, as a float;
+    an ``int`` field an integer, never a bool; a ``Mode`` field a ``Mode``;
+    ``Optional[...]`` also None.  A bounded type then holds it to its bound;
+    any other type is left to the record.  The first field to break its rule
+    is named in a ValueError.  ``init=False`` fields, derived, are skipped.
     """
     # The package postpones annotations, so each declared type is its source text.
     for f in (f for f in fields(record) if f.init):
         value, kind = getattr(record, f.name), f.type
         if value is None and kind.startswith("Optional["):
             continue
-        if kind in ("float", "Optional[float]"):
-            object.__setattr__(record, f.name, finite_float(value, f.name))
-        elif kind == "int" and (isinstance(value, bool) or not isinstance(value, Integral)):
+        base, holds, breach = field_rule(kind)
+        if base is float:
+            object.__setattr__(record, f.name, value := finite_float(value, f.name))
+        elif base is int and (isinstance(value, bool) or not isinstance(value, Integral)):
             raise ValueError(f"{f.name} must be an integer, got {value!r}")
+        elif base is Mode and not isinstance(value, Mode):
+            raise ValueError(f"{f.name} must be a Mode, got {value!r}")
+        if holds is not None and not holds(value):
+            raise ValueError(f"{f.name} {breach}")
 
 
 @dataclass(frozen=True)
@@ -75,16 +99,13 @@ class Conductances:
     atmosphere to outlet (ao).
     """
 
-    c_po: float
-    c_on: float
-    c_oa: float
-    c_ao: float
+    c_po: Positive
+    c_on: Positive
+    c_oa: Positive
+    c_ao: Positive
 
     def __post_init__(self) -> None:
         check_fields(self)
-        for name in ("c_po", "c_on", "c_oa", "c_ao"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"conductance {name} must be positive")
 
 
 @dataclass(frozen=True)
@@ -95,12 +116,12 @@ class PlantParams:
     p_neg: float        # vacuum absolute pressure, Pa
     p_atm: float        # atmospheric absolute pressure, Pa
     b: float            # critical pressure ratio
-    rho_ref: float      # gas density at reference conditions, kg/m^3
-    t_ref: float        # reference temperature, K
-    t_gas: float        # gas temperature, K
+    rho_ref: Positive   # gas density at reference conditions, kg/m^3
+    t_ref: Positive     # reference temperature, K
+    t_gas: Positive     # gas temperature, K
     gamma: float        # heat-capacity ratio
-    r_gas: float        # specific gas constant, J/(kg K)
-    volume: float       # outlet volume, m^3
+    r_gas: Positive     # specific gas constant, J/(kg K)
+    volume: Positive    # outlet volume, m^3
     conductances: Conductances
 
     def __post_init__(self) -> None:
@@ -109,13 +130,8 @@ class PlantParams:
             raise ValueError("pressures must satisfy 0 < p_neg < p_atm < p_pos")
         if not (0.0 < self.b < 1.0):
             raise ValueError("critical ratio b must lie in (0, 1)")
-        if not self.volume > 0.0:
-            raise ValueError("volume must be positive")
         if not self.gamma > 1.0:
             raise ValueError("gamma must exceed 1")
-        for name in ("rho_ref", "t_ref", "t_gas", "r_gas"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
         # Cached products used in the flow hot path; _rate_scale is gas_energy / volume.
         temp_corr = math.sqrt(self.t_ref / self.t_gas)
         c = self.conductances
@@ -155,7 +171,7 @@ class LoadModel:
     """
 
     kind: str = "fixed"
-    v0: float = 2.0e-5
+    v0: Positive = 2.0e-5
     k_v: float = 0.0
     v_min: float = 1.0e-6
     v_max: float = 2.5e-5
@@ -166,8 +182,6 @@ class LoadModel:
             raise ValueError(f"kind must be 'fixed' or 'affine-bellow', got {self.kind!r}")
         if self.kind == "affine-bellow" and not (0.0 < self.v_min < self.v_max):
             raise ValueError("v_min must satisfy 0 < v_min < v_max for a bellow")
-        if self.v0 <= 0.0:
-            raise ValueError("v0 must be positive")
 
     @classmethod
     def fixed(cls, volume: float) -> "LoadModel":

@@ -28,7 +28,7 @@ import numpy as np
 from . import plant as plant_mod
 from .experiment import MAX_SUBSTEPS, event_substeps
 from .optim import golden_section
-from .plant import Mode, PlantParams, check_fields
+from .plant import Count, Mode, NonNegative, PlantParams, Positive, check_fields
 from .valvemap import SpoolMap, eval_spool
 
 
@@ -46,6 +46,8 @@ AT_BOUND_MARGIN = 1e-4
 MIN_TRACE_SPAN = 200.0
 # Minimum initial offset from atmosphere for a decay fit, Pa.
 MIN_DECAY_OFFSET = 2000.0
+# Fewest samples a segment may hold.
+MIN_SEGMENT_SAMPLES = 10
 
 
 @dataclass(frozen=True)
@@ -65,8 +67,8 @@ class StepTrace:
         object.__setattr__(self, "p", p)
         if t.ndim != 1 or p.shape != t.shape:
             raise ValueError("t and p must be 1-D arrays of equal length")
-        if len(t) < 10:
-            raise ValueError("a segment needs at least 10 samples")
+        if len(t) < MIN_SEGMENT_SAMPLES:
+            raise ValueError(f"a segment needs at least {MIN_SEGMENT_SAMPLES} samples")
         if not np.all(np.diff(t) > 0.0):
             raise ValueError("timestamps must be strictly increasing")
         if self.kind not in ("rise", "decay"):
@@ -519,26 +521,25 @@ class SynthesisConfig:
 
     sample_rate: float = 60.0
     sim_substep: float = 1000.0
-    rise_duration: float = 3.0
-    decay_duration: float = 2.0
-    full_open_duration: float = 2.0
-    full_decay_duration: float = 4.0
-    noise_sigma: float = 0.0
-    seed: int = 0
+    rise_duration: Positive = 3.0
+    decay_duration: Positive = 2.0
+    full_open_duration: Positive = 2.0
+    full_decay_duration: Positive = 4.0
+    noise_sigma: NonNegative = 0.0
+    seed: Count = 0
 
     def __post_init__(self) -> None:
         check_fields(self)
         if not (self.sim_substep >= self.sample_rate > 0.0):
             raise ValueError("rates must satisfy sim_substep >= sample_rate > 0")
         for name in ("rise_duration", "decay_duration", "full_open_duration", "full_decay_duration"):
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
             if getattr(self, name) * self.sim_substep > MAX_SUBSTEPS:
                 raise ValueError(f"{name} is too long: it takes more than {MAX_SUBSTEPS:,} substeps")
-        if self.noise_sigma < 0.0:
-            raise ValueError("noise_sigma must be non-negative")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+            # simulate_segment's samples, placed only as far as the last one needed could fall.
+            n = round(getattr(self, name) * self.sim_substep) + 1
+            n = min(n, MIN_SEGMENT_SAMPLES * self.sim_substep / self.sample_rate + 2)
+            if len(event_substeps(int(n), self.sim_substep, self.sample_rate)) < MIN_SEGMENT_SAMPLES:
+                raise ValueError(f"{name} is too short: a segment needs at least {MIN_SEGMENT_SAMPLES} samples")
 
 
 def synthesize_protocol(

@@ -328,7 +328,7 @@ def test_wrong_typed_synthesis_entry_exits_2(tmp_path, capsys, overrides, where)
         ("synthesize", {"synthesis": {"rise_s": -1}}, "config.synthesis.rise_s", "rise_duration must be positive"),
         ("run", {"mpc": {"w_u": -1}}, "config.mpc.w_u", "w_u must be non-negative"),
         ("run", {"plant": {"conductances": {"c_po": -1}}}, "config.plant.conductances.c_po",
-         "conductance c_po must be positive"),
+         "c_po must be positive"),
         ("run", {"plant": {"t_gas_k": 0}}, "config.plant.t_gas_k", "t_gas must be positive"),
         ("run", {"reference": {"kind": "sinusoid", "frequency_hz": 0}}, "config.reference.frequency_hz",
          "frequency_hz must be positive"),
@@ -348,6 +348,20 @@ def test_range_error_names_the_json_key(tmp_path, capsys, command, overrides, ke
     path.write_text(json.dumps(overrides))
     assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert f"invalid {key}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("synthesis, key", [
+    ({"sample_rate_hz": 2.0}, "config.synthesis.rise_s"),
+    ({"rise_s": 0.1}, "config.synthesis.rise_s"),
+    ({"full_decay_s": 0.1}, "config.synthesis.full_decay_s"),
+])
+def test_a_segment_too_short_for_ten_samples_exits_2(tmp_path, capsys, synthesis, key):
+    path = tmp_path / "synth.json"
+    path.write_text(json.dumps({"synthesis": synthesis}))
+    assert main(["synthesize", "--config", str(path), "--out", str(tmp_path / "traces")]) == 2
+    err = capsys.readouterr().err
+    assert f"invalid {key}: " in err and "a segment needs at least 10 samples" in err
+    assert not (tmp_path / "traces").exists()
 
 
 def test_traces_ending_in_a_blank_line_identify_the_same(tmp_path):

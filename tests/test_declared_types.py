@@ -24,7 +24,7 @@ from pneuctrl.config import (
     synthesis_from_dict,
 )
 from pneuctrl.experiment import PidLoop, Reference, TimingConfig, run_scenario
-from pneuctrl.plant import LoadModel, Mode
+from pneuctrl.plant import LoadModel, Mode, field_rule
 from pneuctrl.valvemap import SpoolMap
 
 
@@ -95,6 +95,81 @@ def test_every_float_field_stores_an_integer_as_a_float(kind, name):
         assert built == replace(record, **{name: float(value)})
         return
     assert (kind, name) in NO_INTEGER_IN_RANGE, "no integer in the field's range"
+
+
+def _bounded_fields():
+    """(record, field, bound type) of every field declared with a bound, ``Optional[...]`` unwrapped."""
+    return [
+        (name, f.name, f.type[9:-1] if f.type.startswith("Optional[") else f.type)
+        for name, record in RECORDS.items()
+        for f in fields(record)
+        if f.init and field_rule(f.type)[1] is not None
+    ]
+
+
+BOUNDED_FIELDS = _bounded_fields()
+
+
+def test_the_bounded_field_list_reaches_every_declared_bound():
+    by_type = {}
+    for kind, name, bound in BOUNDED_FIELDS:
+        by_type.setdefault(bound, set()).add(f"{kind}.{name}")
+    assert by_type == {
+        "Positive": {
+            "Conductances.c_po", "Conductances.c_on", "Conductances.c_oa", "Conductances.c_ao",
+            "PlantParams.rho_ref", "PlantParams.t_ref", "PlantParams.t_gas", "PlantParams.r_gas",
+            "PlantParams.volume", "LoadModel.v0", "SupervisorConfig.h", "SmcGains.lam", "SmcGains.eta",
+            "SmcGains.mu", "MpcConfig.dt_pred", "TimingConfig.sensor_rate", "TimingConfig.duration",
+            "SynthesisConfig.rise_duration", "SynthesisConfig.decay_duration",
+            "SynthesisConfig.full_open_duration", "SynthesisConfig.full_decay_duration",
+        },
+        "NonNegative": {
+            "SmcGains.k_i", "PidGains.k_p", "PidGains.k_i", "PidGains.k_d", "MpcConfig.w_e", "MpcConfig.w_u",
+            "MpcConfig.w_sw", "TimingConfig.noise_sigma", "SynthesisConfig.noise_sigma",
+        },
+        "Count": {"MpcConfig.max_switches", "Reference.cycles", "TimingConfig.seed", "SynthesisConfig.seed"},
+        "PositiveCount": {"MpcConfig.horizon_steps", "MpcConfig.max_iters"},
+    }
+
+
+# Per bound type: the values just past its bound, the message, and its boundary value if it holds one.
+BOUNDS = {
+    "Positive": ([0.0, -0.0, 0, -1e-300], "must be positive", None),
+    "NonNegative": ([-5e-324, -1.0, -1], "must be non-negative", 0.0),
+    "Count": ([-1, -(10 ** 30)], "must be non-negative", 0),
+    "PositiveCount": ([0, -1], "must be >= 1", 1),
+}
+
+
+@pytest.mark.parametrize("kind, name, bound", BOUNDED_FIELDS, ids=[f"{k}.{n}" for k, n, _ in BOUNDED_FIELDS])
+def test_every_bounded_field_is_held_to_its_bound(kind, name, bound):
+    past, message, boundary = BOUNDS[bound]
+    for value in past:
+        with pytest.raises(ValueError, match=f"^{name} {message}$"):
+            replace(RECORDS[kind], **{name: value})
+    if boundary is not None:
+        # A sinusoid needs a cycle; a multi-step reference reads no cycle count.
+        record = Reference.multi_step([(0.0, 1.0)]) if kind == "Reference" else RECORDS[kind]
+        replace(record, **{name: boundary})
+
+
+def test_a_bounded_field_checks_its_type_before_its_bound():
+    with pytest.raises(ValueError, match="^h must be a real number, got '-1'$"):
+        replace(RECORDS["SupervisorConfig"], h="-1")
+    with pytest.raises(ValueError, match="^max_switches must be an integer, got -1.5$"):
+        replace(RECORDS["MpcConfig"], max_switches=-1.5)
+
+
+def test_config_names_the_gain_that_breaks_its_bound():
+    with pytest.raises(ValueError, match=r"^invalid config\.smc\.inflation\.eta: eta must be positive$"):
+        scenario_from_dict({"smc": {"inflation": {"eta": 0}}})
+
+
+@pytest.mark.parametrize("mode", [1, 5, 0, "inflation", None])
+def test_a_spool_map_mode_must_be_a_mode(mode):
+    with pytest.raises(ValueError, match=f"^mode must be a Mode, got {mode!r}$"):
+        SpoolMap(a=(0.0, 0.01, 0.0, 0.0), mode=mode)
+    assert SpoolMap(a=(0.0, 0.01, 0.0, 0.0), mode=Mode.DEFLATION).to_dict()["mode"] == "deflation"
 
 
 def test_an_integer_too_large_for_a_float_is_not_finite():

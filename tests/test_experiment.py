@@ -289,6 +289,39 @@ class TestTruncatedRun:
         assert len(reports[0]["per_window"]["ae"]) == 2
 
 
+class TestLongSinusoid:
+    # Every period edge of 10**7 cycles would trace a peak of over 300 MB in
+    # config validation alone; a 0.5 s run reaches one.
+    CYCLES = 10**7
+
+    def test_a_short_run_builds_only_the_edges_it_reaches(self, params, maps, pid_gains, supervisor, load):
+        import tracemalloc
+
+        from pneuctrl.config import scenario_from_dict
+
+        tracemalloc.start()
+        try:
+            sc = scenario_from_dict({"reference": {"kind": "sinusoid", "cycles": self.CYCLES},
+                                     "controller": "pid", "timing": {"duration_s": 0.5}})
+            ctrl = PidLoop(pid_gains, supervisor, dt=0.01)
+            traj = run_scenario(sc.reference, ctrl, sc.timing, params, maps, load)
+            report = compute_metrics(traj, sc.reference)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6, peak
+        assert len(report.to_dict()["per_window"]["ae"]) == 1
+
+    def test_cut_edges_match_the_full_list(self):
+        ref = Reference.sinusoid(50.0, 0.3, 40)
+        full = ref.window_edges()
+        assert len(full) == 41
+        for until in (0.0, 1.0, 10.0 / 3.0, 3.4, 50.0, ref.duration, math.inf):
+            cut = ref.window_edges(until)
+            assert cut == full[:len(cut)]
+            assert cut[-1] > until or cut == full
+
+
 class TestTickRecord:
     """The per-tick internals ``run_scenario`` logs beside each command."""
 

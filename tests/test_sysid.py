@@ -332,3 +332,34 @@ class TestSynthesizeProtocol:
 
         with pytest.raises(ValueError, match="seed must be non-negative"):
             SynthesisConfig(seed=-1)
+
+    @pytest.mark.parametrize("field", ["rise_duration", "decay_duration", "full_open_duration",
+                                       "full_decay_duration"])
+    def test_a_segment_too_short_for_ten_samples_is_rejected(self, params, field):
+        from pneuctrl.sysid import SynthesisConfig
+
+        # At 60 Hz on the 1 kHz substep the tenth sample falls on substep 150.
+        assert len(simulate_segment(params.p_atm, 0.0, Mode.INFLATION, 0.15, params, 60.0, 1000.0)[0]) == 10
+        assert len(simulate_segment(params.p_atm, 0.0, Mode.INFLATION, 0.149, params, 60.0, 1000.0)[0]) == 9
+        assert getattr(SynthesisConfig(**{field: 0.15}), field) == 0.15
+        with pytest.raises(ValueError, match=f"^{field} is too short: a segment needs at least 10 samples$"):
+            SynthesisConfig(**{field: 0.149})
+
+    def test_the_sample_count_agrees_with_simulate_segment_at_any_rate(self):
+        import tracemalloc
+
+        from pneuctrl.sysid import SynthesisConfig
+
+        # At 1 mHz the tenth sample falls on substep 9,000,000, near the substep cap.
+        SynthesisConfig(sample_rate=1e-3, rise_duration=9000.0, decay_duration=9000.0,
+                        full_open_duration=9000.0, full_decay_duration=10_000.0)
+        with pytest.raises(ValueError, match="^rise_duration is too short"):
+            SynthesisConfig(sample_rate=1e-3, rise_duration=8999.0)
+        # At the substep rate the check places ten samples, not the ten million of the segment.
+        tracemalloc.start()
+        try:
+            SynthesisConfig(sample_rate=1000.0, rise_duration=10_000.0, full_decay_duration=10_000.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6, peak
