@@ -344,6 +344,14 @@ def control_tick_times(duration: float, timing: TimingConfig) -> np.ndarray:
     return event_substeps(n_sub, timing.sim_substep, timing.control_rate) / timing.sim_substep
 
 
+def noise_draws(rng: np.random.Generator, sigma: float, n: int) -> np.ndarray:
+    """``n`` zero-mean Gaussian noise samples of ``sigma`` Pa; ArithmeticError if one is not finite."""
+    draws = rng.normal(0.0, sigma, size=n)
+    if not np.isfinite(draws).all():
+        raise ArithmeticError(f"noise_sigma {sigma!r} Pa draws a non-finite noise sample")
+    return draws
+
+
 def run_scenario(
     ref: Reference,
     controller: ControllerLoop,
@@ -371,10 +379,7 @@ def run_scenario(
     events = np.flatnonzero(fired)
     # One vector draw gives the stream of one scalar draw per sample.
     if timing.noise_sigma > 0.0:
-        draws = rng.normal(0.0, timing.noise_sigma, size=sensed.size)
-        if not np.isfinite(draws).all():
-            raise ArithmeticError(f"noise_sigma {timing.noise_sigma!r} Pa draws a non-finite noise sample")
-        noise = iter(draws.tolist())
+        noise = iter(noise_draws(rng, timing.noise_sigma, sensed.size).tolist())
     else:
         noise = iter([0.0] * sensed.size)
 

@@ -21,12 +21,12 @@ import csv
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NoReturn, Optional, Sequence
 
 import numpy as np
 
 from . import plant as plant_mod
-from .experiment import MAX_SUBSTEPS, event_substeps
+from .experiment import MAX_SUBSTEPS, event_substeps, noise_draws
 from .optim import golden_section
 from .plant import Count, Mode, NonNegative, PlantParams, Positive, check_fields
 from .valvemap import SpoolMap, eval_spool
@@ -163,7 +163,8 @@ def _pruned_sse_objective(trace: StepTrace, model: Callable[[float], tuple]) -> 
     as without the exit.  NaN values, which lose every comparison, cannot
     break this: the kernel's results are finite, so a NaN comes from a NaN in
     ``trace.p``, every finished evaluation is then NaN, and the bound stays
-    inf.
+    inf.  A finished evaluation whose sum overflows raises TraceDataError:
+    every overflowing value ties, so a search could not tell its points apart.
     """
     p0 = float(trace.p[0])
     best = math.inf
@@ -174,7 +175,13 @@ def _pruned_sse_objective(trace: StepTrace, model: Callable[[float], tuple]) -> 
         pred = simulate_at_samples(p0, trace.t, x_bar, m, params, meas=trace.p, stop_above=best)
         if len(pred) < len(trace.p):
             return math.inf
-        sse = _sse(pred, trace.p)
+        with np.errstate(over="ignore"):
+            sse = _sse(pred, trace.p)
+        if sse == math.inf:
+            raise TraceDataError(
+                f"{trace.mode.name.lower()} {trace.kind} at {trace.u2} % duty: "
+                "the squared pressure mismatch overflows a float"
+            )
         best = min(best, sse)
         return sse
 
@@ -403,16 +410,9 @@ def write_trace_csv(trace: StepTrace, path: str | Path) -> None:
 
 def read_trace_csv(path: str | Path) -> StepTrace:
     try:
-        return _read_trace_csv(path)
-    except UnicodeDecodeError as exc:
-        raise TraceDataError(f"{path}: not valid UTF-8: {exc}") from exc
-
-
-def _read_trace_csv(path: str | Path) -> StepTrace:
-    try:
         ts, ps, u1s, u2s, kinds = _read_columns(path)
-    except (ValueError, csv.Error):
-        ts, ps, u1s, u2s, kinds = _scan_rows(path)
+    except (ValueError, csv.Error):     # UnicodeDecodeError is a ValueError
+        _raise_first_fault(path)
     if len(set(u1s)) != 1 or len(set(u2s)) != 1 or len(set(kinds)) != 1:
         raise TraceDataError(f"{path}: inputs must be constant within a segment")
     try:
@@ -424,8 +424,7 @@ def _read_trace_csv(path: str | Path) -> StepTrace:
 def _read_columns(path: str | Path) -> tuple[list, list, list, list, tuple]:
     """The trace's columns, parsed one column at a time; raises ValueError on any fault.
 
-    The columns are those ``_scan_rows`` returns for a file it accepts.  A file
-    it would reject is read again by ``_scan_rows``, which names the fault.
+    A file this rejects is read again by ``_raise_first_fault``, which names the fault.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -440,37 +439,29 @@ def _read_columns(path: str | Path) -> tuple[list, list, list, list, tuple]:
     return ts, ps, u1s, u2s, kinds
 
 
-def _scan_rows(path: str | Path) -> tuple[list, list, list, list, list]:
-    """The trace's columns, checked row by row: its faults name the first bad line."""
+def _raise_first_fault(path: str | Path) -> NoReturn:
+    """Re-read a trace ``_read_columns`` rejected, row by row, and raise the error naming its first fault."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
             if header is None or tuple(header) != TRACE_COLUMNS:
                 raise TraceDataError(f"{path}: expected columns {','.join(TRACE_COLUMNS)}")
-            ts, ps, u1s, u2s, kinds = [], [], [], [], []
-            for row in reader:
-                if not row:
-                    continue
+            for row in filter(None, reader):    # blank lines read as empty rows
                 if len(row) != 5:
                     raise TraceDataError(f"{path}: line {reader.line_num}: malformed row {row!r}")
                 try:
-                    t, p, u1, u2 = (float(v) for v in row[:4])
+                    values = [float(v) for v in row[:4]]
                 except ValueError as exc:
-                    msg = f"{path}: line {reader.line_num}: malformed row {row!r}: {exc}"
-                    raise TraceDataError(msg) from exc
-                if not all(math.isfinite(v) for v in (t, p, u1, u2)):
+                    raise TraceDataError(f"{path}: line {reader.line_num}: malformed row {row!r}: {exc}") from exc
+                if not all(map(math.isfinite, values)):
                     raise TraceDataError(f"{path}: line {reader.line_num}: non-finite value in row {row!r}")
-                ts.append(t)
-                ps.append(p)
-                u1s.append(u1)
-                u2s.append(u2)
-                kinds.append(row[4])
         except csv.Error as exc:   # a field longer than csv.field_size_limit(), for one
             raise TraceDataError(f"{path}: line {reader.line_num}: {exc}") from exc
-    if not ts:
-        raise TraceDataError(f"{path}: empty trace")
-    return ts, ps, u1s, u2s, kinds
+        except UnicodeDecodeError as exc:
+            raise TraceDataError(f"{path}: not valid UTF-8: {exc}") from exc
+    # Every row passed: _read_columns rejects such a file only when it has no data row.
+    raise TraceDataError(f"{path}: empty trace")
 
 
 def sweep_duties() -> list[float]:
@@ -561,7 +552,7 @@ def synthesize_protocol(
 
     def emit(t, p, u1, u2, kind):
         if cfg.noise_sigma > 0.0:
-            p = p + rng.normal(0.0, cfg.noise_sigma, size=len(p))
+            p = p + noise_draws(rng, cfg.noise_sigma, len(p))
         traces.append(StepTrace(t=t, p=p, u1=u1, u2=u2, kind=kind))
 
     for mode in modes:

@@ -7,6 +7,7 @@ covers.
 """
 
 import json
+import warnings
 
 import pytest
 
@@ -139,6 +140,37 @@ def test_failed_spool_calibration_exits_3(tmp_path, capsys):
     assert main(["sysid", "--traces", str(traces), "--mode", "deflation", "--out", str(tmp_path / "id")]) == 3
     err = capsys.readouterr().err
     assert "deflation spool calibration failed" in err
+
+
+@pytest.fixture(scope="module")
+def default_inflation_traces(tmp_path_factory):
+    """``pneuctrl synthesize`` output for the default synthesis config, inflation only."""
+    work = tmp_path_factory.mktemp("default_inflation")
+    (work / "synth.json").write_text(json.dumps({"modes": ["inflation"]}))
+    assert main(["synthesize", "--config", str(work / "synth.json"), "--out", str(work / "traces")]) == 0
+    return work / "traces"
+
+
+@pytest.mark.parametrize("name, where", [
+    ("inflation_110_rise_u050.0.csv", "inflation rise at 50.0 % duty"),      # a sweep segment
+    ("inflation_000_rise_u100.0.csv", "inflation rise at 100.0 % duty"),     # the source fit's segment
+])
+def test_overflowing_squared_mismatch_exits_3(tmp_path, capsys, default_inflation_traces, name, where):
+    traces = tmp_path / "traces"
+    traces.mkdir()
+    for f in default_inflation_traces.glob("*.csv"):
+        (traces / f.name).write_bytes(f.read_bytes())
+    lines = (traces / name).read_text().splitlines()
+    row = lines[5].split(",")
+    row[1] = "1e200"    # the pressure on line 6: its square overflows a float
+    lines[5] = ",".join(row)
+    (traces / name).write_text("\n".join(lines) + "\n")
+    out = tmp_path / "id"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sysid", "--traces", str(traces), "--mode", "inflation", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"data error: {where}: the squared pressure mismatch overflows a float\n"
+    assert not out.exists()
 
 
 

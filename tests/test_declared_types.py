@@ -311,3 +311,13 @@ def test_noise_whose_draws_overflow_exits_4(tmp_path, capsys, command):
         args += ["--controllers", "pid,dm-smc"]
     assert main(args) == 4
     assert "solver failure: noise_sigma" in capsys.readouterr().err
+
+
+def test_synthesis_noise_whose_draws_overflow_exits_4(tmp_path, capsys):
+    short = {"noise_sigma_pa": 1e308, "rise_s": 0.5, "decay_s": 0.5, "full_open_s": 0.5, "full_decay_s": 0.5}
+    path = tmp_path / "synth.json"
+    path.write_text(json.dumps({"modes": ["inflation"], "synthesis": short}))
+    assert main(["synthesize", "--config", str(path), "--out", str(tmp_path / "traces")]) == 4
+    err = capsys.readouterr().err
+    assert err == "solver failure: noise_sigma 1e+308 Pa draws a non-finite noise sample\n"
+    assert not (tmp_path / "traces").exists()

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from pneuctrl.sysid import TRACE_COLUMNS, StepTrace, TraceDataError, read_trace_csv, write_trace_csv
@@ -155,8 +155,25 @@ def corrupted_files(draw):
     return data
 
 
+def trace_file(rows, bad_utf8_at=None):
+    """A trace CSV's bytes: the header, then ``rows``, one a line; invalid UTF-8 at byte ``bad_utf8_at``."""
+    data = ("\n".join([",".join(TRACE_COLUMNS)] + rows) + "\n").encode()
+    return data if bad_utf8_at is None else data[:bad_utf8_at] + b"\xff" + data[bad_utf8_at:]
+
+
+# 400 rows of about 38 bytes, more than the text decoder's first 8 KB chunk; line 5 is malformed.
+BAD_LINE_5 = [f"{0.01 * i:.6f},{150000.0 + 7.0 * i:.6f},100.0,60.0,rise" for i in range(400)]
+BAD_LINE_5[3] = "0.030000,abc,100.0,60.0,rise"
+OVERSIZED_ROW = "0.1," + "1" * (csv.field_size_limit() + 1) + ",100.0,60.0,rise"
+
+
+# Each example pins which fault the row loop reaches first, and so names:
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=corrupted_files())
+@example(data=trace_file(BAD_LINE_5, bad_utf8_at=12_000))          # line 5, not the UTF-8 error past 8 KB
+@example(data=trace_file(BAD_LINE_5, bad_utf8_at=40))              # the UTF-8 error, not line 5
+@example(data=trace_file(BAD_LINE_5[:10] + [OVERSIZED_ROW]))       # line 5, not the oversized field
+@example(data=trace_file(["", "", ""]))                            # empty trace
 def test_any_file_reads_as_the_row_loop_reads_it(workdir, data):
     path = workdir / "seg.csv"
     path.write_bytes(data)
