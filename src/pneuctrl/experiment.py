@@ -189,113 +189,85 @@ class ControllerLoop(Protocol):
         """Return this tick's command and logged internals."""
 
 
+@dataclass(eq=False)
 class DmSmcLoop:
     """Dual-mode sliding-mode controller bound to one scenario loop."""
 
-    def __init__(
-        self,
-        params: PlantParams,
-        maps: tuple[SpoolMap, SpoolMap],
-        gains: tuple[SmcGains, SmcGains],
-        supervisor: SupervisorConfig,
-        dt: float,
-    ):
-        self._params = params
-        self._maps = maps
-        self._gains = gains
-        self._sup = supervisor
-        self._dt = dt
-        self.state = ControllerState(mode=Mode.INFLATION)
+    params: PlantParams
+    maps: tuple[SpoolMap, SpoolMap]
+    gains: tuple[SmcGains, SmcGains]
+    supervisor: SupervisorConfig
+    dt: float
+    state: ControllerState = field(init=False, default=ControllerState(mode=Mode.INFLATION))
 
     def update(self, t, p_meas, p_ref, p_ref_rate):
         u, state = smc_update(
             self.state, p_meas, p_ref, p_ref_rate,
-            self._gains, self._params, self._maps, self._sup, self._dt,
+            self.gains, self.params, self.maps, self.supervisor, self.dt,
         )
         self.state = state
         return Tick(u, state.mode, state.s, state.x_star, "gain-guard" if state.gain_guard else "")
 
 
+@dataclass(eq=False)
 class PidLoop:
     """Mode-gated PID controller bound to one scenario loop."""
 
-    def __init__(
-        self,
-        gains: tuple[PidGains, PidGains],
-        supervisor: SupervisorConfig,
-        dt: float,
-    ):
-        self._gains = gains
-        self._sup = supervisor
-        self._dt = dt
-        self.state = PidState(mode=Mode.INFLATION)
+    gains: tuple[PidGains, PidGains]
+    supervisor: SupervisorConfig
+    dt: float
+    state: PidState = field(init=False, default=PidState(mode=Mode.INFLATION))
 
     def update(self, t, p_meas, p_ref, p_ref_rate):
-        u, self.state = pid_update(self.state, p_meas, p_ref, self._gains, self._sup, self._dt)
+        u, self.state = pid_update(self.state, p_meas, p_ref, self.gains, self.supervisor, self.dt)
         return Tick(u, self.state.mode)
 
 
-class _MpcLoop:
-    """The horizon's reference samples, shared by the two receding-horizon loops."""
-
-    def __init__(
-        self,
-        params: PlantParams,
-        maps: tuple[SpoolMap, SpoolMap],
-        load: LoadModel,
-        cfg: mpc_mod.MpcConfig,
-        ref: Reference,
-    ):
-        self._params = params
-        self._maps = maps
-        self._load = load
-        self._cfg = cfg
-        self._ref = ref
-
-    def _horizon_refs(self, t: float) -> list[float]:
-        t_last = self._ref.duration
-        return [
-            reference_at(self._ref, min(t + (k + 1) * self._cfg.dt_pred, t_last), self._params.p_atm)[0]
-            for k in range(self._cfg.horizon_steps)
-        ]
+def _horizon_refs(ref: Reference, cfg: mpc_mod.MpcConfig, p_atm: float, t: float) -> list[float]:
+    """The reference (absolute Pa) at each prediction step after ``t``, held at its end past it."""
+    t_last = ref.duration
+    return [reference_at(ref, min(t + (k + 1) * cfg.dt_pred, t_last), p_atm)[0]
+            for k in range(cfg.horizon_steps)]
 
 
-class NmpcLoop(_MpcLoop):
+@dataclass(eq=False)
+class NmpcLoop:
     """Receding-horizon NMPC under the hysteresis-selected mode."""
 
-    def __init__(
-        self,
-        params: PlantParams,
-        maps: tuple[SpoolMap, SpoolMap],
-        load: LoadModel,
-        cfg: mpc_mod.MpcConfig,
-        supervisor: SupervisorConfig,
-        ref: Reference,
-    ):
-        super().__init__(params, maps, load, cfg, ref)
-        self._sup = supervisor
-        self._mode = Mode.INFLATION
-        self._prev_u: Optional[tuple[float, ...]] = None
+    params: PlantParams
+    maps: tuple[SpoolMap, SpoolMap]
+    load: LoadModel
+    cfg: mpc_mod.MpcConfig
+    supervisor: SupervisorConfig
+    ref: Reference
+    mode: Mode = field(init=False, default=Mode.INFLATION)
+    prev_u: Optional[tuple[float, ...]] = field(init=False, default=None)
 
     def update(self, t, p_meas, p_ref, p_ref_rate):
-        self._mode = select_mode(p_meas, p_ref, self._sup, self._mode)
-        warm = None
-        if self._prev_u is not None:
-            warm = self._prev_u[1:] + self._prev_u[-1:]
+        self.mode = select_mode(p_meas, p_ref, self.supervisor, self.mode)
+        warm = None if self.prev_u is None else self.prev_u[1:] + self.prev_u[-1:]
         sol = mpc_mod.nmpc_solve(
-            p_meas, self._horizon_refs(t), self._mode,
-            self._cfg, self._params, self._maps, self._load, u_init=warm,
+            p_meas, _horizon_refs(self.ref, self.cfg, self.params.p_atm, t), self.mode,
+            self.cfg, self.params, self.maps, self.load, u_init=warm,
         )
-        self._prev_u = tuple(sol.u_seq)
-        return Tick(sol.u_seq[0], self._mode, flag="iter-cap" if sol.hit_iter_cap else "")
+        self.prev_u = tuple(sol.u_seq)
+        return Tick(sol.u_seq[0], self.mode, flag="iter-cap" if sol.hit_iter_cap else "")
 
 
-class MinmpcLoop(_MpcLoop):
+@dataclass(eq=False)
+class MinmpcLoop:
     """Receding-horizon MPC optimizing mode sequence and duty jointly."""
+
+    params: PlantParams
+    maps: tuple[SpoolMap, SpoolMap]
+    load: LoadModel
+    cfg: mpc_mod.MpcConfig
+    ref: Reference
 
     def update(self, t, p_meas, p_ref, p_ref_rate):
         sol = mpc_mod.minmpc_solve(
-            p_meas, self._horizon_refs(t), self._cfg, self._params, self._maps, self._load,
+            p_meas, _horizon_refs(self.ref, self.cfg, self.params.p_atm, t),
+            self.cfg, self.params, self.maps, self.load,
         )
         return Tick(sol.u_seq[0], sol.m_seq[0], flag="iter-cap" if sol.hit_iter_cap else "")
 
@@ -345,7 +317,10 @@ def control_tick_times(duration: float, timing: TimingConfig) -> np.ndarray:
 
 
 def noise_draws(rng: np.random.Generator, sigma: float, n: int) -> np.ndarray:
-    """``n`` zero-mean Gaussian noise samples of ``sigma`` Pa; ArithmeticError if one is not finite."""
+    """``n`` zero-mean Gaussian noise samples of ``sigma`` Pa; ArithmeticError if one is not finite.
+
+    At zero ``sigma`` every sample is +0.0, which leaves any positive pressure it is added to as it was.
+    """
     draws = rng.normal(0.0, sigma, size=n)
     if not np.isfinite(draws).all():
         raise ArithmeticError(f"noise_sigma {sigma!r} Pa draws a non-finite noise sample")
@@ -378,10 +353,7 @@ def run_scenario(
     fired[event_substeps(n_sub, f_sub, timing.control_rate)] |= 2
     events = np.flatnonzero(fired)
     # One vector draw gives the stream of one scalar draw per sample.
-    if timing.noise_sigma > 0.0:
-        noise = iter(noise_draws(rng, timing.noise_sigma, sensed.size).tolist())
-    else:
-        noise = iter([0.0] * sensed.size)
+    noise = iter(noise_draws(rng, timing.noise_sigma, sensed.size).tolist())
 
     p = reference_at(ref, 0.0, params.p_atm)[0] if p_init is None else p_init
     hold = plant_mod.rk4_hold(params, load)

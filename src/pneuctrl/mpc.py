@@ -179,9 +179,7 @@ def _descend(
     Every line-search evaluation on ``u[k]`` reuses the cached pressure and
     running cost before step k and re-simulates only steps k..N-1, adding the
     stage costs in the order of :func:`rollout_cost`, so each evaluation
-    equals a full rollout bit for bit.  A line search also returns the cost
-    it already computed for a spool fraction it meets again on the same
-    coordinate.
+    equals a full rollout bit for bit.
 
     ``steps`` memoizes RK4 steps, one table ``p -> p_next`` per spool
     fraction and mode (:func:`_step_table`; both modes share the
@@ -202,12 +200,9 @@ def _descend(
     ``ref_seq``, ``cfg``, ``params``, ``maps`` and ``load``.  It is keyed by
     all but the last five, so one memo may serve only descents that share
     those, such as those of one solve, and a hit returns the ``(v, c,
-    evals)`` that :func:`golden_section` would.  The search also starts
-    knowing the cost at the current ``x[k]``, but that cost is ``tail(k)``
-    of the current spool fractions bit for bit: it saves an evaluation and
-    changes no cost the search meets.  A coordinate searched again with no
-    duty changed since its last search hits the memo, and the hit changes
-    no duty, as that search left its best cost current.
+    evals)`` that :func:`golden_section` would.  A coordinate searched again
+    with no duty changed since its last search hits the memo, and the hit
+    changes no duty, as that search left its best cost current.
     """
     n = cfg.horizon_steps
     if steps is None:
@@ -265,18 +260,12 @@ def _descend(
             key = (k, inflating[k], p_before[k], c_before[k], switch_cost, *[t.key for t in tables[k + 1:]])
             found = searches.get(key)
             if found is None:
-                # The current cost is tail(k) of the current x, bit for bit.
-                seen = {x[k]: cost}
-
-                def line(v: float, k: int = k, seen: dict[float, float] = seen) -> float:
-                    x_new = eval_spool(v, spool_maps[k])
-                    c = seen.get(x_new)
-                    if c is None:
-                        saved = x[k], tables[k]
-                        x[k] = x_new
-                        tables[k] = _step_table(steps, hold, x_new, inflating[k])
-                        c = seen[x_new] = tail(k, False)
-                        x[k], tables[k] = saved
+                def line(v: float, k: int = k) -> float:
+                    saved = x[k], tables[k]
+                    x[k] = eval_spool(v, spool_maps[k])
+                    tables[k] = _step_table(steps, hold, x[k], inflating[k])
+                    c = tail(k, False)
+                    x[k], tables[k] = saved
                     return c
 
                 found = searches[key] = golden_section(line, bounds[k][0], bounds[k][1], tol=cfg.line_tol)

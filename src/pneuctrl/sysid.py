@@ -551,9 +551,7 @@ def synthesize_protocol(
     traces: list[StepTrace] = []
 
     def emit(t, p, u1, u2, kind):
-        if cfg.noise_sigma > 0.0:
-            p = p + noise_draws(rng, cfg.noise_sigma, len(p))
-        traces.append(StepTrace(t=t, p=p, u1=u1, u2=u2, kind=kind))
+        traces.append(StepTrace(t=t, p=p + noise_draws(rng, cfg.noise_sigma, len(p)), u1=u1, u2=u2, kind=kind))
 
     for mode in modes:
         u1 = 100.0 if mode == Mode.INFLATION else 0.0

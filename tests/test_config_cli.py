@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import pytest
@@ -79,6 +80,42 @@ class TestScenarioConfig:
         p_atm = sc.plant.p_atm
         tick = CONTROLLERS[name](sc).update(0.0, p_atm, p_atm + 5.0e4, 0.0)
         assert isinstance(tick, Tick) and isinstance(tick.mode, Mode)
+
+    LOOP_PARAMETERS = {
+        "pid": ("gains", "supervisor", "dt"),
+        "dm-smc": ("params", "maps", "gains", "supervisor", "dt"),
+        "nmpc": ("params", "maps", "load", "cfg", "supervisor", "ref"),
+        "mi-nmpc": ("params", "maps", "load", "cfg", "ref"),
+    }
+
+    @staticmethod
+    def _short_horizon(name):
+        return scenario_from_dict({"controller": name, "mpc": {"horizon_steps": 3}})
+
+    @pytest.mark.parametrize("name", CONTROLLER_NAMES)
+    def test_each_loop_is_built_from_its_inputs_alone(self, name):
+        loop_type = type(CONTROLLERS[name](self._short_horizon(name)))
+        assert tuple(inspect.signature(loop_type).parameters) == self.LOOP_PARAMETERS[name]
+
+    @pytest.mark.parametrize("name", CONTROLLER_NAMES)
+    def test_loops_of_one_scenario_keep_separate_memory(self, name):
+        sc = self._short_horizon(name)
+        p_atm = sc.plant.p_atm
+        used, other = CONTROLLERS[name](sc), CONTROLLERS[name](sc)
+        # Far above the reference: the supervisor moves the used loop to deflation.
+        for k in range(3):
+            used.update(0.01 * k, p_atm + 8.0e4, p_atm, 0.0)
+        # Inside the hysteresis band a loop keeps the mode it remembers, so a
+        # loop that shared the used one's memory would tick in deflation.
+        first = (0.0, p_atm + 1.0e3, p_atm, 0.0)
+        assert other.update(*first) == CONTROLLERS[name](sc).update(*first)
+
+    @pytest.mark.parametrize("name", CONTROLLER_NAMES)
+    def test_loops_compare_by_identity_and_hash(self, name):
+        sc = self._short_horizon(name)
+        a, b = CONTROLLERS[name](sc), CONTROLLERS[name](sc)
+        assert a != b
+        assert len({a, b}) == 2
 
     def test_partial_overrides_merge_with_defaults(self):
         sc = scenario_from_dict({"timing": {"seed": 7}})
