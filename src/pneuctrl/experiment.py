@@ -67,9 +67,11 @@ class Reference:
             # reference_at and window_edges, kept out of the fields (and so
             # out of repr, == and the emitted config).
             ends, acc = [], 0.0
-            for _, hold in stages:
+            for level, hold in stages:
                 if not hold > 0.0:
                     raise ValueError("stages: a hold must be positive and finite")
+                if not math.isfinite(1000.0 * level):
+                    raise ValueError("stages: a level overflows a float in pascals")
                 acc += hold
                 ends.append(acc)
             if not math.isfinite(acc):
@@ -86,6 +88,9 @@ class Reference:
                 raise ValueError("cycles is too large: cycles / frequency_hz overflows a float") from None
             if not math.isfinite(duration):
                 raise ValueError("duration (cycles / frequency_hz) must be finite")
+            # reference_at's peak rate; as frequency_hz > 0, finite only if the amplitude in pascals is.
+            if not math.isfinite(1000.0 * self.amplitude_kpa * (2.0 * math.pi * self.frequency_hz)):
+                raise ValueError("amplitude_kpa: the amplitude or its peak rate overflows a float in pascals")
         else:
             raise ValueError(f"kind must be 'multi-step' or 'sinusoid', got {self.kind!r}")
         # The fields its kind does not read take their defaults, so two
@@ -295,9 +300,9 @@ def event_substeps(n_sub: int, substep_hz: float, rate_hz: float) -> np.ndarray:
     ``sysid.simulate_segment``.
     """
     eps = 0.5 * (1.0 / substep_hz)
-    # Event k needs k / rate_hz <= (n_sub - 1) / substep_hz + eps, so no
-    # more than this many events fit.
-    k = np.arange(min(n_sub, int(rate_hz * n_sub / substep_hz) + 2))
+    # Event k needs k / rate_hz <= (n_sub - 1) / substep_hz + eps, and at most
+    # one fires per substep, so no more than this many events fit.
+    k = np.arange(min(n_sub, int(min(rate_hz, substep_hz) * n_sub / substep_hz) + 2))
     due = k / rate_hz
     # First substep whose time plus eps reaches the event's due time: start
     # below it (rounding moves the estimate by far less than two substeps)

@@ -386,16 +386,18 @@ def _bound_walk(
     + w_u * x_lo**2``, and the sequence adds ``w_sw`` per switch: no duty
     sequence pays less.
 
-    The walk is best-first over the prefix trie of ``seqs``, so sequences
-    that share a prefix share its intervals.  A prefix's key is its summed
-    stage scores plus ``w_sw`` per switch so far; every term is
-    non-negative and floating-point addition is monotone, so the key is at
-    most the bound of any extension.  A popped prefix steps its children
-    (through the step memo ``steps``, see :func:`_descend`) and pushes
-    them; on equal keys a prefix pops before a whole sequence, and whole
-    sequences pop by index.  So a sequence pops only after every prefix
-    whose key is at most its bound, which yields the ``(bound, i)`` order,
-    and a prefix whose key is above the cutoff is never stepped.
+    The walk is best-first with one heap entry per sequence, keyed by its
+    stepped prefix's summed stage scores plus ``w_sw`` per switch so far;
+    every term is non-negative and floating-point addition is monotone, so
+    the key is at most the bound of any extension.  A popped entry steps its
+    sequence's next prefix (through the step memo ``steps``, see
+    :func:`_descend`) unless another sequence's entry already did, and goes
+    back at the new key.  On equal keys unfinished entries pop before
+    finished ones, then by index, so a sequence pops finished only after
+    every prefix whose key is at most its bound, which yields the ``(bound,
+    i)`` order.  The entries at one prefix pop with no yield between them,
+    so under one cutoff: a prefix whose parent's key is above it is never
+    stepped.
 
     The margin covers the two ways the ends could miss a trajectory: the
     RK4 step is not quite non-decreasing in ``p``, and not quite between
@@ -441,46 +443,33 @@ def _bound_walk(
             out.append(p_next)
         return out
 
-    # The trie: each prefix's next modes, and the indices of each sequence.
-    nexts: dict[tuple[Mode, ...], list[Mode]] = {}
-    indices: dict[tuple[Mode, ...], list[int]] = {}
-    for i, m_seq in enumerate(seqs):
-        indices.setdefault(m_seq, []).append(i)
-        for k in range(n):
-            following = nexts.setdefault(m_seq[:k], [])
-            if m_seq[k] not in following:
-                following.append(m_seq[k])
-
-    # A prefix is (key, 0, prefix, lo, hi, stage scores, switches) and a whole
-    # sequence (bound, 1, index): equal keys pop prefixes first, then by index.
-    heap: list[tuple] = [(0.0, 0, (), p0, p0, 0.0, 0)] if seqs else []
+    # Each prefix stepped so far: (lo, hi, stage scores, switches).
+    nodes = {(): (p0, p0, 0.0, 0)}
+    heap = [(0.0, False, i, 0) for i in range(len(seqs))]
     while heap:
-        entry = heapq.heappop(heap)
-        key = entry[0]
+        key, done, i, k = heapq.heappop(heap)
         if key > cutoff():
             return
-        if entry[1]:
-            yield key, entry[2]
+        if done:
+            yield key, i
             continue
-        _, _, prefix, lo, hi, score, switches = entry
-        k = len(prefix)
-        r = ref_seq[k]
-        for m in nexts[prefix]:
+        m_seq = seqs[i]
+        prefix = m_seq[:k + 1]
+        node = nodes.get(prefix)
+        if node is None:
+            lo, hi, score, switches = nodes[m_seq[:k]]
+            m = m_seq[k]
             x_lo, ends = spool_ends[m]
             if interval:
-                m_lo = max(p_neg, min(step_ends(lo, ends)) - _BOUND_MARGIN_PA)
-                m_hi = min(p_pos, max(step_ends(hi, ends)) + _BOUND_MARGIN_PA)
+                lo = max(p_neg, min(step_ends(lo, ends)) - _BOUND_MARGIN_PA)
+                hi = min(p_pos, max(step_ends(hi, ends)) + _BOUND_MARGIN_PA)
             else:
-                m_lo, m_hi = p_neg, p_pos
-            d = m_lo - r if r < m_lo else r - m_hi if r > m_hi else 0.0
-            m_score = score + (w_e * d * d + w_u * x_lo * x_lo)
-            m_switches = switches + (k > 0 and m != prefix[-1])
-            child = prefix + (m,)
-            if k + 1 < n:
-                heapq.heappush(heap, (m_score + w_sw * m_switches, 0, child, m_lo, m_hi, m_score, m_switches))
-            else:
-                for i in indices[child]:
-                    heapq.heappush(heap, (m_score + w_sw * m_switches, 1, i))
+                lo, hi = p_neg, p_pos
+            r = ref_seq[k]
+            d = lo - r if r < lo else r - hi if r > hi else 0.0
+            score += w_e * d * d + w_u * x_lo * x_lo
+            node = nodes[prefix] = (lo, hi, score, switches + (k > 0 and m != m_seq[k - 1]))
+        heapq.heappush(heap, (node[2] + w_sw * node[3], k + 1 == n, i, k + 1))
 
 
 def _sequence_bounds(

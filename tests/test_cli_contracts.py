@@ -659,3 +659,28 @@ def test_every_scalar_entry_is_typed(tmp_path, capsys, command, path, bad):
     config.write_text(json.dumps(overlay(path, bad)))
     assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
     assert f"config.{'.'.join(path)}" in capsys.readouterr().err
+
+
+def test_sensor_at_any_finite_rate_runs_as_one_at_the_substep_rate(tmp_path):
+    # The physical columns: every column but the last, ct_us, a wall-clock time.
+    columns = []
+    for rate in (1000.0, 1e308):
+        path = tmp_path / f"sensor-{rate}.json"
+        path.write_text(json.dumps({"timing": {"sensor_rate_hz": rate, "duration_s": 1.0}}))
+        out = tmp_path / f"out-{rate}"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        with open(out / "trajectory.csv") as fh:
+            columns.append([line.rsplit(",", 1)[0] for line in fh])
+    assert columns[0] == columns[1]
+
+
+@pytest.mark.parametrize("reference, key", [
+    ({"kind": "sinusoid", "amplitude_kpa": 1e306}, "amplitude_kpa"),
+    ({"kind": "multi-step", "stages": [[0, 1.0], [1e306, 1.0]]}, "stages"),
+    ({"kind": "sinusoid", "amplitude_kpa": 1e303, "frequency_hz": 50}, "amplitude_kpa"),
+], ids=["amplitude", "level", "peak-rate"])
+def test_reference_overflowing_in_pascals_exits_2(tmp_path, capsys, reference, key):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"controller": "dm-smc", "reference": reference}))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"invalid config.reference.{key}: " in capsys.readouterr().err

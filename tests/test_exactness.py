@@ -427,6 +427,23 @@ def test_walk_steps_no_prefix_above_the_cutoff():
     assert 0 < sum(map(len, cut.values())) < sum(map(len, full.values()))
 
 
+def test_walk_yields_a_repeated_sequence_at_both_indices():
+    cfg = default_mpc_config()
+    seqs = list(mode_sequences(N, cfg.max_switches))
+    repeated = seqs[:5] + [seqs[3]] + seqs[5:]
+    once, twice = {}, {}
+    walked = list(_bound_walk(P0, REFS, seqs, cfg, PARAMS, MAPS, default_load(), once))
+    rewalked = list(_bound_walk(P0, REFS, repeated, cfg, PARAMS, MAPS, default_load(), twice))
+
+    bounds = {i: b for b, i in rewalked}
+    order = [i for _, i in rewalked]
+    assert sorted(order) == list(range(len(repeated)))
+    assert bounds[3] == bounds[5] == {i: b for b, i in walked}[3]
+    assert order.index(3) < order.index(5)
+    # The repeat shares every prefix: the walk takes no step it did not take before.
+    assert twice == once
+
+
 def test_equal_keys_go_to_the_earlier_sequence(monkeypatch):
     # Both constant sequences stay at atmosphere with the valve shut: cost 0,
     # no switch, the lowest duty.  Deflation is enumerated first and wins.

@@ -108,6 +108,10 @@ def test_event_substeps_match_the_run_loop(substep, factor, n_sub):
     assert event_substeps(n_sub + 1, substep, rate).tolist() == loop_segment_samples(n_sub, substep, rate)
 
 
+def test_event_substeps_at_a_rate_near_the_float_limit_fire_on_every_substep():
+    assert event_substeps(500, 1000.0, 1e308).tolist() == event_substeps(500, 1000.0, 1000.0).tolist()
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     substep=st.sampled_from([250.0, 997.0, 1000.0]),
