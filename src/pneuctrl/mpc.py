@@ -31,7 +31,7 @@ from typing import Callable, Iterator, Optional, Sequence
 from . import plant as plant_mod
 from .optim import golden_section
 from .plant import Count, LoadModel, Mode, NonNegative, PlantParams, PlantState, Positive, PositiveCount, check_fields
-from .valvemap import SpoolMap, eval_spool, spool_range
+from .valvemap import SpoolMap, eval_spool, spool_fraction, spool_range
 
 # Widening of the reachable-pressure interval per prediction step in the
 # MI-NMPC sequence bound, Pa; see _bound_walk.
@@ -54,7 +54,7 @@ class MpcConfig:
     w_sw: NonNegative = 1.0            # penalty per mode change within the horizon
     max_iters: PositiveCount = 3       # coordinate-descent sweeps
     max_switches: Count = 1            # switch points allowed per candidate (MI-NMPC)
-    line_tol: float = 0.05             # golden-section duty resolution, %
+    line_tol: Positive = 0.05          # golden-section duty resolution, %
 
     def __post_init__(self) -> None:
         check_fields(self)
@@ -141,6 +141,8 @@ StepTables = dict[tuple[float, Optional[bool]], StepTable]
 # The MPC solves' line-search memo: golden_section's ``(v, c, evals)`` of one
 # coordinate search, keyed by everything the search reads; see _descend.
 Searches = dict[tuple, tuple[float, float, int]]
+# The MPC solves' line-evaluation memo, search context -> spool fraction -> stage cost sum; see _descend.
+Evaluations = dict[tuple, dict[float, float]]
 
 
 def _step_table(steps: StepTables, hold: plant_mod.Hold, x_bar: float, inflation: bool) -> StepTable:
@@ -173,6 +175,7 @@ def _descend(
     u_init: Optional[Sequence[float]],
     steps: Optional[StepTables] = None,
     searches: Optional[Searches] = None,
+    evals: Optional[Evaluations] = None,
 ) -> tuple[list[float], float, int, bool, list[float]]:
     """Projected coordinate descent over the duty sequence for a fixed mode sequence.
 
@@ -193,22 +196,37 @@ def _descend(
     would.
 
     ``searches`` memoizes whole line searches, with the same default.  The
-    search on ``u[k]`` reads ``k``; the mode at ``k``, which fixes its spool
-    map, duty bounds and step tables; the pressure and running cost before
-    step ``k``; the switch cost; the tables of steps ``k+1..N-1``, whose
-    keys fix their spool fractions and so their stage costs; and
-    ``ref_seq``, ``cfg``, ``params``, ``maps`` and ``load``.  It is keyed by
-    all but the last five, so one memo may serve only descents that share
-    those, such as those of one solve, and a hit returns the ``(v, c,
-    evals)`` that :func:`golden_section` would.  A coordinate searched again
-    with no duty changed since its last search hits the memo, and the hit
-    changes no duty, as that search left its best cost current.
+    search on ``u[k]`` reads its context: ``k``; the mode at ``k``, which
+    fixes its spool map, duty bounds and step tables; the pressure and
+    running cost before step ``k``; the tables of steps ``k+1..N-1``, whose
+    keys fix their spool fractions and so their stage costs.  It also reads
+    the switch cost and ``ref_seq``, ``cfg``, ``params``, ``maps`` and
+    ``load``, and is keyed by its context and the switch cost, so one memo
+    may serve only descents that share the last five, such as those of one
+    solve, and a hit returns the ``(v, c, evals)`` that
+    :func:`golden_section` would.  A coordinate searched again with no duty
+    changed since its last search hits the memo, and the hit changes no
+    duty, as that search left its best cost current.
+
+    ``evals`` memoizes line evaluations, with the same default and sharing
+    rule: per search context, the summed stage cost before the switch cost
+    of each spool fraction at ``k`` walked in it (with the mode, the
+    fraction fixes step k's table and effort).  A hit adds the switch cost,
+    the one addition a walk ends with, so it returns the walk's bits.  On
+    maps whose lowest duty closes the valve, as both defaults do, every
+    table starts closed, so the first sweeps of sequences that agree up to
+    ``k`` search the same lines at ``k``.  An evaluation at the current spool
+    fraction would retrace the recorded ``p_before``/``c_before`` chain, so
+    it returns the current cost.  Its duties lie in the map's range, so it
+    skips :func:`eval_spool`'s check.
     """
     n = cfg.horizon_steps
     if steps is None:
         steps = {}
     if searches is None:
         searches = {}
+    if evals is None:
+        evals = {}
     bounds = [(maps[m].u_min, maps[m].u_max) for m in m_seq]
     if u_init is None:
         u = [bounds[k][0] for k in range(n)]
@@ -229,43 +247,59 @@ def _descend(
     p_before = [p0] * (n + 1)       # pressure before step k
     c_before = [0.0] * (n + 1)      # running stage cost before step k
 
-    def tail(k: int, record: bool) -> float:
-        """Total cost of the current spool fractions, simulating from step k."""
-        p = p_before[k]
-        c = c_before[k]
+    def record(k: int) -> None:
+        """Record the pressure and running cost after each step from k on."""
+        p, c = p_before[k], c_before[k]
         for j in range(k, n):
-            x_j = x[j]
             table = tables[j]
             p_next = table.get(p)
             if p_next is None:
                 p_next = table[p] = table.step(p, dt)
             p = p_next
             e = p - ref_seq[j]
-            c += w_e * e * e + w_u * x_j * x_j
-            if record:
-                p_before[j + 1] = p
-                c_before[j + 1] = c
-        c += switch_cost
-        if not math.isfinite(c):
-            raise ArithmeticError("rollout cost diverged")
-        return c
+            c += w_e * e * e + w_u * x[j] * x[j]
+            p_before[j + 1] = p
+            c_before[j + 1] = c
 
-    tail(0, True)
+    record(0)
     trace = [cost]
     sweeps = 0
     improved_last = True
     for _ in range(cfg.max_iters):
         improved_last = False
         for k in range(n):
-            key = (k, inflating[k], p_before[k], c_before[k], switch_cost, *[t.key for t in tables[k + 1:]])
+            context = (k, inflating[k], p_before[k], c_before[k], *[t.key for t in tables[k + 1:]])
+            key = (context, switch_cost)
             found = searches.get(key)
             if found is None:
-                def line(v: float, k: int = k) -> float:
-                    saved = x[k], tables[k]
-                    x[k] = eval_spool(v, spool_maps[k])
-                    tables[k] = _step_table(steps, hold, x[k], inflating[k])
-                    c = tail(k, False)
-                    x[k], tables[k] = saved
+                # The defaults bind the search's constants once, as locals of every evaluation.
+                def line(
+                    v: float, k: int = k, a: tuple = spool_maps[k].a, x_now: float = x[k],
+                    p_k: float = p_before[k], c_k: float = c_before[k], walked: dict = evals.setdefault(context, {}),
+                    rest: list = [(t, t.step, ref_seq[j], w_u * x[j] * x[j]) for j, t in enumerate(tables) if j > k],
+                ) -> float:
+                    x_k = spool_fraction(a, v)
+                    if x_k == x_now:
+                        return cost
+                    c = walked.get(x_k)
+                    if c is None:
+                        table = _step_table(steps, hold, x_k, inflating[k])
+                        p = table.get(p_k)
+                        if p is None:
+                            p = table[p_k] = table.step(p_k, dt)
+                        e = p - ref_seq[k]
+                        c = c_k + (w_e * e * e + w_u * x_k * x_k)
+                        for table, step, r, effort in rest:
+                            p_next = table.get(p)
+                            if p_next is None:
+                                p_next = table[p] = step(p, dt)
+                            p = p_next
+                            e = p - r
+                            c += w_e * e * e + effort
+                        walked[x_k] = c
+                    c += switch_cost
+                    if not math.isfinite(c):
+                        raise ArithmeticError("rollout cost diverged")
                     return c
 
                 found = searches[key] = golden_section(line, bounds[k][0], bounds[k][1], tol=cfg.line_tol)
@@ -274,7 +308,7 @@ def _descend(
                 u[k] = v_best
                 x[k] = eval_spool(v_best, spool_maps[k])
                 tables[k] = _step_table(steps, hold, x[k], inflating[k])
-                tail(k, True)
+                record(k)
                 cost = c_best
                 improved_last = True
         sweeps += 1
@@ -518,16 +552,18 @@ def minmpc_solve(
     descended sequences only.
 
     The bounds and all descents share one step memo, and the descents one
-    line-search memo (see :func:`_descend`).  Each keys everything its
-    entries depend on within a solve, so a hit returns what a fresh step or
-    search would: the solution is that of descents with fresh memos, bit
-    for bit, and only the work falls.
+    line-search and one line-evaluation memo (see :func:`_descend`).  Each
+    keys everything its entries depend on within a solve, the evaluation
+    memo all but the switch cost, which an evaluation adds last, so a hit
+    returns what a fresh step, search or walk would: the solution is that
+    of descents with fresh memos, bit for bit, and only the work falls.
     """
     seqs = list(mode_sequences(cfg.horizon_steps, cfg.max_switches))
     # RK4 steps shared by the bounds and every descent of this solve, and line
-    # searches shared by its descents; see _descend.
+    # searches and evaluations shared by its descents; see _descend.
     steps: StepTables = {}
     searches: Searches = {}
+    evals: Evaluations = {}
     best = None   # (key, duties, cost trace) of the winner so far
     total_sweeps = 0
     any_cap = False
@@ -538,7 +574,7 @@ def minmpc_solve(
 
     for _, i in _bound_walk(p0, ref_seq, seqs, cfg, params, maps, load, steps, cutoff):
         u, cost, sweeps, hit_cap, trace = _descend(
-            p0, ref_seq, seqs[i], cfg, params, maps, load, None, steps, searches,
+            p0, ref_seq, seqs[i], cfg, params, maps, load, None, steps, searches, evals,
         )
         descended += 1
         total_sweeps += sweeps

@@ -113,11 +113,17 @@ def _clip01(x: float) -> float:
     return x
 
 
+def spool_fraction(a: Sequence[float], u: float) -> float:
+    """``_clip01(_cubic(a, u))`` in one call: :func:`eval_spool` of the cubic ``a``, unchecked."""
+    x = a[0] + u * (a[1] + u * (a[2] + u * a[3]))
+    return 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
+
+
 def eval_spool(u: float, spool_map: SpoolMap) -> float:
     """Spool fraction commanded by duty ``u`` (percent), clipped to [0, 1]."""
     if not (0.0 <= u <= 100.0):
         raise ValueError(f"duty {u!r} outside [0, 100] %")
-    return _clip01(_cubic(spool_map.a, u))
+    return spool_fraction(spool_map.a, u)
 
 
 def spool_range(spool_map: SpoolMap) -> tuple[float, float]:

@@ -684,3 +684,40 @@ def test_reference_overflowing_in_pascals_exits_2(tmp_path, capsys, reference, k
     path.write_text(json.dumps({"controller": "dm-smc", "reference": reference}))
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert f"invalid config.reference.{key}: " in capsys.readouterr().err
+
+
+# A level of 1e305 kPa is finite in pascals, but its squared tracking error is not.
+FAR_STAGES = [[0, 0.1], [1e305, 0.1]]
+
+
+@pytest.mark.parametrize("controller", ["nmpc", "mi-nmpc"])
+@pytest.mark.parametrize("reference", [
+    {"kind": "multi-step", "stages": FAR_STAGES},
+    {"kind": "multi-step", "stages": [[-1e305, 0.1], [0, 0.1]]},
+    {"kind": "sinusoid", "amplitude_kpa": 1e304, "frequency_hz": 0.5},
+], ids=["level-above", "level-below", "amplitude"])
+def test_a_reference_whose_horizon_cost_overflows_exits_2_under_an_mpc(tmp_path, capsys, controller, reference):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"controller": controller, "reference": reference}))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "config error: config.reference: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_compare_rejects_a_far_reference_before_any_run(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"reference": {"kind": "multi-step", "stages": FAR_STAGES}}))
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", str(path), "--controllers", "pid,mi-nmpc", "--out", str(out)]) == 2
+    assert "config error: config.reference: mi-nmpc" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("controller, level", [
+    ("dm-smc", 1e305), ("pid", 1e305), ("nmpc", 1e150), ("mi-nmpc", 1e150),
+])
+def test_a_far_reference_the_controller_can_cost_still_runs(tmp_path, controller, level):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"controller": controller,
+                                "reference": {"kind": "multi-step", "stages": [[0, 0.1], [level, 0.1]]}}))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0

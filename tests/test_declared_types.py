@@ -119,7 +119,8 @@ def test_the_bounded_field_list_reaches_every_declared_bound():
             "Conductances.c_po", "Conductances.c_on", "Conductances.c_oa", "Conductances.c_ao",
             "PlantParams.rho_ref", "PlantParams.t_ref", "PlantParams.t_gas", "PlantParams.r_gas",
             "PlantParams.volume", "LoadModel.v0", "SupervisorConfig.h", "SmcGains.lam", "SmcGains.eta",
-            "SmcGains.mu", "MpcConfig.dt_pred", "TimingConfig.sensor_rate", "TimingConfig.duration",
+            "SmcGains.mu", "MpcConfig.dt_pred", "MpcConfig.line_tol", "TimingConfig.sensor_rate",
+            "TimingConfig.duration",
             "SynthesisConfig.rise_duration", "SynthesisConfig.decay_duration",
             "SynthesisConfig.full_open_duration", "SynthesisConfig.full_decay_duration",
         },

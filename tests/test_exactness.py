@@ -560,3 +560,59 @@ def test_minmpc_equals_an_enumeration_with_fresh_memos(problem):
 
     expected = enumerate_minmpc(p0, refs, cfg, PARAMS, maps, load, descend)
     assert solution_fields(minmpc_solve(p0, refs, cfg, PARAMS, maps, load)) == expected
+
+
+@st.composite
+def weighted_memo_problems(draw):
+    """A memo problem with drawn weights, the switch weight up to far above the tracking
+    cost, where adding a sequence's switch cost to a summed stage cost rounds."""
+    p0, refs, cfg, maps, load = draw(memo_problems())
+    w_sw = draw(st.one_of(st.floats(0.0, 10.0), st.floats(1e6, 1e17), st.sampled_from([0.0, 1.0, 1e16])))
+    cfg = replace(cfg, w_e=draw(st.floats(0.0, 1e-4)), w_u=draw(st.floats(0.0, 1.0)), w_sw=w_sw)
+    return p0, refs, cfg, maps, load
+
+
+@settings(max_examples=40, deadline=None)
+@given(problem=weighted_memo_problems())
+def test_descents_sharing_an_evaluation_memo_equal_full_rollout_descents(problem):
+    # The evaluation memo is keyed without the switch cost: sequences searching the same
+    # lines at other switch costs share its sums, and each still descends bit for bit.
+    p0, refs, cfg, maps, load = problem
+    steps, searches, evals = {}, {}, {}
+    for m_seq in mode_sequences(cfg.horizon_steps, cfg.max_switches):
+        shared = _descend(p0, refs, m_seq, cfg, PARAMS, maps, load, None, steps, searches, evals)
+        assert shared == reference_descend(p0, refs, m_seq, cfg, PARAMS, maps, load, None)
+
+    def descend(m_seq):
+        return _descend(p0, refs, m_seq, cfg, PARAMS, maps, load, None)
+
+    expected = enumerate_minmpc(p0, refs, cfg, PARAMS, maps, load, descend)
+    assert solution_fields(minmpc_solve(p0, refs, cfg, PARAMS, maps, load)) == expected
+
+
+def test_a_sequence_walks_no_line_its_first_modes_share_with_an_earlier_one():
+    # Each walked evaluation adds one spool fraction to its search's context in the memo.
+    # Both first sweeps start on closed-valve tables, so at each step before the two
+    # sequences part they search the same lines, at switch costs 0 and w_sw.
+    p0, refs = CROSSING_PROBLEMS["above-to-below"]
+    cfg, load, parts = replace(default_mpc_config(), max_iters=1), default_load(), 5
+    first, second = (DEFL,) * N, (DEFL,) * parts + (INFL,) * (N - parts)
+
+    def walks_before_parting(evals):
+        return sum(len(fractions) for context, fractions in evals.items() if context[0] < parts)
+
+    def descend(m_seq, *memos):
+        return _descend(p0, refs, m_seq, cfg, PARAMS, MAPS, load, None, *memos)
+
+    steps, searches, evals = {}, {}, {}
+    descend(first, steps, searches, evals)
+    walked = walks_before_parting(evals)
+    shared = descend(second, steps, searches, evals)
+    assert walks_before_parting(evals) == walked > 0
+    assert {(context[0], switch_cost) for context, switch_cost in searches if context[0] < parts} == {
+        (k, switch_cost) for k in range(parts) for switch_cost in (0.0, cfg.w_sw)}
+
+    fresh = {}
+    assert descend(second, {}, {}, fresh) == shared
+    assert walks_before_parting(fresh) == walked
+    assert {context[0] for context, fractions in fresh.items() if fractions} >= set(range(parts))

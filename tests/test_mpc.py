@@ -110,6 +110,14 @@ class TestNmpcSolve:
         assert sol.hit_iter_cap
 
 
+@pytest.mark.parametrize("line_tol", [0.0, -0.0, -1.0])
+def test_a_line_tolerance_that_never_ends_a_search_is_rejected(line_tol):
+    # At line_tol <= 0 every golden-section search would run to its evaluation cap.
+    with pytest.raises(ValueError, match="^line_tol must be positive$"):
+        MpcConfig(line_tol=line_tol)
+    assert MpcConfig(line_tol=1e-300).line_tol == 1e-300
+
+
 class TestModeSequences:
     def test_counts_with_one_switch(self):
         seqs = list(mode_sequences(10, 1))
