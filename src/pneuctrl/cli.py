@@ -51,7 +51,6 @@ def _run_one(scenario: ScenarioConfig, controller_name: str):
 
 def cmd_run(args) -> int:
     scenario = _load_scenario(args)
-    config_mod.check_horizon_cost(scenario, scenario.controller)
     out_dir = Path(args.out) if args.out else Path("out") / scenario.name
     out_dir.mkdir(parents=True, exist_ok=True)
     traj, metrics = _run_one(scenario, scenario.controller)
@@ -88,8 +87,6 @@ def cmd_compare(args) -> int:
             print(f"error: --controllers names {name!r} more than once", file=sys.stderr)
             return EXIT_CONFIG
     scenario = _load_scenario(args)
-    for name in controllers:
-        config_mod.check_horizon_cost(scenario, name)
     out_dir = Path(args.out) if args.out else Path("out") / f"{scenario.name}-compare"
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -10,7 +10,6 @@ key named.
 from __future__ import annotations
 
 import json
-import math
 import re
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -388,20 +387,6 @@ def scenario_from_dict(raw: dict) -> ScenarioConfig:
                 f"tick at {timing.control_rate!r} Hz"
             )
     return sc
-
-
-def check_horizon_cost(sc: ScenarioConfig, controller: str) -> None:
-    """Reject, for an MPC, a reference whose horizon cost could overflow a float.
-
-    Over the reference's range ``[r_lo, r_hi]`` a step's error is at most ``e_max =
-    max(r_hi - p_neg, p_pos - r_lo)``, so ``N * (w_e * e_max**2 + w_u) + w_sw * (N - 1)`` must be finite.
-    """
-    if controller in ("nmpc", "mi-nmpc"):
-        plant, cfg, n = sc.plant, sc.mpc, sc.mpc.horizon_steps
-        kpa = [level for level, _ in sc.reference.stages] or [sc.reference.amplitude_kpa, -sc.reference.amplitude_kpa]
-        e_max = max(plant.p_atm + 1000.0 * max(kpa) - plant.p_neg, plant.p_pos - (plant.p_atm + 1000.0 * min(kpa)))
-        if not math.isfinite(n * (cfg.w_e * e_max * e_max + cfg.w_u) + cfg.w_sw * (n - 1)):
-            raise ConfigError(f"config.reference: {controller}'s horizon cost at an error of {e_max!r} Pa overflows")
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:

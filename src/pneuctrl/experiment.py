@@ -13,6 +13,7 @@ import math
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, NamedTuple, Optional, Protocol
 
 import numpy as np
@@ -29,7 +30,7 @@ from .control import (
     select_mode,
     smc_update,
 )
-from .plant import Count, LoadModel, Mode, NonNegative, PlantParams, Positive, check_fields, finite_float
+from .plant import Count, Hz, Kpa, LoadModel, Mode, Pa, PlantParams, Seconds, Steps, check_fields, check_value
 from .valvemap import SpoolMap, eval_spool
 
 
@@ -47,16 +48,16 @@ class Reference:
 
     kind: str
     stages: tuple[tuple[float, float], ...] = ()
-    amplitude_kpa: float = 50.0
-    frequency_hz: float = 0.5
-    cycles: Count = 3
+    amplitude_kpa: Kpa = 50.0
+    frequency_hz: Hz = 0.5
+    cycles: Steps = 3
 
     def __post_init__(self) -> None:
         # Both kinds check their stage pairs, though only a multi-step reads them.
         if not (isinstance(self.stages, (tuple, list))
                 and all(isinstance(s, (tuple, list)) and len(s) == 2 for s in self.stages)):
             raise ValueError(f"stages must be a sequence of (level_kpa, hold_s) pairs, got {self.stages!r}")
-        stages = tuple((finite_float(lv, "stages: a level"), finite_float(hold, "stages: a hold"))
+        stages = tuple((check_value(lv, "Kpa", "stages: a level"), check_value(hold, "Seconds", "stages: a hold"))
                        for lv, hold in self.stages)
         object.__setattr__(self, "stages", stages)
         check_fields(self)
@@ -66,32 +67,8 @@ class Reference:
             # Cumulative stage ends, added in stage order: the stage table of
             # reference_at and window_edges, kept out of the fields (and so
             # out of repr, == and the emitted config).
-            ends, acc = [], 0.0
-            for level, hold in stages:
-                if not hold > 0.0:
-                    raise ValueError("stages: a hold must be positive and finite")
-                if not math.isfinite(1000.0 * level):
-                    raise ValueError("stages: a level overflows a float in pascals")
-                acc += hold
-                ends.append(acc)
-            if not math.isfinite(acc):
-                raise ValueError("stages: the holds sum past the float range")
-            object.__setattr__(self, "_ends", tuple(ends))
-        elif self.kind == "sinusoid":
-            if self.frequency_hz <= 0.0:
-                raise ValueError("frequency_hz must be positive")
-            if self.cycles < 1:
-                raise ValueError("cycles must be at least 1")
-            try:
-                duration = self.cycles / self.frequency_hz
-            except OverflowError:
-                raise ValueError("cycles is too large: cycles / frequency_hz overflows a float") from None
-            if not math.isfinite(duration):
-                raise ValueError("duration (cycles / frequency_hz) must be finite")
-            # reference_at's peak rate; as frequency_hz > 0, finite only if the amplitude in pascals is.
-            if not math.isfinite(1000.0 * self.amplitude_kpa * (2.0 * math.pi * self.frequency_hz)):
-                raise ValueError("amplitude_kpa: the amplitude or its peak rate overflows a float in pascals")
-        else:
+            object.__setattr__(self, "_ends", tuple(accumulate(hold for _, hold in stages)))
+        elif self.kind != "sinusoid":
             raise ValueError(f"kind must be 'multi-step' or 'sinusoid', got {self.kind!r}")
         # The fields its kind does not read take their defaults, so two
         # references of one shape compare equal however they were built.
@@ -149,11 +126,11 @@ class TimingConfig:
     substep rate would.
     """
 
-    control_rate: float = 100.0
-    sensor_rate: Positive = 60.0
-    sim_substep: float = 1000.0
-    duration: Optional[Positive] = None
-    noise_sigma: NonNegative = 500.0
+    control_rate: Hz = 100.0
+    sensor_rate: Hz = 60.0
+    sim_substep: Hz = 1000.0
+    duration: Optional[Seconds] = None
+    noise_sigma: Pa = 500.0
     seed: Count = 0
 
     def __post_init__(self) -> None:
@@ -321,17 +298,6 @@ def control_tick_times(duration: float, timing: TimingConfig) -> np.ndarray:
     return event_substeps(n_sub, timing.sim_substep, timing.control_rate) / timing.sim_substep
 
 
-def noise_draws(rng: np.random.Generator, sigma: float, n: int) -> np.ndarray:
-    """``n`` zero-mean Gaussian noise samples of ``sigma`` Pa; ArithmeticError if one is not finite.
-
-    At zero ``sigma`` every sample is +0.0, which leaves any positive pressure it is added to as it was.
-    """
-    draws = rng.normal(0.0, sigma, size=n)
-    if not np.isfinite(draws).all():
-        raise ArithmeticError(f"noise_sigma {sigma!r} Pa draws a non-finite noise sample")
-    return draws
-
-
 def run_scenario(
     ref: Reference,
     controller: ControllerLoop,
@@ -357,8 +323,9 @@ def run_scenario(
     fired[sensed] = 1
     fired[event_substeps(n_sub, f_sub, timing.control_rate)] |= 2
     events = np.flatnonzero(fired)
-    # One vector draw gives the stream of one scalar draw per sample.
-    noise = iter(noise_draws(rng, timing.noise_sigma, sensed.size).tolist())
+    # One vector draw gives the stream of one scalar draw per sample; at zero
+    # sigma every draw is +0.0, which leaves a positive pressure as it was.
+    noise = iter(rng.normal(0.0, timing.noise_sigma, size=sensed.size).tolist())
 
     p = reference_at(ref, 0.0, params.p_atm)[0] if p_init is None else p_init
     hold = plant_mod.rk4_hold(params, load)

@@ -30,7 +30,9 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from . import plant as plant_mod
 from .optim import golden_section
-from .plant import Count, LoadModel, Mode, NonNegative, PlantParams, PlantState, Positive, PositiveCount, check_fields
+from .plant import (
+    Count, LoadModel, Mode, PlantParams, PlantState, PositiveCount, Seconds, Steps, Tolerance, Weight, check_fields,
+)
 from .valvemap import SpoolMap, eval_spool, spool_fraction, spool_range
 
 # Widening of the reachable-pressure interval per prediction step in the
@@ -47,14 +49,14 @@ _PRUNE_SLACK = 1e-12
 
 @dataclass(frozen=True)
 class MpcConfig:
-    horizon_steps: PositiveCount = 10
-    dt_pred: Positive = 0.01           # prediction step, s
-    w_e: NonNegative = 1.0e-6          # tracking weight, 1/Pa^2
-    w_u: NonNegative = 1.0e-2          # effort weight on the spool fraction
-    w_sw: NonNegative = 1.0            # penalty per mode change within the horizon
+    horizon_steps: Steps = 10
+    dt_pred: Seconds = 0.01            # prediction step
+    w_e: Weight = 1.0e-6               # tracking weight, 1/Pa^2
+    w_u: Weight = 1.0e-2               # effort weight on the spool fraction
+    w_sw: Weight = 1.0                 # penalty per mode change within the horizon
     max_iters: PositiveCount = 3       # coordinate-descent sweeps
     max_switches: Count = 1            # switch points allowed per candidate (MI-NMPC)
-    line_tol: Positive = 0.05          # golden-section duty resolution, %
+    line_tol: Tolerance = 0.05         # golden-section duty resolution, %
 
     def __post_init__(self) -> None:
         check_fields(self)
@@ -93,6 +95,15 @@ def _check_horizon(n: int, *seqs: Sequence) -> None:
         raise ValueError(f"sequences must all have horizon length {n}")
 
 
+def _check_refs(ref_seq: Sequence[float]) -> None:
+    """Hold each reference within ``2 * PA_MAX`` Pa, the reach of a declared gauge level from a declared ``p_atm``.
+
+    Predictions stay within the rails, so every cost a solve forms is finite under the declared weights and horizon.
+    """
+    if not all(abs(r) <= 2.0 * plant_mod.PA_MAX for r in ref_seq):
+        raise ValueError(f"ref_seq must lie within ±2e9 Pa, got {list(ref_seq)!r}")
+
+
 def rollout_cost(
     p0: float,
     u_seq: Sequence[float],
@@ -118,8 +129,6 @@ def rollout_cost(
         if k > 0 and m != m_seq[k - 1]:
             switches += 1
     cost += cfg.w_sw * switches
-    if not math.isfinite(cost):
-        raise ArithmeticError("rollout cost diverged")
     return cost
 
 
@@ -297,10 +306,7 @@ def _descend(
                             e = p - r
                             c += w_e * e * e + effort
                         walked[x_k] = c
-                    c += switch_cost
-                    if not math.isfinite(c):
-                        raise ArithmeticError("rollout cost diverged")
-                    return c
+                    return c + switch_cost
 
                 found = searches[key] = golden_section(line, bounds[k][0], bounds[k][1], tol=cfg.line_tol)
             v_best, c_best, _ = found
@@ -330,6 +336,7 @@ def nmpc_solve(
     u_init: Optional[Sequence[float]] = None,
 ) -> MpcSolution:
     """Optimize the continuous duty sequence with the mode held fixed."""
+    _check_refs(ref_seq)
     m_seq = (m,) * cfg.horizon_steps
     u, cost, sweeps, hit_cap, trace = _descend(
         p0, ref_seq, m_seq, cfg, params, maps, load, u_init,
@@ -558,6 +565,7 @@ def minmpc_solve(
     returns what a fresh step, search or walk would: the solution is that
     of descents with fresh memos, bit for bit, and only the work falls.
     """
+    _check_refs(ref_seq)
     seqs = list(mode_sequences(cfg.horizon_steps, cfg.max_switches))
     # RK4 steps shared by the bounds and every descent of this solve, and line
     # searches and evaluations shared by its descents; see _descend.

@@ -36,58 +36,72 @@ MODE_NAMES = {m.name.lower(): m for m in Mode}
 _INFLATION, _DEFLATION = Mode.INFLATION, Mode.DEFLATION
 
 
-def finite_float(value: Any, name: str) -> float:
-    """``value`` as a float: a finite real number, never a bool."""
-    if isinstance(value, bool) or not isinstance(value, Real):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    # The comparison is exact for integers of any size and false for NaN.
-    if not abs(value) <= sys.float_info.max:
-        raise ValueError(f"{name} must be finite")
-    return float(value)
-
-
 # Bounded field types: plain ``float`` and ``int`` to a type checker, held to
 # the bounds of FIELD_RULES by ``check_fields``, which reads each declared type.
-Positive = NonNegative = float
-Count = PositiveCount = int
-# Declared type -> (base type, bound test or None, message when the bound fails).
+Positive = NonNegative = Kpa = Pa = Hz = Seconds = Weight = Tolerance = float
+Count = PositiveCount = Steps = int
+# The largest absolute pressure, or noise sigma, of the declared physical domain, Pa: within it and the
+# other bounds of FIELD_RULES, every product the package forms of the quantities declared with them is finite.
+PA_MAX = 1e9
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_NON_NEGATIVE = (lambda v: v >= 0, "must be non-negative")
+_AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")
+# Declared type -> (base type, *bounds): each bound a (test, message when it fails), tested in order.
 FIELD_RULES = {
-    "float": (float, None, ""), "int": (int, None, ""), "Mode": (Mode, None, ""),
-    "Positive": (float, lambda v: v > 0.0, "must be positive"),
-    "NonNegative": (float, lambda v: v >= 0.0, "must be non-negative"),
-    "Count": (int, lambda v: v >= 0, "must be non-negative"),
-    "PositiveCount": (int, lambda v: v >= 1, "must be >= 1"),
+    "float": (float,), "int": (int,), "Mode": (Mode,),
+    "Positive": (float, _POSITIVE),
+    "NonNegative": (float, _NON_NEGATIVE),
+    "Count": (int, _NON_NEGATIVE),
+    "PositiveCount": (int, _AT_LEAST_ONE),
+    "Kpa": (float, (lambda v: abs(v) <= 1e6, "must lie within ±1e6 kPa")),
+    "Pa": (float, _NON_NEGATIVE, (lambda v: v <= PA_MAX, "must be at most 1e9 Pa")),
+    "Hz": (float, _POSITIVE, (lambda v: 1e-6 <= v <= 1e6, "must lie in [1e-6, 1e6] Hz")),
+    "Seconds": (float, _POSITIVE, (lambda v: v <= 1e7, "must be at most 1e7 s")),
+    "Steps": (int, _AT_LEAST_ONE, (lambda v: v <= 10**6, "must be at most 1e6")),
+    "Weight": (float, _NON_NEGATIVE, (lambda v: v <= 1e100, "must be at most 1e100")),
+    "Tolerance": (float, _POSITIVE, (lambda v: v >= 1e-9, "must be at least 1e-9 %")),
 }
 
 
 def field_rule(declared: str) -> tuple:
     """The ``FIELD_RULES`` entry of a declared type's text, ``Optional[...]`` unwrapped; none for another."""
-    return FIELD_RULES.get(declared[9:-1] if declared.startswith("Optional[") else declared, (None, None, ""))
+    return FIELD_RULES.get(declared[9:-1] if declared.startswith("Optional[") else declared, (None,))
+
+
+def check_value(value: Any, declared: str, name: str) -> Any:
+    """``value`` held to the rule of the declared type ``declared``; a ValueError naming ``name`` if it breaks it.
+
+    A ``float`` type takes a finite real number, never a bool, as a float; an ``int`` type an
+    integer, never a bool; ``Mode`` a ``Mode``; then the bounds apply.  Any other type takes anything.
+    """
+    base, *bounds = field_rule(declared)
+    if base is float:
+        if isinstance(value, bool) or not isinstance(value, Real):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
+        # The comparison is exact for integers of any size and false for NaN.
+        if not abs(value) <= sys.float_info.max:
+            raise ValueError(f"{name} must be finite")
+        value = float(value)
+    elif base is int and (isinstance(value, bool) or not isinstance(value, Integral)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    elif base is Mode and not isinstance(value, Mode):
+        raise ValueError(f"{name} must be a Mode, got {value!r}")
+    for holds, breach in bounds:
+        if not holds(value):
+            raise ValueError(f"{name} {breach}")
+    return value
 
 
 def check_fields(record: Any) -> None:
-    """Hold each ``init`` field of a dataclass record to its declared type.
+    """Hold each ``init`` field of a record to its declared type (:func:`check_value`); ``Optional`` takes None.
 
-    A ``float`` field takes a finite real number, never a bool, as a float;
-    an ``int`` field an integer, never a bool; a ``Mode`` field a ``Mode``;
-    ``Optional[...]`` also None.  A bounded type then holds it to its bound;
-    any other type is left to the record.  The first field to break its rule
-    is named in a ValueError.  ``init=False`` fields, derived, are skipped.
+    The first field to break its rule is named in a ValueError.  ``init=False`` fields, derived, are skipped.
     """
     # The package postpones annotations, so each declared type is its source text.
     for f in (f for f in fields(record) if f.init):
-        value, kind = getattr(record, f.name), f.type
-        if value is None and kind.startswith("Optional["):
-            continue
-        base, holds, breach = field_rule(kind)
-        if base is float:
-            object.__setattr__(record, f.name, value := finite_float(value, f.name))
-        elif base is int and (isinstance(value, bool) or not isinstance(value, Integral)):
-            raise ValueError(f"{f.name} must be an integer, got {value!r}")
-        elif base is Mode and not isinstance(value, Mode):
-            raise ValueError(f"{f.name} must be a Mode, got {value!r}")
-        if holds is not None and not holds(value):
-            raise ValueError(f"{f.name} {breach}")
+        value = getattr(record, f.name)
+        if value is not None or not f.type.startswith("Optional["):
+            object.__setattr__(record, f.name, check_value(value, f.type, f.name))
 
 
 @dataclass(frozen=True)
@@ -112,9 +126,9 @@ class Conductances:
 class PlantParams:
     """Physical constants of one pneumatic channel."""
 
-    p_pos: float        # supply absolute pressure, Pa
-    p_neg: float        # vacuum absolute pressure, Pa
-    p_atm: float        # atmospheric absolute pressure, Pa
+    p_pos: Pa           # supply absolute pressure
+    p_neg: Pa           # vacuum absolute pressure
+    p_atm: Pa           # atmospheric absolute pressure
     b: float            # critical pressure ratio
     rho_ref: Positive   # gas density at reference conditions, kg/m^3
     t_ref: Positive     # reference temperature, K

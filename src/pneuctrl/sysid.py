@@ -26,9 +26,9 @@ from typing import Callable, Iterable, NoReturn, Optional, Sequence
 import numpy as np
 
 from . import plant as plant_mod
-from .experiment import MAX_SUBSTEPS, event_substeps, noise_draws
+from .experiment import MAX_SUBSTEPS, event_substeps
 from .optim import golden_section
-from .plant import Count, Mode, NonNegative, PlantParams, Positive, check_fields
+from .plant import PA_MAX, Count, Hz, Mode, Pa, PlantParams, Seconds, check_fields
 from .valvemap import SpoolMap, eval_spool
 
 
@@ -55,7 +55,7 @@ class StepTrace:
     """One constant-input segment of the identification protocol."""
 
     t: np.ndarray          # sample times, s, strictly increasing
-    p: np.ndarray          # measured outlet pressure, absolute Pa
+    p: np.ndarray          # measured outlet pressure, absolute Pa (within ±PA_MAX when read)
     u1: float              # polarity-selector duty, % (100 inflation, 0 deflation)
     u2: float              # delivery-valve duty, %
     kind: str              # "rise" (driven) or "decay" (passive leakage)
@@ -163,8 +163,8 @@ def _pruned_sse_objective(trace: StepTrace, model: Callable[[float], tuple]) -> 
     as without the exit.  NaN values, which lose every comparison, cannot
     break this: the kernel's results are finite, so a NaN comes from a NaN in
     ``trace.p``, every finished evaluation is then NaN, and the bound stays
-    inf.  A finished evaluation whose sum overflows raises TraceDataError:
-    every overflowing value ties, so a search could not tell its points apart.
+    inf.  The reader holds a trace's pressures within ``PA_MAX``, so every
+    finished sum over a read trace is finite.
     """
     p0 = float(trace.p[0])
     best = math.inf
@@ -175,13 +175,7 @@ def _pruned_sse_objective(trace: StepTrace, model: Callable[[float], tuple]) -> 
         pred = simulate_at_samples(p0, trace.t, x_bar, m, params, meas=trace.p, stop_above=best)
         if len(pred) < len(trace.p):
             return math.inf
-        with np.errstate(over="ignore"):
-            sse = _sse(pred, trace.p)
-        if sse == math.inf:
-            raise TraceDataError(
-                f"{trace.mode.name.lower()} {trace.kind} at {trace.u2} % duty: "
-                "the squared pressure mismatch overflows a float"
-            )
+        sse = _sse(pred, trace.p)
         best = min(best, sse)
         return sse
 
@@ -434,8 +428,8 @@ def _read_columns(path: str | Path) -> tuple[list, list, list, list, tuple]:
         raise ValueError("not a well-formed trace")
     t, p, u1, u2, kinds = zip(*rows)
     ts, ps, u1s, u2s = (list(map(float, col)) for col in (t, p, u1, u2))
-    if not np.isfinite([ts, ps, u1s, u2s]).all():
-        raise ValueError("non-finite value")
+    if not np.isfinite([ts, ps, u1s, u2s]).all() or np.abs(ps).max() > PA_MAX:
+        raise ValueError("non-finite value or pressure")
     return ts, ps, u1s, u2s, kinds
 
 
@@ -456,6 +450,8 @@ def _raise_first_fault(path: str | Path) -> NoReturn:
                     raise TraceDataError(f"{path}: line {reader.line_num}: malformed row {row!r}: {exc}") from exc
                 if not all(map(math.isfinite, values)):
                     raise TraceDataError(f"{path}: line {reader.line_num}: non-finite value in row {row!r}")
+                if abs(values[1]) > PA_MAX:
+                    raise TraceDataError(f"{path}: line {reader.line_num}: pressure outside ±1e9 Pa in row {row!r}")
         except csv.Error as exc:   # a field longer than csv.field_size_limit(), for one
             raise TraceDataError(f"{path}: line {reader.line_num}: {exc}") from exc
         except UnicodeDecodeError as exc:
@@ -510,13 +506,13 @@ def simulate_segment(
 class SynthesisConfig:
     """Timing and noise settings for synthetic protocol generation."""
 
-    sample_rate: float = 60.0
-    sim_substep: float = 1000.0
-    rise_duration: Positive = 3.0
-    decay_duration: Positive = 2.0
-    full_open_duration: Positive = 2.0
-    full_decay_duration: Positive = 4.0
-    noise_sigma: NonNegative = 0.0
+    sample_rate: Hz = 60.0
+    sim_substep: Hz = 1000.0
+    rise_duration: Seconds = 3.0
+    decay_duration: Seconds = 2.0
+    full_open_duration: Seconds = 2.0
+    full_decay_duration: Seconds = 4.0
+    noise_sigma: Pa = 0.0
     seed: Count = 0
 
     def __post_init__(self) -> None:
@@ -551,7 +547,7 @@ def synthesize_protocol(
     traces: list[StepTrace] = []
 
     def emit(t, p, u1, u2, kind):
-        traces.append(StepTrace(t=t, p=p + noise_draws(rng, cfg.noise_sigma, len(p)), u1=u1, u2=u2, kind=kind))
+        traces.append(StepTrace(t=t, p=p + rng.normal(0.0, cfg.noise_sigma, size=len(p)), u1=u1, u2=u2, kind=kind))
 
     for mode in modes:
         u1 = 100.0 if mode == Mode.INFLATION else 0.0

@@ -15,7 +15,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .plant import MODE_NAMES, Mode, check_fields, finite_float
+from .plant import MODE_NAMES, Mode, check_fields, check_value
 
 # Largest tolerated local decrease of the raw cubic, fraction per % duty.
 DEFAULT_SLOPE_TOL = 2e-3
@@ -61,7 +61,7 @@ class SpoolMap:
     def __post_init__(self) -> None:
         if not (isinstance(self.a, (tuple, list)) and len(self.a) == 4):
             raise ValueError(f"a must be four cubic coefficients, got {self.a!r}")
-        object.__setattr__(self, "a", tuple(finite_float(v, "a") for v in self.a))
+        object.__setattr__(self, "a", tuple(check_value(v, "float", "a") for v in self.a))
         check_fields(self)
         if not (0.0 <= self.u_min < self.u_max <= 100.0):
             raise ValueError("duty bounds must satisfy 0 <= u_min < u_max <= 100")

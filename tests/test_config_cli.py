@@ -1,5 +1,6 @@
 import inspect
 import json
+import math
 
 import pytest
 
@@ -80,6 +81,22 @@ class TestScenarioConfig:
         p_atm = sc.plant.p_atm
         tick = CONTROLLERS[name](sc).update(0.0, p_atm, p_atm + 5.0e4, 0.0)
         assert isinstance(tick, Tick) and isinstance(tick.mode, Mode)
+
+    # The most extreme scenario inside the declared domain: levels at ±1e6 kPa
+    # within one horizon, every MPC weight at 1e100, the rails at their widest.
+    EXTREME = {
+        "plant": {"p_pos_pa": 1e9, "p_neg_pa": 1e-300},
+        "reference": {"kind": "multi-step", "stages": [[1e6, 0.05], [-1e6, 0.05]]},
+        "mpc": {"w_e": 1e100, "w_u": 1e100, "w_sw": 1e100},
+    }
+
+    @pytest.mark.parametrize("name", ["nmpc", "mi-nmpc"])
+    @pytest.mark.parametrize("p_meas", [1e-300, 1.01e5, 1e9, 3e9])
+    def test_an_mpc_loop_on_the_domain_edge_returns_a_finite_tick(self, name, p_meas):
+        sc = scenario_from_dict({**self.EXTREME, "controller": name})
+        p_ref = sc.plant.p_atm + 1e9
+        tick = CONTROLLERS[name](sc).update(0.0, p_meas, p_ref, 0.0)
+        assert math.isfinite(tick.u) and isinstance(tick.mode, Mode)
 
     LOOP_PARAMETERS = {
         "pid": ("gains", "supervisor", "dt"),

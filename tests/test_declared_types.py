@@ -4,27 +4,20 @@ library and the JSON config alike.
 A ``float`` field takes a finite real number, never a bool, and keeps it as a
 float; an ``int`` field takes an integer, never a bool; ``Optional[...]`` also
 takes None.  Also: a bellow load needs a positive ``v_min``, and a sensor
-noise level whose draws overflow is a solver failure, not a traceback.
+noise level outside the declared domain is a config error.
 """
 
 import json
 import math
+import re
 from dataclasses import fields, replace
 
 import pytest
 
 from pneuctrl.cli import main
-from pneuctrl.config import (
-    default_maps,
-    default_pid_gains,
-    default_plant,
-    default_supervisor,
-    default_synthesis_dict,
-    scenario_from_dict,
-    synthesis_from_dict,
-)
-from pneuctrl.experiment import PidLoop, Reference, TimingConfig, run_scenario
-from pneuctrl.plant import LoadModel, Mode, field_rule
+from pneuctrl.config import default_synthesis_dict, scenario_from_dict, synthesis_from_dict
+from pneuctrl.experiment import Reference, TimingConfig
+from pneuctrl.plant import LoadModel, Mode, check_value, field_rule
 from pneuctrl.valvemap import SpoolMap
 
 
@@ -103,7 +96,7 @@ def _bounded_fields():
         (name, f.name, f.type[9:-1] if f.type.startswith("Optional[") else f.type)
         for name, record in RECORDS.items()
         for f in fields(record)
-        if f.init and field_rule(f.type)[1] is not None
+        if f.init and len(field_rule(f.type)) > 1
     ]
 
 
@@ -119,39 +112,66 @@ def test_the_bounded_field_list_reaches_every_declared_bound():
             "Conductances.c_po", "Conductances.c_on", "Conductances.c_oa", "Conductances.c_ao",
             "PlantParams.rho_ref", "PlantParams.t_ref", "PlantParams.t_gas", "PlantParams.r_gas",
             "PlantParams.volume", "LoadModel.v0", "SupervisorConfig.h", "SmcGains.lam", "SmcGains.eta",
-            "SmcGains.mu", "MpcConfig.dt_pred", "MpcConfig.line_tol", "TimingConfig.sensor_rate",
-            "TimingConfig.duration",
-            "SynthesisConfig.rise_duration", "SynthesisConfig.decay_duration",
-            "SynthesisConfig.full_open_duration", "SynthesisConfig.full_decay_duration",
+            "SmcGains.mu",
         },
-        "NonNegative": {
-            "SmcGains.k_i", "PidGains.k_p", "PidGains.k_i", "PidGains.k_d", "MpcConfig.w_e", "MpcConfig.w_u",
-            "MpcConfig.w_sw", "TimingConfig.noise_sigma", "SynthesisConfig.noise_sigma",
+        "NonNegative": {"SmcGains.k_i", "PidGains.k_p", "PidGains.k_i", "PidGains.k_d"},
+        "Count": {"MpcConfig.max_switches", "TimingConfig.seed", "SynthesisConfig.seed"},
+        "PositiveCount": {"MpcConfig.max_iters"},
+        "Kpa": {"Reference.amplitude_kpa"},
+        "Pa": {
+            "PlantParams.p_pos", "PlantParams.p_neg", "PlantParams.p_atm", "TimingConfig.noise_sigma",
+            "SynthesisConfig.noise_sigma",
         },
-        "Count": {"MpcConfig.max_switches", "Reference.cycles", "TimingConfig.seed", "SynthesisConfig.seed"},
-        "PositiveCount": {"MpcConfig.horizon_steps", "MpcConfig.max_iters"},
+        "Hz": {
+            "Reference.frequency_hz", "TimingConfig.control_rate", "TimingConfig.sensor_rate",
+            "TimingConfig.sim_substep", "SynthesisConfig.sample_rate", "SynthesisConfig.sim_substep",
+        },
+        "Seconds": {
+            "MpcConfig.dt_pred", "TimingConfig.duration", "SynthesisConfig.rise_duration",
+            "SynthesisConfig.decay_duration", "SynthesisConfig.full_open_duration",
+            "SynthesisConfig.full_decay_duration",
+        },
+        "Steps": {"MpcConfig.horizon_steps", "Reference.cycles"},
+        "Weight": {"MpcConfig.w_e", "MpcConfig.w_u", "MpcConfig.w_sw"},
+        "Tolerance": {"MpcConfig.line_tol"},
     }
 
 
-# Per bound type: the values just past its bound, the message, and its boundary value if it holds one.
+def _up(x):
+    return math.nextafter(x, math.inf)
+
+
+def _down(x):
+    return math.nextafter(x, -math.inf)
+
+
+# Per bound type, per bound in the order tested: the values just past it, the
+# message, and its boundary value if it holds one.
 BOUNDS = {
-    "Positive": ([0.0, -0.0, 0, -1e-300], "must be positive", None),
-    "NonNegative": ([-5e-324, -1.0, -1], "must be non-negative", 0.0),
-    "Count": ([-1, -(10 ** 30)], "must be non-negative", 0),
-    "PositiveCount": ([0, -1], "must be >= 1", 1),
+    "Positive": [([0.0, -0.0, 0, -1e-300], "must be positive", None)],
+    "NonNegative": [([-5e-324, -1.0, -1], "must be non-negative", 0.0)],
+    "Count": [([-1, -(10 ** 30)], "must be non-negative", 0)],
+    "PositiveCount": [([0, -1], "must be >= 1", 1)],
+    "Kpa": [([_up(1e6), -_up(1e6), 10 ** 6 + 1, 1e305], "must lie within ±1e6 kPa", 1e6)],
+    "Pa": [([-5e-324, -1], "must be non-negative", 0.0), ([_up(1e9), 10 ** 9 + 1], "must be at most 1e9 Pa", 1e9)],
+    "Hz": [([0.0, -1.0], "must be positive", None),
+           ([_down(1e-6), 1e-310, _up(1e6), 1e308], "must lie in [1e-6, 1e6] Hz", 1e-6)],
+    "Seconds": [([0.0, -1e-300], "must be positive", None), ([_up(1e7), 10 ** 7 + 1], "must be at most 1e7 s", 1e7)],
+    "Steps": [([0, -1], "must be >= 1", 1), ([10 ** 6 + 1], "must be at most 1e6", 10 ** 6)],
+    "Weight": [([-5e-324, -1], "must be non-negative", 0.0), ([_up(1e100), 1e300], "must be at most 1e100", 1e100)],
+    "Tolerance": [([0.0, -1.0], "must be positive", None), ([_down(1e-9), 1e-300], "must be at least 1e-9 %", 1e-9)],
 }
 
 
 @pytest.mark.parametrize("kind, name, bound", BOUNDED_FIELDS, ids=[f"{k}.{n}" for k, n, _ in BOUNDED_FIELDS])
 def test_every_bounded_field_is_held_to_its_bound(kind, name, bound):
-    past, message, boundary = BOUNDS[bound]
-    for value in past:
-        with pytest.raises(ValueError, match=f"^{name} {message}$"):
-            replace(RECORDS[kind], **{name: value})
-    if boundary is not None:
-        # A sinusoid needs a cycle; a multi-step reference reads no cycle count.
-        record = Reference.multi_step([(0.0, 1.0)]) if kind == "Reference" else RECORDS[kind]
-        replace(record, **{name: boundary})
+    for past, message, boundary in BOUNDS[bound]:
+        for value in past:
+            with pytest.raises(ValueError, match=f"^{re.escape(name)} {re.escape(message)}$"):
+                replace(RECORDS[kind], **{name: value})
+        # The rule itself: a record's checks across fields may reject a boundary value.
+        if boundary is not None:
+            assert check_value(boundary, bound, name) == boundary
 
 
 def test_a_bounded_field_checks_its_type_before_its_bound():
@@ -218,7 +238,7 @@ class TestReference:
 
     @pytest.mark.parametrize("kind", ["multi-step", "sinusoid"])
     def test_a_negative_cycle_count_is_rejected_for_both_kinds(self, kind):
-        with pytest.raises(ValueError, match="^cycles must be non-negative$"):
+        with pytest.raises(ValueError, match="^cycles must be >= 1$"):
             Reference(kind=kind, stages=((0.0, 1.0),), cycles=-1)
 
     @pytest.mark.parametrize("reference, built", [
@@ -295,30 +315,21 @@ def test_bellow_config_with_a_zero_lower_volume_exits_2(tmp_path, capsys):
     assert "invalid config.load.v_min_m3: " in capsys.readouterr().err
 
 
-def test_noise_whose_draws_overflow_is_an_arithmetic_error():
-    timing = TimingConfig(noise_sigma=1e308)
-    controller = PidLoop(default_pid_gains(), default_supervisor(), 1.0 / timing.control_rate)
-    with pytest.raises(ArithmeticError, match="noise_sigma"):
-        run_scenario(Reference.multi_step([(0.0, 2.0)]), controller, timing, default_plant(), default_maps())
-
-
-@pytest.mark.parametrize("command", ["run", "compare"])
-def test_noise_whose_draws_overflow_exits_4(tmp_path, capsys, command):
-    config = {"controller": "pid", "reference": {"stages": [[0, 2]]}, "timing": {"noise_sigma_pa": 1e308}}
+@pytest.mark.parametrize("command", ["run", "compare", "synthesize"])
+def test_noise_outside_the_domain_exits_2(tmp_path, capsys, command):
+    # A sigma of 1e308 Pa draws non-finite samples; the domain ends at 1e9 Pa.
+    if command == "synthesize":
+        short = {"noise_sigma_pa": 1e308, "rise_s": 0.5, "decay_s": 0.5, "full_open_s": 0.5, "full_decay_s": 0.5}
+        config, key = {"modes": ["inflation"], "synthesis": short}, "synthesis"
+    else:
+        timing = {"noise_sigma_pa": 1e308}
+        config, key = {"controller": "pid", "reference": {"stages": [[0, 2]]}, "timing": timing}, "timing"
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     args = [command, "--config", str(path), "--out", str(tmp_path / "out")]
     if command == "compare":
         args += ["--controllers", "pid,dm-smc"]
-    assert main(args) == 4
-    assert "solver failure: noise_sigma" in capsys.readouterr().err
-
-
-def test_synthesis_noise_whose_draws_overflow_exits_4(tmp_path, capsys):
-    short = {"noise_sigma_pa": 1e308, "rise_s": 0.5, "decay_s": 0.5, "full_open_s": 0.5, "full_decay_s": 0.5}
-    path = tmp_path / "synth.json"
-    path.write_text(json.dumps({"modes": ["inflation"], "synthesis": short}))
-    assert main(["synthesize", "--config", str(path), "--out", str(tmp_path / "traces")]) == 4
+    assert main(args) == 2
     err = capsys.readouterr().err
-    assert err == "solver failure: noise_sigma 1e+308 Pa draws a non-finite noise sample\n"
-    assert not (tmp_path / "traces").exists()
+    assert err == f"config error: invalid config.{key}.noise_sigma_pa: noise_sigma must be at most 1e9 Pa\n"
+    assert not (tmp_path / "out").exists()

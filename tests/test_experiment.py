@@ -290,9 +290,9 @@ class TestTruncatedRun:
 
 
 class TestLongSinusoid:
-    # Every period edge of 10**7 cycles would trace a peak of over 300 MB in
-    # config validation alone; a 0.5 s run reaches one.
-    CYCLES = 10**7
+    # Every period edge of 10**6 cycles, the most the domain allows, would
+    # trace a peak of over 30 MB in config validation alone; a 0.5 s run reaches one.
+    CYCLES = 10**6
 
     def test_a_short_run_builds_only_the_edges_it_reaches(self, params, maps, pid_gains, supervisor, load):
         import tracemalloc

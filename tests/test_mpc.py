@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -115,7 +116,14 @@ def test_a_line_tolerance_that_never_ends_a_search_is_rejected(line_tol):
     # At line_tol <= 0 every golden-section search would run to its evaluation cap.
     with pytest.raises(ValueError, match="^line_tol must be positive$"):
         MpcConfig(line_tol=line_tol)
-    assert MpcConfig(line_tol=1e-300).line_tol == 1e-300
+
+
+@pytest.mark.parametrize("line_tol", [1e-300, 5e-324, math.nextafter(1e-9, 0.0)])
+def test_a_line_tolerance_below_the_declared_resolution_is_rejected(line_tol):
+    # Below the duty's float resolution every search also runs to its cap: 200 evaluations at 1e-300.
+    with pytest.raises(ValueError, match="^line_tol must be at least 1e-9 %$"):
+        MpcConfig(line_tol=line_tol)
+    assert MpcConfig(line_tol=1e-9).line_tol == 1e-9
 
 
 class TestModeSequences:

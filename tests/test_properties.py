@@ -1,12 +1,18 @@
 """Property tests of stated contracts: the hysteresis band, the spool-map
-round trip, the control-tick schedule the config check relies on, and the
-event schedule shared by the run loop and protocol synthesis."""
+round trip, the control-tick schedule the config check relies on, the event
+schedule shared by the run loop and protocol synthesis, and the declared
+physical domain of the configs."""
+
+import json
+import math
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from pneuctrl.config import default_maps, default_pid_gains, default_plant, default_supervisor
+from pneuctrl.cli import main
+from pneuctrl.config import CONTROLLER_NAMES, default_maps, default_pid_gains, default_plant, default_supervisor
 from pneuctrl.control import SupervisorConfig, select_mode
 from pneuctrl.experiment import (
     PidLoop, Reference, TimingConfig, control_tick_times, event_substeps, run_scenario,
@@ -134,3 +140,102 @@ def test_sensor_faster_than_the_substep_samples_once_per_substep():
     traj = run_scenario(ref, controller, timing, default_plant(), MAPS, p_init=default_plant().p_atm)
     # Noiseless and sampled on every substep: each tick reads the true pressure.
     assert traj.p_meas.tolist() == traj.p_true.tolist()
+
+
+def magnitude(lo, hi):
+    """Floats in [lo, hi] with 0 <= lo < hi, drawn across their decades as well as uniformly, both ends included."""
+    low = math.log10(max(lo, 1e-300))
+    logs = st.floats(low, max(low, math.log10(hi))).map(lambda e: min(hi, max(lo, 10.0 ** e)))
+    return st.one_of(st.sampled_from([lo, hi]), st.floats(lo, hi), logs)
+
+
+def signed(limit):
+    return st.builds(lambda v, sign: sign * v, magnitude(0.0, limit), st.sampled_from([1.0, -1.0]))
+
+
+@st.composite
+def domain_configs(draw):
+    """A scenario inside the declared domain that runs a few control ticks.
+
+    Every bounded quantity is drawn across its declared range, up to both
+    ends, but for the counts that set the work of a tick (horizon, sweeps,
+    switches) and the run's length.  The draw also keeps the checks across
+    entries: the rails' order, the rates' order, and a control tick in every
+    metric window (stage holds and periods of two control periods or more).
+    """
+    p_neg, p_atm, p_pos = sorted(draw(st.lists(magnitude(0.0, 1e9), min_size=3, max_size=3)))
+    assume(0.0 < p_neg < p_atm < p_pos)
+    rate = draw(st.integers(1, 200))
+    period = 1.0 / rate
+    if draw(st.booleans()):
+        stages = draw(st.lists(st.tuples(signed(1e6), magnitude(2.0 * period, 1e7)), min_size=1, max_size=3))
+        reference = {"kind": "multi-step", "stages": stages}
+    else:
+        reference = {"kind": "sinusoid", "amplitude_kpa": draw(signed(1e6)),
+                     "frequency_hz": draw(magnitude(1e-6, rate / 2.0)), "cycles": draw(st.integers(1, 10**6))}
+    timing = {
+        "control_rate_hz": rate, "sim_substep_hz": rate * draw(st.integers(1, 10)),
+        "sensor_rate_hz": draw(magnitude(1e-6, 1e6)), "duration_s": draw(st.integers(3, 5)) * period,
+        "noise_sigma_pa": draw(magnitude(0.0, 1e9)), "seed": draw(st.integers(0, 2**64)),
+    }
+    mpc = {
+        "horizon_steps": draw(st.integers(1, 4)), "dt_pred_s": draw(magnitude(5e-324, 1e7)),
+        "w_e": draw(magnitude(0.0, 1e100)), "w_u": draw(magnitude(0.0, 1e100)), "w_sw": draw(magnitude(0.0, 1e100)),
+        "max_iters": draw(st.integers(1, 2)), "max_switches": draw(st.integers(0, 2)),
+    }
+    plant = {"p_pos_pa": p_pos, "p_atm_pa": p_atm, "p_neg_pa": p_neg}
+    return {"plant": plant, "reference": reference, "timing": timing, "mpc": mpc}
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config=domain_configs())
+def test_any_config_inside_the_domain_runs_or_fails_as_a_solver(tmp_path, config):
+    # A traceback fails the test: main lets any error but the four exit codes through.
+    for controller in CONTROLLER_NAMES:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**config, "controller": controller}))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) in (0, 4)
+
+
+def _up(x):
+    return math.nextafter(x, math.inf)
+
+
+def _down(x):
+    return math.nextafter(x, -math.inf)
+
+
+SINUSOID = {"kind": "sinusoid"}
+# (command, config, JSON key at fault): each declared bound one step outside.
+OUTSIDE = [
+    *[("run", {"plant": {key: v}}, f"config.plant.{key}")
+      for key in ("p_pos_pa", "p_neg_pa", "p_atm_pa") for v in (-5e-324, _up(1e9))],
+    *[("run", {"reference": {"stages": [[level, 1.0]]}}, "config.reference.stages") for level in (_up(1e6), -_up(1e6))],
+    *[("run", {"reference": {"stages": [[0.0, hold]]}}, "config.reference.stages") for hold in (0.0, _up(1e7))],
+    *[("run", {"reference": {**SINUSOID, "amplitude_kpa": v}}, "config.reference.amplitude_kpa")
+      for v in (_up(1e6), -_up(1e6))],
+    *[("run", {"reference": {**SINUSOID, "frequency_hz": v}}, "config.reference.frequency_hz")
+      for v in (_down(1e-6), _up(1e6))],
+    *[("run", {"reference": {**SINUSOID, "cycles": v}}, "config.reference.cycles") for v in (0, 10**6 + 1)],
+    *[("run", {"timing": {key: v}}, f"config.timing.{key}")
+      for key in ("control_rate_hz", "sensor_rate_hz", "sim_substep_hz") for v in (_down(1e-6), _up(1e6))],
+    *[("run", {"timing": {"duration_s": v}}, "config.timing.duration_s") for v in (0.0, _up(1e7))],
+    *[("run", {"timing": {"noise_sigma_pa": v}}, "config.timing.noise_sigma_pa") for v in (-5e-324, _up(1e9))],
+    *[("run", {"mpc": {"horizon_steps": v}}, "config.mpc.horizon_steps") for v in (0, 10**6 + 1)],
+    *[("run", {"mpc": {"dt_pred_s": v}}, "config.mpc.dt_pred_s") for v in (0.0, _up(1e7))],
+    *[("run", {"mpc": {key: v}}, f"config.mpc.{key}") for key in ("w_e", "w_u", "w_sw") for v in (-5e-324, _up(1e100))],
+    *[("synthesize", {"synthesis": {key: v}}, f"config.synthesis.{key}")
+      for key in ("sample_rate_hz", "sim_substep_hz") for v in (_down(1e-6), _up(1e6))],
+    *[("synthesize", {"synthesis": {key: v}}, f"config.synthesis.{key}")
+      for key in ("rise_s", "decay_s", "full_open_s", "full_decay_s") for v in (0.0, _up(1e7))],
+    *[("synthesize", {"synthesis": {"noise_sigma_pa": v}}, "config.synthesis.noise_sigma_pa")
+      for v in (-5e-324, _up(1e9))],
+]
+
+
+@pytest.mark.parametrize("command, config, key", OUTSIDE, ids=[f"{k}={json.dumps(c)}" for _, c, k in OUTSIDE])
+def test_each_bound_one_step_outside_exits_2_naming_its_key(tmp_path, capsys, command, config, key):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: invalid {key}: ")

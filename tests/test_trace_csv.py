@@ -39,6 +39,8 @@ def row_loop_read(path):
                     raise TraceDataError(f"{path}: line {reader.line_num}: malformed row {row!r}: {exc}") from exc
                 if not all(math.isfinite(v) for v in (t, p, u1, u2)):
                     raise TraceDataError(f"{path}: line {reader.line_num}: non-finite value in row {row!r}")
+                if abs(p) > 1e9:
+                    raise TraceDataError(f"{path}: line {reader.line_num}: pressure outside ±1e9 Pa in row {row!r}")
                 ts.append(t)
                 ps.append(p)
                 u1s.append(u1)
@@ -118,10 +120,12 @@ def test_round_trip_matches_the_row_loop(workdir, trace):
         assert got[1] == np.asarray(parsed).tobytes()
 
 
-# Cells a corrupted row may carry: numbers in the forms float() reads,
-# text it rejects, non-finite values, and fields that need csv quoting.
+# Cells a corrupted row may carry: numbers in the forms float() reads, pressures
+# on and past the ±1e9 Pa bound, text float() rejects, non-finite values, and
+# fields that need csv quoting.
 CELLS = [
-    "1.5", "-0.0", " 2.5 ", "1_000", "1e3", "1e400", "-1e400", "nan", "NaN", "inf", "-inf", "Infinity",
+    "1.5", "-0.0", " 2.5 ", "1_000", "1e3", "1e9", "-1e9", "1000000000.000001", "-2e9", "1e200", "1e400", "-1e400",
+    "nan", "NaN", "inf", "-inf", "Infinity",
     "", "abc", "0x10", "١٢", '"7.25"', '"1,5"', '"3\n4"', '"a""b"', "rise", "decay", "hold",
 ]
 LINE_ENDS = ["\n", "\r", "\r\n"]
