@@ -358,8 +358,7 @@ def run_scenario(
             rows_s.append(out.s)
             rows_x.append(out.x_star)
             flags.append(out.flag)
-        for _ in range(n_steps):
-            p = step(p, dt_sub)
+        p = step(p, dt_sub, n_steps)
         j += n_steps
 
     return Trajectory(

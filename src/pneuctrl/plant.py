@@ -43,6 +43,7 @@ Count = PositiveCount = Steps = int
 # The largest absolute pressure, or noise sigma, of the declared physical domain, Pa: within it and the
 # other bounds of FIELD_RULES, every product the package forms of the quantities declared with them is finite.
 PA_MAX = 1e9
+SECONDS_MAX = 1e7   # the longest hold, duration or time step of the declared domain, s
 _POSITIVE = (lambda v: v > 0, "must be positive")
 _NON_NEGATIVE = (lambda v: v >= 0, "must be non-negative")
 _AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")
@@ -56,7 +57,7 @@ FIELD_RULES = {
     "Kpa": (float, (lambda v: abs(v) <= 1e6, "must lie within ±1e6 kPa")),
     "Pa": (float, _NON_NEGATIVE, (lambda v: v <= PA_MAX, "must be at most 1e9 Pa")),
     "Hz": (float, _POSITIVE, (lambda v: 1e-6 <= v <= 1e6, "must lie in [1e-6, 1e6] Hz")),
-    "Seconds": (float, _POSITIVE, (lambda v: v <= 1e7, "must be at most 1e7 s")),
+    "Seconds": (float, _POSITIVE, (lambda v: v <= SECONDS_MAX, "must be at most 1e7 s")),
     "Steps": (int, _AT_LEAST_ONE, (lambda v: v <= 10**6, "must be at most 1e6")),
     "Weight": (float, _NON_NEGATIVE, (lambda v: v <= 1e100, "must be at most 1e100")),
     "Tolerance": (float, _POSITIVE, (lambda v: v >= 1e-9, "must be at least 1e-9 %")),
@@ -327,29 +328,36 @@ def pressure_rate(
     return params.gas_energy / volume * net_outlet_flow(x_bar, p, m, params)
 
 
-# One RK4 step (p, dt) -> next clamped p at a held spool fraction and mode.
-HeldStep = Callable[[float, float], float]
+# ``n`` RK4 steps (p, dt, n=1) -> next clamped p at a held input, ending at a step that returns its input.
+HeldStep = Callable[..., float]
 # The held step of (x_bar, inflation).
 Hold = Callable[[float, bool], HeldStep]
 
-# Source of the held step: ``make(channel constants)(c_main, c_out, c_in)`` is
-# the step, and $stages is four inlined ``pressure_rate`` evaluations.
+# Source of the held step: ``make(channel constants)(c_main, c_out, c_in)`` is the step, whose
+# positional defaults bind each as a local; $stages is four inlined ``pressure_rate`` evaluations.
 _STEP = Template("""\
 def make(p_neg, p_pos, p_atm, b, one_minus_b, energy, energy_per_volume, v0, k_v, v_min, v_max, sqrt, isfinite):
     def bind(c_main, c_out, c_in):
-        def step(p, dt):
+        def step(p, dt, n=1, p_neg=p_neg, p_pos=p_pos, p_atm=p_atm, b=b, one_minus_b=one_minus_b, energy=energy,
+                 energy_per_volume=energy_per_volume, v0=v0, k_v=k_v, v_min=v_min, v_max=v_max, sqrt=sqrt,
+                 isfinite=isfinite, c_main=c_main, c_out=c_out, c_in=c_in):
             if dt <= 0.0:
                 raise ValueError("dt must be positive")
             half = 0.5 * dt
+            sixth = dt / 6.0
+            while True:
 $stages
-            p_new = p + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not isfinite(p_new):
-                raise ArithmeticError(f"integration diverged from p={p!r} Pa over dt={dt!r} s")
-            if p_new < p_neg:
-                return p_neg
-            if p_new > p_pos:
-                return p_pos
-            return p_new
+                p_new = p + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                if not isfinite(p_new):
+                    raise ArithmeticError(f"integration diverged from p={p!r} Pa over dt={dt!r} s")
+                if p_new < p_neg:
+                    p_new = p_neg
+                elif p_new > p_pos:
+                    p_new = p_pos
+                n -= 1
+                if n <= 0 or p_new == p:
+                    return p_new
+                p = p_new
         return step
     return bind
 """)
@@ -372,7 +380,8 @@ elif v > v_max:
     v = v_max
 scale = energy / v
 """
-# s = shape_factor(r, b), with 1.0 - b hoisted.
+# s = shape_factor(r, b), with 1.0 - b hoisted and no ``arg <= 0.0`` test: for b < r < 1, monotone
+# rounding gives fl(r - b) <= fl(1 - b), so z <= 1 and 1.0 - z * z >= +0.0, whose sqrt is +0.0.
 _SHAPE = """\
 if r <= b:
     s = 1.0
@@ -380,8 +389,7 @@ elif r >= 1.0:
     s = 0.0
 else:
     z = (r - b) / one_minus_b
-    arg = 1.0 - z * z
-    s = 0.0 if arg <= 0.0 else sqrt(arg)
+    s = sqrt(1.0 - z * z)
 """
 _LEAK = f"""\
 if q >= p_atm:
@@ -408,7 +416,7 @@ def _variant(bellow: bool, inflation: bool, main_on: bool, leak_on: bool) -> Cal
             flow="(main + leak)" if main_on and leak_on else branches,
         ) for q, k in (("p", "k1"), ("p + half * k1", "k2"), ("p + half * k2", "k3"), ("p + dt * k3", "k4")))
         name = f"{'bellow' if bellow else 'fixed'}, {'inflation' if inflation else 'deflation'}, {branches}"
-        source = _STEP.substitute(stages=indent(stages, " " * 12))
+        source = _STEP.substitute(stages=indent(stages, " " * 16))
         namespace: dict = {}
         exec(compile(source, f"<pneuctrl.plant held step: {name}>", "exec"), namespace)
         _VARIANTS[key] = namespace["make"]
@@ -455,9 +463,10 @@ def rk4_hold(params: PlantParams, load: Optional[LoadModel] = None) -> Hold:
     """The generated RK4 step of one channel, specialised per held input.
 
     ``rk4_hold(params, load)(x_bar, inflation)`` checks the spool fraction
-    and returns ``step(p, dt) -> p_next``.  Built once per load and cached on
-    ``params``.  Loops that hold the spool fraction and mode over many steps
-    take one held step and call it per step.
+    and returns ``step(p, dt, n=1) -> p_next``: ``n`` RK4 steps of ``dt`` (one
+    at ``n <= 0``), ending early, and exactly, at the first that returns its
+    input, as the step is a pure function of ``p``.  Built once per load and
+    cached on ``params``.  Loops that hold the input take one held step.
     """
     hold = params._kernels.get(load)
     if hold is None:

@@ -28,7 +28,7 @@ import numpy as np
 from . import plant as plant_mod
 from .experiment import MAX_SUBSTEPS, event_substeps
 from .optim import golden_section
-from .plant import PA_MAX, Count, Hz, Mode, Pa, PlantParams, Seconds, check_fields
+from .plant import PA_MAX, SECONDS_MAX, Count, Hz, Mode, Pa, PlantParams, Seconds, check_fields
 from .valvemap import SpoolMap, eval_spool
 
 
@@ -54,7 +54,7 @@ MIN_SEGMENT_SAMPLES = 10
 class StepTrace:
     """One constant-input segment of the identification protocol."""
 
-    t: np.ndarray          # sample times, s, strictly increasing
+    t: np.ndarray          # sample times, s, strictly increasing (at most SECONDS_MAX apart when read)
     p: np.ndarray          # measured outlet pressure, absolute Pa (within ±PA_MAX when read)
     u1: float              # polarity-selector duty, % (100 inflation, 0 deflation)
     u2: float              # delivery-valve duty, %
@@ -428,8 +428,11 @@ def _read_columns(path: str | Path) -> tuple[list, list, list, list, tuple]:
         raise ValueError("not a well-formed trace")
     t, p, u1, u2, kinds = zip(*rows)
     ts, ps, u1s, u2s = (list(map(float, col)) for col in (t, p, u1, u2))
-    if not np.isfinite([ts, ps, u1s, u2s]).all() or np.abs(ps).max() > PA_MAX:
-        raise ValueError("non-finite value or pressure")
+    cols = np.array([ts, ps, u1s, u2s])
+    with np.errstate(over="ignore"):    # a spacing past the float range is inf
+        if (not np.isfinite(cols).all() or np.abs(cols[1]).max() > PA_MAX
+                or np.diff(cols[0]).max(initial=0.0) > SECONDS_MAX):
+            raise ValueError("non-finite value, pressure or sample spacing")
     return ts, ps, u1s, u2s, kinds
 
 
@@ -441,6 +444,7 @@ def _raise_first_fault(path: str | Path) -> NoReturn:
             header = next(reader, None)
             if header is None or tuple(header) != TRACE_COLUMNS:
                 raise TraceDataError(f"{path}: expected columns {','.join(TRACE_COLUMNS)}")
+            t_prev = math.inf
             for row in filter(None, reader):    # blank lines read as empty rows
                 if len(row) != 5:
                     raise TraceDataError(f"{path}: line {reader.line_num}: malformed row {row!r}")
@@ -452,6 +456,9 @@ def _raise_first_fault(path: str | Path) -> NoReturn:
                     raise TraceDataError(f"{path}: line {reader.line_num}: non-finite value in row {row!r}")
                 if abs(values[1]) > PA_MAX:
                     raise TraceDataError(f"{path}: line {reader.line_num}: pressure outside ±1e9 Pa in row {row!r}")
+                if values[0] - t_prev > SECONDS_MAX:
+                    raise TraceDataError(f"{path}: line {reader.line_num}: sample spacing over 1e7 s in row {row!r}")
+                t_prev = values[0]
         except csv.Error as exc:   # a field longer than csv.field_size_limit(), for one
             raise TraceDataError(f"{path}: line {reader.line_num}: {exc}") from exc
         except UnicodeDecodeError as exc:
@@ -489,16 +496,11 @@ def simulate_segment(
     # Each sample, then the steps up to the next one (the last up to n_sub).
     for n_steps in np.diff(samples, append=n_sub).tolist():
         ps.append(p)
-        if moving:
-            for _ in range(n_steps):
-                # (x_bar, m, dt) are fixed within the segment and the step is
-                # a pure function: once it returns its input, so does every
-                # later one, so no later step is taken.
-                p_next = step(p, dt)
-                if p_next == p:
-                    moving = False
-                    break
-                p = p_next
+        # Once a call returns its input, so would every later one.  A gap of 0 steps is skipped: n = 0 takes one.
+        if moving and n_steps:
+            p_next = step(p, dt, n_steps)
+            moving = p_next != p
+            p = p_next
     return samples / sim_substep, np.asarray(ps), p
 
 

@@ -175,6 +175,26 @@ def test_trace_pressure_outside_the_domain_exits_3(tmp_path, capsys, default_inf
     assert not out.exists()
 
 
+def test_trace_samples_further_apart_than_the_seconds_bound_exit_3(tmp_path, capsys, default_inflation_traces):
+    # About 1e297 s apart: each held step of a fit would land on a rail.
+    name = "inflation_110_rise_u050.0.csv"
+    traces = tmp_path / "traces"
+    traces.mkdir()
+    for f in default_inflation_traces.glob("*.csv"):
+        (traces / f.name).write_bytes(f.read_bytes())
+    lines = (traces / name).read_text().splitlines()
+    for k, i in enumerate(range(5, len(lines))):
+        row = lines[i].split(",")
+        row[0] = repr(1e300 * (1 + k * 1e-3))
+        lines[i] = ",".join(row)
+    (traces / name).write_text("\n".join(lines) + "\n")
+    out = tmp_path / "id"
+    assert main(["sysid", "--traces", str(traces), "--mode", "inflation", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {traces / name}: line 6: sample spacing over 1e7 s in row ")
+    assert not out.exists()
+
+
 def write_trace(traces, rows):
     traces.mkdir()
     (traces / "seg.csv").write_text("\n".join([",".join(TRACE_COLUMNS)] + rows) + "\n")

@@ -4,7 +4,8 @@ It is generated per variant (load kind, mode, branches taken) with the four
 rate stages and ``shape_factor`` inlined, and it skips the branch whose
 coefficient is zero; each held step is compared bit for bit with
 ``reference_step``, four public ``pressure_rate`` evaluations, which go
-through ``plant.shape_factor``.
+through ``plant.shape_factor``.  One call of ``step(p, dt, n)`` must equal
+``n`` single calls stopped at the first that returns its input.
 """
 
 import math
@@ -13,7 +14,7 @@ from dataclasses import astuple, replace
 from itertools import product
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pneuctrl import plant as plant_mod
@@ -26,11 +27,12 @@ DTS = [1e-3, 1e-2, 1e-4, 0.25]
 
 
 def _edges(params):
-    """The rails, atmosphere, and each branch's choke boundary (shape-factor ratio = b) with its neighbours."""
+    """The rails, atmosphere, and each branch's choke boundary (shape-factor ratio = b), each with its neighbours."""
     b = params.b
     chokes = [b * params.p_pos, params.p_neg / b, params.p_atm / b, b * params.p_atm]
-    out = [params.p_neg, params.p_atm, params.p_pos]
-    for p in chokes:
+    out = []
+    # Next to a rail or atmosphere a shape-factor ratio sits just below 1.
+    for p in [params.p_neg, params.p_atm, params.p_pos] + chokes:
         out += [math.nextafter(p, -math.inf), p, math.nextafter(p, math.inf)]
     return [p for p in out if params.p_neg <= p <= params.p_pos]
 
@@ -67,6 +69,69 @@ def test_held_step_is_four_rate_rk4_for_every_dt(params, p, x_bar, m, load, dts)
     step = rk4_hold(params, load)(x_bar, m == INFL)
     for dt in dts:
         assert step(p, dt).hex() == reference_step(p, x_bar, m, dt, params, load).hex()
+
+
+def single_steps(step, p, dt, n):
+    """``n`` calls of ``step(p, dt)``, stopped at the first that returns its input: (p, steps taken)."""
+    for taken in range(1, n + 1):
+        p_new = step(p, dt)
+        if p_new == p:
+            break
+        p = p_new
+    return p_new, taken
+
+
+def outcome(fn):
+    """The bits of ``fn()``, or the type and message of its error."""
+    try:
+        return fn().hex()
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+# Examples where the stop fires mid-call: full supply into its rail, a closed valve at atmosphere.
+STOPS = [(1.0, INFL, PARAMS.p_pos - 2000.0, 0.02, 60), (0.0, INFL, PARAMS.p_atm, 1e-3, 5),
+         (0.0, DEFL, PARAMS.p_atm, 1e-3, 5), (-0.0, DEFL, PARAMS.p_atm, 0.5, 60)]
+
+
+def _with_stop_examples(test):
+    # Then the kernel's three errors: a NaN pressure, a zero dt, a diverging step.
+    errors = [(0.5, INFL, math.nan, 1e-3, 3), (0.5, INFL, PARAMS.p_atm, 0.0, 3), (1.0, INFL, PARAMS.p_atm + 3e4, 1e308, 3)]
+    for (x_bar, m, p, dt, n), load in product(STOPS + errors, LOAD_CHOICES):
+        test = example(params=PARAMS, p=p, x_bar=x_bar, m=m, load=load, dt=dt, n=n)(test)
+    return test
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    params=CHANNELS,
+    # Up to 10 kPa outside the rails, as a noisy MPC start pressure can be.
+    p=st.floats(PARAMS.p_neg - 1e4, PARAMS.p_pos + 1e4),
+    x_bar=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, -0.0, 1.0])),
+    m=st.sampled_from([INFL, DEFL]),
+    load=st.sampled_from(LOAD_CHOICES),
+    dt=st.floats(1e-5, 0.5),
+    n=st.integers(1, 60),
+)
+@_with_stop_examples
+def test_n_steps_in_one_call_are_n_single_steps_up_to_the_fixed_point(params, p, x_bar, m, load, dt, n):
+    step = rk4_hold(params, load)(x_bar, m == INFL)
+    assert outcome(lambda: step(p, dt, n)) == outcome(lambda: single_steps(step, p, dt, n)[0])
+
+
+@pytest.mark.parametrize("load", LOAD_CHOICES, ids=["none", "fixed", "bellow", "bellow-half"])
+@pytest.mark.parametrize("x_bar, m, p, dt, n", STOPS)
+def test_the_stop_fires_mid_call_on_the_rail_and_at_atmosphere(load, x_bar, m, p, dt, n):
+    step = rk4_hold(PARAMS, load)(x_bar, m == INFL)
+    p_end, taken = single_steps(step, p, dt, n)
+    assert taken < n and p_end in (PARAMS.p_pos, PARAMS.p_atm)
+    assert step(p, dt, n).hex() == p_end.hex()
+
+
+def test_zero_or_negative_n_takes_one_step():
+    step = rk4_hold(PARAMS)(0.5, True)
+    for n in (0, -3):
+        assert step(PARAMS.p_atm, 1e-3, n).hex() == step(PARAMS.p_atm, 1e-3).hex()
 
 
 @pytest.mark.parametrize("load", [default_load(), default_bellow_load()], ids=["fixed", "bellow"])
@@ -126,3 +191,21 @@ def test_closed_valve_step_does_not_depend_on_the_mode(load, x_bar):
     grid = _edges(PARAMS) + [PARAMS.p_neg + span * i / 580 for i in range(581)]
     for p, dt in product(grid, [1e-4, 2e-4, 5e-4, 1e-3, 2e-3, 5e-3, 0.01, 0.015, 0.02]):
         assert inflation(p, dt).hex() == deflation(p, dt).hex()
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    x=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    y=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+@example(x=5e-324, y=math.nextafter(1.0, 0.0))
+@example(x=math.nextafter(math.nextafter(1.0, 0.0), 0.0), y=math.nextafter(1.0, 0.0))
+@example(x=0.5283, y=math.nextafter(1.0, 0.0))
+def test_the_subsonic_ratio_never_exceeds_one(x, y):
+    # Why the generated shape factor needs no ``arg <= 0.0`` test: for b < r < 1,
+    # z <= 1, so 1 - z * z >= +0.0 and its square root is the guarded one.
+    b, r = sorted((x, y))
+    assume(b < r)
+    z = (r - b) / (1.0 - b)
+    assert z <= 1.0
+    assert math.sqrt(1.0 - z * z).hex() == plant_mod.shape_factor(r, b).hex()

@@ -158,9 +158,9 @@ def test_run_matches_the_substep_loop(ref, timing, cut, controller, load_name, p
         def held(x_bar, inflation):
             step = hold(x_bar, inflation)
 
-            def counted(p, dt):
-                held_steps.append(dt)
-                return step(p, dt)
+            def counted(p, dt, n=1):
+                held_steps.extend([dt] * n)    # every substep the call covers
+                return step(p, dt, n)
             return counted
         return held
 

@@ -1,7 +1,8 @@
 """The early exits of protocol synthesis and identification are exact.
 
-``simulate_segment`` stops calling the RK4 kernel once a step returns its
-input, and the fit objectives stop integrating once their sum of squares
+``simulate_segment`` stops calling the RK4 kernel once a call returns its
+input (the held step itself ends a call at the first step that does), and
+the fit objectives stop integrating once their sum of squares
 exceeds the lowest value the golden-section search has seen.  Each is
 compared here with a reference that does all the work: every substep
 through the public ``plant.step``, and every objective evaluation through
@@ -96,9 +97,15 @@ def kernel_calls(monkeypatch):
         def counted_hold(x_bar, inflation):
             step = hold(x_bar, inflation)
 
-            def counted(p, dt):
-                calls[0] += 1
-                return step(p, dt)
+            def counted(p, dt, n=1):
+                # ``n`` single steps with the held step's fixed-point stop, each counted.
+                while True:
+                    calls[0] += 1
+                    p_new = step(p, dt)
+                    n -= 1
+                    if n <= 0 or p_new == p:
+                        return p_new
+                    p = p_new
 
             return counted
 

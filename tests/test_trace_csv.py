@@ -41,6 +41,8 @@ def row_loop_read(path):
                     raise TraceDataError(f"{path}: line {reader.line_num}: non-finite value in row {row!r}")
                 if abs(p) > 1e9:
                     raise TraceDataError(f"{path}: line {reader.line_num}: pressure outside ±1e9 Pa in row {row!r}")
+                if ts and t - ts[-1] > 1e7:
+                    raise TraceDataError(f"{path}: line {reader.line_num}: sample spacing over 1e7 s in row {row!r}")
                 ts.append(t)
                 ps.append(p)
                 u1s.append(u1)
@@ -121,8 +123,8 @@ def test_round_trip_matches_the_row_loop(workdir, trace):
 
 
 # Cells a corrupted row may carry: numbers in the forms float() reads, pressures
-# on and past the ±1e9 Pa bound, text float() rejects, non-finite values, and
-# fields that need csv quoting.
+# on and past the ±1e9 Pa bound (as times, past the 1e7 s spacing bound), text
+# float() rejects, non-finite values, and fields that need csv quoting.
 CELLS = [
     "1.5", "-0.0", " 2.5 ", "1_000", "1e3", "1e9", "-1e9", "1000000000.000001", "-2e9", "1e200", "1e400", "-1e400",
     "nan", "NaN", "inf", "-inf", "Infinity",
@@ -169,6 +171,7 @@ def trace_file(rows, bad_utf8_at=None):
 BAD_LINE_5 = [f"{0.01 * i:.6f},{150000.0 + 7.0 * i:.6f},100.0,60.0,rise" for i in range(400)]
 BAD_LINE_5[3] = "0.030000,abc,100.0,60.0,rise"
 OVERSIZED_ROW = "0.1," + "1" * (csv.field_size_limit() + 1) + ",100.0,60.0,rise"
+EPOCH_STAMPED = [f"{2e9 + 0.01 * i:.6f},150000.0,100.0,60.0,rise" for i in range(12)]
 
 
 # Each example pins which fault the row loop reaches first, and so names:
@@ -178,6 +181,8 @@ OVERSIZED_ROW = "0.1," + "1" * (csv.field_size_limit() + 1) + ",100.0,60.0,rise"
 @example(data=trace_file(BAD_LINE_5, bad_utf8_at=40))              # the UTF-8 error, not line 5
 @example(data=trace_file(BAD_LINE_5[:10] + [OVERSIZED_ROW]))       # line 5, not the oversized field
 @example(data=trace_file(["", "", ""]))                            # empty trace
+@example(data=trace_file(EPOCH_STAMPED))                           # epoch times, 10 ms apart: read
+@example(data=trace_file(EPOCH_STAMPED[:6] + [f"{2e9 + 1.1e7:.6f},150000.0,100.0,60.0,rise"]))  # line 8: over 1e7 s
 def test_any_file_reads_as_the_row_loop_reads_it(workdir, data):
     path = workdir / "seg.csv"
     path.write_bytes(data)
