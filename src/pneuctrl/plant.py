@@ -19,7 +19,7 @@ from enum import IntEnum
 from numbers import Integral, Real
 from string import Template
 from textwrap import indent
-from typing import Any, Callable, NamedTuple, Optional
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
 
 class Mode(IntEnum):
@@ -332,28 +332,26 @@ def pressure_rate(
 HeldStep = Callable[..., float]
 # The held step of (x_bar, inflation).
 Hold = Callable[[float, bool], HeldStep]
+# One RK4 step per gap of a list of sample times, (p0, times, meas, limit) -> the clamped pressure at each
+# sample reached: the held step's walk over a trace, stopping where the running squared mismatch passes ``limit``.
+SampleWalk = Callable[[float, Sequence[float], Iterable[float], float], list]
 
-# Source of the held step: ``make(channel constants)(c_main, c_out, c_in)`` is the step, whose
-# positional defaults bind each as a local; $stages is four inlined ``pressure_rate`` evaluations.
+# The locals of a generated step or walk: the channel constants ``make`` takes, then the coefficients ``bind``
+# takes, each bound as a trailing positional default so that the body reads it as a local.
+_LOCALS = ("p_neg", "p_pos", "p_atm", "b", "one_minus_b", "energy", "energy_per_volume", "v0", "k_v", "v_min",
+           "v_max", "sqrt", "isfinite", "c_main", "c_out", "c_in")
+# Source of the held step: ``make(channel constants, inf)(c_main, c_out, c_in)`` is the step of one held input.
+# $body is four inlined ``pressure_rate`` evaluations and the clamped RK4 update ``p_new`` of ``p`` over ``dt``.
 _STEP = Template("""\
-def make(p_neg, p_pos, p_atm, b, one_minus_b, energy, energy_per_volume, v0, k_v, v_min, v_max, sqrt, isfinite):
+def make($channel, inf):
     def bind(c_main, c_out, c_in):
-        def step(p, dt, n=1, p_neg=p_neg, p_pos=p_pos, p_atm=p_atm, b=b, one_minus_b=one_minus_b, energy=energy,
-                 energy_per_volume=energy_per_volume, v0=v0, k_v=k_v, v_min=v_min, v_max=v_max, sqrt=sqrt,
-                 isfinite=isfinite, c_main=c_main, c_out=c_out, c_in=c_in):
+        def step(p, dt, n=1, $defaults):
             if dt <= 0.0:
                 raise ValueError("dt must be positive")
             half = 0.5 * dt
             sixth = dt / 6.0
             while True:
-$stages
-                p_new = p + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                if not isfinite(p_new):
-                    raise ArithmeticError(f"integration diverged from p={p!r} Pa over dt={dt!r} s")
-                if p_new < p_neg:
-                    p_new = p_neg
-                elif p_new > p_pos:
-                    p_new = p_pos
+$body
                 n -= 1
                 if n <= 0 or p_new == p:
                     return p_new
@@ -361,6 +359,44 @@ $stages
         return step
     return bind
 """)
+# Source of the sample walk, made and bound as the held step is: the same $body once per sample gap.
+_WALK = Template("""\
+def make($channel, inf):
+    def bind(c_main, c_out, c_in):
+        def walk(p, times, meas, limit, $defaults, inf=inf):
+            out = [p]
+            ts = iter(times)
+            t0 = next(ts, None)
+            ms = iter(meas)
+            d = p - next(ms, p)
+            sse = d * d
+            for t1, m in zip(ts, ms):
+                dt = t1 - t0
+                t0 = t1
+                if dt <= 0.0:
+                    raise ValueError("dt must be positive")
+                half = 0.5 * dt
+                sixth = dt / 6.0
+$body
+                p = p_new
+                out.append(p)
+                d = p - m
+                sse += d * d
+                if sse > limit and sse < inf:
+                    break
+            return out
+        return walk
+    return bind
+""")
+_ADVANCE = """\
+p_new = p + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+if not isfinite(p_new):
+    raise ArithmeticError(f"integration diverged from p={p!r} Pa over dt={dt!r} s")
+if p_new < p_neg:
+    p_new = p_neg
+elif p_new > p_pos:
+    p_new = p_pos
+"""
 # $k = rate($q): clamp, NaN check, volume, leak, main, combine.
 _RATE = Template("""\
 q = $q
@@ -401,14 +437,17 @@ else:
 """
 _MAIN = {True: f"r = q / p_pos\n{_SHAPE}main = c_main * s\n",
          False: f"r = p_neg / q\n{_SHAPE}main = c_main * q * s\n"}
-# The compiled ``make`` of each (bellow, inflation, main_on, leak_on), built on first use.
+# The compiled ``make`` of each (bellow, inflation, main_on, leak_on), built on first use: of its held step,
+# and, apart, of its sample walk, which only identification calls.
 _VARIANTS: dict = {}
+_WALKS: dict = {}
 
 
-def _variant(bellow: bool, inflation: bool, main_on: bool, leak_on: bool) -> Callable:
-    """The held-step maker of one variant; its body tests none of the four flags."""
+def _variant(bellow: bool, inflation: bool, main_on: bool, leak_on: bool, walk: bool = False) -> Callable:
+    """The held-step maker of one variant, or its sample-walk maker; the body tests none of the four flags."""
     key = (bellow, inflation, main_on, leak_on)
-    if key not in _VARIANTS:
+    cache, template = (_WALKS, _WALK) if walk else (_VARIANTS, _STEP)
+    if key not in cache:
         branches = "main+leak" if main_on and leak_on else "main" if main_on else "leak"
         stages = "".join(_RATE.substitute(
             q=q, k=k, volume=_BELLOW if bellow else "", scale="scale" if bellow else "energy_per_volume",
@@ -416,11 +455,14 @@ def _variant(bellow: bool, inflation: bool, main_on: bool, leak_on: bool) -> Cal
             flow="(main + leak)" if main_on and leak_on else branches,
         ) for q, k in (("p", "k1"), ("p + half * k1", "k2"), ("p + half * k2", "k3"), ("p + dt * k3", "k4")))
         name = f"{'bellow' if bellow else 'fixed'}, {'inflation' if inflation else 'deflation'}, {branches}"
-        source = _STEP.substitute(stages=indent(stages, " " * 16))
+        source = template.substitute(
+            channel=", ".join(_LOCALS[:-3]), defaults=", ".join(f"{v}={v}" for v in _LOCALS),
+            body=indent(stages + _ADVANCE, " " * 16),
+        )
         namespace: dict = {}
         exec(compile(source, f"<pneuctrl.plant held step: {name}>", "exec"), namespace)
-        _VARIANTS[key] = namespace["make"]
-    return _VARIANTS[key]
+        cache[key] = namespace["make"]
+    return cache[key]
 
 
 def _build_hold(params: PlantParams, load: Optional[LoadModel]) -> Hold:
@@ -438,12 +480,13 @@ def _build_hold(params: PlantParams, load: Optional[LoadModel]) -> Hold:
     channel = (
         params.p_neg, params.p_pos, params.p_atm, params.b, 1.0 - params.b,
         params.gas_energy, params.gas_energy / load.v0,
-        load.v0, load.k_v, load.v_min, load.v_max, math.sqrt, math.isfinite,
+        load.v0, load.k_v, load.v_min, load.v_max, math.sqrt, math.isfinite, math.inf,
     )
     k_po, k_on, k_oa, k_ao = params._k_po, params._k_on, params._k_oa, params._k_ao
-    binds: dict = {}   # (inflation, main_on, leak_on) -> its variant's make(*channel)
+    binds: dict = {}   # (walk, inflation, main_on, leak_on) -> its variant's held-step or sample-walk make(*channel)
 
-    def hold(x_bar: float, inflation: bool) -> HeldStep:
+    def bound(walk: bool, x_bar: float, inflation: bool) -> Callable:
+        """The held step, or the sample walk, of the held input, its three branch coefficients bound."""
         if not (-1e-12 <= x_bar <= 1.0 + 1e-12):
             raise ValueError(f"spool fraction {x_bar!r} outside [0, 1]")
         c_main = x_bar * k_po if inflation else -x_bar * k_on
@@ -451,11 +494,18 @@ def _build_hold(params: PlantParams, load: Optional[LoadModel]) -> Hold:
         c_in = (1.0 - x_bar) * k_ao
         main_on = c_main != 0.0
         leak_on = not main_on or c_out != 0.0 or c_in != 0.0
-        key = (inflation, main_on, leak_on)
+        key = (walk, inflation, main_on, leak_on)
         if key not in binds:
-            binds[key] = _variant(bellow, bool(inflation), main_on, leak_on)(*channel)
+            binds[key] = _variant(bellow, bool(inflation), main_on, leak_on, walk)(*channel)
         return binds[key](c_main, c_out, c_in)
 
+    def hold(x_bar: float, inflation: bool) -> HeldStep:
+        return bound(False, x_bar, inflation)
+
+    def walk(x_bar: float, inflation: bool) -> SampleWalk:
+        return bound(True, x_bar, inflation)
+
+    hold.walk = walk    # type: ignore[attr-defined]
     return hold
 
 
@@ -467,6 +517,15 @@ def rk4_hold(params: PlantParams, load: Optional[LoadModel] = None) -> Hold:
     at ``n <= 0``), ending early, and exactly, at the first that returns its
     input, as the step is a pure function of ``p``.  Built once per load and
     cached on ``params``.  Loops that hold the input take one held step.
+
+    ``rk4_hold(params, load).walk(x_bar, inflation)`` checks the same and
+    returns the sample walk of that held input, generated from the same stage
+    text: ``walk(p0, times, meas, limit) -> [p0, p1, ...]`` takes one held
+    step ``step(p, t[i] - t[i-1])`` per sample gap, keeping each clamped
+    pressure, and sums ``(p_i - meas_i) ** 2`` from sample 0 in sample
+    order; it returns after the first sample at which ``sse > limit and sse
+    < inf``, so a NaN or inf sum, or an infinite ``limit``, never stops it.
+    Each step raises as the held step would, at the same gap.
     """
     hold = params._kernels.get(load)
     if hold is None:

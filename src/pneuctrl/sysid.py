@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, Iterable, NoReturn, Optional, Sequence
 
@@ -115,34 +116,29 @@ def simulate_at_samples(
 ) -> np.ndarray:
     """Model pressures at the given sample times, starting from p0 at t[0].
 
-    With ``meas`` (one measured pressure per sample time), the squared
-    mismatch is summed sample by sample, and the prediction stops early,
-    returning only the samples computed so far, once that sum exceeds
-    ``stop_above`` by more than rounding explains: ``_sse`` of the full
-    prediction would then exceed ``stop_above`` too.  The slack, a relative
-    1e-9 + n * 2**-51 for n samples, covers the difference between this
-    sequential sum and ``np.dot``: each is within about n * 2**-53 of the
-    exact sum.  A NaN or inf sum never stops the prediction.
+    One held RK4 step per sample gap, all taken in one call of the held
+    input's sample walk (``plant.rk4_hold(params).walk``).  With ``meas`` (one
+    measured pressure per sample time), the squared mismatch is summed sample
+    by sample, and the prediction stops early, returning only the samples
+    computed so far, once that sum exceeds ``stop_above`` by more than
+    rounding explains: ``_sse`` of the full prediction would then exceed
+    ``stop_above`` too.  The slack, a relative 1e-9 + n * 2**-51 for n
+    samples, covers the difference between this sequential sum and
+    ``np.dot``: each is within about n * 2**-53 of the exact sum.  A NaN or
+    inf sum never stops the prediction.  ``t`` and ``meas`` given as lists,
+    as the fit objectives give them, are walked as they are; anything else
+    is converted to a list first.
     """
-    step = plant_mod.rk4_hold(params)(x_bar, m == Mode.INFLATION)
-    out = [p0]
-    p = p0
-    if meas is not None:
-        ms = np.asarray(meas, dtype=float).tolist()
-        if len(ms) != len(t):
-            raise ValueError(f"meas has {len(ms)} samples but t has {len(t)}")
+    walk = plant_mod.rk4_hold(params).walk(x_bar, m == Mode.INFLATION)
+    times = t if type(t) is list else np.asarray(t).tolist()
+    if meas is None:
+        ms, limit = repeat(0.0), math.inf   # an infinite limit: no stop
+    else:
+        ms = meas if type(meas) is list else np.asarray(meas, dtype=float).tolist()
+        if len(ms) != len(times):
+            raise ValueError(f"meas has {len(ms)} samples but t has {len(times)}")
         limit = stop_above * (1.0 + 1e-9 + len(ms) * 2.0 ** -51)
-        d = p0 - ms[0]
-        sse = d * d
-    for i, dt in enumerate(np.diff(t).tolist(), 1):
-        p = step(p, dt)
-        out.append(p)
-        if meas is not None:
-            d = p - ms[i]
-            sse += d * d
-            if sse > limit and sse < math.inf:
-                break
-    return np.asarray(out)
+    return np.asarray(walk(p0, times, ms, limit))
 
 
 def _sse(pred: np.ndarray, meas: np.ndarray) -> float:
@@ -166,13 +162,14 @@ def _pruned_sse_objective(trace: StepTrace, model: Callable[[float], tuple]) -> 
     inf.  The reader holds a trace's pressures within ``PA_MAX``, so every
     finished sum over a read trace is finite.
     """
-    p0 = float(trace.p[0])
+    # The trace as lists, built once per objective: every evaluation walks these.
+    times, meas = trace.t.tolist(), trace.p.tolist()
     best = math.inf
 
     def objective(v: float) -> float:
         nonlocal best
         x_bar, m, params = model(v)
-        pred = simulate_at_samples(p0, trace.t, x_bar, m, params, meas=trace.p, stop_above=best)
+        pred = simulate_at_samples(meas[0], times, x_bar, m, params, meas=meas, stop_above=best)
         if len(pred) < len(trace.p):
             return math.inf
         sse = _sse(pred, trace.p)
@@ -404,21 +401,24 @@ def write_trace_csv(trace: StepTrace, path: str | Path) -> None:
 
 def read_trace_csv(path: str | Path) -> StepTrace:
     try:
-        ts, ps, u1s, u2s, kinds = _read_columns(path)
+        tp, (u1, u1s), (u2, u2s), kinds = _read_columns(path)
     except (ValueError, csv.Error):     # UnicodeDecodeError is a ValueError
         _raise_first_fault(path)
-    if len(set(u1s)) != 1 or len(set(u2s)) != 1 or len(set(kinds)) != 1:
+    if len(u1s) != 1 or len(u2s) != 1 or len(set(kinds)) != 1:
         raise TraceDataError(f"{path}: inputs must be constant within a segment")
     try:
-        return StepTrace(t=np.asarray(ts), p=np.asarray(ps), u1=u1s[0], u2=u2s[0], kind=kinds[0])
+        return StepTrace(t=tp[0], p=tp[1], u1=u1, u2=u2, kind=kinds[0])
     except ValueError as exc:
         raise TraceDataError(f"{path}: {exc}") from exc
 
 
-def _read_columns(path: str | Path) -> tuple[list, list, list, list, tuple]:
+def _read_columns(path: str | Path) -> tuple[np.ndarray, tuple, tuple, tuple]:
     """The trace's columns, parsed one column at a time; raises ValueError on any fault.
 
-    A file this rejects is read again by ``_raise_first_fault``, which names the fault.
+    Times and pressures come as one 2 x n array.  A duty comes as its first
+    row's value and the set of its values: each distinct spelling in its
+    column is parsed once, so a constant column costs one ``float``.  A file
+    this rejects is read again by ``_raise_first_fault``, which names the fault.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -427,13 +427,18 @@ def _read_columns(path: str | Path) -> tuple[list, list, list, list, tuple]:
     if header is None or tuple(header) != TRACE_COLUMNS or set(map(len, rows)) != {5}:
         raise ValueError("not a well-formed trace")
     t, p, u1, u2, kinds = zip(*rows)
-    ts, ps, u1s, u2s = (list(map(float, col)) for col in (t, p, u1, u2))
-    cols = np.array([ts, ps, u1s, u2s])
+    tp = np.array([list(map(float, t)), list(map(float, p))])
+    duties = []
+    for col in (u1, u2):
+        values = {s: float(s) for s in set(col)}
+        if not all(map(math.isfinite, values.values())):
+            raise ValueError("non-finite duty")
+        duties.append((values[col[0]], set(values.values())))
     with np.errstate(over="ignore"):    # a spacing past the float range is inf
-        if (not np.isfinite(cols).all() or np.abs(cols[1]).max() > PA_MAX
-                or np.diff(cols[0]).max(initial=0.0) > SECONDS_MAX):
+        if (not np.isfinite(tp).all() or np.abs(tp[1]).max() > PA_MAX
+                or np.diff(tp[0]).max(initial=0.0) > SECONDS_MAX):
             raise ValueError("non-finite value, pressure or sample spacing")
-    return ts, ps, u1s, u2s, kinds
+    return tp, *duties, kinds
 
 
 def _raise_first_fault(path: str | Path) -> NoReturn:

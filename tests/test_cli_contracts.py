@@ -1,5 +1,6 @@
 """Exit codes for malformed inputs: 2 for a config error, 3 for bad trace data
-or an output path that cannot be a directory.
+or an output path that cannot be a directory, 4 for a model whose rates leave
+the float range.
 
 A metric window (stage or period) that holds no control tick is a config
 error.  Also: a run cut short by ``duration_s`` still scores the windows it
@@ -12,7 +13,7 @@ import warnings
 import pytest
 
 from pneuctrl.cli import main
-from pneuctrl.config import default_scenario_dict, default_synthesis_dict, scenario_from_dict
+from pneuctrl.config import CONTROLLER_NAMES, default_scenario_dict, default_synthesis_dict, scenario_from_dict
 from pneuctrl.experiment import MAX_SUBSTEPS
 from pneuctrl.plant import Mode
 from pneuctrl.sysid import TRACE_COLUMNS, SynthesisConfig, write_trace_csv
@@ -85,6 +86,16 @@ def test_integral_float_is_accepted(tmp_path):
     }
     path.write_text(json.dumps(cfg))
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("controller", CONTROLLER_NAMES)
+def test_source_conductance_past_the_float_range_exits_4_under_every_controller(tmp_path, capsys, controller):
+    # c_po 1e300 makes the supply branch flow inf: every controller's run must fail, not hold the valve shut.
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"controller": controller, "plant": {"conductances": {"c_po": 1e300}},
+                                "reference": {"stages": [[0, 0.1], [50, 0.1]]}}))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 4
+    assert "solver failure" in capsys.readouterr().err
 
 
 def test_malformed_trace_value_exits_3(tmp_path, capsys):

@@ -5,7 +5,10 @@ rate stages and ``shape_factor`` inlined, and it skips the branch whose
 coefficient is zero; each held step is compared bit for bit with
 ``reference_step``, four public ``pressure_rate`` evaluations, which go
 through ``plant.shape_factor``.  One call of ``step(p, dt, n)`` must equal
-``n`` single calls stopped at the first that returns its input.
+``n`` single calls stopped at the first that returns its input, and one call
+of the sample walk ``rk4_hold(params, load).walk(x_bar, inflation)`` must
+equal a loop of single calls, one per sample gap, with the fit objectives'
+sequential sum of squares and stop.
 """
 
 import math
@@ -209,3 +212,89 @@ def test_the_subsonic_ratio_never_exceeds_one(x, y):
     z = (r - b) / (1.0 - b)
     assert z <= 1.0
     assert math.sqrt(1.0 - z * z).hex() == plant_mod.shape_factor(r, b).hex()
+
+
+def looped_walk(step, p, times, meas, limit):
+    """``step(p, dt)`` once per gap of ``times``, summing ``(p - meas) ** 2`` in sample order; stops past ``limit``."""
+    out = [p]
+    d = p - meas[0]
+    sse = d * d
+    for i in range(1, len(times)):
+        p = step(p, times[i] - times[i - 1])
+        out.append(p)
+        d = p - meas[i]
+        sse += d * d
+        if sse > limit and sse < math.inf:
+            break
+    return out
+
+
+def walk_outcome(fn):
+    """The bits of each pressure ``fn()`` returns (their count is the stop index), or the error's type and message."""
+    try:
+        return [p.hex() for p in fn()]
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+# Each rail and atmosphere, and the floats next to them on both sides: one float step past a rail too.
+RAIL_EDGES = [q for p in (PARAMS.p_neg, PARAMS.p_atm, PARAMS.p_pos)
+              for q in (math.nextafter(p, -math.inf), p, math.nextafter(p, math.inf))]
+
+
+@st.composite
+def samples(draw):
+    """Sample times from a start and 1 to 40 gaps of 1e-5 to 0.5 s, and one measured pressure per sample."""
+    t0 = draw(st.sampled_from([0.0, 1.0, 2e9]))
+    times = [t0]
+    for gap in draw(st.lists(st.floats(1e-5, 0.5), min_size=1, max_size=40)):
+        times.append(times[-1] + gap)
+    meas = draw(st.lists(st.one_of(st.floats(PARAMS.p_neg, PARAMS.p_pos), st.sampled_from(RAIL_EDGES)),
+                         min_size=len(times), max_size=len(times)))
+    if draw(st.booleans()):
+        # A NaN sample makes the sum NaN, and 1e200 makes it inf: neither stops the walk.
+        meas[draw(st.integers(0, len(meas) - 1))] = draw(st.sampled_from([math.nan, 1e200]))
+    return times, meas
+
+
+def _with_walk_examples(test):
+    # Every variant from the rails and atmosphere; then a zero gap, a NaN start and a diverging gap.
+    ramp = ([0.01 * i for i in range(20)], [PARAMS.p_atm + 1e3 * i for i in range(20)])
+    for load, x_bar, m, p in product([None, default_bellow_load()], [0.0, 0.5, 1.0], [INFL, DEFL], RAIL_EDGES):
+        for limit in (0.0, 1e7, math.inf):
+            test = example(params=PARAMS, p=p, x_bar=x_bar, m=m, load=load, samples=ramp, limit=limit)(test)
+    errors = [(PARAMS.p_atm, ([0.0, 0.01, 0.01, 0.02], [PARAMS.p_atm] * 4)),
+              (math.nan, ([0.0, 0.01, 0.02], [PARAMS.p_atm] * 3)),
+              (PARAMS.p_atm + 3e4, ([0.0, 0.01, 1e308], [PARAMS.p_atm] * 3))]
+    for (p, walk_samples), limit in product(errors, (0.0, math.inf)):
+        test = example(params=PARAMS, p=p, x_bar=1.0, m=INFL, load=None, samples=walk_samples, limit=limit)(test)
+    return test
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    params=CHANNELS,
+    p=st.one_of(st.floats(PARAMS.p_neg, PARAMS.p_pos), st.sampled_from(RAIL_EDGES)),
+    x_bar=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, -0.0, 1.0])),
+    m=st.sampled_from([INFL, DEFL]),
+    load=st.sampled_from(LOAD_CHOICES),
+    samples=samples(),
+    limit=st.one_of(st.sampled_from([0.0, math.inf]), st.floats(0.0, 1e12)),
+)
+@_with_walk_examples
+def test_the_sample_walk_is_single_steps_with_the_sequential_sum_and_stop(params, p, x_bar, m, load, samples, limit):
+    times, meas = samples
+    hold = rk4_hold(params, load)
+    walk, step = hold.walk(x_bar, m == INFL), hold(x_bar, m == INFL)
+    assert walk.__code__.co_filename == step.__code__.co_filename
+    got = walk_outcome(lambda: walk(p, times, meas, limit))
+    assert got == walk_outcome(lambda: looped_walk(step, p, times, meas, limit))
+    bad_at = next((i for i, v in enumerate(meas) if math.isnan(v) or v == 1e200), None)
+    if bad_at is not None and isinstance(got, list):
+        # From that sample on, the sum is NaN or inf, and such a sum never stops the walk.
+        assert len(got) <= bad_at or len(got) == len(times)
+
+
+def test_the_sample_walk_checks_the_spool_fraction():
+    with pytest.raises(ValueError, match="spool fraction"):
+        rk4_hold(PARAMS).walk(1.5, True)

@@ -87,7 +87,7 @@ def noisy_traces():
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Count the RK4 steps taken through held steps of ``plant.rk4_hold``."""
+    """Count the RK4 steps taken through held steps and sample walks of ``plant.rk4_hold``."""
     calls = [0]
     build = plant_mod.rk4_hold
 
@@ -109,6 +109,18 @@ def kernel_calls(monkeypatch):
 
             return counted
 
+        def counted_walk(x_bar, inflation):
+            walk = hold.walk(x_bar, inflation)
+
+            def counted(p, times, meas, limit):
+                # One RK4 step per sample the walk returns after the first.
+                out = walk(p, times, meas, limit)
+                calls[0] += len(out) - 1
+                return out
+
+            return counted
+
+        counted_hold.walk = counted_walk
         return counted_hold
 
     monkeypatch.setattr(plant_mod, "rk4_hold", counting)

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from pneuctrl.cli import main
 from pneuctrl.sysid import TRACE_COLUMNS, StepTrace, TraceDataError, read_trace_csv, write_trace_csv
 
 
@@ -198,3 +199,55 @@ def test_line_ends_and_blank_lines_read_the_same(workdir, end):
     got = outcome(read_trace_csv, path)
     assert isinstance(got[0], bytes)
     assert got == outcome(row_loop_read, path)
+
+
+def duty_rows(u1s, u2s):
+    """A 12-row trace whose duty columns are spelled row by row from ``u1s`` and ``u2s``, repeating the last."""
+    return [f"{0.01 * i:.6f},150000.0,{u1s[min(i, len(u1s) - 1)]},{u2s[min(i, len(u2s) - 1)]},rise"
+            for i in range(12)]
+
+
+# The reader parses each distinct spelling of a duty once; the value is the first row's.
+@pytest.mark.parametrize("u1s, u2s, u1, u2", [
+    (["100.0", "1e2", "100", " 100 ", "1_0_0"], ["60.0"], "100.0", "60.0"),    # one value, five spellings
+    (["100.0"], ["0.0", "-0.0", "0"], "100.0", "0.0"),                         # the first row's zero is +0.0
+    (["100.0"], ["-0.0", "0.0"], "100.0", "-0.0"),                             # and here -0.0
+    (["-0.0", "0.0"], ["60.0", "6e1"], "-0.0", "60.0"),
+])
+def test_duty_spellings_of_one_value_read_as_the_first_row(workdir, u1s, u2s, u1, u2):
+    path = workdir / "spellings.csv"
+    path.write_bytes(trace_file(duty_rows(u1s, u2s)))
+    got = outcome(read_trace_csv, path)
+    assert got == outcome(row_loop_read, path)
+    assert got[2:4] == (u1, u2)
+
+
+@pytest.mark.parametrize("cell, fault", [
+    ("nan", "non-finite value"), ("inf", "non-finite value"), ("1e400", "non-finite value"),
+    ("abc", "malformed row"), ("", "malformed row"),
+])
+@pytest.mark.parametrize("column", [2, 3])
+def test_a_bad_duty_on_a_later_row_names_its_line(workdir, capsys, column, cell, fault):
+    rows = duty_rows(["100.0"], ["60.0"])
+    fields = rows[8].split(",")
+    fields[column] = cell
+    rows[8] = ",".join(fields)
+    traces = workdir / f"bad_duty_{column}"
+    traces.mkdir(exist_ok=True)
+    path = traces / "seg.csv"
+    path.write_bytes(trace_file(rows))
+    assert outcome(read_trace_csv, path) == outcome(row_loop_read, path)
+    with pytest.raises(TraceDataError, match=f"line 10: {fault}"):
+        read_trace_csv(path)
+    assert main(["sysid", "--traces", str(traces), "--mode", "inflation"]) == 3
+    assert "seg.csv: line 10" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("u1s, u2s", [(["100.0", "100.0", "0.0"], ["60.0"]), (["100.0"], ["60.0", "1e2"]),
+                                      (["100.0"], ["60.0", "60.000000000000014"])])
+def test_two_duty_values_are_not_constant(workdir, u1s, u2s):
+    path = workdir / "two_values.csv"
+    path.write_bytes(trace_file(duty_rows(u1s, u2s)))
+    with pytest.raises(TraceDataError, match="inputs must be constant within a segment"):
+        read_trace_csv(path)
+    assert outcome(read_trace_csv, path) == outcome(row_loop_read, path)
