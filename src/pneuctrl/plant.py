@@ -38,7 +38,7 @@ _INFLATION, _DEFLATION = Mode.INFLATION, Mode.DEFLATION
 
 # Bounded field types: plain ``float`` and ``int`` to a type checker, held to
 # the bounds of FIELD_RULES by ``check_fields``, which reads each declared type.
-Positive = NonNegative = Kpa = Pa = Hz = Seconds = Weight = Tolerance = float
+Positive = NonNegative = Magnitude = Kpa = Pa = Hz = Seconds = Weight = Tolerance = float
 Count = PositiveCount = Steps = int
 # The largest absolute pressure, or noise sigma, of the declared physical domain, Pa: within it and the
 # other bounds of FIELD_RULES, every product the package forms of the quantities declared with them is finite.
@@ -48,9 +48,15 @@ _POSITIVE = (lambda v: v > 0, "must be positive")
 _NON_NEGATIVE = (lambda v: v >= 0, "must be non-negative")
 _AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")
 # Declared type -> (base type, *bounds): each bound a (test, message when it fails), tested in order.
+# Why every rate the channel model forms is finite: with its constants of type Magnitude, p <= PA_MAX (a stage
+# clamps p to the rails) and dt <= SECONDS_MAX, a branch flow, p * c * rho_ref * sqrt(t_ref / t_gas), is at most
+# 1e9 * 1e90 = 1e99 kg/s; gamma * r_gas * t_gas / volume (volume >= 1e-30) is at most 1e120, so a pressure rate
+# is at most about 1e220 Pa/s, and an RK4 increment, dt times a weighted mean of four rates, at most about
+# 1e227 Pa: finite for any finite p, and then clamped.
 FIELD_RULES = {
     "float": (float,), "int": (int,), "Mode": (Mode,),
     "Positive": (float, _POSITIVE),
+    "Magnitude": (float, _POSITIVE, (lambda v: 1e-30 <= v <= 1e30, "must lie in [1e-30, 1e30]")),
     "NonNegative": (float, _NON_NEGATIVE),
     "Count": (int, _NON_NEGATIVE),
     "PositiveCount": (int, _AT_LEAST_ONE),
@@ -114,10 +120,10 @@ class Conductances:
     atmosphere to outlet (ao).
     """
 
-    c_po: Positive
-    c_on: Positive
-    c_oa: Positive
-    c_ao: Positive
+    c_po: Magnitude
+    c_on: Magnitude
+    c_oa: Magnitude
+    c_ao: Magnitude
 
     def __post_init__(self) -> None:
         check_fields(self)
@@ -131,12 +137,12 @@ class PlantParams:
     p_neg: Pa           # vacuum absolute pressure
     p_atm: Pa           # atmospheric absolute pressure
     b: float            # critical pressure ratio
-    rho_ref: Positive   # gas density at reference conditions, kg/m^3
-    t_ref: Positive     # reference temperature, K
-    t_gas: Positive     # gas temperature, K
-    gamma: float        # heat-capacity ratio
-    r_gas: Positive     # specific gas constant, J/(kg K)
-    volume: Positive    # outlet volume, m^3
+    rho_ref: Magnitude  # gas density at reference conditions, kg/m^3
+    t_ref: Magnitude    # reference temperature, K
+    t_gas: Magnitude    # gas temperature, K
+    gamma: Magnitude    # heat-capacity ratio
+    r_gas: Magnitude    # specific gas constant, J/(kg K)
+    volume: Magnitude   # outlet volume, m^3
     conductances: Conductances
 
     def __post_init__(self) -> None:
@@ -186,7 +192,7 @@ class LoadModel:
     """
 
     kind: str = "fixed"
-    v0: Positive = 2.0e-5
+    v0: Magnitude = 2.0e-5
     k_v: float = 0.0
     v_min: float = 1.0e-6
     v_max: float = 2.5e-5
@@ -195,8 +201,11 @@ class LoadModel:
         check_fields(self)
         if self.kind not in ("fixed", "affine-bellow"):
             raise ValueError(f"kind must be 'fixed' or 'affine-bellow', got {self.kind!r}")
-        if self.kind == "affine-bellow" and not (0.0 < self.v_min < self.v_max):
-            raise ValueError("v_min must satisfy 0 < v_min < v_max for a bellow")
+        if self.kind == "affine-bellow":
+            if not (0.0 < self.v_min < self.v_max):
+                raise ValueError("v_min must satisfy 0 < v_min < v_max for a bellow")
+            for name in ("v_min", "v_max"):
+                check_value(getattr(self, name), "Magnitude", name)
 
     @classmethod
     def fixed(cls, volume: float) -> "LoadModel":
@@ -226,8 +235,8 @@ class BranchFlows(NamedTuple):
     a_ao: float
 
 
-# Pressures may poke marginally past the source bounds inside integrator
-# stages before clamping; tolerate a small overshoot before rejecting.
+# A direct caller of ``branch_flows`` or ``net_outlet_flow`` may pass a pressure marginally past a rail, as
+# rounding leaves it; tolerate a small overshoot before rejecting.  The generated stages clamp their own.
 _DOMAIN_SLACK = 1e-6
 
 
@@ -248,19 +257,10 @@ def shape_factor(r: float, b: float) -> float:
     return math.sqrt(arg)
 
 
-def _check_pressure(p: float, params: PlantParams) -> None:
-    lo = params.p_neg * (1.0 - _DOMAIN_SLACK)
-    hi = params.p_pos * (1.0 + _DOMAIN_SLACK)
-    if not (lo <= p <= hi):
-        raise ValueError(
-            f"outlet pressure {p!r} Pa outside [{params.p_neg}, {params.p_pos}]"
-        )
-
-
 def branch_flows(p: float, params: PlantParams) -> BranchFlows:
     """Evaluate all four branch mass flows at outlet pressure ``p``."""
     p_neg, p_pos, p_atm, b = params.p_neg, params.p_pos, params.p_atm, params.b
-    if not (p_neg * (1.0 - _DOMAIN_SLACK) <= p <= p_pos * (1.0 + _DOMAIN_SLACK)):  # _check_pressure
+    if not (p_neg * (1.0 - _DOMAIN_SLACK) <= p <= p_pos * (1.0 + _DOMAIN_SLACK)):
         raise ValueError(f"outlet pressure {p!r} Pa outside [{p_neg}, {p_pos}]")
     a_po = params._k_po * shape_factor(p / p_pos, b)
     a_on = params._k_on * p * shape_factor(p_neg / p, b)
@@ -299,7 +299,8 @@ def net_outlet_flow(x_bar: float, p: float, m: Mode, params: PlantParams) -> flo
     """
     if not (-1e-12 <= x_bar <= 1.0 + 1e-12):
         raise ValueError(f"spool fraction {x_bar!r} outside [0, 1]")
-    _check_pressure(p, params)
+    if not (params.p_neg * (1.0 - _DOMAIN_SLACK) <= p <= params.p_pos * (1.0 + _DOMAIN_SLACK)):
+        raise ValueError(f"outlet pressure {p!r} Pa outside [{params.p_neg}, {params.p_pos}]")
     b = params.b
     if m == Mode.INFLATION:
         main = x_bar * params._k_po * shape_factor(p / params.p_pos, b)
@@ -339,15 +340,17 @@ SampleWalk = Callable[[float, Sequence[float], Iterable[float], float], list]
 # The locals of a generated step or walk: the channel constants ``make`` takes, then the coefficients ``bind``
 # takes, each bound as a trailing positional default so that the body reads it as a local.
 _LOCALS = ("p_neg", "p_pos", "p_atm", "b", "one_minus_b", "energy", "energy_per_volume", "v0", "k_v", "v_min",
-           "v_max", "sqrt", "isfinite", "c_main", "c_out", "c_in")
-# Source of the held step: ``make(channel constants, inf)(c_main, c_out, c_in)`` is the step of one held input.
+           "v_max", "sqrt", "inf", "c_main", "c_out", "c_in")
+# Source of the held step: ``make(channel constants)(c_main, c_out, c_in)`` is the step of one held input.
 # $body is four inlined ``pressure_rate`` evaluations and the clamped RK4 update ``p_new`` of ``p`` over ``dt``.
 _STEP = Template("""\
-def make($channel, inf):
+def make($channel):
     def bind(c_main, c_out, c_in):
         def step(p, dt, n=1, $defaults):
-            if dt <= 0.0:
-                raise ValueError("dt must be positive")
+            if not -inf < p < inf:
+                raise ValueError(f"outlet pressure {p!r} Pa is not finite")
+            if not 0.0 < dt <= $seconds_max:
+                raise ValueError("dt must be positive and at most 1e7 s")
             half = 0.5 * dt
             sixth = dt / 6.0
             while True:
@@ -361,9 +364,11 @@ $body
 """)
 # Source of the sample walk, made and bound as the held step is: the same $body once per sample gap.
 _WALK = Template("""\
-def make($channel, inf):
+def make($channel):
     def bind(c_main, c_out, c_in):
-        def walk(p, times, meas, limit, $defaults, inf=inf):
+        def walk(p, times, meas, limit, $defaults):
+            if not -inf < p < inf:
+                raise ValueError(f"outlet pressure {p!r} Pa is not finite")
             out = [p]
             ts = iter(times)
             t0 = next(ts, None)
@@ -373,8 +378,8 @@ def make($channel, inf):
             for t1, m in zip(ts, ms):
                 dt = t1 - t0
                 t0 = t1
-                if dt <= 0.0:
-                    raise ValueError("dt must be positive")
+                if not 0.0 < dt <= $seconds_max:
+                    raise ValueError("dt must be positive and at most 1e7 s")
                 half = 0.5 * dt
                 sixth = dt / 6.0
 $body
@@ -390,22 +395,18 @@ $body
 """)
 _ADVANCE = """\
 p_new = p + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-if not isfinite(p_new):
-    raise ArithmeticError(f"integration diverged from p={p!r} Pa over dt={dt!r} s")
 if p_new < p_neg:
     p_new = p_neg
 elif p_new > p_pos:
     p_new = p_pos
 """
-# $k = rate($q): clamp, NaN check, volume, leak, main, combine.
+# $k = rate($q): clamp, volume, leak, main, combine.
 _RATE = Template("""\
 q = $q
 if q < p_neg:
     q = p_neg
 elif q > p_pos:
     q = p_pos
-elif q != q:
-    raise ValueError(f"outlet pressure {q!r} Pa outside [{p_neg}, {p_pos}]")
 $volume$leak$main$k = $scale * $flow
 """)
 _BELLOW = """\
@@ -457,7 +458,7 @@ def _variant(bellow: bool, inflation: bool, main_on: bool, leak_on: bool, walk: 
         name = f"{'bellow' if bellow else 'fixed'}, {'inflation' if inflation else 'deflation'}, {branches}"
         source = template.substitute(
             channel=", ".join(_LOCALS[:-3]), defaults=", ".join(f"{v}={v}" for v in _LOCALS),
-            body=indent(stages + _ADVANCE, " " * 16),
+            body=indent(stages + _ADVANCE, " " * 16), seconds_max=SECONDS_MAX,
         )
         namespace: dict = {}
         exec(compile(source, f"<pneuctrl.plant held step: {name}>", "exec"), namespace)
@@ -480,7 +481,7 @@ def _build_hold(params: PlantParams, load: Optional[LoadModel]) -> Hold:
     channel = (
         params.p_neg, params.p_pos, params.p_atm, params.b, 1.0 - params.b,
         params.gas_energy, params.gas_energy / load.v0,
-        load.v0, load.k_v, load.v_min, load.v_max, math.sqrt, math.isfinite, math.inf,
+        load.v0, load.k_v, load.v_min, load.v_max, math.sqrt, math.inf,
     )
     k_po, k_on, k_oa, k_ao = params._k_po, params._k_on, params._k_oa, params._k_ao
     binds: dict = {}   # (walk, inflation, main_on, leak_on) -> its variant's held-step or sample-walk make(*channel)
@@ -515,8 +516,10 @@ def rk4_hold(params: PlantParams, load: Optional[LoadModel] = None) -> Hold:
     ``rk4_hold(params, load)(x_bar, inflation)`` checks the spool fraction
     and returns ``step(p, dt, n=1) -> p_next``: ``n`` RK4 steps of ``dt`` (one
     at ``n <= 0``), ending early, and exactly, at the first that returns its
-    input, as the step is a pure function of ``p``.  Built once per load and
-    cached on ``params``.  Loops that hold the input take one held step.
+    input, as the step is a pure function of ``p``.  It raises ValueError
+    on a non-finite ``p`` or a ``dt`` outside (0, 1e7]; within the declared
+    domain it raises nothing else.  Built once per load and cached on
+    ``params``.  Loops that hold the input take one held step.
 
     ``rk4_hold(params, load).walk(x_bar, inflation)`` checks the same and
     returns the sample walk of that held input, generated from the same stage

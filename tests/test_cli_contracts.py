@@ -89,13 +89,13 @@ def test_integral_float_is_accepted(tmp_path):
 
 
 @pytest.mark.parametrize("controller", CONTROLLER_NAMES)
-def test_source_conductance_past_the_float_range_exits_4_under_every_controller(tmp_path, capsys, controller):
-    # c_po 1e300 makes the supply branch flow inf: every controller's run must fail, not hold the valve shut.
+def test_source_conductance_past_the_domain_exits_2_under_every_controller(tmp_path, capsys, controller):
+    # c_po 1e300 would make the supply branch flow inf: every controller's run must be refused, not hold the valve shut.
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps({"controller": controller, "plant": {"conductances": {"c_po": 1e300}},
                                 "reference": {"stages": [[0, 0.1], [50, 0.1]]}}))
-    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 4
-    assert "solver failure" in capsys.readouterr().err
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "invalid config.plant.conductances.c_po: " in capsys.readouterr().err
 
 
 def test_malformed_trace_value_exits_3(tmp_path, capsys):

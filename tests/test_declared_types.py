@@ -3,7 +3,8 @@ library and the JSON config alike.
 
 A ``float`` field takes a finite real number, never a bool, and keeps it as a
 float; an ``int`` field takes an integer, never a bool; ``Optional[...]`` also
-takes None.  Also: a bellow load needs a positive ``v_min``, and a sensor
+takes None.  Also: a bellow load needs a positive ``v_min`` and both its
+volumes within the ``Magnitude`` bound, and a sensor
 noise level outside the declared domain is a config error.
 """
 
@@ -108,11 +109,11 @@ def test_the_bounded_field_list_reaches_every_declared_bound():
     for kind, name, bound in BOUNDED_FIELDS:
         by_type.setdefault(bound, set()).add(f"{kind}.{name}")
     assert by_type == {
-        "Positive": {
+        "Positive": {"SupervisorConfig.h", "SmcGains.lam", "SmcGains.eta", "SmcGains.mu"},
+        "Magnitude": {
             "Conductances.c_po", "Conductances.c_on", "Conductances.c_oa", "Conductances.c_ao",
-            "PlantParams.rho_ref", "PlantParams.t_ref", "PlantParams.t_gas", "PlantParams.r_gas",
-            "PlantParams.volume", "LoadModel.v0", "SupervisorConfig.h", "SmcGains.lam", "SmcGains.eta",
-            "SmcGains.mu",
+            "PlantParams.rho_ref", "PlantParams.t_ref", "PlantParams.t_gas", "PlantParams.gamma",
+            "PlantParams.r_gas", "PlantParams.volume", "LoadModel.v0",
         },
         "NonNegative": {"SmcGains.k_i", "PidGains.k_p", "PidGains.k_i", "PidGains.k_d"},
         "Count": {"MpcConfig.max_switches", "TimingConfig.seed", "SynthesisConfig.seed"},
@@ -149,6 +150,9 @@ def _down(x):
 # message, and its boundary value if it holds one.
 BOUNDS = {
     "Positive": [([0.0, -0.0, 0, -1e-300], "must be positive", None)],
+    "Magnitude": [([0.0, -0.0, 0, -1e-300], "must be positive", None),
+                  ([_down(1e-30), 5e-324], "must lie in [1e-30, 1e30]", 1e-30),
+                  ([_up(1e30), 1e300, 10 ** 31], "must lie in [1e-30, 1e30]", 1e30)],
     "NonNegative": [([-5e-324, -1.0, -1], "must be non-negative", 0.0)],
     "Count": [([-1, -(10 ** 30)], "must be non-negative", 0)],
     "PositiveCount": [([0, -1], "must be >= 1", 1)],
@@ -308,6 +312,16 @@ def test_bellow_with_a_zero_lower_volume_is_rejected():
         LoadModel.affine_bellow(v0=1e-5, k_v=1e-9, v_min=0.0, v_max=2e-5)
     # A fixed load never reads the bounds.
     assert LoadModel(kind="fixed", v_min=0.0).v_min == 0.0
+
+
+@pytest.mark.parametrize("name, past, boundary", [("v_min", _down(1e-30), 1e-30), ("v_max", _up(1e30), 1e30)])
+def test_bellow_volumes_are_held_to_the_magnitude_bound(name, past, boundary):
+    bellow = LoadModel.affine_bellow(v0=1e-5, k_v=1e-9, v_min=1e-6, v_max=2e-5)
+    with pytest.raises(ValueError, match=rf"^{name} must lie in \[1e-30, 1e30\]$"):
+        replace(bellow, **{name: past})
+    assert getattr(replace(bellow, **{name: boundary}), name) == boundary
+    # A fixed load never reads the bounds.
+    assert getattr(LoadModel(kind="fixed", **{name: past}), name) == past
 
 
 def test_bellow_config_with_a_zero_lower_volume_exits_2(tmp_path, capsys):

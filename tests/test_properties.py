@@ -142,6 +142,11 @@ def test_sensor_faster_than_the_substep_samples_once_per_substep():
     assert traj.p_meas.tolist() == traj.p_true.tolist()
 
 
+# The channel constants declared Magnitude, within [1e-30, 1e30], but gamma, which must also exceed 1.
+MAGNITUDE_PLANT_KEYS = ("rho_ref_kg_m3", "t_ref_k", "t_gas_k", "r_gas_j_kgk", "volume_m3")
+CONDUCTANCE_KEYS = ("c_po", "c_on", "c_oa", "c_ao")
+
+
 def magnitude(lo, hi):
     """Floats in [lo, hi] with 0 <= lo < hi, drawn across their decades as well as uniformly, both ends included."""
     low = math.log10(max(lo, 1e-300))
@@ -183,8 +188,15 @@ def domain_configs(draw):
         "w_e": draw(magnitude(0.0, 1e100)), "w_u": draw(magnitude(0.0, 1e100)), "w_sw": draw(magnitude(0.0, 1e100)),
         "max_iters": draw(st.integers(1, 2)), "max_switches": draw(st.integers(0, 2)),
     }
-    plant = {"p_pos_pa": p_pos, "p_atm_pa": p_atm, "p_neg_pa": p_neg}
-    return {"plant": plant, "reference": reference, "timing": timing, "mpc": mpc}
+    plant = {"p_pos_pa": p_pos, "p_atm_pa": p_atm, "p_neg_pa": p_neg, "gamma": draw(magnitude(_up(1.0), 1e30)),
+             **{key: draw(magnitude(1e-30, 1e30)) for key in MAGNITUDE_PLANT_KEYS},
+             "conductances": {key: draw(magnitude(1e-30, 1e30)) for key in CONDUCTANCE_KEYS}}
+    load = {"v0_m3": draw(magnitude(1e-30, 1e30)), "k_v_m3_pa": draw(st.floats(allow_nan=False, allow_infinity=False))}
+    if draw(st.booleans()):
+        v_min, v_max = sorted(draw(st.lists(magnitude(1e-30, 1e30), min_size=2, max_size=2)))
+        assume(v_min < v_max)
+        load.update(kind="affine-bellow", v_min_m3=v_min, v_max_m3=v_max)
+    return {"plant": plant, "load": load, "reference": reference, "timing": timing, "mpc": mpc}
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -210,6 +222,14 @@ SINUSOID = {"kind": "sinusoid"}
 OUTSIDE = [
     *[("run", {"plant": {key: v}}, f"config.plant.{key}")
       for key in ("p_pos_pa", "p_neg_pa", "p_atm_pa") for v in (-5e-324, _up(1e9))],
+    *[("run", {"plant": {key: v}}, f"config.plant.{key}")
+      for key in MAGNITUDE_PLANT_KEYS for v in (_down(1e-30), _up(1e30))],
+    *[("run", {"plant": {"gamma": v}}, "config.plant.gamma") for v in (1.0, _up(1e30))],
+    *[("run", {"plant": {"conductances": {key: v}}}, f"config.plant.conductances.{key}")
+      for key in CONDUCTANCE_KEYS for v in (_down(1e-30), _up(1e30))],
+    *[("run", {"load": {"v0_m3": v}}, "config.load.v0_m3") for v in (_down(1e-30), _up(1e30))],
+    *[("run", {"load": {"kind": "affine-bellow", key: v}}, f"config.load.{key}")
+      for key, v in (("v_min_m3", _down(1e-30)), ("v_max_m3", _up(1e30)))],
     *[("run", {"reference": {"stages": [[level, 1.0]]}}, "config.reference.stages") for level in (_up(1e6), -_up(1e6))],
     *[("run", {"reference": {"stages": [[0.0, hold]]}}, "config.reference.stages") for hold in (0.0, _up(1e7))],
     *[("run", {"reference": {**SINUSOID, "amplitude_kpa": v}}, "config.reference.amplitude_kpa")
@@ -238,4 +258,17 @@ def test_each_bound_one_step_outside_exits_2_naming_its_key(tmp_path, capsys, co
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: invalid {key}: ")
+
+
+@pytest.mark.parametrize("controller, config, key", [
+    ("pid", {"plant": {"gamma": 1e300}}, "config.plant.gamma"),
+    ("pid", {"load": {"v0_m3": 1e-320}}, "config.load.v0_m3"),
+    ("dm-smc", {"load": {"v0_m3": 1e-320}}, "config.load.v0_m3"),
+], ids=["pid-gamma-1e300", "pid-v0-1e-320", "dm-smc-v0-1e-320"])
+def test_a_constant_that_made_the_rates_nan_exits_2(tmp_path, capsys, controller, config, key):
+    # Positive but past the Magnitude bound, each makes a stage rate NaN: refused before anything runs.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**config, "controller": controller}))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith(f"config error: invalid {key}: ")
