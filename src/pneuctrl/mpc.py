@@ -147,9 +147,6 @@ class StepTable(dict):
 # ``(x_bar, inflation)``, and one closed-valve table keyed ``(0.0, None)``;
 # see _step_table.
 StepTables = dict[tuple[float, Optional[bool]], StepTable]
-# The MPC solves' line-search memo: golden_section's ``(v, c, evals)`` of one
-# coordinate search, keyed by everything the search reads; see _descend.
-Searches = dict[tuple, tuple[float, float, int]]
 # The MPC solves' line-evaluation memo, search context -> spool fraction -> stage cost sum; see _descend.
 Evaluations = dict[tuple, dict[float, float]]
 
@@ -183,7 +180,6 @@ def _descend(
     load: Optional[LoadModel],
     u_init: Optional[Sequence[float]],
     steps: Optional[StepTables] = None,
-    searches: Optional[Searches] = None,
     evals: Optional[Evaluations] = None,
 ) -> tuple[list[float], float, int, bool, list[float]]:
     """Projected coordinate descent over the duty sequence for a fixed mode sequence.
@@ -204,23 +200,20 @@ def _descend(
     only results the checked step returned, so a hit returns what the step
     would.
 
-    ``searches`` memoizes whole line searches, with the same default.  The
-    search on ``u[k]`` reads its context: ``k``; the mode at ``k``, which
-    fixes its spool map, duty bounds and step tables; the pressure and
-    running cost before step ``k``; the tables of steps ``k+1..N-1``, whose
-    keys fix their spool fractions and so their stage costs.  It also reads
-    the switch cost and ``ref_seq``, ``cfg``, ``params``, ``maps`` and
-    ``load``, and is keyed by its context and the switch cost, so one memo
-    may serve only descents that share the last five, such as those of one
-    solve, and a hit returns the ``(v, c, evals)`` that
-    :func:`golden_section` would.  A coordinate searched again with no duty
-    changed since its last search hits the memo, and the hit changes no
-    duty, as that search left its best cost current.
+    A sweep stops at the coordinate last improved: that search and every
+    one after it would repeat a search with nothing changed since, which
+    left its best cost current, so none could improve.
 
-    ``evals`` memoizes line evaluations, with the same default and sharing
-    rule: per search context, the summed stage cost before the switch cost
-    of each spool fraction at ``k`` walked in it (with the mode, the
-    fraction fixes step k's table and effort).  A hit adds the switch cost,
+    ``evals`` memoizes line evaluations, with the same default.  The search
+    on ``u[k]`` reads its context: ``k``; the mode at ``k``, which fixes its
+    spool map, duty bounds and step tables; the pressure and running cost
+    before step ``k``; the tables of steps ``k+1..N-1``, whose keys fix
+    their spool fractions and so their stage costs.  The memo holds, per
+    context, the summed stage cost before the switch cost of each spool
+    fraction at ``k`` walked in it (with the mode, the fraction fixes step
+    k's table and effort).  A walk also reads ``ref_seq``, ``cfg``,
+    ``params``, ``maps`` and ``load``, so one memo may serve only descents
+    that share them, such as those of one solve.  A hit adds the switch cost,
     the one addition a walk ends with, so it returns the walk's bits.  On
     maps whose lowest duty closes the valve, as both defaults do, every
     table starts closed, so the first sweeps of sequences that agree up to
@@ -232,8 +225,6 @@ def _descend(
     n = cfg.horizon_steps
     if steps is None:
         steps = {}
-    if searches is None:
-        searches = {}
     if evals is None:
         evals = {}
     bounds = [(maps[m].u_min, maps[m].u_max) for m in m_seq]
@@ -274,42 +265,42 @@ def _descend(
     trace = [cost]
     sweeps = 0
     improved_last = True
+    last = -1       # the coordinate last improved
     for _ in range(cfg.max_iters):
         improved_last = False
         for k in range(n):
+            if k == last:
+                break
             context = (k, inflating[k], p_before[k], c_before[k], *[t.key for t in tables[k + 1:]])
-            key = (context, switch_cost)
-            found = searches.get(key)
-            if found is None:
-                # The defaults bind the search's constants once, as locals of every evaluation.
-                def line(
-                    v: float, k: int = k, a: tuple = spool_maps[k].a, x_now: float = x[k],
-                    p_k: float = p_before[k], c_k: float = c_before[k], walked: dict = evals.setdefault(context, {}),
-                    rest: list = [(t, t.step, ref_seq[j], w_u * x[j] * x[j]) for j, t in enumerate(tables) if j > k],
-                ) -> float:
-                    x_k = spool_fraction(a, v)
-                    if x_k == x_now:
-                        return cost
-                    c = walked.get(x_k)
-                    if c is None:
-                        table = _step_table(steps, hold, x_k, inflating[k])
-                        p = table.get(p_k)
-                        if p is None:
-                            p = table[p_k] = table.step(p_k, dt)
-                        e = p - ref_seq[k]
-                        c = c_k + (w_e * e * e + w_u * x_k * x_k)
-                        for table, step, r, effort in rest:
-                            p_next = table.get(p)
-                            if p_next is None:
-                                p_next = table[p] = step(p, dt)
-                            p = p_next
-                            e = p - r
-                            c += w_e * e * e + effort
-                        walked[x_k] = c
-                    return c + switch_cost
 
-                found = searches[key] = golden_section(line, bounds[k][0], bounds[k][1], tol=cfg.line_tol)
-            v_best, c_best, _ = found
+            # The defaults bind the search's constants once, as locals of every evaluation.
+            def line(
+                v: float, k: int = k, a: tuple = spool_maps[k].a, x_now: float = x[k],
+                p_k: float = p_before[k], c_k: float = c_before[k], walked: dict = evals.setdefault(context, {}),
+                rest: list = [(t, t.step, ref_seq[j], w_u * x[j] * x[j]) for j, t in enumerate(tables) if j > k],
+            ) -> float:
+                x_k = spool_fraction(a, v)
+                if x_k == x_now:
+                    return cost
+                c = walked.get(x_k)
+                if c is None:
+                    table = _step_table(steps, hold, x_k, inflating[k])
+                    p = table.get(p_k)
+                    if p is None:
+                        p = table[p_k] = table.step(p_k, dt)
+                    e = p - ref_seq[k]
+                    c = c_k + (w_e * e * e + w_u * x_k * x_k)
+                    for table, step, r, effort in rest:
+                        p_next = table.get(p)
+                        if p_next is None:
+                            p_next = table[p] = step(p, dt)
+                        p = p_next
+                        e = p - r
+                        c += w_e * e * e + effort
+                    walked[x_k] = c
+                return c + switch_cost
+
+            v_best, c_best, _ = golden_section(line, bounds[k][0], bounds[k][1], tol=cfg.line_tol)
             if c_best < cost - 1e-15:
                 u[k] = v_best
                 x[k] = eval_spool(v_best, spool_maps[k])
@@ -317,6 +308,7 @@ def _descend(
                 record(k)
                 cost = c_best
                 improved_last = True
+                last = k
         sweeps += 1
         trace.append(cost)
         if not improved_last:
@@ -559,18 +551,17 @@ def minmpc_solve(
     descended sequences only.
 
     The bounds and all descents share one step memo, and the descents one
-    line-search and one line-evaluation memo (see :func:`_descend`).  Each
-    keys everything its entries depend on within a solve, the evaluation
-    memo all but the switch cost, which an evaluation adds last, so a hit
-    returns what a fresh step, search or walk would: the solution is that
-    of descents with fresh memos, bit for bit, and only the work falls.
+    line-evaluation memo (see :func:`_descend`).  Each keys everything its
+    entries depend on within a solve, the evaluation memo all but the
+    switch cost, which an evaluation adds last, so a hit returns what a
+    fresh step or walk would: the solution is that of descents with fresh
+    memos, bit for bit, and only the work falls.
     """
     _check_refs(ref_seq)
     seqs = list(mode_sequences(cfg.horizon_steps, cfg.max_switches))
     # RK4 steps shared by the bounds and every descent of this solve, and line
-    # searches and evaluations shared by its descents; see _descend.
+    # evaluations shared by its descents; see _descend.
     steps: StepTables = {}
-    searches: Searches = {}
     evals: Evaluations = {}
     best = None   # (key, duties, cost trace) of the winner so far
     total_sweeps = 0
@@ -582,7 +573,7 @@ def minmpc_solve(
 
     for _, i in _bound_walk(p0, ref_seq, seqs, cfg, params, maps, load, steps, cutoff):
         u, cost, sweeps, hit_cap, trace = _descend(
-            p0, ref_seq, seqs[i], cfg, params, maps, load, None, steps, searches, evals,
+            p0, ref_seq, seqs[i], cfg, params, maps, load, None, steps, evals,
         )
         descended += 1
         total_sweeps += sweeps

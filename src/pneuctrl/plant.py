@@ -250,11 +250,9 @@ def shape_factor(r: float, b: float) -> float:
         return 1.0
     if r >= 1.0:
         return 0.0
+    # Monotone rounding gives fl(r - b) <= fl(1 - b), so z <= 1 and 1.0 - z * z >= +0.0, whose sqrt is +0.0.
     z = (r - b) / (1.0 - b)
-    arg = 1.0 - z * z
-    if arg <= 0.0:
-        return 0.0
-    return math.sqrt(arg)
+    return math.sqrt(1.0 - z * z)
 
 
 def branch_flows(p: float, params: PlantParams) -> BranchFlows:
@@ -417,8 +415,7 @@ elif v > v_max:
     v = v_max
 scale = energy / v
 """
-# s = shape_factor(r, b), with 1.0 - b hoisted and no ``arg <= 0.0`` test: for b < r < 1, monotone
-# rounding gives fl(r - b) <= fl(1 - b), so z <= 1 and 1.0 - z * z >= +0.0, whose sqrt is +0.0.
+# s = shape_factor(r, b), with 1.0 - b hoisted.
 _SHAPE = """\
 if r <= b:
     s = 1.0

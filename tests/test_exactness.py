@@ -110,10 +110,11 @@ def test_descend_matches_full_rollout_descent(load_name, seq_name, warm):
 def test_sweep_after_a_last_improvement_at_coordinate_0_skips_every_search(monkeypatch):
     # From 150 kPa gauge on a rising ramp the first sweep improves every duty,
     # the second only u[0], so the third would repeat all four line searches.
+    # Holding 20 kPa gauge the first sweep last improves u[2], so the second
+    # searches u[0] and u[1] only.  A sweep searches up to the last improved
+    # coordinate, which it would search again with nothing changed since.
     n = 4
     cfg = replace(default_mpc_config(), horizon_steps=n)
-    args = (PARAMS.p_atm + 1.5e5, [PARAMS.p_atm + 1.5e5 + 5.0e3 * k for k in range(n)],
-            (INFL,) * n, cfg, PARAMS, MAPS, default_load(), None)
     searches = []
 
     def counted(*a, **kw):
@@ -121,10 +122,14 @@ def test_sweep_after_a_last_improvement_at_coordinate_0_skips_every_search(monke
         return golden_section(*a, **kw)
 
     monkeypatch.setattr(mpc_mod, "golden_section", counted)
-    u, cost, sweeps, hit_cap, trace = _descend(*args)
-    assert (u, cost, sweeps, hit_cap, trace) == reference_descend(*args)
-    assert sweeps == 3 and trace[-1] == trace[-2] < trace[-3]
-    assert len(searches) == 2 * n
+    for gauge, slope, n_sweeps, last in [(1.5e5, 5.0e3, 3, 0), (2.0e4, 0.0, 2, 2)]:
+        p0 = PARAMS.p_atm + gauge
+        args = (p0, [p0 + slope * k for k in range(n)], (INFL,) * n, cfg, PARAMS, MAPS, default_load(), None)
+        searches.clear()
+        u, cost, sweeps, hit_cap, trace = _descend(*args)
+        assert (u, cost, sweeps, hit_cap, trace) == reference_descend(*args)
+        assert sweeps == n_sweeps and trace[-1] == trace[-2] < trace[-3]
+        assert len(searches) == (sweeps - 1) * n + last
 
 
 LOAD_CHOICES = [None, default_load(), default_bellow_load(),
@@ -164,7 +169,7 @@ def test_params_with_built_kernels_still_pickle():
 @pytest.mark.parametrize(
     "p, x_bar, dt, error",
     [
-        (math.nan, 0.5, 1e-3, ValueError),          # stage pressure outside the domain
+        (math.nan, 0.5, 1e-3, ValueError),          # non-finite pressure
         (PARAMS.p_atm, 1.5, 1e-3, ValueError),      # spool fraction outside [0, 1]
         (PARAMS.p_atm, 0.5, -1e-3, ValueError),     # non-positive step
         (PARAMS.p_atm + 3e4, 0.5, 1e308, ValueError),      # step past the declared 1e7 s
@@ -507,27 +512,6 @@ def test_both_modes_share_one_closed_valve_step_table():
     assert [table.key for table in opened] == [(0.5, True), (0.5, False)]
 
 
-def test_solve_reuses_its_descents_searches(monkeypatch):
-    # Against the same solve with a fresh step memo and no search memo for each descent.
-    p0, refs = CROSSING_PROBLEMS["above-to-below"]
-    args = (p0, refs, default_mpc_config(), PARAMS, MAPS, default_load())
-    searches = []
-
-    def counted(*a, **kw):
-        searches.append(a[1:3])
-        return golden_section(*a, **kw)
-
-    monkeypatch.setattr(mpc_mod, "golden_section", counted)
-    shared = solution_fields(minmpc_solve(*args))
-    n_shared = len(searches)
-    searches.clear()
-    descend = mpc_mod._descend
-    monkeypatch.setattr(mpc_mod, "_descend", lambda *a: descend(*a[:8]))
-    assert solution_fields(minmpc_solve(*args)) == shared
-    assert shared["descended"] > 1
-    assert n_shared < len(searches)
-
-
 # Maps whose lowest duty opens the valve: a descent starts with no closed-valve step.
 NO_DEADBAND_MAPS = tuple(replace(m, u_min=30.0) for m in MAPS)
 
@@ -552,7 +536,7 @@ def memo_problems(draw):
 @settings(max_examples=100, deadline=None)
 @given(problem=memo_problems())
 def test_minmpc_equals_an_enumeration_with_fresh_memos(problem):
-    # The solve's shared step and search memos change no field of its solution.
+    # The solve's shared step and evaluation memos change no field of its solution.
     p0, refs, cfg, maps, load = problem
 
     def descend(m_seq):
@@ -578,9 +562,9 @@ def test_descents_sharing_an_evaluation_memo_equal_full_rollout_descents(problem
     # The evaluation memo is keyed without the switch cost: sequences searching the same
     # lines at other switch costs share its sums, and each still descends bit for bit.
     p0, refs, cfg, maps, load = problem
-    steps, searches, evals = {}, {}, {}
+    steps, evals = {}, {}
     for m_seq in mode_sequences(cfg.horizon_steps, cfg.max_switches):
-        shared = _descend(p0, refs, m_seq, cfg, PARAMS, maps, load, None, steps, searches, evals)
+        shared = _descend(p0, refs, m_seq, cfg, PARAMS, maps, load, None, steps, evals)
         assert shared == reference_descend(p0, refs, m_seq, cfg, PARAMS, maps, load, None)
 
     def descend(m_seq):
@@ -604,15 +588,13 @@ def test_a_sequence_walks_no_line_its_first_modes_share_with_an_earlier_one():
     def descend(m_seq, *memos):
         return _descend(p0, refs, m_seq, cfg, PARAMS, MAPS, load, None, *memos)
 
-    steps, searches, evals = {}, {}, {}
-    descend(first, steps, searches, evals)
+    steps, evals = {}, {}
+    descend(first, steps, evals)
     walked = walks_before_parting(evals)
-    shared = descend(second, steps, searches, evals)
+    shared = descend(second, steps, evals)
     assert walks_before_parting(evals) == walked > 0
-    assert {(context[0], switch_cost) for context, switch_cost in searches if context[0] < parts} == {
-        (k, switch_cost) for k in range(parts) for switch_cost in (0.0, cfg.w_sw)}
 
     fresh = {}
-    assert descend(second, {}, {}, fresh) == shared
+    assert descend(second, {}, fresh) == shared
     assert walks_before_parting(fresh) == walked
     assert {context[0] for context, fractions in fresh.items() if fractions} >= set(range(parts))
