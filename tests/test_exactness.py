@@ -107,14 +107,12 @@ def test_descend_matches_full_rollout_descent(load_name, seq_name, warm):
     assert trace == trace_ref
 
 
-def test_sweep_after_a_last_improvement_at_coordinate_0_skips_every_search(monkeypatch):
-    # From 150 kPa gauge on a rising ramp the first sweep improves every duty,
-    # the second only u[0], so the third would repeat all four line searches.
-    # Holding 20 kPa gauge the first sweep last improves u[2], so the second
-    # searches u[0] and u[1] only.  A sweep searches up to the last improved
-    # coordinate, which it would search again with nothing changed since.
-    n = 4
+def _count_descent_searches(monkeypatch, gauge, slope, n):
+    # One descent on the fixed load with every mode inflating, checked against the
+    # reference descent; returns its sweeps and the line searches it ran.
     cfg = replace(default_mpc_config(), horizon_steps=n)
+    p0 = PARAMS.p_atm + gauge
+    args = (p0, [p0 + slope * k for k in range(n)], (INFL,) * n, cfg, PARAMS, MAPS, default_load(), None)
     searches = []
 
     def counted(*a, **kw):
@@ -122,14 +120,25 @@ def test_sweep_after_a_last_improvement_at_coordinate_0_skips_every_search(monke
         return golden_section(*a, **kw)
 
     monkeypatch.setattr(mpc_mod, "golden_section", counted)
-    for gauge, slope, n_sweeps, last in [(1.5e5, 5.0e3, 3, 0), (2.0e4, 0.0, 2, 2)]:
-        p0 = PARAMS.p_atm + gauge
-        args = (p0, [p0 + slope * k for k in range(n)], (INFL,) * n, cfg, PARAMS, MAPS, default_load(), None)
-        searches.clear()
-        u, cost, sweeps, hit_cap, trace = _descend(*args)
-        assert (u, cost, sweeps, hit_cap, trace) == reference_descend(*args)
-        assert sweeps == n_sweeps and trace[-1] == trace[-2] < trace[-3]
-        assert len(searches) == (sweeps - 1) * n + last
+    u, cost, sweeps, hit_cap, trace = _descend(*args)
+    assert (u, cost, sweeps, hit_cap, trace) == reference_descend(*args)
+    assert trace[-1] == trace[-2] < trace[-3]
+    return sweeps, len(searches)
+
+
+def test_sweep_after_a_last_improvement_at_coordinate_0_skips_every_search(monkeypatch):
+    # From 150 kPa gauge on a rising ramp the first sweep improves every duty,
+    # the second only u[0], so the third would repeat all four line searches.
+    n = 4
+    assert _count_descent_searches(monkeypatch, 1.5e5, 5.0e3, n) == (3, 2 * n)
+
+
+def test_sweep_after_an_interior_last_improvement_searches_up_to_it(monkeypatch):
+    # Holding 20 kPa gauge the first sweep last improves u[2], so the second
+    # searches u[0] and u[1] only: it stops at the last improved coordinate,
+    # which it would search again with nothing changed since.
+    n = 4
+    assert _count_descent_searches(monkeypatch, 2.0e4, 0.0, n) == (2, n + 2)
 
 
 LOAD_CHOICES = [None, default_load(), default_bellow_load(),
