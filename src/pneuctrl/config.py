@@ -131,7 +131,7 @@ _PLANT_KEYS = {
 _LOAD_KEYS = {"kind": "kind", "v0_m3": "v0", "k_v_m3_pa": "k_v", "v_min_m3": "v_min", "v_max_m3": "v_max"}
 _MPC_KEYS = {
     "horizon_steps": "horizon_steps", "dt_pred_s": "dt_pred", "w_e": "w_e", "w_u": "w_u",
-    "w_sw": "w_sw", "max_iters": "max_iters", "max_switches": "max_switches",
+    "w_sw": "w_sw", "max_switches": "max_switches",
 }
 _TIMING_KEYS = {
     "control_rate_hz": "control_rate", "sensor_rate_hz": "sensor_rate", "sim_substep_hz": "sim_substep",

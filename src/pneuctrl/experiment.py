@@ -163,7 +163,7 @@ class Tick(NamedTuple):
     mode: Mode                           # active polarity mode
     s: float = math.nan                  # sliding variable (NaN for non-SMC)
     x_star: float = math.nan             # commanded spool fraction (NaN if n/a)
-    flag: str = ""                       # "gain-guard", "iter-cap" or ""
+    flag: str = ""                       # "gain-guard" or ""
 
 
 class ControllerLoop(Protocol):
@@ -223,17 +223,14 @@ class NmpcLoop:
     supervisor: SupervisorConfig
     ref: Reference
     mode: Mode = field(init=False, default=Mode.INFLATION)
-    prev_u: Optional[tuple[float, ...]] = field(init=False, default=None)
 
     def update(self, t, p_meas, p_ref, p_ref_rate):
         self.mode = select_mode(p_meas, p_ref, self.supervisor, self.mode)
-        warm = None if self.prev_u is None else self.prev_u[1:] + self.prev_u[-1:]
         sol = mpc_mod.nmpc_solve(
             p_meas, _horizon_refs(self.ref, self.cfg, self.params.p_atm, t), self.mode,
-            self.cfg, self.params, self.maps, self.load, u_init=warm,
+            self.cfg, self.params, self.maps, self.load,
         )
-        self.prev_u = tuple(sol.u_seq)
-        return Tick(sol.u_seq[0], self.mode, flag="iter-cap" if sol.hit_iter_cap else "")
+        return Tick(sol.u_seq[0], self.mode)
 
 
 @dataclass(eq=False)
@@ -251,7 +248,7 @@ class MinmpcLoop:
             p_meas, _horizon_refs(self.ref, self.cfg, self.params.p_atm, t),
             self.cfg, self.params, self.maps, self.load,
         )
-        return Tick(sol.u_seq[0], sol.m_seq[0], flag="iter-cap" if sol.hit_iter_cap else "")
+        return Tick(sol.u_seq[0], sol.m_seq[0])
 
 
 def run_duration(ref: Reference, timing: TimingConfig) -> float:

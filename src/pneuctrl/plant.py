@@ -39,7 +39,7 @@ _INFLATION, _DEFLATION = Mode.INFLATION, Mode.DEFLATION
 # Bounded field types: plain ``float`` and ``int`` to a type checker, held to
 # the bounds of FIELD_RULES by ``check_fields``, which reads each declared type.
 Positive = NonNegative = Magnitude = Kpa = Pa = Hz = Seconds = Weight = Tolerance = float
-Count = PositiveCount = Steps = int
+Count = Steps = int
 # The largest absolute pressure, or noise sigma, of the declared physical domain, Pa: within it and the
 # other bounds of FIELD_RULES, every product the package forms of the quantities declared with them is finite.
 PA_MAX = 1e9
@@ -59,7 +59,6 @@ FIELD_RULES = {
     "Magnitude": (float, _POSITIVE, (lambda v: 1e-30 <= v <= 1e30, "must lie in [1e-30, 1e30]")),
     "NonNegative": (float, _NON_NEGATIVE),
     "Count": (int, _NON_NEGATIVE),
-    "PositiveCount": (int, _AT_LEAST_ONE),
     "Kpa": (float, (lambda v: abs(v) <= 1e6, "must lie within ±1e6 kPa")),
     "Pa": (float, _NON_NEGATIVE, (lambda v: v <= PA_MAX, "must be at most 1e9 Pa")),
     "Hz": (float, _POSITIVE, (lambda v: 1e-6 <= v <= 1e6, "must lie in [1e-6, 1e6] Hz")),

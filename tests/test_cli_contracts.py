@@ -24,7 +24,6 @@ from pneuctrl.sysid import TRACE_COLUMNS, SynthesisConfig, write_trace_csv
     [
         ("mpc", "horizon_steps", 2.7),
         ("mpc", "horizon_steps", True),
-        ("mpc", "max_iters", 1.5),
         ("mpc", "max_switches", False),
         ("mpc", "max_switches", "1"),
         ("timing", "seed", True),
@@ -37,6 +36,14 @@ def test_non_integral_scenario_entry_exits_2(tmp_path, capsys, section, key, val
     path.write_text(json.dumps({section: {key: value}}))
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert f"config.{section}.{key}" in capsys.readouterr().err
+
+
+def test_the_dropped_mpc_iteration_cap_key_exits_2_naming_it(tmp_path, capsys):
+    # The MPC solvers have no iteration cap, so ``max_iters`` is an unknown key.
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"mpc": {"max_iters": 3}}))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "max_iters" in capsys.readouterr().err
 
 
 def test_non_integral_sinusoid_cycles_exits_2(tmp_path, capsys):

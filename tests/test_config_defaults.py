@@ -98,7 +98,7 @@ scalar_overrides = st.fixed_dictionaries({}, optional={
     "pid": _section(inflation=_section(k_p=finite(0.0, 1.0), k_d=finite(0.0, 0.1))),
     "mpc": _section(
         horizon_steps=st.integers(1, 20), w_e=finite(0.0, 1e-5), w_sw=finite(0.0, 5.0),
-        max_iters=st.integers(1, 5), max_switches=st.integers(0, 3),
+        max_switches=st.integers(0, 3),
     ),
     "reference": _section(
         kind=st.sampled_from(["multi-step", "sinusoid"]), amplitude_kpa=finite(0.0, 100.0),

@@ -50,7 +50,7 @@ FLOAT_FIELDS = _fields_holding(float)
 
 def test_the_field_lists_reach_every_int_field():
     assert set(INT_FIELDS) == {
-        ("MpcConfig", "horizon_steps"), ("MpcConfig", "max_iters"), ("MpcConfig", "max_switches"),
+        ("MpcConfig", "horizon_steps"), ("MpcConfig", "max_switches"),
         ("Reference", "cycles"), ("TimingConfig", "seed"), ("SynthesisConfig", "seed"),
     }
     assert len(FLOAT_FIELDS) >= 40
@@ -117,7 +117,6 @@ def test_the_bounded_field_list_reaches_every_declared_bound():
         },
         "NonNegative": {"SmcGains.k_i", "PidGains.k_p", "PidGains.k_i", "PidGains.k_d"},
         "Count": {"MpcConfig.max_switches", "TimingConfig.seed", "SynthesisConfig.seed"},
-        "PositiveCount": {"MpcConfig.max_iters"},
         "Kpa": {"Reference.amplitude_kpa"},
         "Pa": {
             "PlantParams.p_pos", "PlantParams.p_neg", "PlantParams.p_atm", "TimingConfig.noise_sigma",
@@ -155,7 +154,6 @@ BOUNDS = {
                   ([_up(1e30), 1e300, 10 ** 31], "must lie in [1e-30, 1e30]", 1e30)],
     "NonNegative": [([-5e-324, -1.0, -1], "must be non-negative", 0.0)],
     "Count": [([-1, -(10 ** 30)], "must be non-negative", 0)],
-    "PositiveCount": [([0, -1], "must be >= 1", 1)],
     "Kpa": [([_up(1e6), -_up(1e6), 10 ** 6 + 1, 1e305], "must lie within ±1e6 kPa", 1e6)],
     "Pa": [([-5e-324, -1], "must be non-negative", 0.0), ([_up(1e9), 10 ** 9 + 1], "must be at most 1e9 Pa", 1e9)],
     "Hz": [([0.0, -1.0], "must be positive", None),

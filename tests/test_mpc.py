@@ -1,13 +1,15 @@
-import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from mpc_reference import dense_oracle, descent_oracle, mode_sequences
 from pneuctrl.experiment import MinmpcLoop, NmpcLoop, Reference, TimingConfig, compute_metrics, run_scenario
-from pneuctrl.mpc import MpcConfig, minmpc_solve, mode_sequences, nmpc_solve, rollout_cost
-from pneuctrl.mpc import _descend
-from pneuctrl.config import default_mpc_config
+from pneuctrl.mpc import MpcConfig, minmpc_solve, nmpc_solve, rollout_cost
+from pneuctrl.config import default_bellow_load, default_load, default_maps, default_mpc_config, default_plant
 from pneuctrl.plant import Mode
 
 
@@ -16,15 +18,9 @@ def cfg():
     return default_mpc_config()
 
 
-def brute_force_best_cost(p0, ref_seq, cfg, params, maps, load=None):
-    """Oracle: enumerate every binary mode sequence and solve each continuous
-    subproblem with the shared inner solver."""
-    best = None
-    for bits in itertools.product((Mode.DEFLATION, Mode.INFLATION), repeat=cfg.horizon_steps):
-        _, cost, _, _, _ = _descend(p0, ref_seq, bits, cfg, params, maps, load, None)
-        if best is None or cost < best:
-            best = cost
-    return best
+def brute_force_best_cost(p0, ref_seq, cfg, params, maps, load, sweeps):
+    """Oracle: coordinate descent on every mode sequence within the switch limit (``mpc_reference``)."""
+    return descent_oracle(p0, ref_seq, cfg, params, maps, load, sweeps)
 
 
 class TestRolloutCost:
@@ -91,24 +87,18 @@ class TestNmpcSolve:
         )
         assert sol.cost <= grid_best + 1e-9
 
-    def test_cost_non_increasing_across_sweeps(self, params, maps, cfg, load):
+    def test_cost_is_the_rollout_of_its_sequences(self, params, maps, cfg, load):
         refs = [params.p_atm + 80e3] * cfg.horizon_steps
         sol = nmpc_solve(params.p_atm, refs, Mode.INFLATION, cfg, params, maps, load)
-        trace = sol.cost_trace
-        assert all(b <= a + 1e-12 for a, b in zip(trace[:-1], trace[1:]))
+        assert sol.m_seq == (Mode.INFLATION,) * cfg.horizon_steps
+        assert sol.cost == rollout_cost(params.p_atm, sol.u_seq, sol.m_seq, refs, cfg, params, maps, load)
 
-    def test_warm_start_round_trip(self, params, maps, cfg, load):
-        refs = [params.p_atm + 50e3] * cfg.horizon_steps
-        cold = nmpc_solve(params.p_atm, refs, Mode.INFLATION, cfg, params, maps, load)
-        warm = nmpc_solve(params.p_atm, refs, Mode.INFLATION, cfg, params, maps, load, u_init=cold.u_seq)
-        assert warm.cost <= cold.cost + 1e-9
-
-    def test_iteration_cap_flag(self, params, maps, load):
-        cfg = MpcConfig(max_iters=1)
+    def test_one_forward_pass_and_no_iteration_cap(self, params, maps, cfg, load):
         refs = [params.p_atm + 80e3] * cfg.horizon_steps
-        sol = nmpc_solve(params.p_atm, refs, Mode.INFLATION, cfg, params, maps, load)
-        assert sol.iterations == 1
-        assert sol.hit_iter_cap
+        nm = nmpc_solve(params.p_atm, refs, Mode.INFLATION, cfg, params, maps, load)
+        mi = minmpc_solve(params.p_atm, refs, cfg, params, maps, load)
+        assert (nm.iterations, nm.hit_iter_cap) == (1, False)
+        assert (mi.iterations, mi.hit_iter_cap) == (3, False)
 
 
 @pytest.mark.parametrize("line_tol", [0.0, -0.0, -1.0])
@@ -143,53 +133,127 @@ class TestModeSequences:
 
 class TestMinmpcSolve:
     def test_far_below_reference_selects_inflation(self, params, maps, load):
-        cfg = MpcConfig(horizon_steps=5, max_switches=4, max_iters=2)
+        cfg = MpcConfig(horizon_steps=5, max_switches=4)
         refs = [params.p_atm + 80e3] * 5
         sol = minmpc_solve(params.p_atm, refs, cfg, params, maps, load)
         assert sol.m_seq[0] == Mode.INFLATION
-        oracle = brute_force_best_cost(params.p_atm, refs, cfg, params, maps, load)
-        assert sol.cost == pytest.approx(oracle, rel=1e-9, abs=1e-12)
+        oracle = brute_force_best_cost(params.p_atm, refs, cfg, params, maps, load, sweeps=2)
+        assert sol.cost <= oracle * (1 + 1e-9)
 
     def test_far_above_reference_selects_deflation(self, params, maps, load):
-        cfg = MpcConfig(horizon_steps=5, max_switches=4, max_iters=2)
+        cfg = MpcConfig(horizon_steps=5, max_switches=4)
         refs = [params.p_atm - 60e3] * 5
         sol = minmpc_solve(params.p_atm, refs, cfg, params, maps, load)
         assert sol.m_seq[0] == Mode.DEFLATION
 
     def test_mirrored_situations_mirror_the_mode_choice(self, params, maps, load):
-        cfg = MpcConfig(horizon_steps=6, max_switches=1, max_iters=2)
+        cfg = MpcConfig(horizon_steps=6, max_switches=1)
         up = minmpc_solve(params.p_atm - 30e3, [params.p_atm] * 6, cfg, params, maps, load)
         down = minmpc_solve(params.p_atm + 30e3, [params.p_atm] * 6, cfg, params, maps, load)
         assert up.m_seq[0] == Mode.INFLATION
         assert down.m_seq[0] == Mode.DEFLATION
 
     def test_zero_switches_reduces_to_best_fixed_mode(self, params, maps, load):
-        cfg = MpcConfig(horizon_steps=6, max_switches=0, max_iters=2)
+        cfg = MpcConfig(horizon_steps=6, max_switches=0)
         refs = [params.p_atm + 45e3] * 6
         sol = minmpc_solve(params.p_atm, refs, cfg, params, maps, load)
         best_fixed = min(
             nmpc_solve(params.p_atm, refs, m, cfg, params, maps, load).cost
             for m in (Mode.DEFLATION, Mode.INFLATION)
         )
-        assert sol.cost == pytest.approx(best_fixed, rel=1e-12)
+        assert sol.cost == best_fixed
 
     def test_superset_of_supervisor_fixed_mode(self, params, maps, load):
-        cfg = MpcConfig(horizon_steps=6, max_switches=1, max_iters=2)
+        cfg = MpcConfig(horizon_steps=6, max_switches=1)
         refs = [params.p_atm + 45e3] * 6
         fixed = nmpc_solve(params.p_atm, refs, Mode.INFLATION, cfg, params, maps, load)
         joint = minmpc_solve(params.p_atm, refs, cfg, params, maps, load)
         assert joint.cost <= fixed.cost + 1e-12
 
     def test_small_horizon_optimality_against_brute_force(self, params, maps, load):
-        cfg = MpcConfig(horizon_steps=5, max_switches=4, max_iters=1)
+        cfg = MpcConfig(horizon_steps=5, max_switches=4)
         rng = np.random.default_rng(11)
         for _ in range(3):
             p0 = float(rng.uniform(params.p_atm - 70e3, params.p_atm + 170e3))
             ref = float(rng.uniform(params.p_atm - 70e3, params.p_atm + 170e3))
             refs = [ref] * 5
             sol = minmpc_solve(p0, refs, cfg, params, maps, load)
-            oracle = brute_force_best_cost(p0, refs, cfg, params, maps, load)
-            assert sol.cost == pytest.approx(oracle, rel=1e-9, abs=1e-12)
+            oracle = brute_force_best_cost(p0, refs, cfg, params, maps, load, sweeps=1)
+            assert sol.cost <= oracle * (1 + 1e-9)
+
+
+PARAMS, MAPS = default_plant(), default_maps()
+LOADS = {"none": None, "fixed": default_load(), "bellow": default_bellow_load()}
+PRESSURE = st.floats(PARAMS.p_neg, PARAMS.p_pos)
+
+
+@st.composite
+def start_and_window(draw):
+    """A start pressure and a reference window of 1..10 steps, both within the rails."""
+    n = draw(st.integers(1, 10))
+    return draw(PRESSURE), draw(st.lists(PRESSURE, min_size=n, max_size=n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    problem=start_and_window(),
+    load=st.sampled_from(sorted(LOADS)),
+    max_switches=st.integers(0, 2),
+    dt_pred=st.sampled_from([0.01, 0.05]),
+)
+# Two problems on which MI-NMPC's own switching pass ends above NMPC in inflation
+# (by 0.015 and 0.012 in cost): only the constant-mode passes keep it at or below.
+@example(problem=(141640.98014118674, [59412.76001484196, 227859.63326661184]),
+         load="none", max_switches=2, dt_pred=0.01)
+@example(problem=(73012.72092770449, [49700.67171345187, 121614.11251572892]),
+         load="none", max_switches=2, dt_pred=0.05)
+def test_minmpc_never_costs_more_than_nmpc_in_either_mode(problem, load, max_switches, dt_pred):
+    # Exactly: MI-NMPC keeps the least of its own pass and of NMPC's solution in each mode.
+    p0, refs = problem
+    cfg = replace(default_mpc_config(), horizon_steps=len(refs), max_switches=max_switches, dt_pred=dt_pred)
+    args = (cfg, PARAMS, MAPS, LOADS[load])
+    mi = minmpc_solve(p0, refs, *args)
+    fixed = [nmpc_solve(p0, refs, m, *args) for m in Mode]
+    assert all(mi.cost <= sol.cost for sol in fixed)
+    for sol in [mi] + fixed:
+        assert all(MAPS[m].u_min <= u <= MAPS[m].u_max for u, m in zip(sol.u_seq, sol.m_seq))
+
+
+@pytest.mark.parametrize("solver", ["nmpc", "mi-nmpc"])
+def test_deflating_from_100_kpa_costs_no_more_than_full_duty(solver):
+    # The default deflation map falls from 0.9261 at 71.24 % to 0.9186 at 84.16 %.  A
+    # line search over the duty stopped at that local peak, holding 71.24 % at every
+    # step (cost 60,891.0); 100 % at every step costs 59,187.67.
+    cfg, load = default_mpc_config(), default_load()
+    n, p0, refs = cfg.horizon_steps, PARAMS.p_atm + 100e3, [PARAMS.p_atm] * cfg.horizon_steps
+    full = rollout_cost(p0, [100.0] * n, [Mode.DEFLATION] * n, refs, cfg, PARAMS, MAPS, load)
+    if solver == "nmpc":
+        sol = nmpc_solve(p0, refs, Mode.DEFLATION, cfg, PARAMS, MAPS, load)
+    else:
+        sol = minmpc_solve(p0, refs, cfg, PARAMS, MAPS, load)
+    assert full == pytest.approx(59187.67, abs=0.01)
+    assert sol.cost <= full * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("load", ["fixed", "bellow"])
+def test_gap_to_a_dense_duty_grid_on_a_short_horizon(load):
+    """Over N = 2 steps, MI-NMPC against every mode sequence within one switch and
+    every pair of 101 evenly spread duties per step, on 20 seeded states per load.
+
+    Measured worst relative gap: at most 0 on the fixed load (the solver is at or
+    below the dense grid on all 20 states, by up to 6.2e-8), 2.2e-6 on the bellow.
+    Asserted: 1e-5.
+    """
+    cfg = replace(default_mpc_config(), horizon_steps=2)
+    rng = np.random.default_rng(7)
+    worst = -math.inf
+    for _ in range(20):
+        p0 = float(rng.uniform(PARAMS.p_atm - 75e3, PARAMS.p_atm + 175e3))
+        refs = rng.uniform(PARAMS.p_atm - 75e3, PARAMS.p_atm + 175e3, 2).tolist()
+        sol = minmpc_solve(p0, refs, cfg, PARAMS, MAPS, LOADS[load])
+        dense = dense_oracle(p0, refs, cfg, PARAMS, MAPS, LOADS[load], duties=101)
+        worst = max(worst, (sol.cost - dense) / dense)
+    assert worst <= 1e-5
 
 
 class TestRecedingHorizonClosedLoop:
@@ -213,7 +277,7 @@ class TestRecedingHorizonClosedLoop:
         ref = Reference.multi_step([(lv, 5.0) for lv in levels])
         timing = TimingConfig(control_rate=5.0, sensor_rate=60.0, sim_substep=1000.0,
                               noise_sigma=0.0, seed=0)
-        cfg = MpcConfig(horizon_steps=4, dt_pred=0.2, max_switches=1, max_iters=2)
+        cfg = MpcConfig(horizon_steps=4, dt_pred=0.2, max_switches=1)
         ctrl = MinmpcLoop(params, maps, load, cfg, ref)
         traj = run_scenario(ref, ctrl, timing, params, maps, load)
         metrics = compute_metrics(traj, ref)

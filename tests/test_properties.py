@@ -186,7 +186,7 @@ def domain_configs(draw):
     mpc = {
         "horizon_steps": draw(st.integers(1, 4)), "dt_pred_s": draw(magnitude(5e-324, 1e7)),
         "w_e": draw(magnitude(0.0, 1e100)), "w_u": draw(magnitude(0.0, 1e100)), "w_sw": draw(magnitude(0.0, 1e100)),
-        "max_iters": draw(st.integers(1, 2)), "max_switches": draw(st.integers(0, 2)),
+        "max_switches": draw(st.integers(0, 2)),
     }
     plant = {"p_pos_pa": p_pos, "p_atm_pa": p_atm, "p_neg_pa": p_neg, "gamma": draw(magnitude(_up(1.0), 1e30)),
              **{key: draw(magnitude(1e-30, 1e30)) for key in MAGNITUDE_PLANT_KEYS},
