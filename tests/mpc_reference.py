@@ -6,17 +6,22 @@ evaluation is a full ``rollout_cost``.  ``descent_oracle`` runs it on every
 mode sequence within a switch limit and keeps the least cost: the branch and
 bound over mode sequences that the dynamic-programming solvers replaced,
 without its pruning.  ``dense_oracle`` grids the duty of every step instead.
+``all_duties_solve`` is the dynamic program with a forward pass that takes
+the held step of every grid duty at every stage, and ``held_steps`` counts
+the generated held steps a call takes.
 """
 
 import math
+import sys
 from itertools import combinations
 
 import numpy as np
 
+from pneuctrl import mpc as mpc_mod
 from pneuctrl.mpc import rollout_cost
 from pneuctrl.optim import golden_section
 from pneuctrl.plant import Mode, rk4_hold
-from pneuctrl.valvemap import eval_spool
+from pneuctrl.valvemap import eval_spool, spool_fraction
 
 
 def mode_sequences(n, max_switches):
@@ -101,3 +106,95 @@ def dense_oracle(p0, ref_seq, cfg, params, maps, load, duties):
 
     walk(0, p0, 0.0, None, 0)
     return best[0]
+
+
+def _all_duties_forward(p0, ref_seq, cfg, params, maps, load, table, values, modes, left, steps):
+    """A forward pass that costs every grid duty of every candidate mode at every stage exactly.
+
+    It reads only the backward pass's values: each duty's held step from the
+    exact pressure, its stage cost plus the next stage's value interpolated
+    there, the least refined by golden section between its neighbouring grid
+    duties.  ``steps`` keeps the grid duties' held steps from each (mode,
+    pressure) met, for the solve's other passes.
+    """
+    dt, w_e, w_u, w_sw = cfg.dt_pred, cfg.w_e, cfg.w_u, cfg.w_sw
+    p_neg, n_grid = params.p_neg, mpc_mod.GRID_PRESSURES
+    inv_h = (n_grid - 1) / (params.p_pos - p_neg)
+    hold = rk4_hold(params, load)
+
+    def interp(v, q):
+        pos = (q - p_neg) * inv_h
+        i = np.minimum(np.asarray(pos).astype(np.intp), n_grid - 2)
+        f = pos - i
+        return v[i] * (1.0 - f) + v[i + 1] * f
+
+    p, u_seq, m_seq = p0, [], []
+    for k, r in enumerate(ref_seq):
+        if k == 0:
+            options = [(m, left, 0.0) for m in modes]
+        else:
+            options = [(m_seq[-1], left, 0.0)] + ([(Mode(1 - m_seq[-1]), left - 1, w_sw)] if left > 0 else [])
+        best = None
+        for m, after, sw in options:
+            a, v = table[m], values[k + 1][m][after]
+            if (m, p) not in steps:
+                steps[m, p] = np.array([step(p, dt) for step in a.steps])
+            e = steps[m, p] - r
+            cost = w_e * e * e + w_u * np.array(a.fractions) ** 2 + sw + interp(v, steps[m, p])
+            j = int(np.argmin(cost))
+            if best is None or cost[j] < best[0]:
+                best = (float(cost[j]), m, after, sw, j)
+        c_grid, m, left, sw, j = best
+        duties, v = table[m].duties, values[k + 1][m][left]
+
+        def stage(u):
+            x = spool_fraction(maps[m].a, u)
+            q = hold(x, m == Mode.INFLATION)(p, dt)
+            e = q - r
+            return w_e * e * e + w_u * x * x + sw + float(interp(v, q))
+
+        u, c_u, _ = golden_section(stage, duties[max(j - 1, 0)], duties[min(j + 1, len(duties) - 1)],
+                                   tol=cfg.line_tol)
+        if not c_u < c_grid:
+            u = duties[j]
+        p = hold(spool_fraction(maps[m].a, u), m == Mode.INFLATION)(p, dt)
+        u_seq.append(u)
+        m_seq.append(m)
+    return u_seq, m_seq
+
+
+def all_duties_solve(p0, ref_seq, cfg, params, maps, load, modes, switches):
+    """The least ``(cost, switches, first duty)`` of :func:`_all_duties_forward`'s passes: (cost, u, m).
+
+    With two modes, a switching pass and one pass per mode with no switch
+    left, as ``minmpc_solve`` runs them; with one, NMPC's single pass.
+    """
+    table = mpc_mod._table(params, load, tuple(maps), cfg.dt_pred)
+    values, _ = mpc_mod._values(table, ref_seq, cfg, modes, switches + 1)
+    starts = [(modes, switches)] + [((m,), 0) for m in modes if len(modes) > 1]
+    steps, best = {}, None
+    for start in starts:
+        u, m_seq = _all_duties_forward(p0, ref_seq, cfg, params, maps, load, table, values, *start, steps)
+        cost = rollout_cost(p0, u, m_seq, ref_seq, cfg, params, maps, load)
+        sw = sum(a != b for a, b in zip(m_seq, m_seq[1:]))
+        if best is None or (cost, sw, u[0]) < best[0]:
+            best = ((cost, sw, u[0]), u, m_seq)
+    return best[0][0], best[1], best[2]
+
+
+def held_steps(call, *args):
+    """``call(*args)`` and the number of generated held steps (``plant.rk4_hold``) it took."""
+    count = [0]
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_name == "step" and code.co_filename.startswith("<pneuctrl.plant held step"):
+            count[0] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        result = call(*args)
+    finally:
+        sys.setprofile(previous)
+    return result, count[0]

@@ -161,11 +161,14 @@ def test_minmpc_layers_of_no_switch_left_are_nmpc_values(problem, load_name):
     p0, refs = CROSSING_PROBLEMS[problem]
     cfg = replace(default_mpc_config(), max_switches=2)
     table = mpc_mod._table(PARAMS, LOADS[load_name], MAPS, cfg.dt_pred)
-    both = mpc_mod._values(table, refs, cfg, (DEFL, INFL), 3)
+    both, both_costs = mpc_mod._values(table, refs, cfg, (DEFL, INFL), 3)
     for m in Mode:
-        alone = mpc_mod._values(table, refs, cfg, (m,), 1)
+        alone, alone_costs = mpc_mod._values(table, refs, cfg, (m,), 1)
         for k in range(1, N + 1):
             assert both[k][m][0].tobytes() == alone[k][m][0].tobytes()
+        # So are the costs the forward pass ranks a later stage's duties by.
+        for k in range(1, N):
+            assert both_costs[k][m][0].tobytes() == alone_costs[k][m][0].tobytes()
         # Layers with switches left can only be lower.
         assert all((both[k][m][1:] <= both[k][m][:1]).all() for k in range(1, N))
 
@@ -184,6 +187,50 @@ def test_minmpc_is_nmpc_or_below_it_in_both_modes(problem, load_name, max_switch
         # The switching pass then keeps one mode: MI-NMPC is the better NMPC solution.
         best = min(fixed, key=lambda sol: (sol.cost, sol.u_seq[0]))
         assert (mi.u_seq, mi.m_seq, mi.cost) == (best.u_seq, best.m_seq, best.cost)
+
+
+def _three_passes(p0, refs, cfg, load):
+    """The switching pass and both constant-mode passes with no switch, least (cost, switches, first duty) first."""
+    table = mpc_mod._table(PARAMS, load, MAPS, cfg.dt_pred)
+    values, costs = mpc_mod._values(table, refs, cfg, (DEFL, INFL), 1)
+    first, best = {}, None
+    for modes in [(DEFL, INFL), (DEFL,), (INFL,)]:
+        u, m_seq = mpc_mod._forward(p0, refs, cfg, PARAMS, MAPS, load, table, values, costs, modes, 0, first)
+        cost = rollout_cost(p0, u, m_seq, refs, cfg, PARAMS, MAPS, load)
+        if best is None or (cost, u[0]) < best[0]:
+            best = ((cost, u[0]), (tuple(u), tuple(m_seq), cost))
+    return best[1]
+
+
+@pytest.mark.parametrize("load_name", sorted(LOADS))
+@pytest.mark.parametrize("cfg", [replace(default_mpc_config(), max_switches=0),
+                                 replace(default_mpc_config(), horizon_steps=1)], ids=["no-switch", "one-step"])
+def test_with_no_switch_minmpc_runs_the_two_constant_mode_passes(load_name, cfg):
+    # With no switch to take, the switching pass is the constant-mode pass of the mode
+    # it starts in, so MI-NMPC runs that and the other mode's pass only.  It returns
+    # what all three passes gave, the first in order on a tie: at atmosphere both
+    # modes cost 0 at the lowest duty.
+    problems = list(CROSSING_PROBLEMS.values()) + [(ATM, [ATM] * N)]
+    for p0, refs in problems:
+        refs = refs[:cfg.horizon_steps]
+        sol = minmpc_solve(p0, refs, cfg, PARAMS, MAPS, LOADS[load_name])
+        assert sol.iterations == 2
+        assert (sol.u_seq, sol.m_seq, sol.cost) == _three_passes(p0, refs, cfg, LOADS[load_name])
+
+
+def test_with_no_switch_the_other_modes_pass_can_win():
+    # Near atmosphere the switching pass can take the mode whose constant-mode pass
+    # costs more: here it takes inflation, and deflation's pass costs less.
+    cfg = replace(default_mpc_config(), max_switches=0, horizon_steps=7, dt_pred=0.05)
+    p0 = 99508.28720362335
+    refs = [101718.48930402241, 101805.14673188906, 100199.77049798986, 96961.4683790224,
+            101841.02657459115, 101519.12691778412, 98175.23756905645]
+    table = mpc_mod._table(PARAMS, default_load(), MAPS, cfg.dt_pred)
+    switching = mpc_mod._forward(p0, refs, cfg, PARAMS, MAPS, default_load(), table,
+                                 *mpc_mod._values(table, refs, cfg, (DEFL, INFL), 1), (DEFL, INFL), 0, {})
+    sol = minmpc_solve(p0, refs, cfg, PARAMS, MAPS, default_load())
+    assert (sol.iterations, switching[1][0], sol.m_seq[0]) == (2, INFL, DEFL)
+    assert (sol.u_seq, sol.m_seq, sol.cost) == _three_passes(p0, refs, cfg, default_load())
 
 
 def test_the_table_is_shared_by_equal_channels_only():
@@ -224,8 +271,9 @@ def test_equal_keys_go_to_the_first_pass():
     sol = minmpc_solve(PARAMS.p_atm, refs, cfg, PARAMS, MAPS, load)
     assert (sol.cost, sol.switches, sol.u_seq) == (0.0, 0, (MAPS[DEFL].u_min,) * N)
     table = mpc_mod._table(PARAMS, load, MAPS, cfg.dt_pred)
-    values = mpc_mod._values(table, refs, cfg, (DEFL, INFL), 2)
-    switching = mpc_mod._forward(PARAMS.p_atm, refs, cfg, PARAMS, MAPS, load, table, values, (DEFL, INFL), 1, {})
+    values, costs = mpc_mod._values(table, refs, cfg, (DEFL, INFL), 2)
+    switching = mpc_mod._forward(
+        PARAMS.p_atm, refs, cfg, PARAMS, MAPS, load, table, values, costs, (DEFL, INFL), 1, {})
     assert switching == (list(sol.u_seq), list(sol.m_seq))
 
 

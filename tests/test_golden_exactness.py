@@ -6,6 +6,11 @@ kernel and before the CSV writers took their columns from ``.tolist()``.
 The two identification digests were re-captured when the spool fit began
 to censor deadband segments at the lower spool bound: their ``x_hat`` is
 now exactly ``SPOOL_BRACKET[0]``; every other value they cover is unchanged.
+The two MPC digests cover the first second of the default sinusoid, which
+leaves atmosphere at once, so both solvers move the duty and MI-NMPC
+switches modes.  They once covered the multi-step's first second, which
+holds 0 kPa from atmosphere: both MPCs held the lowest duty throughout, and
+their digests were equal and pinned almost nothing of either solver.
 Every run is noiseless and uses only IEEE arithmetic and ``sqrt``, so the
 digests are the same on every platform.  Left out: the identified spool
 cubics, which come from LAPACK ``lstsq``, and the fit residuals, the square
@@ -31,9 +36,10 @@ from pneuctrl.plant import Mode
 from pneuctrl.sysid import identify_channel, synthesize_protocol, write_trace_csv
 
 GOLDEN = Path(__file__).parent / "golden" / "exactness_sha256.json"
-# Simulated seconds of each controller's run: the whole multi-step reference,
-# or its first second for the MPC loops.
-RUNS = {"dm-smc": None, "pid": None, "nmpc": 1.0, "mi-nmpc": 1.0}
+# The default reference of each controller's run and its simulated seconds: the
+# whole multi-step, or the sinusoid's first second for the MPC loops.
+RUNS = {"dm-smc": ("multi-step", None), "pid": ("multi-step", None),
+        "nmpc": ("sinusoid", 1.0), "mi-nmpc": ("sinusoid", 1.0)}
 
 
 def _sha(*chunks: bytes) -> str:
@@ -48,10 +54,10 @@ def _floats(values) -> bytes:
 
 
 def trajectory_digests(name: str, out_dir: Path) -> dict:
-    """The physical columns of a noiseless default multi-step run, as arrays and as CSV."""
+    """The physical columns of a noiseless default run, as arrays and as CSV."""
     raw = config_mod.default_scenario_dict()
     raw["timing"]["noise_sigma_pa"] = 0.0
-    raw["timing"]["duration_s"] = RUNS[name]
+    raw["reference"]["kind"], raw["timing"]["duration_s"] = RUNS[name]
     scenario = config_mod.scenario_from_dict(dict(raw, controller=name))
     traj = run_scenario(
         scenario.reference, config_mod.CONTROLLERS[name](scenario), scenario.timing,
@@ -105,7 +111,7 @@ def golden():
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
-def test_noiseless_multi_step_run_matches_the_golden_digests(golden, tmp_path, name):
+def test_noiseless_run_matches_the_golden_digests(golden, tmp_path, name):
     assert trajectory_digests(name, tmp_path) == golden[name]
 
 
