@@ -12,13 +12,23 @@ discrete, states.  A solve has three parts:
 
 - a transition table (:func:`_table`): the held step of every grid duty from
   every grid pressure, built once per channel, load, maps and ``dt_pred``;
-- a backward pass (:func:`_values`): the cost of every grid duty from every
-  grid pressure, reading the next stage's value by linear interpolation,
-  and its least, the cost to go;
+- a backward pass (:func:`_values`): the cost of every grid duty from each
+  grid pressure of a stage's band, reading the next stage's value by linear
+  interpolation, and its least, the cost to go;
 - a forward pass (:func:`_forward`) from the exact start pressure, which
   steps every grid duty at stage 0 and, later, the duties around the one
   the backward pass's costs rank best, and refines the least exact cost
   between its neighbouring grid duties by a golden-section search.
+
+A stage's band (:func:`_bands`) is the grid pressures the forward pass can
+read there: the reach of the start's held steps, then of the table's steps
+from the band before, each widened by one cell each way.  On the default
+channel and fixed load a 10 ms step moves less than 5 cells down and 4 up,
+so the backward pass costs about a fifth of the grid's entries for MI-NMPC
+and a seventh for NMPC on the benchmark's problems.  Outside its band a value is NaN, and
+every cost is finite in the declared domain, so a read outside the bands
+shows; the solve then reruns on the full grid.  Each in-band value is the
+full grid's bit for bit, so no solution depends on the bands.
 
 The returned ``cost`` is :func:`rollout_cost` of the returned sequences.
 The grid bounds what the search sees, not what it returns: between grid
@@ -151,7 +161,10 @@ class _Actions:
     in grid cell ``cell[j, i]`` at ``frac[j, i]`` of its width, so a value
     ``v`` on the grid interpolates there to ``v[cell] * frac0 + v[cell1] *
     frac``, with ``cell1 = cell + 1`` and ``frac0 = 1 - frac``, as
-    :func:`_interp` does at one pressure.
+    :func:`_interp` does at one pressure.  ``low[i]`` and ``high[i]`` are
+    the least ``cell`` and the greatest ``cell1`` of any duty's step from
+    grid pressure ``i``: the grid pressures its steps are interpolated
+    between.
     """
 
     duties: tuple[float, ...]              # ascending
@@ -162,6 +175,8 @@ class _Actions:
     cell1: np.ndarray
     frac: np.ndarray
     frac0: np.ndarray
+    low: list[int]
+    high: list[int]
 
 
 def _grid(params: PlantParams) -> tuple[float, float]:
@@ -176,12 +191,24 @@ def _cells(p: np.ndarray, p_neg: float, inv_h: float) -> tuple[np.ndarray, np.nd
     return cell, pos - cell
 
 
-def _interp(v: list[float] | np.ndarray, p: float, p_neg: float, inv_h: float) -> float | np.ndarray:
-    """The value ``v`` on the pressure grid (a list, or an array of a row per pressure), interpolated at ``p``."""
+class _OutOfBand(Exception):
+    """A forward pass read the backward pass outside its bands."""
+
+
+def _interp(v: list[float], p: float, p_neg: float, inv_h: float) -> float:
+    """The value ``v`` on the pressure grid, interpolated at ``p``.
+
+    A value is NaN only outside its stage's band (:func:`_values`): every
+    cost is finite in the declared domain (:func:`_check_refs`).  So a NaN
+    here is a read outside the band, and raises :class:`_OutOfBand`.
+    """
     pos = (p - p_neg) * inv_h
     i = min(int(pos), GRID_PRESSURES - 2)
     f = pos - i
-    return v[i] * (1.0 - f) + v[i + 1] * f
+    c = v[i] * (1.0 - f) + v[i + 1] * f
+    if c != c:
+        raise _OutOfBand
+    return c
 
 
 @functools.lru_cache(maxsize=8)
@@ -205,22 +232,54 @@ def _table(
         steps = tuple(hold(x, m == Mode.INFLATION) for x in fractions)
         nxt = np.array([[step(p, dt) for p in grid] for step in steps])
         cell, frac = _cells(nxt, *_grid(params))
-        out.append(_Actions(tuple(duties), tuple(fractions), steps, nxt, cell, cell + 1, frac, 1.0 - frac))
+        out.append(_Actions(tuple(duties), tuple(fractions), steps, nxt, cell, cell + 1, frac, 1.0 - frac,
+                            cell.min(axis=0).tolist(), (cell + 1).max(axis=0).tolist()))
     return out[0], out[1]
 
 
 # The least cost to go by stage k = 0..N (0 after the horizon) and mode of
-# step k - 1: an array (switches left, grid pressure) per mode of the solve.
+# step k - 1: an array (switches left, grid pressure) per mode of the solve,
+# NaN outside stage k's band.
 Values = list[dict[Mode, np.ndarray]]
 # The cost of each grid duty by stage k = 1..N - 1 (stage 0 is empty) and its
-# mode: an array (switches left after it, grid duty, grid pressure) per mode.
+# mode: an array (switches left after it, grid duty, grid pressure of stage
+# k's band) per mode.
 Costs = list[dict[Mode, np.ndarray]]
+# The grid pressures a stage's backward pass costs, by stage k = 0..N - 1
+# (stage 0, off the grid, has none); None costs every grid pressure.
+Bands = Optional[list[Optional[slice]]]
+
+_FULL = slice(0, GRID_PRESSURES)
+
+
+def _bands(table: tuple[_Actions, _Actions], first: dict, params: PlantParams, n: int,
+           modes: tuple[Mode, ...]) -> Bands:
+    """The grid pressures the forward pass from the exact start can read, by stage.
+
+    Stage 1's band is the grid cells the held steps of ``first`` (every grid
+    duty of ``modes`` from the start) land in, and stage k + 1's the hull of
+    the cells the table's steps of every duty of ``modes`` from stage k's band
+    land in; each is widened by one cell each way.  So an in-band cost reads
+    only in-band values.  The margins cover the forward pass's steps from
+    exact pressures off the grid and at refined duties; a read they miss is
+    caught (:class:`_OutOfBand`) and the solve reruns on the full grid.
+    """
+    cells, _ = _cells(np.array([q for m in modes for q in first[m]]), *_grid(params))
+    lo, hi = int(cells.min()), int(cells.max()) + 1
+    bands: list[Optional[slice]] = [None]
+    for _ in range(1, n):
+        band = slice(max(lo - 1, 0), min(hi + 2, GRID_PRESSURES))
+        bands.append(band)
+        lo = min(min(table[m].low[band]) for m in modes)
+        hi = max(max(table[m].high[band]) for m in modes)
+    return bands
 
 
 def _values(
     table: tuple[_Actions, _Actions], ref_seq: Sequence[float], cfg: MpcConfig, modes: tuple[Mode, ...], layers: int,
+    bands: Bands = None,
 ) -> tuple[Values, Costs]:
-    """The backward pass: the value of every grid pressure, mode of the last step and switches left.
+    """The backward pass: the value of every grid pressure of each stage's band, mode of the last step and switches left.
 
     A grid duty's cost from a grid pressure is the tracking and effort terms
     of its tabled step plus the next stage's value there, interpolated in
@@ -230,18 +289,24 @@ def _values(
     switch left reads no other mode, so it is its mode's value and costs
     alone, bit for bit, whatever ``modes`` and ``layers`` are.  Stage 0 is
     left empty: its pressure is not on the grid.
+
+    Stage k costs only the grid pressures of ``bands[k]`` (:func:`_bands`),
+    every grid pressure without ``bands``: its costs span the band, and its
+    values are NaN outside it.  Each in-band entry is the full grid's bit for
+    bit, since an in-band cost reads only in-band values.
     """
     n = cfg.horizon_steps
     values: Values = [{} for _ in range(n)] + [dict.fromkeys(modes, np.zeros((layers, GRID_PRESSURES)))]
     costs: Costs = [{} for _ in range(n)]
     effort = {m: (cfg.w_u * np.array(table[m].fractions) ** 2)[:, None] for m in modes}
     for k in range(n - 1, 0, -1):
+        band = bands[k] if bands else _FULL
         for m in modes:
             a, v = table[m], values[k + 1][m]
-            e = a.nxt - ref_seq[k]
-            cost = costs[k][m] = np.take(v, a.cell, axis=1)
-            cost *= a.frac0
-            cost += np.take(v, a.cell1, axis=1) * a.frac
+            e = a.nxt[:, band] - ref_seq[k]
+            cost = costs[k][m] = np.take(v, a.cell[:, band], axis=1)
+            cost *= a.frac0[:, band]
+            cost += np.take(v, a.cell1[:, band], axis=1) * a.frac[:, band]
             cost += cfg.w_e * e * e + effort[m]
         best = {m: costs[k][m].min(axis=1) for m in modes}
         for m in modes:
@@ -249,7 +314,11 @@ def _values(
             if layers > 1:
                 v = v.copy()
                 v[1:] = np.minimum(v[1:], best[Mode(1 - m)][:-1] + cfg.w_sw)
-            values[k][m] = v
+            if bands:
+                values[k][m] = np.full((layers, GRID_PRESSURES), np.nan)
+                values[k][m][:, band] = v
+            else:
+                values[k][m] = v
     return values, costs
 
 
@@ -266,6 +335,7 @@ def _forward(
     modes: tuple[Mode, ...],
     left: int,
     first: dict,
+    bands: Bands = None,
 ) -> tuple[list[float], list[Mode]]:
     """The forward pass from ``p0``: at each stage the least exact stage cost plus interpolated value.
 
@@ -280,6 +350,13 @@ def _forward(
     neighbouring grid duties, and stays unless the search finds less.  The
     pressure walks on by the held step of the duty kept, so it is the
     rollout's.
+
+    With ``bands`` (:func:`_bands`), ``costs`` span each stage's band and
+    ``values`` are NaN outside it.  A read outside a band raises
+    :class:`_OutOfBand`: a NaN value in an exact candidate's or a refinement
+    evaluation's cost (:func:`_interp`), or a ranking column outside the
+    band.  The value reads of the stage before cover the pressure's column,
+    so the column check only keeps an index from wrapping round.
     """
     dt, w_e, w_u, w_sw = cfg.dt_pred, cfg.w_e, cfg.w_u, cfg.w_sw
     p_neg, inv_h = _grid(params)
@@ -292,6 +369,13 @@ def _forward(
             options = [(m_seq[-1], left, 0.0)]
             if left > 0:
                 options.append((Mode(1 - m_seq[-1]), left - 1, w_sw))
+            # p's cell, as _interp splits it, and its column in stage k's costs, which span its band
+            band = bands[k] if bands else _FULL
+            pos = (p - p_neg) * inv_h
+            i = min(int(pos), GRID_PRESSURES - 2)
+            if not band.start <= i < band.stop - 1:
+                raise _OutOfBand
+            col, f = i - band.start, pos - i
         costed = []   # (exact cost, duty index, its held step, mode, switches left, switch cost, next value)
         for m, after, sw in options:
             a, v = table[m], values[k + 1][m][after].tolist()
@@ -305,7 +389,8 @@ def _forward(
                     first[m] = [step(p, dt) for step in a.steps]
                 costed += [exact(j, q) for j, q in enumerate(first[m])]
                 continue
-            jq = int(np.argmin(_interp(costs[k][m][after].T, p, p_neg, inv_h)))
+            c = costs[k][m][after]
+            jq = int(np.argmin(c[:, col] * (1.0 - f) + c[:, col + 1] * f))
             costed.append(exact(jq, a.steps[jq](p, dt)))
             start = costed[-1][0]
             for d in (-1, 1):   # step away from jq each way while the exact cost falls
@@ -343,17 +428,33 @@ def _solve(
     modes: tuple[Mode, ...],
     switches: int,
 ) -> MpcSolution:
-    """The dynamic program over ``modes`` with up to ``switches`` mode changes; see :func:`minmpc_solve`."""
+    """The dynamic program over ``modes`` with up to ``switches`` mode changes; see :func:`minmpc_solve`.
+
+    The held steps of every grid duty from ``p0`` are taken first: they give
+    the bands (:func:`_bands`), and every pass's stage 0 reads them.  The
+    backward pass costs only the bands; if a forward pass reads outside them
+    (:class:`_OutOfBand`), the whole solve reruns on the full grid, by the
+    same functions without bands.
+    """
     _check_refs(ref_seq)
     _check_horizon(cfg.horizon_steps, ref_seq)
     table = _table(params, load, tuple(maps), cfg.dt_pred)
-    backward = _values(table, ref_seq, cfg, modes, switches + 1)
-    first: dict = {}   # mode -> its grid duties' held steps from p0
-    passes = [_forward(p0, ref_seq, cfg, params, maps, load, table, *backward, modes, switches, first)]
-    if len(modes) > 1:
-        # With no switch left the switching pass is the constant-mode pass of the mode it took.
-        passes += [_forward(p0, ref_seq, cfg, params, maps, load, table, *backward, (m,), 0, first)
-                   for m in modes if switches or m != passes[0][1][0]]
+    # mode -> its grid duties' held steps from p0
+    first = {m: [step(p0, cfg.dt_pred) for step in table[m].steps] for m in modes}
+
+    def run(bands: Bands) -> list[tuple[list[float], list[Mode]]]:
+        backward = _values(table, ref_seq, cfg, modes, switches + 1, bands)
+        passes = [_forward(p0, ref_seq, cfg, params, maps, load, table, *backward, modes, switches, first, bands)]
+        if len(modes) > 1:
+            # With no switch left the switching pass is the constant-mode pass of the mode it took.
+            passes += [_forward(p0, ref_seq, cfg, params, maps, load, table, *backward, (m,), 0, first, bands)
+                       for m in modes if switches or m != passes[0][1][0]]
+        return passes
+
+    try:
+        passes = run(_bands(table, first, params, cfg.horizon_steps, modes))
+    except _OutOfBand:
+        passes = run(None)
     solutions = [(rollout_cost(p0, u, m_seq, ref_seq, cfg, params, maps, load), u, m_seq) for u, m_seq in passes]
     cost, u, m_seq = min(solutions, key=lambda s: (s[0], _switches(s[2]), s[1][0]))
     return MpcSolution(u_seq=tuple(u), m_seq=tuple(m_seq), cost=cost, iterations=len(passes))

@@ -7,8 +7,9 @@ mode sequence within a switch limit and keeps the least cost: the branch and
 bound over mode sequences that the dynamic-programming solvers replaced,
 without its pruning.  ``dense_oracle`` grids the duty of every step instead.
 ``all_duties_solve`` is the dynamic program with a forward pass that takes
-the held step of every grid duty at every stage, and ``held_steps`` counts
-the generated held steps a call takes.
+the held step of every grid duty at every stage.  ``held_steps`` counts
+the generated held steps a call takes, and ``grid_share`` the grid entries
+its backward passes cost.
 """
 
 import math
@@ -198,3 +199,26 @@ def held_steps(call, *args):
     finally:
         sys.setprofile(previous)
     return result, count[0]
+
+
+def grid_share(call, *args):
+    """``call(*args)`` and the grid entries its backward passes (``mpc._values``) cost, as a share of one full-grid pass's.
+
+    One backward pass over the full grid is 1.0; a solve that reruns on the full
+    grid costs its bands' share and 1.0 more.  For horizons of 2 steps or more:
+    a backward pass of one step costs no entry.
+    """
+    costed, full, values = [0], [0], mpc_mod._values
+
+    def counted(table, ref_seq, cfg, modes, layers, bands=None):
+        stages = cfg.horizon_steps - 1
+        full[0] = stages * mpc_mod.GRID_PRESSURES
+        costed[0] += sum(b.stop - b.start for b in bands[1:]) if bands else full[0]
+        return values(table, ref_seq, cfg, modes, layers, bands)
+
+    mpc_mod._values = counted
+    try:
+        result = call(*args)
+    finally:
+        mpc_mod._values = values
+    return result, costed[0] / full[0]
