@@ -314,11 +314,8 @@ def _values(
             if layers > 1:
                 v = v.copy()
                 v[1:] = np.minimum(v[1:], best[Mode(1 - m)][:-1] + cfg.w_sw)
-            if bands:
-                values[k][m] = np.full((layers, GRID_PRESSURES), np.nan)
-                values[k][m][:, band] = v
-            else:
-                values[k][m] = v
+            values[k][m] = np.full((layers, GRID_PRESSURES), np.nan)
+            values[k][m][:, band] = v
     return values, costs
 
 
@@ -354,9 +351,9 @@ def _forward(
     With ``bands`` (:func:`_bands`), ``costs`` span each stage's band and
     ``values`` are NaN outside it.  A read outside a band raises
     :class:`_OutOfBand`: a NaN value in an exact candidate's or a refinement
-    evaluation's cost (:func:`_interp`), or a ranking column outside the
-    band.  The value reads of the stage before cover the pressure's column,
-    so the column check only keeps an index from wrapping round.
+    evaluation's cost (:func:`_interp`).  The ranking's column always lies
+    in the band: the pressure is the held step of a duty whose value read at
+    the stage before passed that NaN check, in the same cells.
     """
     dt, w_e, w_u, w_sw = cfg.dt_pred, cfg.w_e, cfg.w_u, cfg.w_sw
     p_neg, inv_h = _grid(params)
@@ -373,8 +370,6 @@ def _forward(
             band = bands[k] if bands else _FULL
             pos = (p - p_neg) * inv_h
             i = min(int(pos), GRID_PRESSURES - 2)
-            if not band.start <= i < band.stop - 1:
-                raise _OutOfBand
             col, f = i - band.start, pos - i
         costed = []   # (exact cost, duty index, its held step, mode, switches left, switch cost, next value)
         for m, after, sw in options:

@@ -113,8 +113,7 @@ def simulate_at_samples(
     *,
     meas: Optional[np.ndarray] = None,
     stop_above: float = math.inf,
-    as_list: bool = False,
-) -> np.ndarray | list[float]:
+) -> np.ndarray:
     """Model pressures at the given sample times, starting from p0 at t[0].
 
     One held RK4 step per sample gap, all taken in one call of the held
@@ -128,9 +127,7 @@ def simulate_at_samples(
     ``np.dot``: each is within about n * 2**-53 of the exact sum.  A NaN or
     inf sum never stops the prediction.  ``t`` and ``meas`` given as lists,
     as the fit objectives give them, are walked as they are; anything else
-    is converted to a list first.  With ``as_list`` the walk's list is
-    returned as it is: a fit objective reads only the length of a prediction
-    that stopped early.
+    is converted to a list first.
     """
     walk = plant_mod.rk4_hold(params).walk(x_bar, m == Mode.INFLATION)
     times = t if type(t) is list else np.asarray(t).tolist()
@@ -141,8 +138,7 @@ def simulate_at_samples(
         if len(ms) != len(times):
             raise ValueError(f"meas has {len(ms)} samples but t has {len(times)}")
         limit = stop_above * (1.0 + 1e-9 + len(ms) * 2.0 ** -51)
-    pred = walk(p0, times, ms, limit)
-    return pred if as_list else np.asarray(pred)
+    return np.asarray(walk(p0, times, ms, limit))
 
 
 def _sse(pred: np.ndarray, meas: np.ndarray) -> float:
@@ -173,10 +169,10 @@ def _pruned_sse_objective(trace: StepTrace, model: Callable[[float], tuple]) -> 
     def objective(v: float) -> float:
         nonlocal best
         x_bar, m, params = model(v)
-        pred = simulate_at_samples(meas[0], times, x_bar, m, params, meas=meas, stop_above=best, as_list=True)
-        if len(pred) < len(meas):
+        pred = simulate_at_samples(meas[0], times, x_bar, m, params, meas=meas, stop_above=best)
+        if len(pred) < len(trace.p):
             return math.inf
-        sse = _sse(np.asarray(pred), trace.p)
+        sse = _sse(pred, trace.p)
         best = min(best, sse)
         return sse
 
