@@ -62,13 +62,14 @@ import numpy as np
 
 from . import plant as plant_mod
 from .optim import golden_section
-from .plant import Count, LoadModel, Mode, PlantParams, PlantState, Seconds, Steps, Tolerance, Weight, check_fields
+from .plant import Count, LoadModel, Mode, PlantParams, PlantState, Seconds, Steps, Weight, check_fields
 from .valvemap import SpoolMap, eval_spool, invert_spool, spool_fraction, spool_range
 
 # The dynamic program's grid: pressures spanning [p_neg, p_pos], and spool
-# fractions spanning each mode's spool_range.
+# fractions spanning each mode's spool_range; the refinement's duty resolution, %.
 GRID_PRESSURES = 200
 GRID_FRACTIONS = 21
+LINE_TOL = 0.05
 
 
 @dataclass(frozen=True)
@@ -79,7 +80,6 @@ class MpcConfig:
     w_u: Weight = 1.0e-2               # effort weight on the spool fraction
     w_sw: Weight = 1.0                 # penalty per mode change within the horizon
     max_switches: Count = 1            # mode changes allowed within the horizon (MI-NMPC)
-    line_tol: Tolerance = 0.05         # golden-section duty resolution of the refinement, %
 
     def __post_init__(self) -> None:
         check_fields(self)
@@ -338,8 +338,8 @@ def _forward(
 
     Stage 0 may take any of ``modes``, with ``left`` switches left; a later
     stage keeps the last step's mode or, at ``w_sw`` while a switch is left,
-    takes the other.  Stage 0 takes the held step of every grid duty from
-    ``p0``, kept per mode in ``first`` for the solve's other passes.  A later
+    takes the other.  Stage 0 reads the held step of every grid duty from
+    ``p0`` from ``first``, which holds it for each of ``modes``.  A later
     stage ranks each option's grid duties by their backward-pass costs,
     interpolated at the exact pressure, and steps the best, then each way
     from it while the exact cost falls.  The stepped duty of least stage
@@ -380,8 +380,6 @@ def _forward(
                 return w_e * e * e + w_u * x * x + sw + _interp(v, q, p_neg, inv_h), j, q, m, after, sw, v
 
             if k == 0:
-                if m not in first:
-                    first[m] = [step(p, dt) for step in a.steps]
                 costed += [exact(j, q) for j, q in enumerate(first[m])]
                 continue
             c = costs[k][m][after]
@@ -406,7 +404,7 @@ def _forward(
             return w_e * e * e + w_u * x * x + sw + _interp(v, q, p_neg, inv_h)
 
         u, c_u, _ = golden_section(stage, duties[max(j - 1, 0)], duties[min(j + 1, len(duties) - 1)],
-                                   tol=cfg.line_tol)
+                                   tol=LINE_TOL)
         u, p = (u, held[u]) if c_u < c_grid else (duties[j], q_grid)
         u_seq.append(u)
         m_seq.append(m)

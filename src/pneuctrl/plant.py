@@ -38,7 +38,7 @@ _INFLATION, _DEFLATION = Mode.INFLATION, Mode.DEFLATION
 
 # Bounded field types: plain ``float`` and ``int`` to a type checker, held to
 # the bounds of FIELD_RULES by ``check_fields``, which reads each declared type.
-Positive = NonNegative = Magnitude = Kpa = Pa = Hz = Seconds = Weight = Tolerance = float
+Positive = NonNegative = Magnitude = Kpa = Pa = Hz = Seconds = Weight = float
 Count = Steps = int
 # The largest absolute pressure, or noise sigma, of the declared physical domain, Pa: within it and the
 # other bounds of FIELD_RULES, every product the package forms of the quantities declared with them is finite.
@@ -65,7 +65,6 @@ FIELD_RULES = {
     "Seconds": (float, _POSITIVE, (lambda v: v <= SECONDS_MAX, "must be at most 1e7 s")),
     "Steps": (int, _AT_LEAST_ONE, (lambda v: v <= 10**6, "must be at most 1e6")),
     "Weight": (float, _NON_NEGATIVE, (lambda v: v <= 1e100, "must be at most 1e100")),
-    "Tolerance": (float, _POSITIVE, (lambda v: v >= 1e-9, "must be at least 1e-9 %")),
 }
 
 

@@ -77,7 +77,7 @@ class SpoolMap:
         running = -math.inf
         for i in range(n):
             u = min(self.u_min + i * _GRID_STEP, self.u_max)
-            running = max(running, _clip01(_cubic(self.a, u)))
+            running = max(running, spool_fraction(self.a, u))
             us.append(u)
             hull.append(running)
         object.__setattr__(self, "_grid_u", tuple(us))
@@ -105,16 +105,8 @@ class SpoolMap:
         )
 
 
-def _clip01(x: float) -> float:
-    if x < 0.0:
-        return 0.0
-    if x > 1.0:
-        return 1.0
-    return x
-
-
 def spool_fraction(a: Sequence[float], u: float) -> float:
-    """``_clip01(_cubic(a, u))`` in one call: :func:`eval_spool` of the cubic ``a``, unchecked."""
+    """The cubic ``a`` at duty ``u`` clipped to [0, 1]: :func:`eval_spool` of the cubic ``a``, unchecked."""
     x = a[0] + u * (a[1] + u * (a[2] + u * a[3]))
     return 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
 
@@ -165,7 +157,7 @@ def invert_spool(x: float, spool_map: SpoolMap) -> float:
     lo = spool_map._grid_u[j - 1]
     hi = spool_map._grid_u[j]
     a0, a1, a2, a3 = spool_map.a
-    # lo stays below x (hull[j - 1] < x), so each step tests _clip01(cubic) <= x.
+    # lo stays below x (hull[j - 1] < x), so each step tests spool_fraction <= x.
     # With 0 < x < 1 that is cubic <= x; with x = 1 it always holds.
     x_cut = x if x < 1.0 else math.inf
     tol = _INVERT_TOL

@@ -46,7 +46,7 @@ def reference_descend(p0, ref_seq, m_seq, cfg, params, maps, load, sweeps):
     """Coordinate descent over the duties of ``m_seq`` from the lowest duties: (duties, cost).
 
     Each sweep searches every duty in turn over its map's range at
-    ``cfg.line_tol``; the descent stops after ``sweeps`` sweeps or the first
+    ``mpc.LINE_TOL``; the descent stops after ``sweeps`` sweeps or the first
     that improves nothing.
     """
     bounds = [(maps[m].u_min, maps[m].u_max) for m in m_seq]
@@ -60,7 +60,7 @@ def reference_descend(p0, ref_seq, m_seq, cfg, params, maps, load, sweeps):
                 trial[k] = v
                 return rollout_cost(p0, trial, m_seq, ref_seq, cfg, params, maps, load)
 
-            v_best, c_best, _ = golden_section(line, lo, hi, tol=cfg.line_tol)
+            v_best, c_best, _ = golden_section(line, lo, hi, tol=mpc_mod.LINE_TOL)
             if c_best < cost - 1e-15:
                 u[k], cost, improved = v_best, c_best, True
         if not improved:
@@ -155,7 +155,7 @@ def _all_duties_forward(p0, ref_seq, cfg, params, maps, load, table, values, mod
             return w_e * e * e + w_u * x * x + sw + float(interp(v, q))
 
         u, c_u, _ = golden_section(stage, duties[max(j - 1, 0)], duties[min(j + 1, len(duties) - 1)],
-                                   tol=cfg.line_tol)
+                                   tol=mpc_mod.LINE_TOL)
         if not c_u < c_grid:
             u = duties[j]
         p = hold(spool_fraction(maps[m].a, u), m == Mode.INFLATION)(p, dt)

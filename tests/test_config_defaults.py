@@ -1,6 +1,7 @@
 """The defaults have one source: the factories, the parsed empty config and
 the printed defaults agree, and a config survives a JSON round trip."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -10,6 +11,11 @@ from hypothesis import strategies as st
 
 from pneuctrl.cli import main
 from pneuctrl.config import (
+    _LOAD_KEYS,
+    _MPC_KEYS,
+    _PLANT_KEYS,
+    _SYNTHESIS_KEYS,
+    _TIMING_KEYS,
     CONTROLLER_NAMES,
     ConfigError,
     default_load,
@@ -26,8 +32,12 @@ from pneuctrl.config import (
     scenario_from_dict,
     synthesis_from_dict,
 )
-from pneuctrl.plant import Mode
+from pneuctrl.control import PidGains, SmcGains, SupervisorConfig
+from pneuctrl.experiment import Reference, TimingConfig
+from pneuctrl.mpc import MpcConfig
+from pneuctrl.plant import Conductances, LoadModel, Mode, PlantParams
 from pneuctrl.sysid import SynthesisConfig
+from pneuctrl.valvemap import SpoolMap
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -51,6 +61,32 @@ def test_empty_synthesis_equals_the_defaults():
     assert spec.plant == default_plant()
     assert spec.maps == default_maps()
     assert spec.modes == (Mode.INFLATION, Mode.DEFLATION)
+
+
+def test_every_record_field_is_reached_by_a_config_key():
+    # A field no key reaches is a setting only the library can change; the
+    # package keeps such a value a module constant instead.
+    d = default_scenario_dict()
+
+    def own_keys(section):
+        """The keys of the per-mode sections of a section keyed by field name."""
+        return {key for mode_section in section.values() for key in mode_section}
+
+    reached = {
+        PlantParams: set(_PLANT_KEYS.values()) | {"conductances"},   # config builds the conductances
+        Conductances: set(d["plant"]["conductances"]),
+        LoadModel: set(_LOAD_KEYS.values()),
+        SpoolMap: own_keys(d["maps"]) | {"mode"},                   # config fixes the mode by section
+        SupervisorConfig: set(d["supervisor"]),
+        SmcGains: own_keys(d["smc"]),
+        PidGains: own_keys(d["pid"]),
+        MpcConfig: set(_MPC_KEYS.values()),
+        Reference: set(d["reference"]),
+        TimingConfig: set(_TIMING_KEYS.values()),
+        SynthesisConfig: set(_SYNTHESIS_KEYS.values()),
+    }
+    for record, keys in reached.items():
+        assert {f.name for f in dataclasses.fields(record) if f.init} == keys, record.__name__
 
 
 def test_default_dicts_are_fresh_per_call():

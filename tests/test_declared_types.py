@@ -18,7 +18,7 @@ import pytest
 from pneuctrl.cli import main
 from pneuctrl.config import default_synthesis_dict, scenario_from_dict, synthesis_from_dict
 from pneuctrl.experiment import Reference, TimingConfig
-from pneuctrl.plant import LoadModel, Mode, check_value, field_rule
+from pneuctrl.plant import FIELD_RULES, LoadModel, Mode, check_value, field_rule
 from pneuctrl.valvemap import SpoolMap
 
 
@@ -133,8 +133,13 @@ def test_the_bounded_field_list_reaches_every_declared_bound():
         },
         "Steps": {"MpcConfig.horizon_steps", "Reference.cycles"},
         "Weight": {"MpcConfig.w_e", "MpcConfig.w_u", "MpcConfig.w_sw"},
-        "Tolerance": {"MpcConfig.line_tol"},
     }
+
+
+def test_every_bounded_type_is_declared_by_a_field():
+    # A bounded type no field declares is a rule nothing is held to.
+    bounded = {name for name, rule in FIELD_RULES.items() if len(rule) > 1}
+    assert bounded == {bound for _, _, bound in BOUNDED_FIELDS}
 
 
 def _up(x):
@@ -161,7 +166,6 @@ BOUNDS = {
     "Seconds": [([0.0, -1e-300], "must be positive", None), ([_up(1e7), 10 ** 7 + 1], "must be at most 1e7 s", 1e7)],
     "Steps": [([0, -1], "must be >= 1", 1), ([10 ** 6 + 1], "must be at most 1e6", 10 ** 6)],
     "Weight": [([-5e-324, -1], "must be non-negative", 0.0), ([_up(1e100), 1e300], "must be at most 1e100", 1e100)],
-    "Tolerance": [([0.0, -1.0], "must be positive", None), ([_down(1e-9), 1e-300], "must be at least 1e-9 %", 1e-9)],
 }
 
 

@@ -189,11 +189,16 @@ def test_minmpc_is_nmpc_or_below_it_in_both_modes(problem, load_name, max_switch
         assert (mi.u_seq, mi.m_seq, mi.cost) == (best.u_seq, best.m_seq, best.cost)
 
 
+def _first(table, p0, dt):
+    """Every grid duty's held step from ``p0``, per mode: the stage-0 steps ``_solve`` gives each forward pass."""
+    return {m: [held(p0, dt) for held in table[m].steps] for m in (DEFL, INFL)}
+
+
 def _three_passes(p0, refs, cfg, load):
     """The switching pass and both constant-mode passes with no switch, least (cost, switches, first duty) first."""
     table = mpc_mod._table(PARAMS, load, MAPS, cfg.dt_pred)
     values, costs = mpc_mod._values(table, refs, cfg, (DEFL, INFL), 1)
-    first, best = {}, None
+    first, best = _first(table, p0, cfg.dt_pred), None
     for modes in [(DEFL, INFL), (DEFL,), (INFL,)]:
         u, m_seq = mpc_mod._forward(p0, refs, cfg, PARAMS, MAPS, load, table, values, costs, modes, 0, first)
         cost = rollout_cost(p0, u, m_seq, refs, cfg, PARAMS, MAPS, load)
@@ -227,7 +232,8 @@ def test_with_no_switch_the_other_modes_pass_can_win():
             101841.02657459115, 101519.12691778412, 98175.23756905645]
     table = mpc_mod._table(PARAMS, default_load(), MAPS, cfg.dt_pred)
     switching = mpc_mod._forward(p0, refs, cfg, PARAMS, MAPS, default_load(), table,
-                                 *mpc_mod._values(table, refs, cfg, (DEFL, INFL), 1), (DEFL, INFL), 0, {})
+                                 *mpc_mod._values(table, refs, cfg, (DEFL, INFL), 1), (DEFL, INFL), 0,
+                                 _first(table, p0, cfg.dt_pred))
     sol = minmpc_solve(p0, refs, cfg, PARAMS, MAPS, default_load())
     assert (sol.iterations, switching[1][0], sol.m_seq[0]) == (2, INFL, DEFL)
     assert (sol.u_seq, sol.m_seq, sol.cost) == _three_passes(p0, refs, cfg, default_load())
@@ -273,7 +279,8 @@ def test_equal_keys_go_to_the_first_pass():
     table = mpc_mod._table(PARAMS, load, MAPS, cfg.dt_pred)
     values, costs = mpc_mod._values(table, refs, cfg, (DEFL, INFL), 2)
     switching = mpc_mod._forward(
-        PARAMS.p_atm, refs, cfg, PARAMS, MAPS, load, table, values, costs, (DEFL, INFL), 1, {})
+        PARAMS.p_atm, refs, cfg, PARAMS, MAPS, load, table, values, costs, (DEFL, INFL), 1,
+        _first(table, PARAMS.p_atm, cfg.dt_pred))
     assert switching == (list(sol.u_seq), list(sol.m_seq))
 
 

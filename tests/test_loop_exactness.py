@@ -4,7 +4,7 @@ spool inversion are exact, and so is the trajectory CSV writer.
 Each is compared bit for bit with the form it replaced, kept here: the run
 loop that visits every substep through two byte masks and draws one noise
 sample at a time, the stage walk of ``reference_at``, the bisection of
-``invert_spool`` through ``_cubic`` and ``_clip01``, and the writer that
+``invert_spool`` through ``spool_fraction``, and the writer that
 formats each row with an f-string and rounds each compute time with
 ``round``.
 """
@@ -26,7 +26,7 @@ from pneuctrl.experiment import (
 )
 from pneuctrl.plant import Mode
 from pneuctrl.valvemap import (
-    _INVERT_TOL, DEFAULT_SLOPE_TOL, SpoolMap, _clip01, _cubic, _min_slope_on, eval_spool, invert_spool,
+    _INVERT_TOL, DEFAULT_SLOPE_TOL, SpoolMap, _min_slope_on, eval_spool, invert_spool, spool_fraction,
 )
 from test_exactness import LOADS, PARAMS
 
@@ -198,7 +198,7 @@ def test_stage_table_matches_the_stage_walk(stages, fracs):
 
 
 def bisect_invert_spool(x, spool_map):
-    """``invert_spool`` with its bisection through ``_cubic`` and ``_clip01``."""
+    """``invert_spool`` with its bisection through ``spool_fraction``."""
     hull = spool_map._grid_hull
     if x <= hull[0]:
         return spool_map.u_min
@@ -206,10 +206,10 @@ def bisect_invert_spool(x, spool_map):
         return spool_map.u_max
     j = bisect_left(hull, x)
     lo, hi = spool_map._grid_u[j - 1], spool_map._grid_u[j]
-    f_lo = _clip01(_cubic(spool_map.a, lo)) - x
+    f_lo = spool_fraction(spool_map.a, lo) - x
     while hi - lo > _INVERT_TOL:
         mid = 0.5 * (lo + hi)
-        f_mid = _clip01(_cubic(spool_map.a, mid)) - x
+        f_mid = spool_fraction(spool_map.a, mid) - x
         if (f_lo <= 0.0) == (f_mid <= 0.0):
             lo, f_lo = mid, f_mid
         else:

@@ -303,7 +303,7 @@ def test_every_record_rejects_a_non_finite_float_by_name(kind, name, value):
 
 
 @pytest.mark.parametrize("kind, names", [
-    ("MpcConfig", ["dt_pred", "w_e", "w_u", "w_sw", "line_tol"]),
+    ("MpcConfig", ["dt_pred", "w_e", "w_u", "w_sw"]),
     ("SmcGains", ["lam", "eta", "mu", "k_i"]),
     ("SupervisorConfig", ["h"]),
     ("SpoolMap", ["u_min", "u_max"]),
