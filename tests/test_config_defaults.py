@@ -63,30 +63,34 @@ def test_empty_synthesis_equals_the_defaults():
     assert spec.modes == (Mode.INFLATION, Mode.DEFLATION)
 
 
-def test_every_record_field_is_reached_by_a_config_key():
+def _own_keys(section):
+    """The keys of the per-mode sections of a section keyed by field name."""
+    return {key for mode_section in section.values() for key in mode_section}
+
+
+_DEFAULT = default_scenario_dict()
+
+# For each record the config builds, the init fields its JSON section reaches.
+REACHED = {
+    PlantParams: set(_PLANT_KEYS.values()) | {"conductances"},   # config builds the conductances
+    Conductances: set(_DEFAULT["plant"]["conductances"]),
+    LoadModel: set(_LOAD_KEYS.values()),
+    SpoolMap: _own_keys(_DEFAULT["maps"]) | {"mode"},            # config fixes the mode by section
+    SupervisorConfig: set(_DEFAULT["supervisor"]),
+    SmcGains: _own_keys(_DEFAULT["smc"]),
+    PidGains: _own_keys(_DEFAULT["pid"]),
+    MpcConfig: set(_MPC_KEYS.values()),
+    Reference: set(_DEFAULT["reference"]),
+    TimingConfig: set(_TIMING_KEYS.values()),
+    SynthesisConfig: set(_SYNTHESIS_KEYS.values()),
+}
+
+
+@pytest.mark.parametrize("record", list(REACHED), ids=lambda r: r.__name__)
+def test_every_record_field_is_reached_by_a_config_key(record):
     # A field no key reaches is a setting only the library can change; the
     # package keeps such a value a module constant instead.
-    d = default_scenario_dict()
-
-    def own_keys(section):
-        """The keys of the per-mode sections of a section keyed by field name."""
-        return {key for mode_section in section.values() for key in mode_section}
-
-    reached = {
-        PlantParams: set(_PLANT_KEYS.values()) | {"conductances"},   # config builds the conductances
-        Conductances: set(d["plant"]["conductances"]),
-        LoadModel: set(_LOAD_KEYS.values()),
-        SpoolMap: own_keys(d["maps"]) | {"mode"},                   # config fixes the mode by section
-        SupervisorConfig: set(d["supervisor"]),
-        SmcGains: own_keys(d["smc"]),
-        PidGains: own_keys(d["pid"]),
-        MpcConfig: set(_MPC_KEYS.values()),
-        Reference: set(d["reference"]),
-        TimingConfig: set(_TIMING_KEYS.values()),
-        SynthesisConfig: set(_SYNTHESIS_KEYS.values()),
-    }
-    for record, keys in reached.items():
-        assert {f.name for f in dataclasses.fields(record) if f.init} == keys, record.__name__
+    assert {f.name for f in dataclasses.fields(record) if f.init} == REACHED[record], record.__name__
 
 
 def test_default_dicts_are_fresh_per_call():

@@ -136,10 +136,10 @@ def test_the_bounded_field_list_reaches_every_declared_bound():
     }
 
 
-def test_every_bounded_type_is_declared_by_a_field():
+@pytest.mark.parametrize("bound", [name for name, rule in FIELD_RULES.items() if len(rule) > 1])
+def test_every_bounded_type_is_declared_by_a_field(bound):
     # A bounded type no field declares is a rule nothing is held to.
-    bounded = {name for name, rule in FIELD_RULES.items() if len(rule) > 1}
-    assert bounded == {bound for _, _, bound in BOUNDED_FIELDS}
+    assert bound in {declared for _, _, declared in BOUNDED_FIELDS}
 
 
 def _up(x):

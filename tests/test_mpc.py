@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from mpc_reference import all_duties_solve, dense_oracle, descent_oracle, held_steps, mode_sequences
 from pneuctrl.experiment import MinmpcLoop, NmpcLoop, Reference, TimingConfig, compute_metrics, run_scenario
-from pneuctrl.mpc import MpcConfig, minmpc_solve, nmpc_solve, rollout_cost
+from pneuctrl import optim as optim_mod
+from pneuctrl.mpc import LINE_TOL, MpcConfig, minmpc_solve, nmpc_solve, rollout_cost
+from pneuctrl.optim import golden_section
 from pneuctrl.config import default_bellow_load, default_load, default_maps, default_mpc_config, default_plant
 from pneuctrl.plant import Mode
 
@@ -99,6 +101,20 @@ class TestNmpcSolve:
         mi = minmpc_solve(params.p_atm, refs, cfg, params, maps, load)
         assert (nm.iterations, nm.hit_iter_cap) == (1, False)
         assert (mi.iterations, mi.hit_iter_cap) == (3, False)
+
+
+def test_the_line_tolerance_ends_a_refinement_search_before_the_evaluation_cap():
+    # The refinement searches at most the whole duty range; at LINE_TOL it must
+    # end on the interval width, not on the cap a zero or sub-resolution tolerance hits.
+    _, _, evals = golden_section(lambda u: (u - 37.0) ** 2, 0.0, 100.0, tol=LINE_TOL)
+    assert LINE_TOL == 0.05
+    assert evals < optim_mod._MAX_EVALS
+
+
+def test_the_line_tolerance_is_not_a_config_field():
+    # The tolerance is the module constant mpc.LINE_TOL; no record carries it.
+    with pytest.raises(TypeError, match="line_tol"):
+        MpcConfig(line_tol=LINE_TOL)
 
 
 class TestModeSequences:
