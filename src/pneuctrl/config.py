@@ -85,10 +85,8 @@ def default_multi_step_reference() -> Reference:
     return _section(Reference, default_scenario_dict()["reference"], "config.reference")
 
 
-def default_sinusoid_reference(
-    frequency_hz: float = Reference.frequency_hz, cycles: int = Reference.cycles,
-) -> Reference:
-    return Reference.sinusoid(amplitude_kpa=Reference.amplitude_kpa, frequency_hz=frequency_hz, cycles=cycles)
+def default_sinusoid_reference() -> Reference:
+    return Reference.sinusoid(Reference.amplitude_kpa, Reference.frequency_hz, Reference.cycles)
 
 
 def default_timing() -> TimingConfig:

@@ -25,10 +25,10 @@ read there: the reach of the start's held steps, then of the table's steps
 from the band before, each widened by one cell each way.  On the default
 channel and fixed load a 10 ms step moves less than 5 cells down and 4 up,
 so the backward pass costs about a fifth of the grid's entries for MI-NMPC
-and a seventh for NMPC on the benchmark's problems.  Outside its band a value is NaN, and
-every cost is finite in the declared domain, so a read outside the bands
-shows; the solve then reruns on the full grid.  Each in-band value is the
-full grid's bit for bit, so no solution depends on the bands.
+and a seventh for NMPC on the benchmark's problems.  A stage's values exist
+only on its band, so a read tests its cell against the band and one outside
+it raises; the solve then reruns with every band the whole grid.  Each
+value is the full grid's bit for bit, so no solution depends on the bands.
 
 The returned ``cost`` is :func:`rollout_cost` of the returned sequences.
 The grid bounds what the search sees, not what it returns: between grid
@@ -159,12 +159,11 @@ class _Actions:
 
     ``nxt[j, i]`` is the step of duty ``j`` from grid pressure ``i``; it lies
     in grid cell ``cell[j, i]`` at ``frac[j, i]`` of its width, so a value
-    ``v`` on the grid interpolates there to ``v[cell] * frac0 + v[cell1] *
-    frac``, with ``cell1 = cell + 1`` and ``frac0 = 1 - frac``, as
-    :func:`_interp` does at one pressure.  ``low[i]`` and ``high[i]`` are
-    the least ``cell`` and the greatest ``cell1`` of any duty's step from
-    grid pressure ``i``: the grid pressures its steps are interpolated
-    between.
+    ``v`` on the grid interpolates there to ``v[cell] * frac0 + v[cell + 1] *
+    frac``, with ``frac0 = 1 - frac``, as :func:`_interp` does at one
+    pressure.  ``low[i]`` and ``high[i]`` are the least ``cell`` and the
+    greatest ``cell + 1`` of any duty's step from grid pressure ``i``: the
+    grid pressures its steps are interpolated between.
     """
 
     duties: tuple[float, ...]              # ascending
@@ -172,7 +171,6 @@ class _Actions:
     steps: tuple[plant_mod.HeldStep, ...]  # the held step of each duty
     nxt: np.ndarray
     cell: np.ndarray
-    cell1: np.ndarray
     frac: np.ndarray
     frac0: np.ndarray
     low: list[int]
@@ -195,20 +193,19 @@ class _OutOfBand(Exception):
     """A forward pass read the backward pass outside its bands."""
 
 
-def _interp(v: list[float], p: float, p_neg: float, inv_h: float) -> float:
-    """The value ``v`` on the pressure grid, interpolated at ``p``.
+def _interp(row: list[float], lo: int, p: float, p_neg: float, inv_h: float) -> float:
+    """The value ``row`` of the grid pressures from ``lo`` on, interpolated at ``p``.
 
-    A value is NaN only outside its stage's band (:func:`_values`): every
-    cost is finite in the declared domain (:func:`_check_refs`).  So a NaN
-    here is a read outside the band, and raises :class:`_OutOfBand`.
+    ``p``'s cell must lie in the row, with its right end: a read outside it
+    raises :class:`_OutOfBand`, also left of it, where a list index would wrap.
     """
     pos = (p - p_neg) * inv_h
     i = min(int(pos), GRID_PRESSURES - 2)
     f = pos - i
-    c = v[i] * (1.0 - f) + v[i + 1] * f
-    if c != c:
+    i -= lo
+    if not 0 <= i < len(row) - 1:
         raise _OutOfBand
-    return c
+    return row[i] * (1.0 - f) + row[i + 1] * f
 
 
 @functools.lru_cache(maxsize=8)
@@ -232,22 +229,21 @@ def _table(
         steps = tuple(hold(x, m == Mode.INFLATION) for x in fractions)
         nxt = np.array([[step(p, dt) for p in grid] for step in steps])
         cell, frac = _cells(nxt, *_grid(params))
-        out.append(_Actions(tuple(duties), tuple(fractions), steps, nxt, cell, cell + 1, frac, 1.0 - frac,
+        out.append(_Actions(tuple(duties), tuple(fractions), steps, nxt, cell, frac, 1.0 - frac,
                             cell.min(axis=0).tolist(), (cell + 1).max(axis=0).tolist()))
     return out[0], out[1]
 
 
-# The least cost to go by stage k = 0..N (0 after the horizon) and mode of
-# step k - 1: an array (switches left, grid pressure) per mode of the solve,
-# NaN outside stage k's band.
+# The least cost to go by stage k = 0..N (0 after the horizon) and mode of step
+# k - 1: an array (switches left, grid pressure of stage k's band) per mode.
 Values = list[dict[Mode, np.ndarray]]
 # The cost of each grid duty by stage k = 1..N - 1 (stage 0 is empty) and its
 # mode: an array (switches left after it, grid duty, grid pressure of stage
 # k's band) per mode.
 Costs = list[dict[Mode, np.ndarray]]
-# The grid pressures a stage's backward pass costs, by stage k = 0..N - 1
-# (stage 0, off the grid, has none); None costs every grid pressure.
-Bands = Optional[list[Optional[slice]]]
+# The grid pressures each stage k = 0..N costs and its values span; stage 0
+# (off the grid) and stage N (after the horizon) span the whole grid.
+Bands = list[slice]
 
 _FULL = slice(0, GRID_PRESSURES)
 
@@ -266,18 +262,18 @@ def _bands(table: tuple[_Actions, _Actions], first: dict, params: PlantParams, n
     """
     cells, _ = _cells(np.array([q for m in modes for q in first[m]]), *_grid(params))
     lo, hi = int(cells.min()), int(cells.max()) + 1
-    bands: list[Optional[slice]] = [None]
+    bands = [_FULL]
     for _ in range(1, n):
         band = slice(max(lo - 1, 0), min(hi + 2, GRID_PRESSURES))
         bands.append(band)
         lo = min(min(table[m].low[band]) for m in modes)
         hi = max(max(table[m].high[band]) for m in modes)
-    return bands
+    return bands + [_FULL]
 
 
 def _values(
     table: tuple[_Actions, _Actions], ref_seq: Sequence[float], cfg: MpcConfig, modes: tuple[Mode, ...], layers: int,
-    bands: Bands = None,
+    bands: Bands,
 ) -> tuple[Values, Costs]:
     """The backward pass: the value of every grid pressure of each stage's band, mode of the last step and switches left.
 
@@ -291,22 +287,23 @@ def _values(
     left empty: its pressure is not on the grid.
 
     Stage k costs only the grid pressures of ``bands[k]`` (:func:`_bands`),
-    every grid pressure without ``bands``: its costs span the band, and its
-    values are NaN outside it.  Each in-band entry is the full grid's bit for
-    bit, since an in-band cost reads only in-band values.
+    and its costs and values span just that band.  A cost reads the next
+    stage's values at its cell less ``bands[k + 1].start``, which the bands
+    keep inside the next band, so each entry is the full grid's bit for bit.
     """
     n = cfg.horizon_steps
     values: Values = [{} for _ in range(n)] + [dict.fromkeys(modes, np.zeros((layers, GRID_PRESSURES)))]
     costs: Costs = [{} for _ in range(n)]
     effort = {m: (cfg.w_u * np.array(table[m].fractions) ** 2)[:, None] for m in modes}
     for k in range(n - 1, 0, -1):
-        band = bands[k] if bands else _FULL
+        band = bands[k]
         for m in modes:
             a, v = table[m], values[k + 1][m]
+            cell = a.cell[:, band] - bands[k + 1].start
             e = a.nxt[:, band] - ref_seq[k]
-            cost = costs[k][m] = np.take(v, a.cell[:, band], axis=1)
+            cost = costs[k][m] = np.take(v, cell, axis=1)
             cost *= a.frac0[:, band]
-            cost += np.take(v, a.cell1[:, band], axis=1) * a.frac[:, band]
+            cost += np.take(v, cell + 1, axis=1) * a.frac[:, band]
             cost += cfg.w_e * e * e + effort[m]
         best = {m: costs[k][m].min(axis=1) for m in modes}
         for m in modes:
@@ -314,8 +311,7 @@ def _values(
             if layers > 1:
                 v = v.copy()
                 v[1:] = np.minimum(v[1:], best[Mode(1 - m)][:-1] + cfg.w_sw)
-            values[k][m] = np.full((layers, GRID_PRESSURES), np.nan)
-            values[k][m][:, band] = v
+            values[k][m] = v
     return values, costs
 
 
@@ -332,7 +328,7 @@ def _forward(
     modes: tuple[Mode, ...],
     left: int,
     first: dict,
-    bands: Bands = None,
+    bands: Bands,
 ) -> tuple[list[float], list[Mode]]:
     """The forward pass from ``p0``: at each stage the least exact stage cost plus interpolated value.
 
@@ -348,18 +344,18 @@ def _forward(
     pressure walks on by the held step of the duty kept, so it is the
     rollout's.
 
-    With ``bands`` (:func:`_bands`), ``costs`` span each stage's band and
-    ``values`` are NaN outside it.  A read outside a band raises
-    :class:`_OutOfBand`: a NaN value in an exact candidate's or a refinement
-    evaluation's cost (:func:`_interp`).  The ranking's column always lies
-    in the band: the pressure is the held step of a duty whose value read at
-    the stage before passed that NaN check, in the same cells.
+    ``costs`` and ``values`` span each stage's band (:func:`_bands`).  A value
+    read outside it, in an exact candidate's or a refinement evaluation's cost,
+    raises :class:`_OutOfBand` (:func:`_interp`).  The ranking's column lies in
+    the band: the pressure is the held step of a duty whose value read at the
+    stage before passed that index test, in the same cells.
     """
     dt, w_e, w_u, w_sw = cfg.dt_pred, cfg.w_e, cfg.w_u, cfg.w_sw
     p_neg, inv_h = _grid(params)
     hold = plant_mod.rk4_hold(params, load)
     p, u_seq, m_seq = p0, [], []
     for k, r in enumerate(ref_seq):
+        lo = bands[k + 1].start   # the grid pressure stage k + 1's values start at
         if k == 0:
             options = [(m, left, 0.0) for m in modes]
         else:
@@ -367,17 +363,16 @@ def _forward(
             if left > 0:
                 options.append((Mode(1 - m_seq[-1]), left - 1, w_sw))
             # p's cell, as _interp splits it, and its column in stage k's costs, which span its band
-            band = bands[k] if bands else _FULL
             pos = (p - p_neg) * inv_h
             i = min(int(pos), GRID_PRESSURES - 2)
-            col, f = i - band.start, pos - i
+            col, f = i - bands[k].start, pos - i
         costed = []   # (exact cost, duty index, its held step, mode, switches left, switch cost, next value)
         for m, after, sw in options:
             a, v = table[m], values[k + 1][m][after].tolist()
 
             def exact(j: int, q: float) -> tuple:
                 x, e = a.fractions[j], q - r
-                return w_e * e * e + w_u * x * x + sw + _interp(v, q, p_neg, inv_h), j, q, m, after, sw, v
+                return w_e * e * e + w_u * x * x + sw + _interp(v, lo, q, p_neg, inv_h), j, q, m, after, sw, v
 
             if k == 0:
                 costed += [exact(j, q) for j, q in enumerate(first[m])]
@@ -401,7 +396,7 @@ def _forward(
             x = spool_fraction(coeffs, u)
             q = held[u] = hold(x, inflation)(p, dt)
             e = q - r
-            return w_e * e * e + w_u * x * x + sw + _interp(v, q, p_neg, inv_h)
+            return w_e * e * e + w_u * x * x + sw + _interp(v, lo, q, p_neg, inv_h)
 
         u, c_u, _ = golden_section(stage, duties[max(j - 1, 0)], duties[min(j + 1, len(duties) - 1)],
                                    tol=LINE_TOL)
@@ -426,8 +421,8 @@ def _solve(
     The held steps of every grid duty from ``p0`` are taken first: they give
     the bands (:func:`_bands`), and every pass's stage 0 reads them.  The
     backward pass costs only the bands; if a forward pass reads outside them
-    (:class:`_OutOfBand`), the whole solve reruns on the full grid, by the
-    same functions without bands.
+    (:class:`_OutOfBand`), the whole solve reruns with every band the whole
+    grid.
     """
     _check_refs(ref_seq)
     _check_horizon(cfg.horizon_steps, ref_seq)
@@ -447,7 +442,7 @@ def _solve(
     try:
         passes = run(_bands(table, first, params, cfg.horizon_steps, modes))
     except _OutOfBand:
-        passes = run(None)
+        passes = run([_FULL] * (cfg.horizon_steps + 1))
     solutions = [(rollout_cost(p0, u, m_seq, ref_seq, cfg, params, maps, load), u, m_seq) for u, m_seq in passes]
     cost, u, m_seq = min(solutions, key=lambda s: (s[0], _switches(s[2]), s[1][0]))
     return MpcSolution(u_seq=tuple(u), m_seq=tuple(m_seq), cost=cost, iterations=len(passes))

@@ -14,9 +14,9 @@ def golden_section(
     f: Callable[[float], float],
     lo: float,
     hi: float,
-    tol: float = 1e-6,
+    tol: float,
 ) -> tuple[float, float, int]:
-    """Minimize ``f`` on [lo, hi] by golden-section search.
+    """Minimize ``f`` on [lo, hi] by golden-section search, until the bracket is ``tol`` wide.
 
     Returns (argmin, value, evaluations).  Deterministic for deterministic f;
     unimodality is assumed, non-unimodal functions yield a local minimum.

@@ -9,7 +9,7 @@ without its pruning.  ``dense_oracle`` grids the duty of every step instead.
 ``all_duties_solve`` is the dynamic program with a forward pass that takes
 the held step of every grid duty at every stage.  ``held_steps`` counts
 the generated held steps a call takes, and ``grid_share`` the grid entries
-its backward passes cost.
+its backward passes cost and how many they are.
 """
 
 import math
@@ -171,7 +171,7 @@ def all_duties_solve(p0, ref_seq, cfg, params, maps, load, modes, switches):
     left, as ``minmpc_solve`` runs them; with one, NMPC's single pass.
     """
     table = mpc_mod._table(params, load, tuple(maps), cfg.dt_pred)
-    values, _ = mpc_mod._values(table, ref_seq, cfg, modes, switches + 1)
+    values, _ = mpc_mod._values(table, ref_seq, cfg, modes, switches + 1, [mpc_mod._FULL] * (cfg.horizon_steps + 1))
     starts = [(modes, switches)] + [((m,), 0) for m in modes if len(modes) > 1]
     steps, best = {}, None
     for start in starts:
@@ -202,18 +202,19 @@ def held_steps(call, *args):
 
 
 def grid_share(call, *args):
-    """``call(*args)`` and the grid entries its backward passes (``mpc._values``) cost, as a share of one full-grid pass's.
+    """``call(*args)``, the grid entries its backward passes (``mpc._values``) cost, and the number of passes.
 
-    One backward pass over the full grid is 1.0; a solve that reruns on the full
-    grid costs its bands' share and 1.0 more.  For horizons of 2 steps or more:
-    a backward pass of one step costs no entry.
+    The entries are a share of one full-grid pass's: one backward pass over
+    the full grid is 1.0; a solve that reruns on the full grid costs its
+    bands' share and 1.0 more, in two backward passes.  For horizons of 2
+    steps or more: a backward pass of one step costs no entry.
     """
-    costed, full, values = [0], [0], mpc_mod._values
+    costed, full, passes, values = [0], [0], [0], mpc_mod._values
 
-    def counted(table, ref_seq, cfg, modes, layers, bands=None):
-        stages = cfg.horizon_steps - 1
-        full[0] = stages * mpc_mod.GRID_PRESSURES
-        costed[0] += sum(b.stop - b.start for b in bands[1:]) if bands else full[0]
+    def counted(table, ref_seq, cfg, modes, layers, bands):
+        full[0] = (cfg.horizon_steps - 1) * mpc_mod.GRID_PRESSURES
+        costed[0] += sum(b.stop - b.start for b in bands[1:-1])   # stages 1..N - 1
+        passes[0] += 1
         return values(table, ref_seq, cfg, modes, layers, bands)
 
     mpc_mod._values = counted
@@ -221,4 +222,4 @@ def grid_share(call, *args):
         result = call(*args)
     finally:
         mpc_mod._values = values
-    return result, costed[0] / full[0]
+    return result, costed[0] / full[0], passes[0]

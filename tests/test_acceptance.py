@@ -69,7 +69,7 @@ def multistep_pid():
 
 @pytest.fixture(scope="module")
 def sinusoid_smc():
-    ref = default_sinusoid_reference(frequency_hz=0.5, cycles=3)
+    ref = default_sinusoid_reference()
     return timed_scenario(
         lambda: DmSmcLoop(PARAMS, MAPS, SMC_GAINS, SUP, dt=0.01), ref, default_timing(),
     ) + (ref,)
@@ -77,7 +77,7 @@ def sinusoid_smc():
 
 @pytest.fixture(scope="module")
 def sinusoid_pid():
-    ref = default_sinusoid_reference(frequency_hz=0.5, cycles=3)
+    ref = default_sinusoid_reference()
     return timed_scenario(
         lambda: PidLoop(PID_GAINS, SUP, dt=0.01), ref, default_timing(),
     ) + (ref,)

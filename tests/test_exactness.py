@@ -161,9 +161,9 @@ def test_minmpc_layers_of_no_switch_left_are_nmpc_values(problem, load_name):
     p0, refs = CROSSING_PROBLEMS[problem]
     cfg = replace(default_mpc_config(), max_switches=2)
     table = mpc_mod._table(PARAMS, LOADS[load_name], MAPS, cfg.dt_pred)
-    both, both_costs = mpc_mod._values(table, refs, cfg, (DEFL, INFL), 3)
+    both, both_costs = mpc_mod._values(table, refs, cfg, (DEFL, INFL), 3, _full(cfg))
     for m in Mode:
-        alone, alone_costs = mpc_mod._values(table, refs, cfg, (m,), 1)
+        alone, alone_costs = mpc_mod._values(table, refs, cfg, (m,), 1, _full(cfg))
         for k in range(1, N + 1):
             assert both[k][m][0].tobytes() == alone[k][m][0].tobytes()
         # So are the costs the forward pass ranks a later stage's duties by.
@@ -189,6 +189,11 @@ def test_minmpc_is_nmpc_or_below_it_in_both_modes(problem, load_name, max_switch
         assert (mi.u_seq, mi.m_seq, mi.cost) == (best.u_seq, best.m_seq, best.cost)
 
 
+def _full(cfg):
+    """Every stage's band the whole grid: the bands of a full-grid rerun."""
+    return [mpc_mod._FULL] * (cfg.horizon_steps + 1)
+
+
 def _first(table, p0, dt):
     """Every grid duty's held step from ``p0``, per mode: the stage-0 steps ``_solve`` gives each forward pass."""
     return {m: [held(p0, dt) for held in table[m].steps] for m in (DEFL, INFL)}
@@ -197,10 +202,11 @@ def _first(table, p0, dt):
 def _three_passes(p0, refs, cfg, load):
     """The switching pass and both constant-mode passes with no switch, least (cost, switches, first duty) first."""
     table = mpc_mod._table(PARAMS, load, MAPS, cfg.dt_pred)
-    values, costs = mpc_mod._values(table, refs, cfg, (DEFL, INFL), 1)
+    values, costs = mpc_mod._values(table, refs, cfg, (DEFL, INFL), 1, _full(cfg))
     first, best = _first(table, p0, cfg.dt_pred), None
     for modes in [(DEFL, INFL), (DEFL,), (INFL,)]:
-        u, m_seq = mpc_mod._forward(p0, refs, cfg, PARAMS, MAPS, load, table, values, costs, modes, 0, first)
+        u, m_seq = mpc_mod._forward(p0, refs, cfg, PARAMS, MAPS, load, table, values, costs, modes, 0, first,
+                                    _full(cfg))
         cost = rollout_cost(p0, u, m_seq, refs, cfg, PARAMS, MAPS, load)
         if best is None or (cost, u[0]) < best[0]:
             best = ((cost, u[0]), (tuple(u), tuple(m_seq), cost))
@@ -232,8 +238,8 @@ def test_with_no_switch_the_other_modes_pass_can_win():
             101841.02657459115, 101519.12691778412, 98175.23756905645]
     table = mpc_mod._table(PARAMS, default_load(), MAPS, cfg.dt_pred)
     switching = mpc_mod._forward(p0, refs, cfg, PARAMS, MAPS, default_load(), table,
-                                 *mpc_mod._values(table, refs, cfg, (DEFL, INFL), 1), (DEFL, INFL), 0,
-                                 _first(table, p0, cfg.dt_pred))
+                                 *mpc_mod._values(table, refs, cfg, (DEFL, INFL), 1, _full(cfg)), (DEFL, INFL), 0,
+                                 _first(table, p0, cfg.dt_pred), _full(cfg))
     sol = minmpc_solve(p0, refs, cfg, PARAMS, MAPS, default_load())
     assert (sol.iterations, switching[1][0], sol.m_seq[0]) == (2, INFL, DEFL)
     assert (sol.u_seq, sol.m_seq, sol.cost) == _three_passes(p0, refs, cfg, default_load())
@@ -277,10 +283,10 @@ def test_equal_keys_go_to_the_first_pass():
     sol = minmpc_solve(PARAMS.p_atm, refs, cfg, PARAMS, MAPS, load)
     assert (sol.cost, sol.switches, sol.u_seq) == (0.0, 0, (MAPS[DEFL].u_min,) * N)
     table = mpc_mod._table(PARAMS, load, MAPS, cfg.dt_pred)
-    values, costs = mpc_mod._values(table, refs, cfg, (DEFL, INFL), 2)
+    values, costs = mpc_mod._values(table, refs, cfg, (DEFL, INFL), 2, _full(cfg))
     switching = mpc_mod._forward(
         PARAMS.p_atm, refs, cfg, PARAMS, MAPS, load, table, values, costs, (DEFL, INFL), 1,
-        _first(table, PARAMS.p_atm, cfg.dt_pred))
+        _first(table, PARAMS.p_atm, cfg.dt_pred), _full(cfg))
     assert switching == (list(sol.u_seq), list(sol.m_seq))
 
 

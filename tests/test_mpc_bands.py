@@ -1,10 +1,11 @@
 """The MPC backward pass costs only the pressure band the forward pass can read, and no solution depends on it.
 
 ``mpc._bands`` gives each stage's band of grid pressures from the start's
-held steps and the transition table; ``mpc._values`` costs only those, and a
-forward pass that reads outside them reruns the solve on the full grid.
-Every solution, with bands or without (``_bands`` giving None), is the full
-grid's bit for bit: duties, modes, cost and forward passes.
+held steps and the transition table; ``mpc._values`` costs only those and
+keeps each stage's values on its band, and a forward pass that reads outside
+them (``mpc._interp``'s index test) reruns the solve on the full grid.  Every
+solution, with bands or with every band the whole grid, is the full grid's
+bit for bit: duties, modes, cost and forward passes.
 """
 
 import sys
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pneuctrl import mpc as mpc_mod
@@ -39,7 +40,7 @@ def _solve(solver, p0, refs, cfg, load, mode=Mode.INFLATION):
 def _on_full_grid(call):
     """``call()`` with every backward pass over the full grid."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(mpc_mod, "_bands", lambda *args: None)
+        mp.setattr(mpc_mod, "_bands", lambda table, first, params, n, modes: [mpc_mod._FULL] * (n + 1))
         return call()
 
 
@@ -99,15 +100,17 @@ def test_a_band_is_the_reach_of_the_one_before_it_widened_by_a_cell():
     p0, modes = PARAMS.p_atm - 3.0e4, (Mode.DEFLATION, Mode.INFLATION)
     first = {m: [step(p0, cfg.dt_pred) for step in table[m].steps] for m in modes}
     bands = mpc_mod._bands(table, first, PARAMS, cfg.horizon_steps, modes)
-    assert len(bands) == cfg.horizon_steps and bands[0] is None
+    # One band per stage 0..N: stage 0, off the grid, and stage N, after the horizon, span the whole grid.
+    assert len(bands) == cfg.horizon_steps + 1 and bands[0] == bands[-1] == mpc_mod._FULL
     cells, _ = mpc_mod._cells(np.array(first[Mode.DEFLATION] + first[Mode.INFLATION]), *mpc_mod._grid(PARAMS))
     assert (bands[1].start, bands[1].stop) == (cells.min() - 1, cells.max() + 3)
-    for band, nxt in zip(bands[1:], bands[2:]):
-        reach = [(table[m].cell[:, band].min(), table[m].cell1[:, band].max()) for m in modes]
+    inner = bands[1:-1]
+    for band, nxt in zip(inner, inner[1:]):
+        reach = [(table[m].cell[:, band].min(), table[m].cell[:, band].max() + 1) for m in modes]
         assert (nxt.start, nxt.stop) == (min(lo for lo, _ in reach) - 1, max(hi for _, hi in reach) + 2)
     # Each band holds the one before it, and all of them lie well inside the grid.
-    assert all(a.start >= b.start and a.stop <= b.stop for a, b in zip(bands[1:], bands[2:]))
-    assert bands[-1].stop - bands[-1].start < mpc_mod.GRID_PRESSURES // 2
+    assert all(a.start >= b.start and a.stop <= b.stop for a, b in zip(inner, inner[1:]))
+    assert inner[-1].stop - inner[-1].start < mpc_mod.GRID_PRESSURES // 2
 
 
 ATM = PARAMS.p_atm
@@ -120,15 +123,18 @@ LOW_START, HIGH_REFS = ATM - 3.0e4, [ATM + 1.5e5] * N
 def _missing_bands(miss):
     """A band builder whose bands miss the forward path: all far below it, or stage 1's without its top cells.
 
-    Without its top cells, stage 1's band misses only the best first steps.
-    Only the NaN check on value reads catches that: a pass that skipped the
-    NaN costs would take a lower first duty and stay in band after it.
+    Far below it, the bands are the reach of the steps from ``p_neg``, the
+    grid's first pressure: a chain the backward pass can read, as each band
+    holds the reach of the one before it.  Without its top cells, stage 1's
+    band misses only the best first steps.  Only the index test on value
+    reads catches that: a pass that skipped the costs outside the band would
+    take a lower first duty and stay in band after it.
     """
     bands = mpc_mod._bands
 
     def missing(table, first, params, n, modes):
         if miss == "far":
-            return [None] + [slice(0, 3)] * (n - 1)
+            return bands(table, {m: table[m].nxt[:, 0].tolist() for m in modes}, params, n, modes)
         out = bands(table, first, params, n, modes)
         out[1] = slice(out[1].start, out[1].stop - 3)
         return out
@@ -145,3 +151,40 @@ def test_a_read_outside_the_bands_reruns_the_solve_on_the_full_grid(miss, solver
     calls = _count_backward_passes(monkeypatch)
     assert _solve(solver, LOW_START, HIGH_REFS, cfg, load) == full
     assert calls[0] == 2
+
+
+P_NEG, INV_H = mpc_mod._grid(PARAMS)
+# A value on every grid pressure, none of them equal.
+GRID_VALUES = np.random.default_rng(0).uniform(0.0, 1.0e3, mpc_mod.GRID_PRESSURES).tolist()
+
+
+def _in_cell(cell, f=0.5):
+    """A pressure ``f`` of the way across grid cell ``cell``."""
+    return P_NEG + (cell + f) / INV_H
+
+
+@pytest.mark.parametrize("lo, hi", [(1, 3), (40, 81), (150, 199)])
+def test_a_read_tests_its_cell_against_the_row_it_reads(lo, hi):
+    row = GRID_VALUES[lo:hi]   # the values of grid pressures [lo, hi)
+    for cell in range(lo, hi - 1):
+        for f in (0.001, 0.5, 0.999):
+            p = _in_cell(cell, f)
+            assert mpc_mod._interp(row, lo, p, P_NEG, INV_H) == mpc_mod._interp(GRID_VALUES, 0, p, P_NEG, INV_H)
+    # Left of the row a bare list index would wrap to its end; right of it, the
+    # cell's right end is not in the row.
+    for cell in (lo - 1, hi - 1):
+        with pytest.raises(mpc_mod._OutOfBand):
+            mpc_mod._interp(row, lo, _in_cell(cell), P_NEG, INV_H)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=PRESSURE)
+@example(p=PARAMS.p_neg)
+@example(p=PARAMS.p_pos)
+@example(p=float(np.nextafter(PARAMS.p_pos, 0.0)))
+def test_a_read_of_a_whole_grid_row_never_raises(p):
+    # So a full-grid rerun cannot raise _OutOfBand: every pressure a held step
+    # gives lies on the rails or between them.  The grid's own indices
+    # interpolate to the pressure's place on the grid.
+    place = mpc_mod._interp([float(i) for i in range(mpc_mod.GRID_PRESSURES)], 0, p, P_NEG, INV_H)
+    assert place == pytest.approx((p - P_NEG) * INV_H, abs=1e-9)
