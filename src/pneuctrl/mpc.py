@@ -17,8 +17,8 @@ discrete, states.  A solve has three parts:
   interpolation, and its least, the cost to go;
 - a forward pass (:func:`_forward`) from the exact start pressure, which
   steps every grid duty at stage 0 and, later, the duties around the one
-  the backward pass's costs rank best, and refines the least exact cost
-  between its neighbouring grid duties by a golden-section search.
+  the backward pass's costs rank best, and keeps the duty of least exact
+  cost.  So every returned duty is one of its mode's grid duties.
 
 A stage's band (:func:`_bands`) is the grid pressures the forward pass can
 read there: the reach of the start's held steps, then of the table's steps
@@ -31,25 +31,24 @@ it raises; the solve then reruns with every band the whole grid.  Each
 value is the full grid's bit for bit, so no solution depends on the bands.
 
 The returned ``cost`` is :func:`rollout_cost` of the returned sequences.
-The grid bounds what the search sees, not what it returns: between grid
-pressures the value is interpolated, so a solution is near the optimum, not
-at it.  A stage compares exact stage costs, the held step from the exact
+The pressure grid bounds what the search sees, not where it walks: between
+grid pressures the value is interpolated, so a solution is near the optimum,
+not at it.  A stage compares exact stage costs, the held step from the exact
 pressure, plus the next stage's interpolated value; the interpolated duty
 costs only pick where a later stage starts.  On the benchmark's 276 problems
 of seeds 1 to 12, on the fixed and the bellow load, both solvers return what
-a pass that steps every grid duty returns, from 37 % of its held steps.
+a pass that steps every grid duty returns, from 22 % of its held steps.
 MI-NMPC's passes with no switch left read NMPC's values and duty costs bit
 for bit, so, keeping the least of its passes, it never costs more than NMPC.
-The refinement assumes the cost unimodal along the duty within its bracket,
-and so does a later stage's walk over the grid duties from where it starts.
-Both default spool maps fall over part of their duty range, within
-``valvemap.DEFAULT_SLOPE_TOL``: deflation from 0.9261 at 71.24 % to 0.9186
-at 84.16 %, inflation by up to 0.0086 between about 75 % and 91 %.  A
-refinement whose bracket holds such a fall can stop at a local minimum in
-it, but the grid compares duties on both sides of the fall: from ``p_atm +
-100`` kPa toward ``p_atm`` on the default fixed load, both solvers hold
-100 % at every step (cost 59,187.67), where a line search over the whole
-duty range stops at 71.24 % (cost 60,891.0).
+A later stage's walk over the grid duties from where it starts assumes the
+cost unimodal along the duty.  Both default spool maps fall over part of
+their duty range, within ``valvemap.DEFAULT_SLOPE_TOL``: deflation from
+0.9261 at 71.24 % to 0.9186 at 84.16 %, inflation by up to 0.0086 between
+about 75 % and 91 %.  A walk that meets such a fall can stop at a local
+minimum before it, but the grid compares duties on both sides of the fall:
+from ``p_atm + 100`` kPa toward ``p_atm`` on the default fixed load, both
+solvers hold 100 % at every step (cost 59,187.67), where a line search over
+the whole duty range stops at 71.24 % (cost 60,891.0).
 """
 
 from __future__ import annotations
@@ -61,15 +60,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import plant as plant_mod
-from .optim import golden_section
+from .optim import golden_section  # noqa: F401  unused: perfbench's tracer test rebinds mpc.golden_section
 from .plant import Count, LoadModel, Mode, PlantParams, PlantState, Seconds, Steps, Weight, check_fields
-from .valvemap import SpoolMap, eval_spool, invert_spool, spool_fraction, spool_range
+from .valvemap import SpoolMap, eval_spool, invert_spool, spool_range
 
 # The dynamic program's grid: pressures spanning [p_neg, p_pos], and spool
-# fractions spanning each mode's spool_range; the refinement's duty resolution, %.
+# fractions spanning each mode's spool_range.
 GRID_PRESSURES = 200
 GRID_FRACTIONS = 21
-LINE_TOL = 0.05
 
 
 @dataclass(frozen=True)
@@ -241,8 +239,8 @@ Values = list[dict[Mode, np.ndarray]]
 # mode: an array (switches left after it, grid duty, grid pressure of stage
 # k's band) per mode.
 Costs = list[dict[Mode, np.ndarray]]
-# The grid pressures each stage k = 0..N costs and its values span; stage 0
-# (off the grid) and stage N (after the horizon) span the whole grid.
+# The grid pressures each stage k = 0..N costs and its values span; stage 0,
+# off the grid, spans the whole grid.
 Bands = list[slice]
 
 _FULL = slice(0, GRID_PRESSURES)
@@ -257,18 +255,18 @@ def _bands(table: tuple[_Actions, _Actions], first: dict, params: PlantParams, n
     the cells the table's steps of every duty of ``modes`` from stage k's band
     land in; each is widened by one cell each way.  So an in-band cost reads
     only in-band values.  The margins cover the forward pass's steps from
-    exact pressures off the grid and at refined duties; a read they miss is
-    caught (:class:`_OutOfBand`) and the solve reruns on the full grid.
+    exact pressures off the grid; a read they miss is caught
+    (:class:`_OutOfBand`) and the solve reruns on the full grid.
     """
     cells, _ = _cells(np.array([q for m in modes for q in first[m]]), *_grid(params))
     lo, hi = int(cells.min()), int(cells.max()) + 1
     bands = [_FULL]
-    for _ in range(1, n):
+    for _ in range(1, n + 1):
         band = slice(max(lo - 1, 0), min(hi + 2, GRID_PRESSURES))
         bands.append(band)
         lo = min(min(table[m].low[band]) for m in modes)
         hi = max(max(table[m].high[band]) for m in modes)
-    return bands + [_FULL]
+    return bands
 
 
 def _values(
@@ -292,7 +290,8 @@ def _values(
     keep inside the next band, so each entry is the full grid's bit for bit.
     """
     n = cfg.horizon_steps
-    values: Values = [{} for _ in range(n)] + [dict.fromkeys(modes, np.zeros((layers, GRID_PRESSURES)))]
+    last = bands[n]
+    values: Values = [{} for _ in range(n)] + [dict.fromkeys(modes, np.zeros((layers, last.stop - last.start)))]
     costs: Costs = [{} for _ in range(n)]
     effort = {m: (cfg.w_u * np.array(table[m].fractions) ** 2)[:, None] for m in modes}
     for k in range(n - 1, 0, -1):
@@ -320,8 +319,6 @@ def _forward(
     ref_seq: Sequence[float],
     cfg: MpcConfig,
     params: PlantParams,
-    maps: tuple[SpoolMap, SpoolMap],
-    load: Optional[LoadModel],
     table: tuple[_Actions, _Actions],
     values: Values,
     costs: Costs,
@@ -338,21 +335,18 @@ def _forward(
     ``p0`` from ``first``, which holds it for each of ``modes``.  A later
     stage ranks each option's grid duties by their backward-pass costs,
     interpolated at the exact pressure, and steps the best, then each way
-    from it while the exact cost falls.  The stepped duty of least stage
-    cost plus next value is refined by a golden-section search between its
-    neighbouring grid duties, and stays unless the search finds less.  The
-    pressure walks on by the held step of the duty kept, so it is the
-    rollout's.
+    from it while the exact cost falls.  The stage keeps the stepped grid
+    duty of least stage cost plus next value, and the pressure walks on by
+    its held step, so it is the rollout's.
 
     ``costs`` and ``values`` span each stage's band (:func:`_bands`).  A value
-    read outside it, in an exact candidate's or a refinement evaluation's cost,
-    raises :class:`_OutOfBand` (:func:`_interp`).  The ranking's column lies in
+    read outside it, in an exact candidate's cost, raises
+    :class:`_OutOfBand` (:func:`_interp`).  The ranking's column lies in
     the band: the pressure is the held step of a duty whose value read at the
     stage before passed that index test, in the same cells.
     """
     dt, w_e, w_u, w_sw = cfg.dt_pred, cfg.w_e, cfg.w_u, cfg.w_sw
     p_neg, inv_h = _grid(params)
-    hold = plant_mod.rk4_hold(params, load)
     p, u_seq, m_seq = p0, [], []
     for k, r in enumerate(ref_seq):
         lo = bands[k + 1].start   # the grid pressure stage k + 1's values start at
@@ -366,13 +360,13 @@ def _forward(
             pos = (p - p_neg) * inv_h
             i = min(int(pos), GRID_PRESSURES - 2)
             col, f = i - bands[k].start, pos - i
-        costed = []   # (exact cost, duty index, its held step, mode, switches left, switch cost, next value)
+        costed = []   # (exact cost, duty index, its held step, mode, switches left)
         for m, after, sw in options:
             a, v = table[m], values[k + 1][m][after].tolist()
 
             def exact(j: int, q: float) -> tuple:
                 x, e = a.fractions[j], q - r
-                return w_e * e * e + w_u * x * x + sw + _interp(v, lo, q, p_neg, inv_h), j, q, m, after, sw, v
+                return w_e * e * e + w_u * x * x + sw + _interp(v, lo, q, p_neg, inv_h), j, q, m, after
 
             if k == 0:
                 costed += [exact(j, q) for j, q in enumerate(first[m])]
@@ -388,20 +382,8 @@ def _forward(
                     if not costed[-1][0] < last:
                         break
                     j, last = j + d, costed[-1][0]
-        c_grid, j, q_grid, m, left, sw, v = min(costed, key=lambda c: c[0])
-        duties, coeffs, inflation = table[m].duties, maps[m].a, m == Mode.INFLATION
-        held = {}   # duty -> its held step from p, for the duty kept
-
-        def stage(u: float) -> float:
-            x = spool_fraction(coeffs, u)
-            q = held[u] = hold(x, inflation)(p, dt)
-            e = q - r
-            return w_e * e * e + w_u * x * x + sw + _interp(v, lo, q, p_neg, inv_h)
-
-        u, c_u, _ = golden_section(stage, duties[max(j - 1, 0)], duties[min(j + 1, len(duties) - 1)],
-                                   tol=LINE_TOL)
-        u, p = (u, held[u]) if c_u < c_grid else (duties[j], q_grid)
-        u_seq.append(u)
+        _, j, p, m, left = min(costed, key=lambda c: c[0])
+        u_seq.append(table[m].duties[j])
         m_seq.append(m)
     return u_seq, m_seq
 
@@ -432,10 +414,10 @@ def _solve(
 
     def run(bands: Bands) -> list[tuple[list[float], list[Mode]]]:
         backward = _values(table, ref_seq, cfg, modes, switches + 1, bands)
-        passes = [_forward(p0, ref_seq, cfg, params, maps, load, table, *backward, modes, switches, first, bands)]
+        passes = [_forward(p0, ref_seq, cfg, params, table, *backward, modes, switches, first, bands)]
         if len(modes) > 1:
             # With no switch left the switching pass is the constant-mode pass of the mode it took.
-            passes += [_forward(p0, ref_seq, cfg, params, maps, load, table, *backward, (m,), 0, first, bands)
+            passes += [_forward(p0, ref_seq, cfg, params, table, *backward, (m,), 0, first, bands)
                        for m in modes if switches or m != passes[0][1][0]]
         return passes
 

@@ -22,7 +22,10 @@ from pneuctrl import mpc as mpc_mod
 from pneuctrl.mpc import rollout_cost
 from pneuctrl.optim import golden_section
 from pneuctrl.plant import Mode, rk4_hold
-from pneuctrl.valvemap import eval_spool, spool_fraction
+from pneuctrl.valvemap import eval_spool
+
+# reference_descend's line-search resolution, % duty.
+DESCENT_TOL = 0.05
 
 
 def mode_sequences(n, max_switches):
@@ -46,7 +49,7 @@ def reference_descend(p0, ref_seq, m_seq, cfg, params, maps, load, sweeps):
     """Coordinate descent over the duties of ``m_seq`` from the lowest duties: (duties, cost).
 
     Each sweep searches every duty in turn over its map's range at
-    ``mpc.LINE_TOL``; the descent stops after ``sweeps`` sweeps or the first
+    ``DESCENT_TOL``; the descent stops after ``sweeps`` sweeps or the first
     that improves nothing.
     """
     bounds = [(maps[m].u_min, maps[m].u_max) for m in m_seq]
@@ -60,7 +63,7 @@ def reference_descend(p0, ref_seq, m_seq, cfg, params, maps, load, sweeps):
                 trial[k] = v
                 return rollout_cost(p0, trial, m_seq, ref_seq, cfg, params, maps, load)
 
-            v_best, c_best, _ = golden_section(line, lo, hi, tol=mpc_mod.LINE_TOL)
+            v_best, c_best, _ = golden_section(line, lo, hi, tol=DESCENT_TOL)
             if c_best < cost - 1e-15:
                 u[k], cost, improved = v_best, c_best, True
         if not improved:
@@ -109,19 +112,19 @@ def dense_oracle(p0, ref_seq, cfg, params, maps, load, duties):
     return best[0]
 
 
-def _all_duties_forward(p0, ref_seq, cfg, params, maps, load, table, values, modes, left, steps):
+def _all_duties_forward(p0, ref_seq, cfg, params, table, values, modes, left, steps):
     """A forward pass that costs every grid duty of every candidate mode at every stage exactly.
 
     It reads only the backward pass's values: each duty's held step from the
     exact pressure, its stage cost plus the next stage's value interpolated
-    there, the least refined by golden section between its neighbouring grid
-    duties.  ``steps`` keeps the grid duties' held steps from each (mode,
-    pressure) met, for the solve's other passes.
+    there.  The stage keeps the grid duty of least cost, as the solvers do,
+    with no search between grid duties, and walks on by its held step.
+    ``steps`` keeps the grid duties' held steps from each (mode, pressure)
+    met, for the solve's other passes.
     """
     dt, w_e, w_u, w_sw = cfg.dt_pred, cfg.w_e, cfg.w_u, cfg.w_sw
     p_neg, n_grid = params.p_neg, mpc_mod.GRID_PRESSURES
     inv_h = (n_grid - 1) / (params.p_pos - p_neg)
-    hold = rk4_hold(params, load)
 
     def interp(v, q):
         pos = (q - p_neg) * inv_h
@@ -144,22 +147,10 @@ def _all_duties_forward(p0, ref_seq, cfg, params, maps, load, table, values, mod
             cost = w_e * e * e + w_u * np.array(a.fractions) ** 2 + sw + interp(v, steps[m, p])
             j = int(np.argmin(cost))
             if best is None or cost[j] < best[0]:
-                best = (float(cost[j]), m, after, sw, j)
-        c_grid, m, left, sw, j = best
-        duties, v = table[m].duties, values[k + 1][m][left]
-
-        def stage(u):
-            x = spool_fraction(maps[m].a, u)
-            q = hold(x, m == Mode.INFLATION)(p, dt)
-            e = q - r
-            return w_e * e * e + w_u * x * x + sw + float(interp(v, q))
-
-        u, c_u, _ = golden_section(stage, duties[max(j - 1, 0)], duties[min(j + 1, len(duties) - 1)],
-                                   tol=mpc_mod.LINE_TOL)
-        if not c_u < c_grid:
-            u = duties[j]
-        p = hold(spool_fraction(maps[m].a, u), m == Mode.INFLATION)(p, dt)
-        u_seq.append(u)
+                best = (float(cost[j]), m, after, j)
+        _, m, left, j = best
+        p = float(steps[m, p][j])
+        u_seq.append(table[m].duties[j])
         m_seq.append(m)
     return u_seq, m_seq
 
@@ -175,7 +166,7 @@ def all_duties_solve(p0, ref_seq, cfg, params, maps, load, modes, switches):
     starts = [(modes, switches)] + [((m,), 0) for m in modes if len(modes) > 1]
     steps, best = {}, None
     for start in starts:
-        u, m_seq = _all_duties_forward(p0, ref_seq, cfg, params, maps, load, table, values, *start, steps)
+        u, m_seq = _all_duties_forward(p0, ref_seq, cfg, params, table, values, *start, steps)
         cost = rollout_cost(p0, u, m_seq, ref_seq, cfg, params, maps, load)
         sw = sum(a != b for a, b in zip(m_seq, m_seq[1:]))
         if best is None or (cost, sw, u[0]) < best[0]:

@@ -205,8 +205,7 @@ def _three_passes(p0, refs, cfg, load):
     values, costs = mpc_mod._values(table, refs, cfg, (DEFL, INFL), 1, _full(cfg))
     first, best = _first(table, p0, cfg.dt_pred), None
     for modes in [(DEFL, INFL), (DEFL,), (INFL,)]:
-        u, m_seq = mpc_mod._forward(p0, refs, cfg, PARAMS, MAPS, load, table, values, costs, modes, 0, first,
-                                    _full(cfg))
+        u, m_seq = mpc_mod._forward(p0, refs, cfg, PARAMS, table, values, costs, modes, 0, first, _full(cfg))
         cost = rollout_cost(p0, u, m_seq, refs, cfg, PARAMS, MAPS, load)
         if best is None or (cost, u[0]) < best[0]:
             best = ((cost, u[0]), (tuple(u), tuple(m_seq), cost))
@@ -237,7 +236,7 @@ def test_with_no_switch_the_other_modes_pass_can_win():
     refs = [101718.48930402241, 101805.14673188906, 100199.77049798986, 96961.4683790224,
             101841.02657459115, 101519.12691778412, 98175.23756905645]
     table = mpc_mod._table(PARAMS, default_load(), MAPS, cfg.dt_pred)
-    switching = mpc_mod._forward(p0, refs, cfg, PARAMS, MAPS, default_load(), table,
+    switching = mpc_mod._forward(p0, refs, cfg, PARAMS, table,
                                  *mpc_mod._values(table, refs, cfg, (DEFL, INFL), 1, _full(cfg)), (DEFL, INFL), 0,
                                  _first(table, p0, cfg.dt_pred), _full(cfg))
     sol = minmpc_solve(p0, refs, cfg, PARAMS, MAPS, default_load())
@@ -285,31 +284,18 @@ def test_equal_keys_go_to_the_first_pass():
     table = mpc_mod._table(PARAMS, load, MAPS, cfg.dt_pred)
     values, costs = mpc_mod._values(table, refs, cfg, (DEFL, INFL), 2, _full(cfg))
     switching = mpc_mod._forward(
-        PARAMS.p_atm, refs, cfg, PARAMS, MAPS, load, table, values, costs, (DEFL, INFL), 1,
+        PARAMS.p_atm, refs, cfg, PARAMS, table, values, costs, (DEFL, INFL), 1,
         _first(table, PARAMS.p_atm, cfg.dt_pred), _full(cfg))
     assert switching == (list(sol.u_seq), list(sol.m_seq))
 
 
-def _without_refinement(monkeypatch):
-    # A search that finds nothing below the grid duty it brackets.
-    monkeypatch.setattr(mpc_mod, "golden_section", lambda f, lo, hi, tol: (lo, math.inf, 2))
-
-
-def test_a_refinement_that_finds_nothing_keeps_the_grid_duty(monkeypatch):
-    _without_refinement(monkeypatch)
-    cfg = replace(default_mpc_config(), max_switches=2)
-    table = mpc_mod._table(PARAMS, default_load(), MAPS, cfg.dt_pred)
+@pytest.mark.parametrize("load_name", sorted(LOADS))
+def test_every_duty_on_the_crossing_problems_is_a_grid_duty(load_name):
+    # Each stage keeps one of its mode's grid duties, with a switch left or not.
+    cfg, load = replace(default_mpc_config(), max_switches=2), LOADS[load_name]
+    table = mpc_mod._table(PARAMS, load, MAPS, cfg.dt_pred)
     for p0, refs in CROSSING_PROBLEMS.values():
-        sol = minmpc_solve(p0, refs, cfg, PARAMS, MAPS, default_load())
-        assert all(u in table[m].duties for u, m in zip(sol.u_seq, sol.m_seq))
-
-
-def test_the_refinement_lowers_a_cost_the_grid_duties_leave_high(monkeypatch):
-    # From 158.67 kPa gauge holding 150 kPa in deflation, the grid's second duty,
-    # 30.77 %, overshoots; the refinement moves it to 31.33 % and the cost falls 12 %.
-    p0, refs, cfg = 259674.28229217196, [ATM + 150e3] * N, default_mpc_config()
-    refined = nmpc_solve(p0, refs, DEFL, cfg, PARAMS, MAPS, default_load())
-    _without_refinement(monkeypatch)
-    grid = nmpc_solve(p0, refs, DEFL, cfg, PARAMS, MAPS, default_load())
-    assert refined.cost < 0.9 * grid.cost
-    assert refined.u_seq[0] == grid.u_seq[0] == 100.0 and refined.u_seq[1] != grid.u_seq[1]
+        solutions = [minmpc_solve(p0, refs, cfg, PARAMS, MAPS, load)]
+        solutions += [nmpc_solve(p0, refs, m, cfg, PARAMS, MAPS, load) for m in Mode]
+        for sol in solutions:
+            assert all(u in table[m].duties for u, m in zip(sol.u_seq, sol.m_seq))

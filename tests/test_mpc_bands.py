@@ -100,11 +100,12 @@ def test_a_band_is_the_reach_of_the_one_before_it_widened_by_a_cell():
     p0, modes = PARAMS.p_atm - 3.0e4, (Mode.DEFLATION, Mode.INFLATION)
     first = {m: [step(p0, cfg.dt_pred) for step in table[m].steps] for m in modes}
     bands = mpc_mod._bands(table, first, PARAMS, cfg.horizon_steps, modes)
-    # One band per stage 0..N: stage 0, off the grid, and stage N, after the horizon, span the whole grid.
-    assert len(bands) == cfg.horizon_steps + 1 and bands[0] == bands[-1] == mpc_mod._FULL
+    # One band per stage 0..N: stage 0, off the grid, spans the whole grid; stage N, after the
+    # horizon, is the reach of stage N - 1 like every other.
+    assert len(bands) == cfg.horizon_steps + 1 and bands[0] == mpc_mod._FULL
     cells, _ = mpc_mod._cells(np.array(first[Mode.DEFLATION] + first[Mode.INFLATION]), *mpc_mod._grid(PARAMS))
     assert (bands[1].start, bands[1].stop) == (cells.min() - 1, cells.max() + 3)
-    inner = bands[1:-1]
+    inner = bands[1:]
     for band, nxt in zip(inner, inner[1:]):
         reach = [(table[m].cell[:, band].min(), table[m].cell[:, band].max() + 1) for m in modes]
         assert (nxt.start, nxt.stop) == (min(lo for lo, _ in reach) - 1, max(hi for _, hi in reach) + 2)
@@ -118,6 +119,18 @@ N = default_mpc_config().horizon_steps
 # From 30 kPa below atmosphere toward 150 kPa above it, the first step's best duty
 # is the top inflation duty, whose step lands highest.
 LOW_START, HIGH_REFS = ATM - 3.0e4, [ATM + 1.5e5] * N
+
+
+def test_the_values_after_the_horizon_are_zero_rows_of_stage_n_band():
+    cfg, modes = default_mpc_config(), (Mode.DEFLATION, Mode.INFLATION)
+    table = mpc_mod._table(PARAMS, default_load(), MAPS, cfg.dt_pred)
+    first = {m: [step(LOW_START, cfg.dt_pred) for step in table[m].steps] for m in modes}
+    bands = mpc_mod._bands(table, first, PARAMS, N, modes)
+    values, _ = mpc_mod._values(table, HIGH_REFS, cfg, modes, 2, bands)
+    width = bands[N].stop - bands[N].start
+    assert width < mpc_mod.GRID_PRESSURES
+    for m in modes:
+        assert values[N][m].shape == (2, width) and not values[N][m].any()
 
 
 def _missing_bands(miss):
