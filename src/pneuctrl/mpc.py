@@ -16,31 +16,34 @@ discrete, states.  A solve has three parts:
   grid pressure of a stage's band, reading the next stage's value by linear
   interpolation, and its least, the cost to go;
 - a forward pass (:func:`_forward`) from the exact start pressure, which
-  steps every grid duty at stage 0 and, later, the duties around the one
-  the backward pass's costs rank best, and keeps the duty of least exact
-  cost.  So every returned duty is one of its mode's grid duties.
+  at every stage steps the duties around the one the backward pass's costs
+  rank best, and keeps the duty of least exact cost.  So every returned
+  duty is one of its mode's grid duties.
 
 A stage's band (:func:`_bands`) is the grid pressures the forward pass can
-read there: the reach of the start's held steps, then of the table's steps
-from the band before, each widened by one cell each way.  On the default
-channel and fixed load a 10 ms step moves less than 5 cells down and 4 up,
-so the backward pass costs about a fifth of the grid's entries for MI-NMPC
-and a seventh for NMPC on the benchmark's problems.  A stage's values exist
-only on its band, so a read tests its cell against the band and one outside
-it raises; the solve then reruns with every band the whole grid.  Each
-value is the full grid's bit for bit, so no solution depends on the bands.
+read there: at stage 0 the two grid pressures of the start's cell, then the
+reach of the table's steps from the band before, widened by one cell each
+way.  On the default channel and fixed load a 10 ms step moves less than 5
+cells down and 4 up, so the backward pass costs about a fifth of the grid's
+entries for MI-NMPC and a seventh for NMPC on the benchmark's problems.  A
+stage's values exist only on its band, so a read tests its cell against the
+band and one outside it raises; the solve then reruns with every band the
+whole grid.  Each value is the full grid's bit for bit, so no solution
+depends on the bands.
 
 The returned ``cost`` is :func:`rollout_cost` of the returned sequences.
 The pressure grid bounds what the search sees, not where it walks: between
 grid pressures the value is interpolated, so a solution is near the optimum,
 not at it.  A stage compares exact stage costs, the held step from the exact
 pressure, plus the next stage's interpolated value; the interpolated duty
-costs only pick where a later stage starts.  On the benchmark's 276 problems
+costs only pick where a stage starts.  On the benchmark's 276 problems
 of seeds 1 to 12, on the fixed and the bellow load, both solvers return what
-a pass that steps every grid duty returns, from 22 % of its held steps.
+a pass that steps every grid duty returns, from 15 % of its held steps.  A
+start past a rail is ranked at that rail's cell, and its solve may cost a
+few 1e-7 relative more than that pass's.
 MI-NMPC's passes with no switch left read NMPC's values and duty costs bit
 for bit, so, keeping the least of its passes, it never costs more than NMPC.
-A later stage's walk over the grid duties from where it starts assumes the
+A stage's walk over the grid duties from where it starts assumes the
 cost unimodal along the duty.  Both default spool maps fall over part of
 their duty range, within ``valvemap.DEFAULT_SLOPE_TOL``: deflation from
 0.9261 at 71.24 % to 0.9186 at 84.16 %, inflation by up to 0.0086 between
@@ -138,16 +141,13 @@ def rollout_cost(
     _check_horizon(n, u_seq, m_seq, ref_seq)
     state = PlantState(p_out=p0, t=0.0)
     cost = 0.0
-    switches = 0
     for k in range(n):
         m = m_seq[k]
         x = eval_spool(u_seq[k], maps[m])
         state = plant_mod.step(state, x, m, cfg.dt_pred, params, load)
         e = state.p_out - ref_seq[k]
         cost += cfg.w_e * e * e + cfg.w_u * x * x
-        if k > 0 and m != m_seq[k - 1]:
-            switches += 1
-    cost += cfg.w_sw * switches
+    cost += cfg.w_sw * _switches(m_seq)
     return cost
 
 
@@ -185,6 +185,13 @@ def _cells(p: np.ndarray, p_neg: float, inv_h: float) -> tuple[np.ndarray, np.nd
     pos = (p - p_neg) * inv_h
     cell = np.minimum(pos.astype(np.intp), GRID_PRESSURES - 2)
     return cell, pos - cell
+
+
+def _cell(p: float, p_neg: float, inv_h: float) -> tuple[int, float]:
+    """The grid cell the forward pass ranks ``p`` in, and its place in it: a start past a rail at that rail."""
+    pos = min(max((p - p_neg) * inv_h, 0.0), GRID_PRESSURES - 1.0)
+    i = min(int(pos), GRID_PRESSURES - 2)
+    return i, pos - i
 
 
 class _OutOfBand(Exception):
@@ -235,37 +242,34 @@ def _table(
 # The least cost to go by stage k = 0..N (0 after the horizon) and mode of step
 # k - 1: an array (switches left, grid pressure of stage k's band) per mode.
 Values = list[dict[Mode, np.ndarray]]
-# The cost of each grid duty by stage k = 1..N - 1 (stage 0 is empty) and its
-# mode: an array (switches left after it, grid duty, grid pressure of stage
-# k's band) per mode.
+# The cost of each grid duty by stage k = 0..N - 1 and its mode: an array
+# (switches left after it, grid duty, grid pressure of stage k's band) per mode.
 Costs = list[dict[Mode, np.ndarray]]
-# The grid pressures each stage k = 0..N costs and its values span; stage 0,
-# off the grid, spans the whole grid.
+# The grid pressures each stage k = 0..N costs and its values span.
 Bands = list[slice]
 
 _FULL = slice(0, GRID_PRESSURES)
 
 
-def _bands(table: tuple[_Actions, _Actions], first: dict, params: PlantParams, n: int,
+def _bands(table: tuple[_Actions, _Actions], p0: float, params: PlantParams, n: int,
            modes: tuple[Mode, ...]) -> Bands:
     """The grid pressures the forward pass from the exact start can read, by stage.
 
-    Stage 1's band is the grid cells the held steps of ``first`` (every grid
-    duty of ``modes`` from the start) land in, and stage k + 1's the hull of
-    the cells the table's steps of every duty of ``modes`` from stage k's band
-    land in; each is widened by one cell each way.  So an in-band cost reads
-    only in-band values.  The margins cover the forward pass's steps from
-    exact pressures off the grid; a read they miss is caught
-    (:class:`_OutOfBand`) and the solve reruns on the full grid.
+    Stage 0's band is the two grid pressures of the cell the forward pass
+    ranks ``p0`` in (:func:`_cell`), and stage k + 1's the hull of the cells
+    the table's steps of every duty of ``modes`` from stage k's band land
+    in, widened by one cell each way.  So an in-band cost reads only in-band
+    values.  The margins cover the forward pass's steps from exact pressures
+    off the grid; a read they miss is caught (:class:`_OutOfBand`) and the
+    solve reruns on the full grid.
     """
-    cells, _ = _cells(np.array([q for m in modes for q in first[m]]), *_grid(params))
-    lo, hi = int(cells.min()), int(cells.max()) + 1
-    bands = [_FULL]
-    for _ in range(1, n + 1):
-        band = slice(max(lo - 1, 0), min(hi + 2, GRID_PRESSURES))
-        bands.append(band)
+    i, _ = _cell(p0, *_grid(params))
+    bands = [slice(i, i + 2)]
+    for _ in range(n):
+        band = bands[-1]
         lo = min(min(table[m].low[band]) for m in modes)
         hi = max(max(table[m].high[band]) for m in modes)
+        bands.append(slice(max(lo - 1, 0), min(hi + 2, GRID_PRESSURES)))
     return bands
 
 
@@ -281,8 +285,7 @@ def _values(
     a switch left, the value is the least of staying in the mode and, at
     ``w_sw`` more, taking the other with one switch fewer.  The layer of no
     switch left reads no other mode, so it is its mode's value and costs
-    alone, bit for bit, whatever ``modes`` and ``layers`` are.  Stage 0 is
-    left empty: its pressure is not on the grid.
+    alone, bit for bit, whatever ``modes`` and ``layers`` are.
 
     Stage k costs only the grid pressures of ``bands[k]`` (:func:`_bands`),
     and its costs and values span just that band.  A cost reads the next
@@ -294,7 +297,7 @@ def _values(
     values: Values = [{} for _ in range(n)] + [dict.fromkeys(modes, np.zeros((layers, last.stop - last.start)))]
     costs: Costs = [{} for _ in range(n)]
     effort = {m: (cfg.w_u * np.array(table[m].fractions) ** 2)[:, None] for m in modes}
-    for k in range(n - 1, 0, -1):
+    for k in range(n - 1, -1, -1):
         band = bands[k]
         for m in modes:
             a, v = table[m], values[k + 1][m]
@@ -324,26 +327,25 @@ def _forward(
     costs: Costs,
     modes: tuple[Mode, ...],
     left: int,
-    first: dict,
     bands: Bands,
 ) -> tuple[list[float], list[Mode]]:
     """The forward pass from ``p0``: at each stage the least exact stage cost plus interpolated value.
 
     Stage 0 may take any of ``modes``, with ``left`` switches left; a later
     stage keeps the last step's mode or, at ``w_sw`` while a switch is left,
-    takes the other.  Stage 0 reads the held step of every grid duty from
-    ``p0`` from ``first``, which holds it for each of ``modes``.  A later
-    stage ranks each option's grid duties by their backward-pass costs,
-    interpolated at the exact pressure, and steps the best, then each way
-    from it while the exact cost falls.  The stage keeps the stepped grid
-    duty of least stage cost plus next value, and the pressure walks on by
-    its held step, so it is the rollout's.
+    takes the other.  Each stage ranks each option's grid duties by their
+    backward-pass costs, interpolated at the exact pressure (:func:`_cell`),
+    and steps the best, then each way from it while the exact cost falls.
+    The stage keeps the stepped grid duty of least stage cost plus next
+    value, and the pressure walks on by its held step, so it is the
+    rollout's.
 
     ``costs`` and ``values`` span each stage's band (:func:`_bands`).  A value
     read outside it, in an exact candidate's cost, raises
     :class:`_OutOfBand` (:func:`_interp`).  The ranking's column lies in
-    the band: the pressure is the held step of a duty whose value read at the
-    stage before passed that index test, in the same cells.
+    the band: at stage 0 the band is the start's cell, and later the
+    pressure is the held step of a duty whose value read at the stage before
+    passed that index test, in the same cells.
     """
     dt, w_e, w_u, w_sw = cfg.dt_pred, cfg.w_e, cfg.w_u, cfg.w_sw
     p_neg, inv_h = _grid(params)
@@ -356,10 +358,8 @@ def _forward(
             options = [(m_seq[-1], left, 0.0)]
             if left > 0:
                 options.append((Mode(1 - m_seq[-1]), left - 1, w_sw))
-            # p's cell, as _interp splits it, and its column in stage k's costs, which span its band
-            pos = (p - p_neg) * inv_h
-            i = min(int(pos), GRID_PRESSURES - 2)
-            col, f = i - bands[k].start, pos - i
+        i, f = _cell(p, p_neg, inv_h)
+        col = i - bands[k].start   # p's column in stage k's costs, which span its band
         costed = []   # (exact cost, duty index, its held step, mode, switches left)
         for m, after, sw in options:
             a, v = table[m], values[k + 1][m][after].tolist()
@@ -368,9 +368,6 @@ def _forward(
                 x, e = a.fractions[j], q - r
                 return w_e * e * e + w_u * x * x + sw + _interp(v, lo, q, p_neg, inv_h), j, q, m, after
 
-            if k == 0:
-                costed += [exact(j, q) for j, q in enumerate(first[m])]
-                continue
             c = costs[k][m][after]
             jq = int(np.argmin(c[:, col] * (1.0 - f) + c[:, col + 1] * f))
             costed.append(exact(jq, a.steps[jq](p, dt)))
@@ -400,29 +397,25 @@ def _solve(
 ) -> MpcSolution:
     """The dynamic program over ``modes`` with up to ``switches`` mode changes; see :func:`minmpc_solve`.
 
-    The held steps of every grid duty from ``p0`` are taken first: they give
-    the bands (:func:`_bands`), and every pass's stage 0 reads them.  The
-    backward pass costs only the bands; if a forward pass reads outside them
-    (:class:`_OutOfBand`), the whole solve reruns with every band the whole
-    grid.
+    The backward pass costs only the bands (:func:`_bands`); if a forward
+    pass reads outside them (:class:`_OutOfBand`), the whole solve reruns
+    with every band the whole grid.
     """
     _check_refs(ref_seq)
     _check_horizon(cfg.horizon_steps, ref_seq)
     table = _table(params, load, tuple(maps), cfg.dt_pred)
-    # mode -> its grid duties' held steps from p0
-    first = {m: [step(p0, cfg.dt_pred) for step in table[m].steps] for m in modes}
 
     def run(bands: Bands) -> list[tuple[list[float], list[Mode]]]:
         backward = _values(table, ref_seq, cfg, modes, switches + 1, bands)
-        passes = [_forward(p0, ref_seq, cfg, params, table, *backward, modes, switches, first, bands)]
+        passes = [_forward(p0, ref_seq, cfg, params, table, *backward, modes, switches, bands)]
         if len(modes) > 1:
             # With no switch left the switching pass is the constant-mode pass of the mode it took.
-            passes += [_forward(p0, ref_seq, cfg, params, table, *backward, (m,), 0, first, bands)
+            passes += [_forward(p0, ref_seq, cfg, params, table, *backward, (m,), 0, bands)
                        for m in modes if switches or m != passes[0][1][0]]
         return passes
 
     try:
-        passes = run(_bands(table, first, params, cfg.horizon_steps, modes))
+        passes = run(_bands(table, p0, params, cfg.horizon_steps, modes))
     except _OutOfBand:
         passes = run([_FULL] * (cfg.horizon_steps + 1))
     solutions = [(rollout_cost(p0, u, m_seq, ref_seq, cfg, params, maps, load), u, m_seq) for u, m_seq in passes]

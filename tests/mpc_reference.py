@@ -197,14 +197,13 @@ def grid_share(call, *args):
 
     The entries are a share of one full-grid pass's: one backward pass over
     the full grid is 1.0; a solve that reruns on the full grid costs its
-    bands' share and 1.0 more, in two backward passes.  For horizons of 2
-    steps or more: a backward pass of one step costs no entry.
+    bands' share and 1.0 more, in two backward passes.
     """
     costed, full, passes, values = [0], [0], [0], mpc_mod._values
 
     def counted(table, ref_seq, cfg, modes, layers, bands):
-        full[0] = (cfg.horizon_steps - 1) * mpc_mod.GRID_PRESSURES
-        costed[0] += sum(b.stop - b.start for b in bands[1:-1])   # stages 1..N - 1
+        full[0] = cfg.horizon_steps * mpc_mod.GRID_PRESSURES
+        costed[0] += sum(b.stop - b.start for b in bands[:-1])   # stages 0..N - 1
         passes[0] += 1
         return values(table, ref_seq, cfg, modes, layers, bands)
 

@@ -164,13 +164,13 @@ def test_minmpc_layers_of_no_switch_left_are_nmpc_values(problem, load_name):
     both, both_costs = mpc_mod._values(table, refs, cfg, (DEFL, INFL), 3, _full(cfg))
     for m in Mode:
         alone, alone_costs = mpc_mod._values(table, refs, cfg, (m,), 1, _full(cfg))
-        for k in range(1, N + 1):
+        for k in range(N + 1):
             assert both[k][m][0].tobytes() == alone[k][m][0].tobytes()
-        # So are the costs the forward pass ranks a later stage's duties by.
-        for k in range(1, N):
+        # So are the costs the forward pass ranks each stage's duties by.
+        for k in range(N):
             assert both_costs[k][m][0].tobytes() == alone_costs[k][m][0].tobytes()
         # Layers with switches left can only be lower.
-        assert all((both[k][m][1:] <= both[k][m][:1]).all() for k in range(1, N))
+        assert all((both[k][m][1:] <= both[k][m][:1]).all() for k in range(N))
 
 
 @pytest.mark.parametrize("problem", sorted(CROSSING_PROBLEMS))
@@ -194,18 +194,13 @@ def _full(cfg):
     return [mpc_mod._FULL] * (cfg.horizon_steps + 1)
 
 
-def _first(table, p0, dt):
-    """Every grid duty's held step from ``p0``, per mode: the stage-0 steps ``_solve`` gives each forward pass."""
-    return {m: [held(p0, dt) for held in table[m].steps] for m in (DEFL, INFL)}
-
-
 def _three_passes(p0, refs, cfg, load):
     """The switching pass and both constant-mode passes with no switch, least (cost, switches, first duty) first."""
     table = mpc_mod._table(PARAMS, load, MAPS, cfg.dt_pred)
     values, costs = mpc_mod._values(table, refs, cfg, (DEFL, INFL), 1, _full(cfg))
-    first, best = _first(table, p0, cfg.dt_pred), None
+    best = None
     for modes in [(DEFL, INFL), (DEFL,), (INFL,)]:
-        u, m_seq = mpc_mod._forward(p0, refs, cfg, PARAMS, table, values, costs, modes, 0, first, _full(cfg))
+        u, m_seq = mpc_mod._forward(p0, refs, cfg, PARAMS, table, values, costs, modes, 0, _full(cfg))
         cost = rollout_cost(p0, u, m_seq, refs, cfg, PARAMS, MAPS, load)
         if best is None or (cost, u[0]) < best[0]:
             best = ((cost, u[0]), (tuple(u), tuple(m_seq), cost))
@@ -238,7 +233,7 @@ def test_with_no_switch_the_other_modes_pass_can_win():
     table = mpc_mod._table(PARAMS, default_load(), MAPS, cfg.dt_pred)
     switching = mpc_mod._forward(p0, refs, cfg, PARAMS, table,
                                  *mpc_mod._values(table, refs, cfg, (DEFL, INFL), 1, _full(cfg)), (DEFL, INFL), 0,
-                                 _first(table, p0, cfg.dt_pred), _full(cfg))
+                                 _full(cfg))
     sol = minmpc_solve(p0, refs, cfg, PARAMS, MAPS, default_load())
     assert (sol.iterations, switching[1][0], sol.m_seq[0]) == (2, INFL, DEFL)
     assert (sol.u_seq, sol.m_seq, sol.cost) == _three_passes(p0, refs, cfg, default_load())
@@ -284,8 +279,7 @@ def test_equal_keys_go_to_the_first_pass():
     table = mpc_mod._table(PARAMS, load, MAPS, cfg.dt_pred)
     values, costs = mpc_mod._values(table, refs, cfg, (DEFL, INFL), 2, _full(cfg))
     switching = mpc_mod._forward(
-        PARAMS.p_atm, refs, cfg, PARAMS, table, values, costs, (DEFL, INFL), 1,
-        _first(table, PARAMS.p_atm, cfg.dt_pred), _full(cfg))
+        PARAMS.p_atm, refs, cfg, PARAMS, table, values, costs, (DEFL, INFL), 1, _full(cfg))
     assert switching == (list(sol.u_seq), list(sol.m_seq))
 
 

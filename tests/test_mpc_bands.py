@@ -1,11 +1,12 @@
 """The MPC backward pass costs only the pressure band the forward pass can read, and no solution depends on it.
 
-``mpc._bands`` gives each stage's band of grid pressures from the start's
-held steps and the transition table; ``mpc._values`` costs only those and
-keeps each stage's values on its band, and a forward pass that reads outside
-them (``mpc._interp``'s index test) reruns the solve on the full grid.  Every
-solution, with bands or with every band the whole grid, is the full grid's
-bit for bit: duties, modes, cost and forward passes.
+``mpc._bands`` gives each stage's band of grid pressures: the start's cell at
+stage 0, then the transition table's reach from the band before;
+``mpc._values`` costs only those and keeps each stage's values on its band,
+and a forward pass that reads outside them (``mpc._interp``'s index test)
+reruns the solve on the full grid.  Every solution, with bands or with every
+band the whole grid, is the full grid's bit for bit: duties, modes, cost and
+forward passes, from any start, also one past a rail.
 """
 
 import sys
@@ -29,6 +30,8 @@ from perfbench import inputs  # noqa: E402
 PARAMS, MAPS = default_plant(), default_maps()
 LOADS = {"none": None, "fixed": default_load(), "bellow": default_bellow_load()}
 PRESSURE = st.floats(PARAMS.p_neg, PARAMS.p_pos)
+# Up to 20 kPa past either rail, where a measured pressure can lie.
+START = st.floats(PARAMS.p_neg - 2.0e4, PARAMS.p_pos + 2.0e4)
 
 
 def _solve(solver, p0, refs, cfg, load, mode=Mode.INFLATION):
@@ -40,7 +43,7 @@ def _solve(solver, p0, refs, cfg, load, mode=Mode.INFLATION):
 def _on_full_grid(call):
     """``call()`` with every backward pass over the full grid."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(mpc_mod, "_bands", lambda table, first, params, n, modes: [mpc_mod._FULL] * (n + 1))
+        mp.setattr(mpc_mod, "_bands", lambda table, p0, params, n, modes: [mpc_mod._FULL] * (n + 1))
         return call()
 
 
@@ -58,11 +61,11 @@ def _count_backward_passes(mp):
 
 @st.composite
 def problems(draw):
-    """A start and a reference window of 1..10 steps anywhere on the rails, and a solve's settings."""
+    """A start up to 20 kPa past a rail, a reference window of 1..10 steps on the rails, and a solve's settings."""
     n = draw(st.integers(1, 10))
     cfg = replace(default_mpc_config(), horizon_steps=n, max_switches=draw(st.integers(0, 2)),
                   dt_pred=draw(st.sampled_from([0.01, 0.02, 0.05])))
-    return draw(PRESSURE), draw(st.lists(PRESSURE, min_size=n, max_size=n)), cfg
+    return draw(START), draw(st.lists(PRESSURE, min_size=n, max_size=n)), cfg
 
 
 @settings(max_examples=120, deadline=None)
@@ -98,20 +101,17 @@ def test_a_band_is_the_reach_of_the_one_before_it_widened_by_a_cell():
     cfg = default_mpc_config()
     table = mpc_mod._table(PARAMS, default_load(), MAPS, cfg.dt_pred)
     p0, modes = PARAMS.p_atm - 3.0e4, (Mode.DEFLATION, Mode.INFLATION)
-    first = {m: [step(p0, cfg.dt_pred) for step in table[m].steps] for m in modes}
-    bands = mpc_mod._bands(table, first, PARAMS, cfg.horizon_steps, modes)
-    # One band per stage 0..N: stage 0, off the grid, spans the whole grid; stage N, after the
-    # horizon, is the reach of stage N - 1 like every other.
-    assert len(bands) == cfg.horizon_steps + 1 and bands[0] == mpc_mod._FULL
-    cells, _ = mpc_mod._cells(np.array(first[Mode.DEFLATION] + first[Mode.INFLATION]), *mpc_mod._grid(PARAMS))
-    assert (bands[1].start, bands[1].stop) == (cells.min() - 1, cells.max() + 3)
-    inner = bands[1:]
-    for band, nxt in zip(inner, inner[1:]):
+    bands = mpc_mod._bands(table, p0, PARAMS, cfg.horizon_steps, modes)
+    # One band per stage 0..N: stage 0 is the two grid pressures of the start's cell; stage
+    # N, after the horizon, is the reach of stage N - 1 like every other.
+    i, _ = mpc_mod._cell(p0, *mpc_mod._grid(PARAMS))
+    assert len(bands) == cfg.horizon_steps + 1 and bands[0] == slice(i, i + 2)
+    for band, nxt in zip(bands, bands[1:]):
         reach = [(table[m].cell[:, band].min(), table[m].cell[:, band].max() + 1) for m in modes]
         assert (nxt.start, nxt.stop) == (min(lo for lo, _ in reach) - 1, max(hi for _, hi in reach) + 2)
     # Each band holds the one before it, and all of them lie well inside the grid.
-    assert all(a.start >= b.start and a.stop <= b.stop for a, b in zip(inner, inner[1:]))
-    assert inner[-1].stop - inner[-1].start < mpc_mod.GRID_PRESSURES // 2
+    assert all(a.start >= b.start and a.stop <= b.stop for a, b in zip(bands, bands[1:]))
+    assert bands[-1].stop - bands[-1].start < mpc_mod.GRID_PRESSURES // 2
 
 
 ATM = PARAMS.p_atm
@@ -124,8 +124,7 @@ LOW_START, HIGH_REFS = ATM - 3.0e4, [ATM + 1.5e5] * N
 def test_the_values_after_the_horizon_are_zero_rows_of_stage_n_band():
     cfg, modes = default_mpc_config(), (Mode.DEFLATION, Mode.INFLATION)
     table = mpc_mod._table(PARAMS, default_load(), MAPS, cfg.dt_pred)
-    first = {m: [step(LOW_START, cfg.dt_pred) for step in table[m].steps] for m in modes}
-    bands = mpc_mod._bands(table, first, PARAMS, N, modes)
+    bands = mpc_mod._bands(table, LOW_START, PARAMS, N, modes)
     values, _ = mpc_mod._values(table, HIGH_REFS, cfg, modes, 2, bands)
     width = bands[N].stop - bands[N].start
     assert width < mpc_mod.GRID_PRESSURES
@@ -133,37 +132,35 @@ def test_the_values_after_the_horizon_are_zero_rows_of_stage_n_band():
         assert values[N][m].shape == (2, width) and not values[N][m].any()
 
 
-def _missing_bands(miss):
-    """A band builder whose bands miss the forward path: all far below it, or stage 1's without its top cells.
+def _missing_read(read):
+    """``mpc._interp`` that raises :class:`mpc._OutOfBand` at its ``read``-th call, as a read outside a band does.
 
-    Far below it, the bands are the reach of the steps from ``p_neg``, the
-    grid's first pressure: a chain the backward pass can read, as each band
-    holds the reach of the one before it.  Without its top cells, stage 1's
-    band misses only the best first steps.  Only the index test on value
-    reads catches that: a pass that skipped the costs outside the band would
-    take a lower first duty and stay in band after it.
+    The bands form a chain each of whose bands holds the reach of the one
+    before it, so a held step monotone in the pressure never reads outside
+    them: a miss is forced instead.  The returned list holds whether it was.
     """
-    bands = mpc_mod._bands
+    calls, raised, interp = [0], [False], mpc_mod._interp
 
-    def missing(table, first, params, n, modes):
-        if miss == "far":
-            return bands(table, {m: table[m].nxt[:, 0].tolist() for m in modes}, params, n, modes)
-        out = bands(table, first, params, n, modes)
-        out[1] = slice(out[1].start, out[1].stop - 3)
-        return out
+    def missing(*args):
+        calls[0] += 1
+        if calls[0] == read + 1:
+            raised[0] = True
+            raise mpc_mod._OutOfBand
+        return interp(*args)
 
-    return missing
+    return missing, raised
 
 
-@pytest.mark.parametrize("miss", ["far", "top-of-stage-1"])
+@pytest.mark.parametrize("read", [0, 12], ids=["first-read", "later-read"])
 @pytest.mark.parametrize("solver", ["nmpc", "mi-nmpc"])
-def test_a_read_outside_the_bands_reruns_the_solve_on_the_full_grid(miss, solver, monkeypatch):
+def test_a_read_outside_the_bands_reruns_the_solve_on_the_full_grid(read, solver, monkeypatch):
     cfg, load = default_mpc_config(), default_load()
     full = _on_full_grid(lambda: _solve(solver, LOW_START, HIGH_REFS, cfg, load))
-    monkeypatch.setattr(mpc_mod, "_bands", _missing_bands(miss))
+    missing, raised = _missing_read(read)
+    monkeypatch.setattr(mpc_mod, "_interp", missing)
     calls = _count_backward_passes(monkeypatch)
     assert _solve(solver, LOW_START, HIGH_REFS, cfg, load) == full
-    assert calls[0] == 2
+    assert raised[0] and calls[0] == 2
 
 
 P_NEG, INV_H = mpc_mod._grid(PARAMS)
