@@ -32,7 +32,6 @@ from .plant import (
     LoadModel,
     Mode,
     PlantParams,
-    PlantState,
     branch_flows,
     drift,
     gain,

@@ -224,6 +224,10 @@ class NmpcLoop:
     ref: Reference
     mode: Mode = field(init=False, default=Mode.INFLATION)
 
+    def __post_init__(self) -> None:
+        # The transition table every solve reads, built now so that no tick pays for it.
+        mpc_mod._table(self.params, self.load, tuple(self.maps), self.cfg.dt_pred)
+
     def update(self, t, p_meas, p_ref, p_ref_rate):
         self.mode = select_mode(p_meas, p_ref, self.supervisor, self.mode)
         sol = mpc_mod.nmpc_solve(
@@ -242,6 +246,9 @@ class MinmpcLoop:
     load: LoadModel
     cfg: mpc_mod.MpcConfig
     ref: Reference
+
+    def __post_init__(self) -> None:
+        mpc_mod._table(self.params, self.load, tuple(self.maps), self.cfg.dt_pred)
 
     def update(self, t, p_meas, p_ref, p_ref_rate):
         sol = mpc_mod.minmpc_solve(

@@ -64,7 +64,7 @@ import numpy as np
 
 from . import plant as plant_mod
 from .optim import golden_section  # noqa: F401  unused: perfbench's tracer test rebinds mpc.golden_section
-from .plant import Count, LoadModel, Mode, PlantParams, PlantState, Seconds, Steps, Weight, check_fields
+from .plant import Count, LoadModel, Mode, PlantParams, Seconds, Steps, Weight, check_fields
 from .valvemap import SpoolMap, eval_spool, invert_spool, spool_range
 
 # The dynamic program's grid: pressures spanning [p_neg, p_pos], and spool
@@ -139,13 +139,12 @@ def rollout_cost(
     """Quadratic cost of simulating (u_seq, m_seq) from ``p0`` against ``ref_seq``."""
     n = cfg.horizon_steps
     _check_horizon(n, u_seq, m_seq, ref_seq)
-    state = PlantState(p_out=p0, t=0.0)
-    cost = 0.0
+    p, cost = p0, 0.0
     for k in range(n):
         m = m_seq[k]
         x = eval_spool(u_seq[k], maps[m])
-        state = plant_mod.step(state, x, m, cfg.dt_pred, params, load)
-        e = state.p_out - ref_seq[k]
+        p = plant_mod.step(p, x, m, cfg.dt_pred, params, load)
+        e = p - ref_seq[k]
         cost += cfg.w_e * e * e + cfg.w_u * x * x
     cost += cfg.w_sw * _switches(m_seq)
     return cost

@@ -173,14 +173,6 @@ class PlantParams:
 
 
 @dataclass(frozen=True)
-class PlantState:
-    """Outlet pressure and simulation time."""
-
-    p_out: float
-    t: float = 0.0
-
-
-@dataclass(frozen=True)
 class LoadModel:
     """Outlet load volume, either fixed or pressure-dependent (soft bellow).
 
@@ -532,16 +524,16 @@ def rk4_hold(params: PlantParams, load: Optional[LoadModel] = None) -> Hold:
 
 
 def step(
-    state: PlantState,
+    p: float,
     x_bar: float,
     m: Mode,
     dt: float,
     params: PlantParams,
     load: Optional[LoadModel] = None,
-) -> PlantState:
-    """Advance the outlet pressure by one classic fourth-order step of size dt.
+) -> float:
+    """The outlet pressure after one classic fourth-order step of size dt from ``p``.
 
     Inputs are held constant over the step (zero-order hold).  The result is
     clamped to [p_neg, p_pos]: the sources physically bound the pressure.
     """
-    return PlantState(rk4_hold(params, load)(x_bar, m == _INFLATION)(state.p_out, dt), state.t + dt)
+    return rk4_hold(params, load)(x_bar, m == _INFLATION)(p, dt)

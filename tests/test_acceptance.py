@@ -30,7 +30,7 @@ from pneuctrl.experiment import (
 )
 from mpc_reference import descent_oracle
 from pneuctrl.mpc import MpcConfig, minmpc_solve
-from pneuctrl.plant import Conductances, Mode, PlantState
+from pneuctrl.plant import Conductances, Mode
 from pneuctrl.plant import branch_flows, drift, gain, net_outlet_flow, step as plant_step
 from pneuctrl.sysid import StepTrace, fit_decay_conductance, fit_source_conductance, identify_channel, synthesize_protocol
 from pneuctrl.valvemap import eval_spool
@@ -107,14 +107,14 @@ def test_criterion_01_hybrid_form_equivalence():
 
 def test_criterion_02_full_open_step_speed():
     t0 = time.perf_counter()
-    st = PlantState(p_out=PARAMS.p_atm)
+    p, t = PARAMS.p_atm, 0.0
     target = PARAMS.p_atm + 100e3 - 5e3
-    while st.p_out < target and st.t < 2.0:
-        st = plant_step(st, 1.0, Mode.INFLATION, 1e-3, PARAMS, LOAD)
+    while p < target and t < 2.0:
+        p, t = plant_step(p, 1.0, Mode.INFLATION, 1e-3, PARAMS, LOAD), t + 1e-3
     elapsed = time.perf_counter() - t0
-    assert 0.10 <= st.t <= 0.40
+    assert 0.10 <= t <= 0.40
     assert elapsed < 1.0
-    print(f"\nACCEPTANCE 2 PASS: full-open 0->95 kPa gauge in {st.t:.3f} s (band 0.10-0.40), {elapsed:.2f} s")
+    print(f"\nACCEPTANCE 2 PASS: full-open 0->95 kPa gauge in {t:.3f} s (band 0.10-0.40), {elapsed:.2f} s")
 
 
 def test_criterion_03_multistep_tracking_bands(multistep_smc):

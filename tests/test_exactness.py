@@ -24,7 +24,7 @@ from pneuctrl import mpc as mpc_mod
 from pneuctrl.config import default_bellow_load, default_load, default_maps, default_mpc_config, default_plant
 from pneuctrl.mpc import minmpc_solve, nmpc_solve, rollout_cost
 from pneuctrl.optim import golden_section
-from pneuctrl.plant import LoadModel, Mode, PlantState, pressure_rate, rk4_hold, step
+from pneuctrl.plant import LoadModel, Mode, pressure_rate, rk4_hold, step
 from pneuctrl.valvemap import SpoolMap
 
 PARAMS = default_plant()
@@ -62,10 +62,9 @@ LOAD_CHOICES = [None, default_load(), default_bellow_load(),
     load=st.sampled_from(LOAD_CHOICES),
 )
 def test_step_is_four_rate_rk4_and_stays_on_the_rails(p, x_bar, m, dt, load):
-    out = step(PlantState(p_out=p, t=1.0), x_bar, m, dt, PARAMS, load)
-    assert PARAMS.p_neg <= out.p_out <= PARAMS.p_pos
-    assert out.p_out.hex() == reference_step(p, x_bar, m, dt, PARAMS, load).hex()
-    assert out.t == 1.0 + dt
+    out = step(p, x_bar, m, dt, PARAMS, load)
+    assert PARAMS.p_neg <= out <= PARAMS.p_pos
+    assert out.hex() == reference_step(p, x_bar, m, dt, PARAMS, load).hex()
 
 
 def test_kernel_is_cached_per_params_and_load_value():
@@ -78,9 +77,9 @@ def test_params_with_built_kernels_still_pickle():
     rk4_hold(PARAMS, default_bellow_load())
     copy = pickle.loads(pickle.dumps(PARAMS))
     assert copy == PARAMS
-    state = PlantState(p_out=PARAMS.p_atm + 3e4)
+    p = PARAMS.p_atm + 3e4
     args = (0.5, Mode.INFLATION, 1e-3)
-    assert step(state, *args, copy, default_bellow_load()) == step(state, *args, PARAMS, default_bellow_load())
+    assert step(p, *args, copy, default_bellow_load()) == step(p, *args, PARAMS, default_bellow_load())
 
 
 @pytest.mark.parametrize(
@@ -95,7 +94,7 @@ def test_params_with_built_kernels_still_pickle():
 def test_step_keeps_its_checks(p, x_bar, dt, error):
     for load in (None, default_bellow_load()):
         with pytest.raises(error):
-            step(PlantState(p_out=p), x_bar, Mode.INFLATION, dt, PARAMS, load)
+            step(p, x_bar, Mode.INFLATION, dt, PARAMS, load)
 
 
 @settings(max_examples=200, deadline=None)

@@ -10,7 +10,10 @@ from mpc_reference import all_duties_solve, dense_oracle, descent_oracle, held_s
 from pneuctrl import mpc as mpc_mod
 from pneuctrl.experiment import MinmpcLoop, NmpcLoop, Reference, TimingConfig, compute_metrics, run_scenario
 from pneuctrl.mpc import MpcConfig, minmpc_solve, nmpc_solve, rollout_cost
-from pneuctrl.config import default_bellow_load, default_load, default_maps, default_mpc_config, default_plant
+from pneuctrl.config import (
+    CONTROLLERS, default_bellow_load, default_load, default_maps, default_mpc_config, default_plant,
+    scenario_from_dict,
+)
 from pneuctrl.plant import Mode
 
 
@@ -322,6 +325,20 @@ def test_a_later_stage_steps_on_past_the_ranked_duties_while_the_cost_falls():
     assert sol.cost <= reference * (1 + 1e-4)
     assert reference == pytest.approx(5.8420, abs=1e-4)
     assert sol.u_seq[1] == third == pytest.approx(27.72, abs=0.005)
+
+
+@pytest.mark.parametrize("name", ["nmpc", "mi-nmpc"])
+@pytest.mark.parametrize("load", [default_load(), default_bellow_load()], ids=["fixed", "bellow"])
+def test_an_mpc_loop_builds_its_table_when_constructed(name, load):
+    sc = replace(scenario_from_dict({"controller": name}), load=load)
+    mpc_mod._table.cache_clear()
+    loop = CONTROLLERS[name](sc)
+    built = mpc_mod._table.cache_info()
+    assert (built.misses, built.hits) == (1, 0)
+    p_atm = sc.plant.p_atm
+    loop.update(0.0, p_atm, p_atm + 5.0e4, 0.0)
+    ticked = mpc_mod._table.cache_info()
+    assert (ticked.misses, ticked.hits) == (1, 1)
 
 
 class TestRecedingHorizonClosedLoop:

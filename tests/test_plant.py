@@ -9,7 +9,6 @@ from pneuctrl.plant import (
     LoadModel,
     Mode,
     PlantParams,
-    PlantState,
     branch_flows,
     drift,
     gain,
@@ -160,60 +159,56 @@ class TestNetOutletFlow:
 
 class TestStep:
     def test_equilibrium_is_stationary(self, params):
-        st = PlantState(p_out=params.p_atm)
-        out = step(st, 0.0, Mode.DEFLATION, 1e-3, params)
-        assert out.p_out == params.p_atm
-        assert out.t == pytest.approx(1e-3)
+        assert step(params.p_atm, 0.0, Mode.DEFLATION, 1e-3, params) == params.p_atm
 
     def test_full_open_initial_slope(self, params):
-        st = PlantState(p_out=params.p_atm)
-        out = step(st, 1.0, Mode.INFLATION, 1e-3, params)
+        out = step(params.p_atm, 1.0, Mode.INFLATION, 1e-3, params)
         # initial slope ~5.50e5 Pa/s, slightly concave over the step
-        assert out.p_out - params.p_atm == pytest.approx(550.0, rel=0.02)
+        assert out - params.p_atm == pytest.approx(550.0, rel=0.02)
 
     def test_matches_fine_euler_oracle(self, params):
         p0 = 151325.0
-        out = step(PlantState(p_out=p0), 0.7, Mode.INFLATION, 0.01, params)
+        out = step(p0, 0.7, Mode.INFLATION, 0.01, params)
         ref = euler_reference(p0, 0.7, Mode.INFLATION, 0.01, 1000, params)
-        assert out.p_out == pytest.approx(ref, rel=1e-3)
+        assert out == pytest.approx(ref, rel=1e-3)
 
     def test_deflation_matches_fine_euler_oracle(self, params):
         p0 = 61325.0
-        out = step(PlantState(p_out=p0), 0.9, Mode.DEFLATION, 0.01, params)
+        out = step(p0, 0.9, Mode.DEFLATION, 0.01, params)
         ref = euler_reference(p0, 0.9, Mode.DEFLATION, 0.01, 1000, params)
-        assert out.p_out == pytest.approx(ref, rel=1e-3)
+        assert out == pytest.approx(ref, rel=1e-3)
 
     def test_deterministic_bit_identical(self, params):
         def run():
-            st = PlantState(p_out=121325.0)
+            p = 121325.0
             vals = []
             for k in range(200):
-                st = step(st, 0.4 if k % 2 else 0.9, Mode.INFLATION, 1e-3, params)
-                vals.append(st.p_out)
+                p = step(p, 0.4 if k % 2 else 0.9, Mode.INFLATION, 1e-3, params)
+                vals.append(p)
             return vals
 
         assert run() == run()
 
     def test_clamps_at_source_pressure(self, params):
-        st = PlantState(p_out=params.p_pos - 100.0)
+        p = params.p_pos - 100.0
         for _ in range(200):
-            st = step(st, 1.0, Mode.INFLATION, 1e-2, params)
-        assert st.p_out <= params.p_pos
+            p = step(p, 1.0, Mode.INFLATION, 1e-2, params)
+        assert p <= params.p_pos
 
     def test_free_decay_converges_to_atm_from_both_sides(self, params):
         for p0 in (251325.0, 31325.0):
-            st = PlantState(p_out=p0)
-            prev_gap = abs(st.p_out - params.p_atm)
+            p = p0
+            prev_gap = abs(p - params.p_atm)
             for _ in range(2000):
-                st = step(st, 0.0, Mode.DEFLATION, 1e-2, params)
-                gap = abs(st.p_out - params.p_atm)
+                p = step(p, 0.0, Mode.DEFLATION, 1e-2, params)
+                gap = abs(p - params.p_atm)
                 assert gap <= prev_gap + 1e-9
                 prev_gap = gap
             assert gap < abs(p0 - params.p_atm) * 0.5
 
     def test_rejects_bad_dt(self, params):
         with pytest.raises(ValueError):
-            step(PlantState(p_out=params.p_atm), 0.0, Mode.INFLATION, 0.0, params)
+            step(params.p_atm, 0.0, Mode.INFLATION, 0.0, params)
 
 
 class TestLoadModel:
@@ -229,9 +224,9 @@ class TestLoadModel:
 
     def test_bellow_step_matches_fine_euler(self, params):
         load = LoadModel.affine_bellow(v0=1.25e-5, k_v=8.93e-11, v_min=1.0e-6, v_max=2.5e-5)
-        out = step(PlantState(p_out=131325.0), 0.8, Mode.INFLATION, 0.01, params, load)
+        out = step(131325.0, 0.8, Mode.INFLATION, 0.01, params, load)
         ref = euler_reference(131325.0, 0.8, Mode.INFLATION, 0.01, 2000, params, load)
-        assert out.p_out == pytest.approx(ref, rel=1e-3)
+        assert out == pytest.approx(ref, rel=1e-3)
 
     def test_invalid_kind_rejected(self):
         with pytest.raises(ValueError):

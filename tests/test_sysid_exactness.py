@@ -24,7 +24,7 @@ from pneuctrl import plant as plant_mod
 from pneuctrl import sysid
 from pneuctrl.config import default_maps, default_plant
 from pneuctrl.optim import golden_section
-from pneuctrl.plant import Mode, PlantState, step
+from pneuctrl.plant import Mode, step
 from pneuctrl.sysid import (
     SPOOL_BRACKET,
     SpoolPoint,
@@ -46,17 +46,17 @@ def reference_segment(p0, x_bar, m, duration, params, sample_rate, sim_substep):
     """Every substep through public ``plant.step``, sampled on the sensor schedule."""
     n_sub = int(round(duration * sim_substep))
     dt = 1.0 / sim_substep
-    state = PlantState(p_out=p0)
+    p = p0
     ts, ps = [0.0], [p0]
     k = 1
     for j in range(1, n_sub + 1):
-        state = step(state, x_bar, m, dt, params)
+        p = step(p, x_bar, m, dt, params)
         t = j / sim_substep
         if t + 0.5 * dt >= k / sample_rate:
             ts.append(t)
-            ps.append(state.p_out)
+            ps.append(p)
             k += 1
-    return np.asarray(ts), np.asarray(ps), state.p_out
+    return np.asarray(ts), np.asarray(ps), p
 
 
 def full_sse_objective(trace, model):
