@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from . import plant as plant_mod
-from .plant import _DEFLATION, _INFLATION, Mode, NonNegative, PlantParams, Positive, check_fields
+from .plant import _DEFLATION, _INFLATION, Checked, Mode, NonNegative, PlantParams, Positive
 from .valvemap import SpoolMap, invert_spool
 
 # Relative threshold on |g_m| below which the control law falls back to a
@@ -24,17 +24,14 @@ GAIN_GUARD_REL = 1e-3
 
 
 @dataclass(frozen=True)
-class SupervisorConfig:
+class SupervisorConfig(Checked):
     """Hysteresis half-band around the reference, Pa."""
 
     h: Positive
 
-    def __post_init__(self) -> None:
-        check_fields(self)
-
 
 @dataclass(frozen=True)
-class SmcGains:
+class SmcGains(Checked):
     """Per-mode sliding-mode gains.
 
     lam scales the error in the sliding variable and sets the reaching rate;
@@ -47,20 +44,14 @@ class SmcGains:
     mu: Positive
     k_i: NonNegative
 
-    def __post_init__(self) -> None:
-        check_fields(self)
-
 
 @dataclass(frozen=True)
-class PidGains:
+class PidGains(Checked):
     """Per-mode PID gains, duty percent per kPa of error (and its int/diff)."""
 
     k_p: NonNegative
     k_i: NonNegative
     k_d: NonNegative
-
-    def __post_init__(self) -> None:
-        check_fields(self)
 
 
 class ControllerState(NamedTuple):

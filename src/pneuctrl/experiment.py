@@ -30,7 +30,7 @@ from .control import (
     select_mode,
     smc_update,
 )
-from .plant import Count, Hz, Kpa, LoadModel, Mode, Pa, PlantParams, Seconds, Steps, check_fields, check_value
+from .plant import Checked, Count, Hz, Kpa, LoadModel, Mode, Pa, PlantParams, Seconds, Steps, check_value
 from .valvemap import SpoolMap, eval_spool
 
 
@@ -39,7 +39,7 @@ class ScenarioEnd(ValueError):
 
 
 @dataclass(frozen=True)
-class Reference:
+class Reference(Checked):
     """Pressure reference: a multi-step stage list or a sinusoid.
 
     Levels and amplitude are gauge kPa; :func:`reference_at` converts to
@@ -60,7 +60,7 @@ class Reference:
         stages = tuple((check_value(lv, "Kpa", "stages: a level"), check_value(hold, "Seconds", "stages: a hold"))
                        for lv, hold in self.stages)
         object.__setattr__(self, "stages", stages)
-        check_fields(self)
+        super().__post_init__()
         if self.kind == "multi-step":
             if not stages:
                 raise ValueError("stages: a multi-step reference needs at least one stage")
@@ -118,7 +118,7 @@ def reference_at(ref: Reference, t: float, p_atm: float) -> tuple[float, float]:
 
 
 @dataclass(frozen=True)
-class TimingConfig:
+class TimingConfig(Checked):
     """Rates, duration, sensor noise, and the RNG seed of one scenario run.
 
     The sensor samples at most once per ``sim_substep``: a ``sensor_rate``
@@ -134,7 +134,7 @@ class TimingConfig:
     seed: Count = 0
 
     def __post_init__(self) -> None:
-        check_fields(self)
+        super().__post_init__()
         if not (self.sim_substep >= self.control_rate >= 1.0):
             raise ValueError("rates must satisfy sim_substep >= control_rate >= 1")
 
@@ -450,15 +450,18 @@ def compute_metrics(traj: Trajectory, ref: Reference) -> MetricsReport:
     """Per-window metrics averaged across stage or period windows.
 
     Errors use the true pressure.  Integrals use the rectangle rule on the
-    control grid; the ITAE time origin resets at each window start, and the
-    steady-state error averages |e| over the final 20% of each window.  A
-    run shorter than the reference scores only the windows it reaches, the
-    last one cut at the run's end and dropped if it holds no control tick.
+    control ticks, which need not be evenly spaced: each tick is weighted by
+    the time to the next one, the last by the time to the run's end (with no
+    duration, by the gap before it).  The ITAE time origin resets at each
+    window start, and the steady-state error averages |e| over the final 20%
+    of each window.  A run shorter than the reference scores only the windows
+    it reaches, the last one cut at the run's end and dropped if it holds no
+    control tick.
     """
     t = traj.t
     if len(t) < 2:
         raise ValueError("trajectory too short for metrics")
-    dt = float(t[1] - t[0])
+    gap = np.diff(t, append=t[-1] + (t[-1] - t[-2]) if traj.duration is None else traj.duration)
     e_kpa = (traj.p_true - traj.p_ref) / 1000.0
     abs_e = np.abs(e_kpa)
 
@@ -471,8 +474,8 @@ def compute_metrics(traj: Trajectory, ref: Reference) -> MetricsReport:
         ew = abs_e[idx]
         tw = t[idx] - w0
         per["ae"].append(float(np.mean(ew)))
-        per["itae"].append(float(np.sum(tw * ew) * dt))
-        per["pwm_e"].append(float(np.sum(np.abs(traj.u[idx])) * dt))
+        per["itae"].append(float(np.sum(tw * ew * gap[idx])))
+        per["pwm_e"].append(float(np.sum(np.abs(traj.u[idx]) * gap[idx])))
         prev = traj.mode[idx - 1] if idx[0] > 0 else np.concatenate(([traj.mode[idx[0]]], traj.mode[idx[:-1]]))
         per["switches"].append(int(np.sum(traj.mode[idx] != prev)))
         ss_mask = tw >= 0.8 * (w1 - w0)

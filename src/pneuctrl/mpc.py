@@ -57,6 +57,7 @@ the whole duty range stops at 71.24 % (cost 60,891.0).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -64,7 +65,7 @@ import numpy as np
 
 from . import plant as plant_mod
 from .optim import golden_section  # noqa: F401  unused: perfbench's tracer test rebinds mpc.golden_section
-from .plant import Count, LoadModel, Mode, PlantParams, Seconds, Steps, Weight, check_fields
+from .plant import Checked, Count, LoadModel, Mode, PlantParams, Seconds, Steps, Weight
 from .valvemap import SpoolMap, eval_spool, invert_spool, spool_range
 
 # The dynamic program's grid: pressures spanning [p_neg, p_pos], and spool
@@ -74,16 +75,13 @@ GRID_FRACTIONS = 21
 
 
 @dataclass(frozen=True)
-class MpcConfig:
+class MpcConfig(Checked):
     horizon_steps: Steps = 10
     dt_pred: Seconds = 0.01            # prediction step
     w_e: Weight = 1.0e-6               # tracking weight, 1/Pa^2
     w_u: Weight = 1.0e-2               # effort weight on the spool fraction
     w_sw: Weight = 1.0                 # penalty per mode change within the horizon
     max_switches: Count = 1            # mode changes allowed within the horizon (MI-NMPC)
-
-    def __post_init__(self) -> None:
-        check_fields(self)
 
 
 @dataclass
@@ -400,6 +398,8 @@ def _solve(
     pass reads outside them (:class:`_OutOfBand`), the whole solve reruns
     with every band the whole grid.
     """
+    if not math.isfinite(p0):
+        raise ValueError(f"p0 must be finite, got {p0!r}")
     _check_refs(ref_seq)
     _check_horizon(cfg.horizon_steps, ref_seq)
     table = _table(params, load, tuple(maps), cfg.dt_pred)

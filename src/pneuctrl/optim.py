@@ -1,4 +1,4 @@
-"""Bracketed scalar minimization shared by the identification and MPC solvers."""
+"""Bracketed scalar minimization for the identification fits."""
 
 from __future__ import annotations
 

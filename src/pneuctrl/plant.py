@@ -109,8 +109,15 @@ def check_fields(record: Any) -> None:
             object.__setattr__(record, f.name, check_value(value, f.type, f.name))
 
 
+class Checked:
+    """Base of the parameter records: a dataclass inheriting it is held to :func:`check_fields` when built."""
+
+    def __post_init__(self) -> None:
+        check_fields(self)
+
+
 @dataclass(frozen=True)
-class Conductances:
+class Conductances(Checked):
     """Sonic conductances of the four flow branches, m^3 s^-1 Pa^-1.
 
     Branches are named upstream-to-downstream: positive source to outlet
@@ -123,12 +130,9 @@ class Conductances:
     c_oa: Magnitude
     c_ao: Magnitude
 
-    def __post_init__(self) -> None:
-        check_fields(self)
-
 
 @dataclass(frozen=True)
-class PlantParams:
+class PlantParams(Checked):
     """Physical constants of one pneumatic channel."""
 
     p_pos: Pa           # supply absolute pressure
@@ -144,7 +148,7 @@ class PlantParams:
     conductances: Conductances
 
     def __post_init__(self) -> None:
-        check_fields(self)
+        super().__post_init__()
         if not (0.0 < self.p_neg < self.p_atm < self.p_pos):
             raise ValueError("pressures must satisfy 0 < p_neg < p_atm < p_pos")
         if not (0.0 < self.b < 1.0):
@@ -173,7 +177,7 @@ class PlantParams:
 
 
 @dataclass(frozen=True)
-class LoadModel:
+class LoadModel(Checked):
     """Outlet load volume, either fixed or pressure-dependent (soft bellow).
 
     The affine-bellow law is V(p) = clamp(v0 + k_v * (p - p_atm), v_min, v_max),
@@ -188,7 +192,7 @@ class LoadModel:
     v_max: float = 2.5e-5
 
     def __post_init__(self) -> None:
-        check_fields(self)
+        super().__post_init__()
         if self.kind not in ("fixed", "affine-bellow"):
             raise ValueError(f"kind must be 'fixed' or 'affine-bellow', got {self.kind!r}")
         if self.kind == "affine-bellow":

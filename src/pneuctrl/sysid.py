@@ -29,7 +29,7 @@ import numpy as np
 from . import plant as plant_mod
 from .experiment import MAX_SUBSTEPS, event_substeps
 from .optim import golden_section
-from .plant import PA_MAX, SECONDS_MAX, Count, Hz, Mode, Pa, PlantParams, Seconds, check_fields
+from .plant import PA_MAX, SECONDS_MAX, Checked, Count, Hz, Mode, Pa, PlantParams, Seconds
 from .valvemap import SpoolMap, eval_spool
 
 
@@ -510,7 +510,7 @@ def simulate_segment(
 
 
 @dataclass(frozen=True)
-class SynthesisConfig:
+class SynthesisConfig(Checked):
     """Timing and noise settings for synthetic protocol generation."""
 
     sample_rate: Hz = 60.0
@@ -523,7 +523,7 @@ class SynthesisConfig:
     seed: Count = 0
 
     def __post_init__(self) -> None:
-        check_fields(self)
+        super().__post_init__()
         if not (self.sim_substep >= self.sample_rate > 0.0):
             raise ValueError("rates must satisfy sim_substep >= sample_rate > 0")
         for name in ("rise_duration", "decay_duration", "full_open_duration", "full_decay_duration"):

@@ -15,7 +15,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .plant import MODE_NAMES, Mode, check_fields, check_value
+from .plant import Checked, Mode, check_value
 
 # Largest tolerated local decrease of the raw cubic, fraction per % duty.
 DEFAULT_SLOPE_TOL = 2e-3
@@ -43,7 +43,7 @@ def _min_slope_on(a: Sequence[float], lo: float, hi: float) -> float:
 
 
 @dataclass(frozen=True)
-class SpoolMap:
+class SpoolMap(Checked):
     """Cubic duty->spool-fraction calibration for one mode.
 
     ``a`` holds coefficients (a0, a1, a2, a3) with duty in percent; raw
@@ -62,7 +62,7 @@ class SpoolMap:
         if not (isinstance(self.a, (tuple, list)) and len(self.a) == 4):
             raise ValueError(f"a must be four cubic coefficients, got {self.a!r}")
         object.__setattr__(self, "a", tuple(check_value(v, "float", "a") for v in self.a))
-        check_fields(self)
+        super().__post_init__()
         if not (0.0 <= self.u_min < self.u_max <= 100.0):
             raise ValueError("duty bounds must satisfy 0 <= u_min < u_max <= 100")
         if _min_slope_on(self.a, self.u_min, self.u_max) < -DEFAULT_SLOPE_TOL:
@@ -90,19 +90,6 @@ class SpoolMap:
             "u_max": self.u_max,
             "mode": self.mode.name.lower(),
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SpoolMap":
-        name = d.get("mode", "inflation")
-        # A list or dict cannot be looked up in the table, so the type comes first.
-        if not isinstance(name, str) or name not in MODE_NAMES:
-            raise ValueError(f"unknown spool map mode {name!r}")
-        return cls(
-            a=d["a"],
-            u_min=d.get("u_min", cls.u_min),
-            u_max=d.get("u_max", cls.u_max),
-            mode=MODE_NAMES[name],
-        )
 
 
 def spool_fraction(a: Sequence[float], u: float) -> float:

@@ -35,7 +35,7 @@ from pneuctrl.config import (
 from pneuctrl.control import PidGains, SmcGains, SupervisorConfig
 from pneuctrl.experiment import Reference, TimingConfig
 from pneuctrl.mpc import MpcConfig
-from pneuctrl.plant import Conductances, LoadModel, Mode, PlantParams
+from pneuctrl.plant import Checked, Conductances, LoadModel, Mode, PlantParams
 from pneuctrl.sysid import SynthesisConfig
 from pneuctrl.valvemap import SpoolMap
 
@@ -91,6 +91,12 @@ def test_every_record_field_is_reached_by_a_config_key(record):
     # A field no key reaches is a setting only the library can change; the
     # package keeps such a value a module constant instead.
     assert {f.name for f in dataclasses.fields(record) if f.init} == REACHED[record], record.__name__
+
+
+@pytest.mark.parametrize("record", list(REACHED), ids=lambda r: r.__name__)
+def test_every_config_built_record_inherits_the_field_check(record):
+    # So no record the config builds can skip check_fields.
+    assert issubclass(record, Checked), record.__name__
 
 
 def test_default_dicts_are_fresh_per_call():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from pneuctrl.experiment import (
     TimingConfig,
     Trajectory,
     compute_metrics,
+    control_tick_times,
     reference_at,
     run_scenario,
     write_trajectory_csv,
@@ -198,6 +200,14 @@ class TestComputeMetrics:
         ref = Reference.multi_step([(0.0, 2.0)])
         m = compute_metrics(traj, ref)
         assert m.pwm_e == pytest.approx(100.0, rel=1e-9)
+
+    def test_uneven_control_ticks_weigh_their_own_gaps(self):
+        # At 300 Hz on the 1 kHz substep the ticks fall 3, 3 and 4 ms apart.
+        t = control_tick_times(2.0, TimingConfig(control_rate=300.0))
+        n = len(t)
+        traj = replace(synthetic_trajectory([0.0] * n, [50.0] * n, [1] * n), t=t, duration=2.0)
+        m = compute_metrics(traj, Reference.multi_step([(0.0, 2.0)]))
+        assert m.pwm_e == pytest.approx(100.0, abs=1e-9)
 
     def test_switch_counting(self):
         modes = [1, 1, 0, 0, 1]

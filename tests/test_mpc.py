@@ -105,6 +105,16 @@ class TestNmpcSolve:
         assert (mi.iterations, mi.hit_iter_cap) == (3, False)
 
 
+@pytest.mark.parametrize("p0", [math.nan, math.inf, -math.inf], ids=repr)
+@pytest.mark.parametrize("solve", [
+    lambda p0, refs, cfg, params, maps, load: nmpc_solve(p0, refs, Mode.INFLATION, cfg, params, maps, load),
+    minmpc_solve,
+], ids=["nmpc", "mi-nmpc"])
+def test_a_non_finite_start_pressure_is_rejected_by_name(solve, p0, params, maps, cfg, load):
+    with pytest.raises(ValueError, match=f"^p0 must be finite, got {p0!r}$"):
+        solve(p0, [params.p_atm] * cfg.horizon_steps, cfg, params, maps, load)
+
+
 class TestModeSequences:
     def test_counts_with_one_switch(self):
         seqs = list(mode_sequences(10, 1))
