@@ -11,14 +11,20 @@ vol. 1).  The mode of the last step and the switches left are two more,
 discrete, states.  A solve has three parts:
 
 - a transition table (:func:`_table`): the held step of every grid duty from
-  every grid pressure, built once per channel, load, maps and ``dt_pred``;
+  every grid pressure, built once per channel, load, maps and ``dt_pred``.
+  One copy of its arrays serves both modes: pressure-major, ``(mode,
+  pressure, duty)``, stacked in ``Mode`` order, a mode with fewer duties
+  padded with its top duty, which changes no result (:func:`_stack`);
 - a backward pass (:func:`_values`): the cost of every grid duty from each
   grid pressure of a stage's band, reading the next stage's value by linear
-  interpolation, and its least, the cost to go;
+  interpolation, and its least, the cost to go.  A stage is one numpy pass
+  for every mode of the solve, each entry formed as a pass per mode forms
+  it;
 - a forward pass (:func:`_forward`) from the exact start pressure, which
   at every stage steps the duties around the one the backward pass's costs
   rank best, and keeps the duty of least exact cost.  So every returned
-  duty is one of its mode's grid duties.
+  duty is one of its mode's grid duties.  A solve's forward passes share
+  one memo of the held steps they take, so none is taken twice.
 
 A stage's band (:func:`_bands`) is the grid pressures the forward pass can
 read there: at stage 0 the two grid pressures of the start's cell, then the
@@ -38,7 +44,7 @@ not at it.  A stage compares exact stage costs, the held step from the exact
 pressure, plus the next stage's interpolated value; the interpolated duty
 costs only pick where a stage starts.  On the benchmark's 276 problems
 of seeds 1 to 12, on the fixed and the bellow load, both solvers return what
-a pass that steps every grid duty returns, from 15 % of its held steps.  A
+a pass that steps every grid duty returns, from 13 % of its held steps.  A
 start past a rail is ranked at that rail's cell, and its solve may cost a
 few 1e-7 relative more than that pass's.
 MI-NMPC's passes with no switch left read NMPC's values and duty costs bit
@@ -150,26 +156,44 @@ def rollout_cost(
 
 @dataclass(frozen=True)
 class _Actions:
-    """One mode's grid duties, and the held step of each from every grid pressure.
+    """One mode's grid duties, their spool fractions and held steps, and the reach of its steps.
 
-    ``nxt[j, i]`` is the step of duty ``j`` from grid pressure ``i``; it lies
-    in grid cell ``cell[j, i]`` at ``frac[j, i]`` of its width, so a value
-    ``v`` on the grid interpolates there to ``v[cell] * frac0 + v[cell + 1] *
-    frac``, with ``frac0 = 1 - frac``, as :func:`_interp` does at one
-    pressure.  ``low[i]`` and ``high[i]`` are the least ``cell`` and the
-    greatest ``cell + 1`` of any duty's step from grid pressure ``i``: the
-    grid pressures its steps are interpolated between.
+    ``low[i]`` and ``high[i]`` are the least ``cell`` and the greatest ``cell
+    + 1`` of any of the mode's steps from grid pressure ``i`` (:class:`_Table`):
+    the grid pressures its steps are interpolated between.
     """
 
     duties: tuple[float, ...]              # ascending
     fractions: tuple[float, ...]           # the spool fraction of each duty
     steps: tuple[plant_mod.HeldStep, ...]  # the held step of each duty
-    nxt: np.ndarray
-    cell: np.ndarray
-    frac: np.ndarray
-    frac0: np.ndarray
     low: list[int]
     high: list[int]
+
+
+@dataclass(frozen=True, eq=False)
+class _Table:
+    """The transition table: each mode's actions, and their held steps from every grid pressure.
+
+    ``table[m]`` is mode ``m``'s :class:`_Actions`.  The arrays hold one copy
+    of both modes' steps, pressure-major and stacked in ``Mode`` order:
+    ``nxt[m, i, j]`` is the step of mode ``m``'s duty ``j`` from grid pressure
+    ``i``; it lies in grid cell ``cell[m, i, j]`` at ``frac[m, i, j]`` of its
+    width, so a value ``v`` on the grid interpolates there to ``v[cell] *
+    frac0 + v[cell + 1] * frac``, with ``frac0 = 1 - frac``, as
+    :func:`_interp` does at one pressure.  ``fractions[m, j]`` is the duty's
+    spool fraction.  A mode with fewer duties than the other fills the last
+    columns with its top duty's (:func:`_stack`).
+    """
+
+    actions: tuple[_Actions, _Actions]
+    nxt: np.ndarray        # (mode, grid pressure, duty)
+    cell: np.ndarray       # (mode, grid pressure, duty)
+    frac: np.ndarray       # (mode, grid pressure, duty)
+    frac0: np.ndarray      # (mode, grid pressure, duty)
+    fractions: np.ndarray  # (mode, duty)
+
+    def __getitem__(self, m: Mode) -> _Actions:
+        return self.actions[m]
 
 
 def _grid(params: PlantParams) -> tuple[float, float]:
@@ -211,10 +235,8 @@ def _interp(row: list[float], lo: int, p: float, p_neg: float, inv_h: float) -> 
 
 
 @functools.lru_cache(maxsize=8)
-def _table(
-    params: PlantParams, load: Optional[LoadModel], maps: tuple[SpoolMap, SpoolMap], dt: float,
-) -> tuple[_Actions, _Actions]:
-    """Each mode's grid actions, in ``Mode`` order: the transition table of one channel, load, maps and step.
+def _table(params: PlantParams, load: Optional[LoadModel], maps: tuple[SpoolMap, SpoolMap], dt: float) -> _Table:
+    """The transition table of one channel, load, maps and step.
 
     A mode's duties are the lowest to reach each of ``GRID_FRACTIONS`` spool
     fractions spread evenly over its :func:`spool_range`
@@ -222,34 +244,56 @@ def _table(
     """
     hold = plant_mod.rk4_hold(params, load)
     grid = np.linspace(params.p_neg, params.p_pos, GRID_PRESSURES).tolist()
-    out = []
+    modes = []
     for m in Mode:
         spool_map = maps[m]
         fractions = np.linspace(*spool_range(spool_map), GRID_FRACTIONS).tolist()
         duties = sorted({invert_spool(x, spool_map) for x in fractions} | {spool_map.u_max})
         fractions = [eval_spool(u, spool_map) for u in duties]
-        steps = tuple(hold(x, m == Mode.INFLATION) for x in fractions)
-        nxt = np.array([[step(p, dt) for p in grid] for step in steps])
-        cell, frac = _cells(nxt, *_grid(params))
-        out.append(_Actions(tuple(duties), tuple(fractions), steps, nxt, cell, frac, 1.0 - frac,
-                            cell.min(axis=0).tolist(), (cell + 1).max(axis=0).tolist()))
-    return out[0], out[1]
+        steps = [hold(x, m == Mode.INFLATION) for x in fractions]
+        modes.append((duties, fractions, steps, [[step(p, dt) for p in grid] for step in steps]))
+    return _stack(modes, params)
+
+
+def _stack(modes: Sequence[tuple], params: PlantParams) -> _Table:
+    """The table of each mode's ``(duties, fractions, steps, nxt)``, in ``Mode`` order, ``nxt[j][i]`` the step of duty ``j`` from grid pressure ``i``.
+
+    The sorted set of a mode's duties can come out shorter than the other's.
+    The stacked arrays then repeat its top duty's column up to the other's
+    width, and that changes no result.  A forward pass walks only the mode's
+    own ``len(steps)`` duties, so it never steps a padded duty.  A padded
+    column's costs equal the top duty's, so it leaves every minimum over the
+    duties unchanged, and, as ``argmin`` returns the first of equal entries,
+    a ranking never starts at it.
+    """
+    width = max(len(duties) for duties, *_ in modes)
+
+    def pad(row: Sequence) -> list:
+        return list(row) + [row[-1]] * (width - len(row))
+
+    nxt = np.ascontiguousarray(np.array([pad(rows) for *_, rows in modes]).transpose(0, 2, 1))
+    cell, frac = _cells(nxt, *_grid(params))
+    actions = tuple(_Actions(tuple(duties), tuple(fractions), tuple(steps),
+                             c.min(axis=1).tolist(), (c + 1).max(axis=1).tolist())
+                    for (duties, fractions, steps, _), c in zip(modes, cell))
+    return _Table(actions, nxt, cell, frac, 1.0 - frac, np.array([pad(fractions) for _, fractions, *_ in modes]))
 
 
 # The least cost to go by stage k = 0..N (0 after the horizon) and mode of step
 # k - 1: an array (switches left, grid pressure of stage k's band) per mode.
 Values = list[dict[Mode, np.ndarray]]
 # The cost of each grid duty by stage k = 0..N - 1 and its mode: an array
-# (switches left after it, grid duty, grid pressure of stage k's band) per mode.
+# (switches left after it, grid pressure of stage k's band, grid duty) per mode.
 Costs = list[dict[Mode, np.ndarray]]
 # The grid pressures each stage k = 0..N costs and its values span.
 Bands = list[slice]
 
 _FULL = slice(0, GRID_PRESSURES)
+# The mode sets the backward pass stacks: one mode, or both in Mode order.
+_MODE_SETS = ((Mode.DEFLATION,), (Mode.INFLATION,), (Mode.DEFLATION, Mode.INFLATION))
 
 
-def _bands(table: tuple[_Actions, _Actions], p0: float, params: PlantParams, n: int,
-           modes: tuple[Mode, ...]) -> Bands:
+def _bands(table: _Table, p0: float, params: PlantParams, n: int, modes: tuple[Mode, ...]) -> Bands:
     """The grid pressures the forward pass from the exact start can read, by stage.
 
     Stage 0's band is the two grid pressures of the cell the forward pass
@@ -271,8 +315,7 @@ def _bands(table: tuple[_Actions, _Actions], p0: float, params: PlantParams, n: 
 
 
 def _values(
-    table: tuple[_Actions, _Actions], ref_seq: Sequence[float], cfg: MpcConfig, modes: tuple[Mode, ...], layers: int,
-    bands: Bands,
+    table: _Table, ref_seq: Sequence[float], cfg: MpcConfig, modes: tuple[Mode, ...], layers: int, bands: Bands,
 ) -> tuple[Values, Costs]:
     """The backward pass: the value of every grid pressure of each stage's band, mode of the last step and switches left.
 
@@ -284,33 +327,45 @@ def _values(
     switch left reads no other mode, so it is its mode's value and costs
     alone, bit for bit, whatever ``modes`` and ``layers`` are.
 
+    ``modes`` is one mode, or both in ``Mode`` order, and a layer with a
+    switch left needs both; anything else raises ValueError.  Each stage is
+    one numpy pass over the table's stacked rows of ``modes``, each entry
+    formed by the same operations in the same order as a pass per mode; a
+    mode's padded columns (:func:`_stack`) cost what its top duty costs.
+    ``values[k][m]`` and ``costs[k][m]`` are views of the stage's stacked
+    arrays.
+
     Stage k costs only the grid pressures of ``bands[k]`` (:func:`_bands`),
     and its costs and values span just that band.  A cost reads the next
     stage's values at its cell less ``bands[k + 1].start``, which the bands
     keep inside the next band, so each entry is the full grid's bit for bit.
     """
-    n = cfg.horizon_steps
+    if modes not in _MODE_SETS:
+        raise ValueError(f"modes must be one mode or both in Mode order, got {modes!r}")
+    if layers > 1 and len(modes) == 1:
+        raise ValueError(f"{layers} layers need both modes: a switch takes the other mode")
+    n, rows = cfg.horizon_steps, slice(modes[0], modes[-1] + 1)   # the table's stacked rows of modes
+    effort = (cfg.w_u * table.fractions[rows] ** 2)[:, None]        # (mode, 1, duty)
+    shift = np.arange(len(modes))[:, None, None]
     last = bands[n]
-    values: Values = [{} for _ in range(n)] + [dict.fromkeys(modes, np.zeros((layers, last.stop - last.start)))]
+    best = np.zeros((layers, len(modes), last.stop - last.start))   # (layer, mode, grid pressure)
+    values: Values = [{} for _ in range(n)] + [{m: best[:, i] for i, m in enumerate(modes)}]
     costs: Costs = [{} for _ in range(n)]
-    effort = {m: (cfg.w_u * np.array(table[m].fractions) ** 2)[:, None] for m in modes}
     for k in range(n - 1, -1, -1):
-        band = bands[k]
-        for m in modes:
-            a, v = table[m], values[k + 1][m]
-            cell = a.cell[:, band] - bands[k + 1].start
-            e = a.nxt[:, band] - ref_seq[k]
-            cost = costs[k][m] = np.take(v, cell, axis=1)
-            cost *= a.frac0[:, band]
-            cost += np.take(v, cell + 1, axis=1) * a.frac[:, band]
-            cost += cfg.w_e * e * e + effort[m]
-        best = {m: costs[k][m].min(axis=1) for m in modes}
-        for m in modes:
-            v = best[m]
-            if layers > 1:
-                v = v.copy()
-                v[1:] = np.minimum(v[1:], best[Mode(1 - m)][:-1] + cfg.w_sw)
-            values[k][m] = v
+        band, width = bands[k], best.shape[2]
+        # Stage k + 1's values of every mode in one row per layer, and each step's cell in it.
+        v = best.reshape(layers, -1)
+        cell = table.cell[rows, band] + (shift * width - bands[k + 1].start)
+        e = table.nxt[rows, band] - ref_seq[k]
+        cost = v.take(cell, axis=1)                                  # (layer, mode, grid pressure, duty)
+        cost *= table.frac0[rows, band]
+        cost += v.take(cell + 1, axis=1) * table.frac[rows, band]
+        cost += cfg.w_e * e * e + effort
+        best = cost.min(axis=3)
+        if layers > 1:
+            best[1:] = np.minimum(best[1:], best[:-1, ::-1] + cfg.w_sw)
+        values[k] = {m: best[:, i] for i, m in enumerate(modes)}
+        costs[k] = {m: cost[:, i] for i, m in enumerate(modes)}
     return values, costs
 
 
@@ -319,33 +374,39 @@ def _forward(
     ref_seq: Sequence[float],
     cfg: MpcConfig,
     params: PlantParams,
-    table: tuple[_Actions, _Actions],
+    table: _Table,
     values: Values,
     costs: Costs,
     modes: tuple[Mode, ...],
     left: int,
     bands: Bands,
+    held: Optional[dict] = None,
 ) -> tuple[list[float], list[Mode]]:
     """The forward pass from ``p0``: at each stage the least exact stage cost plus interpolated value.
 
     Stage 0 may take any of ``modes``, with ``left`` switches left; a later
     stage keeps the last step's mode or, at ``w_sw`` while a switch is left,
     takes the other.  Each stage ranks each option's grid duties by their
-    backward-pass costs, interpolated at the exact pressure (:func:`_cell`),
-    and steps the best, then each way from it while the exact cost falls.
-    The stage keeps the stepped grid duty of least stage cost plus next
-    value, and the pressure walks on by its held step, so it is the
-    rollout's.
+    backward-pass costs, interpolated at the exact pressure (:func:`_cell`)
+    between two cost rows, and steps the best, then leftward from it while
+    the exact cost falls, then rightward.  The stage keeps the first
+    stepped grid duty of least stage cost plus next value, and the pressure
+    walks on by its held step, so it is the rollout's.
+
+    ``held`` maps (mode, duty index, pressure) to the duty's held step from
+    that pressure; a solve passes one dict to all its forward passes, which
+    so never take one step twice.
 
     ``costs`` and ``values`` span each stage's band (:func:`_bands`).  A value
     read outside it, in an exact candidate's cost, raises
-    :class:`_OutOfBand` (:func:`_interp`).  The ranking's column lies in
+    :class:`_OutOfBand` (:func:`_interp`).  The ranking's row lies in
     the band: at stage 0 the band is the start's cell, and later the
     pressure is the held step of a duty whose value read at the stage before
     passed that index test, in the same cells.
     """
     dt, w_e, w_u, w_sw = cfg.dt_pred, cfg.w_e, cfg.w_u, cfg.w_sw
     p_neg, inv_h = _grid(params)
+    held = {} if held is None else held
     p, u_seq, m_seq = p0, [], []
     for k, r in enumerate(ref_seq):
         lo = bands[k + 1].start   # the grid pressure stage k + 1's values start at
@@ -356,27 +417,28 @@ def _forward(
             if left > 0:
                 options.append((Mode(1 - m_seq[-1]), left - 1, w_sw))
         i, f = _cell(p, p_neg, inv_h)
-        col = i - bands[k].start   # p's column in stage k's costs, which span its band
-        costed = []   # (exact cost, duty index, its held step, mode, switches left)
+        row = i - bands[k].start   # p's row in stage k's costs, which span its band
+        best = math.inf
         for m, after, sw in options:
-            a, v = table[m], values[k + 1][m][after].tolist()
-
-            def exact(j: int, q: float) -> tuple:
-                x, e = a.fractions[j], q - r
-                return w_e * e * e + w_u * x * x + sw + _interp(v, lo, q, p_neg, inv_h), j, q, m, after
-
-            c = costs[k][m][after]
-            jq = int(np.argmin(c[:, col] * (1.0 - f) + c[:, col + 1] * f))
-            costed.append(exact(jq, a.steps[jq](p, dt)))
-            start = costed[-1][0]
-            for d in (-1, 1):   # step away from jq each way while the exact cost falls
-                j, last = jq + d, start
+            a, v, c = table[m], values[k + 1][m][after].tolist(), costs[k][m][after]
+            jq = int((c[row] * (1.0 - f) + c[row + 1] * f).argmin())
+            start = math.inf
+            for j, d in ((jq, -1), (jq + 1, 1)):   # jq and leftward, then rightward, while the exact cost falls
+                last = start
                 while 0 <= j < len(a.steps):
-                    costed.append(exact(j, a.steps[j](p, dt)))
-                    if not costed[-1][0] < last:
+                    q = held.get((m, j, p))
+                    if q is None:
+                        q = held[m, j, p] = a.steps[j](p, dt)
+                    x, e = a.fractions[j], q - r
+                    cost = w_e * e * e + w_u * x * x + sw + _interp(v, lo, q, p_neg, inv_h)
+                    if cost < best:
+                        best, pick = cost, (j, q, m, after)
+                    if not cost < last:
                         break
-                    j, last = j + d, costed[-1][0]
-        _, j, p, m, left = min(costed, key=lambda c: c[0])
+                    if j == jq:
+                        start = cost
+                    j, last = j + d, cost
+        j, p, m, left = pick
         u_seq.append(table[m].duties[j])
         m_seq.append(m)
     return u_seq, m_seq
@@ -403,13 +465,14 @@ def _solve(
     _check_refs(ref_seq)
     _check_horizon(cfg.horizon_steps, ref_seq)
     table = _table(params, load, tuple(maps), cfg.dt_pred)
+    held: dict = {}   # the held steps the solve's forward passes take, by (mode, duty index, pressure)
 
     def run(bands: Bands) -> list[tuple[list[float], list[Mode]]]:
         backward = _values(table, ref_seq, cfg, modes, switches + 1, bands)
-        passes = [_forward(p0, ref_seq, cfg, params, table, *backward, modes, switches, bands)]
+        passes = [_forward(p0, ref_seq, cfg, params, table, *backward, modes, switches, bands, held)]
         if len(modes) > 1:
             # With no switch left the switching pass is the constant-mode pass of the mode it took.
-            passes += [_forward(p0, ref_seq, cfg, params, table, *backward, (m,), 0, bands)
+            passes += [_forward(p0, ref_seq, cfg, params, table, *backward, (m,), 0, bands, held)
                        for m in modes if switches or m != passes[0][1][0]]
         return passes
 

@@ -15,6 +15,8 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Sequence
 
+import numpy as np
+
 from .plant import Checked, Mode, check_value
 
 # Largest tolerated local decrease of the raw cubic, fraction per % duty.
@@ -72,16 +74,14 @@ class SpoolMap(Checked):
             )
         if _cubic(self.a, self.u_max) <= _cubic(self.a, self.u_min):
             raise ValueError("calibration error: spool map does not rise over its range")
+        # The inversion table: duties every _GRID_STEP from u_min, the last at u_max, and the running maximum
+        # of the clipped cubic over them, each formed as spool_fraction forms it at one duty.
         n = int(math.ceil((self.u_max - self.u_min) / _GRID_STEP)) + 1
-        us, hull = [], []
-        running = -math.inf
-        for i in range(n):
-            u = min(self.u_min + i * _GRID_STEP, self.u_max)
-            running = max(running, spool_fraction(self.a, u))
-            us.append(u)
-            hull.append(running)
-        object.__setattr__(self, "_grid_u", tuple(us))
-        object.__setattr__(self, "_grid_hull", tuple(hull))
+        us = np.minimum(self.u_min + np.arange(n) * _GRID_STEP, self.u_max)
+        a0, a1, a2, a3 = self.a
+        hull = np.maximum.accumulate(np.clip(a0 + us * (a1 + us * (a2 + us * a3)), 0.0, 1.0))
+        object.__setattr__(self, "_grid_u", tuple(us.tolist()))
+        object.__setattr__(self, "_grid_hull", tuple(hull.tolist()))
 
     def to_dict(self) -> dict:
         return {

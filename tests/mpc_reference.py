@@ -7,9 +7,11 @@ mode sequence within a switch limit and keeps the least cost: the branch and
 bound over mode sequences that the dynamic-programming solvers replaced,
 without its pruning.  ``dense_oracle`` grids the duty of every step instead.
 ``all_duties_solve`` is the dynamic program with a forward pass that takes
-the held step of every grid duty at every stage.  ``held_steps`` counts
-the generated held steps a call takes, and ``grid_share`` the grid entries
-its backward passes cost and how many they are.
+the held step of every grid duty at every stage.  ``reference_values`` is
+the backward pass as one pass per mode and stage.  ``held_step_calls``
+lists the generated held steps a call takes, ``held_steps`` counts them,
+and ``grid_share`` counts the grid entries its backward passes cost and how
+many they are.
 """
 
 import math
@@ -174,14 +176,57 @@ def all_duties_solve(p0, ref_seq, cfg, params, maps, load, modes, switches):
     return best[0][0], best[1], best[2]
 
 
-def held_steps(call, *args):
-    """``call(*args)`` and the number of generated held steps (``plant.rk4_hold``) it took."""
-    count = [0]
+def reference_values(table, ref_seq, cfg, modes, layers, bands):
+    """``mpc._values`` written as one pass per mode and stage, each mode reading only its own values.
+
+    Each mode's arrays are duty-major ``(duty, grid pressure)`` views of the
+    table's stacked ones, without its padded columns, and its costs are
+    ``(switches left, duty, grid pressure)``.  The values are
+    ``mpc._values``'s shapes: ``(switches left, grid pressure)``.
+    """
+    n = cfg.horizon_steps
+    last = bands[n]
+    values = [{} for _ in range(n)] + [dict.fromkeys(modes, np.zeros((layers, last.stop - last.start)))]
+    costs = [{} for _ in range(n)]
+    arrays = {m: [a[m, :, :len(table[m].duties)].T for a in (table.nxt, table.cell, table.frac, table.frac0)]
+              for m in modes}
+    effort = {m: (cfg.w_u * np.array(table[m].fractions) ** 2)[:, None] for m in modes}
+    for k in range(n - 1, -1, -1):
+        band = bands[k]
+        for m in modes:
+            (nxt, cell, frac, frac0), v = arrays[m], values[k + 1][m]
+            cell = cell[:, band] - bands[k + 1].start
+            e = nxt[:, band] - ref_seq[k]
+            cost = costs[k][m] = np.take(v, cell, axis=1)
+            cost *= frac0[:, band]
+            cost += np.take(v, cell + 1, axis=1) * frac[:, band]
+            cost += cfg.w_e * e * e + effort[m]
+        best = {m: costs[k][m].min(axis=1) for m in modes}
+        for m in modes:
+            v = best[m]
+            if layers > 1:
+                v = v.copy()
+                v[1:] = np.minimum(v[1:], best[Mode(1 - m)][:-1] + cfg.w_sw)
+            values[k][m] = v
+    return values, costs
+
+
+def held_step_calls(call, *args):
+    """``call(*args)`` and the generated held steps (``plant.rk4_hold``) it took, in order.
+
+    Each is ``(caller, step)``: the name of the function that took it, and
+    what the step is a function of: its variant, its three bound branch
+    coefficients (so its mode and spool fraction), the pressure, the gap and
+    the step count.
+    """
+    calls = []
 
     def profile(frame, event, arg):
         code = frame.f_code
         if event == "call" and code.co_name == "step" and code.co_filename.startswith("<pneuctrl.plant held step"):
-            count[0] += 1
+            f = frame.f_locals
+            step = (code.co_filename, f["c_main"], f["c_out"], f["c_in"], f["p"], f["dt"], f["n"])
+            calls.append((frame.f_back.f_code.co_name, step))
 
     previous = sys.getprofile()
     sys.setprofile(profile)
@@ -189,7 +234,13 @@ def held_steps(call, *args):
         result = call(*args)
     finally:
         sys.setprofile(previous)
-    return result, count[0]
+    return result, calls
+
+
+def held_steps(call, *args):
+    """``call(*args)`` and the number of generated held steps (``plant.rk4_hold``) it took."""
+    result, calls = held_step_calls(call, *args)
+    return result, len(calls)
 
 
 def grid_share(call, *args):

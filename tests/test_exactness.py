@@ -6,8 +6,9 @@ less than optimality, but some things exactly: the returned cost is the
 public ``rollout_cost`` of the returned sequences; MI-NMPC's layers of no
 switch left are NMPC's values bit for bit, so it returns NMPC's solution in
 a mode whenever that is the best it has, and never costs more; the
-transition table is shared only by solves of equal channel, load, maps and
-step.
+backward pass over both modes at once gives each mode's values and costs bit
+for bit; the transition table is shared only by solves of equal channel,
+load, maps and step.
 """
 
 import math
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 
 import numpy as np
 
+from mpc_reference import reference_values
 from pneuctrl import mpc as mpc_mod
 from pneuctrl.config import default_bellow_load, default_load, default_maps, default_mpc_config, default_plant
 from pneuctrl.mpc import minmpc_solve, nmpc_solve, rollout_cost
@@ -248,9 +250,82 @@ def test_the_table_is_shared_by_equal_channels_only():
     for m, actions in zip(Mode, table):
         assert len(actions.duties) == mpc_mod.GRID_FRACTIONS + 1
         assert actions.duties[0] == MAPS[m].u_min and actions.duties[-1] == MAPS[m].u_max
-        assert actions.nxt.shape == (len(actions.duties), mpc_mod.GRID_PRESSURES)
+        assert table.nxt[m].shape == (mpc_mod.GRID_PRESSURES, len(actions.duties))
         x = float(actions.fractions[-1])
-        assert actions.nxt[-1, 0] == rk4_hold(PARAMS, default_load())(x, m == INFL)(PARAMS.p_neg, dt)
+        assert table.nxt[m, 0, -1] == rk4_hold(PARAMS, default_load())(x, m == INFL)(PARAMS.p_neg, dt)
+
+
+def _assert_values_are_the_reference(table, refs, cfg, modes, layers, bands):
+    """``mpc._values`` equals one pass per mode (``mpc_reference.reference_values``) bit for bit, padding aside.
+
+    A mode's padded duty columns cost what its top duty costs.
+    """
+    values, costs = mpc_mod._values(table, refs, cfg, modes, layers, bands)
+    ref_values, ref_costs = reference_values(table, refs, cfg, modes, layers, bands)
+    for m in modes:
+        d = len(table[m].duties)
+        for k in range(cfg.horizon_steps + 1):
+            assert values[k][m].shape == ref_values[k][m].shape
+            assert values[k][m].tobytes() == ref_values[k][m].tobytes()
+        for k in range(cfg.horizon_steps):
+            assert costs[k][m].shape == (layers, bands[k].stop - bands[k].start, table.nxt.shape[2])
+            assert costs[k][m][:, :, :d].tobytes() == ref_costs[k][m].transpose(0, 2, 1).tobytes()
+            assert (costs[k][m][:, :, d:] == costs[k][m][:, :, d - 1:d]).all()
+
+
+MODE_SETS = [((DEFL,), 1), ((INFL,), 1), ((DEFL, INFL), 1), ((DEFL, INFL), 2), ((DEFL, INFL), 3)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    p0=st.floats(PARAMS.p_neg, PARAMS.p_pos),
+    refs=st.integers(1, N).flatmap(lambda n: st.lists(st.floats(PARAMS.p_neg, PARAMS.p_pos), min_size=n, max_size=n)),
+    load_name=st.sampled_from(["fixed", "bellow"]),
+    modes_layers=st.sampled_from(MODE_SETS),
+    banded=st.booleans(),
+)
+def test_the_backward_pass_over_stacked_modes_is_a_pass_per_mode(p0, refs, load_name, modes_layers, banded):
+    cfg = replace(default_mpc_config(), horizon_steps=len(refs))
+    (modes, layers), table = modes_layers, mpc_mod._table(PARAMS, LOADS[load_name], MAPS, cfg.dt_pred)
+    bands = mpc_mod._bands(table, p0, PARAMS, len(refs), modes) if banded else _full(cfg)
+    _assert_values_are_the_reference(table, refs, cfg, modes, layers, bands)
+
+
+def test_a_mode_with_fewer_duties_is_padded_with_its_top_duty():
+    # Inflation keeps only its 15 lowest duties, so its columns 15..21 repeat duty 14's.
+    cfg = default_mpc_config()
+    full = mpc_mod._table(PARAMS, default_load(), MAPS, cfg.dt_pred)
+    rows = []
+    for m in Mode:
+        d = 15 if m == INFL else len(full[m].duties)
+        rows.append((full[m].duties[:d], full[m].fractions[:d], full[m].steps[:d], full.nxt[m, :, :d].T.tolist()))
+    table = mpc_mod._stack(rows, PARAMS)
+    assert table.nxt.shape == (2, mpc_mod.GRID_PRESSURES, len(full[DEFL].duties))
+    assert len(table[INFL].duties) == len(table[INFL].steps) == 15
+    assert (table.nxt[INFL, :, 15:] == table.nxt[INFL, :, 14:15]).all()
+    assert (table.fractions[INFL, 15:] == table.fractions[INFL, 14]).all()
+    assert table.nxt[DEFL].tobytes() == full.nxt[DEFL].tobytes()
+    for p0, refs in CROSSING_PROBLEMS.values():
+        for modes, layers in MODE_SETS:
+            for bands in (mpc_mod._bands(table, p0, PARAMS, N, modes), _full(cfg)):
+                _assert_values_are_the_reference(table, refs, cfg, modes, layers, bands)
+        # No forward pass steps or keeps a padded duty.
+        bands = mpc_mod._bands(table, p0, PARAMS, N, (DEFL, INFL))
+        backward = mpc_mod._values(table, refs, cfg, (DEFL, INFL), 2, bands)
+        for modes, left in [((DEFL, INFL), 1), ((INFL,), 0)]:
+            u, m_seq = mpc_mod._forward(p0, refs, cfg, PARAMS, table, *backward, modes, left, bands)
+            assert all(x in table[m].duties for x, m in zip(u, m_seq))
+
+
+@pytest.mark.parametrize("modes, layers", [
+    ((INFL, DEFL), 1), ((DEFL, DEFL), 2), ((), 1), ((INFL,), 2), ((DEFL,), 3),
+])
+def test_the_backward_pass_rejects_modes_it_cannot_stack(modes, layers):
+    # Modes out of Mode order, or a layer with a switch left in one mode, which has no other mode to switch to.
+    cfg = default_mpc_config()
+    table = mpc_mod._table(PARAMS, default_load(), MAPS, cfg.dt_pred)
+    with pytest.raises(ValueError, match="modes"):
+        mpc_mod._values(table, REFS, cfg, modes, layers, _full(cfg))
 
 
 def test_a_solve_reads_the_table_of_its_own_channel():

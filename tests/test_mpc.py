@@ -1,12 +1,15 @@
 import math
+import sys
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mpc_reference import all_duties_solve, dense_oracle, descent_oracle, held_steps, mode_sequences
+from mpc_reference import all_duties_solve, dense_oracle, descent_oracle, held_step_calls, held_steps, mode_sequences
 from pneuctrl import mpc as mpc_mod
 from pneuctrl.experiment import MinmpcLoop, NmpcLoop, Reference, TimingConfig, compute_metrics, run_scenario
 from pneuctrl.mpc import MpcConfig, minmpc_solve, nmpc_solve, rollout_cost
@@ -15,6 +18,9 @@ from pneuctrl.config import (
     scenario_from_dict,
 )
 from pneuctrl.plant import Mode
+
+sys.path.append(str(Path(__file__).resolve().parents[1]))   # the repository root, for the benchmark's problems
+from perfbench import inputs  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -335,6 +341,23 @@ def test_a_later_stage_steps_on_past_the_ranked_duties_while_the_cost_falls():
     assert sol.cost <= reference * (1 + 1e-4)
     assert reference == pytest.approx(5.8420, abs=1e-4)
     assert sol.u_seq[1] == third == pytest.approx(27.72, abs=0.005)
+
+
+@pytest.mark.parametrize("load", ["fixed", "bellow"])
+def test_a_solve_takes_each_held_step_of_its_forward_passes_once(load):
+    # MI-NMPC's three forward passes start from the same pressure and often walk the same
+    # way, so they meet the same (mode, duty, pressure) steps; the solve's memo steps each
+    # once.  On the benchmark's 23 seed-1 mpc-solve problems a memo-less solve repeated
+    # about 20 of its 111 held steps per solve.
+    cfg, load = default_mpc_config(), LOADS[load]
+    with tempfile.TemporaryDirectory() as work:
+        problems = inputs.make_plan("mpc-solve", 1, 28, Path(work)).problems
+    minmpc_solve(PARAMS.p_atm, [PARAMS.p_atm] * cfg.horizon_steps, cfg, PARAMS, MAPS, load)   # the table
+    assert len(problems) == 23
+    for prob in problems:
+        _, calls = held_step_calls(minmpc_solve, prob.p0, list(prob.refs), cfg, PARAMS, MAPS, load)
+        forward = [step for caller, step in calls if caller == "_forward"]
+        assert forward and len(set(forward)) == len(forward)
 
 
 @pytest.mark.parametrize("name", ["nmpc", "mi-nmpc"])

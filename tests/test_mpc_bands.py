@@ -107,7 +107,7 @@ def test_a_band_is_the_reach_of_the_one_before_it_widened_by_a_cell():
     i, _ = mpc_mod._cell(p0, *mpc_mod._grid(PARAMS))
     assert len(bands) == cfg.horizon_steps + 1 and bands[0] == slice(i, i + 2)
     for band, nxt in zip(bands, bands[1:]):
-        reach = [(table[m].cell[:, band].min(), table[m].cell[:, band].max() + 1) for m in modes]
+        reach = [(table.cell[m, band].min(), table.cell[m, band].max() + 1) for m in modes]
         assert (nxt.start, nxt.stop) == (min(lo for lo, _ in reach) - 1, max(hi for _, hi in reach) + 2)
     # Each band holds the one before it, and all of them lie well inside the grid.
     assert all(a.start >= b.start and a.stop <= b.stop for a, b in zip(bands, bands[1:]))

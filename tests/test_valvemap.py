@@ -1,5 +1,10 @@
-import pytest
+import math
 
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from pneuctrl import valvemap
 from pneuctrl.config import DEFAULT_DEFLATION_CUBIC, DEFAULT_INFLATION_CUBIC
 from pneuctrl.plant import Mode
 from pneuctrl.valvemap import SpoolMap, eval_spool, invert_spool, spool_range
@@ -156,3 +161,42 @@ class TestSpoolRange:
         grid = [eval_spool(spool_map.u_min + i * 0.01, spool_map) for i in range(8001)]
         assert lo <= min(grid) <= lo + 1e-9
         assert hi - 1e-9 <= max(grid) <= hi
+
+
+def loop_inversion_table(spool_map):
+    """The inversion table built one duty at a time: duties every grid step from u_min, the last at u_max, and the
+    running maximum of the clipped cubic over them."""
+    n = int(math.ceil((spool_map.u_max - spool_map.u_min) / valvemap._GRID_STEP)) + 1
+    us, hull, running = [], [], -math.inf
+    for i in range(n):
+        u = min(spool_map.u_min + i * valvemap._GRID_STEP, spool_map.u_max)
+        running = max(running, valvemap.spool_fraction(spool_map.a, u))
+        us.append(u)
+        hull.append(running)
+    return tuple(us), tuple(hull)
+
+
+@st.composite
+def valid_maps(draw):
+    """A map whose cubic is a default one with each coefficient scaled by up to 30 %, on drawn duty bounds."""
+    base = draw(st.sampled_from([DEFAULT_INFLATION_CUBIC, DEFAULT_DEFLATION_CUBIC]))
+    a = tuple(c * draw(st.floats(0.7, 1.3)) for c in base)
+    u_min = draw(st.floats(0.0, 60.0))
+    u_max = draw(st.floats(u_min + 1.0, 100.0))
+    try:
+        return SpoolMap(a=a, u_min=u_min, u_max=u_max)
+    except ValueError:
+        assume(False)
+
+
+class TestInversionTable:
+    def test_default_maps_equal_the_loop_table(self, inflation, deflation):
+        for m in (inflation, deflation):
+            assert len(m._grid_u) == 1601
+            assert (m._grid_u, m._grid_hull) == loop_inversion_table(m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(spool_map=valid_maps())
+    def test_drawn_maps_equal_the_loop_table(self, spool_map):
+        assert (spool_map._grid_u, spool_map._grid_hull) == loop_inversion_table(spool_map)
+        assert all(type(v) is float for v in spool_map._grid_u + spool_map._grid_hull)
