@@ -28,14 +28,14 @@ discrete, states.  A solve has three parts:
 
 A stage's band (:func:`_bands`) is the grid pressures the forward pass can
 read there: at stage 0 the two grid pressures of the start's cell, then the
-reach of the table's steps from the band before, widened by one cell each
-way.  On the default channel and fixed load a 10 ms step moves less than 5
-cells down and 4 up, so the backward pass costs about a fifth of the grid's
-entries for MI-NMPC and a seventh for NMPC on the benchmark's problems.  A
-stage's values exist only on its band, so a read tests its cell against the
-band and one outside it raises; the solve then reruns with every band the
-whole grid.  Each value is the full grid's bit for bit, so no solution
-depends on the bands.
+hull of the cells, with their right ends, of the table's steps from the band
+before.  A held step that does not fall along the pressure maps a band's
+cell into the next band, so the forward pass's steps from exact pressures
+read in band; the backward pass costs about 15 % of the grid's entries for
+MI-NMPC and 9 % for NMPC on the benchmark's problems.  A read tests its
+cell against the band, and one outside it, where a table's step falls,
+raises; the solve then reruns with every band the whole grid.  Each value
+is the full grid's bit for bit, so no solution depends on the bands.
 
 The returned ``cost`` is :func:`rollout_cost` of the returned sequences.
 The pressure grid bounds what the search sees, not where it walks: between
@@ -297,12 +297,12 @@ def _bands(table: _Table, p0: float, params: PlantParams, n: int, modes: tuple[M
     """The grid pressures the forward pass from the exact start can read, by stage.
 
     Stage 0's band is the two grid pressures of the cell the forward pass
-    ranks ``p0`` in (:func:`_cell`), and stage k + 1's the hull of the cells
-    the table's steps of every duty of ``modes`` from stage k's band land
-    in, widened by one cell each way.  So an in-band cost reads only in-band
-    values.  The margins cover the forward pass's steps from exact pressures
-    off the grid; a read they miss is caught (:class:`_OutOfBand`) and the
-    solve reruns on the full grid.
+    ranks ``p0`` in (:func:`_cell`), and stage k + 1's the hull of the cells,
+    with their right ends, that the table's steps of every duty of ``modes``
+    from stage k's band land in.  So an in-band cost reads only in-band
+    values, and a held step that does not fall along the pressure reads in
+    band; where a table breaks that, the read is caught (:class:`_OutOfBand`)
+    and the solve reruns on the full grid.
     """
     i, _ = _cell(p0, *_grid(params))
     bands = [slice(i, i + 2)]
@@ -310,7 +310,7 @@ def _bands(table: _Table, p0: float, params: PlantParams, n: int, modes: tuple[M
         band = bands[-1]
         lo = min(min(table[m].low[band]) for m in modes)
         hi = max(max(table[m].high[band]) for m in modes)
-        bands.append(slice(max(lo - 1, 0), min(hi + 2, GRID_PRESSURES)))
+        bands.append(slice(lo, hi + 1))
     return bands
 
 
@@ -337,8 +337,8 @@ def _values(
 
     Stage k costs only the grid pressures of ``bands[k]`` (:func:`_bands`),
     and its costs and values span just that band.  A cost reads the next
-    stage's values at its cell less ``bands[k + 1].start``, which the bands
-    keep inside the next band, so each entry is the full grid's bit for bit.
+    stage's values at its cell less ``bands[k + 1].start``, and the next band
+    is the hull of those cells, so each entry is the full grid's bit for bit.
     """
     if modes not in _MODE_SETS:
         raise ValueError(f"modes must be one mode or both in Mode order, got {modes!r}")
@@ -354,7 +354,7 @@ def _values(
     for k in range(n - 1, -1, -1):
         band, width = bands[k], best.shape[2]
         # Stage k + 1's values of every mode in one row per layer, and each step's cell in it.
-        v = best.reshape(layers, -1)
+        v = best.reshape(layers, -1)   # equivalent mutant: -2, as numpy infers any negative size
         cell = table.cell[rows, band] + (shift * width - bands[k + 1].start)
         e = table.nxt[rows, band] - ref_seq[k]
         cost = v.take(cell, axis=1)                                  # (layer, mode, grid pressure, duty)
@@ -362,7 +362,7 @@ def _values(
         cost += v.take(cell + 1, axis=1) * table.frac[rows, band]
         cost += cfg.w_e * e * e + effort
         best = cost.min(axis=3)
-        if layers > 1:
+        if layers > 1:   # equivalent mutant: >=, as best[1:] is empty at one layer
             best[1:] = np.minimum(best[1:], best[:-1, ::-1] + cfg.w_sw)
         values[k] = {m: best[:, i] for i, m in enumerate(modes)}
         costs[k] = {m: cost[:, i] for i, m in enumerate(modes)}
@@ -397,12 +397,12 @@ def _forward(
     that pressure; a solve passes one dict to all its forward passes, which
     so never take one step twice.
 
-    ``costs`` and ``values`` span each stage's band (:func:`_bands`).  A value
-    read outside it, in an exact candidate's cost, raises
-    :class:`_OutOfBand` (:func:`_interp`).  The ranking's row lies in
-    the band: at stage 0 the band is the start's cell, and later the
-    pressure is the held step of a duty whose value read at the stage before
-    passed that index test, in the same cells.
+    ``costs`` and ``values`` span each stage's band (:func:`_bands`).  A held
+    step that does not fall along the pressure reads inside the next band;
+    where a table breaks that, the read raises :class:`_OutOfBand`
+    (:func:`_interp`).  The ranking's row lies in the band: at stage 0 the
+    band is the start's cell, and later the pressure is the held step of a
+    duty whose read at the stage before passed that test, in the same cells.
     """
     dt, w_e, w_u, w_sw = cfg.dt_pred, cfg.w_e, cfg.w_u, cfg.w_sw
     p_neg, inv_h = _grid(params)
@@ -470,7 +470,7 @@ def _solve(
     def run(bands: Bands) -> list[tuple[list[float], list[Mode]]]:
         backward = _values(table, ref_seq, cfg, modes, switches + 1, bands)
         passes = [_forward(p0, ref_seq, cfg, params, table, *backward, modes, switches, bands, held)]
-        if len(modes) > 1:
+        if len(modes) > 1:   # equivalent mutant: >=, as NMPC's extra pass is its own mode's, filtered out
             # With no switch left the switching pass is the constant-mode pass of the mode it took.
             passes += [_forward(p0, ref_seq, cfg, params, table, *backward, (m,), 0, bands, held)
                        for m in modes if switches or m != passes[0][1][0]]
@@ -479,7 +479,7 @@ def _solve(
     try:
         passes = run(_bands(table, p0, params, cfg.horizon_steps, modes))
     except _OutOfBand:
-        passes = run([_FULL] * (cfg.horizon_steps + 1))
+        passes = run([_FULL] * (cfg.horizon_steps + 1))   # equivalent mutant: + 2, as no pass reads a band past stage N
     solutions = [(rollout_cost(p0, u, m_seq, ref_seq, cfg, params, maps, load), u, m_seq) for u, m_seq in passes]
     cost, u, m_seq = min(solutions, key=lambda s: (s[0], _switches(s[2]), s[1][0]))
     return MpcSolution(u_seq=tuple(u), m_seq=tuple(m_seq), cost=cost, iterations=len(passes))

@@ -12,6 +12,7 @@ import warnings
 
 import pytest
 
+from pneuctrl import cli
 from pneuctrl.cli import main
 from pneuctrl.config import CONTROLLER_NAMES, default_scenario_dict, default_synthesis_dict, scenario_from_dict
 from pneuctrl.experiment import MAX_SUBSTEPS
@@ -762,3 +763,59 @@ def test_a_reference_at_the_edge_of_the_domain_runs(tmp_path, controller):
     stages = [[0, 0.1], [1e6, 0.1], [-1e6, 0.1]]
     path.write_text(json.dumps({"controller": controller, "reference": {"kind": "multi-step", "stages": stages}}))
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("command", CONFIG_COMMANDS)
+@pytest.mark.parametrize("text", ["[]", '"plant"'], ids=["array", "string"])
+def test_a_config_that_is_not_an_object_exits_2(tmp_path, capsys, command, text):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert main(config_argv(command, path, tmp_path)) == 2
+    kind = "synthesis" if command == "synthesize" else "scenario"
+    assert capsys.readouterr().err == f"config error: {kind} config must be a JSON object\n"
+
+
+@pytest.mark.parametrize("command, config, message", [
+    ("run", {"plant": 5}, "expected an object at config.plant"),
+    ("run", {"timing": []}, "expected an object at config.timing"),
+    ("synthesize", {"plant": 5}, "expected an object at config.plant"),
+    ("synthesize", {"synthesis": 3}, "expected an object at config.synthesis"),
+    ("synthesize", {"modes": []}, "config.modes must name at least one mode"),
+])
+def test_a_config_section_that_is_not_an_object_or_names_no_mode_exits_2(tmp_path, capsys, command, config, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(config_argv(command, path, tmp_path)) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("error", [OverflowError("rate left the float range"), ZeroDivisionError("float division")])
+def test_an_arithmetic_error_inside_a_command_exits_4(monkeypatch, capsys, error):
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_defaults", fail)
+    assert main(["defaults"]) == 4
+    assert capsys.readouterr().err == f"solver failure: {error}\n"
+
+
+def test_sysid_identifies_with_the_plant_of_its_config(tmp_path):
+    # The protocol comes from a channel of 3e-5 m^3, not the default 2e-5 m^3.  With that
+    # volume in --config the fit recovers the channel's conductances; with the default
+    # plant it reads them off by the volume ratio, 2/3.
+    plant = {"volume_m3": 3e-5}
+    synth, scenario, traces = tmp_path / "synth.json", tmp_path / "scenario.json", tmp_path / "traces"
+    synth.write_text(json.dumps({"plant": plant, "modes": ["inflation"]}))
+    scenario.write_text(json.dumps({"plant": plant}))
+    assert main(["synthesize", "--config", str(synth), "--out", str(traces)]) == 0
+    found = {}
+    for name, extra in [("config", ["--config", str(scenario)]), ("default", [])]:
+        out = tmp_path / name
+        assert main(["sysid", "--traces", str(traces), "--mode", "inflation", "--out", str(out), *extra]) == 0
+        conductances = json.loads((out / "identification.json").read_text())["conductances"]
+        found[name] = {key: c["value"] for key, c in conductances.items()}
+    assert found["config"]["c_oa"] == pytest.approx(6.94e-12, rel=5e-3)
+    assert found["config"]["c_po"] == pytest.approx(2.64e-10, rel=5e-3)
+    assert found["default"]["c_oa"] == pytest.approx(4.63e-12, rel=5e-3)
+    assert found["default"]["c_po"] == pytest.approx(1.76e-10, rel=5e-3)

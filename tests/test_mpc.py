@@ -9,8 +9,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mpc_reference import all_duties_solve, dense_oracle, descent_oracle, held_step_calls, held_steps, mode_sequences
+from mpc_reference import (
+    _all_duties_forward, all_duties_solve, dense_oracle, descent_oracle, held_step_calls, held_steps, mode_sequences,
+)
 from pneuctrl import mpc as mpc_mod
+from pneuctrl import plant as plant_mod
 from pneuctrl.experiment import MinmpcLoop, NmpcLoop, Reference, TimingConfig, compute_metrics, run_scenario
 from pneuctrl.mpc import MpcConfig, minmpc_solve, nmpc_solve, rollout_cost
 from pneuctrl.config import (
@@ -402,3 +405,149 @@ class TestRecedingHorizonClosedLoop:
         e = np.abs(traj.p_true - traj.p_ref) / 1000.0
         assert float(np.max(e)) <= 55.0
         assert metrics.e_ss <= 5.0
+
+
+def _zigzags(rng, count):
+    """``count`` seeded starts within 60 kPa of atmosphere and 10-step windows that
+    alternate 10–60 kPa above and below it every 2–5 steps."""
+    n, atm, out = default_mpc_config().horizon_steps, PARAMS.p_atm, []
+    for _ in range(count):
+        refs, sign = [], 1.0 if rng.random() < 0.5 else -1.0
+        while len(refs) < n:
+            refs += [atm + sign * float(rng.uniform(1e4, 6e4))] * int(rng.integers(2, 6))
+            sign = -sign
+        out.append((float(rng.uniform(atm - 6e4, atm + 6e4)), refs[:n]))
+    return out
+
+
+def _backward(table, p0, refs, cfg, modes, layers, banded=True):
+    bands = mpc_mod._bands(table, p0, PARAMS, len(refs), modes) if banded else [mpc_mod._FULL] * (len(refs) + 1)
+    return (*mpc_mod._values(table, refs, cfg, modes, layers, bands), bands)
+
+
+def test_the_switching_pass_alone_is_the_all_duties_pass():
+    """MI-NMPC's own switching pass, with ``max_switches`` left, against the pass that steps
+    every grid duty at every stage (``mpc_reference._all_duties_forward``), on 200 seeded
+    zigzag windows at 1 and 2 switches and ``w_sw`` 0, 0.01 and 1: equal under ``==``.
+
+    ``minmpc_solve`` keeps the least of this pass and NMPC's in each mode, so a fault in the
+    switching pass alone (the layer it reads after a switch, its stage cost, its ranking)
+    can hide behind them; here it cannot.
+    """
+    both, load = (Mode.DEFLATION, Mode.INFLATION), LOADS["fixed"]
+    table = mpc_mod._table(PARAMS, load, MAPS, default_mpc_config().dt_pred)
+    switched = 0
+    for i, (p0, refs) in enumerate(_zigzags(np.random.default_rng(42), 200)):
+        cfg = replace(default_mpc_config(), max_switches=1 + i % 2, w_sw=(0.0, 0.01, 1.0)[i % 3])
+        values, costs, bands = _backward(table, p0, refs, cfg, both, cfg.max_switches + 1)
+        u, m_seq = mpc_mod._forward(p0, refs, cfg, PARAMS, table, values, costs, both, cfg.max_switches, bands)
+        full, _, _ = _backward(table, p0, refs, cfg, both, cfg.max_switches + 1, banded=False)
+        assert (u, m_seq) == _all_duties_forward(p0, refs, cfg, PARAMS, table, full, both, cfg.max_switches, {})
+        switched += mpc_mod._switches(m_seq) > 0
+    assert switched > 100   # most passes do switch
+
+
+def test_on_equal_costs_a_stage_keeps_the_first_candidate():
+    # A one-step window whose reference is the shut valve's step: the shut valve costs 0 in
+    # either mode, its steps are equal, and the value after the horizon is 0.  The stage
+    # keeps the first mode, deflation, and so does MI-NMPC, whose passes then tie.
+    cfg, load = replace(default_mpc_config(), horizon_steps=1), LOADS["fixed"]
+    table = mpc_mod._table(PARAMS, load, MAPS, cfg.dt_pred)
+    p0 = PARAMS.p_atm + 4.0e4
+    refs = [table[Mode.DEFLATION].steps[0](p0, cfg.dt_pred)]
+    assert refs == [table[Mode.INFLATION].steps[0](p0, cfg.dt_pred)]
+    both = (Mode.DEFLATION, Mode.INFLATION)
+    values, costs, bands = _backward(table, p0, refs, cfg, both, 1)
+    shut = ([MAPS[Mode.DEFLATION].u_min], [Mode.DEFLATION])
+    assert mpc_mod._forward(p0, refs, cfg, PARAMS, table, values, costs, both, 0, bands) == shut
+    sol = minmpc_solve(p0, refs, cfg, PARAMS, MAPS, load)
+    assert (list(sol.u_seq), list(sol.m_seq), sol.cost, sol.iterations) == (*shut, 0.0, 2)
+
+
+class _Recorded(dict):
+    """A held-step memo that records the (mode, duty index, pressure) of each step a forward pass looks up."""
+
+    def __init__(self):
+        super().__init__()
+        self.order = []
+
+    def get(self, key, default=None):
+        self.order.append(key)
+        return super().get(key, default)
+
+
+def _walk(cost, jq):
+    """The duty indices a stage steps, in order: ``jq``, leftward while the exact ``cost``
+    falls, then rightward from ``jq + 1`` while it falls below the one before."""
+    order, j = [jq], jq - 1
+    while j >= 0:
+        order.append(j)
+        if not cost[j] < cost[j + 1]:
+            break
+        j -= 1
+    j = jq + 1
+    while j < len(cost):
+        order.append(j)
+        if not cost[j] < cost[j - 1]:
+            break
+        j += 1
+    return order
+
+
+def _assert_stages_walk(table, cfg, problems, mode):
+    """NMPC's forward pass in ``mode`` starts each stage at the duty whose backward-pass cost,
+    interpolated at the exact pressure (``np.interp``), is least, and steps the duties
+    :func:`_walk` names from it."""
+    p_neg, inv_h = mpc_mod._grid(PARAMS)
+    grid, a = np.linspace(PARAMS.p_neg, PARAMS.p_pos, mpc_mod.GRID_PRESSURES), table[mode]
+    for p0, refs in problems:
+        values, costs, bands = _backward(table, p0, refs, cfg, (mode,), 1)
+        full, full_costs, _ = _backward(table, p0, refs, cfg, (mode,), 1, banded=False)
+        held = _Recorded()
+        u, _ = mpc_mod._forward(p0, refs, cfg, PARAMS, table, values, costs, (mode,), 0, bands, held)
+        p = p0
+        for k, r in enumerate(refs):
+            stage = [j for m, j, q in held.order if q == p]
+            ranked = [np.interp(p, grid, column) for column in full_costs[k][mode][0].T[:len(a.duties)]]
+            assert ranked[stage[0]] <= min(ranked) * (1 + 1e-12)
+            cost = []
+            for x, step in zip(a.fractions, a.steps):
+                q = step(p, cfg.dt_pred)
+                e, v = q - r, full[k + 1][mode][0].tolist()
+                cost.append(cfg.w_e * e * e + cfg.w_u * x * x + mpc_mod._interp(v, 0, q, p_neg, inv_h))
+            assert stage == _walk(cost, stage[0])
+            p = held[mode, a.duties.index(u[k]), p]
+
+
+@pytest.mark.parametrize("w_u", [1e-2, 10.0])
+@pytest.mark.parametrize("load", ["fixed", "bellow"])
+def test_a_stage_steps_the_duties_its_walk_names(load, w_u):
+    # The default effort weight, and one at which the effort term outweighs the tracking term.
+    cfg = replace(default_mpc_config(), w_u=w_u)
+    table = mpc_mod._table(PARAMS, LOADS[load], MAPS, cfg.dt_pred)
+    for mode in Mode:
+        _assert_stages_walk(table, cfg, _windows(np.random.default_rng(9), 12), mode)
+
+
+def test_a_stage_stops_its_walk_at_an_equal_cost():
+    # Each duty of the default table is entered twice, so a walk meets equal exact costs
+    # next to each other, and stops at the second of them.
+    cfg = default_mpc_config()
+    full = mpc_mod._table(PARAMS, LOADS["fixed"], MAPS, cfg.dt_pred)
+    rows = []
+    for m in Mode:
+        a, nxt = full[m], full.nxt[m, :, :len(full[m].duties)].T.tolist()
+        rows.append(tuple([x for x in seq for _ in range(2)] for seq in (a.duties, a.fractions, a.steps, nxt)))
+    table = mpc_mod._stack(rows, PARAMS)
+    for mode in Mode:
+        _assert_stages_walk(table, cfg, _windows(np.random.default_rng(10), 6), mode)
+
+
+def test_the_references_are_held_within_twice_the_declared_gauge_reach():
+    cfg, bound = default_mpc_config(), 2.0 * plant_mod.PA_MAX
+    for edge in (bound, -bound):
+        refs = [edge] * cfg.horizon_steps
+        assert math.isfinite(minmpc_solve(PARAMS.p_atm, refs, cfg, PARAMS, MAPS, LOADS["fixed"]).cost)
+        refs[-1] = math.nextafter(edge, 2.0 * edge)
+        with pytest.raises(ValueError, match="ref_seq"):
+            minmpc_solve(PARAMS.p_atm, refs, cfg, PARAMS, MAPS, LOADS["fixed"])

@@ -1,7 +1,7 @@
 """The MPC backward pass costs only the pressure band the forward pass can read, and no solution depends on it.
 
 ``mpc._bands`` gives each stage's band of grid pressures: the start's cell at
-stage 0, then the transition table's reach from the band before;
+stage 0, then exactly the transition table's reach from the band before;
 ``mpc._values`` costs only those and keeps each stage's values on its band,
 and a forward pass that reads outside them (``mpc._interp``'s index test)
 reruns the solve on the full grid.  Every solution, with bands or with every
@@ -97,7 +97,7 @@ def test_the_bands_change_no_solution_of_the_benchmark_and_miss_no_read(load_nam
     assert calls[0] == len(solves)   # one backward pass each: no solve reran on the full grid
 
 
-def test_a_band_is_the_reach_of_the_one_before_it_widened_by_a_cell():
+def test_a_band_is_the_reach_of_the_one_before_it():
     cfg = default_mpc_config()
     table = mpc_mod._table(PARAMS, default_load(), MAPS, cfg.dt_pred)
     p0, modes = PARAMS.p_atm - 3.0e4, (Mode.DEFLATION, Mode.INFLATION)
@@ -108,10 +108,30 @@ def test_a_band_is_the_reach_of_the_one_before_it_widened_by_a_cell():
     assert len(bands) == cfg.horizon_steps + 1 and bands[0] == slice(i, i + 2)
     for band, nxt in zip(bands, bands[1:]):
         reach = [(table.cell[m, band].min(), table.cell[m, band].max() + 1) for m in modes]
-        assert (nxt.start, nxt.stop) == (min(lo for lo, _ in reach) - 1, max(hi for _, hi in reach) + 2)
+        assert (nxt.start, nxt.stop) == (min(lo for lo, _ in reach), max(hi for _, hi in reach) + 1)
     # Each band holds the one before it, and all of them lie well inside the grid.
     assert all(a.start >= b.start and a.stop <= b.stop for a, b in zip(bands, bands[1:]))
     assert bands[-1].stop - bands[-1].start < mpc_mod.GRID_PRESSURES // 2
+
+
+@pytest.mark.parametrize("dt_pred", [0.01, 0.02, 0.05])
+@pytest.mark.parametrize("load_name", ["fixed", "bellow"])
+def test_every_default_table_step_rises_along_the_grid(load_name, dt_pred):
+    """Each mode's tabled held steps do not fall from one grid pressure to the next.
+
+    That is all the band rule needs: a step that does not fall along the
+    pressure maps a pressure between two grid pressures of a band between
+    their steps, so into the next band, and a forward pass from an exact
+    pressure reads in band.  A table that breaks it is covered by the
+    full-grid rerun (``test_a_read_outside_the_bands_reruns_the_solve_on_the_full_grid``).
+    Measured: the least rise per cell is 865 Pa at 0.01 s and 431 Pa at
+    0.02 s, both on the bellow; at 0.05 s it is 0, where steps clamp at a
+    rail.
+    """
+    table = mpc_mod._table(PARAMS, LOADS[load_name], MAPS, dt_pred)
+    for m in Mode:
+        steps = table.nxt[m, :, :len(table[m].duties)]   # (grid pressure, duty)
+        assert (np.diff(steps, axis=0) >= 0.0).all()
 
 
 ATM = PARAMS.p_atm
@@ -198,3 +218,25 @@ def test_a_read_of_a_whole_grid_row_never_raises(p):
     # interpolate to the pressure's place on the grid.
     place = mpc_mod._interp([float(i) for i in range(mpc_mod.GRID_PRESSURES)], 0, p, P_NEG, INV_H)
     assert place == pytest.approx((p - P_NEG) * INV_H, abs=1e-9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=START)
+@example(p=PARAMS.p_neg - 2.0e4)
+@example(p=PARAMS.p_neg)
+@example(p=float(np.nextafter(PARAMS.p_pos, 0.0)))
+@example(p=PARAMS.p_pos)
+@example(p=PARAMS.p_pos + 2.0e4)
+def test_the_forward_pass_and_the_table_split_a_pressure_alike(p):
+    # mpc._cell ranks a start, up to 20 kPa past a rail, at that rail; mpc._cells splits
+    # the table's steps, which lie within the rails.  Each gives a cell whose right end is
+    # a grid pressure and a place in it, and within the rails they agree.
+    top = mpc_mod.GRID_PRESSURES - 2
+    i, f = mpc_mod._cell(p, P_NEG, INV_H)
+    assert 0 <= i <= top and -1e-9 <= f <= 1.0 + 1e-9
+    if p < PARAMS.p_neg or p > PARAMS.p_pos:
+        assert (i, f) == ((0, 0.0) if p < PARAMS.p_neg else (top, 1.0))
+        return
+    cell, place = mpc_mod._cells(np.array([p]), P_NEG, INV_H)
+    assert 0 <= cell[0] <= top and -1e-9 <= place[0] <= 1.0 + 1e-9
+    assert cell[0] == i and place[0] == pytest.approx(f, abs=1e-9)
