@@ -148,11 +148,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("module", help="the module to mutate, a path under the repository root")
     parser.add_argument("tests", nargs="+", help="the test files or ids to run, as paths under the root")
-    parser.add_argument("--root", default=".", help="the repository root to copy (default: the working directory)")
     parser.add_argument("--changed-since", metavar="REV", help="mutate only lines that git diff REV adds or changes")
     args = parser.parse_args(argv)
 
-    root = Path(args.root).resolve()
+    root = Path.cwd()
     module = Path(args.module).resolve().relative_to(root)
     text = (root / module).read_text()
     sites = mutants(text)

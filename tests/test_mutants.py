@@ -35,7 +35,8 @@ TESTS = textwrap.dedent("""\
 
 
 @pytest.fixture
-def repo(tmp_path):
+def repo(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     (tmp_path / "src").mkdir()
     (tmp_path / "tests").mkdir()
     (tmp_path / "src" / "fixmod.py").write_text(MODULE)
@@ -43,8 +44,8 @@ def repo(tmp_path):
     return tmp_path
 
 
-def _run(repo, *options):
-    return mutants.main(["--root", str(repo), *options, str(repo / "src" / "fixmod.py"), "tests/test_fixmod.py"])
+def _run(*options):
+    return mutants.main([*options, "src/fixmod.py", "tests/test_fixmod.py"])
 
 
 def test_the_sites_are_the_operators_and_small_constants_of_function_bodies():
@@ -57,7 +58,7 @@ def test_the_sites_are_the_operators_and_small_constants_of_function_bodies():
 
 
 def test_it_reports_the_survivor_and_kills_the_other_mutant(repo, capsys):
-    assert _run(repo) == 0
+    assert _run() == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "src/fixmod.py: 2 mutants"
     assert out[1] == "survived: clamp, line 6 column 19, < -> <=:  return x if x < hi else hi"
@@ -71,7 +72,7 @@ def test_changed_since_keeps_only_the_changed_lines(repo, capsys):
     subprocess.run([*git, "add", "-A"], check=True)
     subprocess.run([*git, "commit", "-q", "-m", "fixture"], check=True)
     (repo / "src" / "fixmod.py").write_text(MODULE.replace("a + b", "b + a"))
-    assert _run(repo, "--changed-since", "HEAD") == 0
+    assert _run("--changed-since", "HEAD") == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "src/fixmod.py: 1 mutants"
     assert out[-1] == "killed 1 of 1 mutants (100.0 %), 0 survived"
@@ -88,6 +89,6 @@ def test_an_interrupt_leaves_the_checkout_as_it_was(repo, monkeypatch):
 
     monkeypatch.setattr(mutants, "_run_tests", interrupted)
     with pytest.raises(KeyboardInterrupt):
-        _run(repo)
+        _run()
     assert (repo / "src" / "fixmod.py").read_text() == MODULE
     assert runs[0] != repo and not runs[0].exists()   # the copy it mutated is gone
