@@ -1,14 +1,15 @@
 """Command-line entry points.
 
 Thin bindings over the library: every behavior here is reachable through
-the modules directly.  Exit codes: 0 ok, 2 config error, 3 data error,
-4 solver failure.
+the modules directly.  Exit codes: 0 ok, also when the reader of standard
+output closed it, 2 config error, 3 data error, 4 solver failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -207,7 +208,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()   # so a closed reader shows here, not in the interpreter's exit flush
+        return code
+    except BrokenPipeError:
+        # The reader of stdout closed it; a command prints after writing its files.  As Python's
+        # signal docs advise, point stdout at devnull, where the exit flush drops what is left.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

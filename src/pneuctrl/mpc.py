@@ -14,12 +14,13 @@ discrete, states.  A solve has three parts:
   every grid pressure, built once per channel, load, maps and ``dt_pred``.
   One copy of its arrays serves both modes: pressure-major, ``(mode,
   pressure, duty)``, stacked in ``Mode`` order, a mode with fewer duties
-  padded with its top duty, which changes no result (:func:`_stack`);
+  padded with its top duty, which changes no result (:func:`_stack`), and
+  laid out as the backward pass reads it, with each mode set's reach;
 - a backward pass (:func:`_values`): the cost of every grid duty from each
   grid pressure of a stage's band, reading the next stage's value by linear
-  interpolation, and its least, the cost to go.  A stage is one numpy pass
-  for every mode of the solve, each entry formed as a pass per mode forms
-  it;
+  interpolation, and its least, the cost to go.  A stage is one gather and
+  numpy pass for every mode of the solve, each entry formed as a pass per
+  mode forms it;
 - a forward pass (:func:`_forward`) from the exact start pressure, which
   at every stage steps the duties around the one the backward pass's costs
   rank best, and keeps the duty of least exact cost.  So every returned
@@ -28,11 +29,11 @@ discrete, states.  A solve has three parts:
 
 A stage's band (:func:`_bands`) is the grid pressures the forward pass can
 read there: at stage 0 the two grid pressures of the start's cell, then the
-hull of the cells, with their right ends, of the table's steps from the band
-before.  A held step that does not fall along the pressure maps a band's
-cell into the next band, so the forward pass's steps from exact pressures
-read in band; the backward pass costs about 15 % of the grid's entries for
-MI-NMPC and 9 % for NMPC on the benchmark's problems.  A read tests its
+table's reach from the band before, the hull of the cells, with their right
+ends, of its steps.  A held step that does not fall along the pressure maps
+a band's cell into the next band, so the forward pass's steps from exact
+pressures read in band; the backward pass costs about 15 % of the grid's
+entries for MI-NMPC and 9 % for NMPC on the benchmark's problems.  A read tests its
 cell against the band, and one outside it, where a table's step falls,
 raises; the solve then reruns with every band the whole grid.  Each value
 is the full grid's bit for bit, so no solution depends on the bands.
@@ -78,6 +79,8 @@ from .valvemap import SpoolMap, eval_spool, invert_spool, spool_range
 # fractions spanning each mode's spool_range.
 GRID_PRESSURES = 200
 GRID_FRACTIONS = 21
+# The mode sets the backward pass stacks: one mode, or both in Mode order.
+_MODE_SETS = ((Mode.DEFLATION,), (Mode.INFLATION,), (Mode.DEFLATION, Mode.INFLATION))
 
 
 @dataclass(frozen=True)
@@ -156,18 +159,11 @@ def rollout_cost(
 
 @dataclass(frozen=True)
 class _Actions:
-    """One mode's grid duties, their spool fractions and held steps, and the reach of its steps.
-
-    ``low[i]`` and ``high[i]`` are the least ``cell`` and the greatest ``cell
-    + 1`` of any of the mode's steps from grid pressure ``i`` (:class:`_Table`):
-    the grid pressures its steps are interpolated between.
-    """
+    """One mode's grid duties, their spool fractions and held steps."""
 
     duties: tuple[float, ...]              # ascending
     fractions: tuple[float, ...]           # the spool fraction of each duty
     steps: tuple[plant_mod.HeldStep, ...]  # the held step of each duty
-    low: list[int]
-    high: list[int]
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,14 +179,22 @@ class _Table:
     :func:`_interp` does at one pressure.  ``fractions[m, j]`` is the duty's
     spool fraction.  A mode with fewer duties than the other fills the last
     columns with its top duty's (:func:`_stack`).
+
+    For the backward pass, ``at`` is a step's two reads, ``cell + m *
+    GRID_PRESSURES`` and one more, flat over ``(mode, grid pressure)``, with
+    weights ``(frac0, frac)``, whose views those fields are; ``reach[modes]``
+    is the least ``cell`` and greatest ``cell + 1`` by grid pressure.
     """
 
     actions: tuple[_Actions, _Actions]
     nxt: np.ndarray        # (mode, grid pressure, duty)
     cell: np.ndarray       # (mode, grid pressure, duty)
-    frac: np.ndarray       # (mode, grid pressure, duty)
-    frac0: np.ndarray      # (mode, grid pressure, duty)
+    frac: np.ndarray       # (mode, grid pressure, duty), weight[1]
+    frac0: np.ndarray      # (mode, grid pressure, duty), weight[0]
     fractions: np.ndarray  # (mode, duty)
+    at: np.ndarray         # (read, mode, grid pressure, duty)
+    weight: np.ndarray     # (read, mode, grid pressure, duty)
+    reach: dict            # mode set -> (least cell, greatest cell + 1), each by grid pressure
 
     def __getitem__(self, m: Mode) -> _Actions:
         return self.actions[m]
@@ -264,7 +268,7 @@ def _stack(modes: Sequence[tuple], params: PlantParams) -> _Table:
     own ``len(steps)`` duties, so it never steps a padded duty.  A padded
     column's costs equal the top duty's, so it leaves every minimum over the
     duties unchanged, and, as ``argmin`` returns the first of equal entries,
-    a ranking never starts at it.
+    a ranking never starts at it, and it widens no reach.
     """
     width = max(len(duties) for duties, *_ in modes)
 
@@ -273,10 +277,14 @@ def _stack(modes: Sequence[tuple], params: PlantParams) -> _Table:
 
     nxt = np.ascontiguousarray(np.array([pad(rows) for *_, rows in modes]).transpose(0, 2, 1))
     cell, frac = _cells(nxt, *_grid(params))
-    actions = tuple(_Actions(tuple(duties), tuple(fractions), tuple(steps),
-                             c.min(axis=1).tolist(), (c + 1).max(axis=1).tolist())
-                    for (duties, fractions, steps, _), c in zip(modes, cell))
-    return _Table(actions, nxt, cell, frac, 1.0 - frac, np.array([pad(fractions) for _, fractions, *_ in modes]))
+    # Equivalent mutant: + -> -, as take wraps a negative index round the value row, two modes long.
+    at = cell + (np.arange(len(modes)) * GRID_PRESSURES)[:, None, None]
+    weight = np.stack((1.0 - frac, frac))
+    reach = {ms: (cell[list(ms)].min(axis=(0, 2)).tolist(), (cell[list(ms)].max(axis=(0, 2)) + 1).tolist())
+             for ms in _MODE_SETS}
+    actions = tuple(_Actions(tuple(duties), tuple(fractions), tuple(steps)) for duties, fractions, steps, _ in modes)
+    return _Table(actions, nxt, cell, weight[1], weight[0], np.array([pad(fractions) for _, fractions, *_ in modes]),
+                  np.stack((at, at + 1)), weight, reach)
 
 
 # The least cost to go by stage k = 0..N (0 after the horizon) and mode of step
@@ -289,8 +297,6 @@ Costs = list[dict[Mode, np.ndarray]]
 Bands = list[slice]
 
 _FULL = slice(0, GRID_PRESSURES)
-# The mode sets the backward pass stacks: one mode, or both in Mode order.
-_MODE_SETS = ((Mode.DEFLATION,), (Mode.INFLATION,), (Mode.DEFLATION, Mode.INFLATION))
 
 
 def _bands(table: _Table, p0: float, params: PlantParams, n: int, modes: tuple[Mode, ...]) -> Bands:
@@ -299,18 +305,17 @@ def _bands(table: _Table, p0: float, params: PlantParams, n: int, modes: tuple[M
     Stage 0's band is the two grid pressures of the cell the forward pass
     ranks ``p0`` in (:func:`_cell`), and stage k + 1's the hull of the cells,
     with their right ends, that the table's steps of every duty of ``modes``
-    from stage k's band land in.  So an in-band cost reads only in-band
-    values, and a held step that does not fall along the pressure reads in
-    band; where a table breaks that, the read is caught (:class:`_OutOfBand`)
-    and the solve reruns on the full grid.
+    from stage k's band land in (``table.reach``).  So an in-band cost reads
+    only in-band values, and a held step that does not fall along the
+    pressure reads in band; where a table breaks that, the read is caught
+    (:class:`_OutOfBand`) and the solve reruns on the full grid.
     """
+    low, high = table.reach[modes]
     i, _ = _cell(p0, *_grid(params))
     bands = [slice(i, i + 2)]
     for _ in range(n):
         band = bands[-1]
-        lo = min(min(table[m].low[band]) for m in modes)
-        hi = max(max(table[m].high[band]) for m in modes)
-        bands.append(slice(lo, hi + 1))
+        bands.append(slice(min(low[band]), max(high[band]) + 1))
     return bands
 
 
@@ -329,16 +334,22 @@ def _values(
 
     ``modes`` is one mode, or both in ``Mode`` order, and a layer with a
     switch left needs both; anything else raises ValueError.  Each stage is
-    one numpy pass over the table's stacked rows of ``modes``, each entry
-    formed by the same operations in the same order as a pass per mode; a
-    mode's padded columns (:func:`_stack`) cost what its top duty costs.
-    ``values[k][m]`` and ``costs[k][m]`` are views of the stage's stacked
-    arrays.
+    one numpy pass over the table's stacked rows of ``modes``: one gather
+    of both reads of every step (``table.at``) from a grid of the next
+    stage's values, ``(layer, mode, grid pressure)`` seen as a row per layer.
+    Each cost entry is ``(v0 * w0 + v1 * w1) + stage``, with the stage cost
+    ``w_e * e * e + effort`` formed in place in that order, as a pass per
+    mode forms it; a mode's padded columns (:func:`_stack`) cost what its top
+    duty costs.  At stage N - 1 every next value is +0.0, so each cost is its
+    stage cost, broadcast over the layers (at a weight of -0.0 a zero cost
+    there keeps its sign, unseen by any comparison).  ``values[k][m]`` and
+    ``costs[k][m]`` are views of the stage's arrays, never of the grid.
 
-    Stage k costs only the grid pressures of ``bands[k]`` (:func:`_bands`),
-    and its costs and values span just that band.  A cost reads the next
-    stage's values at its cell less ``bands[k + 1].start``, and the next band
-    is the hull of those cells, so each entry is the full grid's bit for bit.
+    Stage k costs and writes only the grid pressures of ``bands[k]``
+    (:func:`_bands`).  By the band rule it reads only cells of ``bands[k +
+    1]``, which stage k + 1 wrote; grid entries outside a band may be stale,
+    but nothing reads them, and on the full grid every stage writes every
+    entry.  So each entry is the full grid's bit for bit.
     """
     if modes not in _MODE_SETS:
         raise ValueError(f"modes must be one mode or both in Mode order, got {modes!r}")
@@ -346,24 +357,29 @@ def _values(
         raise ValueError(f"{layers} layers need both modes: a switch takes the other mode")
     n, rows = cfg.horizon_steps, slice(modes[0], modes[-1] + 1)   # the table's stacked rows of modes
     effort = (cfg.w_u * table.fractions[rows] ** 2)[:, None]        # (mode, 1, duty)
-    shift = np.arange(len(modes))[:, None, None]
+    grid = np.zeros((layers, len(Mode), GRID_PRESSURES))            # (layer, mode, grid pressure)
+    v = grid.reshape(layers, -1)   # equivalent mutant: -2, as numpy infers any negative size
     last = bands[n]
     best = np.zeros((layers, len(modes), last.stop - last.start))   # (layer, mode, grid pressure)
     values: Values = [{} for _ in range(n)] + [{m: best[:, i] for i, m in enumerate(modes)}]
     costs: Costs = [{} for _ in range(n)]
     for k in range(n - 1, -1, -1):
-        band, width = bands[k], best.shape[2]
-        # Stage k + 1's values of every mode in one row per layer, and each step's cell in it.
-        v = best.reshape(layers, -1)   # equivalent mutant: -2, as numpy infers any negative size
-        cell = table.cell[rows, band] + (shift * width - bands[k + 1].start)
+        band = bands[k]
         e = table.nxt[rows, band] - ref_seq[k]
-        cost = v.take(cell, axis=1)                                  # (layer, mode, grid pressure, duty)
-        cost *= table.frac0[rows, band]
-        cost += v.take(cell + 1, axis=1) * table.frac[rows, band]
-        cost += cfg.w_e * e * e + effort
+        stage = e * cfg.w_e
+        stage *= e
+        stage += effort
+        if k == n - 1:   # every next value is +0.0; equivalent mutant: n + 1, but for a zero's sign at a weight of -0.0
+            cost = np.broadcast_to(stage, (layers, *stage.shape))
+        else:
+            ends = v.take(table.at[:, rows, band], axis=1)   # (layer, read, mode, grid pressure, duty)
+            ends *= table.weight[:, rows, band]
+            cost = np.add(ends[:, 0], ends[:, 1])
+            cost += stage
         best = cost.min(axis=3)
         if layers > 1:   # equivalent mutant: >=, as best[1:] is empty at one layer
             best[1:] = np.minimum(best[1:], best[:-1, ::-1] + cfg.w_sw)
+        grid[:, rows, band] = best
         values[k] = {m: best[:, i] for i, m in enumerate(modes)}
         costs[k] = {m: cost[:, i] for i, m in enumerate(modes)}
     return values, costs

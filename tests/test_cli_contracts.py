@@ -8,7 +8,11 @@ covers.
 """
 
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -819,3 +823,25 @@ def test_sysid_identifies_with_the_plant_of_its_config(tmp_path):
     assert found["config"]["c_po"] == pytest.approx(2.64e-10, rel=5e-3)
     assert found["default"]["c_oa"] == pytest.approx(4.63e-12, rel=5e-3)
     assert found["default"]["c_po"] == pytest.approx(1.76e-10, rel=5e-3)
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("command", ["defaults", "run"])
+def test_a_closed_standard_output_exits_0_with_nothing_on_stderr(tmp_path, command, unbuffered):
+    # The reader of stdout closes it before the command prints, as `head` does once it has its
+    # lines: no data error, and run's files are written all the same.  Buffered, the print's
+    # write waits for a flush; unbuffered, the print writes.
+    config = tmp_path / "short.json"
+    config.write_text(json.dumps({"timing": {"duration_s": 0.5}}))
+    argv = {"defaults": ["defaults"], "run": ["run", "--config", str(config), "--out", str(tmp_path / "out")]}[command]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-m", "pneuctrl.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (0, b"")
+    if command == "run":
+        assert list(json.loads((tmp_path / "out" / "metrics.json").read_text())) == ["controller", "metrics"]

@@ -97,10 +97,13 @@ def test_the_bands_change_no_solution_of_the_benchmark_and_miss_no_read(load_nam
     assert calls[0] == len(solves)   # one backward pass each: no solve reran on the full grid
 
 
-def test_a_band_is_the_reach_of_the_one_before_it():
+@pytest.mark.parametrize("p0", [PARAMS.p_neg - 2.0e4, PARAMS.p_neg, PARAMS.p_atm - 3.0e4, PARAMS.p_pos,
+                                PARAMS.p_pos + 2.0e4],
+                         ids=["past-low-rail", "low-rail", "mid", "high-rail", "past-high-rail"])
+@pytest.mark.parametrize("modes", mpc_mod._MODE_SETS, ids=["deflation", "inflation", "both"])
+def test_a_band_is_the_reach_of_the_one_before_it(modes, p0):
     cfg = default_mpc_config()
     table = mpc_mod._table(PARAMS, default_load(), MAPS, cfg.dt_pred)
-    p0, modes = PARAMS.p_atm - 3.0e4, (Mode.DEFLATION, Mode.INFLATION)
     bands = mpc_mod._bands(table, p0, PARAMS, cfg.horizon_steps, modes)
     # One band per stage 0..N: stage 0 is the two grid pressures of the start's cell; stage
     # N, after the horizon, is the reach of stage N - 1 like every other.
