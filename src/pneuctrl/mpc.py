@@ -340,10 +340,8 @@ def _values(
     Each cost entry is ``(v0 * w0 + v1 * w1) + stage``, with the stage cost
     ``w_e * e * e + effort`` formed in place in that order, as a pass per
     mode forms it; a mode's padded columns (:func:`_stack`) cost what its top
-    duty costs.  At stage N - 1 every next value is +0.0, so each cost is its
-    stage cost, broadcast over the layers (at a weight of -0.0 a zero cost
-    there keeps its sign, unseen by any comparison).  ``values[k][m]`` and
-    ``costs[k][m]`` are views of the stage's arrays, never of the grid.
+    duty costs.  ``values[k][m]`` and ``costs[k][m]`` are views of the
+    stage's arrays, never of the grid.
 
     Stage k costs and writes only the grid pressures of ``bands[k]``
     (:func:`_bands`).  By the band rule it reads only cells of ``bands[k +
@@ -369,13 +367,10 @@ def _values(
         stage = e * cfg.w_e
         stage *= e
         stage += effort
-        if k == n - 1:   # every next value is +0.0; equivalent mutant: n + 1, but for a zero's sign at a weight of -0.0
-            cost = np.broadcast_to(stage, (layers, *stage.shape))
-        else:
-            ends = v.take(table.at[:, rows, band], axis=1)   # (layer, read, mode, grid pressure, duty)
-            ends *= table.weight[:, rows, band]
-            cost = np.add(ends[:, 0], ends[:, 1])
-            cost += stage
+        ends = v.take(table.at[:, rows, band], axis=1)   # (layer, read, mode, grid pressure, duty)
+        ends *= table.weight[:, rows, band]
+        cost = np.add(ends[:, 0], ends[:, 1])
+        cost += stage
         best = cost.min(axis=3)
         if layers > 1:   # equivalent mutant: >=, as best[1:] is empty at one layer
             best[1:] = np.minimum(best[1:], best[:-1, ::-1] + cfg.w_sw)

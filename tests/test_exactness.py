@@ -283,11 +283,11 @@ MODE_SETS = [((DEFL,), 1), ((INFL,), 1), ((DEFL, INFL), 1), ((DEFL, INFL), 2), (
     load_name=st.sampled_from(["fixed", "bellow"]),
     modes_layers=st.sampled_from(MODE_SETS),
     banded=st.booleans(),
-    weights=st.tuples(st.just(0.0) | st.floats(1e-9, 1e-3), st.just(0.0) | st.floats(1e-4, 10.0),
-                      st.just(0.0) | st.floats(1e-3, 100.0)),
+    weights=st.tuples(*(st.sampled_from([0.0, -0.0]) | st.floats(lo, hi)
+                        for lo, hi in [(1e-9, 1e-3), (1e-4, 10.0), (1e-3, 100.0)])),
 )
 def test_the_backward_pass_over_stacked_modes_is_a_pass_per_mode(p0, refs, load_name, modes_layers, banded, weights):
-    # Horizon 1 is the last stage alone, whose next values are all zero; each weight may be 0.
+    # Horizon 1 is the last stage alone, whose next values are all zero; each weight may be 0 or -0.0.
     w_e, w_u, w_sw = weights
     cfg = replace(default_mpc_config(), horizon_steps=len(refs), w_e=w_e, w_u=w_u, w_sw=w_sw)
     (modes, layers), table = modes_layers, mpc_mod._table(PARAMS, LOADS[load_name], MAPS, cfg.dt_pred)
