@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import time
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -334,8 +335,10 @@ def run_scenario(
     p = reference_at(ref, 0.0, params.p_atm)[0] if p_init is None else p_init
     hold = plant_mod.rk4_hold(params, load)
 
-    rows_t, rows_ref, rows_true, rows_meas = [], [], [], []
-    rows_u, rows_mode, rows_ct, rows_s, rows_x = [], [], [], [], []
+    # One typed buffer per logged column, so no boxed float outlives its tick;
+    # ``mode``'s holds numpy's ``int``, whose character code the array module shares.
+    rows_t, rows_ref, rows_true, rows_meas, rows_u, rows_ct, rows_s, rows_x = (array("d") for _ in range(8))
+    rows_mode = array(np.dtype(int).char)
     flags: list[str] = []
 
     # Each event, in substep order, then the plant steps up to the next one.
@@ -366,15 +369,15 @@ def run_scenario(
         j += n_steps
 
     return Trajectory(
-        t=np.asarray(rows_t),
-        p_ref=np.asarray(rows_ref),
-        p_true=np.asarray(rows_true),
-        p_meas=np.asarray(rows_meas),
-        u=np.asarray(rows_u),
-        mode=np.asarray(rows_mode, dtype=int),
-        ct=np.asarray(rows_ct),
-        s=np.asarray(rows_s),
-        x_star=np.asarray(rows_x),
+        t=np.frombuffer(rows_t),
+        p_ref=np.frombuffer(rows_ref),
+        p_true=np.frombuffer(rows_true),
+        p_meas=np.frombuffer(rows_meas),
+        u=np.frombuffer(rows_u),
+        mode=np.frombuffer(rows_mode, dtype=int),
+        ct=np.frombuffer(rows_ct),
+        s=np.frombuffer(rows_s),
+        x_star=np.frombuffer(rows_x),
         flags=flags,
         duration=duration,
     )
@@ -486,17 +489,23 @@ def compute_metrics(traj: Trajectory, ref: Reference) -> MetricsReport:
     return MetricsReport(**reduced, ct_mean=float(np.mean(traj.ct)), per_window=per)
 
 
+# Rows ``write_trajectory_csv`` formats at a time: its memory is one block's.
+CSV_BLOCK_ROWS = 1024
+
+
 def write_trajectory_csv(traj: Trajectory, path, p_atm: float) -> None:
     """Write the control-tick log as CSV with pressures in gauge kPa."""
-    columns = (
-        traj.t.tolist(),
-        ((traj.p_ref - p_atm) / 1000.0).tolist(),
-        ((traj.p_true - p_atm) / 1000.0).tolist(),
-        ((traj.p_meas - p_atm) / 1000.0).tolist(),
-        traj.u.tolist(),
-        traj.mode.tolist(),
-        np.rint(traj.ct * 1e6).astype(int).tolist(),   # round(): half to even
-    )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t_s,pref_kpa,ptrue_kpa,pmeas_kpa,u_pct,mode,ct_us\n")
-        fh.writelines("%.4f,%.6f,%.6f,%.6f,%.4f,%d,%d\n" % row for row in zip(*columns))
+        for i in range(0, len(traj.t), CSV_BLOCK_ROWS):
+            rows = slice(i, i + CSV_BLOCK_ROWS)
+            columns = (
+                traj.t[rows].tolist(),
+                ((traj.p_ref[rows] - p_atm) / 1000.0).tolist(),
+                ((traj.p_true[rows] - p_atm) / 1000.0).tolist(),
+                ((traj.p_meas[rows] - p_atm) / 1000.0).tolist(),
+                traj.u[rows].tolist(),
+                traj.mode[rows].tolist(),
+                np.rint(traj.ct[rows] * 1e6).astype(int).tolist(),   # round(): half to even
+            )
+            fh.writelines("%.4f,%.6f,%.6f,%.6f,%.4f,%d,%d\n" % row for row in zip(*columns))

@@ -173,24 +173,21 @@ class _Table:
     ``table[m]`` is mode ``m``'s :class:`_Actions`.  The arrays hold one copy
     of both modes' steps, pressure-major and stacked in ``Mode`` order:
     ``nxt[m, i, j]`` is the step of mode ``m``'s duty ``j`` from grid pressure
-    ``i``; it lies in grid cell ``cell[m, i, j]`` at ``frac[m, i, j]`` of its
-    width, so a value ``v`` on the grid interpolates there to ``v[cell] *
-    frac0 + v[cell + 1] * frac``, with ``frac0 = 1 - frac``, as
-    :func:`_interp` does at one pressure.  ``fractions[m, j]`` is the duty's
-    spool fraction.  A mode with fewer duties than the other fills the last
-    columns with its top duty's (:func:`_stack`).
+    ``i``; it lies in grid cell ``cell`` at ``frac`` of its width
+    (:func:`_cells`), so a value ``v`` on the grid interpolates there to
+    ``v[cell] * (1 - frac) + v[cell + 1] * frac``, as :func:`_interp` does at
+    one pressure.  ``fractions[m, j]`` is the duty's spool fraction.  A mode
+    with fewer duties than the other fills the last columns with its top
+    duty's (:func:`_stack`).
 
     For the backward pass, ``at`` is a step's two reads, ``cell + m *
     GRID_PRESSURES`` and one more, flat over ``(mode, grid pressure)``, with
-    weights ``(frac0, frac)``, whose views those fields are; ``reach[modes]``
-    is the least ``cell`` and greatest ``cell + 1`` by grid pressure.
+    weights ``(1 - frac, frac)``; ``reach[modes]`` is the least ``cell`` and
+    greatest ``cell + 1`` by grid pressure.
     """
 
     actions: tuple[_Actions, _Actions]
     nxt: np.ndarray        # (mode, grid pressure, duty)
-    cell: np.ndarray       # (mode, grid pressure, duty)
-    frac: np.ndarray       # (mode, grid pressure, duty), weight[1]
-    frac0: np.ndarray      # (mode, grid pressure, duty), weight[0]
     fractions: np.ndarray  # (mode, duty)
     at: np.ndarray         # (read, mode, grid pressure, duty)
     weight: np.ndarray     # (read, mode, grid pressure, duty)
@@ -283,7 +280,7 @@ def _stack(modes: Sequence[tuple], params: PlantParams) -> _Table:
     reach = {ms: (cell[list(ms)].min(axis=(0, 2)).tolist(), (cell[list(ms)].max(axis=(0, 2)) + 1).tolist())
              for ms in _MODE_SETS}
     actions = tuple(_Actions(tuple(duties), tuple(fractions), tuple(steps)) for duties, fractions, steps, _ in modes)
-    return _Table(actions, nxt, cell, weight[1], weight[0], np.array([pad(fractions) for _, fractions, *_ in modes]),
+    return _Table(actions, nxt, np.array([pad(fractions) for _, fractions, *_ in modes]),
                   np.stack((at, at + 1)), weight, reach)
 
 

@@ -188,8 +188,10 @@ def reference_values(table, ref_seq, cfg, modes, layers, bands):
     last = bands[n]
     values = [{} for _ in range(n)] + [dict.fromkeys(modes, np.zeros((layers, last.stop - last.start)))]
     costs = [{} for _ in range(n)]
-    arrays = {m: [a[m, :, :len(table[m].duties)].T for a in (table.nxt, table.cell, table.frac, table.frac0)]
-              for m in modes}
+    # The table keeps each step's reads and weights; its cell is the first read less the mode's offset.
+    split = (table.nxt, table.at[0] - (np.arange(len(Mode)) * mpc_mod.GRID_PRESSURES)[:, None, None],
+             table.weight[1], table.weight[0])
+    arrays = {m: [a[m, :, :len(table[m].duties)].T for a in split] for m in modes}
     effort = {m: (cfg.w_u * np.array(table[m].fractions) ** 2)[:, None] for m in modes}
     for k in range(n - 1, -1, -1):
         band = bands[k]

@@ -1,10 +1,12 @@
 import math
+import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from pneuctrl.config import default_mpc_config
+from pneuctrl.config import default_mpc_config, default_multi_step_reference, default_timing
 from pneuctrl.experiment import (
     DmSmcLoop,
     MinmpcLoop,
@@ -280,6 +282,57 @@ class TestTrajectoryCsv:
             rows = [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
             outs.append(rows)
         assert outs[0] == outs[1]
+
+
+class TestLogMemory:
+    """A run keeps its log in float64 buffers, and the CSV writer formats one block of rows at a time."""
+
+    @staticmethod
+    def traced_peak(fn, *args):
+        """``fn(*args)`` and the peak of the memory it traced, in bytes."""
+        tracemalloc.start()
+        try:
+            out = fn(*args)
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_a_run_traces_at_most_200_bytes_a_control_tick(self, params, maps, pid_gains, supervisor, load):
+        # The default multi-step stages four times over: 260 s, 26,000 ticks at 100 Hz.
+        ref = Reference.multi_step(list(default_multi_step_reference().stages) * 4)
+        timing = default_timing()
+
+        def run(ref):
+            ctrl = PidLoop(pid_gains, supervisor, dt=1.0 / timing.control_rate)
+            return run_scenario(ref, ctrl, timing, params, maps, load)
+
+        # An untraced run first, so that what a process builds once is not counted.  It runs under a
+        # no-op profile hook, which has CPython 3.11 give each generated held step the line array
+        # tracemalloc reads on every allocation: without one the traced run takes ten times as long.
+        sys.setprofile(lambda *args: None)
+        try:
+            run(default_multi_step_reference())
+        finally:
+            sys.setprofile(None)
+        traj, peak = self.traced_peak(run, ref)
+        assert len(traj.t) == 26_000
+        assert peak / len(traj.t) <= 200, peak / len(traj.t)
+        assert traj.mode.dtype == np.dtype(int)
+        assert all(getattr(traj, name).dtype == np.float64
+                   for name in ("t", "p_ref", "p_true", "p_meas", "u", "ct", "s", "x_star"))
+
+    def test_the_csv_writer_holds_a_block_not_the_trajectory(self, tmp_path):
+        rng = np.random.default_rng(0)
+        peaks = []
+        for n in (6_500, 26_000):
+            p = P_ATM + rng.normal(0.0, 5e4, size=(3, n))
+            traj = Trajectory(t=np.arange(n) * 0.01, p_ref=p[0], p_true=p[1], p_meas=p[2],
+                              u=rng.uniform(0.0, 100.0, n), mode=rng.integers(0, 2, n), ct=rng.uniform(5e-6, 5e-5, n),
+                              s=np.full(n, math.nan), x_star=np.full(n, math.nan), flags=[""] * n)
+            _, peak = self.traced_peak(write_trajectory_csv, traj, tmp_path / f"{n}.csv", P_ATM)
+            assert len((tmp_path / f"{n}.csv").read_text().splitlines()) == n + 1
+            peaks.append(peak)
+        assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 class TestTruncatedRun:

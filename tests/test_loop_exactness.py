@@ -15,13 +15,14 @@ from bisect import bisect_left
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pneuctrl import plant as plant_mod
 from pneuctrl.config import default_maps, default_pid_gains, default_smc_gains, default_supervisor
 from pneuctrl.experiment import (
-    DmSmcLoop, PidLoop, Reference, ScenarioEnd, TimingConfig, Trajectory, event_substeps,
+    CSV_BLOCK_ROWS, DmSmcLoop, PidLoop, Reference, ScenarioEnd, TimingConfig, Trajectory, event_substeps,
     reference_at, run_duration, run_scenario, write_trajectory_csv,
 )
 from pneuctrl.plant import Mode
@@ -274,6 +275,13 @@ def fstring_trajectory_csv(traj, path, p_atm):
         )
 
 
+B = CSV_BLOCK_ROWS
+
+
+# Trajectories of the drawn length, then of lengths at and around the writer's
+# block edges, the drawn rows repeated (or zeros, when none are drawn) to fill them.
+@pytest.mark.parametrize("length", [None, 0, 1, B - 1, B, B + 1, 2 * B + 1],
+                         ids=["drawn", "0", "1", "B-1", "B", "B+1", "2B+1"])
 @settings(max_examples=60, deadline=None)
 @given(
     rows=st.lists(st.tuples(
@@ -283,11 +291,14 @@ def fstring_trajectory_csv(traj, path, p_atm):
         st.integers(0, 2 * 10**6).map(lambda k: k * 0.5e-6) | st.floats(0.0, 1e4),
     ), max_size=40),
 )
-def test_csv_writer_matches_the_row_by_row_writer(rows, tmp_path_factory):
-    t, p_ref, p_true, p_meas, u, mode, ct = (np.asarray(col) for col in zip(*rows)) if rows else [np.zeros(0)] * 7
-    nan = np.full(len(rows), math.nan)
+def test_csv_writer_matches_the_row_by_row_writer(length, rows, tmp_path_factory):
+    columns = [np.asarray(col) for col in zip(*rows)] if rows else [np.zeros(0)] * 7
+    if length is not None:
+        columns = [np.resize(col, length) for col in columns]
+    t, p_ref, p_true, p_meas, u, mode, ct = columns
+    nan = np.full(len(t), math.nan)
     traj = Trajectory(t=t, p_ref=p_ref, p_true=p_true, p_meas=p_meas, u=u, mode=np.asarray(mode, dtype=int),
-                      ct=ct, s=nan, x_star=nan, flags=[""] * len(rows))
+                      ct=ct, s=nan, x_star=nan, flags=[""] * len(t))
     out = tmp_path_factory.mktemp("csv")
     write_trajectory_csv(traj, out / "got.csv", PARAMS.p_atm)
     fstring_trajectory_csv(traj, out / "want.csv", PARAMS.p_atm)

@@ -110,7 +110,9 @@ def test_a_band_is_the_reach_of_the_one_before_it(modes, p0):
     i, _ = mpc_mod._cell(p0, *mpc_mod._grid(PARAMS))
     assert len(bands) == cfg.horizon_steps + 1 and bands[0] == slice(i, i + 2)
     for band, nxt in zip(bands, bands[1:]):
-        reach = [(table.cell[m, band].min(), table.cell[m, band].max() + 1) for m in modes]
+        # A step's cell is its first read less its mode's offset in the flat value grid.
+        cells = [table.at[0, m, band] - m * mpc_mod.GRID_PRESSURES for m in modes]
+        reach = [(cell.min(), cell.max() + 1) for cell in cells]
         assert (nxt.start, nxt.stop) == (min(lo for lo, _ in reach), max(hi for _, hi in reach) + 1)
     # Each band holds the one before it, and all of them lie well inside the grid.
     assert all(a.start >= b.start and a.stop <= b.stop for a, b in zip(bands, bands[1:]))
