@@ -20,7 +20,8 @@ discrete, states.  A solve has three parts:
   grid pressure of a stage's band, reading the next stage's value by linear
   interpolation, and its least, the cost to go.  A stage is one gather and
   numpy pass for every mode of the solve, each entry formed as a pass per
-  mode forms it;
+  mode forms it, and keeps its values and costs as whole arrays with a row
+  per mode;
 - a forward pass (:func:`_forward`) from the exact start pressure, which
   at every stage steps the duties around the one the backward pass's costs
   rank best, and keeps the duty of least exact cost.  So every returned
@@ -38,7 +39,10 @@ cell against the band, and one outside it, where a table's step falls,
 raises; the solve then reruns with every band the whole grid.  Each value
 is the full grid's bit for bit, so no solution depends on the bands.
 
-The returned ``cost`` is :func:`rollout_cost` of the returned sequences.
+The returned ``cost`` is :func:`rollout_cost` of the returned sequences, a
+solve's one rollout.  MI-NMPC ranks its passes by that sum (:func:`_sum_cost`)
+over the held steps each took, from the solve's memo: the table's steps are
+``plant.step``'s and its fractions ``eval_spool``'s, so bit for bit the same.
 The pressure grid bounds what the search sees, not where it walks: between
 grid pressures the value is interpolated, so a solution is near the optimum,
 not at it.  A stage compares exact stage costs, the held step from the exact
@@ -81,6 +85,8 @@ GRID_PRESSURES = 200
 GRID_FRACTIONS = 21
 # The mode sets the backward pass stacks: one mode, or both in Mode order.
 _MODE_SETS = ((Mode.DEFLATION,), (Mode.INFLATION,), (Mode.DEFLATION, Mode.INFLATION))
+# The mode a switch from each mode takes.
+_OTHER = (Mode.INFLATION, Mode.DEFLATION)
 
 
 @dataclass(frozen=True)
@@ -144,17 +150,27 @@ def rollout_cost(
     load: Optional[LoadModel] = None,
 ) -> float:
     """Quadratic cost of simulating (u_seq, m_seq) from ``p0`` against ``ref_seq``."""
-    n = cfg.horizon_steps
-    _check_horizon(n, u_seq, m_seq, ref_seq)
+    _check_horizon(cfg.horizon_steps, u_seq, m_seq, ref_seq)
+
+    def step(p: float, u: float, m: Mode) -> tuple[float, float]:
+        x = eval_spool(u, maps[m])
+        return plant_mod.step(p, x, m, cfg.dt_pred, params, load), x
+
+    return _sum_cost(p0, u_seq, m_seq, ref_seq, cfg, step)
+
+
+def _sum_cost(p0: float, u_seq: Sequence[float], m_seq: Sequence[Mode], ref_seq: Sequence[float],
+              cfg: MpcConfig, step) -> float:
+    """The cost of (u_seq, m_seq) from ``p0``, ``step(p, u, m)`` giving each stage's next pressure and spool fraction.
+
+    The one sum of :func:`rollout_cost` and of :func:`_solve`'s ranking of its passes.
+    """
     p, cost = p0, 0.0
-    for k in range(n):
-        m = m_seq[k]
-        x = eval_spool(u_seq[k], maps[m])
-        p = plant_mod.step(p, x, m, cfg.dt_pred, params, load)
-        e = p - ref_seq[k]
+    for u, m, r in zip(u_seq, m_seq, ref_seq):
+        p, x = step(p, u, m)
+        e = p - r
         cost += cfg.w_e * e * e + cfg.w_u * x * x
-    cost += cfg.w_sw * _switches(m_seq)
-    return cost
+    return cost + cfg.w_sw * _switches(m_seq)
 
 
 @dataclass(frozen=True)
@@ -284,12 +300,12 @@ def _stack(modes: Sequence[tuple], params: PlantParams) -> _Table:
                   np.stack((at, at + 1)), weight, reach)
 
 
-# The least cost to go by stage k = 0..N (0 after the horizon) and mode of step
-# k - 1: an array (switches left, grid pressure of stage k's band) per mode.
-Values = list[dict[Mode, np.ndarray]]
-# The cost of each grid duty by stage k = 0..N - 1 and its mode: an array
-# (switches left after it, grid pressure of stage k's band, grid duty) per mode.
-Costs = list[dict[Mode, np.ndarray]]
+# The least cost to go by stage k = 0..N (0 after the horizon): an array
+# (switches left, mode of step k - 1, grid pressure of stage k's band).
+Values = list[np.ndarray]
+# The cost of each grid duty by stage k = 0..N - 1: an array (switches left
+# after it, its mode, grid pressure of stage k's band, grid duty).
+Costs = list[np.ndarray]
 # The grid pressures each stage k = 0..N costs and its values span.
 Bands = list[slice]
 
@@ -316,6 +332,11 @@ def _bands(table: _Table, p0: float, params: PlantParams, n: int, modes: tuple[M
     return bands
 
 
+def _mode_rows(values: Values) -> tuple[int, int]:
+    """Each mode's row in a backward pass's stage arrays, by ``Mode``: its own over both modes, the one row over one."""
+    return (0, 0) if values[-1].shape[1] == 1 else (0, 1)   # equivalent mutant: -2, as every stage has these rows
+
+
 def _values(
     table: _Table, ref_seq: Sequence[float], cfg: MpcConfig, modes: tuple[Mode, ...], layers: int, bands: Bands,
 ) -> tuple[Values, Costs]:
@@ -337,8 +358,10 @@ def _values(
     Each cost entry is ``(v0 * w0 + v1 * w1) + stage``, with the stage cost
     ``w_e * e * e + effort`` formed in place in that order, as a pass per
     mode forms it; a mode's padded columns (:func:`_stack`) cost what its top
-    duty costs.  ``values[k][m]`` and ``costs[k][m]`` are views of the
-    stage's arrays, never of the grid.
+    duty costs.  ``values[k]`` and ``costs[k]`` are each stage's arrays
+    whole, ``(layer, mode, band)`` and ``(layer, mode, band, duty)``, over
+    ``modes`` in ``Mode`` order, never views of the grid; a forward pass
+    reads a mode at its row (:func:`_mode_rows`).
 
     Stage k costs and writes only the grid pressures of ``bands[k]``
     (:func:`_bands`).  By the band rule it reads only cells of ``bands[k +
@@ -355,9 +378,8 @@ def _values(
     grid = np.zeros((layers, len(Mode), GRID_PRESSURES))            # (layer, mode, grid pressure)
     v = grid.reshape(layers, -1)   # equivalent mutant: -2, as numpy infers any negative size
     last = bands[n]
-    best = np.zeros((layers, len(modes), last.stop - last.start))   # (layer, mode, grid pressure)
-    values: Values = [{} for _ in range(n)] + [{m: best[:, i] for i, m in enumerate(modes)}]
-    costs: Costs = [{} for _ in range(n)]
+    values: Values = [None] * n + [np.zeros((layers, len(modes), last.stop - last.start))]
+    costs: Costs = [None] * n
     for k in range(n - 1, -1, -1):
         band = bands[k]
         e = table.nxt[rows, band] - ref_seq[k]
@@ -371,9 +393,8 @@ def _values(
         best = cost.min(axis=3)
         if layers > 1:   # equivalent mutant: >=, as best[1:] is empty at one layer
             best[1:] = np.minimum(best[1:], best[:-1, ::-1] + cfg.w_sw)
-        grid[:, rows, band] = best
-        values[k] = {m: best[:, i] for i, m in enumerate(modes)}
-        costs[k] = {m: cost[:, i] for i, m in enumerate(modes)}
+        grid[:, rows, band] = values[k] = best
+        costs[k] = cost
     return values, costs
 
 
@@ -405,8 +426,9 @@ def _forward(
     that pressure; a solve passes one dict to all its forward passes, which
     so never take one step twice.
 
-    ``costs`` and ``values`` span each stage's band (:func:`_bands`).  A held
-    step that does not fall along the pressure reads inside the next band;
+    ``costs`` and ``values`` are :func:`_values`'s stage arrays, read at a
+    mode's row (:func:`_mode_rows`), and span each stage's band (:func:`_bands`).
+    A held step that does not fall along the pressure reads inside the next band;
     where a table breaks that, the read raises :class:`_OutOfBand`
     (:func:`_interp`).  The ranking's row lies in the band: at stage 0 the
     band is the start's cell, and later the pressure is the held step of a
@@ -415,6 +437,7 @@ def _forward(
     dt, w_e, w_u, w_sw = cfg.dt_pred, cfg.w_e, cfg.w_u, cfg.w_sw
     p_neg, inv_h = _grid(params)
     held = {} if held is None else held
+    mode_row = _mode_rows(values)
     p, u_seq, m_seq = p0, [], []
     for k, r in enumerate(ref_seq):
         lo = bands[k + 1].start   # the grid pressure stage k + 1's values start at
@@ -423,12 +446,12 @@ def _forward(
         else:
             options = [(m_seq[-1], left, 0.0)]
             if left > 0:
-                options.append((Mode(1 - m_seq[-1]), left - 1, w_sw))
+                options.append((_OTHER[m_seq[-1]], left - 1, w_sw))
         i, f = _cell(p, p_neg, inv_h)
         row = i - bands[k].start   # p's row in stage k's costs, which span its band
         best = math.inf
         for m, after, sw in options:
-            a, v, c = table[m], values[k + 1][m][after].tolist(), costs[k][m][after]
+            a, v, c = table[m], values[k + 1][after, mode_row[m]].tolist(), costs[k][after, mode_row[m]]
             jq = int((c[row] * (1.0 - f) + c[row + 1] * f).argmin())
             start = math.inf
             for j, d in ((jq, -1), (jq + 1, 1)):   # jq and leftward, then rightward, while the exact cost falls
@@ -452,6 +475,12 @@ def _forward(
     return u_seq, m_seq
 
 
+def _memo_step(table: _Table, held: dict, p: float, u: float, m: Mode) -> tuple[float, float]:
+    """A :func:`_sum_cost` step: the held step of ``u`` from ``p`` that a forward pass took, from its memo ``held``."""
+    j = table[m].duties.index(u)
+    return held[m, j, p], table[m].fractions[j]
+
+
 def _solve(
     p0: float,
     ref_seq: Sequence[float],
@@ -466,7 +495,10 @@ def _solve(
 
     The backward pass costs only the bands (:func:`_bands`); if a forward
     pass reads outside them (:class:`_OutOfBand`), the whole solve reruns
-    with every band the whole grid.
+    with every band the whole grid.  Two or three passes are ranked by
+    their costs summed from the held steps they took (:func:`_memo_step`),
+    a lone pass not at all; only the pass returned is rolled out, for its
+    ``cost``.
     """
     if not math.isfinite(p0):
         raise ValueError(f"p0 must be finite, got {p0!r}")
@@ -488,8 +520,10 @@ def _solve(
         passes = run(_bands(table, p0, params, cfg.horizon_steps, modes))
     except _OutOfBand:
         passes = run([_FULL] * (cfg.horizon_steps + 1))   # equivalent mutant: + 2, as no pass reads a band past stage N
-    solutions = [(rollout_cost(p0, u, m_seq, ref_seq, cfg, params, maps, load), u, m_seq) for u, m_seq in passes]
-    cost, u, m_seq = min(solutions, key=lambda s: (s[0], _switches(s[2]), s[1][0]))
+    step = functools.partial(_memo_step, table, held)
+    u, m_seq = passes[0] if len(passes) == 1 else min(
+        passes, key=lambda s: (_sum_cost(p0, *s, ref_seq, cfg, step), _switches(s[1]), s[0][0]))
+    cost = rollout_cost(p0, u, m_seq, ref_seq, cfg, params, maps, load)
     return MpcSolution(u_seq=tuple(u), m_seq=tuple(m_seq), cost=cost, iterations=len(passes))
 
 

@@ -7,11 +7,13 @@ mode sequence within a switch limit and keeps the least cost: the branch and
 bound over mode sequences that the dynamic-programming solvers replaced,
 without its pruning.  ``dense_oracle`` grids the duty of every step instead.
 ``all_duties_solve`` is the dynamic program with a forward pass that takes
-the held step of every grid duty at every stage.  ``reference_values`` is
-the backward pass as one pass per mode and stage.  ``held_step_calls``
-lists the generated held steps a call takes, ``held_steps`` counts them,
-and ``grid_share`` counts the grid entries its backward passes cost and how
-many they are.
+the held step of every grid duty at every stage.  ``rollout_every_pass_solve``
+is ``mpc._solve`` ranking its forward passes by a rollout of each, summed by
+``reference_rollout_cost``, ``rollout_cost`` written out as its own loop.
+``reference_values`` is the backward pass as one pass per mode and stage.
+``held_step_calls`` lists the generated held steps a call takes,
+``held_steps`` counts them, and ``grid_share`` counts the grid entries its
+backward passes cost and how many they are.
 """
 
 import math
@@ -21,6 +23,7 @@ from itertools import combinations
 import numpy as np
 
 from pneuctrl import mpc as mpc_mod
+from pneuctrl import plant as plant_mod
 from pneuctrl.mpc import rollout_cost
 from pneuctrl.optim import golden_section
 from pneuctrl.plant import Mode, rk4_hold
@@ -142,7 +145,7 @@ def _all_duties_forward(p0, ref_seq, cfg, params, table, values, modes, left, st
             options = [(m_seq[-1], left, 0.0)] + ([(Mode(1 - m_seq[-1]), left - 1, w_sw)] if left > 0 else [])
         best = None
         for m, after, sw in options:
-            a, v = table[m], values[k + 1][m][after]
+            a, v = table[m], values[k + 1][after, mpc_mod._mode_rows(values)[m]]
             if (m, p) not in steps:
                 steps[m, p] = np.array([step(p, dt) for step in a.steps])
             e = steps[m, p] - r
@@ -176,13 +179,55 @@ def all_duties_solve(p0, ref_seq, cfg, params, maps, load, modes, switches):
     return best[0][0], best[1], best[2]
 
 
+def reference_rollout_cost(p0, u_seq, m_seq, ref_seq, cfg, params, maps, load):
+    """``rollout_cost`` as one loop of ``plant.step`` and ``eval_spool``, each term formed and added in its order."""
+    p, cost = p0, 0.0
+    for k in range(cfg.horizon_steps):
+        m = m_seq[k]
+        x = eval_spool(u_seq[k], maps[m])
+        p = plant_mod.step(p, x, m, cfg.dt_pred, params, load)
+        e = p - ref_seq[k]
+        cost += cfg.w_e * e * e + cfg.w_u * x * x
+    cost += cfg.w_sw * mpc_mod._switches(m_seq)
+    return cost
+
+
+def rollout_every_pass_solve(p0, ref_seq, cfg, params, maps, load, modes, switches):
+    """``mpc._solve`` with each forward pass priced by a rollout: the least ``(cost, switches, first duty)``.
+
+    The same backward pass, bands, full-grid rerun and forward passes as the
+    solver, so only the pricing of the passes differs; each is
+    :func:`reference_rollout_cost`, not the sum the solver shares with
+    ``rollout_cost``.
+    """
+    table = mpc_mod._table(params, load, tuple(maps), cfg.dt_pred)
+    held = {}
+
+    def run(bands):
+        backward = mpc_mod._values(table, ref_seq, cfg, modes, switches + 1, bands)
+        passes = [mpc_mod._forward(p0, ref_seq, cfg, params, table, *backward, modes, switches, bands, held)]
+        if len(modes) > 1:
+            passes += [mpc_mod._forward(p0, ref_seq, cfg, params, table, *backward, (m,), 0, bands, held)
+                       for m in modes if switches or m != passes[0][1][0]]
+        return passes
+
+    try:
+        passes = run(mpc_mod._bands(table, p0, params, cfg.horizon_steps, modes))
+    except mpc_mod._OutOfBand:
+        passes = run([mpc_mod._FULL] * (cfg.horizon_steps + 1))
+    solutions = [(reference_rollout_cost(p0, u, m_seq, ref_seq, cfg, params, maps, load), u, m_seq)
+                 for u, m_seq in passes]
+    cost, u, m_seq = min(solutions, key=lambda s: (s[0], mpc_mod._switches(s[2]), s[1][0]))
+    return mpc_mod.MpcSolution(u_seq=tuple(u), m_seq=tuple(m_seq), cost=cost, iterations=len(passes))
+
+
 def reference_values(table, ref_seq, cfg, modes, layers, bands):
     """``mpc._values`` written as one pass per mode and stage, each mode reading only its own values.
 
     Each mode's arrays are duty-major ``(duty, grid pressure)`` views of the
     table's stacked ones, without its padded columns, and its costs are
-    ``(switches left, duty, grid pressure)``.  The values are
-    ``mpc._values``'s shapes: ``(switches left, grid pressure)``.
+    ``(switches left, duty, grid pressure)``.  The values are a mode's
+    rows of ``mpc._values``'s: ``(switches left, grid pressure)``.
     """
     n = cfg.horizon_steps
     last = bands[n]

@@ -165,13 +165,14 @@ def test_minmpc_layers_of_no_switch_left_are_nmpc_values(problem, load_name):
     both, both_costs = mpc_mod._values(table, refs, cfg, (DEFL, INFL), 3, _full(cfg))
     for m in Mode:
         alone, alone_costs = mpc_mod._values(table, refs, cfg, (m,), 1, _full(cfg))
+        row, alone_row = mpc_mod._mode_rows(both)[m], mpc_mod._mode_rows(alone)[m]
         for k in range(N + 1):
-            assert both[k][m][0].tobytes() == alone[k][m][0].tobytes()
+            assert both[k][0, row].tobytes() == alone[k][0, alone_row].tobytes()
         # So are the costs the forward pass ranks each stage's duties by.
         for k in range(N):
-            assert both_costs[k][m][0].tobytes() == alone_costs[k][m][0].tobytes()
+            assert both_costs[k][0, row].tobytes() == alone_costs[k][0, alone_row].tobytes()
         # Layers with switches left can only be lower.
-        assert all((both[k][m][1:] <= both[k][m][:1]).all() for k in range(N))
+        assert all((both[k][1:, row] <= both[k][:1, row]).all() for k in range(N))
 
 
 @pytest.mark.parametrize("problem", sorted(CROSSING_PROBLEMS))
@@ -263,14 +264,14 @@ def _assert_values_are_the_reference(table, refs, cfg, modes, layers, bands):
     values, costs = mpc_mod._values(table, refs, cfg, modes, layers, bands)
     ref_values, ref_costs = reference_values(table, refs, cfg, modes, layers, bands)
     for m in modes:
-        d = len(table[m].duties)
+        d, row = len(table[m].duties), mpc_mod._mode_rows(values)[m]
         for k in range(cfg.horizon_steps + 1):
-            assert values[k][m].shape == ref_values[k][m].shape
-            assert values[k][m].tobytes() == ref_values[k][m].tobytes()
+            assert values[k][:, row].shape == ref_values[k][m].shape
+            assert values[k][:, row].tobytes() == ref_values[k][m].tobytes()
         for k in range(cfg.horizon_steps):
-            assert costs[k][m].shape == (layers, bands[k].stop - bands[k].start, table.nxt.shape[2])
-            assert costs[k][m][:, :, :d].tobytes() == ref_costs[k][m].transpose(0, 2, 1).tobytes()
-            assert (costs[k][m][:, :, d:] == costs[k][m][:, :, d - 1:d]).all()
+            assert costs[k][:, row].shape == (layers, bands[k].stop - bands[k].start, table.nxt.shape[2])
+            assert costs[k][:, row, :, :d].tobytes() == ref_costs[k][m].transpose(0, 2, 1).tobytes()
+            assert (costs[k][:, row, :, d:] == costs[k][:, row, :, d - 1:d]).all()
 
 
 MODE_SETS = [((DEFL,), 1), ((INFL,), 1), ((DEFL, INFL), 1), ((DEFL, INFL), 2), ((DEFL, INFL), 3)]

@@ -2,6 +2,7 @@ import math
 import sys
 import tempfile
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from mpc_reference import (
     _all_duties_forward, all_duties_solve, dense_oracle, descent_oracle, held_step_calls, held_steps, mode_sequences,
+    reference_rollout_cost, rollout_every_pass_solve,
 )
 from pneuctrl import mpc as mpc_mod
 from pneuctrl import plant as plant_mod
@@ -363,6 +365,76 @@ def test_a_solve_takes_each_held_step_of_its_forward_passes_once(load):
         assert forward and len(set(forward)) == len(forward)
 
 
+@pytest.mark.parametrize("load", ["fixed", "bellow"])
+def test_passes_ranked_by_their_held_steps_solve_as_passes_ranked_by_rollouts(load):
+    """Both solvers against ``mpc_reference.rollout_every_pass_solve``, which ranks the same
+    forward passes by a rollout of each, summed by its own loop: equal ``u_seq``, ``m_seq``,
+    ``cost`` under ``float.hex`` and ``iterations``.  On the 276 ``mpc-solve`` problems of
+    seeds 1 to 12 and 24 seeded starts up to 20 kPa past a rail, 12 past each; MI-NMPC at
+    ``max_switches`` 0 to 3 and NMPC in each mode.  Each forward pass's sum over the held
+    steps read from the solve's memo (``mpc._sum_cost`` of ``mpc._memo_step``) is that
+    loop's rollout of its sequences under ``float.hex``, and a solve calls ``rollout_cost``
+    once, for the pass it returns.
+    """
+    cfg, load = default_mpc_config(), LOADS[load]
+    table = mpc_mod._table(PARAMS, load, MAPS, cfg.dt_pred)
+    with tempfile.TemporaryDirectory() as work:
+        problems = [(prob.p0, list(prob.refs)) for seed in range(1, 13)
+                    for prob in inputs.make_plan("mpc-solve", seed, 28, Path(work)).problems]
+    assert len(problems) == 276
+    problems += _past_the_rails(np.random.default_rng(11), 12)
+    both, forward, rollout = (Mode.DEFLATION, Mode.INFLATION), mpc_mod._forward, mpc_mod.rollout_cost
+    passes, rollouts = [], [0]
+
+    def recorded(*args):   # the forward pass's arguments, the solve's held-step memo last, and its sequences
+        passes.append((args, forward(*args)))
+        return passes[-1][1]
+
+    def counted(*args):
+        rollouts[0] += 1
+        return rollout(*args)
+
+    for p0, refs in problems:
+        solves = [(minmpc_solve, (), replace(cfg, max_switches=s), both, min(s, cfg.horizon_steps - 1))
+                  for s in range(4)]
+        solves += [(nmpc_solve, (m,), cfg, (m,), 0) for m in Mode]
+        for solve, mode, c, modes, switches in solves:
+            passes.clear()
+            rollouts[0] = 0
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(mpc_mod, "_forward", recorded)
+                mp.setattr(mpc_mod, "rollout_cost", counted)
+                sol = solve(p0, refs, *mode, c, PARAMS, MAPS, load)
+            ref = rollout_every_pass_solve(p0, refs, c, PARAMS, MAPS, load, modes, switches)
+            assert (sol.u_seq, sol.m_seq, sol.cost.hex(), sol.iterations) == (
+                ref.u_seq, ref.m_seq, ref.cost.hex(), ref.iterations)
+            assert rollouts[0] == 1 and len(passes) >= sol.iterations
+            for args, (u, m_seq) in passes:
+                read = mpc_mod._sum_cost(p0, u, m_seq, refs, c, partial(mpc_mod._memo_step, table, args[-1]))
+                assert read.hex() == reference_rollout_cost(p0, u, m_seq, refs, c, PARAMS, MAPS, load).hex()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p0=st.floats(PARAMS.p_neg - 2.0e4, PARAMS.p_pos + 2.0e4),
+    steps=st.lists(st.tuples(st.sampled_from(list(Mode)), st.integers(0, mpc_mod.GRID_FRACTIONS),
+                             st.floats(PARAMS.p_neg, PARAMS.p_pos)), min_size=1, max_size=10),
+    load=st.sampled_from(["fixed", "bellow"]),
+    weights=st.tuples(*(st.sampled_from([0.0, -0.0]) | st.floats(lo, hi)
+                        for lo, hi in [(1e-12, 1e-3), (1e-4, 10.0), (1e-3, 100.0)])),
+)
+def test_rollout_cost_forms_its_terms_as_the_written_out_loop(p0, steps, load, weights):
+    # rollout_cost's sum, which also ranks a solve's passes, against the loop written out, under
+    # float.hex: any grid duties, modes and weights, also 0 and -0.0.  At the default weights the
+    # effort term's association (w_u * (x * x)) never shows on the benchmark's problems.
+    w_e, w_u, w_sw = weights
+    cfg, load = replace(default_mpc_config(), horizon_steps=len(steps), w_e=w_e, w_u=w_u, w_sw=w_sw), LOADS[load]
+    table = mpc_mod._table(PARAMS, load, MAPS, cfg.dt_pred)
+    u, m_seq, refs = [table[m].duties[j] for m, j, _ in steps], [m for m, _, _ in steps], [r for *_, r in steps]
+    assert (rollout_cost(p0, u, m_seq, refs, cfg, PARAMS, MAPS, load).hex()
+            == reference_rollout_cost(p0, u, m_seq, refs, cfg, PARAMS, MAPS, load).hex())
+
+
 @pytest.mark.parametrize("name", ["nmpc", "mi-nmpc"])
 @pytest.mark.parametrize("load", [default_load(), default_bellow_load()], ids=["fixed", "bellow"])
 def test_an_mpc_loop_builds_its_table_when_constructed(name, load):
@@ -503,17 +575,18 @@ def _assert_stages_walk(table, cfg, problems, mode):
     for p0, refs in problems:
         values, costs, bands = _backward(table, p0, refs, cfg, (mode,), 1)
         full, full_costs, _ = _backward(table, p0, refs, cfg, (mode,), 1, banded=False)
+        row = mpc_mod._mode_rows(full)[mode]
         held = _Recorded()
         u, _ = mpc_mod._forward(p0, refs, cfg, PARAMS, table, values, costs, (mode,), 0, bands, held)
         p = p0
         for k, r in enumerate(refs):
             stage = [j for m, j, q in held.order if q == p]
-            ranked = [np.interp(p, grid, column) for column in full_costs[k][mode][0].T[:len(a.duties)]]
+            ranked = [np.interp(p, grid, column) for column in full_costs[k][0, row].T[:len(a.duties)]]
             assert ranked[stage[0]] <= min(ranked) * (1 + 1e-12)
             cost = []
             for x, step in zip(a.fractions, a.steps):
                 q = step(p, cfg.dt_pred)
-                e, v = q - r, full[k + 1][mode][0].tolist()
+                e, v = q - r, full[k + 1][0, row].tolist()
                 cost.append(cfg.w_e * e * e + cfg.w_u * x * x + mpc_mod._interp(v, 0, q, p_neg, inv_h))
             assert stage == _walk(cost, stage[0])
             p = held[mode, a.duties.index(u[k]), p]

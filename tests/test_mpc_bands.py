@@ -154,7 +154,8 @@ def test_the_values_after_the_horizon_are_zero_rows_of_stage_n_band():
     width = bands[N].stop - bands[N].start
     assert width < mpc_mod.GRID_PRESSURES
     for m in modes:
-        assert values[N][m].shape == (2, width) and not values[N][m].any()
+        row = mpc_mod._mode_rows(values)[m]
+        assert values[N][:, row].shape == (2, width) and not values[N][:, row].any()
 
 
 def _missing_read(read):
