@@ -35,7 +35,6 @@ from .plant import (
     branch_flows,
     drift,
     gain,
-    net_outlet_flow,
     shape_factor,
     step,
 )

@@ -282,13 +282,13 @@ def event_substeps(n_sub: int, substep_hz: float, rate_hz: float) -> np.ndarray:
     ``sysid.simulate_segment``.
     """
     eps = 0.5 * (1.0 / substep_hz)
-    # Event k needs k / rate_hz <= (n_sub - 1) / substep_hz + eps, and at most
-    # one fires per substep, so no more than this many events fit.
+    # Event k needs k / rate_hz <= (n_sub - 1) / substep_hz + eps, and at most one fires per
+    # substep, so no more than this many events fit (equivalent mutant: + 3, filtered out below).
     k = np.arange(min(n_sub, int(min(rate_hz, substep_hz) * n_sub / substep_hz) + 2))
     due = k / rate_hz
     # First substep whose time plus eps reaches the event's due time: start
     # below it (rounding moves the estimate by far less than two substeps)
-    # and step up with the loop's own test.
+    # and step up with the loop's own test (equivalent mutant: due + eps, still below it).
     first = np.maximum(np.floor((due - eps) * substep_hz) - 2.0, 0.0)
     while np.any(behind := first / substep_hz + eps < due):
         first += behind

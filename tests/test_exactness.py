@@ -26,7 +26,8 @@ from pneuctrl import mpc as mpc_mod
 from pneuctrl.config import default_bellow_load, default_load, default_maps, default_mpc_config, default_plant
 from pneuctrl.mpc import minmpc_solve, nmpc_solve, rollout_cost
 from pneuctrl.optim import golden_section
-from pneuctrl.plant import LoadModel, Mode, pressure_rate, rk4_hold, step
+from pneuctrl.plant import LoadModel, Mode, rk4_hold, step
+from plant_reference import pressure_rate
 from pneuctrl.valvemap import SpoolMap
 
 PARAMS = default_plant()

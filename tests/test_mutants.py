@@ -3,11 +3,13 @@
 ``add``'s ``+`` is a mutant its test kills; ``clamp``'s ``<`` to ``<=`` is
 equivalent (at ``x == hi`` both branches give ``hi``), so it survives.  The
 runner works in a copy: the fixture's files are the same after a run, and
-after one that an interrupt stops.
+after one that an interrupt stops.  Its table gives each module of the
+package the test files that cover it.
 """
 
 import subprocess
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -92,3 +94,20 @@ def test_an_interrupt_leaves_the_checkout_as_it_was(repo, monkeypatch):
         _run()
     assert (repo / "src" / "fixmod.py").read_text() == MODULE
     assert runs[0] != repo and not runs[0].exists()   # the copy it mutated is gone
+
+
+def test_the_table_gives_each_module_its_named_and_exactness_tests(repo, monkeypatch, capsys):
+    root = Path(__file__).resolve().parents[1]
+    modules = sorted(f"src/pneuctrl/{p.name}" for p in (root / "src" / "pneuctrl").glob("*.py")
+                     if mutants.mutants(p.read_text()))
+    assert sorted(mutants.TESTS) == modules
+    for module, tests in mutants.TESTS.items():
+        named = sorted(f"tests/{p.name}" for p in (root / "tests").glob(f"test_{Path(module).stem}*.py"))
+        assert set(named) <= set(tests) and all((root / test).is_file() for test in tests), module
+    for module, test in [("plant", "held_step"), ("plant", "exactness"), ("mpc", "exactness"),
+                         ("experiment", "loop_exactness"), ("experiment", "golden_exactness")]:
+        assert f"tests/test_{test}.py" in mutants.TESTS[f"src/pneuctrl/{module}.py"]
+    # A run that names no tests takes the module's entry.
+    monkeypatch.setattr(mutants, "TESTS", {"src/fixmod.py": ["tests/test_fixmod.py"]})
+    assert mutants.main(["src/fixmod.py"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "killed 1 of 2 mutants (50.0 %), 1 survived"

@@ -12,11 +12,10 @@ from pneuctrl.plant import (
     branch_flows,
     drift,
     gain,
-    net_outlet_flow,
-    pressure_rate,
     shape_factor,
     step,
 )
+from plant_reference import net_outlet_flow, pressure_rate
 
 
 def euler_reference(p0, x_bar, m, duration, n_steps, params, load=None):
