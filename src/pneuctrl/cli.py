@@ -116,7 +116,8 @@ def cmd_sysid(args) -> int:
     if not files:
         print(f"error: no trace CSVs found in {traces_dir}", file=sys.stderr)
         return EXIT_DATA
-    traces = [sysid_mod.read_trace_csv(f) for f in files]
+    # Every file is read and checked; only the traces of --mode, those identify_channel fits, are kept.
+    traces = [tr for tr in map(sysid_mod.read_trace_csv, files) if tr.mode == mode]
 
     if args.config:
         scenario = config_mod.load_scenario(args.config)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from . import plant as plant_mod
-from .plant import _DEFLATION, _INFLATION, Checked, Mode, NonNegative, PlantParams, Positive
+from .plant import _DEFLATION, _INFLATION, SECONDS_MAX, Checked, Mode, NonNegative, PlantParams, Positive
 from .valvemap import SpoolMap, invert_spool
 
 # Relative threshold on |g_m| below which the control law falls back to a
@@ -117,10 +117,11 @@ def smc_update(
 
     The error integral only advances while the sliding variable sits inside
     the boundary layer and the command is unsaturated, so large transients
-    cannot wind it up.  A non-finite p, p_ref or p_ref_rate raises ValueError.
+    cannot wind it up.  A non-finite p, p_ref or p_ref_rate raises ValueError,
+    as does a dt outside (0, 1e7] s, NaN included, as for the held step.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    if not 0.0 < dt <= SECONDS_MAX:
+        raise ValueError("dt must be positive and at most 1e7 s")
     if not (math.isfinite(p) and math.isfinite(p_ref) and math.isfinite(p_ref_rate)):
         _reject_non_finite(p=p, p_ref=p_ref, p_ref_rate=p_ref_rate)
     mode = select_mode(p, p_ref, cfg, state.mode)
@@ -185,10 +186,11 @@ def pid_update(
     valve harder": (p_ref - p) in inflation, (p - p_ref) in deflation, in
     kPa.  The derivative is an unfiltered first difference; the integral
     freezes while it would push the output deeper into saturation.  A
-    non-finite p or p_ref raises ValueError.
+    non-finite p or p_ref raises ValueError, as does a dt outside (0, 1e7] s,
+    NaN included, as for the held step.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    if not 0.0 < dt <= SECONDS_MAX:
+        raise ValueError("dt must be positive and at most 1e7 s")
     if not (math.isfinite(p) and math.isfinite(p_ref)):
         _reject_non_finite(p=p, p_ref=p_ref)
     mode = select_mode(p, p_ref, cfg, state.mode)

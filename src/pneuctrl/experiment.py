@@ -14,7 +14,7 @@ import time
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Callable, NamedTuple, Optional, Protocol
 
 import numpy as np
@@ -303,6 +303,11 @@ def control_tick_times(duration: float, timing: TimingConfig) -> np.ndarray:
     return event_substeps(n_sub, timing.sim_substep, timing.control_rate) / timing.sim_substep
 
 
+# Sensor samples and events ``run_scenario`` draws and walks, and rows
+# ``write_trajectory_csv`` formats, at a time: each holds one block of its inputs.
+CSV_BLOCK_ROWS = 128
+
+
 def run_scenario(
     ref: Reference,
     controller: ControllerLoop,
@@ -322,15 +327,24 @@ def run_scenario(
     f_sub = timing.sim_substep
     dt_sub = 1.0 / f_sub
     n_sub = int(round(duration * f_sub))
-    sensed = event_substeps(n_sub, f_sub, timing.sensor_rate)
-    # What fires on each substep: 1 a sensor sample, 2 a control tick.
-    fired = np.zeros(n_sub, dtype=np.uint8)
-    fired[sensed] = 1
+    # What fires on each substep: 1 a sensor sample, 2 a control tick; 4 marks the run's end.
+    fired = np.zeros(n_sub + 1, dtype=np.uint8)
+    fired[event_substeps(n_sub, f_sub, timing.sensor_rate)] = 1
     fired[event_substeps(n_sub, f_sub, timing.control_rate)] |= 2
-    events = np.flatnonzero(fired)
-    # One vector draw gives the stream of one scalar draw per sample; at zero
-    # sigma every draw is +0.0, which leaves a positive pressure as it was.
-    noise = iter(rng.normal(0.0, timing.noise_sigma, size=sensed.size).tolist())
+    fired[n_sub] = 4
+    events = np.flatnonzero(fired)   # each event's substep, then the end's
+    kinds = fired[events[:-1]]
+    del fired   # a byte a substep: about six per event at the default rates
+    # The samples' noise, drawn a block at a time: block by block, Generator.normal gives the stream of
+    # one vector draw, as of one scalar draw per sample.  At zero sigma every draw is +0.0, which leaves
+    # a positive pressure as it was.
+    n_sensed = int(np.count_nonzero(kinds & 1))
+    noise = chain.from_iterable(rng.normal(0.0, timing.noise_sigma, size=min(CSV_BLOCK_ROWS, n_sensed - i)).tolist()
+                                for i in range(0, n_sensed, CSV_BLOCK_ROWS))
+    # Each event's kind and the substeps to the next event or the end, a block at a time.
+    walk = chain.from_iterable(
+        zip(np.diff(events[b:b + CSV_BLOCK_ROWS + 1]).tolist(), kinds[b:b + CSV_BLOCK_ROWS].tobytes())
+        for b in range(0, kinds.size, CSV_BLOCK_ROWS))
 
     p = reference_at(ref, 0.0, params.p_atm)[0] if p_init is None else p_init
     hold = plant_mod.rk4_hold(params, load)
@@ -345,7 +359,7 @@ def run_scenario(
     # Substep 0 holds the first sensor sample and the first control tick,
     # so ``held`` and ``step`` are set before the plant first steps.
     j = 0   # the event's substep
-    for n_steps, what in zip(np.diff(events, append=n_sub).tolist(), fired[events].tobytes()):
+    for n_steps, what in walk:
         if what & 1:
             held = p + next(noise)
         if what & 2:
@@ -487,10 +501,6 @@ def compute_metrics(traj: Trajectory, ref: Reference) -> MetricsReport:
 
     reduced = {m.field: float(m.reduce(per[m.field])) for m in METRICS if m.reduce is not None}
     return MetricsReport(**reduced, ct_mean=float(np.mean(traj.ct)), per_window=per)
-
-
-# Rows ``write_trajectory_csv`` formats at a time: its memory is one block's.
-CSV_BLOCK_ROWS = 1024
 
 
 def write_trajectory_csv(traj: Trajectory, path, p_atm: float) -> None:

@@ -213,6 +213,7 @@ class LoadModel(Checked):
         if self.kind == "fixed":
             return self.v0
         v = self.v0 + self.k_v * (p - p_atm)
+        # On a bound both branches return it (equivalent mutants: <= and >= below).
         if v < self.v_min:
             return self.v_min
         if v > self.v_max:
@@ -240,6 +241,8 @@ def shape_factor(r: float, b: float) -> float:
     Equals 1 for choked flow (r <= b), falls on a quarter ellipse for
     b < r < 1, and is 0 for r >= 1.  Total and continuous in r >= 0.
     """
+    # The ellipse gives 1.0 at r == b and 0.0 at r == 1 (z is 0.0 and exactly 1.0), as these
+    # branches do (equivalent mutants: < and >).
     if r <= b:
         return 1.0
     if r >= 1.0:
@@ -345,6 +348,7 @@ $body
         return walk
     return bind
 """)
+# A clamp on its bound gives the value it holds (equivalent mutants: <= and >=), as do those of q and v below.
 _ADVANCE = """\
 p_new = p + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 if p_new < p_neg:
@@ -369,7 +373,7 @@ elif v > v_max:
     v = v_max
 scale = energy / v
 """
-# s = shape_factor(r, b), with 1.0 - b hoisted.
+# s = shape_factor(r, b), with 1.0 - b hoisted; like it, the same at r == b and r == 1 with < and >.
 _SHAPE = """\
 if r <= b:
     s = 1.0
@@ -379,6 +383,7 @@ else:
     z = (r - b) / one_minus_b
     s = sqrt(1.0 - z * z)
 """
+# At q == p_atm both branches give a zero leak, +0.0 or -0.0, which leaves p as it is (equivalent mutant: >).
 _LEAK = f"""\
 if q >= p_atm:
     r = p_atm / q

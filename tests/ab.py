@@ -117,25 +117,43 @@ def _work(problems):
     return rows
 
 
-def _memory(duration):
+def _traced_peak(call):
+    """``call()``'s result and the peak of the memory it traced, in bytes.
+
+    It runs untraced first under a no-op profile hook, which gives each generated held step the line array
+    that tracemalloc would otherwise decode on every allocation (CPython 3.11).
+    """
     import tracemalloc
-    from pneuctrl import config
+    sys.setprofile(lambda *args: None)
+    call()
+    sys.setprofile(None)
+    tracemalloc.start()
+    out = call()
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return out, peak
+
+
+def _memory(duration, synthesis):
+    from pneuctrl import cli, config
     from pneuctrl.experiment import run_scenario, write_trajectory_csv
     rows, timing = [], {"timing": {"duration_s": duration}} if duration else {}
     for name in ("dm-smc", "pid"):
         scenario = config.scenario_from_dict({"controller": name, **timing})
-        # First untraced under a no-op profile hook, which gives each generated held step the line array
-        # that tracemalloc would otherwise decode on every allocation (CPython 3.11).
-        for traced in (False, True):
-            sys.setprofile(None if traced else lambda *args: None)
-            if traced:
-                tracemalloc.start()
+
+        def run():
             traj = run_scenario(scenario.reference, config.CONTROLLERS[name](scenario), scenario.timing,
                                 scenario.plant, scenario.maps, scenario.load)
             write_trajectory_csv(traj, Path(f"{name}.csv"), scenario.plant.p_atm)
-        peak, ticks = tracemalloc.get_traced_memory()[1], len(traj.t)
-        tracemalloc.stop()
+            return len(traj.t)
+
+        ticks, peak = _traced_peak(run)
         rows.append([name, str(ticks), f"{peak / 1e6:.3f}", f"{peak / ticks:.1f}"])
+    # The noiseless protocol, synthesized outside the trace; then one identification call.
+    Path("synthesis.json").write_text(json.dumps({"synthesis": synthesis}))
+    cli.main(["synthesize", "--config", "synthesis.json", "--out", "traces"])
+    code, peak = _traced_peak(lambda: cli.main(["sysid", "--traces", "traces", "--mode", "deflation"]))
+    rows.append([f"sysid --mode deflation, exit {code}", "-", f"{peak / 1e6:.3f}", "-"])
     return rows
 
 
@@ -207,10 +225,11 @@ def work(sides: Sides, seeds=(1,)) -> None:
            *(run_side(root, "work", problems=problems) for root in sides[:2]))
 
 
-def memory(sides: Sides, duration=None) -> None:
-    """The traced peak per control tick of a default DM-SMC and PID run, each with its CSV write."""
-    _table(sides, "Run memory", ["controller", "side", "control ticks", "traced peak, MB", "bytes per tick"],
-           *(run_side(root, "memory", duration=duration) for root in sides[:2]))
+def memory(sides: Sides, duration=None, synthesis=None) -> None:
+    """The traced peak per control tick of a default DM-SMC and PID run, each with its CSV write, and that of
+    one ``pneuctrl sysid --mode deflation`` on the default noiseless protocol (``synthesis`` overrides it)."""
+    _table(sides, "Run memory", ["call", "side", "control ticks", "traced peak, MB", "bytes per tick"],
+           *(run_side(root, "memory", duration=duration, synthesis=synthesis or {}) for root in sides[:2]))
 
 
 def solve_time(sides: Sides, seeds=(1,), rounds=10) -> None:

@@ -12,8 +12,11 @@ to an integer constant 0, 1 or 2.  The token is replaced in the source text,
 so every other line and its number stay as they are.  For each mutant the
 runner runs ``pytest -x`` on the TESTs, by default the module's entry in
 ``TESTS``, and a mutant whose run fails (or
-exceeds ten times the unmutated run's time) is killed.  It prints each
-survivor's function, line and change, then the kill ratio (Jia & Harman,
+exceeds ten times the unmutated run's time plus 10 s) is killed.  It prints
+each survivor's function, line and change, and its run's time as a multiple
+of the unmutated run's, marked slow past ``SLOW``: a mutant that makes a
+small function far slower can survive the time limit with its tests still
+passing.  Then it prints the kill ratio (Jia & Harman,
 "An analysis and survey of the development of mutation testing", IEEE TSE
 37(5), 2011).
 
@@ -42,6 +45,7 @@ from pathlib import Path
 COMPARISONS = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="), ast.GtE: (">=", ">"),
                ast.Eq: ("==", "!="), ast.NotEq: ("!=", "==")}
 ARITHMETIC = {ast.Add: ("+", "-"), ast.Sub: ("-", "+"), ast.Mult: ("*", "/"), ast.Div: ("/", "*")}
+SLOW = 3.0   # a survivor whose run takes more than this multiple of the unmutated run's is marked slow
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache", ".perfbench-work")
 # The test files that cover each module: those named after it, and those that check its exactness claims.
 TESTS = {
@@ -189,11 +193,14 @@ def main(argv: list[str] | None = None) -> int:
         source, survivors = text.splitlines(), []
         for mutant in sites:
             (copy / module).write_text(mutant.apply(text))
-            if _run_tests(copy, tests, 10.0 * seconds + 10.0)[0]:
+            passed, took = _run_tests(copy, tests, 10.0 * seconds + 10.0)
+            if passed:
                 survivors.append(mutant)
                 column = mutant.start - text.rfind("\n", 0, mutant.start)
-                print(f"survived: {mutant.function}, line {mutant.line} column {column}, {mutant.old} -> {mutant.new}:"
-                      f"  {source[mutant.line - 1].strip()}", flush=True)
+                ratio = took / seconds
+                print(f"survived{' (slow)' if ratio > SLOW else ''}: {mutant.function}, line {mutant.line} column "
+                      f"{column}, {mutant.old} -> {mutant.new}, {ratio:.1f}x the time:  "
+                      f"{source[mutant.line - 1].strip()}", flush=True)
     killed = len(sites) - len(survivors)
     print(f"killed {killed} of {len(sites)} mutants ({100.0 * killed / len(sites):.1f} %), {len(survivors)} survived")
     return 0

@@ -3,8 +3,8 @@
 The fixture holds this repository's package, ``tests/mpc_reference.py`` and
 ``perfbench/inputs.py``.  Against its own commit every check reports equal;
 a changed MPC constant shows under ``solutions``, a changed PID gain under
-``trajectories``.  Each check runs at a reduced size: one seed, short runs,
-one timing round.  The fixture's checkout is the same after every run.
+``trajectories``.  Each check runs at a reduced size: one seed, short runs and
+a short identification protocol, one timing round.  The fixture's checkout is the same after every run.
 """
 
 import shutil
@@ -16,6 +16,8 @@ import pytest
 import ab
 
 ROOT = Path(__file__).resolve().parents[1]
+# Segments of 0.2 s: a protocol that identifies in a fraction of a second.
+SHORT_PROTOCOL = {"rise_s": 0.2, "decay_s": 0.2, "full_open_s": 0.2, "full_decay_s": 0.2}
 
 
 def _git(repo, *args):
@@ -59,7 +61,7 @@ def test_against_its_own_commit_every_check_reports_equal(repo, capsys):
         ab.solutions(sides, seeds=[1])
         ab.trajectories(sides, seeds=[0], duration=0.5)
         ab.work(sides)
-        ab.memory(sides, duration=0.5)
+        ab.memory(sides, duration=0.5, synthesis=SHORT_PROTOCOL)
         ab.solve_time(sides, rounds=1)
     out = capsys.readouterr().out
     rev = _git(repo, "rev-parse", "--short=7", "HEAD").strip()
@@ -73,8 +75,11 @@ def test_against_its_own_commit_every_check_reports_equal(repo, capsys):
                                          for name in ("mi-nmpc", "nmpc") for side in ("head", "base")]
     assert all(head[2:] == base[2:] for head, base in zip(work[::2], work[1::2]))
     memory = reports["Run memory"][1]
-    assert [row[:3] for row in memory] == [[name, side, "50"] for name in ("dm-smc", "pid")
-                                           for side in ("head", "base")]   # 0.5 s at 100 Hz
+    assert [row[:3] for row in memory[:4]] == [[name, side, "50"] for name in ("dm-smc", "pid")
+                                               for side in ("head", "base")]   # 0.5 s at 100 Hz
+    assert [row[:3] for row in memory[4:]] == [["sysid --mode deflation, exit 0", side, "-"]
+                                               for side in ("head", "base")]
+    assert all(float(row[3]) > 0.0 for row in memory)
     assert [row[:2] for row in reports["MPC solve time"][1]] == [["mi-nmpc", "23"], ["nmpc", "23"]]
     assert _git(repo, "status", "--porcelain", "--ignored") == ""
 

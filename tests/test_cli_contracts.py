@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from pneuctrl import cli
+from pneuctrl import sysid as sysid_mod
 from pneuctrl.cli import main
 from pneuctrl.config import CONTROLLER_NAMES, default_scenario_dict, default_synthesis_dict, scenario_from_dict
 from pneuctrl.experiment import MAX_SUBSTEPS
@@ -603,6 +604,28 @@ def test_out_that_is_a_file_or_under_one_exits_3(tmp_path, capsys, inflation_tra
     assert main(argv) == 3
     assert str(out) in capsys.readouterr().err
     assert existing.read_text() == ""
+
+
+def test_sysid_fits_only_the_traces_of_its_mode(tmp_path, monkeypatch, params, protocol_traces):
+    traces = tmp_path / "traces"
+    traces.mkdir()
+    for i, trace in enumerate(protocol_traces):
+        write_trace_csv(trace, traces / f"{i:03d}.csv")
+    received, identify = [], sysid_mod.identify_channel
+    monkeypatch.setattr(sysid_mod, "identify_channel", lambda tr, *args: received.append(tr) or identify(tr, *args))
+    assert main(["sysid", "--traces", str(traces), "--mode", "deflation", "--out", str(tmp_path / "id")]) == 0
+    deflation = [tr for tr in protocol_traces if tr.mode == Mode.DEFLATION]
+    assert len(received) == 1 and [tr.mode for tr in received[0]] == [Mode.DEFLATION] * len(deflation)
+    assert [tr.u2 for tr in received[0]] == [tr.u2 for tr in deflation]
+    # What it writes is what identifying from every trace it read gives.
+    every = [sysid_mod.read_trace_csv(path) for path in sorted(traces.glob("*.csv"))]
+    assert json.loads((tmp_path / "id" / "identification.json").read_text()) == json.loads(
+        json.dumps(identify(every, Mode.DEFLATION, params).to_dict()))
+    # Every file is still read and checked: a bad inflation trace fails a deflation call.
+    (traces / "zzz.csv").write_text("\n".join([",".join(TRACE_COLUMNS), *VALID_ROWS[:4], "0.04,nan,100.0,60.0,rise",
+                                               *VALID_ROWS[5:]]) + "\n")
+    assert main(["sysid", "--traces", str(traces), "--mode", "deflation", "--out", str(tmp_path / "id2")]) == 3
+    assert not (tmp_path / "id2").exists()
 
 
 def test_trace_field_longer_than_the_csv_field_limit_exits_3(tmp_path, capsys):

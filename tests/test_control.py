@@ -277,3 +277,25 @@ class TestNonFiniteInputs:
         tick = smc_loop.update(0.0, p, 151325.0, 0.0)
         assert maps[tick.mode].u_min <= tick.u <= maps[tick.mode].u_max
         assert 0.0 <= pid_loop.update(0.0, p, 151325.0, 0.0).u <= 100.0
+
+
+# A tick's dt obeys the held step's rule, 0 < dt <= 1e7 s: NaN, inf and the next float past 1e7 s are rejected.
+BAD_DT = [math.nan, math.inf, math.nextafter(1e7, math.inf)]
+
+
+class TestStepLength:
+    """Both controllers reject a dt the held step would reject, and still take one of 1e7 s."""
+
+    @pytest.mark.parametrize("dt", BAD_DT, ids=["nan", "inf", "past-1e7"])
+    def test_smc_rejects_a_dt_outside_the_held_steps_range(self, params, maps, smc_gains, supervisor, dt):
+        args = (151325.0, 161325.0, 0.0, smc_gains, params, maps, supervisor)
+        with pytest.raises(ValueError, match="^dt must be positive"):
+            smc_update(ControllerState(mode=Mode.INFLATION), *args, dt)
+        assert math.isfinite(smc_update(ControllerState(mode=Mode.INFLATION), *args, 1e7)[1].e_int)
+
+    @pytest.mark.parametrize("dt", BAD_DT, ids=["nan", "inf", "past-1e7"])
+    def test_pid_rejects_a_dt_outside_the_held_steps_range(self, pid_gains, supervisor, dt):
+        args = (141325.0, 151325.0, pid_gains, supervisor)
+        with pytest.raises(ValueError, match="^dt must be positive"):
+            pid_update(PidState(mode=Mode.INFLATION), *args, dt)
+        assert all(map(math.isfinite, pid_update(PidState(mode=Mode.INFLATION), *args, 1e7)[1].e_int))

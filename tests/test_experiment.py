@@ -5,9 +5,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pneuctrl.config import default_mpc_config, default_multi_step_reference, default_timing
 from pneuctrl.experiment import (
+    CSV_BLOCK_ROWS,
     DmSmcLoop,
     MinmpcLoop,
     NmpcLoop,
@@ -333,6 +336,46 @@ class TestLogMemory:
             assert len((tmp_path / f"{n}.csv").read_text().splitlines()) == n + 1
             peaks.append(peak)
         assert peaks[1] <= 1.5 * peaks[0], peaks
+
+    def test_a_run_traces_at_most_110_bytes_a_control_tick(self, params, maps, pid_gains, supervisor, load):
+        # As above, but the bound leaves the log (80 B a tick) and the event substeps and kinds (about
+        # 14 B) with little more: the noise draws and event gaps are held a block at a time.
+        ref = Reference.multi_step(list(default_multi_step_reference().stages) * 4)
+        timing = default_timing()
+
+        def run(ref):
+            return run_scenario(ref, PidLoop(pid_gains, supervisor, dt=1.0 / timing.control_rate), timing,
+                                params, maps, load)
+
+        sys.setprofile(lambda *args: None)
+        try:
+            run(default_multi_step_reference())
+        finally:
+            sys.setprofile(None)
+        traj, peak = self.traced_peak(run, ref)
+        assert len(traj.t) == 26_000
+        assert peak / len(traj.t) <= 110, peak / len(traj.t)
+
+
+B = CSV_BLOCK_ROWS
+
+
+class TestBlockwiseNoise:
+    """``run_scenario`` draws its sensor noise a block at a time, the stream of one vector draw."""
+
+    # Sample counts around the block size, with the sensor on every control tick, so each logged
+    # measurement is the logged true pressure plus that sample's draw.
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**63 - 1), sigma=st.sampled_from([0.0, 1e-3, 500.0]) | st.floats(0.0, 1e4),
+           n=st.sampled_from([0, 1, B - 1, B, B + 1, 2 * B + 1]))
+    def test_samples_add_the_draws_of_one_vector(self, params, maps, pid_gains, supervisor, load, seed, sigma, n):
+        # 1e-4 s is under half a substep: a run of no substeps, which samples nothing.
+        timing = make_timing(sensor_rate=100.0, duration=n / 100.0 if n else 1e-4, noise_sigma=sigma, seed=seed)
+        traj = run_scenario(Reference.multi_step([(50.0, 3.0)]), PidLoop(pid_gains, supervisor, dt=0.01),
+                            timing, params, maps, load)
+        noise = np.random.default_rng(seed).normal(0.0, sigma, size=n)
+        assert len(traj.t) == n
+        assert traj.p_meas.tobytes() == (traj.p_true + noise).tobytes()
 
 
 class TestTruncatedRun:

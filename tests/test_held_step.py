@@ -298,3 +298,23 @@ def test_the_sample_walk_is_single_steps_with_the_sequential_sum_and_stop(params
 def test_the_sample_walk_checks_the_spool_fraction():
     with pytest.raises(ValueError, match="spool fraction"):
         rk4_hold(PARAMS).walk(1.5, True)
+
+
+@pytest.mark.parametrize("load", [None, default_bellow_load()], ids=["fixed", "bellow"])
+def test_the_held_step_and_walk_take_their_domain_edges_and_refuse_what_lies_past(load):
+    # An infinite pressure is refused, a step of exactly 1e7 s taken; so for the sample walk.
+    hold = rk4_hold(PARAMS, load)
+    step, walk = hold(0.5, True), hold.walk(0.5, True)
+    for p in (-math.inf, math.inf):
+        with pytest.raises(ValueError, match="outlet pressure"):
+            step(p, 1e-3)
+        with pytest.raises(ValueError, match="outlet pressure"):
+            walk(p, [0.0, 1e-3], [PARAMS.p_atm] * 2, math.inf)
+    assert PARAMS.p_neg <= step(PARAMS.p_atm, 1e7) <= PARAMS.p_pos
+    assert len(walk(PARAMS.p_atm, [0.0, 1e7], [PARAMS.p_atm] * 2, math.inf)) == 2
+
+
+def test_the_sample_walk_goes_on_while_the_sum_equals_the_limit():
+    # The first sample matches, so the sum is 0.0 == limit there: the walk stops only after the second.
+    walk = rk4_hold(PARAMS).walk(0.5, True)
+    assert len(walk(PARAMS.p_atm, [0.0, 1e-3, 2e-3], [PARAMS.p_atm, 0.0, 0.0], 0.0)) == 2

@@ -1,12 +1,14 @@
 """The mutation runner, ``tests/mutants.py``, on a two-function fixture repository.
 
 ``add``'s ``+`` is a mutant its test kills; ``clamp``'s ``<`` to ``<=`` is
-equivalent (at ``x == hi`` both branches give ``hi``), so it survives.  The
+equivalent (at ``x == hi`` both branches give ``hi``), so it survives.  A
+mutant that only slows its test survives too, marked slow.  The
 runner works in a copy: the fixture's files are the same after a run, and
 after one that an interrupt stops.  Its table gives each module of the
 package the test files that cover it.
 """
 
+import re
 import subprocess
 import textwrap
 from pathlib import Path
@@ -63,9 +65,24 @@ def test_it_reports_the_survivor_and_kills_the_other_mutant(repo, capsys):
     assert _run() == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "src/fixmod.py: 2 mutants"
-    assert out[1] == "survived: clamp, line 6 column 19, < -> <=:  return x if x < hi else hi"
+    assert re.fullmatch(r"survived: clamp, line 6 column 19, < -> <=, \d+\.\dx the time:  return x if x < hi else hi",
+                        out[1]), out[1]
     assert out[2] == "killed 1 of 2 mutants (50.0 %), 1 survived"
     assert (repo / "src" / "fixmod.py").read_text() == MODULE
+
+
+def test_a_survivor_that_only_slows_its_test_is_marked_slow(repo, capsys):
+    # 0 -> 1 sleeps 5 s, a run several times the unmutated one's but inside the kill limit; 0 / 5 sleeps 0 s.
+    (repo / "src" / "fixmod.py").write_text("import time\n\n\ndef pause():\n    time.sleep(0 * 5)\n")
+    (repo / "tests" / "test_fixmod.py").write_text("from fixmod import pause\n\n\ndef test_pause():\n    pause()\n")
+    assert _run() == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "src/fixmod.py: 2 mutants"
+    line = r", (\d+\.\d)x the time:  time\.sleep\(0 \* 5\)"
+    slow = re.fullmatch(r"survived \(slow\): pause, line 5 column 16, 0 -> 1" + line, out[1])
+    assert slow and float(slow[1]) > mutants.SLOW, out
+    assert re.fullmatch(r"survived: pause, line 5 column 18, \* -> /" + line, out[2]), out
+    assert out[3] == "killed 0 of 2 mutants (0.0 %), 2 survived"
 
 
 def test_changed_since_keeps_only_the_changed_lines(repo, capsys):

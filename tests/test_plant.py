@@ -1,17 +1,23 @@
 import math
+import sys
 from dataclasses import fields, replace
 
 import pytest
 
 from pneuctrl.config import default_synthesis_dict, scenario_from_dict, synthesis_from_dict
 from pneuctrl.plant import (
+    _DOMAIN_SLACK,
+    FIELD_RULES,
     Conductances,
     LoadModel,
     Mode,
     PlantParams,
     branch_flows,
+    check_value,
     drift,
+    field_rule,
     gain,
+    rk4_hold,
     shape_factor,
     step,
 )
@@ -315,3 +321,47 @@ def test_non_finite_spool_map_coefficient_is_rejected(i, value):
     a[i] = value
     with pytest.raises(ValueError, match="^a must be finite$"):
         replace(spool_map, a=tuple(a))
+
+
+class TestDomainEdges:
+    """Each check of the declared domain at its edge: the value on the edge is taken or refused as stated."""
+
+    def test_an_optional_type_takes_the_rule_of_the_type_it_wraps(self):
+        assert field_rule("Optional[Seconds]") == FIELD_RULES["Seconds"]
+        with pytest.raises(ValueError, match="^duration must be positive$"):
+            check_value(-1.0, "Optional[Seconds]", "duration")
+
+    def test_the_largest_finite_float_is_finite(self):
+        assert check_value(sys.float_info.max, "NonNegative", "x") == sys.float_info.max
+
+    @pytest.mark.parametrize("edge", [
+        {"p_neg": 0.0}, {"p_neg": 1.01e5}, {"p_pos": 1.01e5}, {"b": 0.0}, {"b": 1.0}, {"gamma": 1.0},
+    ], ids=["p_neg-0", "p_neg-p_atm", "p_pos-p_atm", "b-0", "b-1", "gamma-1"])
+    def test_a_plant_on_the_edge_of_its_open_ranges_is_refused(self, params, edge):
+        with pytest.raises(ValueError, match="^(pressures must satisfy|critical ratio b|gamma must exceed)"):
+            replace(params, p_atm=1.01e5, **edge)
+
+    @pytest.mark.parametrize("v_min", [0.0, 2.5e-5], ids=["zero", "v_max"])
+    def test_a_bellow_on_the_edge_of_its_volume_range_is_refused(self, v_min):
+        with pytest.raises(ValueError, match="^v_min must satisfy 0 < v_min < v_max"):
+            LoadModel.affine_bellow(2.0e-5, 1e-10, v_min, 2.5e-5)
+
+    def test_branch_flows_away_from_reference_conditions_match_the_orifice_law(self, params):
+        # Away from t_ref == t_gas and at another density, each flow is
+        # upstream pressure x conductance x rho_ref x sqrt(t_ref / t_gas) x shape factor.
+        plant = replace(params, rho_ref=1.3, t_gas=330.0)
+        c, corr = plant.conductances, plant.rho_ref * math.sqrt(plant.t_ref / plant.t_gas)
+        for p in (0.3e5, 0.8e5, 1.5e5, 2.5e5):
+            want = (plant.p_pos * c.c_po * corr * shape_factor(p / plant.p_pos, plant.b),
+                    p * c.c_on * corr * shape_factor(plant.p_neg / p, plant.b),
+                    p * c.c_oa * corr * shape_factor(plant.p_atm / p, plant.b),
+                    plant.p_atm * c.c_ao * corr * shape_factor(p / plant.p_atm, plant.b))
+            assert tuple(branch_flows(p, plant)) == pytest.approx(want, rel=1e-12, abs=0.0), p
+
+    def test_branch_flows_take_a_pressure_on_the_edge_of_their_slack(self, params):
+        branch_flows(params.p_neg * (1.0 - _DOMAIN_SLACK), params)
+        branch_flows(params.p_pos * (1.0 + _DOMAIN_SLACK), params)
+
+    @pytest.mark.parametrize("x_bar", [-1e-12, 1.0 + 1e-12])
+    def test_a_held_step_takes_a_spool_fraction_on_the_edge_of_its_slack(self, params, x_bar):
+        assert math.isfinite(rk4_hold(params)(x_bar, True)(params.p_atm, 1e-3))
