@@ -165,7 +165,7 @@ def default_scenario_dict() -> dict:
             "t_gas_k": 293.15,
             "gamma": 1.4,
             "r_gas_j_kgk": 287.0,
-            "volume_m3": 2.0e-5,
+            "volume_m3": LoadModel.v0,   # the default fixed load's, so DM-SMC models the load it drives
             "conductances": asdict(DEFAULT_CONDUCTANCES),
         },
         "load": _emit(LoadModel(), _LOAD_KEYS),

@@ -44,7 +44,7 @@ class Reference(Checked):
     """Pressure reference: a multi-step stage list or a sinusoid.
 
     Levels and amplitude are gauge kPa; :func:`reference_at` converts to
-    absolute pascals.
+    absolute pascals.  ``duration``, its length in seconds, is set when it is built.
     """
 
     kind: str
@@ -75,6 +75,9 @@ class Reference(Checked):
         # references of one shape compare equal however they were built.
         for name in ("amplitude_kpa", "frequency_hz", "cycles") if self.kind == "multi-step" else ("stages",):
             object.__setattr__(self, name, getattr(Reference, name))
+        # The length, s, read on every tick: the stage table's last end, not sum(), which 3.12+ compensates.
+        object.__setattr__(self, "duration", self._ends[-1] if self.kind == "multi-step"
+                           else self.cycles / self.frequency_hz)
 
     @classmethod
     def multi_step(cls, stages: list[tuple[float, float]]) -> "Reference":
@@ -83,13 +86,6 @@ class Reference(Checked):
     @classmethod
     def sinusoid(cls, amplitude_kpa: float, frequency_hz: float, cycles: int) -> "Reference":
         return cls(kind="sinusoid", amplitude_kpa=amplitude_kpa, frequency_hz=frequency_hz, cycles=cycles)
-
-    @property
-    def duration(self) -> float:
-        if self.kind == "multi-step":
-            # The stage table's last end, not sum(), which 3.12+ compensates.
-            return self._ends[-1]
-        return self.cycles / self.frequency_hz
 
     def window_edges(self, until: float = math.inf) -> list[float]:
         """Window boundaries for metrics: stage starts or period starts, plus the end.
@@ -346,7 +342,8 @@ def run_scenario(
         zip(np.diff(events[b:b + CSV_BLOCK_ROWS + 1]).tolist(), kinds[b:b + CSV_BLOCK_ROWS].tobytes())
         for b in range(0, kinds.size, CSV_BLOCK_ROWS))
 
-    p = reference_at(ref, 0.0, params.p_atm)[0] if p_init is None else p_init
+    p_atm = params.p_atm
+    p = reference_at(ref, 0.0, p_atm)[0] if p_init is None else p_init
     hold = plant_mod.rk4_hold(params, load)
 
     # One typed buffer per logged column, so no boxed float outlives its tick;
@@ -354,6 +351,12 @@ def run_scenario(
     rows_t, rows_ref, rows_true, rows_meas, rows_u, rows_ct, rows_s, rows_x = (array("d") for _ in range(8))
     rows_mode = array(np.dtype(int).char)
     flags: list[str] = []
+
+    update, clock = controller.update, time.perf_counter   # looked up once, not on every tick
+    # The held step depends on the command alone, so it is bound again only when (u, mode) changes.  No u
+    # equals the NaN it starts from, and a NaN u, which eval_spool rejects, equals nothing.  Equal duties of
+    # opposite zero signs give equal held steps: each omits the zero main branch.
+    u_held, mode_held = math.nan, None
 
     # Each event, in substep order, then the plant steps up to the next one.
     # Substep 0 holds the first sensor sample and the first control tick,
@@ -364,21 +367,23 @@ def run_scenario(
             held = p + next(noise)
         if what & 2:
             t = j / f_sub
-            p_ref, p_rate = reference_at(ref, t, params.p_atm)
-            t0 = time.perf_counter()
-            out = controller.update(t, held, p_ref, p_rate)
-            ct = time.perf_counter() - t0
-            step = hold(eval_spool(out.u, maps[out.mode]), out.mode == Mode.INFLATION)
+            p_ref, p_rate = reference_at(ref, t, p_atm)
+            t0 = clock()
+            u, mode, s, x_star, flag = update(t, held, p_ref, p_rate)
+            ct = clock() - t0
+            if u != u_held or mode != mode_held:
+                step = hold(eval_spool(u, maps[mode]), mode == Mode.INFLATION)
+                u_held, mode_held = u, mode
             rows_t.append(t)
             rows_ref.append(p_ref)
             rows_true.append(p)
             rows_meas.append(held)
-            rows_u.append(out.u)
-            rows_mode.append(int(out.mode))
+            rows_u.append(u)
+            rows_mode.append(int(mode))
             rows_ct.append(ct)
-            rows_s.append(out.s)
-            rows_x.append(out.x_star)
-            flags.append(out.flag)
+            rows_s.append(s)
+            rows_x.append(x_star)
+            flags.append(flag)
         p = step(p, dt_sub, n_steps)
         j += n_steps
 
@@ -518,4 +523,6 @@ def write_trajectory_csv(traj: Trajectory, path, p_atm: float) -> None:
                 traj.mode[rows].tolist(),
                 np.rint(traj.ct[rows] * 1e6).astype(int).tolist(),   # round(): half to even
             )
-            fh.writelines("%.4f,%.6f,%.6f,%.6f,%.4f,%d,%d\n" % row for row in zip(*columns))
+            # One format over the block's values, row by row; each column holds the block's rows (equivalent
+            # mutant: columns[1]).
+            fh.write("%.4f,%.6f,%.6f,%.6f,%.4f,%d,%d\n" * len(columns[0]) % tuple(chain.from_iterable(zip(*columns))))

@@ -163,6 +163,9 @@ class PlantParams(Checked):
         object.__setattr__(self, "_k_oa", c.c_oa * self.rho_ref * temp_corr)
         object.__setattr__(self, "_k_ao", self.p_atm * c.c_ao * self.rho_ref * temp_corr)
         object.__setattr__(self, "_rate_scale", self.gamma * self.r_gas * self.t_gas / self.volume)
+        # The constants branch_flows reads, in the order it unpacks them.
+        object.__setattr__(self, "_flow", (self.p_neg, self.p_pos, self.p_atm, self.b, 1.0 - self.b,
+                                           self._k_po, self._k_on, self._k_oa, self._k_ao))
         # Fused RK4 holds built by rk4_hold, keyed by load model.
         object.__setattr__(self, "_kernels", {})
 
@@ -252,16 +255,34 @@ def shape_factor(r: float, b: float) -> float:
     return math.sqrt(1.0 - z * z)
 
 
-def branch_flows(p: float, params: PlantParams) -> BranchFlows:
-    """Evaluate all four branch mass flows at outlet pressure ``p``."""
-    p_neg, p_pos, p_atm, b = params.p_neg, params.p_pos, params.p_atm, params.b
-    if not (p_neg * (1.0 - _DOMAIN_SLACK) <= p <= p_pos * (1.0 + _DOMAIN_SLACK)):
-        raise ValueError(f"outlet pressure {p!r} Pa outside [{p_neg}, {p_pos}]")
-    a_po = params._k_po * shape_factor(p / p_pos, b)
-    a_on = params._k_on * p * shape_factor(p_neg / p, b)
-    a_oa = params._k_oa * p * shape_factor(p_atm / p, b)
-    a_ao = params._k_ao * shape_factor(p / p_atm, b)
-    return BranchFlows(a_po, a_on, a_oa, a_ao)
+# s = shape_factor(r, b), with 1.0 - b hoisted; like it, the same at r == b and r == 1 with < and >.
+_SHAPE = """\
+if r <= b:
+    s = 1.0
+elif r >= 1.0:
+    s = 0.0
+else:
+    z = (r - b) / one_minus_b
+    s = sqrt(1.0 - z * z)
+"""
+# Source of ``branch_flows``: each flow ``k * shape_factor(ratio, b)`` (times p for a_on and a_oa) with the
+# shape factor inline, as in the stages, and the channel's constants read from one tuple, ``params._flow``.
+_FLOWS = "".join(f"r = {ratio}\n{_SHAPE}{flow} = {k} * s\n" for ratio, flow, k in (
+    ("p / p_pos", "a_po", "k_po"), ("p_neg / p", "a_on", "k_on * p"),
+    ("p_atm / p", "a_oa", "k_oa * p"), ("p / p_atm", "a_ao", "k_ao")))
+_BRANCH_FLOWS = f"""\
+def branch_flows(p, params):
+    p_neg, p_pos, p_atm, b, one_minus_b, k_po, k_on, k_oa, k_ao = params._flow
+    if not (p_neg * (1.0 - {_DOMAIN_SLACK!r}) <= p <= p_pos * (1.0 + {_DOMAIN_SLACK!r})):
+        raise ValueError(f"outlet pressure {{p!r}} Pa outside [{{p_neg}}, {{p_pos}}]")
+{indent(_FLOWS, "    ")}    return new(BranchFlows, (a_po, a_on, a_oa, a_ao))
+"""
+_namespace = {"__name__": __name__, "sqrt": math.sqrt, "new": tuple.__new__, "BranchFlows": BranchFlows}
+exec(compile(_BRANCH_FLOWS, "<pneuctrl.plant branch_flows>", "exec"), _namespace)
+branch_flows: Callable[[float, PlantParams], BranchFlows] = _namespace["branch_flows"]
+branch_flows.__doc__ = """Evaluate all four branch mass flows at outlet pressure ``p``.
+
+A pressure past a rail by more than ``_DOMAIN_SLACK`` of it raises ValueError."""
 
 
 def drift(p: float, params: PlantParams) -> float:
@@ -372,16 +393,6 @@ if v < v_min:
 elif v > v_max:
     v = v_max
 scale = energy / v
-"""
-# s = shape_factor(r, b), with 1.0 - b hoisted; like it, the same at r == b and r == 1 with < and >.
-_SHAPE = """\
-if r <= b:
-    s = 1.0
-elif r >= 1.0:
-    s = 0.0
-else:
-    z = (r - b) / one_minus_b
-    s = sqrt(1.0 - z * z)
 """
 # At q == p_atm both branches give a zero leak, +0.0 or -0.0, which leaves p as it is (equivalent mutant: >).
 _LEAK = f"""\

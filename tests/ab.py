@@ -1,7 +1,7 @@
 """A/B harness: the working tree against a base commit, on what an exact change must keep.
 
 Run from the repository root: ``python tests/ab.py --base REV CHECK...``, each CHECK one of ``solutions``,
-``trajectories``, ``work``, ``memory`` and ``solve-time``.  REV is extracted with ``git archive`` into a
+``trajectories``, ``work``, ``memory``, ``solve-time`` and ``run-time``.  REV is extracted with ``git archive`` into a
 temporary directory.  The MPC problems are built once per check, by the head's ``perfbench/inputs.py``, and
 handed to both sides.  Each measurement runs in a process of its own on one side's ``src/``, ``tests/`` and
 ``perfbench/``, writing no bytecode, in a temporary directory: the checkout is never written.  Each check
@@ -157,10 +157,21 @@ def _memory(duration, synthesis):
     return rows
 
 
-def _solve_time(problems, base_src, rounds):
+def _load_base(base_src):
+    """The base side's package, imported from ``base_src`` as ``pneuctrl_base`` beside the head's ``pneuctrl``."""
     spec = importlib.util.spec_from_file_location("pneuctrl_base", Path(base_src, "pneuctrl", "__init__.py"),
                                                   submodule_search_locations=[str(Path(base_src, "pneuctrl"))])
     spec.loader.exec_module(sys.modules.setdefault("pneuctrl_base", importlib.util.module_from_spec(spec)))
+
+
+def _ratio_rows(ratios):
+    """One row per labelled list of head/base ratios: its label, the pairs, the median and the IQR."""
+    return [[label, str(len(rs)), f"{statistics.median(rs):.3f}",
+             "{:.3f}–{:.3f}".format(*statistics.quantiles(rs, n=4)[::2])] for label, rs in ratios.items()]
+
+
+def _solve_time(problems, base_src, rounds):
+    _load_base(base_src)
     sides = []   # head, base: each the package's mpc module and the solves' setup
     for pkg in ("pneuctrl", "pneuctrl_base"):
         mpc, cfg = (importlib.import_module(f"{pkg}.{name}") for name in ("mpc", "config"))
@@ -178,13 +189,45 @@ def _solve_time(problems, base_src, rounds):
                     calls[side][0](*calls[side][1])
                     cpu[side] = time.process_time() - start
                 out.append(cpu[0] / cpu[1])
-    return [[name, str(len(rs)), f"{statistics.median(rs):.3f}",
-             "{:.3f}–{:.3f}".format(*statistics.quantiles(rs, n=4)[::2])] for name, rs in ratios.items()]
+    return _ratio_rows(ratios)
+
+
+def _run_time(base_src, duration, rounds):
+    from pneuctrl import config
+    _load_base(base_src)
+    bellow = config.default_bellow_load()
+    timing = {"noise_sigma_pa": 500.0, **({"duration_s": duration} if duration else {})}
+    scenarios = {   # the default multi-step on the fixed load; the bench's sinusoid on the bellow
+        "multi-step": {},
+        "bellow sinusoid": {"reference": {"kind": "sinusoid", "amplitude_kpa": 50.0, "frequency_hz": 0.5, "cycles": 3},
+                            "load": {"kind": bellow.kind, "v0_m3": bellow.v0, "k_v_m3_pa": bellow.k_v,
+                                     "v_min_m3": bellow.v_min, "v_max_m3": bellow.v_max}},
+    }
+    runs = {}   # label -> the run's arguments
+    for scenario, raw in scenarios.items():
+        for name in ("pid", "dm-smc"):
+            path = Path(f"{name} {scenario}.json".replace(" ", "-"))
+            path.write_text(json.dumps({**raw, "controller": name, "timing": timing}))
+            runs[f"{name}, {scenario}"] = ["run", "--config", str(path), "--out", path.stem]
+    mains = [importlib.import_module(f"{pkg}.cli").main for pkg in ("pneuctrl", "pneuctrl_base")]
+    for main in mains:   # each side's first run of each, outside the timing
+        for argv in runs.values():
+            main(argv)
+    ratios = {label: [] for label in runs}
+    for r in range(rounds):
+        for i, (label, argv) in enumerate(runs.items()):
+            cpu = [0.0, 0.0]
+            for side in ((0, 1) if (r + i) % 2 == 0 else (1, 0)):
+                start = time.process_time()
+                mains[side](argv)
+                cpu[side] = time.process_time() - start
+            ratios[label].append(cpu[0] / cpu[1])
+    return _ratio_rows(ratios)
 
 
 # Each measurement, run in a side's process: it returns labelled values to compare, or table rows.
 MEASURES = {m.__name__[1:].replace("_", "-"): m for m in (_problems, _solutions, _trajectories, _work, _memory,
-                                                           _solve_time)}
+                                                           _solve_time, _run_time)}
 
 
 def _equal(sides: Sides, heading: str, what: str, measure: str, **payload) -> None:
@@ -239,7 +282,16 @@ def solve_time(sides: Sides, seeds=(1,), rounds=10) -> None:
     _table(sides, "MPC solve time", ["solver", "pairs", "CPU time per solve, head/base: median", "IQR"], rows)
 
 
-CHECKS = {check.__name__.replace("_", "-"): check for check in (solutions, trajectories, work, memory, solve_time)}
+def run_time(sides: Sides, duration=None, rounds=20) -> None:
+    """The per-run CPU-time ratio head/base of ``pneuctrl run``, PID and DM-SMC on the default multi-step and the
+    bench's bellow sinusoid at 500 Pa noise, both packages in one process, over interleaved rounds."""
+    rows = run_side(sides.head, "run-time", base_src=str(sides.base / "src"), duration=duration, rounds=rounds)
+    _table(sides, "Closed-loop run time", ["controller, scenario", "pairs", "CPU time per run, head/base: median",
+                                           "IQR"], rows)
+
+
+CHECKS = {check.__name__.replace("_", "-"): check for check in (solutions, trajectories, work, memory, solve_time,
+                                                                 run_time)}
 
 
 def main(argv: list[str] | None = None) -> None:

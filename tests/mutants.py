@@ -4,12 +4,18 @@ Usage, from the repository root::
 
     python tests/mutants.py src/pneuctrl/mpc.py
     python tests/mutants.py --changed-since origin/main src/pneuctrl/mpc.py tests/test_mpc.py
+    python tests/mutants.py --templates src/pneuctrl/plant.py
 
 A mutant changes one site inside a function body of MODULE: it flips a
 comparison (``<`` and ``<=``, ``>`` and ``>=``, ``==`` and ``!=``), swaps
 ``+`` with ``-`` or ``*`` with ``/`` (also in ``+=`` and the like), or adds 1
 to an integer constant 0, 1 or 2.  The token is replaced in the source text,
-so every other line and its number stay as they are.  For each mutant the
+so every other line and its number stay as they are.  ``--templates``
+makes the same changes inside the string literals that hold the source of
+code the module generates and runs (its entry in ``TEMPLATES``) in place of
+its function bodies: between two operands, a comparison or ``+ - * /``; any
+augmented assignment; a whole-number token 0, 1 or 2.  A literal's
+``$name`` and f-string fields are left as they are.  For each mutant the
 runner runs ``pytest -x`` on the TESTs, by default the module's entry in
 ``TESTS``, and a mutant whose run fails (or
 exceeds ten times the unmutated run's time plus 10 s) is killed.  It prints
@@ -32,6 +38,8 @@ from __future__ import annotations
 
 import argparse
 import ast
+import io
+import keyword
 import os
 import re
 import shutil
@@ -39,6 +47,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tokenize
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -60,6 +69,16 @@ TESTS = {
     "src/pneuctrl/sysid.py": ["tests/test_sysid.py", "tests/test_sysid_exactness.py", "tests/test_trace_csv.py"],
     "src/pneuctrl/valvemap.py": ["tests/test_valvemap.py"],
 }
+
+# The literals holding each module's generated code, by the name of the module-level assignment or function that
+# holds them; docstrings and whatever an f-string field holds are not template text.
+TEMPLATES = {
+    "src/pneuctrl/plant.py": ("_SHAPE", "_FLOWS", "_BRANCH_FLOWS", "_STEP", "_WALK", "_ADVANCE", "_RATE", "_BELLOW",
+                              "_LEAK", "_MAIN", "_variant"),
+}
+# In template text: an operator flipped between two operands, and one flipped anywhere.
+BINARY = {"<": "<=", "<=": "<", ">": ">=", ">=": ">", "==": "!=", "!=": "==", "+": "-", "-": "+", "*": "/", "/": "*"}
+AUGMENTED = {"+=": "-=", "-=": "+=", "*=": "/=", "/=": "*="}
 
 
 @dataclass(frozen=True)
@@ -138,6 +157,109 @@ def _sites(node: ast.AST, function: str, text: str, starts: list[int]) -> list[M
     return sites
 
 
+def template_mutants(text: str, names) -> list[Mutant]:
+    """Every mutant inside the string literals of the module-level assignments to, or functions named, ``names``."""
+    starts, found = _offsets(text), []
+    for node in ast.parse(text).body:
+        if isinstance(node, ast.FunctionDef):
+            held = [node.name]
+        elif isinstance(node, ast.Assign):
+            held = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        name = next((h for h in held if h in names), None)
+        if name is None:
+            continue
+        skip = set()   # docstrings, and every node inside an f-string, whose whole literal is scanned
+        for inner in ast.walk(node):
+            if isinstance(inner, ast.JoinedStr):
+                skip.update(id(n) for n in ast.walk(inner) if n is not inner)
+            elif isinstance(inner, ast.FunctionDef) and ast.get_docstring(inner, clean=False) is not None:
+                skip.add(id(inner.body[0].value))
+        for literal in ast.walk(node):
+            if id(literal) not in skip and (isinstance(literal, ast.JoinedStr) or (
+                    isinstance(literal, ast.Constant) and isinstance(literal.value, str))):
+                start = starts[literal.lineno] + literal.col_offset
+                found.extend(_literal_sites(text, start, starts[literal.end_lineno] + literal.end_col_offset, name))
+    return sorted(set(found), key=lambda m: m.start)
+
+
+def _literal_sites(text: str, start: int, end: int, name: str) -> list[Mutant]:
+    """The mutants of one string literal, ``text[start:end]``, its prefix and quotes included."""
+    prefix, quote = re.match(r"([a-zA-Z]*)(\"\"\"|'''|\"|')", text[start:end]).groups()
+    first = start + len(prefix) + len(quote)
+    body = _mask(text[first:end - len(quote)], "f" in prefix.lower())
+    sites, line_start = [], first
+    for line in body.split("\n"):
+        tokens = _tokens(line)
+        for i, (kind, token, column) in enumerate(tokens):
+            at = line_start + column
+            before = tokens[i - 1] if i else None
+            after = tokens[i + 1] if i + 1 < len(tokens) else None
+            if token in AUGMENTED:
+                new = AUGMENTED[token]
+            elif token in BINARY and _operand(before, ")", "]", "}") and _operand(after, "(", "[", "{", "-", "+", "~"):
+                new = BINARY[token]
+            elif kind == tokenize.NUMBER and token in ("0", "1", "2"):
+                new = str(int(token) + 1)
+            else:
+                continue
+            sites.append(Mutant(name, text.count("\n", 0, at) + 1, at, token, new))
+        line_start += len(line) + 1
+    return sites
+
+
+def _mask(body: str, fstring: bool) -> str:
+    """``body`` at the same length with what is not template code blanked: each escape (``\\n`` as ``;``, a line
+    break between two statements), each ``$`` as ``_``, each f-string field as a name and ``{{``, ``}}`` as blanks."""
+    out, i = list(body), 0
+    while i < len(body):
+        if body[i] == "\\":
+            after = body[i + 1:i + 2]
+            out[i:i + 2] = (";", " ") if after == "n" else (" ", after) if after == "\n" else (" ", " ")
+            i += 2
+        elif body[i] == "$":
+            out[i] = "_"
+            i += 1
+        elif fstring and body.startswith(("{{", "}}"), i):
+            out[i:i + 2] = (" ", " ")
+            i += 2
+        elif fstring and body[i] == "{":
+            depth, j, quote = 1, i + 1, None
+            while depth:
+                c = body[j]
+                if quote:
+                    quote = None if c == quote else quote
+                elif c in "\"'":
+                    quote = c
+                else:
+                    depth += (c == "{") - (c == "}")
+                j += 1
+            out[i:j] = "_" * (j - i)
+            i = j
+        else:
+            i += 1
+    return "".join(out)
+
+
+def _tokens(line: str) -> list[tuple[int, str, int]]:
+    """The significant tokens of one line of template code, each (type, text, column); up to an error, if any."""
+    tokens = []
+    try:
+        for tok in tokenize.generate_tokens(io.StringIO(line).readline):
+            if tok.type in (tokenize.NAME, tokenize.NUMBER, tokenize.STRING, tokenize.OP):
+                tokens.append((tok.type, tok.string, tok.start[1]))
+    except (tokenize.TokenError, SyntaxError):
+        pass
+    return tokens
+
+
+def _operand(token, *brackets: str) -> bool:
+    """Whether ``token`` is one of ``brackets``, a number, a string, or a name that is not a keyword."""
+    return token is not None and (token[1] in brackets or token[0] in (tokenize.NUMBER, tokenize.STRING)
+                                  or (token[0] == tokenize.NAME and not keyword.iskeyword(token[1])))
+
+
 def changed_lines(rev: str, path: Path) -> set[int]:
     """The lines of ``path`` that ``git diff rev`` adds or changes."""
     diff = subprocess.run(["git", "diff", "-U0", rev, "--", path.name], cwd=path.parent, capture_output=True, text=True,
@@ -168,6 +290,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("tests", nargs="*", help="the test files or ids to run, as paths under the root; "
                         "by default the module's entry in TESTS")
     parser.add_argument("--changed-since", metavar="REV", help="mutate only lines that git diff REV adds or changes")
+    parser.add_argument("--templates", action="store_true",
+                        help="mutate the module's generated-code literals (its TEMPLATES entry), not its functions")
     args = parser.parse_args(argv)
 
     root = Path.cwd()
@@ -176,11 +300,11 @@ def main(argv: list[str] | None = None) -> int:
     if not tests:
         parser.error(f"{module} has no entry in TESTS: name its test files")
     text = (root / module).read_text()
-    sites = mutants(text)
+    sites = template_mutants(text, TEMPLATES.get(module.as_posix(), ())) if args.templates else mutants(text)
     if args.changed_since:
         lines = changed_lines(args.changed_since, root / module)
         sites = [m for m in sites if m.line in lines]
-    print(f"{module}: {len(sites)} mutants")
+    print(f"{module}: {len(sites)} mutants{' in its templates' if args.templates else ''}")
     if not sites:
         return 0
     with tempfile.TemporaryDirectory(prefix="mutants-") as work:

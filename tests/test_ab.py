@@ -4,7 +4,8 @@ The fixture holds this repository's package, ``tests/mpc_reference.py`` and
 ``perfbench/inputs.py``.  Against its own commit every check reports equal;
 a changed MPC constant shows under ``solutions``, a changed PID gain under
 ``trajectories``.  Each check runs at a reduced size: one seed, short runs and
-a short identification protocol, one timing round.  The fixture's checkout is the same after every run.
+a short identification protocol, one timing round of the solves and two of
+the 0.5 s runs.  The fixture's checkout is the same after every run.
 """
 
 import shutil
@@ -63,6 +64,7 @@ def test_against_its_own_commit_every_check_reports_equal(repo, capsys):
         ab.work(sides)
         ab.memory(sides, duration=0.5, synthesis=SHORT_PROTOCOL)
         ab.solve_time(sides, rounds=1)
+        ab.run_time(sides, duration=0.5, rounds=2)
     out = capsys.readouterr().out
     rev = _git(repo, "rev-parse", "--short=7", "HEAD").strip()
     assert out.startswith(f"#### MPC solutions against base {rev}\n")
@@ -81,6 +83,9 @@ def test_against_its_own_commit_every_check_reports_equal(repo, capsys):
                                                for side in ("head", "base")]
     assert all(float(row[3]) > 0.0 for row in memory)
     assert [row[:2] for row in reports["MPC solve time"][1]] == [["mi-nmpc", "23"], ["nmpc", "23"]]
+    assert [row[:2] for row in reports["Closed-loop run time"][1]] == [
+        [f"{name}, {scenario}", "2"] for scenario in ("multi-step", "bellow sinusoid") for name in ("pid", "dm-smc")]
+    assert all(float(row[2]) > 0.0 for row in reports["Closed-loop run time"][1])
     assert _git(repo, "status", "--porcelain", "--ignored") == ""
 
 

@@ -55,6 +55,12 @@ def test_empty_scenario_equals_the_factories():
     assert sc.timing == default_timing()
 
 
+def test_the_model_volume_is_the_default_load_volume():
+    # DM-SMC inverts the model at ``plant.volume``; the default fixed load must be that volume.
+    assert default_plant().volume == default_load().v0
+    assert default_scenario_dict()["plant"]["volume_m3"] == default_scenario_dict()["load"]["v0_m3"]
+
+
 def test_empty_synthesis_equals_the_defaults():
     spec = synthesis_from_dict({})
     assert spec.cfg == SynthesisConfig()

@@ -315,6 +315,8 @@ def test_the_held_step_and_walk_take_their_domain_edges_and_refuse_what_lies_pas
 
 
 def test_the_sample_walk_goes_on_while_the_sum_equals_the_limit():
-    # The first sample matches, so the sum is 0.0 == limit there: the walk stops only after the second.
-    walk = rk4_hold(PARAMS).walk(0.5, True)
-    assert len(walk(PARAMS.p_atm, [0.0, 1e-3, 2e-3], [PARAMS.p_atm, 0.0, 0.0], 0.0)) == 2
+    # The first two samples match, so the sum after the first step is 0.0 == limit: the walk stops only after
+    # the next one.
+    step, walk = rk4_hold(PARAMS)(0.5, True), rk4_hold(PARAMS).walk(0.5, True)
+    meas = [PARAMS.p_atm, step(PARAMS.p_atm, 1e-3), 0.0, 0.0]
+    assert len(walk(PARAMS.p_atm, [0.0, 1e-3, 2e-3, 3e-3], meas, 0.0)) == 3

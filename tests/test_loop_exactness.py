@@ -9,6 +9,7 @@ formats each row with an f-string and rounds each compute time with
 ``round``.
 """
 
+import itertools
 import math
 import time
 from bisect import bisect_left
@@ -19,10 +20,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from pneuctrl import experiment
 from pneuctrl import plant as plant_mod
 from pneuctrl.config import default_maps, default_pid_gains, default_smc_gains, default_supervisor
 from pneuctrl.experiment import (
-    CSV_BLOCK_ROWS, DmSmcLoop, PidLoop, Reference, ScenarioEnd, TimingConfig, Trajectory, event_substeps,
+    CSV_BLOCK_ROWS, DmSmcLoop, PidLoop, Reference, ScenarioEnd, TimingConfig, Tick, Trajectory, event_substeps,
     reference_at, run_duration, run_scenario, write_trajectory_csv,
 )
 from pneuctrl.plant import Mode
@@ -174,6 +176,47 @@ def test_run_matches_the_substep_loop(ref, timing, cut, controller, load_name, p
     assert got.flags == want.flags and got.duration == want.duration
     n_sub = int(round(got.duration * timing.sim_substep))
     assert held_steps == [1.0 / timing.sim_substep] * n_sub
+
+
+class Commands:
+    """A controller that returns the ``Tick`` of each of ``commands`` in turn, cycling."""
+
+    def __init__(self, *commands):
+        self.commands = itertools.cycle(commands)
+
+    def update(self, t, p_meas, p_ref, p_rate):
+        return Tick(*next(self.commands))
+
+
+@pytest.mark.parametrize("case", ["constant", "mode flips at one duty", "dm-smc at x* = 0"])
+def test_a_reused_held_step_is_the_one_a_rebind_gives(case):
+    # The run binds the held step again only when (u, mode) changes; the substep loop binds it every tick.
+    timing = TimingConfig(duration=0.5, seed=3, noise_sigma=0.0 if case == "dm-smc at x* = 0" else 500.0)
+    ref, p_init = Reference.multi_step([(0.0, 0.5)]), None
+    if case == "dm-smc at x* = 0":
+        # Noiseless, 4 kPa above the reference: inside the deadband, so inflation holds, and it demands a fall.
+        p_init = PARAMS.p_atm + 4000.0
+        controllers = [make_controller("dm-smc", timing) for _ in range(2)]
+    elif case == "constant":
+        controllers = [Commands((40.0, Mode.INFLATION)) for _ in range(2)]
+    else:
+        controllers = [Commands((60.0, Mode.INFLATION), (60.0, Mode.DEFLATION)) for _ in range(2)]
+    binds = []
+    with mock.patch.object(experiment, "eval_spool", lambda u, m: binds.append(u) or eval_spool(u, m)):
+        got = run_scenario(ref, controllers[0], timing, PARAMS, MAPS, None, p_init)
+    want = substep_run(ref, controllers[1], timing, PARAMS, MAPS, None, p_init)
+
+    for name in ("t", "p_ref", "p_true", "p_meas", "u", "mode", "s", "x_star"):
+        assert same_bits(getattr(got, name), getattr(want, name)), name
+    assert got.flags == want.flags
+    ticks = len(got.t)
+    assert ticks == 50
+    if case == "mode flips at one duty":
+        assert len(binds) == ticks and np.all(got.mode[1:] != got.mode[:-1])
+    else:
+        assert len(binds) == 1
+    if case == "dm-smc at x* = 0":
+        assert np.all(got.x_star == 0.0) and np.all(got.mode == Mode.INFLATION)
 
 
 @settings(max_examples=200, deadline=None)

@@ -5,7 +5,9 @@ equivalent (at ``x == hi`` both branches give ``hi``), so it survives.  A
 mutant that only slows its test survives too, marked slow.  The
 runner works in a copy: the fixture's files are the same after a run, and
 after one that an interrupt stops.  Its table gives each module of the
-package the test files that cover it.
+package the test files that cover it.  With ``--templates`` it mutates the
+code a module generates from string literals, in a fixture that builds
+``add`` and ``clamp`` so.
 """
 
 import re
@@ -36,6 +38,27 @@ TESTS = textwrap.dedent("""\
     def test_clamp():
         assert clamp(1, 2) == 1 and clamp(3, 2) == 2
     """)
+
+
+# The same two functions generated from templates: a Template's $name and an f-string's field are not code.
+TEMPLATE_MODULE = "\n".join([
+    "from string import Template",
+    "",
+    '_ADD = Template("""\\',
+    "def $name(a, b):",
+    "    return a + b",
+    '""")',
+    "_CLAMP = f\"x if x < hi else {'hi'}\"",
+    "",
+    "",
+    "def clamp(x, hi):",
+    '    """x if x < hi, else hi."""',
+    "    return eval(_CLAMP)",
+    "",
+    "",
+    'exec(_ADD.substitute(name="add"))',
+    "",
+])
 
 
 @pytest.fixture
@@ -83,6 +106,29 @@ def test_a_survivor_that_only_slows_its_test_is_marked_slow(repo, capsys):
     assert slow and float(slow[1]) > mutants.SLOW, out
     assert re.fullmatch(r"survived: pause, line 5 column 18, \* -> /" + line, out[2]), out
     assert out[3] == "killed 0 of 2 mutants (0.0 %), 2 survived"
+
+
+def test_templates_mutates_the_generated_code_not_the_functions(repo, monkeypatch, capsys):
+    (repo / "src" / "fixmod.py").write_text(TEMPLATE_MODULE)
+    monkeypatch.setattr(mutants, "TEMPLATES", {"src/fixmod.py": ("_ADD", "_CLAMP")})
+    found = [(m.function, m.line, m.old, m.new) for m in mutants.template_mutants(TEMPLATE_MODULE, ("_ADD", "_CLAMP"))]
+    # Not the $name, the docstring, the f-string's field, nor the function body's eval.
+    assert found == [("_ADD", 5, "+", "-"), ("_CLAMP", 7, "<", "<=")]
+    assert _run("--templates") == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "src/fixmod.py: 2 mutants in its templates"
+    assert re.fullmatch(r'survived: _CLAMP, line 7 column 19, < -> <=, \d+\.\dx the time:  _CLAMP = f"x if x < hi .*',
+                        out[1]), out[1]
+    assert out[2] == "killed 1 of 2 mutants (50.0 %), 1 survived"
+    assert (repo / "src" / "fixmod.py").read_text() == TEMPLATE_MODULE
+    assert mutants.mutants(TEMPLATE_MODULE) == []   # without --templates, nothing to mutate
+
+
+def test_the_template_table_names_literals_that_hold_sites():
+    root = Path(__file__).resolve().parents[1]
+    for module, names in mutants.TEMPLATES.items():
+        found = {m.function for m in mutants.template_mutants((root / module).read_text(), names)}
+        assert found == set(names), module
 
 
 def test_changed_since_keeps_only_the_changed_lines(repo, capsys):

@@ -3,6 +3,8 @@ import sys
 from dataclasses import fields, replace
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pneuctrl.config import default_synthesis_dict, scenario_from_dict, synthesis_from_dict
 from pneuctrl.plant import (
@@ -87,6 +89,68 @@ class TestBranchFlows:
             branch_flows(params.p_pos * 1.01, params)
         with pytest.raises(ValueError):
             branch_flows(params.p_neg * 0.5, params)
+
+
+def shape_factor_flows(p, params):
+    """The four branch flows as ``k * shape_factor(ratio, b)``, times ``p`` for a_on and a_oa."""
+    b = params.b
+    return (params._k_po * shape_factor(p / params.p_pos, b), params._k_on * p * shape_factor(params.p_neg / p, b),
+            params._k_oa * p * shape_factor(params.p_atm / p, b), params._k_ao * shape_factor(p / params.p_atm, b))
+
+
+@st.composite
+def channels(draw):
+    """A channel of drawn critical ratio, rails about a drawn atmosphere, conductances and gas constants."""
+    p_atm = draw(st.floats(5e4, 2e5))
+    magnitude = st.floats(1e-13, 1e-8)
+    return PlantParams(
+        p_pos=p_atm * draw(st.floats(1.01, 20.0)), p_neg=p_atm * draw(st.floats(0.01, 0.99)), p_atm=p_atm,
+        b=draw(st.floats(0.01, 0.99)), rho_ref=draw(st.floats(0.5, 2.0)), t_ref=draw(st.floats(250.0, 350.0)),
+        t_gas=draw(st.floats(250.0, 350.0)), gamma=1.4, r_gas=287.0, volume=2e-5,
+        conductances=Conductances(*(draw(magnitude) for _ in range(4))))
+
+
+# The pressures at which a flow's ratio is b or 1.
+EDGES = {
+    "b p_pos": lambda c: c.b * c.p_pos, "p_neg / b": lambda c: c.p_neg / c.b,
+    "b p_atm": lambda c: c.b * c.p_atm, "p_atm / b": lambda c: c.p_atm / c.b,
+    "p_atm": lambda c: c.p_atm, "p_pos": lambda c: c.p_pos, "p_neg": lambda c: c.p_neg,
+}
+
+
+class TestInlineFlows:
+    """``branch_flows``, its shape factors inline, is ``shape_factor``'s form bit for bit, and so are
+    ``drift`` and ``gain`` composed from it."""
+
+    @staticmethod
+    def check(p, params):
+        want = shape_factor_flows(p, params)
+        assert [a.hex() for a in branch_flows(p, params)] == [a.hex() for a in want], p
+        a_po, a_on, a_oa, a_ao = want
+        assert drift(p, params).hex() == (params._rate_scale * (a_ao - a_oa)).hex()
+        assert gain(p, Mode.INFLATION, params).hex() == (params._rate_scale * (a_po - a_ao + a_oa)).hex()
+        assert gain(p, Mode.DEFLATION, params).hex() == (params._rate_scale * (-a_on - a_ao + a_oa)).hex()
+
+    @settings(max_examples=400, deadline=None)
+    @given(params=channels(), frac=st.floats(0.0, 1.0))
+    def test_across_the_slack_widened_rails(self, params, frac):
+        lo, hi = params.p_neg * (1.0 - _DOMAIN_SLACK), params.p_pos * (1.0 + _DOMAIN_SLACK)
+        self.check(min(lo + frac * (hi - lo), hi), params)
+
+    @settings(max_examples=300, deadline=None)
+    @given(params=channels(), edge=st.sampled_from(sorted(EDGES)), side=st.sampled_from([-1, 0, 1]))
+    def test_where_a_ratio_is_b_or_1(self, params, edge, side):
+        p = EDGES[edge](params)
+        p = math.nextafter(p, side * math.inf) if side else p
+        assume(params.p_neg * (1.0 - _DOMAIN_SLACK) <= p <= params.p_pos * (1.0 + _DOMAIN_SLACK))
+        self.check(p, params)
+
+    @pytest.mark.parametrize("edge", sorted(EDGES))
+    def test_the_default_channel_where_a_ratio_is_b_or_1(self, params, edge):
+        p = EDGES[edge](params)
+        if params.p_neg <= p <= params.p_pos:   # p_atm / b lies past p_pos
+            for q in (math.nextafter(p, -math.inf), p, math.nextafter(p, math.inf)):
+                self.check(q, params)
 
 
 class TestDrift:
